@@ -23,8 +23,7 @@ from .enrich import AsnTable, CsvGeoProvider, Enricher, GeoResolver, HttpGeoProv
 from .icmp import Family, family_of
 from .probe import (LiveClock, ProbeSchedule, RawIcmpTransport, RelationKey,
                     SourceWorker, TransportFailure, run_relation_worker)
-from .records import (KIND_PING, KIND_TRACEROUTE, PingRecord, RecordStore,
-                      StoreQuery, TracerouteRun)
+from .records import KIND_PING, KIND_TRACEROUTE, RecordStore, StoreQuery
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -162,11 +161,12 @@ def _measure_sim(config: Config, args) -> int:
                   f"is not in the topology", file=sys.stderr)
             return EXIT_CONFIG
     with RecordStore(config.store_path) as store:
-        result = sim.run_scenario(topology, config.relations, config.schedule,
-                                  args.duration, seed=args.seed, sink=store)
-    print(f"simulated {args.duration:.0f} s: "
-          f"{sum(isinstance(r, PingRecord) for r in result.records)} ping, "
-          f"{sum(isinstance(r, TracerouteRun) for r in result.records)} "
+        pings, runs = store.count(KIND_PING), store.count(KIND_TRACEROUTE)
+        sim.run_scenario(topology, config.relations, config.schedule,
+                         args.duration, seed=args.seed, sink=store)
+        pings = store.count(KIND_PING) - pings
+        runs = store.count(KIND_TRACEROUTE) - runs
+    print(f"simulated {args.duration:.0f} s: {pings} ping, {runs} "
           f"traceroute records -> {config.store_path}")
     return EXIT_OK
 
@@ -361,7 +361,7 @@ def cmd_analyze(args) -> int:
         per_relation_runs.append((relation, runs))
         if runs:
             runs_found = True
-            observations.extend(analytics.link_shares(runs, relation, enricher))
+            observations.extend(analytics.link_shares(runs, relation, enricher.enrich))
     if not runs_found:
         print("error: no traceroute records match the selection", file=sys.stderr)
         return EXIT_EMPTY

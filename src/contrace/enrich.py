@@ -134,10 +134,6 @@ class AsnTable:
         return table
 
 
-def lookup_asn(table: AsnTable, address: str) -> tuple[int, str] | None:
-    return table.lookup(address)
-
-
 class GeoProvider(Protocol):
     name: str
 
@@ -227,11 +223,6 @@ class GeoResolver:
         return result
 
 
-def resolve_geo(address: str, providers: Sequence[GeoProvider],
-                accept_km: float = GEO_ACCEPT_KM) -> GeoLocation | None:
-    return GeoResolver(providers, accept_km).resolve(address)
-
-
 def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     """Great-circle distance in km on a sphere of radius 6371 km."""
     phi1, phi2 = math.radians(lat1), math.radians(lat2)
@@ -288,6 +279,3 @@ class Enricher:
         hop = EnrichedHop(address, asn, name, geo)
         self._cache[address] = hop
         return hop
-
-    def __call__(self, address: str) -> EnrichedHop:
-        return self.enrich(address)

@@ -20,6 +20,9 @@ from functools import lru_cache
 
 ICMP_HEADER = struct.Struct("!BBHHH")  # type, code, checksum, identifier, sequence
 HEADER_LEN = ICMP_HEADER.size
+# Echo request up to the compensation word: header, timestamp, word.
+_REQUEST_HEAD = struct.Struct("!BBHHHQH")
+_REQUEST_HEAD_WORDS = struct.Struct(f"!{_REQUEST_HEAD.size // 2}H")
 
 DEFAULT_PAYLOAD_LEN = 16  # header + payload + IP header = 44 B (v4) / 64 B (v6)
 MIN_PAYLOAD_LEN = 10      # timestamp (8 B) + compensation word (2 B)
@@ -81,19 +84,6 @@ class MissingPseudoHeader(CodecError):
     """ICMPv6 checksums cover the pseudo-header; addresses are required."""
 
 
-@dataclass(frozen=True, slots=True)
-class EchoPacket:
-    """One ICMP/ICMPv6 echo-family message (checksum field is derived)."""
-
-    kind: Kind
-    icmp_type: int
-    icmp_code: int
-    checksum: int
-    identifier: int
-    sequence: int
-    payload: bytes
-
-
 @dataclass(slots=True)
 class DecodedMessage:
     """Result of decode_message; checksum_ok is a soft flag, never fatal."""
@@ -106,7 +96,6 @@ class DecodedMessage:
     sequence: int | None
     payload: bytes
     checksum_ok: bool
-    inner: EchoPacket | None = None
 
     @property
     def match_key(self) -> tuple[int, int] | None:
@@ -139,24 +128,17 @@ def internet_checksum(data: bytes) -> int:
     return ~_fold(_word_sum(data)) & 0xFFFF
 
 
-def _pseudo_prefix(family: Family, source: str | None, destination: str | None,
-                   message_len: int) -> bytes:
-    """Checksum prefix: empty for v4, the ICMPv6 pseudo-header for v6."""
+@lru_cache(maxsize=4096)
+def _pseudo_word_sum(family: Family, source: str | None, destination: str | None,
+                     message_len: int) -> int:
+    """Word sum of the checksum prefix: 0 for v4, the ICMPv6 pseudo-header for v6."""
     if family is Family.V4:
-        return b""
+        return 0
     if not source or not destination:
         raise MissingPseudoHeader("ICMPv6 checksum needs source and destination addresses")
     src = ipaddress.IPv6Address(source).packed
     dst = ipaddress.IPv6Address(destination).packed
-    return src + dst + struct.pack("!I3xB", message_len, ICMPV6_PROTOCOL)
-
-
-@lru_cache(maxsize=4096)
-def _pseudo_word_sum(family: Family, source: str | None, destination: str | None,
-                     message_len: int) -> int:
-    if family is Family.V4:
-        return 0
-    return _word_sum(_pseudo_prefix(family, source, destination, message_len))
+    return _word_sum(src + dst + struct.pack("!I3xB", message_len, ICMPV6_PROTOCOL))
 
 
 def _compensation(base_sum: int, target: int) -> int:
@@ -179,112 +161,45 @@ def _compensation(base_sum: int, target: int) -> int:
     return w
 
 
-def plain_payload(timestamp_us: int, payload_len: int = DEFAULT_PAYLOAD_LEN) -> bytes:
-    """Uncompensated payload: timestamp, zero compensation word, zero fill."""
-    if payload_len < MIN_PAYLOAD_LEN:
-        raise PayloadTooSmall(
-            f"payload of {payload_len} B cannot hold timestamp and compensation word")
-    return (timestamp_us & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "big") + bytes(payload_len - 8)
-
-
-def _crafted_parts(family: Family, identifier: int, sequence: int,
-                   target_checksum: int, timestamp_us: int, payload_len: int,
-                   source: str | None, destination: str | None) -> tuple[bytes, bytes]:
-    """(timestamp bytes, compensation word bytes) pinning the checksum.
-
-    Only the header and timestamp words contribute to the base sum: the
-    compensation slot and tail are zero, and zero words never change a
-    one's-complement sum.
-    """
-    if payload_len < MIN_PAYLOAD_LEN:
-        raise PayloadTooSmall(
-            f"payload of {payload_len} B cannot hold timestamp and compensation word")
-    if not 0 <= target_checksum <= 0xFFFF:
-        raise ValueError("target checksum must be a 16-bit value")
-    ts = (timestamp_us & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "big")
-    base_sum = _word_sum(
-        ICMP_HEADER.pack(ECHO_REQUEST_TYPE[family], 0, 0, identifier, sequence) + ts)
-    base_sum += _pseudo_word_sum(family, source, destination,
-                                 HEADER_LEN + payload_len)
-    comp = _compensation(base_sum, target_checksum)
-    return ts, comp.to_bytes(2, "big")
-
-
-def craft_payload(identifier: int, sequence: int, target_checksum: int,
-                  timestamp_us: int, payload_len: int = DEFAULT_PAYLOAD_LEN, *,
-                  family: Family = Family.V4, source: str | None = None,
-                  destination: str | None = None) -> bytes:
-    """Payload making the assembled echo request checksum == target_checksum.
-
-    For v6 the checksum covers the pseudo-header, so source and destination
-    addresses take part in the compensation.
-    """
-    ts, comp = _crafted_parts(family, identifier, sequence, target_checksum,
-                              timestamp_us, payload_len, source, destination)
-    return ts + comp + bytes(payload_len - MIN_PAYLOAD_LEN)
-
-
-def _checksum_for(family: Family, icmp_type: int, icmp_code: int, identifier: int,
-                  sequence: int, payload: bytes, source: str | None,
-                  destination: str | None) -> int:
-    base = ICMP_HEADER.pack(icmp_type, icmp_code, 0, identifier, sequence) + payload
-    prefix = _pseudo_prefix(family, source, destination, len(base))
-    return internet_checksum(prefix + base)
-
-
-def build_echo_request(family: Family, identifier: int, sequence: int, payload: bytes,
-                       *, source: str | None = None,
-                       destination: str | None = None) -> EchoPacket:
-    icmp_type = ECHO_REQUEST_TYPE[family]
-    cksum = _checksum_for(family, icmp_type, 0, identifier, sequence, payload,
-                          source, destination)
-    return EchoPacket(Kind.ECHO_REQUEST, icmp_type, 0, cksum, identifier, sequence, payload)
-
-
-def build_echo_reply(family: Family, identifier: int, sequence: int, payload: bytes,
-                     *, source: str | None = None,
-                     destination: str | None = None) -> EchoPacket:
-    icmp_type = ECHO_REPLY_TYPE[family]
-    cksum = _checksum_for(family, icmp_type, 0, identifier, sequence, payload,
-                          source, destination)
-    return EchoPacket(Kind.ECHO_REPLY, icmp_type, 0, cksum, identifier, sequence, payload)
-
-
-def encode_echo(packet: EchoPacket, family: Family, *, source: str | None = None,
-                destination: str | None = None) -> bytes:
-    """Serialize an echo packet; the emitted checksum is always recomputed."""
-    cksum = _checksum_for(family, packet.icmp_type, packet.icmp_code,
-                          packet.identifier, packet.sequence, packet.payload,
-                          source, destination)
-    return ICMP_HEADER.pack(packet.icmp_type, packet.icmp_code, cksum,
-                            packet.identifier, packet.sequence) + packet.payload
-
-
 def make_request_bytes(family: Family, identifier: int, sequence: int,
                        timestamp_us: int, *, target_checksum: int | None = None,
                        payload_len: int = DEFAULT_PAYLOAD_LEN,
                        source: str | None = None,
                        destination: str | None = None) -> bytes:
-    """Assemble a ready-to-send echo request, optionally checksum-pinned."""
+    """Assemble a ready-to-send echo request, optionally checksum-pinned.
+
+    Only the header and timestamp words contribute to the base sum: the
+    compensation slot and tail are zero, and zero words never change a
+    one's-complement sum. Without a target the compensation word stays zero;
+    with one it makes the checksum equal target_checksum. For v6 the
+    checksum covers the pseudo-header, so source and destination addresses
+    take part in the compensation.
+    """
     if payload_len < MIN_PAYLOAD_LEN:
         raise PayloadTooSmall(
             f"payload of {payload_len} B cannot hold timestamp and compensation word")
+    if target_checksum is not None and not 0 <= target_checksum <= 0xFFFF:
+        raise ValueError("target checksum must be a 16-bit value")
     icmp_type = ECHO_REQUEST_TYPE[family]
-    tail = bytes(payload_len - MIN_PAYLOAD_LEN)
+    ts = timestamp_us & 0xFFFFFFFFFFFFFFFF
+    base_sum = sum(_REQUEST_HEAD_WORDS.unpack(
+        _REQUEST_HEAD.pack(icmp_type, 0, 0, identifier, sequence, ts, 0)))
+    base_sum += _pseudo_word_sum(family, source, destination, HEADER_LEN + payload_len)
     if target_checksum is None:
-        ts = (timestamp_us & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "big")
-        base_sum = _word_sum(ICMP_HEADER.pack(icmp_type, 0, 0, identifier,
-                                              sequence) + ts)
-        base_sum += _pseudo_word_sum(family, source, destination,
-                                     HEADER_LEN + payload_len)
-        cksum = ~_fold(base_sum) & 0xFFFF
-        comp = b"\x00\x00"
+        cksum, comp = ~_fold(base_sum) & 0xFFFF, 0
     else:
-        ts, comp = _crafted_parts(family, identifier, sequence, target_checksum,
-                                  timestamp_us, payload_len, source, destination)
-        cksum = target_checksum  # compensation lands the fold exactly there
-    return ICMP_HEADER.pack(icmp_type, 0, cksum, identifier, sequence) \
-        + ts + comp + tail
+        # the compensation lands the fold exactly on the target
+        cksum, comp = target_checksum, _compensation(base_sum, target_checksum)
+    return _REQUEST_HEAD.pack(icmp_type, 0, cksum, identifier, sequence, ts, comp) \
+        + bytes(payload_len - MIN_PAYLOAD_LEN)
+
+
+def _encode(family: Family, icmp_type: int, field1: int, field2: int, body: bytes,
+            source: str | None, destination: str | None) -> bytes:
+    """ICMP message with code 0, its checksum computed once over all words."""
+    total = _word_sum(ICMP_HEADER.pack(icmp_type, 0, 0, field1, field2) + body)
+    total += _pseudo_word_sum(family, source, destination, HEADER_LEN + len(body))
+    return ICMP_HEADER.pack(icmp_type, 0, ~_fold(total) & 0xFFFF, field1, field2) + body
 
 
 def reply_bytes_for_request(request: bytes, family: Family, *,
@@ -294,24 +209,20 @@ def reply_bytes_for_request(request: bytes, family: Family, *,
     if len(request) < HEADER_LEN:
         raise Truncated(f"{len(request)}-byte request below minimal header")
     _, _, _, identifier, sequence = ICMP_HEADER.unpack_from(request)
-    reply = build_echo_reply(family, identifier, sequence, request[HEADER_LEN:],
-                             source=source, destination=destination)
-    return encode_echo(reply, family, source=source, destination=destination)
+    return _encode(family, ECHO_REPLY_TYPE[family], identifier, sequence,
+                   request[HEADER_LEN:], source, destination)
 
 
 def encode_time_exceeded(original: bytes, family: Family, *,
                          source: str | None = None,
                          destination: str | None = None) -> bytes:
     """Time-exceeded error quoting the expired message after 4 unused bytes."""
-    icmp_type = TIME_EXCEEDED_TYPE[family]
-    base = struct.pack("!BBHI", icmp_type, 0, 0, 0) + original
-    prefix = _pseudo_prefix(family, source, destination, len(base))
-    cksum = internet_checksum(prefix + base)
-    return struct.pack("!BBHI", icmp_type, 0, cksum, 0) + original
+    return _encode(family, TIME_EXCEEDED_TYPE[family], 0, 0, original,
+                   source, destination)
 
 
-def _parse_quoted_request(quote: bytes, family: Family) -> EchoPacket | None:
-    """Parse the packet quoted by a time-exceeded error.
+def _parse_quoted_request(quote: bytes, family: Family) -> tuple[int, int] | None:
+    """(identifier, sequence) of the packet quoted by a time-exceeded error.
 
     Live captures quote the full invoking packet including its IP header;
     the simulator quotes the bare ICMP message. Both are accepted.
@@ -325,10 +236,8 @@ def _parse_quoted_request(quote: bytes, family: Family) -> EchoPacket | None:
             rest = rest[40:]
     if len(rest) < HEADER_LEN:
         return None
-    icmp_type, code, cksum, identifier, sequence = ICMP_HEADER.unpack_from(rest)
-    kind = _KIND_BY_TYPE.get((family, icmp_type), Kind.OTHER)
-    return EchoPacket(kind, icmp_type, code, cksum, identifier, sequence,
-                      rest[HEADER_LEN:])
+    _, _, _, identifier, sequence = ICMP_HEADER.unpack_from(rest)
+    return identifier, sequence
 
 
 def decode_message(data: bytes, family: Family, *, source: str | None = None,
@@ -347,33 +256,17 @@ def decode_message(data: bytes, family: Family, *, source: str | None = None,
     if family is Family.V4:
         checksum_ok = internet_checksum(data) == 0
     elif source and destination:
-        checksum_ok = internet_checksum(
-            _pseudo_prefix(family, source, destination, len(data)) + data) == 0
+        total = _word_sum(data) + _pseudo_word_sum(family, source, destination, len(data))
+        checksum_ok = (~_fold(total) & 0xFFFF) == 0
     else:
         checksum_ok = True
     payload = data[HEADER_LEN:]
     if kind is Kind.TIME_EXCEEDED:
-        inner = _parse_quoted_request(payload, family)
-        identifier = inner.identifier if inner else None
-        sequence = inner.sequence if inner else None
+        identifier, sequence = _parse_quoted_request(payload, family) or (None, None)
         return DecodedMessage(kind, icmp_type, code, cksum, identifier, sequence,
-                              payload, checksum_ok, inner)
+                              payload, checksum_ok)
     if kind in (Kind.ECHO_REQUEST, Kind.ECHO_REPLY):
         return DecodedMessage(kind, icmp_type, code, cksum, field1, field2,
                               payload, checksum_ok)
     return DecodedMessage(Kind.OTHER, icmp_type, code, cksum, None, None,
                           payload, checksum_ok)
-
-
-def hash_prefix(data: bytes) -> bytes:
-    """First 4 bytes of the transport header: what load balancers hash."""
-    if len(data) < PREFIX_LEN:
-        raise Truncated(f"{len(data)}-byte message has no 4-byte prefix")
-    return data[:PREFIX_LEN]
-
-
-def timestamp_from_payload(payload: bytes) -> int | None:
-    """Send timestamp embedded at the start of an echo payload, if present."""
-    if len(payload) < 8:
-        return None
-    return int.from_bytes(payload[:8], "big")

@@ -2,9 +2,9 @@
 
 One worker handles all relations of one source address; workers never share
 state beyond the record sink, so they can run as threads against raw
-sockets or single-threaded against the simulator's virtual clock. Probe
-semantics live in small state machines (one traceroute run, one ping burst
-entry) that both the blocking one-shot operations and the worker reuse.
+sockets or single-threaded against the simulator's virtual clock. A
+traceroute run is a small state machine (TracerouteProbeRun) that the worker
+drives; run_relation_worker is the blocking driver for one worker.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import random
 import select
 import socket
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Protocol
 
 from . import icmp
@@ -43,8 +43,6 @@ class Transport(Protocol):
 
 class Clock(Protocol):
     def now_us(self) -> int: ...
-
-    def sleep_until(self, t_us: int) -> None: ...
 
 
 @dataclass(frozen=True, slots=True)
@@ -195,53 +193,6 @@ class TracerouteProbeRun:
                              self.round_index, tuple(hops))
 
 
-def run_traceroute(relation: RelationKey, schedule: ProbeSchedule,
-                   transport: Transport, clock: Clock, *, identifier: int = 1,
-                   seq_base: int = 0, round_index: int = 0) -> TracerouteRun:
-    """Execute one traceroute run to completion (blocking)."""
-    run = TracerouteProbeRun(relation, schedule, identifier, seq_base,
-                             round_index, transport, clock.now_us())
-    while not run.completed(clock.now_us()):
-        packet = transport.receive(run.deadline)
-        if packet is not None:
-            run.on_packet(*packet)
-    return run.result()
-
-
-def run_ping_once(relation: RelationKey, transport: Transport, clock: Clock, *,
-                  identifier: int = 1, sequence: int = 0,
-                  reply_timeout_s: float = 3.0, ttl: int = PING_TTL) -> PingRecord:
-    """Send one echo request and wait for its reply (blocking)."""
-    now = clock.now_us()
-    data = icmp.make_request_bytes(relation.ip_version, identifier,
-                                   sequence & 0xFFFF, now,
-                                   source=relation.source_address,
-                                   destination=relation.destination_address)
-    sent = transport.send(data, ttl, relation.destination_address)
-    deadline = sent + int(round(reply_timeout_s * 1_000_000))
-    while clock.now_us() < deadline:
-        packet = transport.receive(deadline)
-        if packet is None:
-            break
-        raw, source, t_us = packet
-        try:
-            decoded = icmp.decode_message(raw, relation.ip_version, source=source,
-                                          destination=relation.source_address)
-        except icmp.Truncated:
-            continue
-        if decoded.match_key != (identifier, sequence & 0xFFFF):
-            continue
-        status = _status_of(decoded.kind)
-        if status == STATUS_ECHO_REPLY:
-            return PingRecord(sent, relation.source_address,
-                              relation.destination_address, status, t_us - sent)
-        if status == STATUS_TIME_EXCEEDED:
-            return PingRecord(sent, relation.source_address,
-                              relation.destination_address, status)
-    return PingRecord(sent, relation.source_address,
-                      relation.destination_address, STATUS_TIMEOUT)
-
-
 @dataclass(slots=True)
 class _PendingPing:
     destination: str
@@ -299,7 +250,6 @@ class SourceWorker:
         self._deadlines: list[tuple[int, int]] = []
         self._cycle_queue: list[tuple[int, int]] = []
         self._active: TracerouteProbeRun | None = None
-        self._active_relation: RelationKey | None = None
         self._backoff_until: int | None = None
         self._backoff_us = _BACKOFF_INITIAL_US
 
@@ -442,7 +392,6 @@ class SourceWorker:
                 return
             self._cycle_queue.pop(0)
             self._active = run
-            self._active_relation = relation
             if not run.completed(now_us):
                 return
             self._finish_active(now_us, start_next=False)
@@ -452,7 +401,6 @@ class SourceWorker:
         assert self._active is not None
         self.sink.append(self._active.result())
         self._active = None
-        self._active_relation = None
         if start_next and self._cycle_queue:
             self._start_next_run(now_us)
 
@@ -467,7 +415,6 @@ class SourceWorker:
             log.warning("discarding interrupted traceroute run to %s",
                         self._active.relation.destination_address)
             self._active = None
-            self._active_relation = None
         self._cycle_queue = []
         self._backoff_until = now_us + self._backoff_us
         self._backoff_us = min(self._backoff_us * 2, _BACKOFF_CAP_US)
@@ -501,11 +448,6 @@ class LiveClock:
 
     def now_us(self) -> int:
         return time.monotonic_ns() // 1000 + self._offset
-
-    def sleep_until(self, t_us: int) -> None:
-        delta = t_us - self.now_us()
-        if delta > 0:
-            time.sleep(delta / 1e6)
 
 
 class RawIcmpTransport:

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import ipaddress
 import json
+import logging
+import re
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
@@ -30,6 +32,8 @@ VALID_STATUSES = (STATUS_TIMEOUT, STATUS_TIME_EXCEEDED, STATUS_ECHO_REPLY)
 
 KIND_PING = "ping"
 KIND_TRACEROUTE = "traceroute"
+
+log = logging.getLogger(__name__)
 
 
 class StoreError(Exception):
@@ -224,9 +228,9 @@ _TRACEROUTE_KEYS = {"timestamp", "source", "destination", "round", "hops"}
 _HOP_KEYS = {"hop", "address", "status", "rtt"}
 
 
-def from_json_obj(obj) -> Record:
-    """Map a parsed JSON document onto a record; raises MalformedJson or
-    InvalidRecord (with per-field reasons)."""
+def _map_json_obj(obj) -> Record:
+    """Map a parsed JSON document onto a record without validating its
+    values; raises MalformedJson for unknown fields and wrong shapes."""
     if not isinstance(obj, dict):
         raise MalformedJson(f"expected a JSON object, got {type(obj).__name__}")
     if "hops" in obj:
@@ -245,25 +249,32 @@ def from_json_obj(obj) -> Record:
                 raise MalformedJson(f"hops[{i}]: unknown fields: {sorted(unknown)}")
             hops.append(Hop(h.get("hop"), h.get("status"),
                             h.get("address"), h.get("rtt")))
-        record: Record = TracerouteRun(obj.get("timestamp"), obj.get("source"),
-                                       obj.get("destination"), obj.get("round"),
-                                       tuple(hops))
-    else:
-        unknown = set(obj) - _PING_KEYS
-        if unknown:
-            raise MalformedJson(f"unknown ping fields: {sorted(unknown)}")
-        record = PingRecord(obj.get("timestamp"), obj.get("source"),
-                            obj.get("destination"), obj.get("status"), obj.get("rtt"))
+        return TracerouteRun(obj.get("timestamp"), obj.get("source"),
+                             obj.get("destination"), obj.get("round"), tuple(hops))
+    unknown = set(obj) - _PING_KEYS
+    if unknown:
+        raise MalformedJson(f"unknown ping fields: {sorted(unknown)}")
+    return PingRecord(obj.get("timestamp"), obj.get("source"),
+                      obj.get("destination"), obj.get("status"), obj.get("rtt"))
+
+
+def from_json_obj(obj) -> Record:
+    """Map a parsed JSON document onto a validated, normalized record;
+    raises MalformedJson or InvalidRecord (with per-field reasons)."""
+    record = _map_json_obj(obj)
     validate_record(record)
     return _normalized(record)
 
 
-def parse_line(line: str) -> Record:
+def _loads(line: str):
     try:
-        obj = json.loads(line)
+        return json.loads(line)
     except json.JSONDecodeError as exc:
         raise MalformedJson(f"invalid JSON: {exc}") from None
-    return from_json_obj(obj)
+
+
+def parse_line(line: str) -> Record:
+    return from_json_obj(_loads(line))
 
 
 @dataclass(frozen=True, slots=True)
@@ -302,6 +313,10 @@ class StoreQuery:
         return True
 
 
+_SEGMENT_NAME = re.compile(
+    rf"({KIND_PING}|{KIND_TRACEROUTE})-[0-9]+-([0-9]+|open)\.ndjson")
+
+
 def _kind_of(record: Record) -> str:
     return KIND_PING if isinstance(record, PingRecord) else KIND_TRACEROUTE
 
@@ -328,9 +343,15 @@ class RecordStore:
         self._load()
 
     def _segment_files(self) -> list[Path]:
-        return sorted(self.path.glob("*.ndjson"),
-                      key=lambda p: (p.name.split("-")[0],
-                                     int(p.name.split("-")[1]), p.name))
+        segments = []
+        for path in self.path.glob("*.ndjson"):
+            if _SEGMENT_NAME.fullmatch(path.name):
+                segments.append(path)
+            else:
+                log.warning("ignoring %s: not a <kind>-<first>-<last|open>.ndjson "
+                            "segment", path)
+        return sorted(segments, key=lambda p: (p.name.split("-")[0],
+                                               int(p.name.split("-")[1]), p.name))
 
     def _load(self) -> None:
         for path in self._segment_files():
@@ -374,7 +395,11 @@ class RecordStore:
         seg["path"].rename(final)
 
     def append(self, record: Record) -> None:
-        """Validate, persist and index one record (durable before return)."""
+        """Validate, persist and index one record.
+
+        The line is flushed to the operating system before return but not
+        fsynced: it survives a crash of this process, not of the machine.
+        """
         validate_record(record)
         record = _normalized(record)
         kind = _kind_of(record)
@@ -443,7 +468,8 @@ class RecordStore:
         """Ingest newline-delimited or array-wrapped JSON documents.
 
         Returns (accepted count, [(document index, reason), ...]); rejected
-        documents are reported, never silently skipped.
+        documents are reported, never silently skipped. Each document is
+        mapped onto the schema here and validated once, by append.
         """
         if hasattr(stream, "read"):
             text = stream.read()
@@ -459,7 +485,7 @@ class RecordStore:
                 return 0, [(0, f"invalid JSON array: {exc}")]
             for i, obj in enumerate(docs):
                 try:
-                    self.append(from_json_obj(obj))
+                    self.append(_map_json_obj(obj))
                     accepted += 1
                 except (MalformedJson, InvalidRecord) as exc:
                     rejects.append((i, str(exc)))
@@ -468,7 +494,7 @@ class RecordStore:
             if not line.strip():
                 continue
             try:
-                self.append(parse_line(line))
+                self.append(_map_json_obj(_loads(line)))
                 accepted += 1
             except (MalformedJson, InvalidRecord) as exc:
                 rejects.append((i, str(exc)))

@@ -5,7 +5,8 @@ the transport header, per-router ICMP response policies (responsive, silent,
 token-bucket rate limit) and scripted topology changes on a virtual
 microsecond clock. Replies travel back over the reverse of the forward path
 with the same accumulated latency, so ping RTTs are exactly twice the
-one-way link latency sum.
+one-way link latency sum. run_scenario streams every record into the
+caller's sink as it is produced and keeps no record or packet itself.
 
 Topology files are YAML; see fixtures/ for the documented schema.
 """
@@ -15,7 +16,7 @@ from __future__ import annotations
 import bisect
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import yaml
@@ -171,9 +172,6 @@ class VirtualClock:
             raise ValueError(f"clock cannot move backwards ({t_us} < {self._now})")
         self._now = t_us
 
-    # probe.Clock protocol: blocking drivers "sleep" by jumping.
-    sleep_until = advance_to
-
 
 @dataclass(slots=True)
 class Outcome:
@@ -185,18 +183,6 @@ class Outcome:
     latency_us: int
     reason: str = ""
     path: tuple[str, ...] = ()
-
-
-@dataclass(slots=True)
-class SentProbe:
-    """Send-log entry kept for tests and oracles."""
-
-    t_us: int
-    source: str
-    destination: str
-    ttl: int
-    data: bytes
-    outcome: Outcome
 
 
 class _EpochState:
@@ -370,20 +356,13 @@ class SimTransport:
         self.source_address = source_address
         self.source_node = network.node_by_address(source_address)
         self.family = icmp.family_of(source_address)
-        self.sent_log: list[SentProbe] = []
         self._inbox: list[tuple[int, int, bytes, str]] = []
         self._counter = itertools.count()
-        self.fail_next_sends = 0  # test hook: raise on the next N sends
 
     def send(self, data: bytes, ttl: int, destination: str) -> int:
-        if self.fail_next_sends > 0:
-            self.fail_next_sends -= 1
-            raise TransportFailure("injected send failure")
         now = self.clock.now_us()
         dest_node = self.network.node_by_address(destination)
         outcome = self.network.forward(data, ttl, self.source_node, dest_node, now)
-        self.sent_log.append(SentProbe(now, self.source_address, destination,
-                                       ttl, data, outcome))
         response = self.network.response_for(outcome, data, self.family,
                                              self.source_address)
         if response is not None:
@@ -451,26 +430,17 @@ def drive_workers(workers: list[SourceWorker], transports: list[SimTransport],
                 worker.on_wakeup(now)
 
 
-@dataclass(slots=True)
-class ScenarioResult:
-    records: list = field(default_factory=list)
-    sent_probes: list[SentProbe] = field(default_factory=list)
-
-    def append(self, record) -> None:  # RecordSink for workers
-        self.records.append(record)
-
-
 def run_scenario(topology: SimTopology, relations: list[RelationKey],
-                 schedule: ProbeSchedule, duration_s: float, *, seed: int = 0,
-                 sink=None) -> ScenarioResult:
+                 schedule: ProbeSchedule, duration_s: float, *, seed: int,
+                 sink: probe.RecordSink) -> None:
     """Drive the probe engine against the simulator for a virtual duration.
 
+    Every record goes to sink as it is produced (a RecordStore, or a plain
+    list); nothing else is kept, so memory stays flat over long runs.
     Deterministic: equal (topology, relations, schedule, duration, seed)
-    produce identical record sets. Workers interleave on the shared virtual
-    clock exactly as their wakeups and packet arrivals dictate.
+    produce identical record sequences. Workers interleave on the shared
+    virtual clock exactly as their wakeups and packet arrivals dictate.
     """
-    result = ScenarioResult()
-    record_sink = _TeeSink(result, sink) if sink is not None else result
     network = SimNetwork(topology)
     clock = VirtualClock(topology.start_us)
     end_us = topology.start_us + int(round(duration_s * 1_000_000))
@@ -484,25 +454,9 @@ def run_scenario(topology: SimTopology, relations: list[RelationKey],
     for source_address in sorted(by_source):
         transport = SimTransport(network, clock, source_address)
         worker = SourceWorker(by_source[source_address], schedule,
-                              lambda t=transport: t, record_sink,
+                              lambda t=transport: t, sink,
                               start_us=topology.start_us, end_us=end_us, seed=seed)
         workers.append(worker)
         transports.append(transport)
 
     drive_workers(workers, transports, clock)
-
-    for transport in transports:
-        result.sent_probes.extend(transport.sent_log)
-    result.sent_probes.sort(key=lambda p: (p.t_us, p.source, p.destination, p.ttl))
-    return result
-
-
-class _TeeSink:
-    """Sink fan-out: scenario result plus a caller-provided store."""
-
-    def __init__(self, *sinks):
-        self._sinks = [s for s in sinks if s is not None]
-
-    def append(self, record) -> None:
-        for sink in self._sinks:
-            sink.append(record)

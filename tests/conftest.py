@@ -1,10 +1,12 @@
-"""Shared fixtures: small topologies and relation builders."""
+"""Shared fixtures: small topologies, relation builders and probe drivers."""
 
 import pytest
 
 from contrace.icmp import Family
-from contrace.probe import ProbeSchedule, RelationKey
-from contrace.sim import topology_from_dict
+from contrace.probe import (ProbeSchedule, RelationKey, SourceWorker,
+                            TracerouteProbeRun, run_relation_worker)
+from contrace.records import PingRecord
+from contrace.sim import SimNetwork, SimTransport, VirtualClock, topology_from_dict
 
 START_US = 1_609_459_200_000_000  # 2021-01-01T00:00:00Z
 
@@ -72,3 +74,49 @@ def relation_for(topology, src_node="src", dst_node="dst",
 def quick_schedule():
     return ProbeSchedule(ping_interval_s=1.0, traceroute_interval_s=300.0,
                          traceroute_rounds=3, max_ttl=20, reply_timeout_s=3.0)
+
+
+def ping_once(topology, relation, *, reply_timeout_s=3.0, seed=0):
+    """The record of one ping tick, matched by the production worker.
+
+    A SourceWorker whose run ends right after its first tick is driven by
+    run_relation_worker over a SimTransport. Returns (record, clock).
+    """
+    clock = VirtualClock(topology.start_us)
+    transport = SimTransport(SimNetwork(topology), clock, relation.source_address)
+    schedule = ProbeSchedule(reply_timeout_s=reply_timeout_s)
+    sink = []
+    worker = SourceWorker([relation], schedule, lambda: transport, sink,
+                          start_us=topology.start_us,
+                          end_us=topology.start_us + 1, seed=seed)
+    run_relation_worker(worker, clock)
+    pings = [r for r in sink if isinstance(r, PingRecord)]
+    assert len(pings) == 1
+    return pings[0], clock
+
+
+def traceroute_once(relation, schedule, transport, clock):
+    """One TracerouteProbeRun taken to completion over a blocking transport."""
+    run = TracerouteProbeRun(relation, schedule, identifier=1, seq_base=0,
+                             round_index=0, transport=transport,
+                             now_us=clock.now_us())
+    while not run.completed(clock.now_us()):
+        packet = transport.receive(run.deadline)
+        if packet is not None:
+            run.on_packet(*packet)
+    return run.result()
+
+
+@pytest.fixture
+def sent_probes(monkeypatch):
+    """Every probe a SimTransport sends during the test, as (t_us, ttl, data)."""
+    sent = []
+    send = SimTransport.send
+
+    def logged_send(self, data, ttl, destination):
+        t_us = send(self, data, ttl, destination)
+        sent.append((t_us, ttl, data))
+        return t_us
+
+    monkeypatch.setattr(SimTransport, "send", logged_send)
+    return sent

@@ -14,13 +14,14 @@ from pathlib import Path
 from contrace import analytics, cli, icmp
 from contrace.enrich import GeoLocation, plausibility_filter
 from contrace.icmp import Family
-from contrace.probe import ProbeSchedule, RelationKey, run_ping_once
+from contrace.probe import ProbeSchedule, RelationKey
 from contrace.records import (Hop, PingRecord, RecordStore, StoreQuery,
                               TracerouteRun, serialize_line)
-from contrace.sim import SimNetwork, SimTransport, VirtualClock, run_scenario
+from contrace.sim import run_scenario
 
 import oracles
-from conftest import START_US, ecmp4_topology, linear_topology, relation_for
+from conftest import (START_US, ecmp4_topology, linear_topology, ping_once,
+                      relation_for)
 from test_analytics import _AS_BY_OCTET, enrich_fixture
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -81,16 +82,18 @@ def test_03_ecmp_path_invariance_end_to_end():
     relation = relation_for(topology)
     base = dict(ping_interval_s=3600.0, traceroute_interval_s=10.0,
                 traceroute_rounds=1, max_ttl=10, reply_timeout_s=1.0)
-    crafted = run_scenario(topology, [relation],
-                           ProbeSchedule(**base), 1000, seed=42)
-    crafted_runs = [r for r in crafted.records if isinstance(r, TracerouteRun)]
+    crafted = []
+    run_scenario(topology, [relation], ProbeSchedule(**base), 1000, seed=42,
+                 sink=crafted)
+    crafted_runs = [r for r in crafted if isinstance(r, TracerouteRun)]
     assert len(crafted_runs) == 100
     assert all(len(_branches(r)) == 1 for r in crafted_runs)
 
-    uncrafted = run_scenario(topology, [relation],
-                             ProbeSchedule(craft_constant_checksum=False, **base),
-                             1000, seed=42)
-    uncrafted_runs = [r for r in uncrafted.records if isinstance(r, TracerouteRun)]
+    uncrafted = []
+    run_scenario(topology, [relation],
+                 ProbeSchedule(craft_constant_checksum=False, **base),
+                 1000, seed=42, sink=uncrafted)
+    uncrafted_runs = [r for r in uncrafted if isinstance(r, TracerouteRun)]
     assert len(uncrafted_runs) == 100
     mixed = sum(1 for r in uncrafted_runs if len(_branches(r)) > 1)
     assert mixed >= 1
@@ -103,10 +106,7 @@ def test_04_simulator_latency_additivity():
         n_routers = rng.randrange(1, 7)
         latencies = [rng.randrange(100, 20_000) for _ in range(n_routers + 1)]
         topology = linear_topology(n_routers, latencies)
-        clock = VirtualClock(topology.start_us)
-        transport = SimTransport(SimNetwork(topology), clock, "10.0.0.1")
-        record = run_ping_once(relation_for(topology), transport, clock,
-                               sequence=case)
+        record, _ = ping_once(topology, relation_for(topology), seed=case)
         assert record.status == 255
         assert record.rtt == 2 * sum(latencies)
     _pass(4, "ping RTT == 2 x sum(link latencies) on 20 random topologies")
@@ -125,8 +125,9 @@ def test_05_status_code_fidelity():
                                meas["destinations"][0]["label"],
                                meas["sources"][0]["address"],
                                meas["destinations"][0]["address"])
-        result = run_scenario(topology, [relation], schedule, 600, seed=5)
-        for record in result.records:
+        produced = []
+        run_scenario(topology, [relation], schedule, 600, seed=5, sink=produced)
+        for record in produced:
             if isinstance(record, PingRecord):
                 all_statuses.add(record.status)
                 assert record.status in (0, 1, 255)

@@ -6,7 +6,8 @@ import pytest
 from contrace import cli
 from contrace.cli import (EXIT_CONFIG, EXIT_EMPTY, EXIT_ERROR, EXIT_OK,
                           EXIT_PRIVILEGE)
-from contrace.records import RecordStore, StoreQuery, serialize_line
+from contrace.records import (Hop, PingRecord, RecordStore, StoreQuery,
+                              TracerouteRun, serialize_line)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -128,6 +129,21 @@ class TestSimRun:
             "links:\n  - {from: a, to: b, latency_us: 10}\n")
         assert cli.main(["sim-run", "--topology", str(topo)]) == EXIT_CONFIG
 
+    def test_summary_counts_only_this_run_in_a_filled_store(self, tmp_path, capsys):
+        store = tmp_path / "store"
+        with RecordStore(store) as filled:
+            for ts in range(1, 6):
+                filled.append(PingRecord(ts, "10.16.1.10", "10.22.2.10", 0))
+                filled.append(TracerouteRun(ts, "10.16.1.10", "10.22.2.10", 0,
+                                            (Hop(1, 0),)))
+        code = cli.main(["sim-run", "--topology", str(FIXTURES / "neighbor.yaml"),
+                         "--duration", "600", "--store", str(store)])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out == \
+            f"simulated 600 s: 600 ping, 6 traceroute records -> {store}\n"
+        reopened = RecordStore(store)
+        assert (reopened.count("ping"), reopened.count("traceroute")) == (605, 11)
+
 
 class TestImportExport:
     def test_round_trip_equal_stores(self, sim_store, tmp_path, capsys):
@@ -234,7 +250,7 @@ class TestAnalyze:
                                       source=relation.source_address,
                                       destination=relation.destination_address))
         observations = analytics.link_shares(runs, relation,
-                                             build_enricher(config))
+                                             build_enricher(config).enrich)
         for threshold in (2.5, 20.0):
             expected = sum(1 for o in observations if o.share >= threshold)
             export = analytics.export_route_graph(observations, threshold, "csv")
@@ -287,7 +303,7 @@ class TestLivePrivileges:
 
 
 class TestNordicFixtureShares:
-    def test_dk_branch_minority_matches_hash_distribution(self, tmp_path):
+    def test_dk_branch_minority_matches_hash_distribution(self, sent_probes):
         """The Copenhagen candidate holds 1 of 4 ECMP slots, so the DK branch
         should appear in exactly the runs whose pinned prefix lands on it."""
         from contrace import sim as simmod
@@ -300,18 +316,20 @@ class TestNordicFixtureShares:
                                  traceroute_interval_s=300.0,
                                  traceroute_rounds=3, max_ttl=16,
                                  reply_timeout_s=2.0)
-        result = simmod.run_scenario(topo, [relation], schedule, 3600, seed=11)
-        runs = [r for r in result.records if hasattr(r, "hops")]
+        produced = []
+        simmod.run_scenario(topo, [relation], schedule, 3600, seed=11,
+                            sink=produced)
+        runs = [r for r in produced if hasattr(r, "hops")]
         assert len(runs) == 36  # 12 cycles x 3 rounds
 
         via_dk = [r for r in runs
                   if any(h.address == "10.26.2.1" for h in r.hops)]
         # derive the expectation from the actual pinned checksums
-        traceroute_probes = [p for p in result.sent_probes if p.ttl == 1]
+        traceroute_probes = [data for _, ttl, data in sent_probes if ttl == 1]
         assert len(traceroute_probes) == 36
         expected_dk = sum(
-            1 for p in traceroute_probes
-            if int.from_bytes(p.data[:4], "big") % 4 == 3)
+            1 for data in traceroute_probes
+            if int.from_bytes(data[:4], "big") % 4 == 3)
         assert len(via_dk) == expected_dk
         assert 0 < len(via_dk) < len(runs) / 2  # minority share
 

@@ -49,9 +49,9 @@ class TestAsnLookup:
             "12552,IPO-EU\n680,DFN\n20965,GEANT\n1299,TWELVE99\n")
         table = AsnTable.from_csv(tmp_path / "prefixes.csv", tmp_path / "names.csv")
         enricher = enrich.Enricher(table)
-        assert enricher("10.1.0.1").as_group == "1653: SUNET"
-        assert enricher("10.2.44.5").as_group == "2603: NORDUNET"
-        assert enricher("10.3.0.9").as_group == "224: UNINETT"
+        assert enricher.enrich("10.1.0.1").as_group == "1653: SUNET"
+        assert enricher.enrich("10.2.44.5").as_group == "2603: NORDUNET"
+        assert enricher.enrich("10.3.0.9").as_group == "224: UNINETT"
 
     def test_missing_name_gets_placeholder(self, tmp_path):
         (tmp_path / "prefixes.csv").write_text("10.0.0.0/8,65000\n")
@@ -236,7 +236,7 @@ class TestEnricher:
     def test_invariant_name_iff_asn(self):
         table = AsnTable([entry("10.0.0.0/8", 7, "SEVEN")])
         enricher = enrich.Enricher(table)
-        hop = enricher("10.0.0.1")
+        hop = enricher.enrich("10.0.0.1")
         assert (hop.asn is None) == (hop.as_name is None)
-        none = enricher("192.0.2.1")
+        none = enricher.enrich("192.0.2.1")
         assert none.asn is None and none.as_name is None and none.as_group is None

@@ -2,16 +2,15 @@ import heapq
 
 import pytest
 
-from contrace import icmp
 from contrace.icmp import Family
-from contrace.probe import (ProbeSchedule, RelationKey, SourceWorker,
-                            TransportFailure, run_ping_once, run_relation_worker,
-                            run_traceroute)
+from contrace.probe import (PING_TTL, ProbeSchedule, RelationKey, SourceWorker,
+                            TransportFailure, run_relation_worker)
 from contrace.records import PingRecord, TracerouteRun
 from contrace.sim import (SimNetwork, SimTransport, VirtualClock, drive_workers,
                           run_scenario, topology_from_dict)
 
-from conftest import START_US, ecmp4_topology, linear_topology, relation_for
+from conftest import (START_US, ecmp4_topology, linear_topology, ping_once,
+                      relation_for, traceroute_once)
 
 
 def _setup(topology, source="10.0.0.1"):
@@ -24,30 +23,26 @@ class TestRunPingOnce:
     def test_rtt_is_twice_one_way_latency(self):
         # one-way 5000 us -> rtt exactly 10000 us on the virtual clock
         topo = linear_topology(2, [1500, 2000, 1500])
-        net, clock, transport = _setup(topo)
-        record = run_ping_once(relation_for(topo), transport, clock)
+        record, _ = ping_once(topo, relation_for(topo))
         assert record.status == 255
         assert record.rtt == 10_000
 
     def test_silent_destination_times_out(self):
         topo = linear_topology(2, policies={"dst": "silent"})
-        net, clock, transport = _setup(topo)
-        record = run_ping_once(relation_for(topo), transport, clock,
-                               reply_timeout_s=1.0)
+        record, clock = ping_once(topo, relation_for(topo), reply_timeout_s=1.0)
         assert record.status == 0
         assert record.rtt is None
         assert clock.now_us() == START_US + 1_000_000
 
     def test_normal_reply_status_255(self):
         topo = linear_topology(1)
-        net, clock, transport = _setup(topo)
-        record = run_ping_once(relation_for(topo), transport, clock)
+        record, _ = ping_once(topo, relation_for(topo))
         assert record.status == 255
 
     def test_ttl_too_small_reports_time_exceeded(self):
-        topo = linear_topology(3)
-        net, clock, transport = _setup(topo)
-        record = run_ping_once(relation_for(topo), transport, clock, ttl=2)
+        # pings go out with PING_TTL, so the chain must be longer than that
+        topo = linear_topology(PING_TTL + 1)
+        record, _ = ping_once(topo, relation_for(topo))
         assert record.status == 1
         assert record.rtt is None
 
@@ -57,7 +52,7 @@ class TestRunTraceroute:
         topo = linear_topology(4)  # 4 routers + destination = 5 hops
         net, clock, transport = _setup(topo)
         schedule = ProbeSchedule(max_ttl=20, reply_timeout_s=2.0)
-        run = run_traceroute(relation_for(topo), schedule, transport, clock)
+        run = traceroute_once(relation_for(topo), schedule, transport, clock)
         assert [h.status for h in run.hops] == [1, 1, 1, 1, 255]
         assert [h.hop for h in run.hops] == [1, 2, 3, 4, 5]
         assert run.hops[-1].address == topo.routers["dst"].address
@@ -66,7 +61,7 @@ class TestRunTraceroute:
         topo = linear_topology(4, policies={"r3": {"rate_limit": 0}})
         net, clock, transport = _setup(topo)
         schedule = ProbeSchedule(max_ttl=20, reply_timeout_s=2.0)
-        run = run_traceroute(relation_for(topo), schedule, transport, clock)
+        run = traceroute_once(relation_for(topo), schedule, transport, clock)
         assert [h.status for h in run.hops] == [1, 1, 0, 1, 255]
         assert run.hops[2].address is None
 
@@ -74,7 +69,7 @@ class TestRunTraceroute:
         topo = linear_topology(2, policies={"dst": "silent"})
         net, clock, transport = _setup(topo)
         schedule = ProbeSchedule(max_ttl=6, reply_timeout_s=1.0)
-        run = run_traceroute(relation_for(topo), schedule, transport, clock)
+        run = traceroute_once(relation_for(topo), schedule, transport, clock)
         assert len(run.hops) == 6
         assert [h.status for h in run.hops] == [1, 1, 0, 0, 0, 0]
 
@@ -82,23 +77,25 @@ class TestRunTraceroute:
         topo = linear_topology(2, [1000, 2000, 3000])
         net, clock, transport = _setup(topo)
         schedule = ProbeSchedule(max_ttl=5, reply_timeout_s=2.0)
-        run = run_traceroute(relation_for(topo), schedule, transport, clock)
+        run = traceroute_once(relation_for(topo), schedule, transport, clock)
         assert [h.rtt for h in run.hops] == [2000, 6000, 12000]
 
-    def test_burst_send_timestamps_do_not_wait(self):
+    def test_burst_send_timestamps_do_not_wait(self, sent_probes):
         topo = linear_topology(2)
         net, clock, transport = _setup(topo)
         schedule = ProbeSchedule(max_ttl=10, reply_timeout_s=2.0)
-        run_traceroute(relation_for(topo), schedule, transport, clock)
-        times = [p.t_us for p in transport.sent_log]
+        traceroute_once(relation_for(topo), schedule, transport, clock)
+        times = [t_us for t_us, _, _ in sent_probes]
+        assert len(times) == 10
         assert max(times) - min(times) < schedule.reply_timeout_us
 
-    def test_crafted_run_shares_prefix(self):
+    def test_crafted_run_shares_prefix(self, sent_probes):
         topo = ecmp4_topology()
         net, clock, transport = _setup(topo)
         schedule = ProbeSchedule(max_ttl=10, reply_timeout_s=2.0)
-        run_traceroute(relation_for(topo), schedule, transport, clock)
-        prefixes = {icmp.hash_prefix(p.data) for p in transport.sent_log}
+        traceroute_once(relation_for(topo), schedule, transport, clock)
+        prefixes = {data[:4] for _, _, data in sent_probes}
+        assert len(sent_probes) == 10
         assert len(prefixes) == 1
 
 
@@ -117,8 +114,9 @@ class TestEcmpPathInvariance:
         relation = relation_for(topo)
         schedule = ProbeSchedule(traceroute_interval_s=10.0, traceroute_rounds=1,
                                  max_ttl=10, reply_timeout_s=1.0)
-        result = run_scenario(topo, [relation], schedule, 1000, seed=42)
-        runs = [r for r in result.records if isinstance(r, TracerouteRun)]
+        records = []
+        run_scenario(topo, [relation], schedule, 1000, seed=42, sink=records)
+        runs = [r for r in records if isinstance(r, TracerouteRun)]
         assert len(runs) == 100
         assert all(len(_branches(r)) == 1 for r in runs)
         # different runs do spread over branches
@@ -130,8 +128,9 @@ class TestEcmpPathInvariance:
         schedule = ProbeSchedule(traceroute_interval_s=10.0, traceroute_rounds=1,
                                  max_ttl=10, reply_timeout_s=1.0,
                                  craft_constant_checksum=False)
-        result = run_scenario(topo, [relation], schedule, 1000, seed=42)
-        runs = [r for r in result.records if isinstance(r, TracerouteRun)]
+        records = []
+        run_scenario(topo, [relation], schedule, 1000, seed=42, sink=records)
+        runs = [r for r in records if isinstance(r, TracerouteRun)]
         assert len(runs) == 100
         assert any(len(_branches(r)) > 1 for r in runs)
 
@@ -158,8 +157,9 @@ class TestSourceWorker:
             RelationKey(Family.V4, "S", "D2", "10.0.0.1", "10.2.0.1"),
         ]
         schedule = ProbeSchedule(traceroute_interval_s=3600.0)
-        result = run_scenario(topo, relations, schedule, 10, seed=1)
-        pings = [r for r in result.records if isinstance(r, PingRecord)]
+        records = []
+        run_scenario(topo, relations, schedule, 10, seed=1, sink=records)
+        pings = [r for r in records if isinstance(r, PingRecord)]
         assert len(pings) == 20
         ticks = sorted({p.timestamp for p in pings})
         assert ticks == [START_US + k * 1_000_000 for k in range(10)]
@@ -190,8 +190,9 @@ class TestSourceWorker:
         ]
         schedule = ProbeSchedule(ping_interval_s=3600.0, traceroute_interval_s=300.0,
                                  traceroute_rounds=3, max_ttl=5, reply_timeout_s=1.0)
-        result = run_scenario(topo, relations, schedule, 290, seed=3)
-        runs = [r for r in result.records if isinstance(r, TracerouteRun)]
+        records = []
+        run_scenario(topo, relations, schedule, 290, seed=3, sink=records)
+        runs = [r for r in records if isinstance(r, TracerouteRun)]
         assert len(runs) == 6  # one cycle, 3 rounds x 2 destinations
         d1_runs = [r for r in runs if r.destination == "10.1.0.1"]
         d2_runs = [r for r in runs if r.destination == "10.2.0.1"]
@@ -219,7 +220,16 @@ class TestSourceWorker:
         sink1, sink2 = [], []
         t1 = SimTransport(net, clock, "10.0.1.1")
         t2 = SimTransport(net, clock, "10.0.2.1")
-        t1.fail_next_sends = 3  # stall worker 1 at startup
+        failures_left = [3]
+        send = t1.send
+
+        def failing_send(data, ttl, destination):
+            if failures_left[0]:  # stall worker 1 at startup
+                failures_left[0] -= 1
+                raise TransportFailure("injected send failure")
+            return send(data, ttl, destination)
+
+        t1.send = failing_send
         end = START_US + 10_000_000
         w1 = SourceWorker([RelationKey(Family.V4, "A", "D", "10.0.1.1", "10.9.0.1")],
                           schedule, lambda: t1, sink1,
@@ -270,7 +280,7 @@ class TestSourceWorker:
 
 
 class TestIpv6EndToEnd:
-    def test_v6_ping_and_traceroute(self):
+    def test_v6_ping_and_traceroute(self, sent_probes):
         doc = {
             "start_time": START_US,
             "routers": {
@@ -284,21 +294,19 @@ class TestIpv6EndToEnd:
             ],
         }
         topo = topology_from_dict(doc)
-        net = SimNetwork(topo)
-        clock = VirtualClock(START_US)
-        transport = SimTransport(net, clock, "fd00:1::10")
         relation = RelationKey(Family.V6, "A", "B", "fd00:1::10", "fd00:3::10")
-        record = run_ping_once(relation, transport, clock)
+        record, _ = ping_once(topo, relation)
         assert record.status == 255
         assert record.rtt == 2 * 3000
+        del sent_probes[:]
+        net, clock, transport = _setup(topo, "fd00:1::10")
         schedule = ProbeSchedule(max_ttl=6, reply_timeout_s=1.0)
-        run = run_traceroute(relation, schedule, transport, clock)
+        run = traceroute_once(relation, schedule, transport, clock)
         assert [h.status for h in run.hops] == [1, 255]
         assert run.hops[0].address == "fd00:2::1"
-        # the v6 run is checksum-pinned too: constant 4-byte prefixes
-        prefixes = {icmp.hash_prefix(p.data) for p in transport.sent_log
-                    if p.ttl <= 6}
-        assert len(prefixes) <= 2  # ping prefix plus the pinned run prefix
+        # the v6 run is checksum-pinned too: one constant 4-byte prefix
+        assert len(sent_probes) == 6
+        assert len({data[:4] for _, _, data in sent_probes}) == 1
 
 
 class TestBlockingDriver:

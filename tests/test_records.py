@@ -132,6 +132,23 @@ class TestStore:
         assert accepted == 2
         assert len(rejects) == 1 and rejects[0][0] == 1
 
+    @pytest.mark.parametrize("array", [False, True])
+    def test_import_validates_each_record_once(self, tmp_path, monkeypatch, array):
+        calls = []
+        validate = records.validate_record
+
+        def counting_validate(record):
+            calls.append(record)
+            validate(record)
+
+        monkeypatch.setattr(records, "validate_record", counting_validate)
+        docs = [records.to_json_obj(ping(ts=i + 1)) for i in range(50)]
+        text = json.dumps(docs) if array else \
+            "".join(json.dumps(d) + "\n" for d in docs)
+        store = RecordStore(tmp_path)
+        assert store.import_json(io.StringIO(text)) == (50, [])
+        assert len(calls) == 50
+
     def test_import_array_wrapped(self, tmp_path):
         docs = [records.to_json_obj(ping(ts=i + 1)) for i in range(5)]
         store = RecordStore(tmp_path)
@@ -214,6 +231,18 @@ class TestStore:
         again = RecordStore(tmp_path)
         assert again.count("ping") == 1
         assert not list(tmp_path.glob("*-open.ndjson"))
+
+    def test_non_segment_files_are_ignored_with_a_warning(self, tmp_path, caplog):
+        (tmp_path / "notes.ndjson").write_text("not a record\n")
+        (tmp_path / "ping-x-open.ndjson").write_text("")
+        with caplog.at_level("WARNING", logger="contrace.records"):
+            assert RecordStore(tmp_path).count() == 0
+        warned = caplog.text
+        assert "notes.ndjson" in warned and "ping-x-open.ndjson" in warned
+        with RecordStore(tmp_path) as store:
+            store.append(ping(ts=42))
+        assert RecordStore(tmp_path).count("ping") == 1
+        assert (tmp_path / "notes.ndjson").read_text() == "not a record\n"
 
     def test_concurrent_appends(self, tmp_path):
         store = RecordStore(tmp_path)

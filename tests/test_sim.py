@@ -200,13 +200,14 @@ class TestScenario:
         relation = relation_for(topo)
         schedule = ProbeSchedule(max_ttl=12, reply_timeout_s=1.0)
 
-        def render(result):
-            return "".join(records.serialize_line(r) for r in result.records)
+        def render(produced):
+            return "".join(records.serialize_line(r) for r in produced)
 
-        a = run_scenario(topo, [relation], schedule, 30, seed=5)
-        b = run_scenario(topo, [relation], schedule, 30, seed=5)
+        a, b = [], []
+        run_scenario(topo, [relation], schedule, 30, seed=5, sink=a)
+        run_scenario(topo, [relation], schedule, 30, seed=5, sink=b)
         assert render(a) == render(b)
-        assert len(a.records) > 0
+        assert len(a) > 0
 
     def test_route_change_mixes_link_shares(self):
         # Two parallel branches, switched by a policy-free latency topology
@@ -240,8 +241,9 @@ class TestScenario:
         relation = relation_for(topo)
         schedule = ProbeSchedule(traceroute_interval_s=60.0, traceroute_rounds=1,
                                  max_ttl=8, reply_timeout_s=1.0)
-        result = run_scenario(topo, [relation], schedule, 1200, seed=9)
-        runs = [r for r in result.records if isinstance(r, records.TracerouteRun)]
+        produced = []
+        run_scenario(topo, [relation], schedule, 1200, seed=9, sink=produced)
+        runs = [r for r in produced if isinstance(r, records.TracerouteRun)]
         assert runs
         half = START_US + 600 * 1_000_000
         before = [r for r in runs if r.timestamp < half]
