@@ -127,10 +127,6 @@ class LinkObservation:
     def share(self) -> float:
         return 100.0 * self.runs_observed / self.runs_total
 
-    @property
-    def rtt_samples_to_destination_side(self) -> list[int]:
-        return [rtt for _hop, rtt in self.run_samples.values()]
-
 
 def run_links(run: TracerouteRun) -> list[tuple[str, str, int, int]]:
     """(from, to, to-hop number, to-hop rtt) for consecutive responsive hops.

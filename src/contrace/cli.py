@@ -321,11 +321,6 @@ def _selected_relations(config: Config, spec: str | None) -> list[RelationKey]:
     return selected
 
 
-def _query(store: RecordStore, relation: RelationKey, kind: str, args):
-    return store.query(StoreQuery.for_relation(kind, relation,
-                                               start=args.start, end=args.end))
-
-
 def cmd_analyze(args) -> int:
     try:
         config = load_config(args.config)
@@ -341,7 +336,9 @@ def cmd_analyze(args) -> int:
             print("error: rtt-series and cdf need a single --relation",
                   file=sys.stderr)
             return EXIT_CONFIG
-        pings = _query(store, relations[0], KIND_PING, args)
+        pings = store.query(StoreQuery(KIND_PING, args.start, args.end,
+                                       relations[0].source_address,
+                                       relations[0].destination_address))
         if not pings:
             print("error: no ping records match the selection", file=sys.stderr)
             return EXIT_EMPTY
@@ -357,7 +354,9 @@ def cmd_analyze(args) -> int:
     runs_found = False
     per_relation_runs = []
     for relation in relations:
-        runs = _query(store, relation, KIND_TRACEROUTE, args)
+        runs = store.query(StoreQuery(KIND_TRACEROUTE, args.start, args.end,
+                                      relation.source_address,
+                                      relation.destination_address))
         per_relation_runs.append((relation, runs))
         if runs:
             runs_found = True

@@ -128,20 +128,16 @@ class TracerouteProbeRun:
         self._send_time: dict[int, int] = {}
         self._resolved: dict[int, tuple[int, str | None, int | None]] = {}
 
-        family = relation.ip_version
+        # The first request goes out unpinned; its checksum pins the rest.
         target = None
-        if schedule.craft_constant_checksum:
-            first = icmp.make_request_bytes(
-                family, identifier, seq_base & 0xFFFF, now_us,
-                source=relation.source_address,
-                destination=relation.destination_address)
-            target = int.from_bytes(first[2:4], "big")
         for ttl in range(1, schedule.max_ttl + 1):
             seq = (seq_base + ttl - 1) & 0xFFFF
             data = icmp.make_request_bytes(
-                family, identifier, seq, now_us, target_checksum=target,
-                source=relation.source_address,
+                relation.ip_version, identifier, seq, now_us,
+                target_checksum=target, source=relation.source_address,
                 destination=relation.destination_address)
+            if ttl == 1 and schedule.craft_constant_checksum:
+                target = int.from_bytes(data[2:4], "big")
             sent = transport.send(data, ttl, relation.destination_address)
             self._send_time[ttl] = sent
             self._pending[(identifier, seq)] = ttl
@@ -286,10 +282,6 @@ class SourceWorker:
         if self._deadlines:
             candidates.append(self._deadlines[0][0])
         return min(candidates) if candidates else None
-
-    @property
-    def done(self) -> bool:
-        return self.next_wakeup() is None
 
     def on_wakeup(self, now_us: int) -> None:
         self._expire_pings(now_us)

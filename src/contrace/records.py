@@ -15,6 +15,7 @@ strictly append-only.
 
 from __future__ import annotations
 
+import heapq
 import ipaddress
 import json
 import logging
@@ -22,6 +23,7 @@ import re
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -293,14 +295,6 @@ class StoreQuery:
         if self.start is not None and self.end is not None and self.start >= self.end:
             raise ValueError("time range start must be < end")
 
-    @classmethod
-    def for_relation(cls, kind: str, relation, start: int | None = None,
-                     end: int | None = None) -> "StoreQuery":
-        """Query filtered to one relation's address pair."""
-        return cls(kind, start=start, end=end,
-                   source=relation.source_address,
-                   destination=relation.destination_address)
-
     def matches(self, record: Record) -> bool:
         if self.start is not None and record.timestamp < self.start:
             return False
@@ -317,6 +311,9 @@ _SEGMENT_NAME = re.compile(
     rf"({KIND_PING}|{KIND_TRACEROUTE})-[0-9]+-([0-9]+|open)\.ndjson")
 
 
+_TIMESTAMP = attrgetter("timestamp")
+
+
 def _kind_of(record: Record) -> str:
     return KIND_PING if isinstance(record, PingRecord) else KIND_TRACEROUTE
 
@@ -324,8 +321,12 @@ def _kind_of(record: Record) -> str:
 class RecordStore:
     """Append-only store over NDJSON segment files with an in-memory index.
 
-    Concurrent appends are serialized by a lock; queries take a snapshot and
-    never observe a torn record. Segment files are named
+    The index holds one list of records per kind in load, then append
+    order; the first query or export after opening or after an older record
+    sorts it by timestamp with a stable sort, so equal timestamps keep that
+    order (segments load by first timestamp, then by file name). Concurrent
+    appends are serialized by a lock; queries take a snapshot and never
+    observe a torn record. Segment files are named
     <kind>-<first>-<last>.ndjson by the timestamps they cover (the active
     segment carries the suffix "open" until it is rolled or closed).
     """
@@ -335,10 +336,8 @@ class RecordStore:
         self.path.mkdir(parents=True, exist_ok=True)
         self.segment_records = segment_records
         self._lock = threading.Lock()
-        self._records: dict[str, list[tuple[int, Record]]] = {
-            KIND_PING: [], KIND_TRACEROUTE: []}
-        self._seq = 0
-        self._sorted = {KIND_PING: True, KIND_TRACEROUTE: True}
+        self._records: dict[str, list[Record]] = {KIND_PING: [], KIND_TRACEROUTE: []}
+        self._sorted = {KIND_PING: False, KIND_TRACEROUTE: False}
         self._active: dict[str, dict] = {}
         self._load()
 
@@ -361,9 +360,7 @@ class RecordStore:
                     if not line.strip():
                         continue
                     record = parse_line(line)
-                    kind = _kind_of(record)
-                    self._records[kind].append((self._seq, record))
-                    self._seq += 1
+                    self._records[_kind_of(record)].append(record)
                     last_ts = record.timestamp
             # Recovery: seal any segment left open by a previous process.
             if path.name.endswith("-open.ndjson") and last_ts is not None:
@@ -372,14 +369,6 @@ class RecordStore:
                 path.rename(self.path / f"{kind}-{first}-{last_ts}.ndjson")
             elif path.name.endswith("-open.ndjson"):
                 path.unlink()
-        for kind in self._records:
-            self._check_sorted(kind)
-
-    def _check_sorted(self, kind: str) -> None:
-        entries = self._records[kind]
-        self._sorted[kind] = all(
-            entries[i][1].timestamp <= entries[i + 1][1].timestamp
-            for i in range(len(entries) - 1))
 
     def _open_segment(self, kind: str, first_ts: int) -> dict:
         path = self.path / f"{kind}-{first_ts}-open.ndjson"
@@ -414,10 +403,9 @@ class RecordStore:
             seg["count"] += 1
             seg["last"] = record.timestamp
             entries = self._records[kind]
-            if entries and self._sorted[kind] and entries[-1][1].timestamp > record.timestamp:
+            if entries and entries[-1].timestamp > record.timestamp:
                 self._sorted[kind] = False
-            entries.append((self._seq, record))
-            self._seq += 1
+            entries.append(record)
             if seg["count"] >= self.segment_records:
                 self._seal(kind)
 
@@ -438,23 +426,22 @@ class RecordStore:
                 return sum(len(v) for v in self._records.values())
             return len(self._records[kind])
 
-    def _snapshot(self, kind: str) -> list[tuple[int, Record]]:
+    def _snapshot(self, kind: str) -> list[Record]:
         with self._lock:
             if not self._sorted[kind]:
-                self._records[kind].sort(key=lambda e: (e[1].timestamp, e[0]))
+                self._records[kind].sort(key=_TIMESTAMP)
                 self._sorted[kind] = True
             return list(self._records[kind])
 
     def query(self, q: StoreQuery) -> list[Record]:
         """Matching records ordered by timestamp (stable across calls)."""
-        return [rec for _seq, rec in self._snapshot(q.kind) if q.matches(rec)]
+        return [rec for rec in self._snapshot(q.kind) if q.matches(rec)]
 
     def iter_canonical(self) -> Iterator[Record]:
-        """All records of both kinds merged by (timestamp, insertion order)."""
-        merged = self._snapshot(KIND_PING) + self._snapshot(KIND_TRACEROUTE)
-        merged.sort(key=lambda e: (e[1].timestamp, e[0]))
-        for _seq, rec in merged:
-            yield rec
+        """All records in export order: by timestamp; at equal timestamps
+        pings before traceroute runs, then each kind's index order."""
+        return heapq.merge(self._snapshot(KIND_PING),
+                           self._snapshot(KIND_TRACEROUTE), key=_TIMESTAMP)
 
     def export(self, fp: IO[str]) -> int:
         """Write the canonical NDJSON stream; returns the record count."""
@@ -475,26 +462,20 @@ class RecordStore:
             text = stream.read()
         else:
             text = "".join(stream)
-        rejects: list[tuple[int, str]] = []
-        accepted = 0
-        stripped = text.lstrip()
-        if stripped.startswith("["):
+        is_array = text.lstrip().startswith("[")
+        if is_array:
             try:
-                docs = json.loads(text)
+                documents = enumerate(json.loads(text))
             except json.JSONDecodeError as exc:
                 return 0, [(0, f"invalid JSON array: {exc}")]
-            for i, obj in enumerate(docs):
-                try:
-                    self.append(_map_json_obj(obj))
-                    accepted += 1
-                except (MalformedJson, InvalidRecord) as exc:
-                    rejects.append((i, str(exc)))
-            return accepted, rejects
-        for i, line in enumerate(text.splitlines()):
-            if not line.strip():
-                continue
+        else:
+            documents = ((i, line) for i, line in enumerate(text.splitlines())
+                         if line.strip())
+        rejects: list[tuple[int, str]] = []
+        accepted = 0
+        for i, document in documents:
             try:
-                self.append(_map_json_obj(_loads(line)))
+                self.append(_map_json_obj(document if is_array else _loads(document)))
                 accepted += 1
             except (MalformedJson, InvalidRecord) as exc:
                 rejects.append((i, str(exc)))

@@ -188,12 +188,11 @@ class Outcome:
 class _EpochState:
     """Immutable topology view for one interval between events."""
 
-    __slots__ = ("links", "ecmp", "policies", "adjacency")
+    __slots__ = ("links", "policies", "adjacency")
 
-    def __init__(self, links, ecmp, policies):
-        self.links = links
-        self.ecmp = ecmp
-        self.policies = policies
+    def __init__(self, links, policies):
+        self.links = dict(links)
+        self.policies = dict(policies)
         self.adjacency: dict[str, list[str]] = {}
         for (u, v) in links:
             self.adjacency.setdefault(u, []).append(v)
@@ -227,13 +226,10 @@ class SimNetwork:
     def __init__(self, topology: SimTopology):
         self.topology = topology
         self._by_address = {r.address: r.name for r in topology.routers.values()}
+        self._ecmp = {r: dict(g) for r, g in topology.ecmp.items()}
+        links, policies = dict(topology.links), dict(topology.policies)
         self._epoch_times = [topology.start_us]
-        self._epochs = [_EpochState(dict(topology.links),
-                                    {r: dict(g) for r, g in topology.ecmp.items()},
-                                    dict(topology.policies))]
-        links = dict(topology.links)
-        ecmp = {r: dict(g) for r, g in topology.ecmp.items()}
-        policies = dict(topology.policies)
+        self._epochs = [_EpochState(links, policies)]
         for event in topology.events:
             if event.action in ("add_link", "set_latency"):
                 u, v, latency = event.params
@@ -244,9 +240,7 @@ class SimNetwork:
                 router, policy = event.params
                 policies[router] = policy
             self._epoch_times.append(event.at_us)
-            self._epochs.append(_EpochState(dict(links),
-                                            {r: dict(g) for r, g in ecmp.items()},
-                                            dict(policies)))
+            self._epochs.append(_EpochState(links, policies))
         self._buckets: dict[str, _TokenBucket] = {}
 
     def node_by_address(self, address: str) -> str:
@@ -264,7 +258,7 @@ class SimNetwork:
 
     def _next_hop(self, state: _EpochState, router: str, dest_node: str,
                   prefix_value: int) -> str | None:
-        groups = state.ecmp.get(router)
+        groups = self._ecmp.get(router)
         if groups:
             group = groups.get(dest_node) or groups.get("default")
             if group:
@@ -405,29 +399,25 @@ def drive_workers(workers: list[SourceWorker], transports: list[SimTransport],
     wakeup; arrivals are delivered before wakeups at the same instant, and
     workers are visited in construction order, so runs are reproducible.
     """
-    while True:
-        next_time: int | None = None
-        for worker in workers:
-            wakeup = worker.next_wakeup()
-            if wakeup is not None and (next_time is None or wakeup < next_time):
-                next_time = wakeup
-        for transport in transports:
-            arrival = transport.peek_arrival()
-            if arrival is not None and (next_time is None or arrival < next_time):
-                next_time = arrival
-        if next_time is None:
-            break
-        if all(worker.done for worker in workers):
-            break  # only stray arrivals for finished workers remain
+    wakeups = [worker.next_wakeup() for worker in workers]
+    # Stop when every worker is finished: arrivals still queued are stray.
+    while any(wakeup is not None for wakeup in wakeups):
+        pending = [*wakeups, *(transport.peek_arrival() for transport in transports)]
+        next_time = min(t for t in pending if t is not None)
         clock.advance_to(max(next_time, clock.now_us()))
         now = clock.now_us()
-        for worker, transport in zip(workers, transports):
-            for data, responder, t_us in transport.pop_due(now):
+        # A worker's wakeup depends only on its own state, so it is asked
+        # again only after that worker received packets or woke up.
+        for i, (worker, transport) in enumerate(zip(workers, transports)):
+            packets = transport.pop_due(now)
+            for data, responder, t_us in packets:
                 worker.on_packet(data, responder, t_us)
-        for worker in workers:
-            wakeup = worker.next_wakeup()
-            if wakeup is not None and wakeup <= now:
+            if packets:
+                wakeups[i] = worker.next_wakeup()
+        for i, worker in enumerate(workers):
+            if wakeups[i] is not None and wakeups[i] <= now:
                 worker.on_wakeup(now)
+                wakeups[i] = worker.next_wakeup()
 
 
 def run_scenario(topology: SimTopology, relations: list[RelationKey],

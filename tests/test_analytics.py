@@ -216,7 +216,7 @@ class TestLinkShares:
                     if (o.from_hop.address, o.to_hop.address) == ("10.1.0.2", "10.2.0.2"))
         assert pair.runs_observed == 1
         # destination-side sample comes from the earliest occurrence
-        assert pair.rtt_samples_to_destination_side == [200]
+        assert pair.run_samples == {0: (2, 200)}
 
     def test_totals_include_unresponsive_runs(self):
         runs = [make_run(["10.1.0.2", "10.2.0.2", "10.3.0.9"]),

@@ -203,6 +203,41 @@ class TestStore:
         got = store.query(StoreQuery("ping"))
         assert [r.timestamp for r in got] == sorted(r.timestamp for r in got)
 
+    def test_export_order_survives_reopen(self, tmp_path):
+        store = RecordStore(tmp_path)
+        store.append(run(ts=1_000_000))
+        store.append(ping(ts=1_000_000))
+        before = io.StringIO()
+        store.export(before)
+        store.close()
+        after = io.StringIO()
+        RecordStore(tmp_path).export(after)
+        assert before.getvalue() == after.getvalue()
+        assert json.loads(before.getvalue().splitlines()[0]) == \
+            records.to_json_obj(ping(ts=1_000_000))
+
+    def test_out_of_order_appends_query_as_stable_sort(self, tmp_path):
+        store = RecordStore(tmp_path)
+        rng = random.Random(5)
+        appended = [ping(ts=rng.randrange(1, 20), rtt=i) for i in range(400)]
+        for rec in appended:
+            store.append(rec)
+        reference = sorted(appended, key=lambda r: r.timestamp)
+        assert store.query(StoreQuery("ping")) == reference
+
+    def test_import_of_concatenated_and_reversed_dumps(self, tmp_path):
+        first = [ping(ts=t, rtt=t) for t in range(100, 200)]
+        second = [ping(ts=t, rtt=t + 1) for t in range(150, 250)]
+        imported = first + second + second[::-1]
+        text = "".join(records.serialize_line(r) for r in imported)
+        store = RecordStore(tmp_path, segment_records=64)
+        assert store.import_json(io.StringIO(text)) == (len(imported), [])
+        reference = sorted(imported, key=lambda r: r.timestamp)
+        assert store.query(StoreQuery("ping")) == reference
+        out = io.StringIO()
+        store.export(out)
+        assert out.getvalue() == "".join(records.serialize_line(r) for r in reference)
+
     def test_query_partition_consistency(self, tmp_path):
         store = RecordStore(tmp_path)
         rng = random.Random(13)
