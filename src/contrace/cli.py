@@ -23,7 +23,7 @@ from .enrich import AsnTable, CsvGeoProvider, Enricher, GeoResolver, HttpGeoProv
 from .icmp import Family, family_of
 from .probe import (LiveClock, ProbeSchedule, RawIcmpTransport, RelationKey,
                     SourceWorker, TransportFailure, run_relation_worker)
-from .records import KIND_PING, KIND_TRACEROUTE, RecordStore, StoreQuery
+from .records import KIND_PING, KIND_TRACEROUTE, RecordStore, StoreError, StoreQuery
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -350,18 +350,24 @@ def cmd_analyze(args) -> int:
         return _emit(document, args)
 
     enricher = build_enricher(config)
+    if len(relations) == 1:
+        query = StoreQuery(KIND_TRACEROUTE, args.start, args.end,
+                           relations[0].source_address,
+                           relations[0].destination_address)
+    else:
+        query = StoreQuery(KIND_TRACEROUTE, args.start, args.end)
+    runs_by_pair: dict[tuple[str, str], list] = {}
+    for run in store.query(query):
+        runs_by_pair.setdefault((run.source, run.destination), []).append(run)
     observations = []
-    runs_found = False
     per_relation_runs = []
     for relation in relations:
-        runs = store.query(StoreQuery(KIND_TRACEROUTE, args.start, args.end,
-                                      relation.source_address,
-                                      relation.destination_address))
+        runs = runs_by_pair.get(
+            (relation.source_address, relation.destination_address), [])
         per_relation_runs.append((relation, runs))
         if runs:
-            runs_found = True
             observations.extend(analytics.link_shares(runs, relation, enricher.enrich))
-    if not runs_found:
+    if not any(runs for _, runs in per_relation_runs):
         print("error: no traceroute records match the selection", file=sys.stderr)
         return EXIT_EMPTY
 
@@ -474,7 +480,7 @@ def main(argv=None) -> int:
     except PermissionError as exc:
         print(f"error: privileges: {exc}", file=sys.stderr)
         return EXIT_PRIVILEGE
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, StoreError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

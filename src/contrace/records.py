@@ -15,15 +15,20 @@ strictly append-only.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import ipaddress
 import json
 import logging
+import math
+import os
 import re
+import sys
 import threading
+from contextlib import closing
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -85,9 +90,11 @@ Record = PingRecord | TracerouteRun
 
 @lru_cache(maxsize=65536)
 def _address_info(address: str) -> tuple[int, str]:
-    """(family version, canonical form); cached, addresses repeat heavily."""
+    """(family version, canonical form); cached, addresses repeat heavily.
+    The canonical form is interned, so every spelling of one address
+    yields one string object."""
     parsed = ipaddress.ip_address(address)
-    return parsed.version, str(parsed)
+    return parsed.version, sys.intern(str(parsed))
 
 
 def canonical_address(address: str) -> str:
@@ -105,8 +112,16 @@ def _check_address(value, field: str, problems: list[str]) -> int | None:
         return None
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_status(value) -> bool:
+    return _is_int(value) and value in VALID_STATUSES
+
+
 def _check_int(value, field: str, problems: list[str], minimum: int | None = None):
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not _is_int(value):
         problems.append(f"{field}: expected integer, got {type(value).__name__}")
         return None
     if minimum is not None and value < minimum:
@@ -122,7 +137,7 @@ def validate_ping(record: PingRecord) -> None:
     dst = _check_address(record.destination, "destination", problems)
     if src is not None and dst is not None and src != dst:
         problems.append("source and destination are of different IP families")
-    if record.status not in VALID_STATUSES:
+    if not _is_status(record.status):
         problems.append(f"status: must be one of {VALID_STATUSES}, got {record.status!r}")
     if record.status == STATUS_ECHO_REPLY:
         if record.rtt is None:
@@ -148,9 +163,9 @@ def validate_traceroute(record: TracerouteRun) -> None:
     reply_seen = False
     for i, hop in enumerate(record.hops):
         where = f"hops[{i}]"
-        if hop.hop != i + 1:
+        if not _is_int(hop.hop) or hop.hop != i + 1:
             problems.append(f"{where}.hop: expected {i + 1}, got {hop.hop!r}")
-        if hop.status not in VALID_STATUSES:
+        if not _is_status(hop.status):
             problems.append(f"{where}.status: must be one of {VALID_STATUSES}")
             continue
         if reply_seen:
@@ -260,9 +275,86 @@ def _map_json_obj(obj) -> Record:
                       obj.get("destination"), obj.get("status"), obj.get("rtt"))
 
 
+# The single-pass decoders below return None for any document they do not
+# accept; from_json_obj then takes the slow path. Once the required fields
+# are present and not null, the field count rules out unknown keys.
+
+def _decode_endpoints(source, destination) -> tuple[str, str] | None:
+    if type(source) is not str or type(destination) is not str:
+        return None
+    try:
+        src, dst = _address_info(source), _address_info(destination)
+    except ValueError:
+        return None
+    return (src[1], dst[1]) if src[0] == dst[0] else None
+
+
+def _decode_ping(obj: dict) -> PingRecord | None:
+    timestamp, status, rtt = obj.get("timestamp"), obj.get("status"), obj.get("rtt")
+    if type(timestamp) is not int or timestamp < 1 or type(status) is not int:
+        return None
+    if status == STATUS_ECHO_REPLY:
+        if type(rtt) is not int or rtt < 0 or len(obj) != 5:
+            return None
+    elif status != STATUS_TIMEOUT and status != STATUS_TIME_EXCEEDED or len(obj) != 4:
+        return None
+    endpoints = _decode_endpoints(obj.get("source"), obj.get("destination"))
+    if endpoints is None:
+        return None
+    return PingRecord(timestamp, *endpoints, status, rtt)
+
+
+def _decode_run(obj: dict) -> TracerouteRun | None:
+    timestamp, round_, hops_obj = obj.get("timestamp"), obj.get("round"), obj.get("hops")
+    if (len(obj) != 5 or type(timestamp) is not int or timestamp < 1
+            or type(round_) is not int or round_ < 0 or type(hops_obj) is not list
+            or not hops_obj):
+        return None
+    endpoints = _decode_endpoints(obj.get("source"), obj.get("destination"))
+    if endpoints is None:
+        return None
+    hops = []
+    replied = False
+    for number, h in enumerate(hops_obj, 1):
+        if replied or type(h) is not dict:
+            return None
+        hop, status = h.get("hop"), h.get("status")
+        if type(hop) is not int or hop != number or type(status) is not int:
+            return None
+        if status == STATUS_TIMEOUT:
+            if len(h) != 2:
+                return None
+            hops.append(Hop(number, status))
+            continue
+        address, rtt = h.get("address"), h.get("rtt")
+        if (status != STATUS_TIME_EXCEEDED and status != STATUS_ECHO_REPLY
+                or len(h) != 4 or type(address) is not str or type(rtt) is not int
+                or rtt < 0):
+            return None
+        try:
+            address = _address_info(address)[1]
+        except ValueError:
+            return None
+        hops.append(Hop(number, status, address, rtt))
+        replied = status == STATUS_ECHO_REPLY
+    return TracerouteRun(timestamp, *endpoints, round_, tuple(hops))
+
+
 def from_json_obj(obj) -> Record:
     """Map a parsed JSON document onto a validated, normalized record;
-    raises MalformedJson or InvalidRecord (with per-field reasons)."""
+    raises MalformedJson or InvalidRecord (with per-field reasons).
+
+    One pass maps, validates and canonicalizes a well-formed document, with
+    addresses from the _address_info cache, so equal addresses share one
+    string. A document that pass does not accept goes through
+    _map_json_obj, validate_record and _normalized, which decide whether it
+    is rejected and with which message; for every document both give the
+    same record.
+    """
+    if type(obj) is dict:
+        record = _decode_run(obj) if "hops" in obj else _decode_ping(obj)
+        if record is not None:
+            return record
     record = _map_json_obj(obj)
     validate_record(record)
     return _normalized(record)
@@ -277,6 +369,14 @@ def _loads(line: str):
 
 def parse_line(line: str) -> Record:
     return from_json_obj(_loads(line))
+
+
+def _is_json(line: bytes) -> bool:
+    try:
+        json.loads(line)
+    except ValueError:
+        return False
+    return True
 
 
 @dataclass(frozen=True, slots=True)
@@ -308,27 +408,82 @@ class StoreQuery:
 
 
 _SEGMENT_NAME = re.compile(
-    rf"({KIND_PING}|{KIND_TRACEROUTE})-[0-9]+-([0-9]+|open)\.ndjson")
+    rf"(?P<kind>{KIND_PING}|{KIND_TRACEROUTE})-(?P<first>[0-9]+)-"
+    rf"(?:(?P<last>[0-9]+)(?:-(?P<n>[1-9][0-9]*))?|open)\.ndjson")
 
 
 _TIMESTAMP = attrgetter("timestamp")
+_LOAD_KEY = itemgetter(0)
 
 
 def _kind_of(record: Record) -> str:
     return KIND_PING if isinstance(record, PingRecord) else KIND_TRACEROUTE
 
 
-class RecordStore:
-    """Append-only store over NDJSON segment files with an in-memory index.
+def _load_key(match: re.Match) -> tuple[int, str, int]:
+    """Segments of one kind load by first timestamp, then by name, then by
+    collision suffix, so a suffixed segment loads after the one it
+    collided with."""
+    stem = f"{match['kind']}-{match['first']}-{match['last'] or 'open'}"
+    return int(match["first"]), stem, int(match["n"] or 0)
 
-    The index holds one list of records per kind in load, then append
-    order; the first query or export after opening or after an older record
-    sorts it by timestamp with a stable sort, so equal timestamps keep that
-    order (segments load by first timestamp, then by file name). Concurrent
-    appends are serialized by a lock; queries take a snapshot and never
-    observe a torn record. Segment files are named
-    <kind>-<first>-<last>.ndjson by the timestamps they cover (the active
-    segment carries the suffix "open" until it is rolled or closed).
+
+def _segment_record(line: bytes, kind: str, path: Path, where: int | str) -> Record:
+    """Decode and validate one line of a segment of the given kind; the
+    StoreError raised for a bad line names the file and the line."""
+    try:
+        record = parse_line(line.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise StoreError(f"{path}:{where}: not UTF-8: {exc}") from None
+    except StoreError as exc:
+        raise StoreError(f"{path}:{where}: {exc}") from exc
+    if _kind_of(record) != kind:
+        raise StoreError(f"{path}:{where}: a {_kind_of(record)} record in a "
+                         f"{kind} segment")
+    return record
+
+
+def _last_line(fp: IO[bytes], end: int) -> tuple[int, bytes]:
+    """(offset, bytes) of the last line of fp[:end]; only that line is read."""
+    data = b""
+    pos = end
+    while pos > 0:
+        step = min(4096, pos)
+        pos -= step
+        fp.seek(pos)
+        data = fp.read(step) + data
+        cut = data.rfind(b"\n", 0, len(data) - 1)
+        if cut >= 0:
+            return pos + cut + 1, data[cut + 1:]
+    return 0, data
+
+
+def _lines_within(fp: IO[bytes], size: int) -> Iterator[bytes]:
+    """The lines of fp's first size bytes, never reading past them."""
+    while size > 0:
+        line = fp.readline(size)
+        if not line:
+            return
+        size -= len(line)
+        yield line
+
+
+class RecordStore:
+    """Append-only store over NDJSON segment files, one record kind each.
+
+    Segment files are named <kind>-<first>-<last>.ndjson by the timestamps
+    of their first and last lines; the active segment carries the suffix
+    "open" until it is rolled or closed, and a name already taken gets a
+    -<n> suffix instead of replacing the file. Opening lists the segments
+    and reads no records: it only seals segments an earlier process left
+    open, reading their last line. Every read (query, count, export) reads
+    the segments of the kinds it needs, line by line, and query and export
+    validate every line they read. Records with equal timestamps keep the
+    load order: segments by first timestamp, then by name, then by suffix,
+    lines in file order. The active segment takes the place its sealed name
+    will give it, so this order is the same within a process and after a
+    reopen. Concurrent appends are serialized by a lock; a read sees the
+    active segment as it was when the read started and never a torn record.
     """
 
     def __init__(self, path: str | Path, *, segment_records: int = 100_000):
@@ -336,55 +491,91 @@ class RecordStore:
         self.path.mkdir(parents=True, exist_ok=True)
         self.segment_records = segment_records
         self._lock = threading.Lock()
-        self._records: dict[str, list[Record]] = {KIND_PING: [], KIND_TRACEROUTE: []}
-        self._sorted = {KIND_PING: False, KIND_TRACEROUTE: False}
+        self._sealed: dict[str, list[tuple[tuple, Path]]] = {
+            KIND_PING: [], KIND_TRACEROUTE: []}
         self._active: dict[str, dict] = {}
-        self._load()
-
-    def _segment_files(self) -> list[Path]:
-        segments = []
-        for path in self.path.glob("*.ndjson"):
-            if _SEGMENT_NAME.fullmatch(path.name):
-                segments.append(path)
-            else:
+        left_open = []
+        for path in list(self.path.glob("*.ndjson")):
+            match = _SEGMENT_NAME.fullmatch(path.name)
+            if match is None:
                 log.warning("ignoring %s: not a <kind>-<first>-<last|open>.ndjson "
                             "segment", path)
-        return sorted(segments, key=lambda p: (p.name.split("-")[0],
-                                               int(p.name.split("-")[1]), p.name))
+            elif match["last"] is None:
+                left_open.append((_load_key(match), match["kind"], path))
+            else:
+                self._sealed[match["kind"]].append((_load_key(match), path))
+        for segments in self._sealed.values():
+            segments.sort(key=_LOAD_KEY)
+        for (first, _, _), kind, path in sorted(left_open, key=_LOAD_KEY):
+            self._recover(path, kind, first)
 
-    def _load(self) -> None:
-        for path in self._segment_files():
-            with path.open("r", encoding="utf-8") as fp:
-                last_ts = None
-                for line in fp:
-                    if not line.strip():
-                        continue
-                    record = parse_line(line)
-                    self._records[_kind_of(record)].append(record)
-                    last_ts = record.timestamp
-            # Recovery: seal any segment left open by a previous process.
-            if path.name.endswith("-open.ndjson") and last_ts is not None:
-                first = path.name.split("-")[1]
-                kind = path.name.split("-")[0]
-                path.rename(self.path / f"{kind}-{first}-{last_ts}.ndjson")
-            elif path.name.endswith("-open.ndjson"):
-                path.unlink()
+    def _recover(self, path: Path, kind: str, first: int) -> None:
+        """Seal a segment an earlier process left open, named by the
+        timestamp of its last line; a torn last line (no newline, not JSON)
+        is truncated away first, and an empty segment is deleted."""
+        last = None
+        with path.open("r+b") as fp:
+            end = fp.seek(0, os.SEEK_END)
+            while end > 0 and last is None:
+                start, line = _last_line(fp, end)
+                if line.isspace():
+                    pass
+                elif not line.endswith(b"\n") and not _is_json(line):
+                    fp.truncate(start)
+                    log.warning("%s: dropped a torn last line of %d bytes",
+                                path, end - start)
+                else:
+                    last = _segment_record(line, kind, path, "last line").timestamp
+                end = start
+        if last is None:
+            path.unlink()
+        else:
+            self._seal_file(path, kind, first, last)
 
     def _open_segment(self, kind: str, first_ts: int) -> dict:
         path = self.path / f"{kind}-{first_ts}-open.ndjson"
-        return {"path": path, "fp": path.open("a", encoding="utf-8"),
-                "count": 0, "first": first_ts, "last": first_ts}
+        return {"path": path, "fp": path.open("ab"), "count": 0, "size": 0,
+                "first": first_ts, "last": first_ts}
+
+    def _seal_file(self, path: Path, kind: str, first: int, last: int) -> None:
+        """Move a finished segment to its final name without replacing an
+        existing file: a taken name gets the first free -<n> suffix.
+
+        The move links the final name, then unlinks the old one. A name
+        that is already a link to this file is a move an earlier process
+        did not finish; that name was listed at open, so only the unlink is
+        left to do. Where the file
+        system has no hard links, the move is a rename to a name that does
+        not exist yet."""
+        stem = f"{kind}-{first}-{last}"
+        n = 0
+        while True:
+            final = self.path / (f"{stem}-{n}.ndjson" if n else f"{stem}.ndjson")
+            try:
+                os.link(path, final)
+            except FileExistsError:
+                if os.path.samefile(path, final):
+                    path.unlink()
+                    return
+            except OSError:
+                if not final.exists():
+                    path.rename(final)
+                    break
+            else:
+                path.unlink()
+                break
+            n += 1
+        bisect.insort(self._sealed[kind], ((first, stem, n), final), key=_LOAD_KEY)
 
     def _seal(self, kind: str) -> None:
         seg = self._active.pop(kind, None)
         if seg is None:
             return
         seg["fp"].close()
-        final = self.path / f"{kind}-{seg['first']}-{seg['last']}.ndjson"
-        seg["path"].rename(final)
+        self._seal_file(seg["path"], kind, seg["first"], seg["last"])
 
     def append(self, record: Record) -> None:
-        """Validate, persist and index one record.
+        """Validate and persist one record.
 
         The line is flushed to the operating system before return but not
         fsynced: it survives a crash of this process, not of the machine.
@@ -392,7 +583,7 @@ class RecordStore:
         validate_record(record)
         record = _normalized(record)
         kind = _kind_of(record)
-        line = serialize_line(record)
+        line = serialize_line(record).encode()
         with self._lock:
             seg = self._active.get(kind)
             if seg is None:
@@ -401,11 +592,8 @@ class RecordStore:
             seg["fp"].write(line)
             seg["fp"].flush()
             seg["count"] += 1
+            seg["size"] += len(line)
             seg["last"] = record.timestamp
-            entries = self._records[kind]
-            if entries and entries[-1].timestamp > record.timestamp:
-                self._sorted[kind] = False
-            entries.append(record)
             if seg["count"] >= self.segment_records:
                 self._seal(kind)
 
@@ -420,31 +608,67 @@ class RecordStore:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def count(self, kind: str | None = None) -> int:
+    def _segment_lines(self, kind: str) -> Iterator[tuple[Path, Iterable[bytes]]]:
+        """(segment, its lines) for each of kind's segments in load order;
+        of the active segment, only the bytes appended before this started."""
         with self._lock:
-            if kind is None:
-                return sum(len(v) for v in self._records.values())
-            return len(self._records[kind])
+            segments = [(key, path, None) for key, path in self._sealed[kind]]
+            seg = self._active.get(kind)
+            if seg is not None:
+                active = seg["path"].open("rb")
+                key = (seg["first"], f"{kind}-{seg['first']}-{seg['last']}", math.inf)
+                bisect.insort(segments, (key, seg["path"], (active, seg["size"])),
+                              key=_LOAD_KEY)
+        try:
+            for _, path, written in segments:
+                if written is None:
+                    with path.open("rb") as fp:
+                        yield path, fp
+                else:
+                    yield path, _lines_within(*written)
+        finally:
+            if seg is not None:
+                active.close()
 
-    def _snapshot(self, kind: str) -> list[Record]:
-        with self._lock:
-            if not self._sorted[kind]:
-                self._records[kind].sort(key=_TIMESTAMP)
-                self._sorted[kind] = True
-            return list(self._records[kind])
+    def _read(self, kind: str, keep=None) -> list[Record]:
+        """Records of one kind that keep accepts, each line validated,
+        stable-sorted by timestamp from load order."""
+        records = []
+        with closing(self._segment_lines(kind)) as segments:
+            for path, lines in segments:
+                for number, line in enumerate(lines, 1):
+                    if line.isspace():
+                        continue
+                    record = _segment_record(line, kind, path, number)
+                    if keep is None or keep(record):
+                        records.append(record)
+        records.sort(key=_TIMESTAMP)
+        return records
+
+    def count(self, kind: str | None = None) -> int:
+        """Non-blank lines in the segments of kind (of both kinds for
+        None), counted without decoding them."""
+        if kind is None:
+            return self.count(KIND_PING) + self.count(KIND_TRACEROUTE)
+        with closing(self._segment_lines(kind)) as segments:
+            return sum(not line.isspace() for _, lines in segments for line in lines)
 
     def query(self, q: StoreQuery) -> list[Record]:
-        """Matching records ordered by timestamp (stable across calls)."""
-        return [rec for rec in self._snapshot(q.kind) if q.matches(rec)]
+        """Matching records ordered by timestamp, then load order; reads and
+        validates every line of q.kind's segments and no other segment."""
+        return self._read(q.kind, q.matches)
 
     def iter_canonical(self) -> Iterator[Record]:
         """All records in export order: by timestamp; at equal timestamps
-        pings before traceroute runs, then each kind's index order."""
-        return heapq.merge(self._snapshot(KIND_PING),
-                           self._snapshot(KIND_TRACEROUTE), key=_TIMESTAMP)
+        pings before traceroute runs, then each kind's load order."""
+        return heapq.merge(self._read(KIND_PING), self._read(KIND_TRACEROUTE),
+                           key=_TIMESTAMP)
 
     def export(self, fp: IO[str]) -> int:
-        """Write the canonical NDJSON stream; returns the record count."""
+        """Write the canonical NDJSON stream; returns the record count.
+
+        Reads and validates every line of both kinds' segments; a bad line
+        fails the export before anything is written."""
         n = 0
         for record in self.iter_canonical():
             fp.write(serialize_line(record))

@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -144,6 +145,17 @@ class TestSimRun:
         reopened = RecordStore(store)
         assert (reopened.count("ping"), reopened.count("traceroute")) == (605, 11)
 
+    def test_two_campaigns_into_one_store_keep_every_record(self, tmp_path, capsys):
+        store = tmp_path / "store"
+        for name in ("neighbor.yaml", "intra_continental.yaml"):
+            assert cli.main(["sim-run", "--topology", str(FIXTURES / name),
+                             "--duration", "600", "--seed", "1",
+                             "--store", str(store)]) == EXIT_OK
+        assert capsys.readouterr().out.count("simulated 600 s: 600 ping") == 2
+        reopened = RecordStore(store)
+        assert (reopened.count("ping"), reopened.count("traceroute")) == (1200, 12)
+        assert len(reopened.query(StoreQuery("ping"))) == 1200
+
 
 class TestImportExport:
     def test_round_trip_equal_stores(self, sim_store, tmp_path, capsys):
@@ -277,6 +289,25 @@ class TestAnalyze:
                          "--store", str(store_path), "--artifact", "inter-as",
                          "--end", "2"])
         assert code == EXIT_EMPTY
+
+    def test_corrupt_ping_segment_fails_only_commands_that_read_pings(
+            self, sim_store, tmp_path, capsys):
+        _, config, store_path = sim_store
+        store = tmp_path / "store"
+        shutil.copytree(store_path, store)
+        [segment] = store.glob("ping-*.ndjson")
+        with segment.open("a") as fp:
+            fp.write("{not json}\n")
+        assert cli.main(["analyze", "--config", str(config), "--store", str(store),
+                         "--artifact", "inter-as", "--out",
+                         str(tmp_path / "inter-as.txt")]) == EXIT_OK
+        for argv in (["analyze", "--config", str(config), "--store", str(store),
+                      "--artifact", "rtt-series", "--relation", "v4:SUNET:Uninett"],
+                     ["export", "--store", str(store), "--out",
+                      str(tmp_path / "dump.ndjson")]):
+            assert cli.main(argv) == EXIT_ERROR
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {segment}:1201: invalid JSON")
 
     def test_unknown_relation_is_config_error(self, sim_store):
         root, config, store_path = sim_store
