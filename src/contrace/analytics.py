@@ -134,9 +134,14 @@ def run_links(run: TracerouteRun) -> list[tuple[str, str, int, int]]:
     An unresponsive hop breaks the chain: no link is inferred across it.
     """
     links = []
-    for a, b in zip(run.hops, run.hops[1:]):
-        if a.status != STATUS_TIMEOUT and b.status != STATUS_TIMEOUT:
-            links.append((a.address, b.address, b.hop, b.rtt))
+    previous = None
+    for hop in run.hops:
+        if hop.status == STATUS_TIMEOUT:
+            previous = None
+            continue
+        if previous is not None:
+            links.append((previous, hop.address, hop.hop, hop.rtt))
+        previous = hop.address
     return links
 
 
@@ -233,11 +238,12 @@ class HopCountStats:
 
 def hop_count_stats(runs: Sequence[TracerouteRun],
                     relation: RelationKey) -> HopCountStats | None:
-    """Path-length statistics over runs that reached the destination."""
+    """Path-length statistics over runs that reached the destination: runs
+    whose last hop is the echo reply (a valid run has at most one, last)."""
     counts = []
     for run in runs:
-        terminal = next((h for h in run.hops if h.status == STATUS_ECHO_REPLY), None)
-        if terminal is not None:
+        terminal = run.hops[-1]
+        if terminal.status == STATUS_ECHO_REPLY:
             counts.append(terminal.hop)
     if not counts:
         return None

@@ -13,6 +13,7 @@ import os
 import signal
 import sys
 import threading
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,7 +24,8 @@ from .enrich import AsnTable, CsvGeoProvider, Enricher, GeoResolver, HttpGeoProv
 from .icmp import Family, family_of
 from .probe import (LiveClock, ProbeSchedule, RawIcmpTransport, RelationKey,
                     SourceWorker, TransportFailure, run_relation_worker)
-from .records import KIND_PING, KIND_TRACEROUTE, RecordStore, StoreError, StoreQuery
+from .records import (KIND_PING, KIND_TRACEROUTE, RecordStore, StoreError, StoreQuery,
+                      canonical_address)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -321,6 +323,22 @@ def _selected_relations(config: Config, spec: str | None) -> list[RelationKey]:
     return selected
 
 
+def _link_observations(relations: list[RelationKey], pairs: list[tuple[str, str]],
+                       runs_by_pair: dict[tuple[str, str], list],
+                       enricher: Enricher) -> list:
+    """link_shares of each relation's runs, in relation order. A pair's runs
+    leave runs_by_pair once the last relation that selects the pair has
+    used them, so they can be freed while later relations are linked."""
+    uses = Counter(pairs)
+    observations = []
+    for relation, pair in zip(relations, pairs):
+        uses[pair] -= 1
+        runs = runs_by_pair.get(pair) if uses[pair] else runs_by_pair.pop(pair, None)
+        if runs:
+            observations.extend(analytics.link_shares(runs, relation, enricher.enrich))
+    return observations
+
+
 def cmd_analyze(args) -> int:
     try:
         config = load_config(args.config)
@@ -350,40 +368,34 @@ def cmd_analyze(args) -> int:
         return _emit(document, args)
 
     enricher = build_enricher(config)
-    if len(relations) == 1:
-        query = StoreQuery(KIND_TRACEROUTE, args.start, args.end,
-                           relations[0].source_address,
-                           relations[0].destination_address)
-    else:
-        query = StoreQuery(KIND_TRACEROUTE, args.start, args.end)
+    pairs = [(canonical_address(r.source_address),
+              canonical_address(r.destination_address)) for r in relations]
+    query = StoreQuery(KIND_TRACEROUTE, args.start, args.end,
+                       *(pairs[0] if len(relations) == 1 else ()))
+    selected = set(pairs)
     runs_by_pair: dict[tuple[str, str], list] = {}
     for run in store.query(query):
-        runs_by_pair.setdefault((run.source, run.destination), []).append(run)
-    observations = []
-    per_relation_runs = []
-    for relation in relations:
-        runs = runs_by_pair.get(
-            (relation.source_address, relation.destination_address), [])
-        per_relation_runs.append((relation, runs))
-        if runs:
-            observations.extend(analytics.link_shares(runs, relation, enricher.enrich))
-    if not any(runs for _, runs in per_relation_runs):
+        pair = (run.source, run.destination)
+        if pair in selected:
+            runs_by_pair.setdefault(pair, []).append(run)
+    if not runs_by_pair:
         print("error: no traceroute records match the selection", file=sys.stderr)
         return EXIT_EMPTY
 
+    if args.artifact == "hops":
+        rows = [analytics.hop_count_stats(runs_by_pair[pair], relation)
+                for relation, pair in zip(relations, pairs) if pair in runs_by_pair]
+        rows = [r for r in rows if r is not None]
+        table_fmt = fmt if fmt in ("csv", "text") else "text"
+        return _emit(analytics.format_hop_stats(rows, table_fmt), args)
+
+    observations = _link_observations(relations, pairs, runs_by_pair, enricher)
     if args.artifact in ("inter-as", "inter-country"):
         group_by = analytics.GROUP_BY_AS if args.artifact == "inter-as" \
             else analytics.GROUP_BY_COUNTRY
         rows = analytics.crossing_table(observations, group_by, args.threshold)
         table_fmt = fmt if fmt in ("csv", "text") else "text"
         return _emit(analytics.format_crossing_table(rows, table_fmt), args)
-
-    if args.artifact == "hops":
-        rows = [analytics.hop_count_stats(runs, relation)
-                for relation, runs in per_relation_runs if runs]
-        rows = [r for r in rows if r is not None]
-        table_fmt = fmt if fmt in ("csv", "text") else "text"
-        return _emit(analytics.format_hop_stats(rows, table_fmt), args)
 
     if args.artifact == "graph":
         graph_fmt = fmt if fmt in ("dot", "geojson", "csv") else "dot"

@@ -8,9 +8,13 @@ Canonical interchange schema (one JSON document per line):
                "hops": [{"hop": k, "address": ip, "status": s, "rtt": µs}]}
                address and rtt omitted when a hop's status is 0
 
-Addresses are rendered canonically (compressed lower-case for v6). The store
-keeps records in segment files named by the time range they cover and is
-strictly append-only.
+Addresses are rendered canonically (compressed lower-case for v6). In
+memory, records are immutable named tuples, and unpacking follows the field
+order of the classes below, not the JSON order: PingRecord(timestamp,
+source, destination, status, rtt), Hop(hop, status, address, rtt) and
+TracerouteRun(timestamp, source, destination, round, hops). The store keeps
+records in segment files named by the time range they cover and is strictly
+append-only.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 import bisect
 import heapq
 import ipaddress
+import itertools
 import json
 import logging
 import math
@@ -30,7 +35,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, NamedTuple
 
 STATUS_TIMEOUT = 0
 STATUS_TIME_EXCEEDED = 1
@@ -59,8 +64,7 @@ class MalformedJson(StoreError):
     """A document could not be parsed or mapped onto the schema."""
 
 
-@dataclass(frozen=True, slots=True)
-class PingRecord:
+class PingRecord(NamedTuple):
     timestamp: int
     source: str
     destination: str
@@ -68,16 +72,14 @@ class PingRecord:
     rtt: int | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class Hop:
+class Hop(NamedTuple):
     hop: int
     status: int
     address: str | None = None
     rtt: int | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class TracerouteRun:
+class TracerouteRun(NamedTuple):
     timestamp: int
     source: str
     destination: str
@@ -86,6 +88,10 @@ class TracerouteRun:
 
 
 Record = PingRecord | TracerouteRun
+
+# Builds a record from a tuple of its already checked fields without the
+# generated __new__'s argument handling; only the single-pass decoders use it.
+_new = tuple.__new__
 
 
 @lru_cache(maxsize=65536)
@@ -277,7 +283,8 @@ def _map_json_obj(obj) -> Record:
 
 # The single-pass decoders below return None for any document they do not
 # accept; from_json_obj then takes the slow path. Once the required fields
-# are present and not null, the field count rules out unknown keys.
+# are present and not null, the field count rules out unknown keys. They
+# build each record with _new from fields they have checked.
 
 def _decode_endpoints(source, destination) -> tuple[str, str] | None:
     if type(source) is not str or type(destination) is not str:
@@ -301,7 +308,7 @@ def _decode_ping(obj: dict) -> PingRecord | None:
     endpoints = _decode_endpoints(obj.get("source"), obj.get("destination"))
     if endpoints is None:
         return None
-    return PingRecord(timestamp, *endpoints, status, rtt)
+    return _new(PingRecord, (timestamp, *endpoints, status, rtt))
 
 
 def _decode_run(obj: dict) -> TracerouteRun | None:
@@ -324,7 +331,7 @@ def _decode_run(obj: dict) -> TracerouteRun | None:
         if status == STATUS_TIMEOUT:
             if len(h) != 2:
                 return None
-            hops.append(Hop(number, status))
+            hops.append(_new(Hop, (number, status, None, None)))
             continue
         address, rtt = h.get("address"), h.get("rtt")
         if (status != STATUS_TIME_EXCEEDED and status != STATUS_ECHO_REPLY
@@ -335,9 +342,9 @@ def _decode_run(obj: dict) -> TracerouteRun | None:
             address = _address_info(address)[1]
         except ValueError:
             return None
-        hops.append(Hop(number, status, address, rtt))
+        hops.append(_new(Hop, (number, status, address, rtt)))
         replied = status == STATUS_ECHO_REPLY
-    return TracerouteRun(timestamp, *endpoints, round_, tuple(hops))
+    return _new(TracerouteRun, (timestamp, *endpoints, round_, tuple(hops)))
 
 
 def from_json_obj(obj) -> Record:
@@ -381,7 +388,10 @@ def _is_json(line: bytes) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class StoreQuery:
-    """Filter for store reads; time_range is [start, end) in microseconds."""
+    """Filter for store reads; time_range is [start, end) in microseconds.
+
+    source and destination match any spelling of an address: they are kept
+    in canonical form, as stored records are."""
 
     kind: str
     start: int | None = None
@@ -394,6 +404,10 @@ class StoreQuery:
             raise ValueError(f"unknown record kind {self.kind!r}")
         if self.start is not None and self.end is not None and self.start >= self.end:
             raise ValueError("time range start must be < end")
+        for name in ("source", "destination"):
+            address = getattr(self, name)
+            if address is not None:
+                object.__setattr__(self, name, canonical_address(address))
 
     def matches(self, record: Record) -> bool:
         if self.start is not None and record.timestamp < self.start:
@@ -456,6 +470,20 @@ def _last_line(fp: IO[bytes], end: int) -> tuple[int, bytes]:
         if cut >= 0:
             return pos + cut + 1, data[cut + 1:]
     return 0, data
+
+
+def _splitlines(chunks: Iterable[str]) -> Iterator[str]:
+    """The lines of str.splitlines over the concatenation of chunks, each
+    yielded once it is complete. A chunk's last line is held back unless it
+    ends in "\\n": the next chunk may continue it, or turn its "\\r" into
+    "\\r\\n"."""
+    rest = ""
+    for chunk in chunks:
+        lines = (rest + chunk).splitlines(True)
+        rest = "" if not lines or lines[-1].endswith("\n") else lines.pop()
+        for line in lines:
+            yield line[:-2] if line.endswith("\r\n") else line[:-1]
+    yield from rest.splitlines()
 
 
 def _lines_within(fp: IO[bytes], size: int) -> Iterator[bytes]:
@@ -681,19 +709,30 @@ class RecordStore:
         Returns (accepted count, [(document index, reason), ...]); rejected
         documents are reported, never silently skipped. Each document is
         mapped onto the schema here and validated once, by append.
+
+        Newline-delimited input is read, and each document stored, one line
+        at a time; only input whose first non-blank character is "[" is read
+        whole. An array's documents are indexed by position; otherwise the
+        documents and their indexes are the lines of str.splitlines over
+        the whole input, blank lines counted.
         """
-        if hasattr(stream, "read"):
-            text = stream.read()
-        else:
-            text = "".join(stream)
-        is_array = text.lstrip().startswith("[")
+        chunks = iter(stream)
+        head = []
+        for chunk in chunks:
+            head.append(chunk)
+            if chunk.strip():
+                break
+        head = "".join(head)
+        is_array = head.lstrip().startswith("[")
         if is_array:
+            text = head + (stream.read() if hasattr(stream, "read") else "".join(chunks))
             try:
                 documents = enumerate(json.loads(text))
             except json.JSONDecodeError as exc:
                 return 0, [(0, f"invalid JSON array: {exc}")]
         else:
-            documents = ((i, line) for i, line in enumerate(text.splitlines())
+            documents = ((i, line) for i, line in
+                         enumerate(_splitlines(itertools.chain((head,), chunks)))
                          if line.strip())
         rejects: list[tuple[int, str]] = []
         accepted = 0

@@ -120,3 +120,18 @@ def sent_probes(monkeypatch):
 
     monkeypatch.setattr(SimTransport, "send", logged_send)
     return sent
+
+
+def _reply_doc(ts):
+    return ('{"timestamp": %d, "source": "10.0.0.1", "destination": "10.0.0.2", '
+            '"status": 255, "rtt": %d}' % (ts, ts))
+
+
+# NDJSON with every kind of line boundary str.splitlines knows: a leading
+# blank line, CRLF, a blank and a whitespace-only line, two documents joined
+# by a raw U+2028, a bare CR, a form feed, and a last line without newline.
+# Lines 4 ({broken) and 11 (cut document) are rejected; six pings are stored.
+MIXED_NDJSON = ("\n" + _reply_doc(1) + "\r\n\n  \t\n{broken\r\n" + _reply_doc(2)
+                + "\u2028" + _reply_doc(3) + "\n\n" + _reply_doc(4) + "\r"
+                + _reply_doc(5) + "\x0c\n" + '{"timestamp": 7,\n' + _reply_doc(6))
+MIXED_NDJSON_REJECTED = [4, 11]

@@ -1,3 +1,4 @@
+import io
 import json
 import shutil
 from pathlib import Path
@@ -9,6 +10,7 @@ from contrace.cli import (EXIT_CONFIG, EXIT_EMPTY, EXIT_ERROR, EXIT_OK,
                           EXIT_PRIVILEGE)
 from contrace.records import (Hop, PingRecord, RecordStore, StoreQuery,
                               TracerouteRun, serialize_line)
+from conftest import MIXED_NDJSON, MIXED_NDJSON_REJECTED
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -181,6 +183,25 @@ class TestImportExport:
         assert "1 accepted, 1 rejected" in captured.out
         assert "rejected" in captured.err
 
+    @pytest.mark.parametrize("from_stdin", [False, True], ids=["file", "stdin"])
+    def test_streamed_import_reports_whole_input_indexes(self, tmp_path, capsys,
+                                                         monkeypatch, from_stdin):
+        source = tmp_path / "in.ndjson"
+        source.write_bytes(MIXED_NDJSON.encode())
+        name = str(source)
+        if from_stdin:
+            name = "-"
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+                io.BytesIO(MIXED_NDJSON.encode()), encoding="utf-8"))
+        store = tmp_path / "s"
+        assert cli.main(["import", "--store", str(store), name]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out == f"{name}: 6 accepted, 2 rejected\n"
+        assert [line.split(": rejected: ")[0] for line in captured.err.splitlines()] \
+            == [f"{name}:{i + 1}" for i in MIXED_NDJSON_REJECTED]
+        assert [r.timestamp for r in RecordStore(store).query(StoreQuery("ping"))] \
+            == [1, 2, 3, 4, 5, 6]
+
     def test_strict_mode_nonzero_exit(self, tmp_path, capsys):
         source = tmp_path / "in.ndjson"
         source.write_text("{broken\n")
@@ -308,6 +329,56 @@ class TestAnalyze:
             assert cli.main(argv) == EXIT_ERROR
             err = capsys.readouterr().err
             assert err.startswith(f"error: {segment}:1201: invalid JSON")
+
+    def test_two_labels_for_one_address_each_get_their_rows(self, sim_store,
+                                                             tmp_path, capsys):
+        """Both relations of one (source, destination) pair are analysed in
+        full, though each relation's runs are freed once it is linked."""
+        _, config, store_path = sim_store
+        sunet = "  - {label: SUNET, address: 10.16.1.10}\n"
+        two_labels = tmp_path / "two-labels.yaml"
+        two_labels.write_text(config.read_text().replace(
+            sunet, sunet + sunet.replace("SUNET", "KAU")))
+        for artifact in ("inter-as", "hops"):
+            outputs = []
+            for path in (config, two_labels):
+                assert cli.main(["analyze", "--config", str(path), "--store",
+                                 str(store_path), "--artifact", artifact,
+                                 "--format", "csv"]) == EXIT_OK
+                outputs.append(capsys.readouterr().out.splitlines())
+            (header, *rows), got = outputs
+            kau = [row.replace(",SUNET,", ",KAU,") for row in rows]
+            assert rows and kau != rows
+            # crossing rows sort by label, hop rows keep the relation order
+            expected = kau + rows if artifact == "inter-as" else rows + kau
+            assert got == [header] + expected
+
+    @pytest.mark.parametrize("source, destination", [
+        ("2001:DB8::1", "2001:db8:0:0::2"), ("2001:0db8::1", "2001:DB8::0002")])
+    def test_non_canonical_config_addresses_match_stored_records(
+            self, tmp_path, capsys, source, destination):
+        with RecordStore(tmp_path / "store") as store:
+            for i in range(3):
+                ts = 1_609_459_200_000_000 + i * 300_000_000
+                store.append(PingRecord(ts, "2001:db8::1", "2001:db8::2", 255, 1000 + i))
+                store.append(TracerouteRun(ts, "2001:db8::1", "2001:db8::2", 0, (
+                    Hop(1, 1, "2001:db8::9", 400), Hop(2, 255, "2001:db8::2", 900 + i))))
+        outputs = {}
+        for spelling, (src, dst) in (("canonical", ("2001:db8::1", "2001:db8::2")),
+                                     ("other", (source, destination))):
+            config = tmp_path / f"{spelling}.yaml"
+            config.write_text(f'sources:\n  - {{label: A, address: "{src}"}}\n'
+                              f'destinations:\n  - {{label: B, address: "{dst}"}}\n'
+                              f"store: {tmp_path / 'store'}\n")
+            for artifact in ("rtt-series", "cdf", "hops", "inter-as"):
+                code = cli.main(["analyze", "--config", str(config), "--artifact",
+                                 artifact, "--relation", "v6:A:B"])
+                outputs[spelling, artifact] = code, capsys.readouterr()
+        for artifact in ("rtt-series", "cdf", "hops", "inter-as"):
+            assert outputs["other", artifact] == outputs["canonical", artifact]
+            assert outputs["other", artifact][0] == EXIT_OK
+        assert outputs["other", "hops"][1].out.splitlines()[1].split()[:4] == \
+            ["IPv6", "A", "B", "2"]
 
     def test_unknown_relation_is_config_error(self, sim_store):
         root, config, store_path = sim_store

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from contrace import records
 from contrace.records import (Hop, InvalidRecord, MalformedJson, PingRecord,
                               RecordStore, StoreError, StoreQuery, TracerouteRun)
+from conftest import MIXED_NDJSON, MIXED_NDJSON_REJECTED
 
 
 def ping(ts=1_600_000_000_000_000, src="10.0.0.1", dst="10.1.0.1", status=255, rtt=10_000):
@@ -177,7 +178,9 @@ def mutated_documents(draw):
     """Valid documents with up to three mutations: odd field values,
     integers at the bounds, missing and unknown keys, non-canonical or
     invalid addresses, a hop after the reply hop, a wrong hops shape, or
-    no object at all."""
+    no object at all. Drawn values are deep-copied: ODD_VALUES holds a list,
+    and a later mutation (hop_after_reply) appends to doc["hops"], which
+    must never be that shared list."""
     doc = draw(valid_documents())
     for _ in range(draw(st.integers(0, 3))):
         hops = doc.get("hops")
@@ -188,7 +191,7 @@ def mutated_documents(draw):
             "delete", "unknown", "address", "hop_after_reply", "hops"]))
         if mutation == "set":
             key = draw(st.sampled_from(sorted(target) + ["status", "hop", "rtt"]))
-            target[key] = draw(st.sampled_from(ODD_VALUES))
+            target[key] = copy.deepcopy(draw(st.sampled_from(ODD_VALUES)))
         elif mutation == "bound":
             key = draw(st.sampled_from(
                 ["timestamp", "round", "hop", "status", "rtt"]))
@@ -205,7 +208,8 @@ def mutated_documents(draw):
             doc["hops"].append({"hop": len(doc["hops"]) + 1, "status": 1,
                                 "address": "10.0.0.9", "rtt": 5})
         elif mutation == "hops":
-            doc["hops"] = draw(st.sampled_from([[], None, "hops", [1], [[]]]))
+            doc["hops"] = copy.deepcopy(
+                draw(st.sampled_from([[], None, "hops", [1], [[]]])))
     if draw(st.integers(0, 19)) == 0:
         return draw(st.sampled_from([[doc], json.dumps(doc), None, 3]))
     return doc
@@ -298,6 +302,54 @@ class TestSinglePassDecode:
         assert first.destination is second.destination
 
 
+class TestRecordTuples:
+    """Records are immutable, hashable named tuples; unpacking follows the
+    class field order (Hop(hop, status, address, rtt)), not the JSON order."""
+
+    @pytest.mark.parametrize("record", [ping(), ping(status=0), run(), run().hops[0]],
+                             ids=["reply", "timeout", "run", "hop"])
+    def test_attribute_assignment_is_rejected(self, record):
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], 5)
+        with pytest.raises(AttributeError):
+            record.color = "red"
+
+    @pytest.mark.parametrize("record", [ping(), ping(status=0), run()],
+                             ids=["reply", "timeout", "run"])
+    def test_hash_and_round_trip_through_parse_line(self, record):
+        again = records.parse_line(records.serialize_line(record))
+        assert again == record
+        assert hash(again) == hash(record)
+        assert repr(again) == repr(record)
+        assert {record, again} == {record}
+
+    def test_field_order_and_defaults(self):
+        assert PingRecord._fields == ("timestamp", "source", "destination", "status", "rtt")
+        assert Hop._fields == ("hop", "status", "address", "rtt")
+        assert TracerouteRun._fields == ("timestamp", "source", "destination", "round", "hops")
+        hop, status, address, rtt = Hop(3, 255, "10.0.0.2", 9)
+        assert (hop, status, address, rtt) == (3, 255, "10.0.0.2", 9)
+        assert Hop(2, 0) == Hop(2, 0, None, None)
+        assert PingRecord(1, "10.0.0.1", "10.0.0.2", 0).rtt is None
+        assert repr(Hop(2, 0)) == "Hop(hop=2, status=0, address=None, rtt=None)"
+
+    @pytest.mark.parametrize("source", ["10.0.0.1", "2001:DB8::1"],
+                             ids=["single-pass", "slow-path"])
+    def test_decoded_records_are_exactly_the_record_classes(self, source, tmp_path):
+        family_dst = "10.1.0.1" if "." in source else "2001:db8::2"
+        lines = [records.serialize_line(ping(src=source, dst=family_dst)),
+                 records.serialize_line(run(src=source, dst=family_dst))]
+        decoded = [records.parse_line(line) for line in lines]
+        with RecordStore(tmp_path) as store:
+            store.import_json(io.StringIO("".join(lines)))
+            decoded += store.query(StoreQuery("ping"))
+            decoded += store.query(StoreQuery("traceroute"))
+        assert [type(r) for r in decoded] == [PingRecord, TracerouteRun] * 2
+        for run_ in decoded[1::2]:
+            assert type(run_.hops) is tuple
+            assert all(type(h) is Hop for h in run_.hops)
+
+
 class TestStore:
     def test_import_counts(self, tmp_path):
         lines = [records.serialize_line(ping(ts=i + 1)) for i in range(100)]
@@ -329,6 +381,41 @@ class TestStore:
         with RecordStore(tmp_path) as store:
             assert store.import_json(io.StringIO(text)) == (50, [])
         assert len(calls) == 50
+
+    def test_import_streams_lines_with_whole_input_indexes(self, tmp_path):
+        """Streamed import gives each document the index it has in
+        str.splitlines of the whole input, however the input is chunked."""
+        expected_ts = [1, 2, 3, 4, 5, 6]
+        for k, chunks in enumerate([io.StringIO(MIXED_NDJSON), [MIXED_NDJSON],
+                                    list(MIXED_NDJSON),
+                                    [MIXED_NDJSON[:30], MIXED_NDJSON[30:70],
+                                     MIXED_NDJSON[70:]]]):
+            with RecordStore(tmp_path / str(k)) as store:
+                accepted, rejects = store.import_json(chunks)
+                assert [r.timestamp for r in store.query(StoreQuery("ping"))] == \
+                    expected_ts
+            assert accepted == 6
+            assert [i for i, _ in rejects] == MIXED_NDJSON_REJECTED
+            assert rejects[1][1] == ("invalid JSON: Expecting property name "
+                                     "enclosed in double quotes: line 1 column 17 "
+                                     "(char 16)")
+
+    def test_splitlines_of_any_two_chunks_equals_str_splitlines(self):
+        for text in (MIXED_NDJSON, "a\r", "a\r\n\rb\n\n", "\r\n", ""):
+            for cut in range(len(text) + 1):
+                assert list(records._splitlines([text[:cut], text[cut:]])) == \
+                    text.splitlines(), (text, cut)
+
+    def test_import_reads_array_input_whole(self, tmp_path):
+        docs = [records.to_json_obj(ping(ts=i + 1)) for i in range(3)]
+        text = "\n \r\n" + json.dumps(docs, indent=1) + "\n"
+        with RecordStore(tmp_path / "a") as store:
+            assert store.import_json(io.StringIO(text)) == (3, [])
+            assert store.import_json(iter(text)) == (3, [])
+        with RecordStore(tmp_path / "b") as store:
+            assert store.import_json(io.StringIO("\n[{},\n]")) == \
+                (0, [(0, "invalid JSON array: Expecting value: line 3 column 1 "
+                         "(char 6)")])
 
     def test_import_array_wrapped(self, tmp_path):
         docs = [records.to_json_obj(ping(ts=i + 1)) for i in range(5)]
