@@ -9,11 +9,13 @@ shortcut driven by the topology file), import, export, analyze. Exit codes:
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import signal
 import sys
 import threading
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -264,19 +266,32 @@ def cmd_sim_run(args) -> int:
 
 # -- import / export ----------------------------------------------------------
 
+@contextmanager
+def _import_input(name: str):
+    """The file to import, or stdin for "-", read as UTF-8 with
+    errors="surrogateescape": bytes that are not UTF-8 reach the store's
+    import, which rejects their line, instead of failing the read."""
+    if name != "-":
+        with open(name, encoding="utf-8", errors="surrogateescape") as fp:
+            yield fp
+        return
+    fp = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8", errors="surrogateescape")
+    try:
+        yield fp
+    finally:
+        fp.detach()  # leaves stdin open
+
+
 def cmd_import(args) -> int:
     rejected_total = 0
     with RecordStore(args.store) as store:
         for name in args.files:
-            if name == "-":
-                accepted, rejects = store.import_json(sys.stdin)
-            else:
-                try:
-                    with open(name, "r", encoding="utf-8") as fp:
-                        accepted, rejects = store.import_json(fp)
-                except OSError as exc:
-                    print(f"error: {exc}", file=sys.stderr)
-                    return EXIT_ERROR
+            try:
+                with _import_input(name) as fp:
+                    accepted, rejects = store.import_json(fp)
+            except OSError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return EXIT_ERROR
             for index, reason in rejects:
                 print(f"{name}:{index + 1}: rejected: {reason}", file=sys.stderr)
             rejected_total += len(rejects)

@@ -8,13 +8,14 @@ Canonical interchange schema (one JSON document per line):
                "hops": [{"hop": k, "address": ip, "status": s, "rtt": µs}]}
                address and rtt omitted when a hop's status is 0
 
-Addresses are rendered canonically (compressed lower-case for v6). In
-memory, records are immutable named tuples, and unpacking follows the field
-order of the classes below, not the JSON order: PingRecord(timestamp,
-source, destination, status, rtt), Hop(hop, status, address, rtt) and
-TracerouteRun(timestamp, source, destination, round, hops). The store keeps
-records in segment files named by the time range they cover and is strictly
-append-only.
+Addresses are rendered canonically (compressed lower-case for v6). One
+decoder, from_json_obj, maps, validates and canonicalizes a document for
+store reads, import and append alike. In memory, records are immutable
+named tuples, and unpacking follows the field order of the classes below,
+not the JSON order: PingRecord(timestamp, source, destination, status,
+rtt), Hop(hop, status, address, rtt) and TracerouteRun(timestamp, source,
+destination, round, hops). The store keeps records in segment files named
+by the time range they cover and is strictly append-only.
 """
 
 from __future__ import annotations
@@ -90,15 +91,17 @@ class TracerouteRun(NamedTuple):
 Record = PingRecord | TracerouteRun
 
 # Builds a record from a tuple of its already checked fields without the
-# generated __new__'s argument handling; only the single-pass decoders use it.
+# generated __new__'s argument handling; only the decoders use it.
 _new = tuple.__new__
 
 
 @lru_cache(maxsize=65536)
 def _address_info(address: str) -> tuple[int, str]:
-    """(family version, canonical form); cached, addresses repeat heavily.
-    The canonical form is interned, so every spelling of one address
-    yields one string object."""
+    """(family version, canonical form) of an address string; ValueError
+    for anything else. Cached, addresses repeat heavily. The canonical form
+    is interned, so every spelling of one address yields one string object."""
+    if not isinstance(address, str):
+        raise ValueError(f"not an address string: {address!r}")
     parsed = ipaddress.ip_address(address)
     return parsed.version, sys.intern(str(parsed))
 
@@ -107,119 +110,26 @@ def canonical_address(address: str) -> str:
     return _address_info(address)[1]
 
 
-def _check_address(value, field: str, problems: list[str]) -> int | None:
-    if not isinstance(value, str):
-        problems.append(f"{field}: expected string address, got {type(value).__name__}")
-        return None
+def _check_address(value, field: str, problems: list[str]) -> tuple:
+    """_address_info(value), or (None, None) with the reject message."""
     try:
-        return _address_info(value)[0]
-    except ValueError:
-        problems.append(f"{field}: not a valid IP address: {value!r}")
-        return None
+        return _address_info(value)
+    except (TypeError, ValueError):
+        problems.append(f"{field}: not a valid IP address: {value!r}"
+                        if isinstance(value, str) else
+                        f"{field}: expected string address, got {type(value).__name__}")
+        return None, None
 
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_status(value) -> bool:
-    return _is_int(value) and value in VALID_STATUSES
-
-
-def _check_int(value, field: str, problems: list[str], minimum: int | None = None):
+def _check_int(value, field: str, problems: list[str], minimum: int) -> None:
     if not _is_int(value):
         problems.append(f"{field}: expected integer, got {type(value).__name__}")
-        return None
-    if minimum is not None and value < minimum:
+    elif value < minimum:
         problems.append(f"{field}: must be >= {minimum}, got {value}")
-        return None
-    return value
-
-
-def validate_ping(record: PingRecord) -> None:
-    problems: list[str] = []
-    _check_int(record.timestamp, "timestamp", problems, minimum=1)
-    src = _check_address(record.source, "source", problems)
-    dst = _check_address(record.destination, "destination", problems)
-    if src is not None and dst is not None and src != dst:
-        problems.append("source and destination are of different IP families")
-    if not _is_status(record.status):
-        problems.append(f"status: must be one of {VALID_STATUSES}, got {record.status!r}")
-    if record.status == STATUS_ECHO_REPLY:
-        if record.rtt is None:
-            problems.append("rtt: required when status is 255")
-        else:
-            _check_int(record.rtt, "rtt", problems, minimum=0)
-    elif record.rtt is not None:
-        problems.append(f"rtt: must be absent when status is {record.status}")
-    if problems:
-        raise InvalidRecord(problems)
-
-
-def validate_traceroute(record: TracerouteRun) -> None:
-    problems: list[str] = []
-    _check_int(record.timestamp, "timestamp", problems, minimum=1)
-    src = _check_address(record.source, "source", problems)
-    dst = _check_address(record.destination, "destination", problems)
-    if src is not None and dst is not None and src != dst:
-        problems.append("source and destination are of different IP families")
-    _check_int(record.round, "round", problems, minimum=0)
-    if not record.hops:
-        problems.append("hops: must contain at least one hop")
-    reply_seen = False
-    for i, hop in enumerate(record.hops):
-        where = f"hops[{i}]"
-        if not _is_int(hop.hop) or hop.hop != i + 1:
-            problems.append(f"{where}.hop: expected {i + 1}, got {hop.hop!r}")
-        if not _is_status(hop.status):
-            problems.append(f"{where}.status: must be one of {VALID_STATUSES}")
-            continue
-        if reply_seen:
-            problems.append(f"{where}: hops after an echo-reply hop are not allowed")
-        if hop.status == STATUS_TIMEOUT:
-            if hop.address is not None:
-                problems.append(f"{where}.address: must be absent when status is 0")
-            if hop.rtt is not None:
-                problems.append(f"{where}.rtt: must be absent when status is 0")
-        else:
-            if hop.address is None:
-                problems.append(f"{where}.address: required when status is {hop.status}")
-            else:
-                _check_address(hop.address, f"{where}.address", problems)
-            if hop.rtt is None:
-                problems.append(f"{where}.rtt: required when status is {hop.status}")
-            else:
-                _check_int(hop.rtt, f"{where}.rtt", problems, minimum=0)
-        if hop.status == STATUS_ECHO_REPLY:
-            reply_seen = True
-    if problems:
-        raise InvalidRecord(problems)
-
-
-def validate_record(record: Record) -> None:
-    if isinstance(record, PingRecord):
-        validate_ping(record)
-    elif isinstance(record, TracerouteRun):
-        validate_traceroute(record)
-    else:
-        raise InvalidRecord([f"unsupported record type {type(record).__name__}"])
-
-
-def _normalized(record: Record) -> Record:
-    """Record with all addresses in canonical string form."""
-    if isinstance(record, PingRecord):
-        src, dst = canonical_address(record.source), canonical_address(record.destination)
-        if src == record.source and dst == record.destination:
-            return record
-        return PingRecord(record.timestamp, src, dst, record.status, record.rtt)
-    src, dst = canonical_address(record.source), canonical_address(record.destination)
-    hops = tuple(
-        h if h.address is None or canonical_address(h.address) == h.address
-        else Hop(h.hop, h.status, canonical_address(h.address), h.rtt)
-        for h in record.hops)
-    if src == record.source and dst == record.destination and hops == record.hops:
-        return record
-    return TracerouteRun(record.timestamp, src, dst, record.round, hops)
 
 
 def to_json_obj(record: Record) -> dict:
@@ -242,8 +152,11 @@ def to_json_obj(record: Record) -> dict:
             "destination": record.destination, "round": record.round, "hops": hops}
 
 
+_ENCODE = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def serialize_line(record: Record) -> str:
-    return json.dumps(to_json_obj(record), separators=(",", ":")) + "\n"
+    return _ENCODE(to_json_obj(record)) + "\n"
 
 
 _PING_KEYS = {"timestamp", "source", "destination", "status", "rtt"}
@@ -251,120 +164,127 @@ _TRACEROUTE_KEYS = {"timestamp", "source", "destination", "round", "hops"}
 _HOP_KEYS = {"hop", "address", "status", "rtt"}
 
 
-def _map_json_obj(obj) -> Record:
-    """Map a parsed JSON document onto a record without validating its
-    values; raises MalformedJson for unknown fields and wrong shapes."""
-    if not isinstance(obj, dict):
-        raise MalformedJson(f"expected a JSON object, got {type(obj).__name__}")
-    if "hops" in obj:
-        unknown = set(obj) - _TRACEROUTE_KEYS
-        if unknown:
-            raise MalformedJson(f"unknown traceroute fields: {sorted(unknown)}")
-        hops_obj = obj.get("hops")
-        if not isinstance(hops_obj, list):
+def _reject(obj: dict, problems: list[str]) -> None:
+    """Raise the first shape fault of obj as MalformedJson: unknown
+    top-level fields, hops not a list, then per hop not an object or
+    unknown fields. Else raise InvalidRecord(problems) if there are any.
+    Returns only for a well-shaped document without problems, one whose
+    optional fields are explicitly null."""
+    is_run = "hops" in obj
+    unknown = obj.keys() - (_TRACEROUTE_KEYS if is_run else _PING_KEYS)
+    if unknown:
+        raise MalformedJson(f"unknown {'traceroute' if is_run else 'ping'} fields: "
+                            f"{sorted(unknown)}")
+    if is_run:
+        if not isinstance(obj["hops"], list):
             raise MalformedJson("hops: expected a list")
-        hops = []
-        for i, h in enumerate(hops_obj):
+        for i, h in enumerate(obj["hops"]):
             if not isinstance(h, dict):
                 raise MalformedJson(f"hops[{i}]: expected an object")
-            unknown = set(h) - _HOP_KEYS
+            unknown = h.keys() - _HOP_KEYS
             if unknown:
                 raise MalformedJson(f"hops[{i}]: unknown fields: {sorted(unknown)}")
-            hops.append(Hop(h.get("hop"), h.get("status"),
-                            h.get("address"), h.get("rtt")))
-        return TracerouteRun(obj.get("timestamp"), obj.get("source"),
-                             obj.get("destination"), obj.get("round"), tuple(hops))
-    unknown = set(obj) - _PING_KEYS
-    if unknown:
-        raise MalformedJson(f"unknown ping fields: {sorted(unknown)}")
-    return PingRecord(obj.get("timestamp"), obj.get("source"),
-                      obj.get("destination"), obj.get("status"), obj.get("rtt"))
+    if problems:
+        raise InvalidRecord(problems)
 
 
-# The single-pass decoders below return None for any document they do not
-# accept; from_json_obj then takes the slow path. Once the required fields
-# are present and not null, the field count rules out unknown keys. They
-# build each record with _new from fields they have checked.
+# The decoders check each field as they read it; a fast check (type(...) is
+# int, a cached address) passes only what the check that formats the
+# message accepts, and that check runs only when the fast one fails. With
+# every required field present and not null, the field count rules out
+# unknown fields, so _reject runs only on a failure or an unexpected count.
 
-def _decode_endpoints(source, destination) -> tuple[str, str] | None:
-    if type(source) is not str or type(destination) is not str:
-        return None
-    try:
-        src, dst = _address_info(source), _address_info(destination)
-    except ValueError:
-        return None
-    return (src[1], dst[1]) if src[0] == dst[0] else None
+def _header(obj: dict, problems: list[str]) -> tuple[int, str, str]:
+    """The timestamp and the canonical source and destination of either kind."""
+    timestamp, source, destination = (obj.get("timestamp"), obj.get("source"),
+                                      obj.get("destination"))
+    if type(timestamp) is not int or timestamp < 1:
+        _check_int(timestamp, "timestamp", problems, 1)
+    src_version, source = _check_address(source, "source", problems)
+    dst_version, destination = _check_address(destination, "destination", problems)
+    if src_version and dst_version and src_version != dst_version:
+        problems.append("source and destination are of different IP families")
+    return timestamp, source, destination
 
 
-def _decode_ping(obj: dict) -> PingRecord | None:
-    timestamp, status, rtt = obj.get("timestamp"), obj.get("status"), obj.get("rtt")
-    if type(timestamp) is not int or timestamp < 1 or type(status) is not int:
-        return None
+def _ping_record(obj: dict) -> PingRecord:
+    problems: list[str] = []
+    timestamp, source, destination = _header(obj, problems)
+    status, rtt = obj.get("status"), obj.get("rtt")
+    if type(status) is not int and not _is_int(status) or status not in VALID_STATUSES:
+        problems.append(f"status: must be one of {VALID_STATUSES}, got {status!r}")
     if status == STATUS_ECHO_REPLY:
-        if type(rtt) is not int or rtt < 0 or len(obj) != 5:
-            return None
-    elif status != STATUS_TIMEOUT and status != STATUS_TIME_EXCEEDED or len(obj) != 4:
-        return None
-    endpoints = _decode_endpoints(obj.get("source"), obj.get("destination"))
-    if endpoints is None:
-        return None
-    return _new(PingRecord, (timestamp, *endpoints, status, rtt))
+        if rtt is None:
+            problems.append("rtt: required when status is 255")
+        elif type(rtt) is not int or rtt < 0:
+            _check_int(rtt, "rtt", problems, 0)
+    elif rtt is not None:
+        problems.append(f"rtt: must be absent when status is {status}")
+    if problems or len(obj) != (4 if rtt is None else 5):
+        _reject(obj, problems)
+    return _new(PingRecord, (timestamp, source, destination, status, rtt))
 
 
-def _decode_run(obj: dict) -> TracerouteRun | None:
-    timestamp, round_, hops_obj = obj.get("timestamp"), obj.get("round"), obj.get("hops")
-    if (len(obj) != 5 or type(timestamp) is not int or timestamp < 1
-            or type(round_) is not int or round_ < 0 or type(hops_obj) is not list
-            or not hops_obj):
-        return None
-    endpoints = _decode_endpoints(obj.get("source"), obj.get("destination"))
-    if endpoints is None:
-        return None
+def _traceroute_run(obj: dict) -> TracerouteRun:
+    problems: list[str] = []
+    timestamp, source, destination = _header(obj, problems)
+    round_, hops_obj = obj.get("round"), obj.get("hops")
+    if type(round_) is not int or round_ < 0:
+        _check_int(round_, "round", problems, 0)
+    if not isinstance(hops_obj, list):
+        _reject(obj, problems)  # raises, as hops is not a list
+    if not hops_obj:
+        problems.append("hops: must contain at least one hop")
+    extra_fields = len(obj) - 5
     hops = []
     replied = False
-    for number, h in enumerate(hops_obj, 1):
-        if replied or type(h) is not dict:
-            return None
+    for i, h in enumerate(hops_obj):
+        if type(h) is not dict and not isinstance(h, dict):
+            _reject(obj, problems)  # raises, as this hop is not an object
         hop, status = h.get("hop"), h.get("status")
-        if type(hop) is not int or hop != number or type(status) is not int:
-            return None
-        if status == STATUS_TIMEOUT:
-            if len(h) != 2:
-                return None
-            hops.append(_new(Hop, (number, status, None, None)))
-            continue
         address, rtt = h.get("address"), h.get("rtt")
-        if (status != STATUS_TIME_EXCEEDED and status != STATUS_ECHO_REPLY
-                or len(h) != 4 or type(address) is not str or type(rtt) is not int
-                or rtt < 0):
-            return None
-        try:
-            address = _address_info(address)[1]
-        except ValueError:
-            return None
-        hops.append(_new(Hop, (number, status, address, rtt)))
-        replied = status == STATUS_ECHO_REPLY
-    return _new(TracerouteRun, (timestamp, *endpoints, round_, tuple(hops)))
+        if hop != i + 1 or type(hop) is not int and not _is_int(hop):
+            problems.append(f"hops[{i}].hop: expected {i + 1}, got {hop!r}")
+        if type(status) is not int and not _is_int(status) or status not in VALID_STATUSES:
+            problems.append(f"hops[{i}].status: must be one of {VALID_STATUSES}")
+            continue
+        if replied:
+            problems.append(f"hops[{i}]: hops after an echo-reply hop are not allowed")
+        if status == STATUS_TIMEOUT:
+            if address is not None:
+                problems.append(f"hops[{i}].address: must be absent when status is 0")
+            if rtt is not None:
+                problems.append(f"hops[{i}].rtt: must be absent when status is 0")
+        else:
+            if address is None:
+                problems.append(f"hops[{i}].address: required when status is {status}")
+            else:
+                try:
+                    address = _address_info(address)[1]
+                except (TypeError, ValueError):
+                    _, address = _check_address(address, f"hops[{i}].address", problems)
+            if rtt is None:
+                problems.append(f"hops[{i}].rtt: required when status is {status}")
+            elif type(rtt) is not int or rtt < 0:
+                _check_int(rtt, f"hops[{i}].rtt", problems, 0)
+            if status == STATUS_ECHO_REPLY:
+                replied = True
+        extra_fields += len(h) - (2 if address is None else 4)
+        hops.append(_new(Hop, (hop, status, address, rtt)))
+    if problems or extra_fields:
+        _reject(obj, problems)
+    return _new(TracerouteRun, (timestamp, source, destination, round_, tuple(hops)))
 
 
 def from_json_obj(obj) -> Record:
-    """Map a parsed JSON document onto a validated, normalized record;
-    raises MalformedJson or InvalidRecord (with per-field reasons).
-
-    One pass maps, validates and canonicalizes a well-formed document, with
-    addresses from the _address_info cache, so equal addresses share one
-    string. A document that pass does not accept goes through
-    _map_json_obj, validate_record and _normalized, which decide whether it
-    is rejected and with which message; for every document both give the
-    same record.
-    """
-    if type(obj) is dict:
-        record = _decode_run(obj) if "hops" in obj else _decode_ping(obj)
-        if record is not None:
-            return record
-    record = _map_json_obj(obj)
-    validate_record(record)
-    return _normalized(record)
+    """Map a parsed JSON document onto a validated record with canonical
+    addresses, in one pass: the one decoder that store reads, import and
+    append use. Raises MalformedJson for a document of the wrong shape and
+    InvalidRecord, with per-field reasons, for values that break the model.
+    Equal addresses share one string from the _address_info cache."""
+    if isinstance(obj, dict):
+        return _traceroute_run(obj) if "hops" in obj else _ping_record(obj)
+    raise MalformedJson(f"expected a JSON object, got {type(obj).__name__}")
 
 
 def _loads(line: str):
@@ -603,13 +523,17 @@ class RecordStore:
         self._seal_file(seg["path"], kind, seg["first"], seg["last"])
 
     def append(self, record: Record) -> None:
-        """Validate and persist one record.
+        """Validate and persist one record as from_json_obj decodes
+        to_json_obj(record): with the checks and messages of a JSON document,
+        and canonical addresses. The line is flushed to the operating system
+        but not fsynced: it survives a crash of this process, not of the
+        machine."""
+        if not isinstance(record, (PingRecord, TracerouteRun)):
+            raise InvalidRecord([f"unsupported record type {type(record).__name__}"])
+        self._write(from_json_obj(to_json_obj(record)))
 
-        The line is flushed to the operating system before return but not
-        fsynced: it survives a crash of this process, not of the machine.
-        """
-        validate_record(record)
-        record = _normalized(record)
+    def _write(self, record: Record) -> None:
+        """Persist one record that from_json_obj returned."""
         kind = _kind_of(record)
         line = serialize_line(record).encode()
         with self._lock:
@@ -708,13 +632,16 @@ class RecordStore:
 
         Returns (accepted count, [(document index, reason), ...]); rejected
         documents are reported, never silently skipped. Each document is
-        mapped onto the schema here and validated once, by append.
+        decoded once, by from_json_obj, and written as decoded.
 
         Newline-delimited input is read, and each document stored, one line
         at a time; only input whose first non-blank character is "[" is read
         whole. An array's documents are indexed by position; otherwise the
         documents and their indexes are the lines of str.splitlines over
-        the whole input, blank lines counted.
+        the whole input, blank lines counted. A line holding a lone
+        surrogate, which reading bytes that are not UTF-8 with
+        errors="surrogateescape" leaves, is rejected as "not UTF-8"; an
+        array holding one is rejected whole, at index 0.
         """
         chunks = iter(stream)
         head = []
@@ -727,7 +654,10 @@ class RecordStore:
         if is_array:
             text = head + (stream.read() if hasattr(stream, "read") else "".join(chunks))
             try:
+                text.encode()  # raises for a byte that was not UTF-8
                 documents = enumerate(json.loads(text))
+            except UnicodeEncodeError:
+                return 0, [(0, "not UTF-8")]
             except json.JSONDecodeError as exc:
                 return 0, [(0, f"invalid JSON array: {exc}")]
         else:
@@ -738,8 +668,13 @@ class RecordStore:
         accepted = 0
         for i, document in documents:
             try:
-                self.append(_map_json_obj(document if is_array else _loads(document)))
+                if not is_array:
+                    document.encode()  # raises for a byte that was not UTF-8
+                    document = _loads(document)
+                self._write(from_json_obj(document))
                 accepted += 1
+            except UnicodeEncodeError:
+                rejects.append((i, "not UTF-8"))
             except (MalformedJson, InvalidRecord) as exc:
                 rejects.append((i, str(exc)))
         return accepted, rejects

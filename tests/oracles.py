@@ -1,13 +1,18 @@
 """Independent brute-force references the test suite checks the package against.
 
-Everything here is deliberately naive: byte-at-a-time loops, full sorts and
-dict counting. None of it shares code with the package.
+Everything here is deliberately naive: byte-at-a-time loops, full sorts,
+dict counting and one pass per step. None of it shares code with the
+package beyond the record classes and exceptions.
 """
 
 from __future__ import annotations
 
+import ipaddress
 import math
 from fractions import Fraction
+
+from contrace.records import (Hop, InvalidRecord, MalformedJson, PingRecord,
+                              TracerouteRun)
 
 
 def checksum_reference(data: bytes) -> int:
@@ -142,3 +147,150 @@ def great_circle_reference(lat1: float, lon1: float, lat2: float, lon2: float) -
               + math.cos(phi1) * math.cos(phi2) * math.cos(dlon))
     cosine = max(-1.0, min(1.0, cosine))
     return 6371.0 * math.acos(cosine)
+
+
+# -- record decoding ------------------------------------------------------------
+#
+# The reference decoder maps a parsed JSON document onto a record without
+# checking its values, validates the record, then canonicalizes its
+# addresses: three separate passes, against which the package's one-pass
+# decoder (records.from_json_obj) and RecordStore.append are compared. It
+# canonicalizes with ipaddress directly.
+
+STATUSES = (0, 1, 255)
+PING_KEYS = {"timestamp", "source", "destination", "status", "rtt"}
+TRACEROUTE_KEYS = {"timestamp", "source", "destination", "round", "hops"}
+HOP_KEYS = {"hop", "address", "status", "rtt"}
+
+
+def reference_map(obj):
+    """The record a document maps onto, its values unchecked; MalformedJson
+    for a document that is not an object, has unknown fields, or whose hops
+    are not a list of objects."""
+    if not isinstance(obj, dict):
+        raise MalformedJson(f"expected a JSON object, got {type(obj).__name__}")
+    if "hops" in obj:
+        unknown = set(obj) - TRACEROUTE_KEYS
+        if unknown:
+            raise MalformedJson(f"unknown traceroute fields: {sorted(unknown)}")
+        hops_obj = obj.get("hops")
+        if not isinstance(hops_obj, list):
+            raise MalformedJson("hops: expected a list")
+        hops = []
+        for i, h in enumerate(hops_obj):
+            if not isinstance(h, dict):
+                raise MalformedJson(f"hops[{i}]: expected an object")
+            unknown = set(h) - HOP_KEYS
+            if unknown:
+                raise MalformedJson(f"hops[{i}]: unknown fields: {sorted(unknown)}")
+            hops.append(Hop(h.get("hop"), h.get("status"), h.get("address"), h.get("rtt")))
+        return TracerouteRun(obj.get("timestamp"), obj.get("source"),
+                             obj.get("destination"), obj.get("round"), tuple(hops))
+    unknown = set(obj) - PING_KEYS
+    if unknown:
+        raise MalformedJson(f"unknown ping fields: {sorted(unknown)}")
+    return PingRecord(obj.get("timestamp"), obj.get("source"),
+                      obj.get("destination"), obj.get("status"), obj.get("rtt"))
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_int(value, field, problems, minimum):
+    if not _is_int(value):
+        problems.append(f"{field}: expected integer, got {type(value).__name__}")
+    elif value < minimum:
+        problems.append(f"{field}: must be >= {minimum}, got {value}")
+
+
+def _check_address(value, field, problems):
+    """The address's IP version, or None with a problem."""
+    if not isinstance(value, str):
+        problems.append(f"{field}: expected string address, got {type(value).__name__}")
+        return None
+    try:
+        return ipaddress.ip_address(value).version
+    except ValueError:
+        problems.append(f"{field}: not a valid IP address: {value!r}")
+        return None
+
+
+def _check_endpoints(record, problems):
+    _check_int(record.timestamp, "timestamp", problems, 1)
+    src = _check_address(record.source, "source", problems)
+    dst = _check_address(record.destination, "destination", problems)
+    if src is not None and dst is not None and src != dst:
+        problems.append("source and destination are of different IP families")
+
+
+def reference_validate(record):
+    """InvalidRecord listing every rule the record breaks, in field order."""
+    problems = []
+    if isinstance(record, PingRecord):
+        _check_endpoints(record, problems)
+        if not (_is_int(record.status) and record.status in STATUSES):
+            problems.append(f"status: must be one of {STATUSES}, got {record.status!r}")
+        if record.status == 255:
+            if record.rtt is None:
+                problems.append("rtt: required when status is 255")
+            else:
+                _check_int(record.rtt, "rtt", problems, 0)
+        elif record.rtt is not None:
+            problems.append(f"rtt: must be absent when status is {record.status}")
+    elif isinstance(record, TracerouteRun):
+        _check_endpoints(record, problems)
+        _check_int(record.round, "round", problems, 0)
+        if not record.hops:
+            problems.append("hops: must contain at least one hop")
+        reply_seen = False
+        for i, hop in enumerate(record.hops):
+            where = f"hops[{i}]"
+            if not _is_int(hop.hop) or hop.hop != i + 1:
+                problems.append(f"{where}.hop: expected {i + 1}, got {hop.hop!r}")
+            if not (_is_int(hop.status) and hop.status in STATUSES):
+                problems.append(f"{where}.status: must be one of {STATUSES}")
+                continue
+            if reply_seen:
+                problems.append(f"{where}: hops after an echo-reply hop are not allowed")
+            if hop.status == 0:
+                if hop.address is not None:
+                    problems.append(f"{where}.address: must be absent when status is 0")
+                if hop.rtt is not None:
+                    problems.append(f"{where}.rtt: must be absent when status is 0")
+            else:
+                if hop.address is None:
+                    problems.append(
+                        f"{where}.address: required when status is {hop.status}")
+                else:
+                    _check_address(hop.address, f"{where}.address", problems)
+                if hop.rtt is None:
+                    problems.append(f"{where}.rtt: required when status is {hop.status}")
+                else:
+                    _check_int(hop.rtt, f"{where}.rtt", problems, 0)
+            if hop.status == 255:
+                reply_seen = True
+    else:
+        problems.append(f"unsupported record type {type(record).__name__}")
+    if problems:
+        raise InvalidRecord(problems)
+
+
+def reference_normalize(record):
+    """The record with every address in canonical form."""
+    def canonical(address):
+        return str(ipaddress.ip_address(address))
+    if isinstance(record, PingRecord):
+        return PingRecord(record.timestamp, canonical(record.source),
+                          canonical(record.destination), record.status, record.rtt)
+    hops = tuple(h if h.address is None else h._replace(address=canonical(h.address))
+                 for h in record.hops)
+    return TracerouteRun(record.timestamp, canonical(record.source),
+                         canonical(record.destination), record.round, hops)
+
+
+def reference_decode(obj):
+    """Map, validate, then canonicalize a parsed JSON document."""
+    record = reference_map(obj)
+    reference_validate(record)
+    return reference_normalize(record)

@@ -202,6 +202,28 @@ class TestImportExport:
         assert [r.timestamp for r in RecordStore(store).query(StoreQuery("ping"))] \
             == [1, 2, 3, 4, 5, 6]
 
+    @pytest.mark.parametrize("from_stdin", [False, True], ids=["file", "stdin"])
+    def test_line_that_is_not_utf8_is_rejected_by_its_number(self, tmp_path, capsys,
+                                                             monkeypatch, from_stdin):
+        lines = [serialize_line(PingRecord(ts, "10.0.0.1", "10.0.0.2", 0))
+                 for ts in range(1, 302)]
+        data = "".join(lines[:300]).encode() + b'{"timestamp": \xff}\n' + \
+            lines[300].encode()
+        source = tmp_path / "in.ndjson"
+        source.write_bytes(data)
+        name = str(source)
+        if from_stdin:
+            name = "-"
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data),
+                                                              encoding="utf-8"))
+        store = tmp_path / "s"
+        assert cli.main(["import", "--store", str(store), name]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out == f"{name}: 301 accepted, 1 rejected\n"
+        assert captured.err == f"{name}:301: rejected: not UTF-8\n"
+        assert [r.timestamp for r in RecordStore(store).query(StoreQuery("ping"))] \
+            == list(range(1, 302))
+
     def test_strict_mode_nonzero_exit(self, tmp_path, capsys):
         source = tmp_path / "in.ndjson"
         source.write_text("{broken\n")

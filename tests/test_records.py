@@ -5,6 +5,7 @@ import os
 import random
 import re
 import sys
+import tempfile
 import threading
 
 import pytest
@@ -15,6 +16,7 @@ from contrace import records
 from contrace.records import (Hop, InvalidRecord, MalformedJson, PingRecord,
                               RecordStore, StoreError, StoreQuery, TracerouteRun)
 from conftest import MIXED_NDJSON, MIXED_NDJSON_REJECTED
+import oracles
 
 
 def ping(ts=1_600_000_000_000_000, src="10.0.0.1", dst="10.1.0.1", status=255, rtt=10_000):
@@ -39,40 +41,55 @@ class TestValidation:
             got = store.query(StoreQuery("ping"))
         assert got == [rec]
 
-    def test_rtt_with_timeout_status_rejected(self):
-        with pytest.raises(InvalidRecord) as exc:
-            records.validate_ping(PingRecord(1, "10.0.0.1", "10.0.0.2", 0, 5))
-        assert any("rtt" in p for p in exc.value.problems)
+    @staticmethod
+    def _append_problems(tmp_path, record):
+        with RecordStore(tmp_path) as store:
+            with pytest.raises(InvalidRecord) as exc:
+                store.append(record)
+        assert RecordStore(tmp_path).count() == 0
+        return exc.value.problems
 
-    def test_mixed_families_rejected(self):
-        with pytest.raises(InvalidRecord):
-            records.validate_ping(PingRecord(1, "10.0.0.1", "2001:db8::1", 0))
+    def test_rtt_with_timeout_status_rejected(self, tmp_path):
+        record = PingRecord(1, "10.0.0.1", "10.0.0.2", 0, 5)
+        assert self._append_problems(tmp_path, record) == \
+            ["rtt: must be absent when status is 0"]
 
-    def test_missing_rtt_on_reply_rejected(self):
-        with pytest.raises(InvalidRecord):
-            records.validate_ping(PingRecord(1, "10.0.0.1", "10.0.0.2", 255))
+    def test_mixed_families_rejected(self, tmp_path):
+        record = PingRecord(1, "10.0.0.1", "2001:db8::1", 0)
+        assert self._append_problems(tmp_path, record) == \
+            ["source and destination are of different IP families"]
 
-    def test_bad_status_rejected(self):
-        with pytest.raises(InvalidRecord):
-            records.validate_ping(PingRecord(1, "10.0.0.1", "10.0.0.2", 7))
+    def test_missing_rtt_on_reply_rejected(self, tmp_path):
+        record = PingRecord(1, "10.0.0.1", "10.0.0.2", 255)
+        assert self._append_problems(tmp_path, record) == \
+            ["rtt: required when status is 255"]
 
-    def test_hop_numbering_must_be_consecutive(self):
+    def test_bad_status_rejected(self, tmp_path):
+        record = PingRecord(1, "10.0.0.1", "10.0.0.2", 7)
+        assert self._append_problems(tmp_path, record) == \
+            ["status: must be one of (0, 1, 255), got 7"]
+
+    def test_hop_numbering_must_be_consecutive(self, tmp_path):
         bad = TracerouteRun(1, "10.0.0.1", "10.0.0.2", 0,
                             (Hop(1, 0), Hop(3, 0)))
-        with pytest.raises(InvalidRecord):
-            records.validate_traceroute(bad)
+        assert self._append_problems(tmp_path, bad) == \
+            ["hops[1].hop: expected 2, got 3"]
 
-    def test_reply_hop_must_be_last(self):
+    def test_reply_hop_must_be_last(self, tmp_path):
         bad = TracerouteRun(1, "10.0.0.1", "10.0.0.2", 0,
                             (Hop(1, 255, "10.0.0.2", 10), Hop(2, 1, "10.0.0.3", 5)))
-        with pytest.raises(InvalidRecord):
-            records.validate_traceroute(bad)
+        assert self._append_problems(tmp_path, bad) == \
+            ["hops[1]: hops after an echo-reply hop are not allowed"]
 
-    def test_silent_hop_must_have_no_address(self):
+    def test_silent_hop_must_have_no_address(self, tmp_path):
         bad = TracerouteRun(1, "10.0.0.1", "10.0.0.2", 0,
                             (Hop(1, 0, "10.0.0.9"),))
-        with pytest.raises(InvalidRecord):
-            records.validate_traceroute(bad)
+        assert self._append_problems(tmp_path, bad) == \
+            ["hops[0].address: must be absent when status is 0"]
+
+    def test_non_record_rejected(self, tmp_path):
+        assert self._append_problems(tmp_path, "10.0.0.1") == \
+            ["unsupported record type str"]
 
     @pytest.mark.parametrize("doc", [
         {"timestamp": 1, "source": "10.0.0.1", "destination": "10.0.0.2",
@@ -215,12 +232,6 @@ def mutated_documents(draw):
     return doc
 
 
-def _reference_decode(obj):
-    record = records._map_json_obj(obj)
-    records.validate_record(record)
-    return records._normalized(record)
-
-
 def _outcome(decode, obj):
     try:
         return repr(decode(copy.deepcopy(obj)))
@@ -232,7 +243,7 @@ def _single_mutations(doc):
     """Every document one mutation away from doc: each field of the
     document or of one hop set to each odd value or address, or deleted,
     an unknown field, or a hop after the last one."""
-    keys = sorted(records._PING_KEYS | records._TRACEROUTE_KEYS | records._HOP_KEYS)
+    keys = sorted(oracles.PING_KEYS | oracles.TRACEROUTE_KEYS | oracles.HOP_KEYS)
     values = ODD_VALUES + V4_ADDRESSES + V6_ADDRESSES + BAD_ADDRESSES
     for index in range(-1, len(doc.get("hops", []))):
         def target(copied):
@@ -274,23 +285,44 @@ class TestSinglePassDecode:
     def test_every_single_mutation_matches_map_validate_normalize(self, base):
         for doc in _single_mutations(base):
             assert _outcome(records.from_json_obj, doc) == \
-                _outcome(_reference_decode, doc), doc
+                _outcome(oracles.reference_decode, doc), doc
 
     @settings(max_examples=1000, deadline=None)
     @given(doc=mutated_documents())
     def test_matches_map_validate_normalize(self, doc):
-        assert _outcome(records.from_json_obj, doc) == _outcome(_reference_decode, doc)
+        assert _outcome(records.from_json_obj, doc) == \
+            _outcome(oracles.reference_decode, doc)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(doc=mutated_documents())
+    def test_append_matches_validate_normalize(self, doc):
+        """append of a record mapped from a mutated document raises the
+        reference's exact exception, or stores the reference's record."""
+        try:
+            record = oracles.reference_map(copy.deepcopy(doc))
+        except MalformedJson:
+            return
+        with tempfile.TemporaryDirectory() as path:
+            with RecordStore(path) as store:
+                def append_and_read(record):
+                    store.append(record)
+                    kind = "ping" if isinstance(record, PingRecord) else "traceroute"
+                    return store.query(StoreQuery(kind))[0]
+                outcome = _outcome(append_and_read, record)
+
+        def validate_normalize(record):
+            oracles.reference_validate(record)
+            return oracles.reference_normalize(record)
+        assert outcome == _outcome(validate_normalize, record)
 
     @settings(max_examples=300, deadline=None)
     @given(doc=valid_documents())
     def test_valid_documents_take_the_single_pass(self, doc):
-        expected = _reference_decode(copy.deepcopy(doc))
-        original = records._map_json_obj
-        records._map_json_obj = None  # any fallback would fail
-        try:
+        """Valid documents never reach the failure branch."""
+        expected = oracles.reference_decode(copy.deepcopy(doc))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(records, "_reject", None)  # any call would fail
             assert repr(records.from_json_obj(doc)) == repr(expected)
-        finally:
-            records._map_json_obj = original
 
     def test_equal_addresses_share_one_string(self):
         first = records.parse_line('{"timestamp":1,"source":"2001:DB8::1",'
@@ -368,13 +400,13 @@ class TestStore:
     @pytest.mark.parametrize("array", [False, True])
     def test_import_validates_each_record_once(self, tmp_path, monkeypatch, array):
         calls = []
-        validate = records.validate_record
+        decode = records._ping_record
 
-        def counting_validate(record):
-            calls.append(record)
-            validate(record)
+        def counting_decode(obj):
+            calls.append(obj)
+            return decode(obj)
 
-        monkeypatch.setattr(records, "validate_record", counting_validate)
+        monkeypatch.setattr(records, "_ping_record", counting_decode)
         docs = [records.to_json_obj(ping(ts=i + 1)) for i in range(50)]
         text = json.dumps(docs) if array else \
             "".join(json.dumps(d) + "\n" for d in docs)
@@ -416,6 +448,10 @@ class TestStore:
             assert store.import_json(io.StringIO("\n[{},\n]")) == \
                 (0, [(0, "invalid JSON array: Expecting value: line 3 column 1 "
                          "(char 6)")])
+            not_utf8 = json.dumps(docs).encode().replace(b"10.0.0.1", b"10.0.0.\xff")
+            assert store.import_json(io.StringIO(not_utf8.decode(
+                errors="surrogateescape"))) == (0, [(0, "not UTF-8")])
+            assert store.count() == 0
 
     def test_import_array_wrapped(self, tmp_path):
         docs = [records.to_json_obj(ping(ts=i + 1)) for i in range(5)]
