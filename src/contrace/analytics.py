@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Sequence
 
 from .enrich import EnrichedHop
 from .probe import RelationKey
-from .records import STATUS_ECHO_REPLY, STATUS_TIMEOUT, PingRecord, TracerouteRun
+from .records import STATUS_ECHO_REPLY, STATUS_TIMEOUT, PathRuns, PingRecord
 
 HOUR_US = 3_600_000_000
 
@@ -106,63 +106,69 @@ def mean_rtt_cdf(records: Iterable[PingRecord],
 
 @dataclass(slots=True)
 class LinkObservation:
-    """One directed router-level link and the runs that observed it.
+    """One directed router-level link of one relation, and the runs whose
+    path holds it; a link seen twice in one run counts once, keeping shares
+    per-run observation fractions.
 
-    run_samples maps run index -> (hop number, rtt µs) of the link's
-    destination-side router in that run; a link seen twice in one run still
-    counts once, keeping shares per-run observation fractions.
+    positions maps each such path (an index into runs.paths) to the
+    position, among the path's responsive hops, of the link's
+    destination-side router at the link's earliest occurrence, so
+    runs.rtt_column(path, position) are that router's RTTs in those runs.
     """
 
     relation: RelationKey
     from_hop: EnrichedHop
     to_hop: EnrichedHop
-    runs_total: int
-    run_samples: dict[int, tuple[int, int]] = field(default_factory=dict)
+    runs: PathRuns
+    runs_observed: int = 0
+    positions: dict[int, int] = field(default_factory=dict)
 
     @property
-    def runs_observed(self) -> int:
-        return len(self.run_samples)
+    def runs_total(self) -> int:
+        return len(self.runs)
 
     @property
     def share(self) -> float:
         return 100.0 * self.runs_observed / self.runs_total
 
 
-def run_links(run: TracerouteRun) -> list[tuple[str, str, int, int]]:
-    """(from, to, to-hop number, to-hop rtt) for consecutive responsive hops.
-
-    An unresponsive hop breaks the chain: no link is inferred across it.
-    """
+def _path_links(path) -> list[tuple[str, str, int]]:
+    """(from, to, position of to among the responsive hops) for each pair
+    of consecutive responsive hops of a path. An unresponsive hop breaks
+    the chain: no link is inferred across it."""
     links = []
     previous = None
-    for hop in run.hops:
-        if hop.status == STATUS_TIMEOUT:
+    position = -1
+    for _hop, status, address in path:
+        if status == STATUS_TIMEOUT:
             previous = None
             continue
+        position += 1
         if previous is not None:
-            links.append((previous, hop.address, hop.hop, hop.rtt))
-        previous = hop.address
+            links.append((previous, address, position))
+        previous = address
     return links
 
 
-def link_shares(runs: Sequence[TracerouteRun], relation: RelationKey,
+def link_shares(runs: PathRuns, relation: RelationKey,
                 enricher: Callable[[str], EnrichedHop]) -> list[LinkObservation]:
-    """Directed link observations for one relation's runs.
+    """Directed link observations for one relation's runs, worked out once
+    per distinct path: a link's runs_observed is the sum of the run counts
+    of the paths that hold it.
 
     runs_total counts every run, including fully unresponsive ones, so the
     published shares are lower bounds.
     """
-    total = len(runs)
     observations: dict[tuple[str, str], LinkObservation] = {}
-    for index, run in enumerate(runs):
-        for frm, to, hop_no, rtt in run_links(run):
+    for index, (path, count) in enumerate(zip(runs.paths, runs.counts)):
+        for frm, to, position in _path_links(path):
             obs = observations.get((frm, to))
             if obs is None:
-                obs = LinkObservation(relation, enricher(frm), enricher(to), total)
+                obs = LinkObservation(relation, enricher(frm), enricher(to), runs)
                 observations[(frm, to)] = obs
-            known = obs.run_samples.get(index)
-            if known is None or hop_no < known[0]:
-                obs.run_samples[index] = (hop_no, rtt)
+            if index not in obs.positions:  # positions rise along a path
+                obs.positions[index] = position
+                obs.runs_observed += count
     return [observations[key] for key in sorted(observations)]
 
 
@@ -193,26 +199,29 @@ def crossing_table(observations: Sequence[LinkObservation], group_by: str,
 
     A run observes a crossing when any of its links leaves one group for
     another; per run the RTT sample is taken at the earliest hop entering
-    the destination group. Hops the grouping cannot attribute contribute
-    nothing. Rows under the share threshold are dropped; ordering is
-    relation, then share descending.
+    the destination group. That hop is found once per path, and each run of
+    the path gives one RTT lookup. Hops the grouping cannot attribute
+    contribute nothing. Rows under the share threshold are dropped;
+    ordering is relation, then share descending.
     """
-    merged: dict[tuple, dict] = {}
+    merged: dict[tuple, tuple[LinkObservation, dict[int, int]]] = {}
     for obs in observations:
         from_group = _group_key(obs.from_hop, group_by)
         to_group = _group_key(obs.to_hop, group_by)
         if from_group is None or to_group is None or from_group == to_group:
             continue
         key = (obs.relation, from_group, to_group)
-        slot = merged.setdefault(key, {"total": obs.runs_total, "runs": {}})
-        for run_index, (hop_no, rtt) in obs.run_samples.items():
-            known = slot["runs"].get(run_index)
-            if known is None or hop_no < known[0]:
-                slot["runs"][run_index] = (hop_no, rtt)
+        first, earliest = merged.setdefault(key, (obs, {}))
+        for path, position in obs.positions.items():
+            known = earliest.get(path)
+            if known is None or position < known:
+                earliest[path] = position
     rows = []
-    for (relation, from_group, to_group), slot in merged.items():
-        samples = [rtt for _hop, rtt in slot["runs"].values()]
-        share = 100.0 * len(samples) / slot["total"]
+    for (relation, from_group, to_group), (first, earliest) in merged.items():
+        samples = []
+        for path, position in earliest.items():
+            samples += first.runs.rtt_column(path, position)
+        share = 100.0 * len(samples) / first.runs_total
         if share < threshold_percent:
             continue
         mean, q10, q90 = _stats_ms(samples)
@@ -236,25 +245,38 @@ class HopCountStats:
     q90: float
 
 
-def hop_count_stats(runs: Sequence[TracerouteRun],
-                    relation: RelationKey) -> HopCountStats | None:
+def _weighted_nearest_rank(ordered: Sequence[tuple[int, int]], n: int,
+                           num: int, den: int) -> int:
+    """nearest_rank of the sample holding each value of ordered (sorted
+    (value, weight) pairs, n weights in all) weight times."""
+    rank = max(-(-num * n // den), 1)
+    for value, weight in ordered:
+        rank -= weight
+        if rank <= 0:
+            return value
+    raise ValueError("quantile of an empty sample")
+
+
+def hop_count_stats(runs: PathRuns, relation: RelationKey) -> HopCountStats | None:
     """Path-length statistics over runs that reached the destination: runs
-    whose last hop is the echo reply (a valid run has at most one, last)."""
-    counts = []
-    for run in runs:
-        terminal = run.hops[-1]
-        if terminal.status == STATUS_ECHO_REPLY:
-            counts.append(terminal.hop)
-    if not counts:
+    whose last hop is the echo reply (a valid run has at most one, last).
+    Each path's terminal hop counts once per run of the path."""
+    weights: dict[int, int] = {}
+    for path, count in zip(runs.paths, runs.counts):
+        hop, status, _address = path[-1]
+        if status == STATUS_ECHO_REPLY:
+            weights[hop] = weights.get(hop, 0) + count
+    if not weights:
         return None
-    ordered = sorted(counts)
+    ordered = sorted(weights.items())
+    n = sum(weights.values())
     return HopCountStats(
         relation.ip_version.display, relation.source_id, relation.destination_id,
-        ordered[0],
-        float(nearest_rank(ordered, 1, 10)),
-        sum(ordered) / len(ordered),
-        float(nearest_rank(ordered, 1, 2)),
-        float(nearest_rank(ordered, 9, 10)),
+        ordered[0][0],
+        float(_weighted_nearest_rank(ordered, n, 1, 10)),
+        sum(hop * count for hop, count in ordered) / n,
+        float(_weighted_nearest_rank(ordered, n, 1, 2)),
+        float(_weighted_nearest_rank(ordered, n, 9, 10)),
     )
 
 

@@ -14,7 +14,6 @@ import os
 import signal
 import sys
 import threading
-from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -26,8 +25,8 @@ from .enrich import AsnTable, CsvGeoProvider, Enricher, GeoResolver, HttpGeoProv
 from .icmp import Family, family_of
 from .probe import (LiveClock, ProbeSchedule, RawIcmpTransport, RelationKey,
                     SourceWorker, TransportFailure, run_relation_worker)
-from .records import (KIND_PING, KIND_TRACEROUTE, RecordStore, StoreError, StoreQuery,
-                      canonical_address)
+from .records import KIND_PING, KIND_TRACEROUTE, StoreError, StoreQuery, canonical_address
+from .store import RecordStore
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -338,22 +337,6 @@ def _selected_relations(config: Config, spec: str | None) -> list[RelationKey]:
     return selected
 
 
-def _link_observations(relations: list[RelationKey], pairs: list[tuple[str, str]],
-                       runs_by_pair: dict[tuple[str, str], list],
-                       enricher: Enricher) -> list:
-    """link_shares of each relation's runs, in relation order. A pair's runs
-    leave runs_by_pair once the last relation that selects the pair has
-    used them, so they can be freed while later relations are linked."""
-    uses = Counter(pairs)
-    observations = []
-    for relation, pair in zip(relations, pairs):
-        uses[pair] -= 1
-        runs = runs_by_pair.get(pair) if uses[pair] else runs_by_pair.pop(pair, None)
-        if runs:
-            observations.extend(analytics.link_shares(runs, relation, enricher.enrich))
-    return observations
-
-
 def cmd_analyze(args) -> int:
     try:
         config = load_config(args.config)
@@ -387,24 +370,21 @@ def cmd_analyze(args) -> int:
               canonical_address(r.destination_address)) for r in relations]
     query = StoreQuery(KIND_TRACEROUTE, args.start, args.end,
                        *(pairs[0] if len(relations) == 1 else ()))
-    selected = set(pairs)
-    runs_by_pair: dict[tuple[str, str], list] = {}
-    for run in store.query(query):
-        pair = (run.source, run.destination)
-        if pair in selected:
-            runs_by_pair.setdefault(pair, []).append(run)
-    if not runs_by_pair:
+    runs_by_pair = store.path_runs(query)
+    selected = [(relation, runs_by_pair[pair])
+                for relation, pair in zip(relations, pairs) if pair in runs_by_pair]
+    if not selected:
         print("error: no traceroute records match the selection", file=sys.stderr)
         return EXIT_EMPTY
 
     if args.artifact == "hops":
-        rows = [analytics.hop_count_stats(runs_by_pair[pair], relation)
-                for relation, pair in zip(relations, pairs) if pair in runs_by_pair]
+        rows = [analytics.hop_count_stats(runs, relation) for relation, runs in selected]
         rows = [r for r in rows if r is not None]
         table_fmt = fmt if fmt in ("csv", "text") else "text"
         return _emit(analytics.format_hop_stats(rows, table_fmt), args)
 
-    observations = _link_observations(relations, pairs, runs_by_pair, enricher)
+    observations = [obs for relation, runs in selected
+                    for obs in analytics.link_shares(runs, relation, enricher.enrich)]
     if args.artifact in ("inter-as", "inter-country"):
         group_by = analytics.GROUP_BY_AS if args.artifact == "inter-as" \
             else analytics.GROUP_BY_COUNTRY

@@ -1,4 +1,4 @@
-"""Measurement record model and the append-only NDJSON record store.
+"""Measurement record model, its JSON codec, and the read forms of the store.
 
 Canonical interchange schema (one JSON document per line):
 
@@ -10,33 +10,28 @@ Canonical interchange schema (one JSON document per line):
 
 Addresses are rendered canonically (compressed lower-case for v6). One
 decoder, from_json_obj, maps, validates and canonicalizes a document for
-store reads, import and append alike. In memory, records are immutable
-named tuples, and unpacking follows the field order of the classes below,
-not the JSON order: PingRecord(timestamp, source, destination, status,
-rtt), Hop(hop, status, address, rtt) and TracerouteRun(timestamp, source,
-destination, round, hops). The store keeps records in segment files named
-by the time range they cover and is strictly append-only.
+store reads, import and append alike, and checks the pair and path
+dictionaries of columnar segments. In memory, records are immutable named
+tuples, and unpacking follows the field order of the classes below, not
+the JSON order: PingRecord(timestamp, source, destination, status, rtt),
+Hop(hop, status, address, rtt) and TracerouteRun(timestamp, source,
+destination, round, hops). PathRuns holds one pair's traceroute runs
+grouped by distinct path, the form traceroute analytics read.
+
+The append-only store, RecordStore, is defined in contrace.store (active
+segments in NDJSON) and contrace.columnar (sealed segments), and is
+importable from here.
 """
 
 from __future__ import annotations
 
-import bisect
-import heapq
 import ipaddress
-import itertools
 import json
-import logging
-import math
-import os
-import re
 import sys
-import threading
-from contextlib import closing
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import attrgetter, itemgetter
-from pathlib import Path
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 STATUS_TIMEOUT = 0
 STATUS_TIME_EXCEEDED = 1
@@ -45,8 +40,6 @@ VALID_STATUSES = (STATUS_TIMEOUT, STATUS_TIME_EXCEEDED, STATUS_ECHO_REPLY)
 
 KIND_PING = "ping"
 KIND_TRACEROUTE = "traceroute"
-
-log = logging.getLogger(__name__)
 
 
 class StoreError(Exception):
@@ -298,14 +291,6 @@ def parse_line(line: str) -> Record:
     return from_json_obj(_loads(line))
 
 
-def _is_json(line: bytes) -> bool:
-    try:
-        json.loads(line)
-    except ValueError:
-        return False
-    return True
-
-
 @dataclass(frozen=True, slots=True)
 class StoreQuery:
     """Filter for store reads; time_range is [start, end) in microseconds.
@@ -334,62 +319,85 @@ class StoreQuery:
             return False
         if self.end is not None and record.timestamp >= self.end:
             return False
-        if self.source is not None and record.source != self.source:
-            return False
-        if self.destination is not None and record.destination != self.destination:
-            return False
-        return True
+        return self.matches_pair(record.source, record.destination)
+
+    def matches_pair(self, source: str, destination: str) -> bool:
+        return ((self.source is None or source == self.source)
+                and (self.destination is None or destination == self.destination))
 
 
-_SEGMENT_NAME = re.compile(
-    rf"(?P<kind>{KIND_PING}|{KIND_TRACEROUTE})-(?P<first>[0-9]+)-"
-    rf"(?:(?P<last>[0-9]+)(?:-(?P<n>[1-9][0-9]*))?|open)\.ndjson")
+# -- traceroute runs grouped by path ---------------------------------------------
+
+_WIDER = {"b": "h", "h": "i", "i": "q"}
 
 
-_TIMESTAMP = attrgetter("timestamp")
-_LOAD_KEY = itemgetter(0)
+def _put(columns: list, index: int, values) -> None:
+    """Extend columns[index] by values, widening the column until it holds
+    them: an array to the next wider typecode, a q array to a list."""
+    while True:
+        column = columns[index]
+        n = len(column)
+        try:
+            column.extend(values)
+            return
+        except OverflowError:
+            del column[n:]
+            code = _WIDER.get(column.typecode)
+            columns[index] = array(code, column) if code else column.tolist()
 
 
-def _kind_of(record: Record) -> str:
-    return KIND_PING if isinstance(record, PingRecord) else KIND_TRACEROUTE
+class PathRuns:
+    """One (source, destination) pair's traceroute runs, grouped by the
+    distinct path they took. A path is a tuple of (hop, status, address),
+    one per hop. counts[i] runs took path i, and rtts[i] holds their RTTs
+    row by row: one row of widths[i] values per run, the RTTs of the path's
+    responsive hops in hop order. len() is the number of runs.
 
+    Runs of one pair repeat a handful of paths, so work per hop is done
+    once per path, and work per run is a lookup in a row."""
 
-def _load_key(match: re.Match) -> tuple[int, str, int]:
-    """Segments of one kind load by first timestamp, then by name, then by
-    collision suffix, so a suffixed segment loads after the one it
-    collided with."""
-    stem = f"{match['kind']}-{match['first']}-{match['last'] or 'open'}"
-    return int(match["first"]), stem, int(match["n"] or 0)
+    __slots__ = ("paths", "widths", "counts", "rtts", "_index")
 
+    def __init__(self):
+        self.paths: list[tuple[tuple[int, int, str | None], ...]] = []
+        self.widths: list[int] = []
+        self.counts: list[int] = []
+        self.rtts: list = []  # per path an array("q"), or a list if it outgrows one
+        self._index: dict[tuple, int] = {}
 
-def _segment_record(line: bytes, kind: str, path: Path, where: int | str) -> Record:
-    """Decode and validate one line of a segment of the given kind; the
-    StoreError raised for a bad line names the file and the line."""
-    try:
-        record = parse_line(line.decode("utf-8"))
-    except UnicodeDecodeError as exc:
-        raise StoreError(f"{path}:{where}: not UTF-8: {exc}") from None
-    except StoreError as exc:
-        raise StoreError(f"{path}:{where}: {exc}") from exc
-    if _kind_of(record) != kind:
-        raise StoreError(f"{path}:{where}: a {_kind_of(record)} record in a "
-                         f"{kind} segment")
-    return record
+    @classmethod
+    def of(cls, runs: Iterable[TracerouteRun]) -> "PathRuns":
+        grouped = cls()
+        for run in runs:
+            grouped.add(run)
+        return grouped
 
+    def __len__(self) -> int:
+        return sum(self.counts)
 
-def _last_line(fp: IO[bytes], end: int) -> tuple[int, bytes]:
-    """(offset, bytes) of the last line of fp[:end]; only that line is read."""
-    data = b""
-    pos = end
-    while pos > 0:
-        step = min(4096, pos)
-        pos -= step
-        fp.seek(pos)
-        data = fp.read(step) + data
-        cut = data.rfind(b"\n", 0, len(data) - 1)
-        if cut >= 0:
-            return pos + cut + 1, data[cut + 1:]
-    return 0, data
+    def add(self, run: TracerouteRun) -> None:
+        _, statuses, addresses, rtts = zip(*run.hops)
+        i = self.path_index(statuses, addresses)
+        self.counts[i] += 1
+        _put(self.rtts, i, [rtt for rtt in rtts if rtt is not None])
+
+    def path_index(self, statuses: tuple, addresses: tuple) -> int:
+        """Index of the path with these hop statuses and addresses, added
+        with no runs if it is new."""
+        key = (statuses, addresses)
+        i = self._index.get(key)
+        if i is None:
+            i = self._index[key] = len(self.paths)
+            self.paths.append(tuple(zip(range(1, len(statuses) + 1), statuses, addresses)))
+            self.widths.append(len(statuses) - statuses.count(STATUS_TIMEOUT))
+            self.counts.append(0)
+            self.rtts.append(array("q"))
+        return i
+
+    def rtt_column(self, path: int, position: int):
+        """RTTs of the path's responsive hop at position (0-based, among
+        the responsive hops), one per run of the path."""
+        return self.rtts[path][position::self.widths[path]]
 
 
 def _splitlines(chunks: Iterable[str]) -> Iterator[str]:
@@ -406,275 +414,9 @@ def _splitlines(chunks: Iterable[str]) -> Iterator[str]:
     yield from rest.splitlines()
 
 
-def _lines_within(fp: IO[bytes], size: int) -> Iterator[bytes]:
-    """The lines of fp's first size bytes, never reading past them."""
-    while size > 0:
-        line = fp.readline(size)
-        if not line:
-            return
-        size -= len(line)
-        yield line
-
-
-class RecordStore:
-    """Append-only store over NDJSON segment files, one record kind each.
-
-    Segment files are named <kind>-<first>-<last>.ndjson by the timestamps
-    of their first and last lines; the active segment carries the suffix
-    "open" until it is rolled or closed, and a name already taken gets a
-    -<n> suffix instead of replacing the file. Opening lists the segments
-    and reads no records: it only seals segments an earlier process left
-    open, reading their last line. Every read (query, count, export) reads
-    the segments of the kinds it needs, line by line, and query and export
-    validate every line they read. Records with equal timestamps keep the
-    load order: segments by first timestamp, then by name, then by suffix,
-    lines in file order. The active segment takes the place its sealed name
-    will give it, so this order is the same within a process and after a
-    reopen. Concurrent appends are serialized by a lock; a read sees the
-    active segment as it was when the read started and never a torn record.
-    """
-
-    def __init__(self, path: str | Path, *, segment_records: int = 100_000):
-        self.path = Path(path)
-        self.path.mkdir(parents=True, exist_ok=True)
-        self.segment_records = segment_records
-        self._lock = threading.Lock()
-        self._sealed: dict[str, list[tuple[tuple, Path]]] = {
-            KIND_PING: [], KIND_TRACEROUTE: []}
-        self._active: dict[str, dict] = {}
-        left_open = []
-        for path in list(self.path.glob("*.ndjson")):
-            match = _SEGMENT_NAME.fullmatch(path.name)
-            if match is None:
-                log.warning("ignoring %s: not a <kind>-<first>-<last|open>.ndjson "
-                            "segment", path)
-            elif match["last"] is None:
-                left_open.append((_load_key(match), match["kind"], path))
-            else:
-                self._sealed[match["kind"]].append((_load_key(match), path))
-        for segments in self._sealed.values():
-            segments.sort(key=_LOAD_KEY)
-        for (first, _, _), kind, path in sorted(left_open, key=_LOAD_KEY):
-            self._recover(path, kind, first)
-
-    def _recover(self, path: Path, kind: str, first: int) -> None:
-        """Seal a segment an earlier process left open, named by the
-        timestamp of its last line; a torn last line (no newline, not JSON)
-        is truncated away first, and an empty segment is deleted."""
-        last = None
-        with path.open("r+b") as fp:
-            end = fp.seek(0, os.SEEK_END)
-            while end > 0 and last is None:
-                start, line = _last_line(fp, end)
-                if line.isspace():
-                    pass
-                elif not line.endswith(b"\n") and not _is_json(line):
-                    fp.truncate(start)
-                    log.warning("%s: dropped a torn last line of %d bytes",
-                                path, end - start)
-                else:
-                    last = _segment_record(line, kind, path, "last line").timestamp
-                end = start
-        if last is None:
-            path.unlink()
-        else:
-            self._seal_file(path, kind, first, last)
-
-    def _open_segment(self, kind: str, first_ts: int) -> dict:
-        path = self.path / f"{kind}-{first_ts}-open.ndjson"
-        return {"path": path, "fp": path.open("ab"), "count": 0, "size": 0,
-                "first": first_ts, "last": first_ts}
-
-    def _seal_file(self, path: Path, kind: str, first: int, last: int) -> None:
-        """Move a finished segment to its final name without replacing an
-        existing file: a taken name gets the first free -<n> suffix.
-
-        The move links the final name, then unlinks the old one. A name
-        that is already a link to this file is a move an earlier process
-        did not finish; that name was listed at open, so only the unlink is
-        left to do. Where the file
-        system has no hard links, the move is a rename to a name that does
-        not exist yet."""
-        stem = f"{kind}-{first}-{last}"
-        n = 0
-        while True:
-            final = self.path / (f"{stem}-{n}.ndjson" if n else f"{stem}.ndjson")
-            try:
-                os.link(path, final)
-            except FileExistsError:
-                if os.path.samefile(path, final):
-                    path.unlink()
-                    return
-            except OSError:
-                if not final.exists():
-                    path.rename(final)
-                    break
-            else:
-                path.unlink()
-                break
-            n += 1
-        bisect.insort(self._sealed[kind], ((first, stem, n), final), key=_LOAD_KEY)
-
-    def _seal(self, kind: str) -> None:
-        seg = self._active.pop(kind, None)
-        if seg is None:
-            return
-        seg["fp"].close()
-        self._seal_file(seg["path"], kind, seg["first"], seg["last"])
-
-    def append(self, record: Record) -> None:
-        """Validate and persist one record as from_json_obj decodes
-        to_json_obj(record): with the checks and messages of a JSON document,
-        and canonical addresses. The line is flushed to the operating system
-        but not fsynced: it survives a crash of this process, not of the
-        machine."""
-        if not isinstance(record, (PingRecord, TracerouteRun)):
-            raise InvalidRecord([f"unsupported record type {type(record).__name__}"])
-        self._write(from_json_obj(to_json_obj(record)))
-
-    def _write(self, record: Record) -> None:
-        """Persist one record that from_json_obj returned."""
-        kind = _kind_of(record)
-        line = serialize_line(record).encode()
-        with self._lock:
-            seg = self._active.get(kind)
-            if seg is None:
-                seg = self._open_segment(kind, record.timestamp)
-                self._active[kind] = seg
-            seg["fp"].write(line)
-            seg["fp"].flush()
-            seg["count"] += 1
-            seg["size"] += len(line)
-            seg["last"] = record.timestamp
-            if seg["count"] >= self.segment_records:
-                self._seal(kind)
-
-    def close(self) -> None:
-        with self._lock:
-            for kind in list(self._active):
-                self._seal(kind)
-
-    def __enter__(self) -> "RecordStore":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def _segment_lines(self, kind: str) -> Iterator[tuple[Path, Iterable[bytes]]]:
-        """(segment, its lines) for each of kind's segments in load order;
-        of the active segment, only the bytes appended before this started."""
-        with self._lock:
-            segments = [(key, path, None) for key, path in self._sealed[kind]]
-            seg = self._active.get(kind)
-            if seg is not None:
-                active = seg["path"].open("rb")
-                key = (seg["first"], f"{kind}-{seg['first']}-{seg['last']}", math.inf)
-                bisect.insort(segments, (key, seg["path"], (active, seg["size"])),
-                              key=_LOAD_KEY)
-        try:
-            for _, path, written in segments:
-                if written is None:
-                    with path.open("rb") as fp:
-                        yield path, fp
-                else:
-                    yield path, _lines_within(*written)
-        finally:
-            if seg is not None:
-                active.close()
-
-    def _read(self, kind: str, keep=None) -> list[Record]:
-        """Records of one kind that keep accepts, each line validated,
-        stable-sorted by timestamp from load order."""
-        records = []
-        with closing(self._segment_lines(kind)) as segments:
-            for path, lines in segments:
-                for number, line in enumerate(lines, 1):
-                    if line.isspace():
-                        continue
-                    record = _segment_record(line, kind, path, number)
-                    if keep is None or keep(record):
-                        records.append(record)
-        records.sort(key=_TIMESTAMP)
-        return records
-
-    def count(self, kind: str | None = None) -> int:
-        """Non-blank lines in the segments of kind (of both kinds for
-        None), counted without decoding them."""
-        if kind is None:
-            return self.count(KIND_PING) + self.count(KIND_TRACEROUTE)
-        with closing(self._segment_lines(kind)) as segments:
-            return sum(not line.isspace() for _, lines in segments for line in lines)
-
-    def query(self, q: StoreQuery) -> list[Record]:
-        """Matching records ordered by timestamp, then load order; reads and
-        validates every line of q.kind's segments and no other segment."""
-        return self._read(q.kind, q.matches)
-
-    def iter_canonical(self) -> Iterator[Record]:
-        """All records in export order: by timestamp; at equal timestamps
-        pings before traceroute runs, then each kind's load order."""
-        return heapq.merge(self._read(KIND_PING), self._read(KIND_TRACEROUTE),
-                           key=_TIMESTAMP)
-
-    def export(self, fp: IO[str]) -> int:
-        """Write the canonical NDJSON stream; returns the record count.
-
-        Reads and validates every line of both kinds' segments; a bad line
-        fails the export before anything is written."""
-        n = 0
-        for record in self.iter_canonical():
-            fp.write(serialize_line(record))
-            n += 1
-        return n
-
-    def import_json(self, stream: IO[str] | Iterable[str]) -> tuple[int, list[tuple[int, str]]]:
-        """Ingest newline-delimited or array-wrapped JSON documents.
-
-        Returns (accepted count, [(document index, reason), ...]); rejected
-        documents are reported, never silently skipped. Each document is
-        decoded once, by from_json_obj, and written as decoded.
-
-        Newline-delimited input is read, and each document stored, one line
-        at a time; only input whose first non-blank character is "[" is read
-        whole. An array's documents are indexed by position; otherwise the
-        documents and their indexes are the lines of str.splitlines over
-        the whole input, blank lines counted. A line holding a lone
-        surrogate, which reading bytes that are not UTF-8 with
-        errors="surrogateescape" leaves, is rejected as "not UTF-8"; an
-        array holding one is rejected whole, at index 0.
-        """
-        chunks = iter(stream)
-        head = []
-        for chunk in chunks:
-            head.append(chunk)
-            if chunk.strip():
-                break
-        head = "".join(head)
-        is_array = head.lstrip().startswith("[")
-        if is_array:
-            text = head + (stream.read() if hasattr(stream, "read") else "".join(chunks))
-            try:
-                text.encode()  # raises for a byte that was not UTF-8
-                documents = enumerate(json.loads(text))
-            except UnicodeEncodeError:
-                return 0, [(0, "not UTF-8")]
-            except json.JSONDecodeError as exc:
-                return 0, [(0, f"invalid JSON array: {exc}")]
-        else:
-            documents = ((i, line) for i, line in
-                         enumerate(_splitlines(itertools.chain((head,), chunks)))
-                         if line.strip())
-        rejects: list[tuple[int, str]] = []
-        accepted = 0
-        for i, document in documents:
-            try:
-                if not is_array:
-                    document.encode()  # raises for a byte that was not UTF-8
-                    document = _loads(document)
-                self._write(from_json_obj(document))
-                accepted += 1
-            except UnicodeEncodeError:
-                rejects.append((i, "not UTF-8"))
-            except (MalformedJson, InvalidRecord) as exc:
-                rejects.append((i, str(exc)))
-        return accepted, rejects
+def __getattr__(name: str):
+    # RecordStore is defined in .store, which imports this module.
+    if name == "RecordStore":
+        from .store import RecordStore
+        return RecordStore
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,0 +1,555 @@
+"""The record store: append-only segment files of one record kind each.
+
+The active segment is NDJSON; sealing turns a segment into a columnar file
+(see columnar). RecordStore is also importable from contrace.records.
+"""
+
+from __future__ import annotations
+
+import fcntl
+import heapq
+import itertools
+import json
+import logging
+import math
+import os
+import re
+import threading
+from contextlib import ExitStack, contextmanager
+from dataclasses import dataclass
+from operator import attrgetter, itemgetter
+from pathlib import Path
+from typing import IO, Iterable, Iterator, NamedTuple
+
+from . import columnar
+from .records import (KIND_PING, KIND_TRACEROUTE, InvalidRecord, MalformedJson, PathRuns,
+                      PingRecord, Record, StoreError, StoreQuery, TracerouteRun, _loads,
+                      _splitlines, from_json_obj, parse_line, serialize_line, to_json_obj)
+
+log = logging.getLogger(__name__)
+
+# -- segment files -------------------------------------------------------------
+
+_SEGMENT_NAME = re.compile(
+    rf"(?P<kind>{KIND_PING}|{KIND_TRACEROUTE})-(?P<first>[0-9]+)-"
+    rf"(?:(?P<last>[0-9]+)(?:-(?P<n>[1-9][0-9]*))?(?P<suffix>\.ndjson|\.col)"
+    rf"|open\.ndjson)")
+
+
+_NDJSON = ".ndjson"
+_TIMESTAMP = attrgetter("timestamp")
+_LOAD_KEY = itemgetter(0)
+
+
+def _kind_of(record: Record) -> str:
+    return KIND_PING if isinstance(record, PingRecord) else KIND_TRACEROUTE
+
+
+def _load_key(match: re.Match) -> tuple[int, str, int]:
+    """Segments of one kind load by first timestamp, then by name, then by
+    collision suffix, so a suffixed segment loads after the one it
+    collided with."""
+    stem = f"{match['kind']}-{match['first']}-{match['last'] or 'open'}"
+    return int(match["first"]), stem, int(match["n"] or 0)
+
+
+def _segment_record(line: bytes, kind: str, path: Path, where: int | str) -> Record:
+    """Decode and validate one line of a segment of the given kind; the
+    StoreError raised for a bad line names the file and the line."""
+    try:
+        record = parse_line(line.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise StoreError(f"{path}:{where}: not UTF-8: {exc}") from None
+    except StoreError as exc:
+        raise StoreError(f"{path}:{where}: {exc}") from exc
+    if _kind_of(record) != kind:
+        raise StoreError(f"{path}:{where}: a {_kind_of(record)} record in a "
+                         f"{kind} segment")
+    return record
+
+
+def _is_json(line: bytes) -> bool:
+    try:
+        json.loads(line)
+    except ValueError:
+        return False
+    return True
+
+
+def _last_line(fp: IO[bytes], end: int) -> tuple[int, bytes]:
+    """(offset, bytes) of the last line of fp[:end]; only that line is read."""
+    data = b""
+    pos = end
+    while pos > 0:
+        step = min(4096, pos)
+        pos -= step
+        fp.seek(pos)
+        data = fp.read(step) + data
+        cut = data.rfind(b"\n", 0, len(data) - 1)
+        if cut >= 0:
+            return pos + cut + 1, data[cut + 1:]
+    return 0, data
+
+
+def _lines_within(fp: IO[bytes], size: int) -> Iterator[bytes]:
+    """The lines of fp's first size bytes, never reading past them."""
+    while size > 0:
+        line = fp.readline(size)
+        if not line:
+            return
+        size -= len(line)
+        yield line
+
+
+class _Listed(NamedTuple):
+    """One segment file as a read lists it."""
+
+    key: tuple
+    path: Path
+    columnar: bool
+    fp: IO[bytes] | None = None  # an NDJSON segment, opened when listed
+    size: int = 0  # its bytes to read
+    left_open: bool = False  # another process's: its last line may be partial
+
+
+def _segment_lines(segment: _Listed) -> Iterator[bytes]:
+    """The lines of an NDJSON segment; of a segment left open, only those
+    ending in a newline."""
+    for line in _lines_within(segment.fp, segment.size):
+        if segment.left_open and not line.endswith(b"\n"):
+            return
+        yield line
+
+
+def _ndjson_records(segment: _Listed, kind: str) -> Iterator[Record]:
+    for number, line in enumerate(_segment_lines(segment), 1):
+        if not line.isspace():
+            yield _segment_record(line, kind, segment.path, number)
+
+
+@dataclass(slots=True)
+class _Active:
+    """The segment a writer appends to, and its columns so far."""
+
+    path: Path
+    fp: IO[bytes]
+    first: int
+    last: int
+    size: int
+    columns: columnar.Columns
+
+
+class RecordStore:
+    """Append-only store of segment files, one record kind each.
+
+    The active segment is NDJSON, <kind>-<first>-open.ndjson. Sealing
+    names it <kind>-<first>-<last>.ndjson by the timestamps of its first
+    and last lines (a name already taken, with either suffix, gets a -<n>
+    suffix instead of replacing a file), writes the segment's columns to
+    <stem>.col.tmp from memory, renames that to <stem>.col and unlinks the
+    NDJSON. A stem with both files is read from its columnar file.
+
+    Readers never write. A writer takes an exclusive flock on <store>/.lock
+    at its first write, and only then recovers: it deletes temp files, seals
+    segments an earlier process left open (truncating a torn last line),
+    unlinks an NDJSON whose columnar twin is valid, and converts a stem
+    that has only NDJSON. A second writer gets a StoreError.
+
+    Every read lists the segments of the kinds it needs and validates what
+    it reads: every line of an NDJSON segment, and the CRC, header and
+    every column value of a columnar one. Records with equal timestamps
+    keep the load order: segments by first timestamp, then by name, then
+    by suffix, rows in file order. The active segment takes the place its
+    sealed name will give it, so this order is the same within a process
+    and after a reopen. A segment another process left open is read up to
+    its last full line and loads after the sealed segments of its first
+    timestamp. Concurrent appends are serialized by a lock; a read sees the
+    active segment as it was when the read started and never a torn record.
+    """
+
+    def __init__(self, path: str | Path, *, segment_records: int = 100_000):
+        self.path = Path(path)
+        self.segment_records = segment_records
+        self._lock = threading.Lock()
+        self._active: dict[str, _Active] = {}
+        self._writer: IO[bytes] | None = None  # the locked .lock file
+        self._warned: set[str] = set()
+
+    # -- segment files ------------------------------------------------------
+
+    def _scan(self) -> dict[str, tuple[dict, list]]:
+        """Per kind (sealed, left_open): sealed maps the stem of each sealed
+        segment to (load key, {suffix: path}); left_open lists (load key,
+        path) of the segments named -open."""
+        found = {KIND_PING: ({}, []), KIND_TRACEROUTE: ({}, [])}
+        try:
+            names = os.listdir(self.path)
+        except FileNotFoundError:
+            return found
+        for name in names:
+            if not name.endswith((_NDJSON, columnar.SUFFIX)):
+                continue
+            match = _SEGMENT_NAME.fullmatch(name)
+            if match is None:
+                if name not in self._warned:
+                    self._warned.add(name)
+                    log.warning("ignoring %s: not a <kind>-<first>-<last|open> "
+                                "segment", self.path / name)
+                continue
+            sealed, left_open = found[match["kind"]]
+            if match["last"] is None:
+                left_open.append((_load_key(match), self.path / name))
+            else:
+                stem = name[:-len(match["suffix"])]
+                sealed.setdefault(stem, (_load_key(match), {}))[1][match["suffix"]] = \
+                    self.path / name
+        return found
+
+    @contextmanager
+    def _segments(self, kind: str) -> Iterator[list[_Listed]]:
+        """kind's segments in load order, as one read sees them. NDJSON
+        segments are opened here, under the lock, so the read sees them as
+        they were listed; they are closed on exit."""
+        with ExitStack() as files:
+            with self._lock:
+                segments = self._list(kind, files)
+            yield segments
+
+    def _list(self, kind: str, files: ExitStack) -> list[_Listed]:
+        sealed, left_open = self._scan()[kind]
+        segments, sealed_files = [], set()
+        for stem, (key, paths) in sealed.items():
+            if columnar.SUFFIX not in paths:
+                try:
+                    fp = files.enter_context(paths[_NDJSON].open("rb"))
+                except FileNotFoundError:  # a writer has converted it since
+                    paths[columnar.SUFFIX] = self.path / (stem + columnar.SUFFIX)
+                else:
+                    stat = os.fstat(fp.fileno())
+                    sealed_files.add((stat.st_dev, stat.st_ino))
+                    segments.append(_Listed(key, paths[_NDJSON], False, fp,
+                                             stat.st_size))
+                    continue
+            segments.append(_Listed(key, paths[columnar.SUFFIX], True))
+        active = self._active.get(kind)
+        for key, path in left_open:
+            try:
+                fp = files.enter_context(path.open("rb"))
+            except FileNotFoundError:
+                raise StoreError(f"{path}: sealed by another process during this "
+                                 f"read; read again") from None
+            stat = os.fstat(fp.fileno())
+            if active is not None and path == active.path:
+                key = (active.first, f"{kind}-{active.first}-{active.last}", math.inf)
+                segments.append(_Listed(key, path, False, fp, active.size))
+            elif (stat.st_dev, stat.st_ino) not in sealed_files:
+                # else it is a sealed segment's second name: a seal cut
+                # between linking the sealed name and unlinking this one
+                segments.append(_Listed(key, path, False, fp, stat.st_size, True))
+        segments.sort(key=_LOAD_KEY)
+        return segments
+
+    # -- writing ------------------------------------------------------------
+
+    def _become_writer(self) -> None:
+        """Take the store's writer lock, then recover."""
+        self.path.mkdir(parents=True, exist_ok=True)
+        lock = open(self.path / ".lock", "ab")
+        try:
+            fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            lock.close()
+            raise StoreError(f"{self.path}: another writer holds "
+                             f"{self.path / '.lock'}") from None
+        try:
+            self._recover()
+        except BaseException:
+            lock.close()
+            raise
+        self._writer = lock
+
+    def _recover(self) -> None:
+        """Bring the files to the state sealing leaves: delete temp files
+        of a cut seal, seal the segments an earlier process left open, and
+        give every sealed segment its columnar file."""
+        for temp in self.path.glob("*" + columnar.TEMP_SUFFIX):
+            temp.unlink()
+        for kind, (_, left_open) in self._scan().items():
+            for (first, _, _), path in sorted(left_open, key=_LOAD_KEY):
+                self._recover_open(path, kind, first)
+        for kind, (sealed, _) in self._scan().items():
+            for stem, (_, paths) in sealed.items():
+                if _NDJSON in paths:
+                    self._give_columns(stem, kind, paths)
+
+    def _recover_open(self, path: Path, kind: str, first: int) -> None:
+        """Seal a segment an earlier process left open, named by the
+        timestamp of its last line; a torn last line (no newline, not JSON)
+        is truncated away first, and an empty segment is deleted."""
+        last = None
+        with path.open("r+b") as fp:
+            end = fp.seek(0, os.SEEK_END)
+            while end > 0 and last is None:
+                start, line = _last_line(fp, end)
+                if line.isspace():
+                    pass
+                elif not line.endswith(b"\n") and not _is_json(line):
+                    fp.truncate(start)
+                    log.warning("%s: dropped a torn last line of %d bytes",
+                                path, end - start)
+                else:
+                    last = _segment_record(line, kind, path, "last line").timestamp
+                end = start
+        if last is None:
+            path.unlink()
+        else:
+            self._seal_file(path, kind, first, last)
+
+    def _give_columns(self, stem: str, kind: str, paths: dict[str, Path]) -> None:
+        """Unlink a sealed NDJSON segment whose columnar twin is valid, or
+        else write its columns. A segment with a bad line stays NDJSON, so
+        it fails the reads of its kind as before."""
+        ndjson = paths[_NDJSON]
+        if columnar.SUFFIX in paths:
+            try:
+                columnar.Segment(paths[columnar.SUFFIX], kind).columns()
+            except StoreError as exc:
+                log.warning("rebuilding %s from %s: %s", paths[columnar.SUFFIX], ndjson,
+                            exc)
+            else:
+                ndjson.unlink()
+                return
+        columns = columnar.Columns(kind)
+        try:
+            with ndjson.open("rb") as fp:
+                for number, line in enumerate(fp, 1):
+                    if not line.isspace():
+                        columns.add(_segment_record(line, kind, ndjson, number))
+        except StoreError as exc:
+            log.warning("%s stays NDJSON: %s", ndjson, exc)
+            return
+        if columns.count:
+            self._write_columns(stem, kind, columns)
+
+    def _write_columns(self, stem: str, kind: str, columns: columnar.Columns) -> None:
+        temp = self.path / (stem + columnar.TEMP_SUFFIX)
+        columnar.write(temp, kind, columns)
+        os.replace(temp, self.path / (stem + columnar.SUFFIX))
+        os.unlink(self.path / (stem + _NDJSON))
+
+    def _seal_file(self, path: Path, kind: str, first: int, last: int) -> str:
+        """Move a finished NDJSON segment to its sealed name without
+        replacing an existing file, and return its stem: a stem taken by
+        either suffix gets the first free -<n> suffix.
+
+        The move links the sealed name, then unlinks the old one. A name
+        that is already a link to this file is a move an earlier process
+        did not finish, so only the unlink is left to do. Where the file
+        system has no hard links, the move is a rename to a name that does
+        not exist yet."""
+        base = f"{kind}-{first}-{last}"
+        n = 0
+        while True:
+            stem = f"{base}-{n}" if n else base
+            final = self.path / (stem + _NDJSON)
+            if not (self.path / (stem + columnar.SUFFIX)).exists():
+                try:
+                    os.link(path, final)
+                except FileExistsError:
+                    if os.path.samefile(path, final):
+                        path.unlink()
+                        return stem
+                except OSError:
+                    if not final.exists():
+                        path.rename(final)
+                        return stem
+                else:
+                    path.unlink()
+                    return stem
+            n += 1
+
+    def _seal(self, kind: str) -> None:
+        seg = self._active.pop(kind, None)
+        if seg is None:
+            return
+        seg.fp.close()
+        stem = self._seal_file(seg.path, kind, seg.first, seg.last)
+        self._write_columns(stem, kind, seg.columns)
+
+    def append(self, record: Record) -> None:
+        """Validate and persist one record as from_json_obj decodes
+        to_json_obj(record): with the checks and messages of a JSON document,
+        and canonical addresses. The line is written from a %-format kept
+        per pair and path, not JSON-encoded, and flushed to the operating
+        system but not fsynced: it survives a crash of this process, not of
+        the machine. A sealed segment's columnar file is fsynced."""
+        if not isinstance(record, (PingRecord, TracerouteRun)):
+            raise InvalidRecord([f"unsupported record type {type(record).__name__}"])
+        self._write(from_json_obj(to_json_obj(record)))
+
+    def _write(self, record: Record) -> None:
+        """Persist one record that from_json_obj returned."""
+        kind = _kind_of(record)
+        with self._lock:
+            if self._writer is None:
+                self._become_writer()
+            seg = self._active.get(kind)
+            if seg is None:
+                path = self.path / f"{kind}-{record.timestamp}-open.ndjson"
+                seg = self._active[kind] = _Active(
+                    path, path.open("ab"), record.timestamp, record.timestamp, 0,
+                    columnar.Columns(kind))
+            data = seg.columns.line(record).encode()
+            seg.fp.write(data)
+            seg.fp.flush()
+            seg.columns.add(record)
+            seg.size += len(data)
+            seg.last = record.timestamp
+            if seg.columns.count >= self.segment_records:
+                self._seal(kind)
+
+    def close(self) -> None:
+        """Seal the active segments and release the writer lock."""
+        with self._lock:
+            try:
+                for kind in list(self._active):
+                    self._seal(kind)
+            finally:
+                if self._writer is not None:
+                    self._writer.close()
+                    self._writer = None
+
+    def __enter__(self) -> "RecordStore":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    # -- reading ------------------------------------------------------------
+
+    def count(self, kind: str | None = None) -> int:
+        """Records of kind (of both kinds for None): a columnar segment's
+        count comes from its header, once its CRC and header check; an
+        NDJSON segment's non-blank lines are counted without decoding."""
+        if kind is None:
+            return self.count(KIND_PING) + self.count(KIND_TRACEROUTE)
+        with self._segments(kind) as segments:
+            return sum(columnar.Segment(segment.path, kind).count if segment.columnar else
+                       sum(not line.isspace() for line in _segment_lines(segment))
+                       for segment in segments)
+
+    def query(self, q: StoreQuery) -> list[Record]:
+        """Matching records ordered by timestamp, then load order. Reads
+        only q.kind's segments; a columnar segment whose pair dictionary or
+        time range rules out every row has only its CRC and header checked,
+        and records are built only for the rows selected."""
+        records = []
+        with self._segments(q.kind) as segments:
+            for segment in segments:
+                if segment.columnar:
+                    records += columnar.Segment(segment.path, q.kind).records(q)
+                else:
+                    records += filter(q.matches, _ndjson_records(segment, q.kind))
+        records.sort(key=_TIMESTAMP)
+        return records
+
+    def path_runs(self, q: StoreQuery) -> dict[tuple[str, str], PathRuns]:
+        """The traceroute runs q selects, as a PathRuns per (source,
+        destination) pair; read as query reads them."""
+        if q.kind != KIND_TRACEROUTE:
+            raise ValueError("path_runs reads traceroute runs")
+        grouped: dict[tuple[str, str], PathRuns] = {}
+        with self._segments(KIND_TRACEROUTE) as segments:
+            for segment in segments:
+                if segment.columnar:
+                    columnar.Segment(segment.path, KIND_TRACEROUTE).group(q, grouped)
+                    continue
+                for run in filter(q.matches, _ndjson_records(segment, KIND_TRACEROUTE)):
+                    runs = grouped.get((run.source, run.destination))
+                    if runs is None:
+                        runs = grouped[run.source, run.destination] = PathRuns()
+                    runs.add(run)
+        return grouped
+
+    def export(self, fp: IO[str]) -> int:
+        """Write the canonical NDJSON stream; returns the record count.
+
+        Records are ordered by timestamp; at equal timestamps pings come
+        before traceroute runs, then each kind's load order. Every segment
+        is validated before anything is written. Segment streams are then
+        merged: columnar segments whose time ranges do not overlap are read
+        one after another, so memory holds about one segment per overlap,
+        plus the NDJSON segments."""
+        with self._segments(KIND_PING) as pings, \
+                self._segments(KIND_TRACEROUTE) as runs:
+            streams, sealed = [], []
+            for kind_rank, (kind, segments) in enumerate(
+                    ((KIND_PING, pings), (KIND_TRACEROUTE, runs))):
+                for load_rank, segment in enumerate(segments):
+                    rank = (kind_rank, load_rank)
+                    if segment.columnar:
+                        checked = columnar.Segment(segment.path, kind)
+                        checked.columns()
+                        sealed.append((checked.min, checked.max, rank, segment.path, kind))
+                    else:
+                        lines = [(record.timestamp, rank, serialize_line(record))
+                                 for record in _ndjson_records(segment, kind)]
+                        lines.sort(key=_LOAD_KEY)
+                        streams.append(lines)
+            n = 0
+            for _, _, line in heapq.merge(*streams, *columnar.line_streams(sealed)):
+                fp.write(line)
+                n += 1
+        return n
+
+    def import_json(self, stream: IO[str] | Iterable[str]) -> tuple[int, list[tuple[int, str]]]:
+        """Ingest newline-delimited or array-wrapped JSON documents.
+
+        Returns (accepted count, [(document index, reason), ...]); rejected
+        documents are reported, never silently skipped. Each document is
+        decoded once, by from_json_obj, and written as decoded.
+
+        Newline-delimited input is read, and each document stored, one line
+        at a time; only input whose first non-blank character is "[" is read
+        whole. An array's documents are indexed by position; otherwise the
+        documents and their indexes are the lines of str.splitlines over
+        the whole input, blank lines counted. A line holding a lone
+        surrogate, which reading bytes that are not UTF-8 with
+        errors="surrogateescape" leaves, is rejected as "not UTF-8"; an
+        array holding one is rejected whole, at index 0.
+        """
+        chunks = iter(stream)
+        head = []
+        for chunk in chunks:
+            head.append(chunk)
+            if chunk.strip():
+                break
+        head = "".join(head)
+        is_array = head.lstrip().startswith("[")
+        if is_array:
+            text = head + (stream.read() if hasattr(stream, "read") else "".join(chunks))
+            try:
+                text.encode()  # raises for a byte that was not UTF-8
+                documents = enumerate(json.loads(text))
+            except UnicodeEncodeError:
+                return 0, [(0, "not UTF-8")]
+            except json.JSONDecodeError as exc:
+                return 0, [(0, f"invalid JSON array: {exc}")]
+        else:
+            documents = ((i, line) for i, line in
+                         enumerate(_splitlines(itertools.chain((head,), chunks)))
+                         if line.strip())
+        rejects: list[tuple[int, str]] = []
+        accepted = 0
+        for i, document in documents:
+            try:
+                if not is_array:
+                    document.encode()  # raises for a byte that was not UTF-8
+                    document = _loads(document)
+                self._write(from_json_obj(document))
+                accepted += 1
+            except UnicodeEncodeError:
+                rejects.append((i, "not UTF-8"))
+            except (MalformedJson, InvalidRecord) as exc:
+                rejects.append((i, str(exc)))
+        return accepted, rejects

@@ -12,7 +12,7 @@ from contrace.analytics import (CrossingRow, GROUP_BY_AS, GROUP_BY_COUNTRY,
 from contrace.enrich import EnrichedHop, GeoLocation
 from contrace.icmp import Family
 from contrace.probe import RelationKey
-from contrace.records import Hop, PingRecord, TracerouteRun
+from contrace.records import Hop, PathRuns, PingRecord, TracerouteRun
 
 import oracles
 
@@ -182,7 +182,7 @@ class TestLinkShares:
     def test_full_share(self):
         runs = [make_run(["10.1.0.2", "10.2.0.2", "10.3.0.9"], ts=T0 + i)
                 for i in range(10)]
-        obs = link_shares(runs, RELATION, enrich_fixture)
+        obs = link_shares(PathRuns.of(runs), RELATION, enrich_fixture)
         assert {(o.from_hop.address, o.to_hop.address): o.share for o in obs} == {
             ("10.1.0.2", "10.2.0.2"): 100.0,
             ("10.2.0.2", "10.3.0.9"): 100.0,
@@ -192,7 +192,7 @@ class TestLinkShares:
         runs = [make_run(["10.1.0.2", "10.2.0.2", "10.3.0.9"], ts=T0 + i)
                 for i in range(999)]
         runs.append(make_run(["10.1.0.2", "10.2.0.7", "10.3.0.9"], ts=T0 + 999))
-        obs = link_shares(runs, RELATION, enrich_fixture)
+        obs = link_shares(PathRuns.of(runs), RELATION, enrich_fixture)
         rare = [o for o in obs if o.to_hop.address == "10.2.0.7"
                 or (o.from_hop.address == "10.2.0.7")]
         assert all(o.share == pytest.approx(0.1) for o in rare)
@@ -201,7 +201,7 @@ class TestLinkShares:
 
     def test_unresponsive_hop_breaks_chain(self):
         runs = [make_run(["10.1.0.2", None, "10.3.0.9"])]
-        obs = link_shares(runs, RELATION, enrich_fixture)
+        obs = link_shares(PathRuns.of(runs), RELATION, enrich_fixture)
         assert obs == []
 
     def test_duplicate_link_in_one_run_counts_once(self):
@@ -211,29 +211,31 @@ class TestLinkShares:
                 Hop(5, 255, "10.3.0.9", 500))
         runs = [TracerouteRun(T0, RELATION.source_address,
                               RELATION.destination_address, 0, hops)]
-        obs = link_shares(runs, RELATION, enrich_fixture)
+        grouped = PathRuns.of(runs)
+        obs = link_shares(grouped, RELATION, enrich_fixture)
         pair = next(o for o in obs
                     if (o.from_hop.address, o.to_hop.address) == ("10.1.0.2", "10.2.0.2"))
         assert pair.runs_observed == 1
         # destination-side sample comes from the earliest occurrence
-        assert pair.run_samples == {0: (2, 200)}
+        assert {path: list(grouped.rtt_column(path, position))
+                for path, position in pair.positions.items()} == {0: [200]}
 
     def test_totals_include_unresponsive_runs(self):
         runs = [make_run(["10.1.0.2", "10.2.0.2", "10.3.0.9"]),
                 make_run([None, None, None], last_is_reply=False)]
-        obs = link_shares(runs, RELATION, enrich_fixture)
+        obs = link_shares(PathRuns.of(runs), RELATION, enrich_fixture)
         assert all(o.runs_total == 2 and o.share == 50.0 for o in obs)
 
 
 class TestCrossingTable:
     def test_all_hops_one_as_empty(self):
         runs = [make_run(["10.1.0.2", "10.1.0.3", "10.1.0.4"]) for _ in range(5)]
-        obs = link_shares(runs, RELATION, enrich_fixture)
+        obs = link_shares(PathRuns.of(runs), RELATION, enrich_fixture)
         assert crossing_table(obs, GROUP_BY_AS) == []
 
     def test_crossing_asymmetry(self):
         runs = [make_run(["10.1.0.2", "10.2.0.2", "10.1.0.9", "10.3.0.9"])]
-        obs = link_shares(runs, RELATION, enrich_fixture)
+        obs = link_shares(PathRuns.of(runs), RELATION, enrich_fixture)
         rows = crossing_table(obs, GROUP_BY_COUNTRY, threshold_percent=0.0)
         pairs = {(r.from_group, r.to_group) for r in rows}
         assert ("SE", "DK") in pairs and ("DK", "SE") in pairs
@@ -241,7 +243,7 @@ class TestCrossingTable:
     def test_unknown_group_breaks_chain(self):
         # 10.77.x.y has no AS mapping: crossings through it vanish
         runs = [make_run(["10.1.0.2", "10.77.0.1", "10.3.0.9"])]
-        obs = link_shares(runs, RELATION, enrich_fixture)
+        obs = link_shares(PathRuns.of(runs), RELATION, enrich_fixture)
         rows = crossing_table(obs, GROUP_BY_AS, threshold_percent=0.0)
         assert rows == []
 
@@ -252,7 +254,7 @@ class TestCrossingTable:
                 Hop(5, 255, "10.3.0.9", 500))
         runs = [TracerouteRun(T0, RELATION.source_address,
                               RELATION.destination_address, 0, hops)]
-        obs = link_shares(runs, RELATION, enrich_fixture)
+        obs = link_shares(PathRuns.of(runs), RELATION, enrich_fixture)
         rows = crossing_table(obs, GROUP_BY_AS, threshold_percent=0.0)
         row = next(r for r in rows if r.to_group == "2603: NORDUNET")
         assert row.share == 100.0
@@ -263,7 +265,7 @@ class TestCrossingTable:
         runs = [make_run(["10.1.0.2", "10.2.0.2", "10.3.0.9"], ts=T0 + i)
                 for i in range(99)]
         runs.append(make_run(["10.1.0.2", "10.1.0.3", "10.3.0.9"], ts=T0 + 99))
-        obs = link_shares(runs, RELATION, enrich_fixture)
+        obs = link_shares(PathRuns.of(runs), RELATION, enrich_fixture)
         all_rows = crossing_table(obs, GROUP_BY_AS, threshold_percent=0.0)
         filtered = crossing_table(obs, GROUP_BY_AS, threshold_percent=2.0)
         assert {(r.from_group, r.to_group) for r in all_rows} > \
@@ -283,7 +285,7 @@ class TestCrossingTable:
                 chain.append(None)
             chain.append("10.3.0.9")
             runs.append(make_run(chain, ts=T0 + i))
-        obs = link_shares(runs, RELATION, enrich_fixture)
+        obs = link_shares(PathRuns.of(runs), RELATION, enrich_fixture)
         rows = crossing_table(obs, GROUP_BY_AS, threshold_percent=0.0)
 
         def group_of(address):
@@ -315,7 +317,7 @@ class TestCrossingTable:
                                       RELATION.destination_address, 0, hops))
         for i in range(59):
             runs.append(make_run(["10.1.0.2", "10.1.0.3"], ts=T0 + 9941 + i))
-        obs = link_shares(runs, RELATION, enrich_fixture)
+        obs = link_shares(PathRuns.of(runs), RELATION, enrich_fixture)
         rows = crossing_table(obs, GROUP_BY_AS, threshold_percent=0.1)
         row = next(r for r in rows if r.to_group == "2603: NORDUNET")
         assert f"{row.share:.2f}" == "99.41"
@@ -328,7 +330,7 @@ class TestHopCountStats:
     def test_hand_computed(self):
         runs = [make_run(["10.1.0.2"] * (n - 1) + ["10.3.0.9"], ts=T0 + i)
                 for i, n in enumerate([14, 14, 15, 15, 15])]
-        stats = hop_count_stats(runs, RELATION)
+        stats = hop_count_stats(PathRuns.of(runs), RELATION)
         assert stats.min == 14
         assert stats.median == 15.0
         assert stats.mean == pytest.approx(14.6)
@@ -339,19 +341,19 @@ class TestHopCountStats:
         lengths = [14] * 34 + [15] * 66
         runs = [make_run(["10.1.0.2"] * (n - 1) + ["10.3.0.9"], ts=T0 + i)
                 for i, n in enumerate(lengths)]
-        stats = hop_count_stats(runs, RELATION)
+        stats = hop_count_stats(PathRuns.of(runs), RELATION)
         assert (stats.min, stats.q10, stats.mean, stats.median, stats.q90) == \
             (14, 14.0, 14.66, 15.0, 15.0)
 
     def test_incomplete_runs_do_not_contribute(self):
         runs = [make_run(["10.1.0.2", "10.2.0.2"], last_is_reply=False),
                 make_run(["10.1.0.2", "10.3.0.9"])]
-        stats = hop_count_stats(runs, RELATION)
+        stats = hop_count_stats(PathRuns.of(runs), RELATION)
         assert stats.min == stats.q90 == 2
 
     def test_no_complete_runs(self):
         runs = [make_run(["10.1.0.2"], last_is_reply=False)]
-        assert hop_count_stats(runs, RELATION) is None
+        assert hop_count_stats(PathRuns.of(runs), RELATION) is None
 
     def test_matches_oracle_on_random_runs(self):
         rng = random.Random(1000)
@@ -361,7 +363,7 @@ class TestHopCountStats:
             complete = rng.random() < 0.9
             runs.append(make_run(["10.1.0.2"] * (n - 1) + ["10.3.0.9"],
                                  ts=T0 + i, last_is_reply=complete))
-        stats = hop_count_stats(runs, RELATION)
+        stats = hop_count_stats(PathRuns.of(runs), RELATION)
         expected = oracles.hop_count_reference(runs)
         assert (stats.min, stats.q10, stats.mean, stats.median, stats.q90) == expected
 
@@ -378,11 +380,11 @@ class TestRendering:
         assert "1653: SUNET" in text_doc
 
     def test_hop_stats_format(self):
-        stats = hop_count_stats(
+        stats = hop_count_stats(PathRuns.of(
             [make_run(["10.1.0.2"] * 13 + ["10.3.0.9"], ts=T0 + i)
              for i in range(34)] +
             [make_run(["10.1.0.2"] * 14 + ["10.3.0.9"], ts=T0 + 100 + i)
-             for i in range(66)],
+             for i in range(66)]),
             RELATION)
         doc = analytics.format_hop_stats([stats], "csv")
         assert doc.splitlines()[1] == "IPv4,SUNET,Uninett,14,14.00,14.66,15.00,15.00"
@@ -398,7 +400,7 @@ class TestGraphExport:
     def _observations(self):
         runs = [make_run(["10.1.0.2", "10.1.0.3", "10.2.0.2", "10.3.0.9"],
                          ts=T0 + i) for i in range(100)]
-        return link_shares(runs, RELATION, enrich_fixture)
+        return link_shares(PathRuns.of(runs), RELATION, enrich_fixture)
 
     def test_inter_vs_intra_styles(self):
         doc = export_route_graph(self._observations(), 0.1, "dot").document
@@ -417,7 +419,7 @@ class TestGraphExport:
         runs = [make_run(["10.1.0.2", "10.2.0.2", "10.3.0.9"], ts=T0 + i)
                 for i in range(1999)]
         runs.append(make_run(["10.1.0.2", "10.2.0.7", "10.3.0.9"], ts=T0 + 1999))
-        obs = link_shares(runs, RELATION, enrich_fixture)
+        obs = link_shares(PathRuns.of(runs), RELATION, enrich_fixture)
         doc = export_route_graph(obs, 0.1, "dot").document
         assert "10.2.0.7" not in doc  # share 0.05 % < 0.1 %
 
@@ -437,7 +439,7 @@ class TestGraphExport:
     def test_unlocatable_nodes_reported_not_dropped(self):
         runs = [make_run(["10.1.0.2", "10.2.0.2", "10.3.0.9"], ts=T0 + i)
                 for i in range(10)]
-        obs = link_shares(runs, RELATION, enrich_no_geo)
+        obs = link_shares(PathRuns.of(runs), RELATION, enrich_no_geo)
         export = export_route_graph(obs, 0.1, "geojson")
         assert set(export.unlocatable) == {"10.1.0.2", "10.2.0.2", "10.3.0.9"}
         # dot still renders them
@@ -454,3 +456,96 @@ class TestGraphExport:
         assert analytics.edge_thickness(0.1) == pytest.approx(1.0)
         assert analytics.edge_thickness(100.0) == pytest.approx(4.0)
         assert analytics.edge_thickness(1.0) == pytest.approx(2.0)
+
+
+# Runs of few distinct paths, many runs each: timeouts, links repeated
+# within a run, an address no grouping attributes (10.77.x.y), and runs
+# that never reach the destination.
+PATH_ADDRESSES = ["10.1.0.2", "10.1.0.3", "10.2.0.2", "10.2.0.3", "10.77.0.1", "10.3.0.9"]
+
+
+@st.composite
+def few_path_runs(draw):
+    shapes = draw(st.lists(
+        st.tuples(st.lists(st.sampled_from(PATH_ADDRESSES + [None]), min_size=1,
+                           max_size=8),
+                  st.booleans()),
+        min_size=1, max_size=4))
+    rng = draw(st.randoms(use_true_random=False))
+    runs = []
+    for i in range(draw(st.integers(1, 80))):
+        addresses, complete = shapes[rng.randrange(len(shapes))]
+        hops = []
+        for number, address in enumerate(addresses, 1):
+            if address is None:
+                hops.append(Hop(number, 0))
+            else:
+                last = complete and number == len(addresses)
+                hops.append(Hop(number, 255 if last else 1, address,
+                                rng.randrange(0, 200_000)))
+        runs.append(TracerouteRun(T0 + i, RELATION.source_address,
+                                  RELATION.destination_address, 0, tuple(hops)))
+    return runs
+
+
+def _as_group(address):
+    got = _AS_BY_OCTET.get(int(address.split(".")[1]))
+    return f"{got[0]}: {got[1]}" if got else None
+
+
+def _country(address):
+    return _COUNTRY_BY_OCTET.get(int(address.split(".")[1]))
+
+
+class TestPathLevelAgainstRunOracles:
+    """Analytics over PathRuns equal the brute-force oracles over the runs."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(runs=few_path_runs())
+    def test_link_shares(self, runs):
+        seen, total = oracles.link_share_reference(runs)
+        observations = link_shares(PathRuns.of(runs), RELATION, enrich_fixture)
+        assert {(o.from_hop.address, o.to_hop.address): o.runs_observed
+                for o in observations} == {link: len(idx) for link, idx in seen.items()}
+        assert all(o.runs_total == total for o in observations)
+
+    @settings(max_examples=200, deadline=None)
+    @given(runs=few_path_runs())
+    def test_crossings(self, runs):
+        observations = link_shares(PathRuns.of(runs), RELATION, enrich_fixture)
+        for group_by, group_of in ((GROUP_BY_AS, _as_group), (GROUP_BY_COUNTRY, _country)):
+            rows = crossing_table(observations, group_by, threshold_percent=0.0)
+            expected = oracles.crossing_reference(runs, group_of)
+            assert {(r.from_group, r.to_group) for r in rows} == set(expected)
+            for row in rows:
+                samples = sorted(expected[row.from_group, row.to_group].values())
+                assert row.share == 100.0 * len(samples) / len(runs)
+                assert (row.mean_rtt_ms, row.q10_rtt_ms, row.q90_rtt_ms) == (
+                    oracles.mean_ms_reference(samples),
+                    oracles.nearest_rank_reference(samples, 1, 10) / 1000.0,
+                    oracles.nearest_rank_reference(samples, 9, 10) / 1000.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(runs=few_path_runs())
+    def test_hop_counts(self, runs):
+        stats = hop_count_stats(PathRuns.of(runs), RELATION)
+        expected = oracles.hop_count_reference(runs)
+        if expected is None:
+            assert stats is None
+        else:
+            assert (stats.min, stats.q10, stats.mean, stats.median, stats.q90) == expected
+
+    def test_per_hop_work_is_done_once_per_path(self):
+        calls = []
+
+        def counting(address):
+            calls.append(address)
+            return enrich_fixture(address)
+
+        runs = [make_run(["10.1.0.2", "10.2.0.2", "10.3.0.9"], ts=T0 + i)
+                for i in range(500)]
+        grouped = PathRuns.of(runs)
+        assert len(grouped) == 500 and len(grouped.paths) == 1
+        observations = link_shares(grouped, RELATION, counting)
+        assert sorted(calls) == ["10.1.0.2", "10.2.0.2", "10.2.0.2", "10.3.0.9"]
+        assert [o.runs_observed for o in observations] == [500, 500]

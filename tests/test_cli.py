@@ -8,7 +8,7 @@ import pytest
 from contrace import cli
 from contrace.cli import (EXIT_CONFIG, EXIT_EMPTY, EXIT_ERROR, EXIT_OK,
                           EXIT_PRIVILEGE)
-from contrace.records import (Hop, PingRecord, RecordStore, StoreQuery,
+from contrace.records import (Hop, PathRuns, PingRecord, RecordStore, StoreQuery,
                               TracerouteRun, serialize_line)
 from conftest import MIXED_NDJSON, MIXED_NDJSON_REJECTED
 
@@ -62,11 +62,9 @@ class TestMeasureSim:
                              "--topology", str(FIXTURES / "neighbor.yaml"),
                              "--duration", "120", "--seed", "3"])
             assert code == EXIT_OK
-            with RecordStore(store) as s:
-                lines = []
-                for record in s.iter_canonical():
-                    lines.append(serialize_line(record))
-            outputs.append("".join(lines))
+            dump = io.StringIO()
+            RecordStore(store).export(dump)
+            outputs.append(dump.getvalue())
         assert outputs[0] == outputs[1]
 
     def test_ping_count_matches_schedule(self, sim_store):
@@ -304,7 +302,7 @@ class TestAnalyze:
         runs = store.query(StoreQuery("traceroute",
                                       source=relation.source_address,
                                       destination=relation.destination_address))
-        observations = analytics.link_shares(runs, relation,
+        observations = analytics.link_shares(PathRuns.of(runs), relation,
                                              build_enricher(config).enrich)
         for threshold in (2.5, 20.0):
             expected = sum(1 for o in observations if o.share >= threshold)
@@ -338,7 +336,7 @@ class TestAnalyze:
         _, config, store_path = sim_store
         store = tmp_path / "store"
         shutil.copytree(store_path, store)
-        [segment] = store.glob("ping-*.ndjson")
+        [segment] = store.glob("ping-*.col")
         with segment.open("a") as fp:
             fp.write("{not json}\n")
         assert cli.main(["analyze", "--config", str(config), "--store", str(store),
@@ -350,7 +348,7 @@ class TestAnalyze:
                       str(tmp_path / "dump.ndjson")]):
             assert cli.main(argv) == EXIT_ERROR
             err = capsys.readouterr().err
-            assert err.startswith(f"error: {segment}:1201: invalid JSON")
+            assert err.startswith(f"error: {segment}: CRC mismatch")
 
     def test_two_labels_for_one_address_each_get_their_rows(self, sim_store,
                                                              tmp_path, capsys):

@@ -1,0 +1,448 @@
+"""Columnar sealed segments, the writer lock, and seals cut by a crash.
+
+The format is read and rewritten here from its description in the records
+module (magic, CRC32 of every later byte, header length, JSON header,
+columns), independently of the code that writes it.
+"""
+
+import io
+import json
+import os
+import random
+import re
+import sys
+import tracemalloc
+import zlib
+from array import array
+
+import pytest
+
+from contrace import cli, records
+from contrace.records import (Hop, PingRecord, RecordStore, StoreError, StoreQuery,
+                              TracerouteRun, serialize_line)
+
+MAGIC = b"contrace columns\n"
+
+
+def ping(ts, rtt=None, src="10.0.0.1", dst="10.1.0.1"):
+    return PingRecord(ts, src, dst, 0 if rtt is None else 255, rtt)
+
+
+def run(ts, variant=0, rnd=0, src="10.0.0.1", dst="10.1.0.1", rtt=9_000):
+    middle = (Hop(2, 0),) if variant == 0 else (Hop(2, 1, "10.0.1.254", 700 + ts),)
+    return TracerouteRun(ts, src, dst, rnd, (Hop(1, 1, "10.0.0.254", 500 + ts),) + middle
+                         + (Hop(3, 255, dst, rtt + ts),))
+
+
+def read_columnar(path):
+    """(header, [column bytes]) of a columnar segment file."""
+    data = path.read_bytes()
+    assert data.startswith(MAGIC)
+    start = len(MAGIC) + 8
+    size = int.from_bytes(data[len(MAGIC) + 4:start], "little")
+    header = json.loads(data[start:start + size])
+    columns, offset = [], start + size
+    for _, _, nbytes in header["columns"]:
+        columns.append(data[offset:offset + nbytes])
+        offset += nbytes
+    assert offset == len(data)
+    return header, columns
+
+
+def write_columnar(path, header, columns):
+    head = json.dumps(header, separators=(",", ":")).encode()
+    rest = len(head).to_bytes(4, "little") + head + b"".join(columns)
+    path.write_bytes(MAGIC + zlib.crc32(rest).to_bytes(4, "little") + rest)
+
+
+def dump(store):
+    out = io.StringIO()
+    store.export(out)
+    return out.getvalue()
+
+
+def canonical(records_):
+    """The export of records_: by timestamp, pings first, stable."""
+    ordered = sorted(records_, key=lambda r: (r.timestamp, isinstance(r, TracerouteRun)))
+    return "".join(serialize_line(r) for r in ordered)
+
+
+def names(directory, pattern="*"):
+    return sorted(p.name for p in directory.glob(pattern))
+
+
+def small_store(path):
+    """One sealed segment of each kind: replies, timeouts and two paths."""
+    pings = [ping(5, 1200), ping(6), ping(7, 1300, dst="10.1.0.2")]
+    runs = [run(5), run(6, variant=1), run(7, rnd=2), run(8, dst="10.1.0.2")]
+    with RecordStore(path) as store:
+        for record in pings + runs:
+            store.append(record)
+    return pings, runs
+
+
+class TestFormat:
+    def test_sealed_segments_are_columnar_and_read_back_exactly(self, tmp_path):
+        pings, runs = small_store(tmp_path)
+        assert names(tmp_path, "*-*") == ["ping-5-7.col", "traceroute-5-8.col"]
+        header, _ = read_columnar(tmp_path / "traceroute-5-8.col")
+        assert header["kind"] == "traceroute" and header["count"] == 4
+        assert header["pairs"] == [["10.0.0.1", "10.1.0.1", 3], ["10.0.0.1", "10.1.0.2", 1]]
+        assert header["paths"][0] == [[1, 1, "10.0.0.254"], [2, 0, None],
+                                      [3, 255, "10.1.0.1"]]
+        store = RecordStore(tmp_path)
+        assert store.query(StoreQuery("ping")) == pings
+        assert store.query(StoreQuery("traceroute")) == runs
+        assert store.count() == 7
+        assert dump(store) == canonical(pings + runs)
+
+    def test_query_prunes_and_filters_on_the_columns(self, tmp_path):
+        pings, runs = small_store(tmp_path)
+        store = RecordStore(tmp_path)
+        assert store.query(StoreQuery("ping", destination="10.1.0.2")) == [pings[2]]
+        assert store.query(StoreQuery("traceroute", start=6, end=8)) == runs[1:3]
+        assert store.query(StoreQuery("traceroute", start=9)) == []
+        assert store.query(StoreQuery("ping", source="10.9.9.9")) == []
+
+    def test_path_runs_group_each_pair_by_path(self, tmp_path):
+        _, runs = small_store(tmp_path)
+        grouped = RecordStore(tmp_path).path_runs(StoreQuery("traceroute", end=8))
+        [pair] = grouped
+        assert pair == ("10.0.0.1", "10.1.0.1")
+        paths = grouped[pair]
+        assert len(paths) == 3 and paths.counts == [2, 1]
+        assert list(paths.rtts[0]) == [505, 9005, 507, 9007]
+        assert list(paths.rtt_column(1, 1)) == [706]
+        assert records.PathRuns.of(runs[:3]).paths == paths.paths
+
+    def test_path_runs_read_every_kind_of_segment_alike(self, tmp_path):
+        def by_path(grouped):
+            return {pair: {path: sorted(zip(*[iter(runs.rtts[i])] * runs.widths[i]))
+                           for i, path in enumerate(runs.paths)}
+                    for pair, runs in grouped.items()}
+
+        stored = [run(ts, variant=ts % 3 == 0, dst=f"10.1.0.{ts % 2 + 1}")
+                  for ts in range(1, 12)]
+        with RecordStore(tmp_path, segment_records=4) as store:
+            for record in stored:
+                store.append(record)  # two columnar segments, one active NDJSON
+            # an old sealed segment, written after the writer converted the store
+            (tmp_path / "traceroute-20-21.ndjson").write_text(
+                serialize_line(run(20)) + serialize_line(run(21, variant=1)))
+            assert names(tmp_path, "traceroute-*.ndjson") == [
+                "traceroute-20-21.ndjson", "traceroute-9-open.ndjson"]
+            for q in (StoreQuery("traceroute"), StoreQuery("traceroute", start=3, end=21),
+                      StoreQuery("traceroute", destination="10.1.0.2")):
+                expected = {}
+                for record in store.query(q):
+                    expected.setdefault((record.source, record.destination), []).append(record)
+                assert by_path(store.path_runs(q)) == \
+                    by_path({pair: records.PathRuns.of(runs) for pair, runs in expected.items()})
+
+    def test_foreign_byte_order_is_swapped(self, tmp_path):
+        pings, runs = small_store(tmp_path)
+        for segment in tmp_path.glob("*.col"):
+            header, columns = read_columnar(segment)
+            swapped = []
+            for (_, code, _), raw in zip(header["columns"], columns):
+                values = array(code)
+                values.frombytes(raw)
+                values.byteswap()
+                swapped.append(values.tobytes())
+            header["byteorder"] = "big" if sys.byteorder == "little" else "little"
+            write_columnar(segment, header, swapped)
+        store = RecordStore(tmp_path)
+        assert store.query(StoreQuery("ping")) == pings
+        assert store.query(StoreQuery("traceroute")) == runs
+        assert dump(store) == canonical(pings + runs)
+
+    def test_values_beyond_64_bits_fall_back_to_json_columns(self, tmp_path):
+        huge = 2**70
+        stored = [ping(huge, 5), ping(7, huge), run(6, rtt=huge), run(huge), run(5)]
+        with RecordStore(tmp_path) as store:
+            for record in stored:
+                store.append(record)
+        header, _ = read_columnar(tmp_path / f"ping-{huge}-7.col")
+        assert [code for _, code, _ in header["columns"]] == ["json", "b", "h", "json"]
+        header, _ = read_columnar(tmp_path / "traceroute-6-5.col")
+        assert [code for _, code, _ in header["columns"]] == ["json", "b", "b", "b", "json"]
+        store = RecordStore(tmp_path)
+        assert store.query(StoreQuery("ping")) == [stored[1], stored[0]]
+        assert store.query(StoreQuery("traceroute")) == [stored[4], stored[2], stored[3]]
+        assert header["sorted"] is False
+        assert dump(store) == canonical(stored)
+        [(pair, paths)] = store.path_runs(StoreQuery("traceroute")).items()
+        assert sorted(paths.rtts[0]) == [505, 506, 5 + 9_000, 6 + huge,
+                                         500 + huge, 9_000 + huge]
+
+    def test_written_values_round_trip_through_import_and_export(self, tmp_path):
+        rng = random.Random(3)
+        stored = []
+        for i in range(300):
+            ts = rng.randrange(1, 2**62)
+            if rng.random() < 0.5:
+                stored.append(ping(ts, rng.choice([None, rng.randrange(2**40)]),
+                                   dst=rng.choice(["10.1.0.1", "10.1.0.2"])))
+            else:
+                stored.append(run(ts, variant=rng.randrange(2), rnd=rng.randrange(4),
+                                  rtt=rng.randrange(2**40)))
+        with RecordStore(tmp_path / "a", segment_records=64) as store:
+            for record in stored:
+                store.append(record)
+        text = dump(RecordStore(tmp_path / "a"))
+        assert text == canonical(stored)
+        with RecordStore(tmp_path / "b", segment_records=50) as other:
+            assert other.import_json(io.StringIO(text)) == (300, [])
+        assert dump(RecordStore(tmp_path / "b")) == text
+        assert not list((tmp_path / "b").glob("*.ndjson"))
+
+
+def _reads(store, kind):
+    reads = [lambda: store.count(kind), lambda: store.query(StoreQuery(kind)),
+             lambda: dump(store)]
+    if kind == "traceroute":
+        reads.append(lambda: store.path_runs(StoreQuery(kind)))
+    return reads
+
+
+class TestValidation:
+    @pytest.mark.parametrize("kind", ["ping", "traceroute"])
+    def test_every_single_byte_flip_fails_every_read_of_its_kind(self, tmp_path, kind):
+        pings, runs = small_store(tmp_path)
+        [segment] = tmp_path.glob(f"{kind}-*.col")
+        other = "traceroute" if kind == "ping" else "ping"
+        original = segment.read_bytes()
+        store = RecordStore(tmp_path)
+        for i in range(len(original)):
+            flipped = bytearray(original)
+            flipped[i] ^= 0xFF
+            segment.write_bytes(bytes(flipped))
+            for read in _reads(store, kind):
+                with pytest.raises(StoreError, match="^" + re.escape(f"{segment}: ")):
+                    read()
+            assert store.query(StoreQuery(other)) == (runs if kind == "ping" else pings)
+        segment.write_bytes(original)
+        assert store.count(kind) == len(pings if kind == "ping" else runs)
+
+    @pytest.mark.parametrize("kind", ["ping", "traceroute"])
+    def test_truncated_or_extended_segments_fail(self, tmp_path, kind):
+        small_store(tmp_path)
+        [segment] = tmp_path.glob(f"{kind}-*.col")
+        original = segment.read_bytes()
+        for damaged in (original[:-1], original[:10], b"", original + b"\n"):
+            segment.write_bytes(damaged)
+            for read in _reads(RecordStore(tmp_path), kind):
+                with pytest.raises(StoreError, match="^" + re.escape(f"{segment}: ")):
+                    read()
+
+    @pytest.mark.parametrize("kind, change, problem", [
+        ("ping", lambda h, c: c.__setitem__(3, _column(h, c, 3, {0: -5})), "rtt: negative"),
+        ("ping", lambda h, c: c.__setitem__(3, _column(h, c, 3, {1: 7})),
+         "rtt: present where the status is not 255"),
+        ("ping", lambda h, c: c.__setitem__(2, _column(h, c, 2, {1: 3})), "status"),
+        ("ping", lambda h, c: h["pairs"][0].__setitem__(1, "10.1.0.01"), "pair"),
+        ("ping", lambda h, c: h.__setitem__("min", 4), "timestamp: min or max"),
+        ("ping", lambda h, c: c.__setitem__(0, _column(h, c, 0, {0: 6})), "timestamp"),
+        ("ping", lambda h, c: h.__setitem__("count", 4), "pair counts"),
+        ("ping", lambda h, c: h.__setitem__("kind", "traceroute"),
+         "a 'traceroute' segment"),
+        ("ping", lambda h, c: h.__setitem__("version", 2), "format version"),
+        ("traceroute", lambda h, c: h["paths"][0][2].__setitem__(2, "2001:DB8::1"),
+         "path"),
+        ("traceroute", lambda h, c: h["paths"][0].append([4, 1, "10.9.9.9"]), "path"),
+        ("traceroute", lambda h, c: h["paths"][0][1].__setitem__(1, 1), "path"),
+        ("traceroute", lambda h, c: c.__setitem__(3, _column(h, c, 3, {0: 9})),
+         "path: id out of range"),
+        ("traceroute", lambda h, c: c.__setitem__(2, _column(h, c, 2, {0: -1})),
+         "round: negative"),
+        ("traceroute", lambda h, c: c.__setitem__(1, _column(h, c, 1, {0: 5})), "pair"),
+        ("traceroute", lambda h, c: c.__setitem__(4, c[4][:-1]), "partial item"),
+    ])
+    def test_content_that_breaks_a_record_rule_fails_under_a_valid_crc(
+            self, tmp_path, kind, change, problem):
+        small_store(tmp_path)
+        [segment] = tmp_path.glob(f"{kind}-*.col")
+        header, columns = read_columnar(segment)
+        change(header, columns)
+        for spec, raw in zip(header["columns"], columns):
+            spec[2] = len(raw)
+        write_columnar(segment, header, columns)
+        for read in _reads(RecordStore(tmp_path), kind)[1:]:
+            with pytest.raises(StoreError) as exc:
+                read()
+            assert str(exc.value).startswith(f"{segment}: ")
+            assert problem in str(exc.value)
+
+
+def _column(header, columns, index, changes):
+    """Column index with the values at the given rows replaced."""
+    code = header["columns"][index][1]
+    values = array(code)
+    values.frombytes(columns[index])
+    for row, value in changes.items():
+        values[row] = value
+    return values.tobytes()
+
+
+class TestWriterLock:
+    def test_a_reader_leaves_a_live_writers_files_alone(self, tmp_path):
+        with RecordStore(tmp_path) as writer:
+            writer.append(ping(10, 100))
+            reader = RecordStore(tmp_path)
+            assert reader.query(StoreQuery("ping")) == [ping(10, 100)]
+            assert reader.count() == 1
+            assert dump(reader) == serialize_line(ping(10, 100))
+            assert names(tmp_path, "*.*") == [".lock", "ping-10-open.ndjson"]
+            writer.append(ping(11, 110))
+        assert RecordStore(tmp_path).query(StoreQuery("ping")) == \
+            [ping(10, 100), ping(11, 110)]
+
+    def test_a_reader_skips_the_partial_last_line_of_a_live_segment(self, tmp_path):
+        line = serialize_line(ping(10, 100))
+        (tmp_path / "ping-10-open.ndjson").write_text(line + line[:20])
+        reader = RecordStore(tmp_path)
+        assert reader.query(StoreQuery("ping")) == [ping(10, 100)]
+        assert reader.count("ping") == 1
+        assert (tmp_path / "ping-10-open.ndjson").read_text() == line + line[:20]
+
+    def test_a_second_writer_is_refused(self, tmp_path):
+        with RecordStore(tmp_path) as first:
+            first.append(ping(10))
+            second = RecordStore(tmp_path)
+            with pytest.raises(StoreError, match="another writer holds"):
+                second.append(ping(11))
+            second.close()
+            first.append(ping(12))
+        with RecordStore(tmp_path) as second:  # free once the first has closed
+            second.append(ping(11))
+        assert [r.timestamp for r in RecordStore(tmp_path).query(StoreQuery("ping"))] == \
+            [10, 11, 12]
+
+    def test_cli_refuses_a_second_writer_with_an_error_line(self, tmp_path, capsys):
+        source = tmp_path / "in.ndjson"
+        source.write_text(serialize_line(ping(11)))
+        with RecordStore(tmp_path / "store") as first:
+            first.append(ping(10))
+            code = cli.main(["import", "--store", str(tmp_path / "store"), str(source)])
+        assert code == cli.EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "another writer holds" in err
+        assert RecordStore(tmp_path / "store").count() == 1
+
+
+class Crash(Exception):
+    pass
+
+
+@pytest.mark.parametrize("step", ["temp written", "renamed", "ndjson unlink"])
+def test_a_seal_cut_after_each_step_loses_and_repeats_nothing(tmp_path, monkeypatch, step):
+    replace, unlink = os.replace, os.unlink
+
+    def cut_replace(source, target):
+        if step == "renamed":
+            replace(source, target)
+        raise Crash
+
+    def cut_unlink(path, *args, **kwargs):
+        if str(path).endswith("-3.ndjson"):
+            raise Crash
+        unlink(path, *args, **kwargs)
+
+    expected = [ping(1, 10), run(2), ping(3, 30), run(4)]
+    store = RecordStore(tmp_path, segment_records=2)
+    with monkeypatch.context() as patch:
+        if step == "ndjson unlink":
+            patch.setattr(os, "unlink", cut_unlink)
+        else:
+            patch.setattr(os, "replace", cut_replace)
+        with pytest.raises(Crash):
+            for record in expected:
+                store.append(record)
+    store.close()  # releases the lock and seals the traceroute segment
+    left = {"temp written": ["ping-1-3.col.tmp", "ping-1-3.ndjson"],
+            "renamed": ["ping-1-3.col", "ping-1-3.ndjson"],
+            "ndjson unlink": ["ping-1-3.col", "ping-1-3.ndjson"]}[step]
+    assert names(tmp_path, "ping-*") == left
+    reader = RecordStore(tmp_path)
+    assert reader.count() == 3
+    assert reader.query(StoreQuery("ping")) == [expected[0], expected[2]]
+    assert dump(reader) == canonical(expected[:3])
+    assert names(tmp_path, "ping-*") == left
+    with RecordStore(tmp_path) as writer:
+        writer.append(ping(5))
+    assert names(tmp_path, "ping-*") == ["ping-1-3.col", "ping-5-5.col"]
+    assert dump(RecordStore(tmp_path)) == canonical(expected[:3] + [ping(5)])
+
+
+def test_an_old_ndjson_store_reads_byte_identically_and_a_writer_converts_it(tmp_path):
+    rng = random.Random(11)
+    stored = {"ping": [], "traceroute": []}
+    segments = []
+    for first in range(1, 400, 40):
+        for kind in ("ping", "traceroute"):
+            chunk = [ping(first + rng.randrange(60), rng.choice([None, 40]))
+                     if kind == "ping" else
+                     run(first + rng.randrange(60), variant=rng.randrange(2))
+                     for _ in range(rng.randrange(1, 30))]
+            chunk[0] = chunk[0]._replace(timestamp=first)
+            name = f"{kind}-{first}-{chunk[-1].timestamp}"
+            if (tmp_path / f"{name}.ndjson").exists():
+                name += "-1"
+            (tmp_path / f"{name}.ndjson").write_text(
+                "".join(serialize_line(r) for r in chunk))
+            stored[kind] += chunk
+            segments.append(f"{name}.ndjson")
+    expected = canonical(stored["ping"] + stored["traceroute"])
+    old = RecordStore(tmp_path)
+    assert dump(old) == expected
+    for kind in stored:
+        assert old.query(StoreQuery(kind)) == \
+            sorted(stored[kind], key=lambda r: r.timestamp)
+    assert names(tmp_path) == sorted(segments)
+    with RecordStore(tmp_path) as writer:
+        writer.append(run(10_000))
+    assert not list(tmp_path.glob("*.ndjson"))
+    assert len(list(tmp_path.glob("*.col"))) == len(segments) + 1
+    assert dump(RecordStore(tmp_path)) == expected + serialize_line(run(10_000))
+
+
+def test_a_writer_rebuilds_an_invalid_columnar_twin_from_its_ndjson(tmp_path):
+    expected = [ping(1, 10), ping(2)]
+    (tmp_path / "ping-1-2.ndjson").write_text("".join(map(serialize_line, expected)))
+    (tmp_path / "ping-1-2.col").write_bytes(b"contrace columns\n garbage")
+    with pytest.raises(StoreError, match="ping-1-2.col: "):
+        RecordStore(tmp_path).query(StoreQuery("ping"))
+    with RecordStore(tmp_path) as writer:
+        writer.append(run(3))
+    assert names(tmp_path, "ping-*") == ["ping-1-2.col"]
+    assert RecordStore(tmp_path).query(StoreQuery("ping")) == expected
+
+
+class _Discard:
+    def write(self, text):
+        return len(text)
+
+
+def _export_peak(path):
+    store = RecordStore(path)
+    tracemalloc.start()
+    try:
+        count = store.export(_Discard())
+        return count, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_export_of_a_many_segment_store_holds_about_one_segment(tmp_path):
+    def fill(path, n):
+        with RecordStore(path, segment_records=2000) as store:
+            store.import_json(serialize_line(ping(ts, 1000 + ts % 977))
+                              for ts in range(1, n + 1))
+
+    fill(tmp_path / "one", 2000)
+    fill(tmp_path / "many", 40_000)
+    assert len(list((tmp_path / "many").glob("*.col"))) == 20
+    one_count, one_peak = _export_peak(tmp_path / "one")
+    many_count, many_peak = _export_peak(tmp_path / "many")
+    assert (one_count, many_count) == (2000, 40_000)
+    assert many_peak < 2 * one_peak, (one_peak, many_peak)

@@ -4,6 +4,7 @@ import json
 import os
 import random
 import re
+import shutil
 import sys
 import tempfile
 import threading
@@ -12,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contrace import records
+from contrace import columnar, records
+from contrace import store as store_module
 from contrace.records import (Hop, InvalidRecord, MalformedJson, PingRecord,
                               RecordStore, StoreError, StoreQuery, TracerouteRun)
 from conftest import MIXED_NDJSON, MIXED_NDJSON_REJECTED
@@ -31,6 +33,11 @@ def run(ts=1_600_000_000_000_000, src="10.0.0.1", dst="10.1.0.1", rnd=0):
         Hop(2, 0),
         Hop(3, 255, dst, 9_000),
     ))
+
+
+def write_old_segment(path, records_):
+    """A sealed NDJSON segment, as stores wrote before columnar segments."""
+    path.write_text("".join(records.serialize_line(r) for r in records_))
 
 
 class TestValidation:
@@ -324,6 +331,14 @@ class TestSinglePassDecode:
             patch.setattr(records, "_reject", None)  # any call would fail
             assert repr(records.from_json_obj(doc)) == repr(expected)
 
+    @settings(max_examples=300, deadline=None)
+    @given(doc=valid_documents())
+    def test_written_line_is_the_canonical_line(self, doc):
+        record = records.from_json_obj(doc)
+        columns = columnar.Columns("ping" if isinstance(record, PingRecord) else "traceroute")
+        for _ in range(2):  # the %-format is built, then reused
+            assert columns.line(record) == records.serialize_line(record)
+
     def test_equal_addresses_share_one_string(self):
         first = records.parse_line('{"timestamp":1,"source":"2001:DB8::1",'
                                    '"destination":"2001:db8::2","status":0}')
@@ -558,23 +573,26 @@ class TestStore:
         for i in range(25):
             store.append(ping(ts=i + 1))
         store.close()
-        sealed = sorted(p.name for p in tmp_path.glob("*.ndjson"))
+        sealed = sorted(p.name for p in tmp_path.glob("ping-*"))
         assert len(sealed) == 3
-        assert not any(n.endswith("-open.ndjson") for n in sealed)
+        assert all(n.endswith(".col") for n in sealed)
         again = RecordStore(tmp_path, segment_records=10)
         assert again.count("ping") == 25
 
-    # The first store is never closed, as after a crash; its segment file
-    # object is left for the garbage collector.
-    @pytest.mark.filterwarnings("ignore::ResourceWarning",
-                                "ignore::pytest.PytestUnraisableExceptionWarning")
     def test_reopen_recovers_open_segment(self, tmp_path):
-        store = RecordStore(tmp_path, segment_records=1000)
-        store.append(ping(ts=42))
-        # no close: simulates a crashed process leaving the open segment
-        again = RecordStore(tmp_path)
+        crashed = tmp_path / "crashed"
+        with RecordStore(tmp_path / "live", segment_records=1000) as store:
+            store.append(ping(ts=42))
+            # the files a process that crashed now would leave behind
+            shutil.copytree(tmp_path / "live", crashed)
+        assert RecordStore(crashed).count("ping") == 1  # a reader leaves them be
+        assert [p.name for p in crashed.glob("*.ndjson")] == ["ping-42-open.ndjson"]
+        with RecordStore(crashed) as writer:
+            writer.append(run(ts=43))  # a writer recovers at its first write
+        again = RecordStore(crashed)
         assert again.count("ping") == 1
-        assert not list(tmp_path.glob("*-open.ndjson"))
+        assert not list(crashed.glob("*-open.ndjson"))
+        assert [p.name for p in crashed.glob("ping-*")] == ["ping-42-42.col"]
 
     def test_non_segment_files_are_ignored_with_a_warning(self, tmp_path, caplog):
         (tmp_path / "notes.ndjson").write_text("not a record\n")
@@ -603,6 +621,30 @@ class TestStore:
                 t.join()
             assert store.count("ping") == 800
 
+    def test_append_builds_the_json_form_once(self, tmp_path, monkeypatch):
+        calls = []
+        to_json_obj = records.to_json_obj
+
+        def counting(record):
+            calls.append(record)
+            return to_json_obj(record)
+
+        monkeypatch.setattr(records, "to_json_obj", counting)
+        monkeypatch.setattr(store_module, "to_json_obj", counting)
+        appended = [ping(ts=1), ping(ts=2, status=0), run(ts=3),
+                    ping(ts=4, src="2001:DB8::1", dst="2001:db8::2")]
+        with RecordStore(tmp_path) as store:
+            for record in appended:
+                store.append(record)
+            # one dict per append, for the decoder; lines come from %-formats
+            assert len(calls) == 4
+            stored = store.query(StoreQuery("ping")) + store.query(StoreQuery("traceroute"))
+            lines = b"".join(p.read_bytes() for p in sorted(tmp_path.glob("*.ndjson")))
+        assert stored[2].source == "2001:db8::1"
+        assert lines.decode() == "".join(
+            records.serialize_line(r) for r in sorted(stored, key=lambda r: r.timestamp)
+            if isinstance(r, PingRecord)) + records.serialize_line(run(ts=3))
+
     def test_bulk_append_one_million(self, tmp_path):
         with RecordStore(tmp_path, segment_records=500_000) as store:
             rec = ping()
@@ -617,7 +659,7 @@ class TestSegments:
             for i in range(3000):
                 store.append(ping(ts=42, rtt=i))
         assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "ping-42-42-1.ndjson", "ping-42-42-2.ndjson", "ping-42-42.ndjson"]
+            ".lock", "ping-42-42-1.col", "ping-42-42-2.col", "ping-42-42.col"]
         reopened = RecordStore(tmp_path)
         assert reopened.count("ping") == 3000
         assert [r.rtt for r in reopened.query(StoreQuery("ping"))] == list(range(3000))
@@ -626,25 +668,32 @@ class TestSegments:
         def no_links(src, dst):
             raise PermissionError(1, "Operation not permitted")
 
-        monkeypatch.setattr(records.os, "link", no_links)
+        monkeypatch.setattr(os, "link", no_links)
         with RecordStore(tmp_path, segment_records=1000) as store:
             for i in range(3000):
                 store.append(ping(ts=42, rtt=i))
         assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "ping-42-42-1.ndjson", "ping-42-42-2.ndjson", "ping-42-42.ndjson"]
+            ".lock", "ping-42-42-1.col", "ping-42-42-2.col", "ping-42-42.col"]
         reopened = RecordStore(tmp_path)
         assert [r.rtt for r in reopened.query(StoreQuery("ping"))] == list(range(3000))
 
     def test_recovery_finishes_a_seal_cut_between_link_and_unlink(self, tmp_path):
-        with RecordStore(tmp_path) as store:
-            for ts in range(5, 10):
-                store.append(ping(ts=ts))
+        expected = [ping(ts=ts) for ts in range(5, 10)]
         # the state a crash after os.link and before unlink leaves behind
+        write_old_segment(tmp_path / "ping-5-9.ndjson", expected)
         os.link(tmp_path / "ping-5-9.ndjson", tmp_path / "ping-5-open.ndjson")
+        reader = RecordStore(tmp_path)
+        assert reader.count("ping") == 5
+        assert reader.query(StoreQuery("ping")) == expected
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "ping-5-9.ndjson", "ping-5-open.ndjson"]
+        with RecordStore(tmp_path) as writer:
+            writer.append(run(ts=1))
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            ".lock", "ping-5-9.col", "traceroute-1-1.col"]
         reopened = RecordStore(tmp_path)
-        assert [p.name for p in tmp_path.iterdir()] == ["ping-5-9.ndjson"]
         assert reopened.count("ping") == 5
-        assert reopened.query(StoreQuery("ping")) == [ping(ts=ts) for ts in range(5, 10)]
+        assert reopened.query(StoreQuery("ping")) == expected
 
     def test_dump_imported_twice_is_held_twice(self, tmp_path):
         lines = [records.serialize_line(ping(ts=t, rtt=t)) for t in range(1, 101)]
@@ -669,36 +718,48 @@ class TestSegments:
         kept = records.serialize_line(ping(ts=5)) + records.serialize_line(ping(ts=6))
         last = records.serialize_line(ping(ts=7))[:cut]
         (tmp_path / "ping-5-open.ndjson").write_text(kept + last)
+        # a reader reads the full lines and leaves the file as it is
+        assert RecordStore(tmp_path).query(StoreQuery("ping")) == [ping(ts=5), ping(ts=6)]
+        assert (tmp_path / "ping-5-open.ndjson").read_text() == kept + last
         with caplog.at_level("WARNING", logger="contrace.records"):
-            store = RecordStore(tmp_path)
+            with RecordStore(tmp_path) as writer:
+                writer.append(run(ts=100))
+        store = RecordStore(tmp_path)
+        dump = io.StringIO()
+        store.export(dump)
         if cut == -1:  # a whole record without its newline is kept
-            assert [p.name for p in tmp_path.iterdir()] == ["ping-5-7.ndjson"]
+            assert [p.name for p in tmp_path.glob("ping-*")] == ["ping-5-7.col"]
             assert store.count("ping") == 3
             assert "torn" not in caplog.text
+            assert dump.getvalue() == \
+                kept + last + "\n" + records.serialize_line(run(ts=100))
         else:
-            assert [p.name for p in tmp_path.iterdir()] == ["ping-5-6.ndjson"]
-            assert (tmp_path / "ping-5-6.ndjson").read_text() == kept
+            assert [p.name for p in tmp_path.glob("ping-*")] == ["ping-5-6.col"]
+            assert dump.getvalue() == kept + records.serialize_line(run(ts=100))
             assert f"dropped a torn last line of {len(last)} bytes" in caplog.text
             assert store.query(StoreQuery("ping")) == [ping(ts=5), ping(ts=6)]
 
     def test_ping_line_in_a_traceroute_segment_fails_traceroute_reads(self, tmp_path):
-        with RecordStore(tmp_path) as store:
-            store.append(run(ts=5))
-            store.append(ping(ts=6))
-        [segment] = tmp_path.glob("traceroute-*.ndjson")
-        with segment.open("a") as fp:
-            fp.write(records.serialize_line(ping(ts=7)))
+        segment = tmp_path / "traceroute-5-7.ndjson"
+        write_old_segment(segment, [run(ts=5), ping(ts=7)])
+        write_old_segment(tmp_path / "ping-6-6.ndjson", [ping(ts=6)])
         store = RecordStore(tmp_path)
         with pytest.raises(StoreError, match=re.escape(
                 f"{segment}:2: a ping record in a traceroute segment")):
             store.query(StoreQuery("traceroute"))
         assert store.query(StoreQuery("ping")) == [ping(ts=6)]
+        with RecordStore(tmp_path) as writer:  # converts only the good segment
+            writer.append(ping(ts=8))
+        with pytest.raises(StoreError, match=re.escape(
+                f"{segment}:2: a ping record in a traceroute segment")):
+            store.query(StoreQuery("traceroute"))
+        assert store.query(StoreQuery("ping")) == [ping(ts=6), ping(ts=8)]
 
     def test_corrupt_ping_line_fails_only_reads_of_pings(self, tmp_path):
         with RecordStore(tmp_path) as store:
-            store.append(ping(ts=5))
             store.append(run(ts=6))
-        [segment] = tmp_path.glob("ping-*.ndjson")
+        segment = tmp_path / "ping-5-5.ndjson"
+        write_old_segment(segment, [ping(ts=5)])
         with segment.open("a") as fp:
             fp.write("\n{not json}\n")
         store = RecordStore(tmp_path)  # opening reads no records
