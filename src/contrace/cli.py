@@ -4,6 +4,8 @@ Subcommands: measure (live raw sockets or simulator), sim-run (simulator
 shortcut driven by the topology file), import, export, analyze. Exit codes:
 0 ok, 1 generic error or strict-mode rejects, 2 configuration error,
 3 privilege error, 4 transport failure, 5 empty selection.
+Modules that only some commands use (yaml, sim, analytics, enrich) are
+imported by those commands.
 """
 
 from __future__ import annotations
@@ -18,10 +20,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import yaml
-
-from . import analytics, sim
-from .enrich import AsnTable, CsvGeoProvider, Enricher, GeoResolver, HttpGeoProvider
 from .icmp import Family, family_of
 from .probe import (LiveClock, ProbeSchedule, RawIcmpTransport, RelationKey,
                     SourceWorker, TransportFailure, run_relation_worker)
@@ -125,6 +123,7 @@ def load_config(path: str | Path) -> Config:
         text = os.path.expandvars(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
+    import yaml
     doc = yaml.safe_load(text)
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a mapping")
@@ -132,6 +131,7 @@ def load_config(path: str | Path) -> Config:
 
 
 def build_enricher(config: Config, session=None) -> Enricher:
+    from .enrich import AsnTable, CsvGeoProvider, Enricher, GeoResolver, HttpGeoProvider
     table = None
     if config.as_prefixes is not None:
         table = AsnTable.from_csv(config.as_prefixes, config.as_names)
@@ -149,6 +149,9 @@ def build_enricher(config: Config, session=None) -> Enricher:
 # -- measure ------------------------------------------------------------------
 
 def _measure_sim(config: Config, args) -> int:
+    import yaml
+
+    from . import sim
     if not args.topology:
         print("error: sim mode needs --topology", file=sys.stderr)
         return EXIT_CONFIG
@@ -164,13 +167,10 @@ def _measure_sim(config: Config, args) -> int:
                   f"is not in the topology", file=sys.stderr)
             return EXIT_CONFIG
     with RecordStore(config.store_path) as store:
-        pings, runs = store.count(KIND_PING), store.count(KIND_TRACEROUTE)
         sim.run_scenario(topology, config.relations, config.schedule,
                          args.duration, seed=args.seed, sink=store)
-        pings = store.count(KIND_PING) - pings
-        runs = store.count(KIND_TRACEROUTE) - runs
-    print(f"simulated {args.duration:.0f} s: {pings} ping, {runs} "
-          f"traceroute records -> {config.store_path}")
+    print(f"simulated {args.duration:.0f} s: {store.written[KIND_PING]} ping, "
+          f"{store.written[KIND_TRACEROUTE]} traceroute records -> {config.store_path}")
     return EXIT_OK
 
 
@@ -242,6 +242,9 @@ def cmd_measure(args) -> int:
 
 def cmd_sim_run(args) -> int:
     """Simulator shortcut: endpoints and schedule come from the topology."""
+    import yaml
+
+    from . import sim
     try:
         topology = sim.load_topology(args.topology)
     except (OSError, sim.TopologyError, yaml.YAMLError) as exc:
@@ -338,6 +341,7 @@ def _selected_relations(config: Config, spec: str | None) -> list[RelationKey]:
 
 
 def cmd_analyze(args) -> int:
+    from . import analytics
     try:
         config = load_config(args.config)
         relations = _selected_relations(config, args.relation)

@@ -1,4 +1,5 @@
-"""Columnar sealed segments: the file format, its writer, and its checked reader.
+"""Segments as columns: the form every read takes, the columnar file format,
+its writer, and its checked reader.
 
 A sealed segment <stem>.col holds its records as columns:
 
@@ -18,6 +19,9 @@ Pings have the columns timestamp, pair, status and rtt (-1 where the
 status is not 255). Traceroute runs have timestamp, pair, round, path and
 rtt: the RTT of each responsive hop of each run's path, in row and hop
 order, so a row's RTTs start where the previous rows' paths end.
+
+An NDJSON segment is read in the same form: Segment.of wraps the Columns
+that its decoded records fill.
 """
 
 from __future__ import annotations
@@ -30,10 +34,11 @@ import sys
 import zlib
 from array import array
 from collections import Counter
+from functools import partial
 from itertools import accumulate, compress, islice
 from operator import itemgetter, le
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .records import (KIND_PING, KIND_TRACEROUTE, STATUS_ECHO_REPLY, STATUS_TIMEOUT,
                       VALID_STATUSES, Hop, PathRuns, PingRecord, Record, StoreError,
@@ -58,8 +63,8 @@ def _json_literal(text: str) -> str:
     return _ENCODE(text).replace("%", "%%")
 
 
-# Canonical lines (serialize_line) are built from %-formats, one per pair
-# and ping status or per pair and path, so a line costs one % operation.
+# Canonical lines, the form export writes, are built from %-formats, one per
+# pair and ping status or per pair and path, so a line costs one % operation.
 
 def _pair_prefix(source: str, destination: str) -> str:
     """%-format of the start of a canonical line; takes the timestamp."""
@@ -104,8 +109,8 @@ class Columns:
         return len(self.columns[0])
 
     def line(self, record: Record) -> str:
-        """serialize_line(record), from a %-format kept per pair and ping
-        status or per pair and path."""
+        """The canonical line of record, from a %-format kept per pair and
+        ping status or per pair and path."""
         pair = (record.source, record.destination)
         if self.kind == KIND_PING:
             key = (pair, record.status)
@@ -153,28 +158,24 @@ class Columns:
             _put(columns, -1, rtts)
 
 
-def write(path: Path, kind: str, columns: Columns) -> None:
-    """Write columns to path as a columnar segment and fsync it."""
+def write(path: Path, segment: Segment) -> None:
+    """Write segment to path as a columnar file and fsync it."""
     specs, bodies = [], []
-    for name, values in zip(_COLUMN_NAMES[kind], columns.columns):
+    for name, values in zip(_COLUMN_NAMES[segment.kind], segment.columns()):
         if type(values) is list:
             code, body = _JSON_COLUMN, _ENCODE(values).encode()
         else:
             code, body = values.typecode, values
         specs.append([name, code, memoryview(body).nbytes])
         bodies.append(body)
-    times, pair_ids = columns.columns[:2]
-    counts = Counter(pair_ids)
-    header = {"version": _FORMAT_VERSION, "kind": kind, "byteorder": sys.byteorder,
-              "count": len(times), "min": min(times), "max": max(times),
-              "sorted": all(map(le, times, islice(times, 1, None))),
-              "pairs": [[source, destination, counts[i]]
-                        for i, (source, destination) in enumerate(columns.pairs)],
+    header = {"version": _FORMAT_VERSION, "kind": segment.kind, "byteorder": sys.byteorder,
+              "count": segment.count, "min": segment.min, "max": segment.max,
+              "sorted": segment.sorted,
+              "pairs": [[source, destination, segment.pair_counts[i]]
+                        for i, (source, destination) in enumerate(segment.pairs)],
               "columns": specs}
-    if kind == KIND_TRACEROUTE:
-        header["paths"] = [[[hop, status, address] for hop, (status, address)
-                            in enumerate(zip(statuses, addresses), 1)]
-                           for statuses, addresses in columns.paths]
+    if segment.kind == KIND_TRACEROUTE:
+        header["paths"] = segment.paths
     head = _ENCODE(header).encode()
     crc = zlib.crc32(head, zlib.crc32(struct.pack("<I", len(head))))
     for body in bodies:
@@ -241,10 +242,12 @@ def _checked_path(entry) -> tuple[tuple[int, int, str | None], ...]:
 
 
 class Segment:
-    """A sealed columnar segment of one kind. Opening reads the file and
+    """One segment of one kind as columns, with the facts a read prunes by:
+    count, min and max timestamp (None with no rows), sorted, the pairs and,
+    for traceroutes, the paths. Segment(path, kind) opens a columnar file and
     checks its CRC, its header, and each pair and path with the rules of
-    from_json_obj; columns() checks every value of the columns. Any fault
-    is a StoreError naming the file."""
+    from_json_obj; columns() checks every value. Any fault is a StoreError
+    naming the file. Segment.of(columns) wraps columns filled in memory."""
 
     def __init__(self, path: Path, kind: str):
         self.path, self.kind = path, kind
@@ -312,9 +315,37 @@ class Segment:
         if self.kind == KIND_TRACEROUTE:
             _require(type(header["paths"]) is list and header["paths"], "header: no paths")
             self.paths = [_checked_path(entry) for entry in header["paths"]]
-            self.keys = [tuple(zip(*path))[1:] for path in self.paths]
-            self.widths = [len(statuses) - statuses.count(STATUS_TIMEOUT)
-                           for statuses, _ in self.keys]
+            self._index_paths([tuple(zip(*path))[1:] for path in self.paths])
+
+    @classmethod
+    def of(cls, columns: Columns) -> Segment:
+        segment = cls.__new__(cls)
+        segment.path, segment.kind, segment._columns = None, columns.kind, columns.columns
+        times, pair_ids = columns.columns[:2]
+        segment.count = len(times)
+        segment.min, segment.max = (min(times), max(times)) if times else (None, None)
+        segment.sorted = all(map(le, times, islice(times, 1, None)))
+        segment.pairs = list(columns.pairs)
+        segment.pair_counts = Counter(pair_ids)
+        if columns.kind == KIND_TRACEROUTE:
+            segment.paths = [tuple(zip(range(1, len(statuses) + 1), statuses, addresses))
+                             for statuses, addresses in columns.paths]
+            segment._index_paths(list(columns.paths))
+        return segment
+
+    def _index_paths(self, keys: list[tuple[tuple, tuple]]) -> None:
+        """Keep each path's (statuses, addresses) and its responsive hops."""
+        self.keys = keys
+        self.widths = [len(statuses) - statuses.count(STATUS_TIMEOUT)
+                       for statuses, _ in keys]
+
+    def opener(self) -> Callable[[], Segment]:
+        """A function that gives this segment to a later read: a file is
+        opened again, so its columns are not held until then; a segment
+        built in memory is given as it is."""
+        if self.path is None:
+            return lambda: self
+        return partial(Segment, self.path, self.kind)
 
     def columns(self) -> list:
         if self._columns is None:
@@ -377,9 +408,11 @@ class Segment:
         only if the pair dictionary and the time range leave any rows."""
         wanted = [i for i, (source, destination) in enumerate(self.pairs)
                   if q.matches_pair(source, destination)]
+        if not wanted:  # also for a segment with no rows, which has no pairs
+            return ()
         start = self.min if q.start is None else q.start
         end = self.max + 1 if q.end is None else q.end
-        if not wanted or start > self.max or end <= self.min:
+        if start > self.max or end <= self.min:
             return ()
         times, pair_ids = self.columns()[:2]
         if len(wanted) < len(self.pairs):
@@ -441,9 +474,9 @@ class Segment:
             runs.counts[index] += 1
             _put(runs.rtts, index, rtts[offsets[i]:offsets[i + 1]])
 
-    def lines(self, rank: tuple) -> Iterator[tuple[int, tuple, str]]:
+    def lines(self, rank: int) -> Iterator[tuple[int, int, str]]:
         """(timestamp, rank, canonical line) of every row, by timestamp and
-        then row order; each line is serialize_line of the row's record."""
+        then row order."""
         columns = self.columns()
         times = columns[0]
         order = range(self.count) if self.sorted else \
@@ -474,10 +507,10 @@ class Segment:
 
 
 def line_streams(segments: list[tuple]) -> list[Iterator]:
-    """Line streams over columnar segments, given as (min, max, rank, path,
-    kind): segments whose time ranges do not overlap share a stream, which
-    reads them one after another, so a merge of the streams holds one
-    segment per stream."""
+    """Line streams over segments, given as (min, max, rank, opener), where
+    opener() gives the Segment: segments whose time ranges do not overlap
+    share a stream, which opens them one after another, so a merge of the
+    streams holds one segment per stream."""
     chains: list[list[tuple]] = []
     ends: list[tuple[int, int]] = []  # (last max timestamp, chain index)
     for segment in sorted(segments, key=_FIRST):
@@ -491,6 +524,6 @@ def line_streams(segments: list[tuple]) -> list[Iterator]:
     return [_chain_lines(chain) for chain in chains]
 
 
-def _chain_lines(chain: list[tuple]) -> Iterator[tuple[int, tuple, str]]:
-    for _, _, rank, path, kind in chain:
-        yield from Segment(path, kind).lines(rank)
+def _chain_lines(chain: list[tuple]) -> Iterator[tuple[int, int, str]]:
+    for _, _, rank, opener in chain:
+        yield from opener().lines(rank)

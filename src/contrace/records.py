@@ -16,11 +16,12 @@ tuples, and unpacking follows the field order of the classes below, not
 the JSON order: PingRecord(timestamp, source, destination, status, rtt),
 Hop(hop, status, address, rtt) and TracerouteRun(timestamp, source,
 destination, round, hops). PathRuns holds one pair's traceroute runs
-grouped by distinct path, the form traceroute analytics read.
+grouped by distinct path, the form traceroute analytics read;
+columnar.Segment.group fills it.
 
-The append-only store, RecordStore, is defined in contrace.store (active
-segments in NDJSON) and contrace.columnar (sealed segments), and is
-importable from here.
+The append-only store, RecordStore, is defined in contrace.store (segment
+files) and contrace.columnar (segments as columns, the form every read
+takes), and is importable from here.
 """
 
 from __future__ import annotations
@@ -146,10 +147,6 @@ def to_json_obj(record: Record) -> dict:
 
 
 _ENCODE = json.JSONEncoder(separators=(",", ":")).encode
-
-
-def serialize_line(record: Record) -> str:
-    return _ENCODE(to_json_obj(record)) + "\n"
 
 
 _PING_KEYS = {"timestamp", "source", "destination", "status", "rtt"}
@@ -314,13 +311,6 @@ class StoreQuery:
             if address is not None:
                 object.__setattr__(self, name, canonical_address(address))
 
-    def matches(self, record: Record) -> bool:
-        if self.start is not None and record.timestamp < self.start:
-            return False
-        if self.end is not None and record.timestamp >= self.end:
-            return False
-        return self.matches_pair(record.source, record.destination)
-
     def matches_pair(self, source: str, destination: str) -> bool:
         return ((self.source is None or source == self.source)
                 and (self.destination is None or destination == self.destination))
@@ -365,21 +355,8 @@ class PathRuns:
         self.rtts: list = []  # per path an array("q"), or a list if it outgrows one
         self._index: dict[tuple, int] = {}
 
-    @classmethod
-    def of(cls, runs: Iterable[TracerouteRun]) -> "PathRuns":
-        grouped = cls()
-        for run in runs:
-            grouped.add(run)
-        return grouped
-
     def __len__(self) -> int:
         return sum(self.counts)
-
-    def add(self, run: TracerouteRun) -> None:
-        _, statuses, addresses, rtts = zip(*run.hops)
-        i = self.path_index(statuses, addresses)
-        self.counts[i] += 1
-        _put(self.rtts, i, [rtt for rtt in rtts if rtt is not None])
 
     def path_index(self, statuses: tuple, addresses: tuple) -> int:
         """Index of the path with these hop statuses and addresses, added

@@ -1,7 +1,10 @@
 """The record store: append-only segment files of one record kind each.
 
 The active segment is NDJSON; sealing turns a segment into a columnar file
-(see columnar). RecordStore is also importable from contrace.records.
+(see columnar). Every read takes each segment as a columnar.Segment: a
+columnar file is opened as one, and an NDJSON segment's lines are decoded
+into a columnar.Columns first. RecordStore is also importable from
+contrace.records.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import IO, Iterable, Iterator, NamedTuple
 from . import columnar
 from .records import (KIND_PING, KIND_TRACEROUTE, InvalidRecord, MalformedJson, PathRuns,
                       PingRecord, Record, StoreError, StoreQuery, TracerouteRun, _loads,
-                      _splitlines, from_json_obj, parse_line, serialize_line, to_json_obj)
+                      _splitlines, from_json_obj, parse_line, to_json_obj)
 
 log = logging.getLogger(__name__)
 
@@ -68,6 +71,16 @@ def _segment_record(line: bytes, kind: str, path: Path, where: int | str) -> Rec
     return record
 
 
+def _decode(lines: Iterable[bytes], kind: str, path: Path) -> columnar.Columns:
+    """The columns of an NDJSON segment's lines, each decoded and validated;
+    blank lines are skipped, but counted in the line numbers errors name."""
+    columns = columnar.Columns(kind)
+    for number, line in enumerate(lines, 1):
+        if not line.isspace():
+            columns.add(_segment_record(line, kind, path, number))
+    return columns
+
+
 def _is_json(line: bytes) -> bool:
     try:
         json.loads(line)
@@ -91,11 +104,12 @@ def _last_line(fp: IO[bytes], end: int) -> tuple[int, bytes]:
     return 0, data
 
 
-def _lines_within(fp: IO[bytes], size: int) -> Iterator[bytes]:
-    """The lines of fp's first size bytes, never reading past them."""
+def _lines_within(fp: IO[bytes], size: int, whole: bool) -> Iterator[bytes]:
+    """The lines of fp's first size bytes, never reading past them; with
+    whole, only those ending in a newline."""
     while size > 0:
         line = fp.readline(size)
-        if not line:
+        if not line or whole and not line.endswith(b"\n"):
             return
         size -= len(line)
         yield line
@@ -106,25 +120,18 @@ class _Listed(NamedTuple):
 
     key: tuple
     path: Path
-    columnar: bool
+    kind: str
     fp: IO[bytes] | None = None  # an NDJSON segment, opened when listed
     size: int = 0  # its bytes to read
     left_open: bool = False  # another process's: its last line may be partial
 
-
-def _segment_lines(segment: _Listed) -> Iterator[bytes]:
-    """The lines of an NDJSON segment; of a segment left open, only those
-    ending in a newline."""
-    for line in _lines_within(segment.fp, segment.size):
-        if segment.left_open and not line.endswith(b"\n"):
-            return
-        yield line
-
-
-def _ndjson_records(segment: _Listed, kind: str) -> Iterator[Record]:
-    for number, line in enumerate(_segment_lines(segment), 1):
-        if not line.isspace():
-            yield _segment_record(line, kind, segment.path, number)
+    def open(self) -> columnar.Segment:
+        """The segment as columns: a columnar file is opened; an NDJSON
+        segment's lines are decoded, of one left open those ending in "\\n"."""
+        if self.fp is None:
+            return columnar.Segment(self.path, self.kind)
+        lines = _lines_within(self.fp, self.size, self.left_open)
+        return columnar.Segment.of(_decode(lines, self.kind, self.path))
 
 
 @dataclass(slots=True)
@@ -174,6 +181,7 @@ class RecordStore:
         self._active: dict[str, _Active] = {}
         self._writer: IO[bytes] | None = None  # the locked .lock file
         self._warned: set[str] = set()
+        self.written = {KIND_PING: 0, KIND_TRACEROUTE: 0}  # records this object stored
 
     # -- segment files ------------------------------------------------------
 
@@ -227,10 +235,9 @@ class RecordStore:
                 else:
                     stat = os.fstat(fp.fileno())
                     sealed_files.add((stat.st_dev, stat.st_ino))
-                    segments.append(_Listed(key, paths[_NDJSON], False, fp,
-                                             stat.st_size))
+                    segments.append(_Listed(key, paths[_NDJSON], kind, fp, stat.st_size))
                     continue
-            segments.append(_Listed(key, paths[columnar.SUFFIX], True))
+            segments.append(_Listed(key, paths[columnar.SUFFIX], kind))
         active = self._active.get(kind)
         for key, path in left_open:
             try:
@@ -241,11 +248,11 @@ class RecordStore:
             stat = os.fstat(fp.fileno())
             if active is not None and path == active.path:
                 key = (active.first, f"{kind}-{active.first}-{active.last}", math.inf)
-                segments.append(_Listed(key, path, False, fp, active.size))
+                segments.append(_Listed(key, path, kind, fp, active.size))
             elif (stat.st_dev, stat.st_ino) not in sealed_files:
                 # else it is a sealed segment's second name: a seal cut
                 # between linking the sealed name and unlinking this one
-                segments.append(_Listed(key, path, False, fp, stat.st_size, True))
+                segments.append(_Listed(key, path, kind, fp, stat.st_size, True))
         segments.sort(key=_LOAD_KEY)
         return segments
 
@@ -319,21 +326,18 @@ class RecordStore:
             else:
                 ndjson.unlink()
                 return
-        columns = columnar.Columns(kind)
         try:
             with ndjson.open("rb") as fp:
-                for number, line in enumerate(fp, 1):
-                    if not line.isspace():
-                        columns.add(_segment_record(line, kind, ndjson, number))
+                columns = _decode(fp, kind, ndjson)
         except StoreError as exc:
             log.warning("%s stays NDJSON: %s", ndjson, exc)
             return
         if columns.count:
-            self._write_columns(stem, kind, columns)
+            self._write_columns(stem, columns)
 
-    def _write_columns(self, stem: str, kind: str, columns: columnar.Columns) -> None:
+    def _write_columns(self, stem: str, columns: columnar.Columns) -> None:
         temp = self.path / (stem + columnar.TEMP_SUFFIX)
-        columnar.write(temp, kind, columns)
+        columnar.write(temp, columnar.Segment.of(columns))
         os.replace(temp, self.path / (stem + columnar.SUFFIX))
         os.unlink(self.path / (stem + _NDJSON))
 
@@ -374,7 +378,7 @@ class RecordStore:
             return
         seg.fp.close()
         stem = self._seal_file(seg.path, kind, seg.first, seg.last)
-        self._write_columns(stem, kind, seg.columns)
+        self._write_columns(stem, seg.columns)
 
     def append(self, record: Record) -> None:
         """Validate and persist one record as from_json_obj decodes
@@ -405,6 +409,7 @@ class RecordStore:
             seg.columns.add(record)
             seg.size += len(data)
             seg.last = record.timestamp
+            self.written[kind] += 1
             if seg.columns.count >= self.segment_records:
                 self._seal(kind)
 
@@ -428,28 +433,23 @@ class RecordStore:
     # -- reading ------------------------------------------------------------
 
     def count(self, kind: str | None = None) -> int:
-        """Records of kind (of both kinds for None): a columnar segment's
-        count comes from its header, once its CRC and header check; an
-        NDJSON segment's non-blank lines are counted without decoding."""
+        """Records of kind (of both kinds for None), read as query reads
+        them: a columnar segment's count comes from its header, once its
+        CRC and header check; an NDJSON segment is decoded."""
         if kind is None:
             return self.count(KIND_PING) + self.count(KIND_TRACEROUTE)
         with self._segments(kind) as segments:
-            return sum(columnar.Segment(segment.path, kind).count if segment.columnar else
-                       sum(not line.isspace() for line in _segment_lines(segment))
-                       for segment in segments)
+            return sum(segment.open().count for segment in segments)
 
     def query(self, q: StoreQuery) -> list[Record]:
         """Matching records ordered by timestamp, then load order. Reads
-        only q.kind's segments; a columnar segment whose pair dictionary or
+        only q.kind's segments; a columnar file whose pair dictionary or
         time range rules out every row has only its CRC and header checked,
         and records are built only for the rows selected."""
         records = []
         with self._segments(q.kind) as segments:
             for segment in segments:
-                if segment.columnar:
-                    records += columnar.Segment(segment.path, q.kind).records(q)
-                else:
-                    records += filter(q.matches, _ndjson_records(segment, q.kind))
+                records += segment.open().records(q)
         records.sort(key=_TIMESTAMP)
         return records
 
@@ -461,14 +461,7 @@ class RecordStore:
         grouped: dict[tuple[str, str], PathRuns] = {}
         with self._segments(KIND_TRACEROUTE) as segments:
             for segment in segments:
-                if segment.columnar:
-                    columnar.Segment(segment.path, KIND_TRACEROUTE).group(q, grouped)
-                    continue
-                for run in filter(q.matches, _ndjson_records(segment, KIND_TRACEROUTE)):
-                    runs = grouped.get((run.source, run.destination))
-                    if runs is None:
-                        runs = grouped[run.source, run.destination] = PathRuns()
-                    runs.add(run)
+                segment.open().group(q, grouped)
         return grouped
 
     def export(self, fp: IO[str]) -> int:
@@ -477,27 +470,19 @@ class RecordStore:
         Records are ordered by timestamp; at equal timestamps pings come
         before traceroute runs, then each kind's load order. Every segment
         is validated before anything is written. Segment streams are then
-        merged: columnar segments whose time ranges do not overlap are read
-        one after another, so memory holds about one segment per overlap,
-        plus the NDJSON segments."""
+        merged: segments whose time ranges do not overlap are read one
+        after another, so memory holds about one columnar file per overlap,
+        plus the columns of the NDJSON segments."""
         with self._segments(KIND_PING) as pings, \
                 self._segments(KIND_TRACEROUTE) as runs:
-            streams, sealed = [], []
-            for kind_rank, (kind, segments) in enumerate(
-                    ((KIND_PING, pings), (KIND_TRACEROUTE, runs))):
-                for load_rank, segment in enumerate(segments):
-                    rank = (kind_rank, load_rank)
-                    if segment.columnar:
-                        checked = columnar.Segment(segment.path, kind)
-                        checked.columns()
-                        sealed.append((checked.min, checked.max, rank, segment.path, kind))
-                    else:
-                        lines = [(record.timestamp, rank, serialize_line(record))
-                                 for record in _ndjson_records(segment, kind)]
-                        lines.sort(key=_LOAD_KEY)
-                        streams.append(lines)
+            segments = []
+            for rank, listed in enumerate(pings + runs):
+                segment = listed.open()
+                segment.columns()
+                if segment.count:
+                    segments.append((segment.min, segment.max, rank, segment.opener()))
             n = 0
-            for _, _, line in heapq.merge(*streams, *columnar.line_streams(sealed)):
+            for _, _, line in heapq.merge(*columnar.line_streams(segments)):
                 fp.write(line)
                 n += 1
         return n

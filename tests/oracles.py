@@ -8,6 +8,7 @@ package beyond the record classes and exceptions.
 from __future__ import annotations
 
 import ipaddress
+import json
 import math
 from fractions import Fraction
 
@@ -294,3 +295,38 @@ def reference_decode(obj):
     record = reference_map(obj)
     reference_validate(record)
     return reference_normalize(record)
+
+
+# -- store reads ----------------------------------------------------------------
+
+
+def serialize_line(record) -> str:
+    """The canonical NDJSON line of a record, built field by field: the
+    schema's key order, absent optional fields left out, no spaces."""
+    if isinstance(record, PingRecord):
+        doc = {"timestamp": record.timestamp, "source": record.source,
+               "destination": record.destination, "status": record.status}
+        if record.rtt is not None:
+            doc["rtt"] = record.rtt
+    else:
+        hops = []
+        for hop in record.hops:
+            entry = {"hop": hop.hop}
+            if hop.address is not None:
+                entry["address"] = hop.address
+            entry["status"] = hop.status
+            if hop.rtt is not None:
+                entry["rtt"] = hop.rtt
+            hops.append(entry)
+        doc = {"timestamp": record.timestamp, "source": record.source,
+               "destination": record.destination, "round": record.round, "hops": hops}
+    return json.dumps(doc, separators=(",", ":")) + "\n"
+
+
+def matches(q, record) -> bool:
+    """Whether the StoreQuery q selects record: a timestamp in [start, end),
+    then the source and destination, each unset field matching anything."""
+    return ((q.start is None or record.timestamp >= q.start)
+            and (q.end is None or record.timestamp < q.end)
+            and (q.source is None or record.source == q.source)
+            and (q.destination is None or record.destination == q.destination))

@@ -15,12 +15,11 @@ from contrace import analytics, cli, icmp
 from contrace.enrich import GeoLocation, plausibility_filter
 from contrace.icmp import Family
 from contrace.probe import ProbeSchedule, RelationKey
-from contrace.records import (Hop, PathRuns, PingRecord, RecordStore, StoreQuery,
-                              TracerouteRun, serialize_line)
+from contrace.records import Hop, PingRecord, RecordStore, StoreQuery, TracerouteRun
 from contrace.sim import run_scenario
 
 import oracles
-from conftest import (START_US, ecmp4_topology, linear_topology, ping_once,
+from conftest import (START_US, ecmp4_topology, linear_topology, path_runs, ping_once,
                       relation_for)
 from test_analytics import _AS_BY_OCTET, enrich_fixture
 
@@ -281,7 +280,7 @@ def test_08_aggregation_oracle_equivalence():
         assert cdf == {year: oracles.ecdf_reference(means)
                        for year, means in by_year.items()}
 
-        observations = analytics.link_shares(PathRuns.of(runs), RELATION, enrich_fixture)
+        observations = analytics.link_shares(path_runs(runs), RELATION, enrich_fixture)
         for group_by, group_fn in ((analytics.GROUP_BY_AS, _as_group_of),
                                    (analytics.GROUP_BY_COUNTRY, _country_of)):
             rows = analytics.crossing_table(observations, group_by,
@@ -300,7 +299,7 @@ def test_08_aggregation_oracle_equivalence():
                 assert row.q90_rtt_ms == \
                     oracles.nearest_rank_reference(ordered, 9, 10) / 1000.0
 
-        stats = analytics.hop_count_stats(PathRuns.of(runs), RELATION)
+        stats = analytics.hop_count_stats(path_runs(runs), RELATION)
         expected_hops = oracles.hop_count_reference(runs)
         if expected_hops is None:
             assert stats is None

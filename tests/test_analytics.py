@@ -12,9 +12,10 @@ from contrace.analytics import (CrossingRow, GROUP_BY_AS, GROUP_BY_COUNTRY,
 from contrace.enrich import EnrichedHop, GeoLocation
 from contrace.icmp import Family
 from contrace.probe import RelationKey
-from contrace.records import Hop, PathRuns, PingRecord, TracerouteRun
+from contrace.records import Hop, PingRecord, TracerouteRun
 
 import oracles
+from conftest import path_runs
 
 HOUR = 3_600_000_000
 T0 = 1_609_459_200_000_000  # 2021-01-01T00:00:00Z
@@ -182,7 +183,7 @@ class TestLinkShares:
     def test_full_share(self):
         runs = [make_run(["10.1.0.2", "10.2.0.2", "10.3.0.9"], ts=T0 + i)
                 for i in range(10)]
-        obs = link_shares(PathRuns.of(runs), RELATION, enrich_fixture)
+        obs = link_shares(path_runs(runs), RELATION, enrich_fixture)
         assert {(o.from_hop.address, o.to_hop.address): o.share for o in obs} == {
             ("10.1.0.2", "10.2.0.2"): 100.0,
             ("10.2.0.2", "10.3.0.9"): 100.0,
@@ -192,7 +193,7 @@ class TestLinkShares:
         runs = [make_run(["10.1.0.2", "10.2.0.2", "10.3.0.9"], ts=T0 + i)
                 for i in range(999)]
         runs.append(make_run(["10.1.0.2", "10.2.0.7", "10.3.0.9"], ts=T0 + 999))
-        obs = link_shares(PathRuns.of(runs), RELATION, enrich_fixture)
+        obs = link_shares(path_runs(runs), RELATION, enrich_fixture)
         rare = [o for o in obs if o.to_hop.address == "10.2.0.7"
                 or (o.from_hop.address == "10.2.0.7")]
         assert all(o.share == pytest.approx(0.1) for o in rare)
@@ -201,7 +202,7 @@ class TestLinkShares:
 
     def test_unresponsive_hop_breaks_chain(self):
         runs = [make_run(["10.1.0.2", None, "10.3.0.9"])]
-        obs = link_shares(PathRuns.of(runs), RELATION, enrich_fixture)
+        obs = link_shares(path_runs(runs), RELATION, enrich_fixture)
         assert obs == []
 
     def test_duplicate_link_in_one_run_counts_once(self):
@@ -211,7 +212,7 @@ class TestLinkShares:
                 Hop(5, 255, "10.3.0.9", 500))
         runs = [TracerouteRun(T0, RELATION.source_address,
                               RELATION.destination_address, 0, hops)]
-        grouped = PathRuns.of(runs)
+        grouped = path_runs(runs)
         obs = link_shares(grouped, RELATION, enrich_fixture)
         pair = next(o for o in obs
                     if (o.from_hop.address, o.to_hop.address) == ("10.1.0.2", "10.2.0.2"))
@@ -223,19 +224,19 @@ class TestLinkShares:
     def test_totals_include_unresponsive_runs(self):
         runs = [make_run(["10.1.0.2", "10.2.0.2", "10.3.0.9"]),
                 make_run([None, None, None], last_is_reply=False)]
-        obs = link_shares(PathRuns.of(runs), RELATION, enrich_fixture)
+        obs = link_shares(path_runs(runs), RELATION, enrich_fixture)
         assert all(o.runs_total == 2 and o.share == 50.0 for o in obs)
 
 
 class TestCrossingTable:
     def test_all_hops_one_as_empty(self):
         runs = [make_run(["10.1.0.2", "10.1.0.3", "10.1.0.4"]) for _ in range(5)]
-        obs = link_shares(PathRuns.of(runs), RELATION, enrich_fixture)
+        obs = link_shares(path_runs(runs), RELATION, enrich_fixture)
         assert crossing_table(obs, GROUP_BY_AS) == []
 
     def test_crossing_asymmetry(self):
         runs = [make_run(["10.1.0.2", "10.2.0.2", "10.1.0.9", "10.3.0.9"])]
-        obs = link_shares(PathRuns.of(runs), RELATION, enrich_fixture)
+        obs = link_shares(path_runs(runs), RELATION, enrich_fixture)
         rows = crossing_table(obs, GROUP_BY_COUNTRY, threshold_percent=0.0)
         pairs = {(r.from_group, r.to_group) for r in rows}
         assert ("SE", "DK") in pairs and ("DK", "SE") in pairs
@@ -243,7 +244,7 @@ class TestCrossingTable:
     def test_unknown_group_breaks_chain(self):
         # 10.77.x.y has no AS mapping: crossings through it vanish
         runs = [make_run(["10.1.0.2", "10.77.0.1", "10.3.0.9"])]
-        obs = link_shares(PathRuns.of(runs), RELATION, enrich_fixture)
+        obs = link_shares(path_runs(runs), RELATION, enrich_fixture)
         rows = crossing_table(obs, GROUP_BY_AS, threshold_percent=0.0)
         assert rows == []
 
@@ -254,7 +255,7 @@ class TestCrossingTable:
                 Hop(5, 255, "10.3.0.9", 500))
         runs = [TracerouteRun(T0, RELATION.source_address,
                               RELATION.destination_address, 0, hops)]
-        obs = link_shares(PathRuns.of(runs), RELATION, enrich_fixture)
+        obs = link_shares(path_runs(runs), RELATION, enrich_fixture)
         rows = crossing_table(obs, GROUP_BY_AS, threshold_percent=0.0)
         row = next(r for r in rows if r.to_group == "2603: NORDUNET")
         assert row.share == 100.0
@@ -265,7 +266,7 @@ class TestCrossingTable:
         runs = [make_run(["10.1.0.2", "10.2.0.2", "10.3.0.9"], ts=T0 + i)
                 for i in range(99)]
         runs.append(make_run(["10.1.0.2", "10.1.0.3", "10.3.0.9"], ts=T0 + 99))
-        obs = link_shares(PathRuns.of(runs), RELATION, enrich_fixture)
+        obs = link_shares(path_runs(runs), RELATION, enrich_fixture)
         all_rows = crossing_table(obs, GROUP_BY_AS, threshold_percent=0.0)
         filtered = crossing_table(obs, GROUP_BY_AS, threshold_percent=2.0)
         assert {(r.from_group, r.to_group) for r in all_rows} > \
@@ -285,7 +286,7 @@ class TestCrossingTable:
                 chain.append(None)
             chain.append("10.3.0.9")
             runs.append(make_run(chain, ts=T0 + i))
-        obs = link_shares(PathRuns.of(runs), RELATION, enrich_fixture)
+        obs = link_shares(path_runs(runs), RELATION, enrich_fixture)
         rows = crossing_table(obs, GROUP_BY_AS, threshold_percent=0.0)
 
         def group_of(address):
@@ -317,7 +318,7 @@ class TestCrossingTable:
                                       RELATION.destination_address, 0, hops))
         for i in range(59):
             runs.append(make_run(["10.1.0.2", "10.1.0.3"], ts=T0 + 9941 + i))
-        obs = link_shares(PathRuns.of(runs), RELATION, enrich_fixture)
+        obs = link_shares(path_runs(runs), RELATION, enrich_fixture)
         rows = crossing_table(obs, GROUP_BY_AS, threshold_percent=0.1)
         row = next(r for r in rows if r.to_group == "2603: NORDUNET")
         assert f"{row.share:.2f}" == "99.41"
@@ -330,7 +331,7 @@ class TestHopCountStats:
     def test_hand_computed(self):
         runs = [make_run(["10.1.0.2"] * (n - 1) + ["10.3.0.9"], ts=T0 + i)
                 for i, n in enumerate([14, 14, 15, 15, 15])]
-        stats = hop_count_stats(PathRuns.of(runs), RELATION)
+        stats = hop_count_stats(path_runs(runs), RELATION)
         assert stats.min == 14
         assert stats.median == 15.0
         assert stats.mean == pytest.approx(14.6)
@@ -341,19 +342,19 @@ class TestHopCountStats:
         lengths = [14] * 34 + [15] * 66
         runs = [make_run(["10.1.0.2"] * (n - 1) + ["10.3.0.9"], ts=T0 + i)
                 for i, n in enumerate(lengths)]
-        stats = hop_count_stats(PathRuns.of(runs), RELATION)
+        stats = hop_count_stats(path_runs(runs), RELATION)
         assert (stats.min, stats.q10, stats.mean, stats.median, stats.q90) == \
             (14, 14.0, 14.66, 15.0, 15.0)
 
     def test_incomplete_runs_do_not_contribute(self):
         runs = [make_run(["10.1.0.2", "10.2.0.2"], last_is_reply=False),
                 make_run(["10.1.0.2", "10.3.0.9"])]
-        stats = hop_count_stats(PathRuns.of(runs), RELATION)
+        stats = hop_count_stats(path_runs(runs), RELATION)
         assert stats.min == stats.q90 == 2
 
     def test_no_complete_runs(self):
         runs = [make_run(["10.1.0.2"], last_is_reply=False)]
-        assert hop_count_stats(PathRuns.of(runs), RELATION) is None
+        assert hop_count_stats(path_runs(runs), RELATION) is None
 
     def test_matches_oracle_on_random_runs(self):
         rng = random.Random(1000)
@@ -363,7 +364,7 @@ class TestHopCountStats:
             complete = rng.random() < 0.9
             runs.append(make_run(["10.1.0.2"] * (n - 1) + ["10.3.0.9"],
                                  ts=T0 + i, last_is_reply=complete))
-        stats = hop_count_stats(PathRuns.of(runs), RELATION)
+        stats = hop_count_stats(path_runs(runs), RELATION)
         expected = oracles.hop_count_reference(runs)
         assert (stats.min, stats.q10, stats.mean, stats.median, stats.q90) == expected
 
@@ -380,7 +381,7 @@ class TestRendering:
         assert "1653: SUNET" in text_doc
 
     def test_hop_stats_format(self):
-        stats = hop_count_stats(PathRuns.of(
+        stats = hop_count_stats(path_runs(
             [make_run(["10.1.0.2"] * 13 + ["10.3.0.9"], ts=T0 + i)
              for i in range(34)] +
             [make_run(["10.1.0.2"] * 14 + ["10.3.0.9"], ts=T0 + 100 + i)
@@ -400,7 +401,7 @@ class TestGraphExport:
     def _observations(self):
         runs = [make_run(["10.1.0.2", "10.1.0.3", "10.2.0.2", "10.3.0.9"],
                          ts=T0 + i) for i in range(100)]
-        return link_shares(PathRuns.of(runs), RELATION, enrich_fixture)
+        return link_shares(path_runs(runs), RELATION, enrich_fixture)
 
     def test_inter_vs_intra_styles(self):
         doc = export_route_graph(self._observations(), 0.1, "dot").document
@@ -419,7 +420,7 @@ class TestGraphExport:
         runs = [make_run(["10.1.0.2", "10.2.0.2", "10.3.0.9"], ts=T0 + i)
                 for i in range(1999)]
         runs.append(make_run(["10.1.0.2", "10.2.0.7", "10.3.0.9"], ts=T0 + 1999))
-        obs = link_shares(PathRuns.of(runs), RELATION, enrich_fixture)
+        obs = link_shares(path_runs(runs), RELATION, enrich_fixture)
         doc = export_route_graph(obs, 0.1, "dot").document
         assert "10.2.0.7" not in doc  # share 0.05 % < 0.1 %
 
@@ -439,7 +440,7 @@ class TestGraphExport:
     def test_unlocatable_nodes_reported_not_dropped(self):
         runs = [make_run(["10.1.0.2", "10.2.0.2", "10.3.0.9"], ts=T0 + i)
                 for i in range(10)]
-        obs = link_shares(PathRuns.of(runs), RELATION, enrich_no_geo)
+        obs = link_shares(path_runs(runs), RELATION, enrich_no_geo)
         export = export_route_graph(obs, 0.1, "geojson")
         assert set(export.unlocatable) == {"10.1.0.2", "10.2.0.2", "10.3.0.9"}
         # dot still renders them
@@ -504,7 +505,7 @@ class TestPathLevelAgainstRunOracles:
     @given(runs=few_path_runs())
     def test_link_shares(self, runs):
         seen, total = oracles.link_share_reference(runs)
-        observations = link_shares(PathRuns.of(runs), RELATION, enrich_fixture)
+        observations = link_shares(path_runs(runs), RELATION, enrich_fixture)
         assert {(o.from_hop.address, o.to_hop.address): o.runs_observed
                 for o in observations} == {link: len(idx) for link, idx in seen.items()}
         assert all(o.runs_total == total for o in observations)
@@ -512,7 +513,7 @@ class TestPathLevelAgainstRunOracles:
     @settings(max_examples=200, deadline=None)
     @given(runs=few_path_runs())
     def test_crossings(self, runs):
-        observations = link_shares(PathRuns.of(runs), RELATION, enrich_fixture)
+        observations = link_shares(path_runs(runs), RELATION, enrich_fixture)
         for group_by, group_of in ((GROUP_BY_AS, _as_group), (GROUP_BY_COUNTRY, _country)):
             rows = crossing_table(observations, group_by, threshold_percent=0.0)
             expected = oracles.crossing_reference(runs, group_of)
@@ -528,7 +529,7 @@ class TestPathLevelAgainstRunOracles:
     @settings(max_examples=200, deadline=None)
     @given(runs=few_path_runs())
     def test_hop_counts(self, runs):
-        stats = hop_count_stats(PathRuns.of(runs), RELATION)
+        stats = hop_count_stats(path_runs(runs), RELATION)
         expected = oracles.hop_count_reference(runs)
         if expected is None:
             assert stats is None
@@ -544,7 +545,7 @@ class TestPathLevelAgainstRunOracles:
 
         runs = [make_run(["10.1.0.2", "10.2.0.2", "10.3.0.9"], ts=T0 + i)
                 for i in range(500)]
-        grouped = PathRuns.of(runs)
+        grouped = path_runs(runs)
         assert len(grouped) == 500 and len(grouped.paths) == 1
         observations = link_shares(grouped, RELATION, counting)
         assert sorted(calls) == ["10.1.0.2", "10.2.0.2", "10.2.0.2", "10.3.0.9"]

@@ -1,6 +1,9 @@
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,9 +11,9 @@ import pytest
 from contrace import cli
 from contrace.cli import (EXIT_CONFIG, EXIT_EMPTY, EXIT_ERROR, EXIT_OK,
                           EXIT_PRIVILEGE)
-from contrace.records import (Hop, PathRuns, PingRecord, RecordStore, StoreQuery,
-                              TracerouteRun, serialize_line)
-from conftest import MIXED_NDJSON, MIXED_NDJSON_REJECTED
+from contrace.records import Hop, PingRecord, RecordStore, StoreQuery, TracerouteRun
+from conftest import MIXED_NDJSON, MIXED_NDJSON_REJECTED, path_runs
+from oracles import serialize_line
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -144,6 +147,21 @@ class TestSimRun:
             f"simulated 600 s: 600 ping, 6 traceroute records -> {store}\n"
         reopened = RecordStore(store)
         assert (reopened.count("ping"), reopened.count("traceroute")) == (605, 11)
+
+    def test_summary_counts_the_runs_writes_after_a_crashed_writer(self, tmp_path, capsys):
+        """A crashed writer left a segment whose last line is a whole record
+        without its newline: a reader skips that line and recovery keeps it,
+        so a difference of store counts would report one record too many."""
+        store = tmp_path / "store"
+        argv = ["sim-run", "--topology", str(FIXTURES / "neighbor.yaml"),
+                "--duration", "60", "--seed", "1", "--store", str(store)]
+        assert cli.main(argv) == EXIT_OK
+        assert capsys.readouterr().out.startswith("simulated 60 s: 60 ping, ")
+        lines = [serialize_line(PingRecord(ts, "10.16.1.10", "10.22.2.10", 0)) for ts in (1, 2)]
+        (store / "ping-1-open.ndjson").write_text(lines[0] + lines[1].rstrip("\n"))
+        assert cli.main(argv) == EXIT_OK
+        assert capsys.readouterr().out.startswith("simulated 60 s: 60 ping, ")
+        assert RecordStore(store).count("ping") == 122
 
     def test_two_campaigns_into_one_store_keep_every_record(self, tmp_path, capsys):
         store = tmp_path / "store"
@@ -302,7 +320,7 @@ class TestAnalyze:
         runs = store.query(StoreQuery("traceroute",
                                       source=relation.source_address,
                                       destination=relation.destination_address))
-        observations = analytics.link_shares(PathRuns.of(runs), relation,
+        observations = analytics.link_shares(path_runs(runs), relation,
                                              build_enricher(config).enrich)
         for threshold in (2.5, 20.0):
             expected = sum(1 for o in observations if o.share >= threshold)
@@ -462,3 +480,14 @@ def test_relation_filter_parsing():
     with pytest.raises(cli.ConfigError):
         cli._parse_relation_filter("v5:a:b")
     assert cli._parse_relation_filter("v6:A:B")[0].value == "v6"
+
+
+def test_importing_the_cli_leaves_the_command_modules_unloaded():
+    """sim, analytics, enrich and yaml are imported by the commands that use
+    them, so a command that does not pays nothing for them."""
+    deferred = ("contrace.sim", "contrace.analytics", "contrace.enrich", "yaml")
+    code = f"import sys, contrace.cli; print([m for m in {deferred!r} if m in sys.modules])"
+    src = Path(cli.__file__).resolve().parents[1]
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert result.stdout == "[]\n"

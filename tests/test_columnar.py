@@ -17,9 +17,12 @@ from array import array
 
 import pytest
 
-from contrace import cli, records
+import oracles
+from contrace import cli, columnar
 from contrace.records import (Hop, PingRecord, RecordStore, StoreError, StoreQuery,
-                              TracerouteRun, serialize_line)
+                              TracerouteRun)
+from conftest import path_runs
+from oracles import serialize_line
 
 MAGIC = b"contrace columns\n"
 
@@ -113,7 +116,7 @@ class TestFormat:
         assert len(paths) == 3 and paths.counts == [2, 1]
         assert list(paths.rtts[0]) == [505, 9005, 507, 9007]
         assert list(paths.rtt_column(1, 1)) == [706]
-        assert records.PathRuns.of(runs[:3]).paths == paths.paths
+        assert path_runs(runs[:3]).paths == paths.paths
 
     def test_path_runs_read_every_kind_of_segment_alike(self, tmp_path):
         def by_path(grouped):
@@ -137,7 +140,7 @@ class TestFormat:
                 for record in store.query(q):
                     expected.setdefault((record.source, record.destination), []).append(record)
                 assert by_path(store.path_runs(q)) == \
-                    by_path({pair: records.PathRuns.of(runs) for pair, runs in expected.items()})
+                    by_path({pair: path_runs(runs) for pair, runs in expected.items()})
 
     def test_foreign_byte_order_is_swapped(self, tmp_path):
         pings, runs = small_store(tmp_path)
@@ -195,6 +198,110 @@ class TestFormat:
             assert other.import_json(io.StringIO(text)) == (300, [])
         assert dump(RecordStore(tmp_path / "b")) == text
         assert not list((tmp_path / "b").glob("*.ndjson"))
+
+
+def _grouped_reference(runs, q):
+    """path_runs by brute force: q's runs in load order, per pair a list of
+    (path, [responsive-hop RTTs of each run]) in order of first use."""
+    grouped = {}
+    for record in runs:
+        if oracles.matches(q, record):
+            paths = grouped.setdefault((record.source, record.destination), {})
+            path = tuple((h.hop, h.status, h.address) for h in record.hops)
+            paths.setdefault(path, []).append(tuple(h.rtt for h in record.hops if h.status))
+    return {pair: list(paths.items()) for pair, paths in grouped.items()}
+
+
+def _grouped(path_runs_):
+    return {pair: [(path, list(zip(*[iter(runs.rtts[i])] * runs.widths[i])))
+                   for i, path in enumerate(runs.paths)]
+            for pair, runs in path_runs_.items()}
+
+
+class TestSegmentForms:
+    """One set of records spread over every form a segment takes: sealed
+    columnar, old sealed NDJSON, another process's open NDJSON with a torn
+    tail, and the writer's own active segment. Every read equals a
+    brute-force reference over the records in load order."""
+
+    PAIRS = [("10.0.0.1", "10.1.0.1"), ("10.0.0.1", "10.1.0.2"), ("10.0.0.2", "10.1.0.1")]
+
+    def chunk(self, rng, first, kind):
+        """A segment's records: the first at its first timestamp, the rest
+        at 5-15, so timestamps repeat within and across segments."""
+        chunk = []
+        for ts in [first] + [rng.randrange(5, 16) for _ in range(rng.randrange(8, 20))]:
+            src, dst = rng.choice(self.PAIRS)
+            chunk.append(ping(ts, rng.choice([None, rng.randrange(1, 5000)]), src, dst)
+                         if kind == "ping" else
+                         run(ts, rng.randrange(2), rng.randrange(3), src, dst,
+                             rng.randrange(1, 5000)))
+        return chunk
+
+    def test_reads_of_every_form_equal_the_reference(self, tmp_path):
+        rng = random.Random(8)
+        forms = {kind: [self.chunk(rng, first, kind) for first in (1, 2, 3, 4)]
+                 for kind in ("ping", "traceroute")}
+        with RecordStore(tmp_path) as first_writer:  # 1: sealed columnar
+            for kind in forms:
+                for record in forms[kind][0]:
+                    first_writer.append(record)
+        with RecordStore(tmp_path) as writer:
+            for kind in forms:  # 4: the writer's active segment, after its recovery
+                for record in forms[kind][3]:
+                    writer.append(record)
+            for kind, (_, old, left_open, _) in forms.items():
+                lines = [serialize_line(r) for r in old]  # 2: old sealed NDJSON
+                (tmp_path / f"{kind}-2-{old[-1].timestamp}.ndjson").write_text(
+                    "".join(lines[:3]) + "\n" + "".join(lines[3:]))
+                lines = [serialize_line(r) for r in left_open]  # 3: a torn tail
+                (tmp_path / f"{kind}-3-open.ndjson").write_text(
+                    "".join(lines) + lines[0][:25])
+            # left open with no whole line: only a partial one, or only blank lines
+            (tmp_path / "ping-6-open.ndjson").write_text(serialize_line(ping(6))[:30])
+            (tmp_path / "traceroute-6-open.ndjson").write_text("\n  \n")
+            assert [re.sub(r"-[0-9]+\.", "-last.", name) for name in names(tmp_path, "*-*")] \
+                == [f"{kind}-{name}" for kind in ("ping", "traceroute")
+                    for name in ("1-last.col", "2-last.ndjson", "3-open.ndjson",
+                                 "4-open.ndjson", "6-open.ndjson")]
+            in_load_order = {kind: [r for chunk in chunks for r in chunk]
+                             for kind, chunks in forms.items()}
+            expected_export = canonical(in_load_order["ping"] + in_load_order["traceroute"])
+            pair = self.PAIRS[0]
+            for store in (writer, RecordStore(tmp_path)):
+                assert dump(store) == expected_export
+                assert store.count() == sum(map(len, in_load_order.values()))
+                for kind, stored in in_load_order.items():
+                    for q in (StoreQuery(kind), StoreQuery(kind, None, None, *pair),
+                              StoreQuery(kind, start=6, end=11),
+                              StoreQuery(kind, 3, 12, *pair),
+                              StoreQuery(kind, source=pair[0]),
+                              StoreQuery(kind, start=16)):
+                        assert store.count(kind) == len(stored)
+                        assert store.query(q) == sorted(
+                            (r for r in stored if oracles.matches(q, r)),
+                            key=lambda r: r.timestamp)
+                        if kind == "traceroute":
+                            assert _grouped(store.path_runs(q)) == \
+                                _grouped_reference(stored, q)
+        # a writer's recovery seals what was left open and drops the torn tails
+        with RecordStore(tmp_path) as writer:
+            writer.append(ping(100))
+        assert not list(tmp_path.glob("*.ndjson"))
+        assert dump(RecordStore(tmp_path)) == expected_export + serialize_line(ping(100))
+
+    @pytest.mark.parametrize("kind", ["ping", "traceroute"])
+    def test_a_segment_of_no_rows_reads_as_empty(self, kind):
+        segment = columnar.Segment.of(columnar.Columns(kind))
+        assert (segment.count, segment.min, segment.max) == (0, None, None)
+        for q in (StoreQuery(kind), StoreQuery(kind, start=1, end=2),
+                  StoreQuery(kind, source="10.0.0.1")):
+            assert segment.rows(q) == () and segment.records(q) == []
+            if kind == "traceroute":
+                grouped = {}
+                segment.group(q, grouped)
+                assert grouped == {}
+        assert list(segment.lines(0)) == []
 
 
 def _reads(store, kind):

@@ -19,6 +19,7 @@ from contrace.records import (Hop, InvalidRecord, MalformedJson, PingRecord,
                               RecordStore, StoreError, StoreQuery, TracerouteRun)
 from conftest import MIXED_NDJSON, MIXED_NDJSON_REJECTED
 import oracles
+from oracles import serialize_line
 
 
 def ping(ts=1_600_000_000_000_000, src="10.0.0.1", dst="10.1.0.1", status=255, rtt=10_000):
@@ -37,7 +38,7 @@ def run(ts=1_600_000_000_000_000, src="10.0.0.1", dst="10.1.0.1", rnd=0):
 
 def write_old_segment(path, records_):
     """A sealed NDJSON segment, as stores wrote before columnar segments."""
-    path.write_text("".join(records.serialize_line(r) for r in records_))
+    path.write_text("".join(serialize_line(r) for r in records_))
 
 
 class TestValidation:
@@ -126,10 +127,10 @@ class TestValidation:
 
 class TestSerialization:
     def test_canonical_key_order_and_omissions(self):
-        line = records.serialize_line(ping())
+        line = serialize_line(ping())
         obj = json.loads(line)
         assert list(obj) == ["timestamp", "source", "destination", "status", "rtt"]
-        line0 = records.serialize_line(ping(status=0))
+        line0 = serialize_line(ping(status=0))
         assert "rtt" not in json.loads(line0)
 
     def test_traceroute_hop_omissions(self):
@@ -139,8 +140,8 @@ class TestSerialization:
 
     def test_parse_serialize_idempotent(self):
         for rec in (ping(), ping(status=0), run()):
-            line = records.serialize_line(rec)
-            again = records.serialize_line(records.parse_line(line))
+            line = serialize_line(rec)
+            again = serialize_line(records.parse_line(line))
             assert line == again
 
     def test_string_rtt_rejected_with_type_diagnostic(self):
@@ -162,7 +163,7 @@ class TestSerialization:
     def test_ping_round_trip_property(self, ts, status, rtt):
         rec = PingRecord(ts, "192.0.2.7", "192.0.2.9", status,
                          rtt if status == 255 else None)
-        assert records.parse_line(records.serialize_line(rec)) == rec
+        assert records.parse_line(serialize_line(rec)) == rec
 
 
 V4_ADDRESSES = ["10.0.0.1", "192.0.2.9", "10.22.2.10"]
@@ -337,7 +338,7 @@ class TestSinglePassDecode:
         record = records.from_json_obj(doc)
         columns = columnar.Columns("ping" if isinstance(record, PingRecord) else "traceroute")
         for _ in range(2):  # the %-format is built, then reused
-            assert columns.line(record) == records.serialize_line(record)
+            assert columns.line(record) == serialize_line(record)
 
     def test_equal_addresses_share_one_string(self):
         first = records.parse_line('{"timestamp":1,"source":"2001:DB8::1",'
@@ -364,7 +365,7 @@ class TestRecordTuples:
     @pytest.mark.parametrize("record", [ping(), ping(status=0), run()],
                              ids=["reply", "timeout", "run"])
     def test_hash_and_round_trip_through_parse_line(self, record):
-        again = records.parse_line(records.serialize_line(record))
+        again = records.parse_line(serialize_line(record))
         assert again == record
         assert hash(again) == hash(record)
         assert repr(again) == repr(record)
@@ -384,8 +385,8 @@ class TestRecordTuples:
                              ids=["single-pass", "slow-path"])
     def test_decoded_records_are_exactly_the_record_classes(self, source, tmp_path):
         family_dst = "10.1.0.1" if "." in source else "2001:db8::2"
-        lines = [records.serialize_line(ping(src=source, dst=family_dst)),
-                 records.serialize_line(run(src=source, dst=family_dst))]
+        lines = [serialize_line(ping(src=source, dst=family_dst)),
+                 serialize_line(run(src=source, dst=family_dst))]
         decoded = [records.parse_line(line) for line in lines]
         with RecordStore(tmp_path) as store:
             store.import_json(io.StringIO("".join(lines)))
@@ -399,14 +400,14 @@ class TestRecordTuples:
 
 class TestStore:
     def test_import_counts(self, tmp_path):
-        lines = [records.serialize_line(ping(ts=i + 1)) for i in range(100)]
+        lines = [serialize_line(ping(ts=i + 1)) for i in range(100)]
         with RecordStore(tmp_path) as store:
             accepted, rejects = store.import_json(io.StringIO("".join(lines)))
         assert (accepted, rejects) == (100, [])
 
     def test_import_reports_rejects(self, tmp_path):
-        text = records.serialize_line(ping()) + "{not json}\n" + \
-            records.serialize_line(ping(ts=2))
+        text = serialize_line(ping()) + "{not json}\n" + \
+            serialize_line(ping(ts=2))
         with RecordStore(tmp_path) as store:
             accepted, rejects = store.import_json(io.StringIO(text))
         assert accepted == 2
@@ -549,14 +550,14 @@ class TestStore:
         first = [ping(ts=t, rtt=t) for t in range(100, 200)]
         second = [ping(ts=t, rtt=t + 1) for t in range(150, 250)]
         imported = first + second + second[::-1]
-        text = "".join(records.serialize_line(r) for r in imported)
+        text = "".join(serialize_line(r) for r in imported)
         reference = sorted(imported, key=lambda r: r.timestamp)
         with RecordStore(tmp_path, segment_records=64) as store:
             assert store.import_json(io.StringIO(text)) == (len(imported), [])
             assert store.query(StoreQuery("ping")) == reference
             out = io.StringIO()
             store.export(out)
-        assert out.getvalue() == "".join(records.serialize_line(r) for r in reference)
+        assert out.getvalue() == "".join(serialize_line(r) for r in reference)
 
     def test_query_partition_consistency(self, tmp_path):
         rng = random.Random(13)
@@ -642,8 +643,8 @@ class TestStore:
             lines = b"".join(p.read_bytes() for p in sorted(tmp_path.glob("*.ndjson")))
         assert stored[2].source == "2001:db8::1"
         assert lines.decode() == "".join(
-            records.serialize_line(r) for r in sorted(stored, key=lambda r: r.timestamp)
-            if isinstance(r, PingRecord)) + records.serialize_line(run(ts=3))
+            serialize_line(r) for r in sorted(stored, key=lambda r: r.timestamp)
+            if isinstance(r, PingRecord)) + serialize_line(run(ts=3))
 
     def test_bulk_append_one_million(self, tmp_path):
         with RecordStore(tmp_path, segment_records=500_000) as store:
@@ -696,7 +697,7 @@ class TestSegments:
         assert reopened.query(StoreQuery("ping")) == expected
 
     def test_dump_imported_twice_is_held_twice(self, tmp_path):
-        lines = [records.serialize_line(ping(ts=t, rtt=t)) for t in range(1, 101)]
+        lines = [serialize_line(ping(ts=t, rtt=t)) for t in range(1, 101)]
         for _ in range(2):
             with RecordStore(tmp_path) as store:
                 assert store.import_json(io.StringIO("".join(lines))) == (100, [])
@@ -715,8 +716,8 @@ class TestSegments:
 
     @pytest.mark.parametrize("cut", [30, -1], ids=["torn", "no-newline"])
     def test_recovery_truncates_a_torn_last_line(self, tmp_path, caplog, cut):
-        kept = records.serialize_line(ping(ts=5)) + records.serialize_line(ping(ts=6))
-        last = records.serialize_line(ping(ts=7))[:cut]
+        kept = serialize_line(ping(ts=5)) + serialize_line(ping(ts=6))
+        last = serialize_line(ping(ts=7))[:cut]
         (tmp_path / "ping-5-open.ndjson").write_text(kept + last)
         # a reader reads the full lines and leaves the file as it is
         assert RecordStore(tmp_path).query(StoreQuery("ping")) == [ping(ts=5), ping(ts=6)]
@@ -732,10 +733,10 @@ class TestSegments:
             assert store.count("ping") == 3
             assert "torn" not in caplog.text
             assert dump.getvalue() == \
-                kept + last + "\n" + records.serialize_line(run(ts=100))
+                kept + last + "\n" + serialize_line(run(ts=100))
         else:
             assert [p.name for p in tmp_path.glob("ping-*")] == ["ping-5-6.col"]
-            assert dump.getvalue() == kept + records.serialize_line(run(ts=100))
+            assert dump.getvalue() == kept + serialize_line(run(ts=100))
             assert f"dropped a torn last line of {len(last)} bytes" in caplog.text
             assert store.query(StoreQuery("ping")) == [ping(ts=5), ping(ts=6)]
 
@@ -763,9 +764,8 @@ class TestSegments:
         with segment.open("a") as fp:
             fp.write("\n{not json}\n")
         store = RecordStore(tmp_path)  # opening reads no records
-        assert store.count("ping") == 2  # non-blank lines, not decoded
         assert store.query(StoreQuery("traceroute")) == [run(ts=6)]
-        for read in (lambda: store.query(StoreQuery("ping")),
+        for read in (lambda: store.count("ping"), lambda: store.query(StoreQuery("ping")),
                      lambda: store.export(io.StringIO())):
             with pytest.raises(StoreError, match=re.escape(f"{segment}:3: invalid JSON")):
                 read()

@@ -10,6 +10,7 @@ from contrace.sim import (SimNetwork, SimTransport, TopologyError, VirtualClock,
                           load_topology, run_scenario, topology_from_dict)
 
 from conftest import START_US, ecmp4_topology, linear_topology, relation_for
+from oracles import serialize_line
 
 
 def _probe_bytes(checksum_target=0x1234, seq=1):
@@ -201,7 +202,7 @@ class TestScenario:
         schedule = ProbeSchedule(max_ttl=12, reply_timeout_s=1.0)
 
         def render(produced):
-            return "".join(records.serialize_line(r) for r in produced)
+            return "".join(serialize_line(r) for r in produced)
 
         a, b = [], []
         run_scenario(topo, [relation], schedule, 30, seed=5, sink=a)
