@@ -148,18 +148,20 @@ def build_enricher(config: Config, session=None) -> Enricher:
 
 # -- measure ------------------------------------------------------------------
 
-def _measure_sim(config: Config, args) -> int:
+def _load_topology(path: str):
+    """The topology at path, or None once its error line is printed."""
     import yaml
 
     from . import sim
-    if not args.topology:
-        print("error: sim mode needs --topology", file=sys.stderr)
-        return EXIT_CONFIG
     try:
-        topology = sim.load_topology(args.topology)
+        return sim.load_topology(path)
     except (OSError, sim.TopologyError, yaml.YAMLError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return None
+
+
+def _measure_sim(config: Config, args, topology) -> int:
+    from . import sim
     known = {r.address for r in topology.routers.values()}
     for endpoint in config.sources + config.destinations:
         if endpoint.address not in known:
@@ -235,20 +237,19 @@ def cmd_measure(args) -> int:
         return EXIT_CONFIG
     if args.store:
         config.store_path = Path(args.store)
-    if args.mode == "sim":
-        return _measure_sim(config, args)
-    return _measure_live(config, args)
+    if args.mode != "sim":
+        return _measure_live(config, args)
+    if not args.topology:
+        print("error: sim mode needs --topology", file=sys.stderr)
+        return EXIT_CONFIG
+    topology = _load_topology(args.topology)
+    return EXIT_CONFIG if topology is None else _measure_sim(config, args, topology)
 
 
 def cmd_sim_run(args) -> int:
     """Simulator shortcut: endpoints and schedule come from the topology."""
-    import yaml
-
-    from . import sim
-    try:
-        topology = sim.load_topology(args.topology)
-    except (OSError, sim.TopologyError, yaml.YAMLError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    topology = _load_topology(args.topology)
+    if topology is None:
         return EXIT_CONFIG
     if not topology.measurement:
         print("error: topology has no measurement section; use "
@@ -263,7 +264,7 @@ def cmd_sim_run(args) -> int:
         return EXIT_CONFIG
     if args.store:
         config.store_path = Path(args.store)
-    return _measure_sim(config, args)
+    return _measure_sim(config, args, topology)
 
 
 # -- import / export ----------------------------------------------------------

@@ -20,8 +20,8 @@ status is not 255). Traceroute runs have timestamp, pair, round, path and
 rtt: the RTT of each responsive hop of each run's path, in row and hop
 order, so a row's RTTs start where the previous rows' paths end.
 
-An NDJSON segment is read in the same form: Segment.of wraps the Columns
-that its decoded records fill.
+An NDJSON segment is read in the same form: its decoded records are added
+to a Segment held in memory.
 """
 
 from __future__ import annotations
@@ -92,72 +92,6 @@ def _run_format(prefix: str, statuses: Sequence[int],
     return prefix + ',"round":%d,"hops":[' + hops + ']}\n'
 
 
-class Columns:
-    """The columns of one segment, filled one validated record at a time.
-    Each column starts as a b array and widens only as its values demand,
-    so it is kept in the narrowest type it is written in."""
-
-    def __init__(self, kind: str):
-        self.kind = kind
-        self.pairs: dict[tuple[str, str], int] = {}
-        self.paths: dict[tuple, int] = {}  # (statuses, addresses) -> path id
-        self.columns: list = [array("b") for _ in _COLUMN_NAMES[kind]]
-        self._formats: dict[tuple, str] = {}
-
-    @property
-    def count(self) -> int:
-        return len(self.columns[0])
-
-    def line(self, record: Record) -> str:
-        """The canonical line of record, from a %-format kept per pair and
-        ping status or per pair and path."""
-        pair = (record.source, record.destination)
-        if self.kind == KIND_PING:
-            key = (pair, record.status)
-            line = self._formats.get(key)
-            if line is None:
-                line = self._formats[key] = _ping_format(_pair_prefix(*pair), record.status)
-            if record.rtt is None:
-                return line % record.timestamp
-            return line % (record.timestamp, record.rtt)
-        _, statuses, addresses, rtts = zip(*record.hops)
-        key = (pair, statuses, addresses)
-        line = self._formats.get(key)
-        if line is None:
-            line = self._formats[key] = _run_format(_pair_prefix(*pair), statuses, addresses)
-        return line % (record.timestamp, record.round, *compress(rtts, statuses))
-
-    def add(self, record: Record) -> None:
-        pair = (record.source, record.destination)
-        pair_id = self.pairs.get(pair)
-        if pair_id is None:
-            pair_id = self.pairs[pair] = len(self.pairs)
-        if self.kind == KIND_PING:
-            rtt = record.rtt
-            row = (record.timestamp, pair_id, record.status, -1 if rtt is None else rtt)
-            rtts = ()
-        else:
-            _, statuses, addresses, hop_rtts = zip(*record.hops)
-            path_id = self.paths.setdefault((statuses, addresses), len(self.paths))
-            row = (record.timestamp, pair_id, record.round, path_id)
-            rtts = list(compress(hop_rtts, statuses))  # a hop has an rtt iff status > 0
-        columns = self.columns
-        n, rtts_before = len(columns[0]), len(columns[-1])
-        try:
-            columns[0].append(row[0])
-            columns[1].append(row[1])
-            columns[2].append(row[2])
-            columns[3].append(row[3])
-            columns[-1].extend(rtts)
-        except OverflowError:
-            for column in columns[:-1]:
-                del column[n:]
-            del columns[-1][rtts_before:]
-            for i, value in enumerate(row):
-                _put(columns, i, (value,))
-            _put(columns, -1, rtts)
-
-
 def write(path: Path, segment: Segment) -> None:
     """Write segment to path as a columnar file and fsync it."""
     specs, bodies = [], []
@@ -175,7 +109,8 @@ def write(path: Path, segment: Segment) -> None:
                         for i, (source, destination) in enumerate(segment.pairs)],
               "columns": specs}
     if segment.kind == KIND_TRACEROUTE:
-        header["paths"] = segment.paths
+        header["paths"] = [list(zip(range(1, len(statuses) + 1), statuses, addresses))
+                           for statuses, addresses in segment.keys]
     head = _ENCODE(header).encode()
     crc = zlib.crc32(head, zlib.crc32(struct.pack("<I", len(head))))
     for body in bodies:
@@ -221,9 +156,9 @@ def _checked_pair(entry) -> tuple[str, str]:
     return source, destination
 
 
-def _checked_path(entry) -> tuple[tuple[int, int, str | None], ...]:
-    """A path dictionary entry as (hop, status, address) tuples, checked
-    as the hops of a document are."""
+def _checked_path(entry) -> tuple[tuple[int, ...], tuple[str | None, ...]]:
+    """The (statuses, addresses) of a path dictionary entry, checked as the
+    hops of a document are."""
     _require(type(entry) is list and all(type(h) is list and len(h) == 3 for h in entry),
              f"path {entry!r}: expected [[hop, status, address], ...]")
     hops = []
@@ -238,25 +173,107 @@ def _checked_path(entry) -> tuple[tuple[int, int, str | None], ...]:
                     "round": 0, "hops": hops}, f"path {entry!r}")
     path = tuple(hop[:3] for hop in run.hops)
     _require(path == tuple(map(tuple, entry)), f"path {entry!r}: addresses not canonical")
-    return path
+    return tuple(zip(*path))[1:]
 
 
 class Segment:
     """One segment of one kind as columns, with the facts a read prunes by:
-    count, min and max timestamp (None with no rows), sorted, the pairs and,
-    for traceroutes, the paths. Segment(path, kind) opens a columnar file and
-    checks its CRC, its header, and each pair and path with the rules of
-    from_json_obj; columns() checks every value. Any fault is a StoreError
-    naming the file. Segment.of(columns) wraps columns filled in memory."""
+    count, min and max timestamp (None with no rows), sorted, the pairs and
+    their counts, and for traceroutes each path's key (statuses, addresses)
+    and width (responsive hops). Segment(kind) is empty; add() appends a
+    validated record, widening a column only as its values demand.
+    Segment.load(path, kind) opens a columnar file and checks its CRC, its
+    header, and each pair and path with the rules of from_json_obj;
+    columns() checks every value. Any fault is a StoreError naming the
+    file."""
 
-    def __init__(self, path: Path, kind: str):
-        self.path, self.kind = path, kind
-        self._columns = None
+    def __init__(self, kind: str):
+        self.kind, self.path = kind, None
+        self.count, self.min, self.max, self.sorted = 0, None, None, True
+        self.pairs: list[tuple[str, str]] = []
+        self.pair_counts: list[int] = []
+        self.keys: list[tuple[tuple, tuple]] = []
+        self.widths: list[int] = []
+        self._columns: list | None = [array("b") for _ in _COLUMN_NAMES[kind]]
+        self._pair_ids: dict[tuple[str, str], int] = {}
+        self._path_ids: dict[tuple[tuple, tuple], int] = {}
+        self._formats: dict[tuple, str] = {}
+
+    @classmethod
+    def load(cls, path: Path, kind: str) -> Segment:
+        segment = cls(kind)
+        segment.path, segment._columns = path, None
         try:
             with open(path, "rb") as fp:
-                self._read(fp)
+                segment._read(fp)
         except _Corrupt as exc:
             raise StoreError(f"{path}: {exc}") from None
+        return segment
+
+    def line(self, record: Record) -> str:
+        """The canonical line of record, from a %-format kept per pair and
+        ping status or per pair and path."""
+        pair = (record.source, record.destination)
+        if self.kind == KIND_PING:
+            key = (pair, record.status)
+            line = self._formats.get(key)
+            if line is None:
+                line = self._formats[key] = _ping_format(_pair_prefix(*pair), record.status)
+            if record.rtt is None:
+                return line % record.timestamp
+            return line % (record.timestamp, record.rtt)
+        _, statuses, addresses, rtts = zip(*record.hops)
+        key = (pair, statuses, addresses)
+        line = self._formats.get(key)
+        if line is None:
+            line = self._formats[key] = _run_format(_pair_prefix(*pair), statuses, addresses)
+        return line % (record.timestamp, record.round, *compress(rtts, statuses))
+
+    def add(self, record: Record) -> None:
+        """Append record's row, keeping count, min, max, sorted and the
+        pair counts current."""
+        pair = (record.source, record.destination)
+        pair_id = self._pair_ids.get(pair)
+        if pair_id is None:
+            pair_id = self._pair_ids[pair] = len(self.pairs)
+            self.pairs.append(pair)
+            self.pair_counts.append(0)
+        timestamp = record.timestamp
+        if self.kind == KIND_PING:
+            rtt = record.rtt
+            row = (timestamp, pair_id, record.status, -1 if rtt is None else rtt)
+            rtts = ()
+        else:
+            _, statuses, addresses, hop_rtts = zip(*record.hops)
+            key = (statuses, addresses)
+            path_id = self._path_ids.get(key)
+            if path_id is None:
+                path_id = self._path_ids[key] = len(self.keys)
+                self.keys.append(key)
+                self.widths.append(len(statuses) - statuses.count(STATUS_TIMEOUT))
+            row = (timestamp, pair_id, record.round, path_id)
+            rtts = list(compress(hop_rtts, statuses))  # a hop has an rtt iff status > 0
+        columns = self._columns
+        n, rtts_before = self.count, len(columns[-1])
+        try:
+            columns[0].append(row[0])
+            columns[1].append(row[1])
+            columns[2].append(row[2])
+            columns[3].append(row[3])
+            columns[-1].extend(rtts)
+        except OverflowError:
+            for column in columns[:-1]:
+                del column[n:]
+            del columns[-1][rtts_before:]
+            for i, value in enumerate(row):
+                _put(columns, i, (value,))
+            _put(columns, -1, rtts)
+        self.pair_counts[pair_id] += 1
+        self.count = n + 1
+        if n and timestamp < columns[0][n - 1]:
+            self.sorted = False
+        self.min = timestamp if n == 0 or timestamp < self.min else self.min
+        self.max = timestamp if n == 0 or timestamp > self.max else self.max
 
     def _read(self, fp) -> None:
         """Read the header and the columns, each column straight into its
@@ -309,43 +326,22 @@ class Segment:
         _require(type(self.sorted) is bool, "header: sorted is not a boolean")
         _require(type(header["pairs"]) is list and header["pairs"], "header: no pairs")
         self.pairs = [_checked_pair(entry) for entry in header["pairs"]]
-        self.pair_counts = {i: entry[2] for i, entry in enumerate(header["pairs"])}
-        _require(sum(self.pair_counts.values()) == self.count,
+        self.pair_counts = [entry[2] for entry in header["pairs"]]
+        _require(sum(self.pair_counts) == self.count,
                  "header: pair counts do not add up to the count")
         if self.kind == KIND_TRACEROUTE:
             _require(type(header["paths"]) is list and header["paths"], "header: no paths")
-            self.paths = [_checked_path(entry) for entry in header["paths"]]
-            self._index_paths([tuple(zip(*path))[1:] for path in self.paths])
-
-    @classmethod
-    def of(cls, columns: Columns) -> Segment:
-        segment = cls.__new__(cls)
-        segment.path, segment.kind, segment._columns = None, columns.kind, columns.columns
-        times, pair_ids = columns.columns[:2]
-        segment.count = len(times)
-        segment.min, segment.max = (min(times), max(times)) if times else (None, None)
-        segment.sorted = all(map(le, times, islice(times, 1, None)))
-        segment.pairs = list(columns.pairs)
-        segment.pair_counts = Counter(pair_ids)
-        if columns.kind == KIND_TRACEROUTE:
-            segment.paths = [tuple(zip(range(1, len(statuses) + 1), statuses, addresses))
-                             for statuses, addresses in columns.paths]
-            segment._index_paths(list(columns.paths))
-        return segment
-
-    def _index_paths(self, keys: list[tuple[tuple, tuple]]) -> None:
-        """Keep each path's (statuses, addresses) and its responsive hops."""
-        self.keys = keys
-        self.widths = [len(statuses) - statuses.count(STATUS_TIMEOUT)
-                       for statuses, _ in keys]
+            self.keys = [_checked_path(entry) for entry in header["paths"]]
+            self.widths = [len(statuses) - statuses.count(STATUS_TIMEOUT)
+                           for statuses, _ in self.keys]
 
     def opener(self) -> Callable[[], Segment]:
         """A function that gives this segment to a later read: a file is
         opened again, so its columns are not held until then; a segment
-        built in memory is given as it is."""
+        held in memory is given as it is."""
         if self.path is None:
             return lambda: self
-        return partial(Segment, self.path, self.kind)
+        return partial(Segment.load, self.path, self.kind)
 
     def columns(self) -> list:
         if self._columns is None:
@@ -379,7 +375,7 @@ class Segment:
                  "timestamp: min or max differs from the header")
         _require(not self.sorted or all(map(le, times, islice(times, 1, None))),
                  "timestamp: not sorted")
-        _require(Counter(pair_ids) == self.pair_counts,
+        _require(Counter(pair_ids) == dict(enumerate(self.pair_counts)),
                  "pair: ids out of range or counts differ from the header")
         if self.kind == KIND_PING:
             statuses = columns[2]
@@ -391,7 +387,7 @@ class Segment:
         else:
             rounds, path_ids = columns[2], columns[3]
             _require(min(rounds) >= 0, "round: negative")
-            _require(min(path_ids) >= 0 and max(path_ids) < len(self.paths),
+            _require(min(path_ids) >= 0 and max(path_ids) < len(self.keys),
                      "path: id out of range")
             _require(len(rtts) == sum(map(self.widths.__getitem__, path_ids)),
                      "rtt: length differs from the paths' responsive hops")
@@ -440,8 +436,9 @@ class Segment:
         runs = []
         for i in rows:
             k = offsets[i]
+            statuses, addresses = self.keys[path_ids[i]]
             hops = []
-            for number, status, address in self.paths[path_ids[i]]:
+            for number, (status, address) in enumerate(zip(statuses, addresses), 1):
                 if status == STATUS_TIMEOUT:
                     hops.append(_new(Hop, (number, status, None, None)))
                 else:

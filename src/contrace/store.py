@@ -2,8 +2,8 @@
 
 The active segment is NDJSON; sealing turns a segment into a columnar file
 (see columnar). Every read takes each segment as a columnar.Segment: a
-columnar file is opened as one, and an NDJSON segment's lines are decoded
-into a columnar.Columns first. RecordStore is also importable from
+columnar file is loaded as one, and an NDJSON segment's lines are decoded
+into one held in memory. RecordStore is also importable from
 contrace.records.
 """
 
@@ -19,7 +19,6 @@ import os
 import re
 import threading
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple
@@ -56,7 +55,7 @@ def _load_key(match: re.Match) -> tuple[int, str, int]:
     return int(match["first"]), stem, int(match["n"] or 0)
 
 
-def _segment_record(line: bytes, kind: str, path: Path, where: int | str) -> Record:
+def _segment_record(line: bytes, kind: str, path: Path, where: int) -> Record:
     """Decode and validate one line of a segment of the given kind; the
     StoreError raised for a bad line names the file and the line."""
     try:
@@ -71,14 +70,14 @@ def _segment_record(line: bytes, kind: str, path: Path, where: int | str) -> Rec
     return record
 
 
-def _decode(lines: Iterable[bytes], kind: str, path: Path) -> columnar.Columns:
-    """The columns of an NDJSON segment's lines, each decoded and validated;
+def _decode(lines: Iterable[bytes], kind: str, path: Path) -> columnar.Segment:
+    """A Segment of an NDJSON segment's lines, each decoded and validated;
     blank lines are skipped, but counted in the line numbers errors name."""
-    columns = columnar.Columns(kind)
+    segment = columnar.Segment(kind)
     for number, line in enumerate(lines, 1):
         if not line.isspace():
-            columns.add(_segment_record(line, kind, path, number))
-    return columns
+            segment.add(_segment_record(line, kind, path, number))
+    return segment
 
 
 def _is_json(line: bytes) -> bool:
@@ -89,27 +88,17 @@ def _is_json(line: bytes) -> bool:
     return True
 
 
-def _last_line(fp: IO[bytes], end: int) -> tuple[int, bytes]:
-    """(offset, bytes) of the last line of fp[:end]; only that line is read."""
-    data = b""
-    pos = end
-    while pos > 0:
-        step = min(4096, pos)
-        pos -= step
-        fp.seek(pos)
-        data = fp.read(step) + data
-        cut = data.rfind(b"\n", 0, len(data) - 1)
-        if cut >= 0:
-            return pos + cut + 1, data[cut + 1:]
-    return 0, data
-
-
-def _lines_within(fp: IO[bytes], size: int, whole: bool) -> Iterator[bytes]:
-    """The lines of fp's first size bytes, never reading past them; with
-    whole, only those ending in a newline."""
+def _lines_within(fp: IO[bytes], size: int, left_open: bool) -> Iterator[bytes]:
+    """The lines of fp's first size bytes, never reading past them. The end
+    rule of a segment left open: a last line without a newline counts if
+    it is JSON; otherwise it is a torn tail, which is not read, and fp is
+    left at its start."""
     while size > 0:
         line = fp.readline(size)
-        if not line or whole and not line.endswith(b"\n"):
+        if not line:
+            return
+        if left_open and not line.endswith(b"\n") and not _is_json(line):
+            fp.seek(-len(line), os.SEEK_CUR)
             return
         size -= len(line)
         yield line
@@ -123,27 +112,23 @@ class _Listed(NamedTuple):
     kind: str
     fp: IO[bytes] | None = None  # an NDJSON segment, opened when listed
     size: int = 0  # its bytes to read
-    left_open: bool = False  # another process's: its last line may be partial
+    left_open: bool = False  # named -open: read by the end rule of _lines_within
 
     def open(self) -> columnar.Segment:
-        """The segment as columns: a columnar file is opened; an NDJSON
-        segment's lines are decoded, of one left open those ending in "\\n"."""
+        """The segment as columns: a columnar file is loaded; an NDJSON
+        segment's lines are decoded."""
         if self.fp is None:
-            return columnar.Segment(self.path, self.kind)
-        lines = _lines_within(self.fp, self.size, self.left_open)
-        return columnar.Segment.of(_decode(lines, self.kind, self.path))
+            return columnar.Segment.load(self.path, self.kind)
+        return _decode(_lines_within(self.fp, self.size, self.left_open), self.kind, self.path)
 
 
-@dataclass(slots=True)
-class _Active:
-    """The segment a writer appends to, and its columns so far."""
+class _Active(NamedTuple):
+    """The segment a writer appends to, and its records so far."""
 
     path: Path
     fp: IO[bytes]
     first: int
-    last: int
-    size: int
-    columns: columnar.Columns
+    segment: columnar.Segment
 
 
 class RecordStore:
@@ -158,7 +143,7 @@ class RecordStore:
 
     Readers never write. A writer takes an exclusive flock on <store>/.lock
     at its first write, and only then recovers: it deletes temp files, seals
-    segments an earlier process left open (truncating a torn last line),
+    segments an earlier process left open (truncating a torn tail),
     unlinks an NDJSON whose columnar twin is valid, and converts a stem
     that has only NDJSON. A second writer gets a StoreError.
 
@@ -168,10 +153,13 @@ class RecordStore:
     keep the load order: segments by first timestamp, then by name, then
     by suffix, rows in file order. The active segment takes the place its
     sealed name will give it, so this order is the same within a process
-    and after a reopen. A segment another process left open is read up to
-    its last full line and loads after the sealed segments of its first
-    timestamp. Concurrent appends are serialized by a lock; a read sees the
-    active segment as it was when the read started and never a torn record.
+    and after a reopen. A segment another process left open loads after
+    the sealed segments of its first timestamp. Reads and recovery end an
+    -open segment, the active one too, by one rule (_lines_within), so a
+    crashed writer's store reads the same before and after recovery. Each
+    line is written and flushed under a lock, and a read takes each file's
+    size under it, so it sees the active segment as it was when the read
+    started and never a torn record.
     """
 
     def __init__(self, path: str | Path, *, segment_records: int = 100_000):
@@ -247,12 +235,13 @@ class RecordStore:
                                  f"read; read again") from None
             stat = os.fstat(fp.fileno())
             if active is not None and path == active.path:
-                key = (active.first, f"{kind}-{active.first}-{active.last}", math.inf)
-                segments.append(_Listed(key, path, kind, fp, active.size))
-            elif (stat.st_dev, stat.st_ino) not in sealed_files:
-                # else it is a sealed segment's second name: a seal cut
-                # between linking the sealed name and unlinking this one
-                segments.append(_Listed(key, path, kind, fp, stat.st_size, True))
+                last = active.segment.columns()[0][-1]
+                key = (active.first, f"{kind}-{active.first}-{last}", math.inf)
+            elif (stat.st_dev, stat.st_ino) in sealed_files:
+                # a sealed segment's second name: a seal cut between linking
+                # the sealed name and unlinking this one
+                continue
+            segments.append(_Listed(key, path, kind, fp, stat.st_size, True))
         segments.sort(key=_LOAD_KEY)
         return segments
 
@@ -291,26 +280,26 @@ class RecordStore:
 
     def _recover_open(self, path: Path, kind: str, first: int) -> None:
         """Seal a segment an earlier process left open, named by the
-        timestamp of its last line; a torn last line (no newline, not JSON)
-        is truncated away first, and an empty segment is deleted."""
+        timestamp of its last line. It is read forward by the end rule reads
+        use and truncated where that read ended, so only a torn tail goes;
+        a segment with no record is deleted."""
         last = None
         with path.open("r+b") as fp:
             end = fp.seek(0, os.SEEK_END)
-            while end > 0 and last is None:
-                start, line = _last_line(fp, end)
-                if line.isspace():
-                    pass
-                elif not line.endswith(b"\n") and not _is_json(line):
-                    fp.truncate(start)
-                    log.warning("%s: dropped a torn last line of %d bytes",
-                                path, end - start)
-                else:
-                    last = _segment_record(line, kind, path, "last line").timestamp
-                end = start
+            fp.seek(0)
+            for number, line in enumerate(_lines_within(fp, end, True), 1):
+                if not line.isspace():
+                    last = number, line
+            if fp.tell() < end:
+                log.warning("%s: dropped a torn last line of %d bytes", path,
+                            end - fp.tell())
+                fp.truncate(fp.tell())
         if last is None:
             path.unlink()
         else:
-            self._seal_file(path, kind, first, last)
+            number, line = last
+            self._seal_file(path, kind, first,
+                            _segment_record(line, kind, path, number).timestamp)
 
     def _give_columns(self, stem: str, kind: str, paths: dict[str, Path]) -> None:
         """Unlink a sealed NDJSON segment whose columnar twin is valid, or
@@ -319,7 +308,7 @@ class RecordStore:
         ndjson = paths[_NDJSON]
         if columnar.SUFFIX in paths:
             try:
-                columnar.Segment(paths[columnar.SUFFIX], kind).columns()
+                columnar.Segment.load(paths[columnar.SUFFIX], kind).columns()
             except StoreError as exc:
                 log.warning("rebuilding %s from %s: %s", paths[columnar.SUFFIX], ndjson,
                             exc)
@@ -328,16 +317,16 @@ class RecordStore:
                 return
         try:
             with ndjson.open("rb") as fp:
-                columns = _decode(fp, kind, ndjson)
+                segment = _decode(fp, kind, ndjson)
         except StoreError as exc:
             log.warning("%s stays NDJSON: %s", ndjson, exc)
             return
-        if columns.count:
-            self._write_columns(stem, columns)
+        if segment.count:
+            self._write_columns(stem, segment)
 
-    def _write_columns(self, stem: str, columns: columnar.Columns) -> None:
+    def _write_columns(self, stem: str, segment: columnar.Segment) -> None:
         temp = self.path / (stem + columnar.TEMP_SUFFIX)
-        columnar.write(temp, columnar.Segment.of(columns))
+        columnar.write(temp, segment)
         os.replace(temp, self.path / (stem + columnar.SUFFIX))
         os.unlink(self.path / (stem + _NDJSON))
 
@@ -377,8 +366,9 @@ class RecordStore:
         if seg is None:
             return
         seg.fp.close()
-        stem = self._seal_file(seg.path, kind, seg.first, seg.last)
-        self._write_columns(stem, seg.columns)
+        if seg.segment.count:  # else its first write failed: recovery deletes the file
+            stem = self._seal_file(seg.path, kind, seg.first, seg.segment.columns()[0][-1])
+            self._write_columns(stem, seg.segment)
 
     def append(self, record: Record) -> None:
         """Validate and persist one record as from_json_obj decodes
@@ -400,17 +390,13 @@ class RecordStore:
             seg = self._active.get(kind)
             if seg is None:
                 path = self.path / f"{kind}-{record.timestamp}-open.ndjson"
-                seg = self._active[kind] = _Active(
-                    path, path.open("ab"), record.timestamp, record.timestamp, 0,
-                    columnar.Columns(kind))
-            data = seg.columns.line(record).encode()
-            seg.fp.write(data)
+                seg = self._active[kind] = _Active(path, path.open("ab"), record.timestamp,
+                                                   columnar.Segment(kind))
+            seg.fp.write(seg.segment.line(record).encode())
             seg.fp.flush()
-            seg.columns.add(record)
-            seg.size += len(data)
-            seg.last = record.timestamp
+            seg.segment.add(record)
             self.written[kind] += 1
-            if seg.columns.count >= self.segment_records:
+            if seg.segment.count >= self.segment_records:
                 self._seal(kind)
 
     def close(self) -> None:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from contrace.columnar import Columns, Segment
+from contrace.columnar import Segment
 from contrace.icmp import Family
 from contrace.probe import (ProbeSchedule, RelationKey, SourceWorker,
                             TracerouteProbeRun, run_relation_worker)
@@ -13,13 +13,14 @@ START_US = 1_609_459_200_000_000  # 2021-01-01T00:00:00Z
 
 
 def path_runs(runs) -> PathRuns:
-    """runs grouped by path as a store read groups them, through Columns and
-    Segment.group; as in a PathRuns, the pair of each run is not kept."""
-    columns = Columns(KIND_TRACEROUTE)
+    """runs grouped by path as a store read groups them, through
+    Segment.add and Segment.group; as in a PathRuns, the pair of each run
+    is not kept."""
+    segment = Segment(KIND_TRACEROUTE)
     for run in runs:
-        columns.add(run._replace(source="", destination=""))
+        segment.add(run._replace(source="", destination=""))
     grouped = {}
-    Segment.of(columns).group(StoreQuery(KIND_TRACEROUTE), grouped)
+    segment.group(StoreQuery(KIND_TRACEROUTE), grouped)
     return grouped.get(("", ""), PathRuns())
 
 

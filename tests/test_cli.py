@@ -150,8 +150,8 @@ class TestSimRun:
 
     def test_summary_counts_the_runs_writes_after_a_crashed_writer(self, tmp_path, capsys):
         """A crashed writer left a segment whose last line is a whole record
-        without its newline: a reader skips that line and recovery keeps it,
-        so a difference of store counts would report one record too many."""
+        without its newline; the summary counts only the run's own writes,
+        not the records the store held before or its recovery kept."""
         store = tmp_path / "store"
         argv = ["sim-run", "--topology", str(FIXTURES / "neighbor.yaml"),
                 "--duration", "60", "--seed", "1", "--store", str(store)]

@@ -11,16 +11,21 @@ import os
 import random
 import re
 import sys
+import tempfile
 import tracemalloc
 import zlib
 from array import array
+from collections import Counter
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from contrace import cli, columnar
 from contrace.records import (Hop, PingRecord, RecordStore, StoreError, StoreQuery,
-                              TracerouteRun)
+                              TracerouteRun, from_json_obj, to_json_obj)
 from conftest import path_runs
 from oracles import serialize_line
 
@@ -292,7 +297,7 @@ class TestSegmentForms:
 
     @pytest.mark.parametrize("kind", ["ping", "traceroute"])
     def test_a_segment_of_no_rows_reads_as_empty(self, kind):
-        segment = columnar.Segment.of(columnar.Columns(kind))
+        segment = columnar.Segment(kind)
         assert (segment.count, segment.min, segment.max) == (0, None, None)
         for q in (StoreQuery(kind), StoreQuery(kind, start=1, end=2),
                   StoreQuery(kind, source="10.0.0.1")):
@@ -302,6 +307,79 @@ class TestSegmentForms:
                 segment.group(q, grouped)
                 assert grouped == {}
         assert list(segment.lines(0)) == []
+
+
+# Small values, equal ones among them, and one that needs each wider
+# column: h, i, q, and beyond 2**63 only a JSON column holds a value.
+_VALUES = st.one_of(st.integers(1, 40), st.sampled_from([300, 70_000, 2**40, 2**64 + 1]))
+
+
+@st.composite
+def _segment_records(draw):
+    """(kind, records) for one segment, in append order, timestamps unsorted."""
+    kind = draw(st.sampled_from(["ping", "traceroute"]))
+    records_ = []
+    for _ in range(draw(st.integers(1, 12))):
+        timestamp, (source, destination) = draw(_VALUES), draw(
+            st.sampled_from(TestSegmentForms.PAIRS))
+        if kind == "ping":
+            status = draw(st.sampled_from([0, 1, 255]))
+            record = PingRecord(timestamp, source, destination, status,
+                                draw(_VALUES) if status == 255 else None)
+        else:
+            n = draw(st.integers(1, 3))
+            hops = []
+            for number in range(1, n + 1):
+                status = draw(st.sampled_from([0, 1, 255] if number == n else [0, 1]))
+                hops.append(Hop(number, status) if status == 0 else
+                            Hop(number, status, draw(st.sampled_from(["10.0.0.254",
+                                                                     destination])),
+                                draw(_VALUES)))
+            record = TracerouteRun(timestamp, source, destination, draw(_VALUES), tuple(hops))
+        records_.append(from_json_obj(to_json_obj(record)))
+    return kind, records_
+
+
+def _facts(segment):
+    return (segment.count, segment.min, segment.max, segment.sorted, segment.pairs,
+            segment.pair_counts, segment.keys, segment.widths)
+
+
+def _group_state(segment, q):
+    grouped = {}
+    segment.group(q, grouped)
+    return {pair: (runs.paths, runs.counts, list(map(list, runs.rtts)))
+            for pair, runs in grouped.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=_segment_records())
+def test_a_segment_filled_by_add_reads_alike_once_written_and_loaded(drawn):
+    kind, records_ = drawn
+    memory = columnar.Segment(kind)
+    for record in records_:
+        memory.add(record)
+    times = [r.timestamp for r in records_]
+    pairs = Counter((r.source, r.destination) for r in records_)
+    assert _facts(memory)[:6] == (len(records_), min(times), max(times),
+                                  times == sorted(times), list(pairs), list(pairs.values()))
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / f"{kind}-1-1.col"
+        columnar.write(path, memory)
+        loaded = columnar.Segment.load(path, kind)
+    assert _facts(loaded) == _facts(memory)
+    middle = sorted(times)[len(times) // 2]
+    source, destination = records_[0].source, records_[0].destination
+    for q in (StoreQuery(kind), StoreQuery(kind, start=middle), StoreQuery(kind, end=middle),
+              StoreQuery(kind, min(times), middle + 1, source, destination),
+              StoreQuery(kind, source=source), StoreQuery(kind, destination="10.9.9.9")):
+        assert list(loaded.rows(q)) == list(memory.rows(q))
+        assert loaded.records(q) == memory.records(q) == \
+            [r for r in records_ if oracles.matches(q, r)]
+        if kind == "traceroute":
+            assert _group_state(loaded, q) == _group_state(memory, q)
+    assert list(loaded.lines(0)) == list(memory.lines(0))
+    assert "".join(line for _, _, line in memory.lines(0)) == canonical(records_)
 
 
 def _reads(store, kind):

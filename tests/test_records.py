@@ -8,6 +8,7 @@ import shutil
 import sys
 import tempfile
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -336,9 +337,9 @@ class TestSinglePassDecode:
     @given(doc=valid_documents())
     def test_written_line_is_the_canonical_line(self, doc):
         record = records.from_json_obj(doc)
-        columns = columnar.Columns("ping" if isinstance(record, PingRecord) else "traceroute")
+        segment = columnar.Segment("ping" if isinstance(record, PingRecord) else "traceroute")
         for _ in range(2):  # the %-format is built, then reused
-            assert columns.line(record) == serialize_line(record)
+            assert segment.line(record) == serialize_line(record)
 
     def test_equal_addresses_share_one_string(self):
         first = records.parse_line('{"timestamp":1,"source":"2001:DB8::1",'
@@ -719,8 +720,9 @@ class TestSegments:
         kept = serialize_line(ping(ts=5)) + serialize_line(ping(ts=6))
         last = serialize_line(ping(ts=7))[:cut]
         (tmp_path / "ping-5-open.ndjson").write_text(kept + last)
-        # a reader reads the full lines and leaves the file as it is
-        assert RecordStore(tmp_path).query(StoreQuery("ping")) == [ping(ts=5), ping(ts=6)]
+        # a reader reads what recovery keeps and leaves the file as it is
+        assert RecordStore(tmp_path).query(StoreQuery("ping")) == \
+            [ping(ts=5), ping(ts=6)] + ([ping(ts=7)] if cut == -1 else [])
         assert (tmp_path / "ping-5-open.ndjson").read_text() == kept + last
         with caplog.at_level("WARNING", logger="contrace.records"):
             with RecordStore(tmp_path) as writer:
@@ -739,6 +741,101 @@ class TestSegments:
             assert dump.getvalue() == kept + serialize_line(run(ts=100))
             assert f"dropped a torn last line of {len(last)} bytes" in caplog.text
             assert store.query(StoreQuery("ping")) == [ping(ts=5), ping(ts=6)]
+
+    WHOLE = serialize_line(ping(ts=7)).rstrip("\n")  # a record without its newline
+
+    @pytest.mark.parametrize("tail, linked, held", [
+        ("", False, 2), (WHOLE[:30], False, 2), (WHOLE, False, 3), ("   ", False, 2),
+        ("\n\n \n", False, 2), (WHOLE, True, 3)],
+        ids=["none", "torn", "no-newline", "spaces", "blank-lines", "second-link"])
+    def test_a_crashed_writers_segment_reads_the_same_before_and_after_recovery(
+            self, tmp_path, tail, linked, held):
+        """Reads and a writer's recovery end an open segment by one rule, so
+        export and count do not change when a writer recovers the store.
+        second-link: a seal cut between linking the sealed name and
+        unlinking the -open one."""
+        segment = tmp_path / "ping-5-open.ndjson"
+        segment.write_text(serialize_line(ping(ts=5)) + serialize_line(ping(ts=6)) + tail)
+        if linked:
+            os.link(segment, tmp_path / "ping-5-7.ndjson")
+        before = RecordStore(tmp_path)
+        exported, count = io.StringIO(), before.count()
+        before.export(exported)
+        assert count == held
+        with RecordStore(tmp_path) as writer:
+            writer.append(run(ts=100))
+        assert not list(tmp_path.glob("*.ndjson"))
+        after = RecordStore(tmp_path)
+        dump, run_line = io.StringIO(), serialize_line(run(ts=100))
+        after.export(dump)
+        assert dump.getvalue() == exported.getvalue() + run_line
+        assert after.count("ping") == count
+
+    @pytest.mark.parametrize("last", ["{not json}\n", '{"timestamp":7}'],
+                             ids=["not-json", "json-without-newline"])
+    def test_a_bad_last_line_of_an_open_segment_fails_reads_and_recovery(self, tmp_path,
+                                                                         last):
+        segment = tmp_path / "ping-5-open.ndjson"
+        text = serialize_line(ping(ts=5)) + serialize_line(ping(ts=6)) + last
+        segment.write_text(text)
+        store = RecordStore(tmp_path)
+        for read in (lambda: store.count("ping"), lambda: store.query(StoreQuery("ping")),
+                     lambda: store.export(io.StringIO())):
+            with pytest.raises(StoreError, match=re.escape(f"{segment}:3: ")):
+                read()
+        writer = RecordStore(tmp_path)
+        with pytest.raises(StoreError, match=re.escape(f"{segment}:3: ")):
+            writer.append(run(ts=100))
+        writer.close()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [".lock", segment.name]
+        assert segment.read_text() == text
+
+    def test_a_bad_earlier_line_of_an_open_segment_stays_ndjson_when_sealed(
+            self, tmp_path, caplog):
+        segment = tmp_path / "ping-5-open.ndjson"
+        segment.write_text(serialize_line(ping(ts=5)) + "{bad\n" + serialize_line(ping(ts=6)))
+        store = RecordStore(tmp_path)
+        with pytest.raises(StoreError, match=re.escape(f"{segment}:2: invalid JSON")):
+            store.query(StoreQuery("ping"))
+        with caplog.at_level("WARNING"):
+            with RecordStore(tmp_path) as writer:
+                writer.append(run(ts=100))
+        sealed = tmp_path / "ping-5-6.ndjson"
+        assert f"{sealed} stays NDJSON" in caplog.text
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            ".lock", sealed.name, "traceroute-100-100.col"]
+        assert store.query(StoreQuery("traceroute")) == [run(ts=100)]
+        for read in (lambda: store.count("ping"), lambda: store.query(StoreQuery("ping")),
+                     lambda: store.export(io.StringIO())):
+            with pytest.raises(StoreError, match=re.escape(f"{sealed}:2: invalid JSON")):
+                read()
+
+    def test_close_after_a_failed_first_write_leaves_the_store_readable(
+            self, tmp_path, monkeypatch):
+        class DiskFull:
+            def __init__(self, fp):
+                self.fp = fp
+
+            def write(self, data):
+                self.fp.write(data[:len(data) // 2])
+                self.fp.flush()
+                raise OSError(28, "No space left on device")
+
+            def __getattr__(self, name):
+                return getattr(self.fp, name)
+
+        store, open_ = RecordStore(tmp_path), Path.open
+        with monkeypatch.context() as patch:
+            patch.setattr(Path, "open", lambda path, mode="r": DiskFull(open_(path, mode))
+                          if mode == "ab" else open_(path, mode))
+            with pytest.raises(OSError, match="No space left"):
+                store.append(ping(ts=5))
+        store.close()
+        assert RecordStore(tmp_path).count() == 0  # the half line is a torn tail
+        with RecordStore(tmp_path) as writer:
+            writer.append(ping(ts=6))
+        assert sorted(p.name for p in tmp_path.iterdir()) == [".lock", "ping-6-6.col"]
+        assert RecordStore(tmp_path).query(StoreQuery("ping")) == [ping(ts=6)]
 
     def test_ping_line_in_a_traceroute_segment_fails_traceroute_reads(self, tmp_path):
         segment = tmp_path / "traceroute-5-7.ndjson"
