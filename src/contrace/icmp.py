@@ -20,9 +20,6 @@ from functools import lru_cache
 
 ICMP_HEADER = struct.Struct("!BBHHH")  # type, code, checksum, identifier, sequence
 HEADER_LEN = ICMP_HEADER.size
-# Echo request up to the compensation word: header, timestamp, word.
-_REQUEST_HEAD = struct.Struct("!BBHHHQH")
-_REQUEST_HEAD_WORDS = struct.Struct(f"!{_REQUEST_HEAD.size // 2}H")
 
 DEFAULT_PAYLOAD_LEN = 16  # header + payload + IP header = 44 B (v4) / 64 B (v6)
 MIN_PAYLOAD_LEN = 10      # timestamp (8 B) + compensation word (2 B)
@@ -109,6 +106,12 @@ def _word_struct(n: int) -> struct.Struct:
     return struct.Struct(f"!{n}H")
 
 
+@lru_cache(maxsize=128)
+def _request_struct(payload_len: int) -> struct.Struct:
+    """Echo request: header, timestamp, compensation word, zero tail."""
+    return struct.Struct(f"!BBHHHQH{payload_len - MIN_PAYLOAD_LEN}x")
+
+
 def _word_sum(data: bytes) -> int:
     """Sum of big-endian 16-bit words, zero-padded to even length."""
     if len(data) & 1:
@@ -128,12 +131,17 @@ def internet_checksum(data: bytes) -> int:
     return ~_fold(_word_sum(data)) & 0xFFFF
 
 
-@lru_cache(maxsize=4096)
 def _pseudo_word_sum(family: Family, source: str | None, destination: str | None,
                      message_len: int) -> int:
     """Word sum of the checksum prefix: 0 for v4, the ICMPv6 pseudo-header for v6."""
     if family is Family.V4:
         return 0
+    return _v6_pseudo_word_sum(source, destination, message_len)
+
+
+@lru_cache(maxsize=4096)
+def _v6_pseudo_word_sum(source: str | None, destination: str | None,
+                        message_len: int) -> int:
     if not source or not destination:
         raise MissingPseudoHeader("ICMPv6 checksum needs source and destination addresses")
     src = ipaddress.IPv6Address(source).packed
@@ -182,16 +190,18 @@ def make_request_bytes(family: Family, identifier: int, sequence: int,
         raise ValueError("target checksum must be a 16-bit value")
     icmp_type = ECHO_REQUEST_TYPE[family]
     ts = timestamp_us & 0xFFFFFFFFFFFFFFFF
-    base_sum = sum(_REQUEST_HEAD_WORDS.unpack(
-        _REQUEST_HEAD.pack(icmp_type, 0, 0, identifier, sequence, ts, 0)))
+    # The words of type|code, identifier, sequence and the four timestamp
+    # words, summed without packing; the pack below range-checks the fields.
+    base_sum = ((icmp_type << 8) + identifier + sequence + (ts >> 48)
+                + (ts >> 32 & 0xFFFF) + (ts >> 16 & 0xFFFF) + (ts & 0xFFFF))
     base_sum += _pseudo_word_sum(family, source, destination, HEADER_LEN + payload_len)
     if target_checksum is None:
         cksum, comp = ~_fold(base_sum) & 0xFFFF, 0
     else:
         # the compensation lands the fold exactly on the target
         cksum, comp = target_checksum, _compensation(base_sum, target_checksum)
-    return _REQUEST_HEAD.pack(icmp_type, 0, cksum, identifier, sequence, ts, comp) \
-        + bytes(payload_len - MIN_PAYLOAD_LEN)
+    return _request_struct(payload_len).pack(icmp_type, 0, cksum, identifier, sequence,
+                                             ts, comp)
 
 
 def _encode(family: Family, icmp_type: int, field1: int, field2: int, body: bytes,

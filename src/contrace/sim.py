@@ -13,9 +13,10 @@ Topology files are YAML; see fixtures/ for the documented schema.
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import itertools
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -200,6 +201,30 @@ class _EpochState:
             targets.sort()
 
 
+class _Walk:
+    """A packet's whole route from its ingress, regardless of TTL.
+
+    path[i] is the router reached after i hops and latencies[i] the latency
+    accumulated there; the walk ends delivered (path[-1] is the destination)
+    or dropped for reason at path[-1]. A TTL t with 0 < t < expires_before
+    expires at path[t]; any other TTL sees the walk's own end.
+    """
+
+    __slots__ = ("path", "latencies", "kind", "node", "reason", "latency",
+                 "expires_before")
+
+    def __init__(self, path: tuple[str, ...], latencies: tuple[int, ...],
+                 kind: str, reason: str = ""):
+        self.path = path
+        self.latencies = latencies
+        self.kind = kind
+        self.node = path[-1] if kind == "delivered" else None
+        self.reason = reason
+        self.latency = latencies[-1]
+        # the destination answers a probe that reaches it with TTL to spare
+        self.expires_before = len(path) - 1 if kind == "delivered" else len(path)
+
+
 class _TokenBucket:
     __slots__ = ("tokens", "last_us")
 
@@ -221,12 +246,22 @@ class _TokenBucket:
 
 
 class SimNetwork:
-    """Topology plus scripted events, evaluated at any virtual time."""
+    """Topology plus scripted events, evaluated at any virtual time.
+
+    Routing depends only on the epoch (the interval between two events),
+    the ingress, the destination and the probe's prefix modulo the lcm of
+    the ECMP group sizes, so each such walk is computed once and reused by
+    every probe that it carries from send to end within its epoch.
+    """
 
     def __init__(self, topology: SimTopology):
         self.topology = topology
         self._by_address = {r.address: r.name for r in topology.routers.values()}
         self._ecmp = {r: dict(g) for r, g in topology.ecmp.items()}
+        # group[prefix % len(group)] == group[(prefix % period) % len(group)]
+        # for every group, because every group size divides the period.
+        self._ecmp_period = math.lcm(*(len(group) for groups in self._ecmp.values()
+                                       for group in groups.values()))
         links, policies = dict(topology.links), dict(topology.policies)
         self._epoch_times = [topology.start_us]
         self._epochs = [_EpochState(links, policies)]
@@ -241,6 +276,7 @@ class SimNetwork:
                 policies[router] = policy
             self._epoch_times.append(event.at_us)
             self._epochs.append(_EpochState(links, policies))
+        self._walks: dict[tuple[int, str, str, int], _Walk] = {}
         self._buckets: dict[str, _TokenBucket] = {}
 
     def node_by_address(self, address: str) -> str:
@@ -253,7 +289,7 @@ class SimNetwork:
         return self.topology.routers[node].address
 
     def state_at(self, t_us: int) -> _EpochState:
-        idx = bisect.bisect_right(self._epoch_times, t_us) - 1
+        idx = bisect_right(self._epoch_times, t_us) - 1
         return self._epochs[max(idx, 0)]
 
     def _next_hop(self, state: _EpochState, router: str, dest_node: str,
@@ -268,48 +304,70 @@ class SimNetwork:
             return neighbors[0]
         return None
 
+    def _walk(self, ingress: str, dest_node: str, prefix_value: int,
+              t_us: int) -> _Walk:
+        """Route a packet sent at t_us hop by hop, ignoring TTL, until it is
+        delivered or dropped or MAX_PATH_HOPS hops are taken; each router
+        decides by the topology of the moment the packet reaches it."""
+        if ingress == dest_node:
+            return _Walk((ingress,), (0,), "delivered")
+        current, latency = ingress, 0
+        path, latencies = [ingress], [0]
+        for _ in range(MAX_PATH_HOPS):
+            state = self.state_at(t_us + latency)
+            nxt = self._next_hop(state, current, dest_node, prefix_value)
+            if nxt is None:
+                return _Walk(tuple(path), tuple(latencies), "dropped",
+                             f"no route from {current}")
+            link = state.links.get((current, nxt))
+            if link is None:
+                return _Walk(tuple(path), tuple(latencies), "dropped",
+                             f"link {current}->{nxt} is down")
+            latency += link
+            path.append(nxt)
+            latencies.append(latency)
+            if nxt == dest_node:
+                return _Walk(tuple(path), tuple(latencies), "delivered")
+            current = nxt
+        return _Walk(tuple(path), tuple(latencies), "dropped", "routing loop")
+
     def forward(self, data: bytes, ttl: int, ingress: str, dest_node: str,
                 t_us: int) -> Outcome:
-        """Walk the packet hop by hop; returns exactly one outcome.
+        """The packet's walk, cut at the router where its TTL runs out.
 
         Each forwarding router decrements the TTL; at zero the packet is
-        dropped and a time-exceeded error originates from that router. The
-        ECMP next hop is group[prefix mod group size] where prefix is the
-        big-endian value of the packet's first 4 bytes: path choice depends
-        on nothing else.
+        dropped and a time-exceeded error originates from that router (so a
+        TTL below 1 never expires). The ECMP next hop is group[prefix mod group
+        size] where prefix is the big-endian value of the packet's first 4
+        bytes: path choice depends on nothing else. A cached walk serves
+        only a packet that it carries to its end before the next event;
+        any other packet is walked afresh and that walk is not kept.
         """
         if ingress not in self.topology.routers:
             raise TransportFailure(f"unknown ingress node {ingress}")
-        if ingress == dest_node:
-            return Outcome("delivered", dest_node, t_us, 0, path=(ingress,))
-        prefix_value = int.from_bytes(data[:icmp.PREFIX_LEN], "big")
-        current, now, latency = ingress, t_us, 0
-        path = [ingress]
-        for _ in range(MAX_PATH_HOPS):
-            state = self.state_at(now)
-            nxt = self._next_hop(state, current, dest_node, prefix_value)
-            if nxt is None:
-                return Outcome("dropped", None, now, latency,
-                               reason=f"no route from {current}", path=tuple(path))
-            link = state.links.get((current, nxt))
-            if link is None:
-                return Outcome("dropped", None, now, latency,
-                               reason=f"link {current}->{nxt} is down",
-                               path=tuple(path))
-            now += link
-            latency += link
-            path.append(nxt)
-            if nxt == dest_node:
-                return Outcome("delivered", dest_node, now, latency, path=tuple(path))
-            ttl -= 1
-            if ttl == 0:
-                return Outcome("time_exceeded", nxt, now, latency, path=tuple(path))
-            current = nxt
-        return Outcome("dropped", None, now, latency, reason="routing loop",
-                       path=tuple(path))
+        residue = int.from_bytes(data[:icmp.PREFIX_LEN], "big") % self._ecmp_period
+        # The epoch is counted by bisect_right, which never decreases as
+        # time grows: a walk that ends in its send time's epoch stayed there.
+        times = self._epoch_times
+        epoch = bisect_right(times, t_us)
+        key = (epoch, ingress, dest_node, residue)
+        walk = self._walks.get(key)
+        if walk is None or bisect_right(times, t_us + walk.latency) != epoch:
+            walk = self._walk(ingress, dest_node, residue, t_us)
+            if bisect_right(times, t_us + walk.latency) == epoch:
+                self._walks[key] = walk
+        path = walk.path
+        if 0 < ttl < walk.expires_before:
+            latency = walk.latencies[ttl]
+            return Outcome("time_exceeded", path[ttl], t_us + latency, latency,
+                           path=path[:ttl + 1])
+        return Outcome(walk.kind, walk.node, t_us + walk.latency, walk.latency,
+                       walk.reason, path)
 
     def _policy_allows(self, node: str, t_us: int) -> bool:
-        policy = self.state_at(t_us).policies.get(node, Policy())
+        policy = self.state_at(t_us).policies.get(node)
+        if policy is None:
+            return True
         if policy.kind == POLICY_SILENT:
             return False
         if policy.kind == POLICY_RATE_LIMIT:
@@ -395,29 +453,52 @@ def drive_workers(workers: list[SourceWorker], transports: list[SimTransport],
                   clock: VirtualClock) -> None:
     """Single-threaded event loop interleaving workers on the virtual clock.
 
-    At each step the clock jumps to the earliest pending arrival or worker
-    wakeup; arrivals are delivered before wakeups at the same instant, and
-    workers are visited in construction order, so runs are reproducible.
+    The clock jumps to the earliest pending arrival or worker wakeup. At
+    that instant every due worker first gets its due arrivals, worker by
+    worker in construction order; then the due wakeups run in that order.
+    A reply that lands at the current instant waits for the next pass. Runs
+    are reproducible, and the order matters: rate-limit token buckets are
+    shared by all workers.
+
+    One heap holds (time, worker index) for each worker's next wakeup and
+    earliest arrival. A worker's wakeup and inbox change only when that
+    worker acts, so after a pass only the due workers push their times
+    again; an entry that matches neither current time of its worker is
+    stale and skipped.
     """
     wakeups = [worker.next_wakeup() for worker in workers]
+    heap = [(t, i) for i, t in enumerate(wakeups) if t is not None]
+    heapq.heapify(heap)
+    live = len(heap)
     # Stop when every worker is finished: arrivals still queued are stray.
-    while any(wakeup is not None for wakeup in wakeups):
-        pending = [*wakeups, *(transport.peek_arrival() for transport in transports)]
-        next_time = min(t for t in pending if t is not None)
-        clock.advance_to(max(next_time, clock.now_us()))
-        now = clock.now_us()
-        # A worker's wakeup depends only on its own state, so it is asked
-        # again only after that worker received packets or woke up.
-        for i, (worker, transport) in enumerate(zip(workers, transports)):
-            packets = transport.pop_due(now)
+    while live:
+        t, i = heapq.heappop(heap)
+        if t != wakeups[i] and t != transports[i].peek_arrival():
+            continue
+        now = max(t, clock.now_us())
+        clock.advance_to(now)
+        due = {i}
+        while heap and heap[0][0] <= now:
+            due.add(heapq.heappop(heap)[1])
+        due = sorted(due)
+        wakeups_before = [wakeups[i] for i in due]
+        for i in due:
+            packets = transports[i].pop_due(now)
             for data, responder, t_us in packets:
-                worker.on_packet(data, responder, t_us)
+                workers[i].on_packet(data, responder, t_us)
             if packets:
-                wakeups[i] = worker.next_wakeup()
-        for i, worker in enumerate(workers):
+                wakeups[i] = workers[i].next_wakeup()
+        for i in due:
             if wakeups[i] is not None and wakeups[i] <= now:
-                worker.on_wakeup(now)
-                wakeups[i] = worker.next_wakeup()
+                workers[i].on_wakeup(now)
+                wakeups[i] = workers[i].next_wakeup()
+        for i, wakeup_before in zip(due, wakeups_before):
+            arrival = transports[i].peek_arrival()
+            if arrival is not None:
+                heapq.heappush(heap, (arrival, i))
+            if wakeups[i] is not None:
+                heapq.heappush(heap, (wakeups[i], i))
+            live += (wakeups[i] is not None) - (wakeup_before is not None)
 
 
 def run_scenario(topology: SimTopology, relations: list[RelationKey],

@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: byte-at-a-time loops, full sorts,
 dict counting and one pass per step. None of it shares code with the
-package beyond the record classes and exceptions.
+package beyond the record classes, the simulator's Outcome and hop cap,
+and exceptions.
 """
 
 from __future__ import annotations
@@ -12,8 +13,10 @@ import json
 import math
 from fractions import Fraction
 
+from contrace.probe import TransportFailure
 from contrace.records import (Hop, InvalidRecord, MalformedJson, PingRecord,
                               TracerouteRun)
+from contrace.sim import MAX_PATH_HOPS, Outcome
 
 
 def checksum_reference(data: bytes) -> int:
@@ -330,3 +333,92 @@ def matches(q, record) -> bool:
             and (q.end is None or record.timestamp < q.end)
             and (q.source is None or record.source == q.source)
             and (q.destination is None or record.destination == q.destination))
+
+
+# -- simulator --------------------------------------------------------------------
+
+
+def links_at_reference(topology, t_us: int) -> dict:
+    """The links at t_us: the topology's links with every event at or before
+    t_us applied in order (events are sorted and none precedes the start)."""
+    links = dict(topology.links)
+    for event in topology.events:
+        if event.at_us > t_us:
+            break
+        if event.action in ("add_link", "set_latency"):
+            u, v, latency = event.params
+            links[(u, v)] = latency
+        elif event.action == "remove_link":
+            links.pop(event.params, None)
+    return links
+
+
+def forward_reference(topology, data: bytes, ttl: int, ingress: str,
+                      dest_node: str, t_us: int) -> Outcome:
+    """Hop-by-hop forwarding that looks the links up again at every hop.
+
+    The ECMP next hop is group[prefix mod group size], prefix being the
+    big-endian value of the first 4 bytes; a router without a group uses its
+    only outgoing link. Each hop decrements the TTL and a TTL that reaches
+    zero expires at that router, so a TTL of 0 or below never expires.
+    """
+    if ingress not in topology.routers:
+        raise TransportFailure(f"unknown ingress node {ingress}")
+    if ingress == dest_node:
+        return Outcome("delivered", dest_node, t_us, 0, path=(ingress,))
+    prefix_value = int.from_bytes(data[:4], "big")
+    current, now, latency = ingress, t_us, 0
+    path = [ingress]
+    for _ in range(MAX_PATH_HOPS):
+        links = links_at_reference(topology, now)
+        groups = topology.ecmp.get(current) or {}
+        group = groups.get(dest_node) or groups.get("default")
+        if group:
+            nxt = group[prefix_value % len(group)]
+        else:
+            neighbors = sorted(v for (u, v) in links if u == current)
+            nxt = neighbors[0] if len(neighbors) == 1 else None
+        if nxt is None:
+            return Outcome("dropped", None, now, latency,
+                           reason=f"no route from {current}", path=tuple(path))
+        if (current, nxt) not in links:
+            return Outcome("dropped", None, now, latency,
+                           reason=f"link {current}->{nxt} is down", path=tuple(path))
+        now += links[(current, nxt)]
+        latency += links[(current, nxt)]
+        path.append(nxt)
+        if nxt == dest_node:
+            return Outcome("delivered", dest_node, now, latency, path=tuple(path))
+        ttl -= 1
+        if ttl == 0:
+            return Outcome("time_exceeded", nxt, now, latency, path=tuple(path))
+        current = nxt
+    return Outcome("dropped", None, now, latency, reason="routing loop",
+                   path=tuple(path))
+
+
+def drive_workers_reference(workers, transports, clock) -> None:
+    """The scenario event loop that polls every worker at every step.
+
+    The clock jumps to the earliest pending arrival or wakeup. At that
+    instant every worker, in construction order, first gets the replies due
+    by then; then every worker whose wakeup is due runs once, in the same
+    order. A reply sent to arrive at the current instant waits for the next
+    step. The loop ends when no worker has a wakeup left.
+    """
+    wakeups = [worker.next_wakeup() for worker in workers]
+    while any(wakeup is not None for wakeup in wakeups):
+        pending = [*wakeups, *(transport.peek_arrival() for transport in transports)]
+        next_time = min(t for t in pending if t is not None)
+        clock.advance_to(max(next_time, clock.now_us()))
+        now = clock.now_us()
+        for i, (worker, transport) in enumerate(zip(workers, transports)):
+            packets = transport.pop_due(now)
+            for data, responder, t_us in packets:
+                worker.on_packet(data, responder, t_us)
+            if packets:
+                wakeups[i] = worker.next_wakeup()
+        for i, worker in enumerate(workers):
+            if wakeups[i] is not None and wakeups[i] <= now:
+                worker.on_wakeup(now)
+                wakeups[i] = worker.next_wakeup()

@@ -2,7 +2,10 @@
 
 Two 1800 s seed-7 `sim-run`s, of neighbor.yaml and of inter_continental.yaml,
 fill one store each; a third store imports both exports, so the analyses
-with `--relation all` cover two relations. Each output's sha256 is pinned
+with `--relation all` cover two relations. Two more seed-7 `sim-run`s pin
+the simulator alone: intra_continental.yaml (an ECMP group of width 4) and
+route_events.yaml (latency, link and policy events while probes are in
+flight); only their exports are digested. Each output's sha256 is pinned
 below; any changed byte fails the test named after that output.
 """
 
@@ -54,7 +57,9 @@ GOLDEN = {
     "cdf-SUNET": "09a70c8cd61c07385dbce6c97124947fa46ac164633d26b8ee46fc038dfe7532",
     "export-both": "af2647e70e6389f8f7e51734f40d33901e39574a01e2dfdfedc0f0c221578148",
     "export-inter_continental": "9b2a6f187e76acfbaa039b2f4023e4228b350f103f998f6e45d11cc22ba7205c",
+    "export-intra_continental": "726d6330963913acc0a03571c17183171393a7099ca9431f1be3e818085fa148",
     "export-neighbor": "f712eeef3a6c0ce6c771681c88b0508bb9cda01fcc56fc006e45bae8a980bc07",
+    "export-route_events": "3998e5e630bbed8b4677ba46ade063af77e2a05e2cd759bea628dd55247ab530",
     "graph-csv-0.1": "03d71c2bdde4a742b2ac78984e8b23a46680bdc31da7b07c2c40b11dd94d50d9",
     "graph-csv-40": "c9ba4512bfb6f799af302ddf5bbe7af9e8b09e9f397e8ed77f3849e66ac2108c",
     "graph-dot-0.1": "ee6797792768e7d7865c033d505ed6d09301dfd571cddcdcf63c5064a7d0f71b",
@@ -86,8 +91,8 @@ def _sha256(path: Path) -> str:
 def golden_outputs(root: Path) -> dict[str, str]:
     """sha256 of every output named in GOLDEN, computed under root."""
     digests = {}
-    exports = []
-    for topology in ("neighbor", "inter_continental"):
+    for topology in ("neighbor", "inter_continental", "intra_continental",
+                     "route_events"):
         store = root / topology
         assert cli.main(["sim-run", "--topology", str(FIXTURES / f"{topology}.yaml"),
                          "--duration", "1800", "--seed", "7",
@@ -96,7 +101,8 @@ def golden_outputs(root: Path) -> dict[str, str]:
         assert cli.main(["export", "--store", str(store), "--out", str(out)]) \
             == cli.EXIT_OK
         digests[f"export-{topology}"] = _sha256(out)
-        exports.append(str(out))
+    exports = [str(root / f"{topology}.ndjson")
+               for topology in ("neighbor", "inter_continental")]
     both = root / "both"
     assert cli.main(["import", "--store", str(both), *exports]) == cli.EXIT_OK
     out = root / "both.ndjson"

@@ -102,6 +102,25 @@ class TestCraftPayload:
         assert int.from_bytes(data[2:4], "big") == target
         assert icmp.internet_checksum(data) == 0
 
+    @settings(max_examples=300)
+    @given(ident=st.integers(0, 0xFFFF), seq=st.integers(0, 0xFFFF),
+           ts=st.integers(0, 2**64 - 1),
+           target=st.one_of(st.none(), st.integers(0, 0xFFFE)))
+    def test_bytes_match_field_by_field_reference(self, ident, seq, ts, target):
+        data = icmp.make_request_bytes(Family.V4, ident, seq, ts, target_checksum=target)
+        comp = int.from_bytes(data[16:18], "big")
+        body = (bytes([8, 0, 0, 0]) + ident.to_bytes(2, "big") + seq.to_bytes(2, "big")
+                + ts.to_bytes(8, "big") + comp.to_bytes(2, "big") + bytes(6))
+        cksum = checksum_reference(body)
+        assert data == body[:2] + cksum.to_bytes(2, "big") + body[4:]
+        if target is None:
+            assert comp == 0
+        else:
+            # The type word keeps the base sum above zero, so where both 0
+            # and 0xFFFF would hit the target the word is 0.
+            assert cksum == target
+            assert comp < 0xFFFF
+
 
 class TestEncodeDecode:
     def test_v4_message_length_is_24(self):

@@ -2,15 +2,17 @@ import io
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from contrace import icmp, records
+from contrace import icmp, records, sim
 from contrace.icmp import Family
-from contrace.probe import ProbeSchedule
+from contrace.probe import ProbeSchedule, TransportFailure
 from contrace.sim import (SimNetwork, SimTransport, TopologyError, VirtualClock,
                           load_topology, run_scenario, topology_from_dict)
 
 from conftest import START_US, ecmp4_topology, linear_topology, relation_for
-from oracles import serialize_line
+from oracles import drive_workers_reference, forward_reference, serialize_line
 
 
 def _probe_bytes(checksum_target=0x1234, seq=1):
@@ -93,6 +95,110 @@ class TestForward:
             out = net.forward(_probe_bytes(rng.randrange(0xFFFF)),
                               rng.randrange(1, 10), "src", "dst", START_US)
             assert out.kind in ("delivered", "time_exceeded", "dropped")
+
+
+@st.composite
+def forwarding_cases(draw):
+    """A random topology with events a few hundred microseconds after its
+    start, probes (ingress, destination, ttl, prefix) and their send times.
+
+    Links may be missing or down, ECMP groups of 1 to 5 next hops may name
+    any router (itself, an unlinked one, one that leads back), and a router
+    without a group falls back to its only outgoing link.
+    """
+    names = [f"n{i}" for i in range(draw(st.integers(2, 6)))]
+    pairs = [(u, v) for u in names for v in names if u != v]
+    latency = st.integers(1, 40)
+    linked = draw(st.lists(st.sampled_from(pairs), unique=True))
+    links = [{"from": u, "to": v, "latency_us": draw(latency)} for u, v in linked]
+    # most events change a link that exists, so that walks notice them
+    event_pair = st.sampled_from(linked) | st.sampled_from(pairs) if linked \
+        else st.sampled_from(pairs)
+    groups = st.lists(st.sampled_from(names), min_size=1, max_size=5)
+    ecmp = {router: draw(st.dictionaries(st.sampled_from(["default", *names]),
+                                         groups, min_size=1, max_size=2))
+            for router in draw(st.lists(st.sampled_from(names), unique=True))}
+    events = []
+    for offset_us in draw(st.lists(st.integers(0, 400), max_size=4)):
+        u, v = draw(event_pair)
+        action = draw(st.sampled_from(["set_latency", "add_link", "remove_link",
+                                       "set_policy"]))
+        event = {"at": offset_us / 1_000_000, "action": action}
+        if action == "set_policy":
+            event.update(router=u, policy="silent")
+        else:
+            event.update({"from": u, "to": v})
+            if action != "remove_link":
+                event["latency_us"] = draw(latency)
+        events.append(event)
+    topology = topology_from_dict({
+        "start_time": START_US,
+        "routers": {name: {"address": f"10.0.0.{i + 1}"}
+                    for i, name in enumerate(names)},
+        "links": links, "ecmp": ecmp, "events": events})
+    # Send times just before, at and after each event, in any order: a walk
+    # cached by one send is offered to sends that cross an event, and a
+    # send that crosses one may come first in its epoch.
+    times = {START_US - 1, START_US, *draw(st.lists(st.integers(START_US, START_US + 600),
+                                                    max_size=3))}
+    for event in topology.events:
+        times.update(event.at_us + delta for delta in (-60, -20, -5, -1, 0, 1))
+    send_times = draw(st.permutations(sorted(times)))
+    probes = draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names),
+                                     st.integers(0, 70), st.integers(0, 2**32 - 1)),
+                           min_size=1, max_size=4))
+    return topology, probes, send_times
+
+
+class TestForwardMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(forwarding_cases())
+    def test_every_outcome_field_matches(self, case):
+        # One network answers every probe, so later probes hit walks that
+        # earlier ones cached, at other send times of the same epoch.
+        topology, probes, send_times = case
+        net = SimNetwork(topology)
+        for t_us in send_times:
+            for ingress, dest, ttl, prefix in probes:
+                data = prefix.to_bytes(4, "big") + bytes(12)
+                assert net.forward(data, ttl, ingress, dest, t_us) \
+                    == forward_reference(topology, data, ttl, ingress, dest, t_us)
+
+    def test_walk_crossing_an_event_is_routed_hop_by_hop(self):
+        # a -> b -> c -> d at 10 us per link; c->d goes down 95 us in. The
+        # walk sent at 0 ends at 30 us, inside the first epoch, so a send
+        # at 60 us reuses it. A send at 80 us is in the same epoch and has
+        # the same cache key, but reaches c at 100 us, after the event.
+        topo = topology_from_dict({
+            "start_time": START_US,
+            "routers": {n: {"address": f"10.0.0.{i + 1}"}
+                        for i, n in enumerate("abcd")},
+            "links": [{"from": u, "to": v, "latency_us": 10}
+                      for u, v in ("ab", "bc", "cd")],
+            "events": [{"at": 95 / 1_000_000, "action": "remove_link",
+                        "from": "c", "to": "d"}]})
+        net = SimNetwork(topo)
+
+        def forward(offset_us):
+            out = net.forward(_probe_bytes(), 9, "a", "d", START_US + offset_us)
+            return out.kind, out.at_us - START_US, out.reason, out.path
+
+        delivered = ("a", "b", "c", "d")
+        assert forward(0) == ("delivered", 30, "", delivered)
+        assert forward(60) == ("delivered", 90, "", delivered)
+        assert forward(80) == ("dropped", 100, "no route from c", ("a", "b", "c"))
+        assert forward(64) == ("delivered", 94, "", delivered)
+        assert forward(95) == ("dropped", 115, "no route from c", ("a", "b", "c"))
+        # The first send of an epoch may cross the event; its walk is not
+        # cached for the sends that come after it.
+        net = SimNetwork(topo)
+        assert forward(80) == ("dropped", 100, "no route from c", ("a", "b", "c"))
+        assert forward(0) == ("delivered", 30, "", delivered)
+
+    def test_unknown_ingress_fails(self):
+        net = SimNetwork(linear_topology(1))
+        with pytest.raises(TransportFailure):
+            net.forward(_probe_bytes(), 5, "ghost", "dst", START_US)
 
 
 class TestPoliciesAndEvents:
@@ -258,6 +364,43 @@ class TestScenario:
         # aggregate share equals the time-weighted mix of the two epochs
         share_mid1 = sum(via(r, "10.0.2.1") for r in runs) / len(runs)
         assert share_mid1 == len(before) / len(runs)
+
+    @pytest.mark.parametrize("jitter", [0.0, 0.05])
+    def test_driver_order_matches_reference(self, monkeypatch, jitter):
+        # Three sources reach dst through hub; both routers answer once a
+        # second, so whichever worker sends first takes the token. dst is
+        # exactly 0.5 s from s2, so s2's replies land on the whole seconds
+        # where every worker's pings and deadlines fall, and with no jitter
+        # the traceroute cycles start on them too. One relation pings its
+        # own source, whose replies are due at the instant they are sent.
+        topo = topology_from_dict({
+            "start_time": START_US,
+            "routers": {"hub": {"address": "10.9.0.1"}, "dst": {"address": "10.9.9.1"},
+                        **{f"s{i}": {"address": f"10.9.{i + 1}.1"} for i in range(3)}},
+            "links": [*({"from": f"s{i}", "to": "hub", "latency_us": 100 * (i + 1)}
+                        for i in range(3)),
+                      {"from": "hub", "to": "dst", "latency_us": 500_000 - 300}],
+            "policies": {"hub": {"rate_limit": 1}, "dst": {"rate_limit": 1}},
+        })
+        relations = [relation_for(topo, f"s{i}", "dst", f"S{i}") for i in range(3)]
+        relations.append(relation_for(topo, "s0", "s0", "S0", "S0"))
+        schedule = ProbeSchedule(ping_interval_s=1.0, traceroute_interval_s=20.0,
+                                 traceroute_rounds=3, max_ttl=4,
+                                 reply_timeout_s=2.0, craft_constant_checksum=False,
+                                 jitter_fraction=jitter)
+
+        def appended():
+            produced = []
+            run_scenario(topo, relations, schedule, 240, seed=3, sink=produced)
+            return produced
+
+        fast = appended()
+        monkeypatch.setattr(sim, "drive_workers", drive_workers_reference)
+        assert fast == appended()
+        hub_hops = [r.hops[0] for r in fast if isinstance(r, records.TracerouteRun)
+                    and r.destination == "10.9.9.1"]
+        assert {hop.status for hop in hub_hops} == {0, 1}  # the hub ran dry
+        assert any(isinstance(r, records.PingRecord) and r.rtt == 0 for r in fast)
 
     def test_sim_transport_blocking_receive(self):
         topo = linear_topology(2, [1000, 2000, 2000])
