@@ -13,11 +13,13 @@ import json
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from .enrich import EnrichedHop
-from .probe import RelationKey
 from .records import STATUS_ECHO_REPLY, STATUS_TIMEOUT, PathRuns, PingRecord
+
+if TYPE_CHECKING:  # annotations only: rtt-series and cdf never load enrich
+    from .config import RelationKey
+    from .enrich import EnrichedHop
 
 HOUR_US = 3_600_000_000
 

@@ -4,8 +4,9 @@ Subcommands: measure (live raw sockets or simulator), sim-run (simulator
 shortcut driven by the topology file), import, export, analyze. Exit codes:
 0 ok, 1 generic error or strict-mode rejects, 2 configuration error,
 3 privilege error, 4 transport failure, 5 empty selection.
-Modules that only some commands use (yaml, sim, analytics, enrich) are
-imported by those commands.
+Modules that only some commands use (yaml, probe, sim, analytics, enrich)
+are imported by those commands, so import, export and analyze never load
+the probing code.
 """
 
 from __future__ import annotations
@@ -20,9 +21,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .config import ProbeSchedule, RelationKey, TransportFailure, load_yaml
 from .icmp import Family, family_of
-from .probe import (LiveClock, ProbeSchedule, RawIcmpTransport, RelationKey,
-                    SourceWorker, TransportFailure, run_relation_worker)
 from .records import KIND_PING, KIND_TRACEROUTE, StoreError, StoreQuery, canonical_address
 from .store import RecordStore
 
@@ -123,8 +123,7 @@ def load_config(path: str | Path) -> Config:
         text = os.path.expandvars(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
-    import yaml
-    doc = yaml.safe_load(text)
+    doc = load_yaml(text)
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a mapping")
     return build_config(doc, path.parent)
@@ -176,7 +175,9 @@ def _measure_sim(config: Config, args, topology) -> int:
     return EXIT_OK
 
 
-def _measure_live(config: Config, args, transport_factory=RawIcmpTransport) -> int:
+def _measure_live(config: Config, args, transport_factory=None) -> int:
+    from .probe import LiveClock, RawIcmpTransport, SourceWorker, run_relation_worker
+    transport_factory = transport_factory or RawIcmpTransport
     clock = LiveClock()
     stop = threading.Event()
 

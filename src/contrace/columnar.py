@@ -1,24 +1,47 @@
-"""Segments as columns: the form every read takes, the columnar file format,
-its writer, and its checked reader.
+"""Segments as columns, one block of rows per (source, destination) pair:
+the form every read takes, the columnar file format, its writer, and its
+checked reader.
 
-A sealed segment <stem>.col holds its records as columns:
+A Segment keeps its rows in one block per pair, the blocks in the order of
+their pair's first row. A block keeps its rows in append order; it is
+sorted when its timestamps never decrease. Every row also has a tie rank:
+its rank among the segment's rows with the same timestamp, in row order.
+So ordering a segment's rows by (timestamp, tie rank) orders them by
+timestamp and then by row order, though the blocks no longer interleave
+the pairs: export, and a query that selects several pairs, read a segment
+in that order.
+
+A sealed segment <stem>.col, format version 2:
 
   magic   b"contrace columns\n"
-  crc     uint32, little-endian: CRC32 of every byte after it
+  crc     uint32, little-endian: CRC32 of size and header
   size    uint32, little-endian: byte length of the header
-  header  JSON: format version, kind, byte order of the columns, record
-          count, min and max timestamp, whether the timestamps are sorted,
-          the pair dictionary [[source, destination, records], ...], for
-          traceroutes the path dictionary [[[hop, status, address], ...],
-          ...], and per column [name, typecode, bytes]
-  body    the columns in order: array.tobytes() of typecode b, h, i or q,
-          the narrowest that holds every value, or a JSON array of
-          integers when none does
+  header  JSON: format version, kind, byte order of the columns, the column
+          names, for traceroutes the path dictionary [[[hop, status,
+          address], ...], ...], and the blocks [[source, destination,
+          records, min, max, sorted, [[typecode, bytes] per column], CRC32
+          of its columns], ...]
+  body    each block's columns in order, block after block: array.tobytes()
+          of typecode b, h, i or q, the narrowest that holds every value,
+          or a JSON array of integers when none does
 
-Pings have the columns timestamp, pair, status and rtt (-1 where the
-status is not 255). Traceroute runs have timestamp, pair, round, path and
-rtt: the RTT of each responsive hop of each run's path, in row and hop
-order, so a row's RTTs start where the previous rows' paths end.
+Pings have the columns timestamp, tie, status and rtt (-1 where the status
+is not 255). Traceroute runs have timestamp, tie, round, path and rtt: the
+RTT of each responsive hop of each run's path, in row and hop order, so a
+row's RTTs start where the previous rows' paths end. The tie column is
+written only when some timestamp repeats in the segment; without it every
+tie rank is 0.
+
+A read checks the CRC and header of each file it lists. A block it selects
+by pair and time range costs one seek and one read, after which its CRC,
+pair, paths and every value are checked; in a sorted block a time range is
+found by bisection. A file whose blocks are all ruled out costs its header alone,
+and so does count().
+
+Version 1 files, one CRC over the whole file and a pair column instead of
+blocks, still load (see legacy): they are read and checked whole, then
+partitioned by pair into blocks, keeping row order. A writer's recovery
+rewrites them as version 2.
 
 An NDJSON segment is read in the same form: its decoded records are added
 to a Segment held in memory.
@@ -33,10 +56,11 @@ import struct
 import sys
 import zlib
 from array import array
+from bisect import bisect_left
 from collections import Counter
 from functools import partial
-from itertools import accumulate, compress, islice
-from operator import itemgetter, le
+from itertools import accumulate, chain, compress, islice, repeat
+from operator import add, itemgetter, le, mul
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
@@ -46,15 +70,17 @@ from .records import (KIND_PING, KIND_TRACEROUTE, STATUS_ECHO_REPLY, STATUS_TIME
 
 _MAGIC = b"contrace columns\n"
 _PREFIX = struct.Struct("<II")
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 SUFFIX = ".col"
 TEMP_SUFFIX = ".col.tmp"
-_COLUMN_NAMES = {KIND_PING: ("timestamp", "pair", "status", "rtt"),
-                 KIND_TRACEROUTE: ("timestamp", "pair", "round", "path", "rtt")}
+_COLUMN_NAMES = {KIND_PING: ("timestamp", "tie", "status", "rtt"),
+                 KIND_TRACEROUTE: ("timestamp", "tie", "round", "path", "rtt")}
+_TIE = 1  # index of the tie column among a block's columns
 _FIRST = itemgetter(0)
-_HEADER_KEYS = {"version", "kind", "byteorder", "count", "min", "max", "sorted",
-                "pairs", "columns"}
+_HEADER_KEYS = {"version", "kind", "byteorder", "columns", "blocks"}
+_V1_HEAD = b'{"version":1,'  # how every version 1 header begins
 _TYPECODES = ("b", "h", "i", "q")
+_ITEMSIZES = {code: array(code).itemsize for code in _TYPECODES}
 _JSON_COLUMN = "json"
 
 
@@ -93,34 +119,47 @@ def _run_format(prefix: str, statuses: Sequence[int],
 
 
 def write(path: Path, segment: Segment) -> None:
-    """Write segment to path as a columnar file and fsync it."""
-    specs, bodies = [], []
-    for name, values in zip(_COLUMN_NAMES[segment.kind], segment.columns()):
-        if type(values) is list:
-            code, body = _JSON_COLUMN, _ENCODE(values).encode()
-        else:
-            code, body = values.typecode, values
-        specs.append([name, code, memoryview(body).nbytes])
-        bodies.append(body)
-    header = {"version": _FORMAT_VERSION, "kind": segment.kind, "byteorder": sys.byteorder,
-              "count": segment.count, "min": segment.min, "max": segment.max,
-              "sorted": segment.sorted,
-              "pairs": [[source, destination, segment.pair_counts[i]]
-                        for i, (source, destination) in enumerate(segment.pairs)],
-              "columns": specs}
+    """Write segment to path as a version 2 columnar file and fsync it.
+    Every block's columns must be held, as they are in a segment filled by
+    add() or loaded and checked."""
+    names = [name for i, name in enumerate(_COLUMN_NAMES[segment.kind])
+             if segment.ties or i != _TIE]
+    entries, bodies = [], []
+    for block in segment.blocks:
+        specs, crc = [], 0
+        for i, values in enumerate(block.columns):
+            if i == _TIE and not segment.ties:
+                continue
+            if type(values) is list:
+                code, values = _JSON_COLUMN, _ENCODE(values).encode()
+            else:
+                code = values.typecode
+            specs.append([code, memoryview(values).nbytes])
+            crc = zlib.crc32(values, crc)
+            bodies.append(values)
+        entries.append([*block.pair, block.count, block.min, block.max, block.sorted,
+                        specs, crc])
+    header = {"version": _FORMAT_VERSION, "kind": segment.kind,
+              "byteorder": sys.byteorder, "columns": names, "blocks": entries}
     if segment.kind == KIND_TRACEROUTE:
         header["paths"] = [list(zip(range(1, len(statuses) + 1), statuses, addresses))
                            for statuses, addresses in segment.keys]
     head = _ENCODE(header).encode()
     crc = zlib.crc32(head, zlib.crc32(struct.pack("<I", len(head))))
-    for body in bodies:
-        crc = zlib.crc32(body, crc)
     with open(path, "wb") as fp:
         fp.write(_MAGIC + _PREFIX.pack(crc, len(head)) + head)
         for body in bodies:
             fp.write(body)
         fp.flush()
         os.fsync(fp.fileno())
+
+
+def is_version_1(path: Path) -> bool:
+    """Whether the columnar file at path begins as a version 1 file does:
+    the test a writer's recovery uses to find the files to rewrite."""
+    with open(path, "rb") as fp:
+        start = fp.read(len(_MAGIC) + _PREFIX.size + len(_V1_HEAD))
+    return start.startswith(_MAGIC) and start.endswith(_V1_HEAD)
 
 
 class _Corrupt(Exception):
@@ -143,16 +182,14 @@ def _decoded(document: dict, what: str) -> Record:
         raise _Corrupt(f"{what}: {exc}") from None
 
 
-def _checked_pair(entry) -> tuple[str, str]:
-    """(source, destination) of a pair dictionary entry, checked as a
-    document's source and destination are."""
-    _require(type(entry) is list and len(entry) == 3 and _count_at_least(entry[2], 1),
-             f"pair {entry!r}: expected [source, destination, records]")
-    source, destination, _ = entry
+def _checked_pair(source, destination) -> tuple[str, str]:
+    """(source, destination) of a block or a version 1 pair entry, checked
+    as a document's source and destination are."""
+    what = f"pair {[source, destination]!r}"
     record = _decoded({"timestamp": 1, "source": source, "destination": destination,
-                       "status": STATUS_TIMEOUT}, f"pair {entry!r}")
+                       "status": STATUS_TIMEOUT}, what)
     _require((record.source, record.destination) == (source, destination),
-             f"pair {entry!r}: addresses not canonical")
+             f"{what}: addresses not canonical")
     return source, destination
 
 
@@ -176,33 +213,78 @@ def _checked_path(entry) -> tuple[tuple[int, ...], tuple[str | None, ...]]:
     return tuple(zip(*path))[1:]
 
 
+def _joined(columns: list):
+    """The values of columns one after another, as one column of the
+    widest typecode among them, or a list if any of them is one."""
+    if len(columns) == 1:
+        return columns[0]
+    if any(type(column) is list for column in columns):
+        return list(chain.from_iterable(columns))
+    code = max((column.typecode for column in columns), key=_TYPECODES.index)
+    joined = array(code)
+    for column in columns:
+        joined += column if column.typecode == code else array(code, column)
+    return joined
+
+
+class Block:
+    """One pair's rows of a segment: count, min and max timestamp (None
+    with no rows), sorted, and columns, the list of its columns in the
+    order of the kind's column names, or None while a file's block is not
+    read. The tie column is None where the segment has none. A file's block
+    also records where its columns are: their [typecode, bytes] specs,
+    their offset and size in the file, and their CRC."""
+
+    __slots__ = ("pair", "count", "min", "max", "sorted", "columns", "specs", "offset",
+                 "size", "crc")
+
+    def __init__(self, pair: tuple[str, str], columns: list | None = None):
+        self.pair, self.columns = pair, columns
+        self.count, self.min, self.max, self.sorted = 0, None, None, True
+        self.specs, self.offset, self.size, self.crc = (), 0, 0, 0
+
+    def rows(self, start: int, end: int) -> Sequence[int]:
+        """Indexes of the rows with start <= timestamp < end, in row order;
+        a range in a sorted block."""
+        if start <= self.min and end > self.max:
+            return range(self.count)
+        times = self.columns[0]
+        if self.sorted:
+            return range(bisect_left(times, start), bisect_left(times, end))
+        return [i for i, timestamp in enumerate(times) if start <= timestamp < end]
+
+
 class Segment:
-    """One segment of one kind as columns, with the facts a read prunes by:
-    count, min and max timestamp (None with no rows), sorted, the pairs and
-    their counts, and for traceroutes each path's key (statuses, addresses)
-    and width (responsive hops). Segment(kind) is empty; add() appends a
-    validated record, widening a column only as its values demand.
-    Segment.load(path, kind) opens a columnar file and checks its CRC, its
-    header, and each pair and path with the rules of from_json_obj;
-    columns() checks every value. Any fault is a StoreError naming the
-    file."""
+    """One segment of one kind as blocks of columns, with the facts a read
+    prunes by: count, min and max timestamp (None with no rows), each
+    block's pair and facts, whether some timestamp repeats (ties), and for
+    traceroutes each path's key (statuses, addresses) and width
+    (responsive hops). Segment(kind) is empty; add() appends a validated
+    record to its pair's block, widening a column only as its values
+    demand. Segment.load(path, kind) opens a columnar file and checks its
+    header; a read then reads the blocks it selects and checks each one's
+    CRC, values, and pair and paths (by the rules of from_json_obj). Any
+    fault is a StoreError naming the file."""
 
     def __init__(self, kind: str):
         self.kind, self.path = kind, None
-        self.count, self.min, self.max, self.sorted = 0, None, None, True
-        self.pairs: list[tuple[str, str]] = []
-        self.pair_counts: list[int] = []
+        self.count, self.min, self.max = 0, None, None
+        self.last = None  # timestamp of the row added last
+        self.ties = False
+        self.blocks: list[Block] = []
         self.keys: list[tuple[tuple, tuple]] = []
         self.widths: list[int] = []
-        self._columns: list | None = [array("b") for _ in _COLUMN_NAMES[kind]]
-        self._pair_ids: dict[tuple[str, str], int] = {}
+        self._blocks: dict[tuple[str, str], Block] = {}
         self._path_ids: dict[tuple[tuple, tuple], int] = {}
         self._formats: dict[tuple, str] = {}
+        self._tie = 0  # tie rank of the row added last, while timestamps never decrease
+        self._tie_counts: Counter | None = None  # rows per timestamp, once they do
+        self._swap = False
 
     @classmethod
     def load(cls, path: Path, kind: str) -> Segment:
         segment = cls(kind)
-        segment.path, segment._columns = path, None
+        segment.path = path
         try:
             with open(path, "rb") as fp:
                 segment._read(fp)
@@ -229,19 +311,41 @@ class Segment:
             line = self._formats[key] = _run_format(_pair_prefix(*pair), statuses, addresses)
         return line % (record.timestamp, record.round, *compress(rtts, statuses))
 
+    def _tie_rank(self, timestamp: int) -> int:
+        """The tie rank of a row added at timestamp: a running count while
+        the segment's timestamps never decrease; from the first that does,
+        a count per timestamp, of the rows so far."""
+        counts = self._tie_counts
+        if counts is None:
+            if timestamp == self.last:
+                self._tie += 1
+                self.ties = True
+                return self._tie
+            if self.last is None or timestamp > self.last:
+                self._tie = 0
+                return 0
+            counts = self._tie_counts = Counter(
+                chain.from_iterable(block.columns[0] for block in self.blocks))
+        tie = counts[timestamp]
+        counts[timestamp] = tie + 1
+        if tie:
+            self.ties = True
+        return tie
+
     def add(self, record: Record) -> None:
-        """Append record's row, keeping count, min, max, sorted and the
-        pair counts current."""
+        """Append record's row to its pair's block, keeping the counts,
+        minima, maxima, sorted and the tie ranks current."""
         pair = (record.source, record.destination)
-        pair_id = self._pair_ids.get(pair)
-        if pair_id is None:
-            pair_id = self._pair_ids[pair] = len(self.pairs)
-            self.pairs.append(pair)
-            self.pair_counts.append(0)
+        block = self._blocks.get(pair)
+        if block is None:
+            block = self._blocks[pair] = Block(pair, [array("b")
+                                                      for _ in _COLUMN_NAMES[self.kind]])
+            self.blocks.append(block)
         timestamp = record.timestamp
+        tie = self._tie_rank(timestamp)
         if self.kind == KIND_PING:
             rtt = record.rtt
-            row = (timestamp, pair_id, record.status, -1 if rtt is None else rtt)
+            row = (timestamp, tie, record.status, -1 if rtt is None else rtt)
             rtts = ()
         else:
             _, statuses, addresses, hop_rtts = zip(*record.hops)
@@ -251,10 +355,10 @@ class Segment:
                 path_id = self._path_ids[key] = len(self.keys)
                 self.keys.append(key)
                 self.widths.append(len(statuses) - statuses.count(STATUS_TIMEOUT))
-            row = (timestamp, pair_id, record.round, path_id)
+            row = (timestamp, tie, record.round, path_id)
             rtts = list(compress(hop_rtts, statuses))  # a hop has an rtt iff status > 0
-        columns = self._columns
-        n, rtts_before = self.count, len(columns[-1])
+        columns = block.columns
+        n, rtts_before = block.count, len(columns[-1])
         try:
             columns[0].append(row[0])
             columns[1].append(row[1])
@@ -262,121 +366,186 @@ class Segment:
             columns[3].append(row[3])
             columns[-1].extend(rtts)
         except OverflowError:
-            for column in columns[:-1]:
+            for column in columns[:len(row)]:
                 del column[n:]
             del columns[-1][rtts_before:]
             for i, value in enumerate(row):
                 _put(columns, i, (value,))
             _put(columns, -1, rtts)
-        self.pair_counts[pair_id] += 1
-        self.count = n + 1
-        if n and timestamp < columns[0][n - 1]:
-            self.sorted = False
-        self.min = timestamp if n == 0 or timestamp < self.min else self.min
-        self.max = timestamp if n == 0 or timestamp > self.max else self.max
+        block.count = n + 1
+        if n == 0:
+            block.min = block.max = timestamp
+        elif timestamp < block.max:
+            block.sorted = False
+            block.min = min(block.min, timestamp)
+        else:
+            block.max = timestamp
+        self.min = timestamp if self.count == 0 or timestamp < self.min else self.min
+        self.max = timestamp if self.count == 0 or timestamp > self.max else self.max
+        self.count += 1
+        self.last = timestamp
+
+    # -- reading files ---------------------------------------------------------
 
     def _read(self, fp) -> None:
-        """Read the header and the columns, each column straight into its
-        array; check the CRC over both, then the header."""
+        """Read and check the header; a version 1 file is read whole."""
         prefix = fp.read(len(_MAGIC) + _PREFIX.size)
         _require(prefix.startswith(_MAGIC) and len(prefix) == len(_MAGIC) + _PREFIX.size,
                  "not a columnar segment")
         crc, size = _PREFIX.unpack_from(prefix, len(_MAGIC))
         head = fp.read(size)
+        check = zlib.crc32(head, zlib.crc32(prefix[-4:]))
         try:
             header = json.loads(head)
         except ValueError as exc:
-            raise _Corrupt(f"header: {exc}") from None
+            header = exc
+        if check != crc:  # a version 1 CRC covers the columns as well
+            _require(type(header) is dict and header.get("version") == 1,
+                     "header: CRC mismatch")
+            from . import legacy
+            return legacy.read_version_1(self, fp, header, check, crc)
+        _require(not isinstance(header, ValueError), f"header: {header}")
         keys = _HEADER_KEYS | ({"paths"} if self.kind == KIND_TRACEROUTE else set())
         _require(type(header) is dict and header.keys() == keys, "header: wrong fields")
-        specs = header["columns"]
-        _require(type(specs) is list and len(specs) == len(_COLUMN_NAMES[self.kind])
-                 and all(type(spec) is list and len(spec) == 3 and spec[0] == name
-                         and (spec[1] == _JSON_COLUMN or spec[1] in _TYPECODES)
-                         and _count_at_least(spec[2], 0)
-                         for spec, name in zip(specs, _COLUMN_NAMES[self.kind])),
-                 "header: bad column list")
-        check = zlib.crc32(head, zlib.crc32(prefix[-4:]))
-        self._raw = []
-        for name, code, size in specs:
-            if code == _JSON_COLUMN:
-                values = fp.read(size)
-                read = len(values)
-            else:
-                itemsize = array(code).itemsize
-                _require(size % itemsize == 0, f"column {name}: partial item")
-                values = array(code, [0]) * (size // itemsize)
-                read = fp.readinto(values)
-            _require(read == size, f"column {name}: truncated")
-            check = zlib.crc32(values, check)
-            self._raw.append(values)
-        rest = fp.read()
-        _require(zlib.crc32(rest, check) == crc, "CRC mismatch")
-        _require(not rest, "bytes after the columns")
-        _require(_count_at_least(header["version"], 0)
-                 and header["version"] == _FORMAT_VERSION,
-                 f"format version {header['version']!r} is not {_FORMAT_VERSION}")
+        self._check_identity(header, _FORMAT_VERSION)
+        names = header["columns"]
+        _require(type(names) is list and names in (
+            list(_COLUMN_NAMES[self.kind]),
+            [name for i, name in enumerate(_COLUMN_NAMES[self.kind]) if i != _TIE]),
+            "header: bad column list")
+        self.ties = len(names) == len(_COLUMN_NAMES[self.kind])
+        self._read_paths(header)
+        entries = header["blocks"]
+        _require(type(entries) is list and entries, "header: no blocks")
+        offset = len(prefix) + size
+        for entry in entries:
+            block = self._block(entry, names)
+            block.offset = offset
+            offset += block.size
+        end = os.fstat(fp.fileno()).st_size
+        _require(end >= offset, "columns: truncated")
+        _require(end == offset, "bytes after the columns")
+        self.count = sum(block.count for block in self.blocks)
+        self.min = min(block.min for block in self.blocks)
+        self.max = max(block.max for block in self.blocks)
+
+    def _check_identity(self, header: dict, version: int) -> None:
+        _require(_count_at_least(header["version"], 0) and header["version"] == version,
+                 f"format version {header['version']!r} is not {version}")
         _require(header["kind"] == self.kind, f"a {header['kind']!r} segment")
         _require(header["byteorder"] in ("little", "big"), "header: unknown byte order")
         self._swap = header["byteorder"] != sys.byteorder
-        self.count, self.min, self.max = header["count"], header["min"], header["max"]
-        _require(_count_at_least(self.count, 1) and _count_at_least(self.min, 1)
-                 and _count_at_least(self.max, self.min), "header: bad count, min or max")
-        self.sorted = header["sorted"]
-        _require(type(self.sorted) is bool, "header: sorted is not a boolean")
-        _require(type(header["pairs"]) is list and header["pairs"], "header: no pairs")
-        self.pairs = [_checked_pair(entry) for entry in header["pairs"]]
-        self.pair_counts = [entry[2] for entry in header["pairs"]]
-        _require(sum(self.pair_counts) == self.count,
-                 "header: pair counts do not add up to the count")
+
+    def _read_paths(self, header: dict) -> None:
+        """Keep the path dictionary; a path is checked when a block that
+        uses it is read (_path)."""
         if self.kind == KIND_TRACEROUTE:
-            _require(type(header["paths"]) is list and header["paths"], "header: no paths")
-            self.keys = [_checked_path(entry) for entry in header["paths"]]
-            self.widths = [len(statuses) - statuses.count(STATUS_TIMEOUT)
-                           for statuses, _ in self.keys]
+            self._paths = header["paths"]
+            _require(type(self._paths) is list and self._paths, "header: no paths")
+            self.keys = [None] * len(self._paths)
+            self.widths = [None] * len(self._paths)
 
-    def opener(self) -> Callable[[], Segment]:
-        """A function that gives this segment to a later read: a file is
-        opened again, so its columns are not held until then; a segment
-        held in memory is given as it is."""
-        if self.path is None:
-            return lambda: self
-        return partial(Segment.load, self.path, self.kind)
+    def _path(self, path_id: int) -> None:
+        statuses, addresses = self.keys[path_id] = _checked_path(self._paths[path_id])
+        self.widths[path_id] = len(statuses) - statuses.count(STATUS_TIMEOUT)
 
-    def columns(self) -> list:
-        if self._columns is None:
+    def _block(self, entry, names: list[str]) -> Block:
+        """The Block of a header's block entry, its fields checked, and
+        added. Its pair is checked when the block is read. A header may
+        hold many blocks, so each message is formatted only for a fault."""
+        if not (type(entry) is list and len(entry) == 8):
+            raise _Corrupt(f"block {entry!r}: expected [source, destination, records, "
+                           f"min, max, sorted, columns, crc]")
+        source, destination, count, low, high, is_sorted, specs, crc = entry
+        pair = (source, destination)
+        if not (type(source) is str and type(destination) is str):
+            raise _Corrupt(f"block {entry[:2]!r}: pair is not two addresses")
+        if pair in self._blocks:
+            raise _Corrupt(f"block {entry[:2]!r}: pair listed twice")
+        if not (type(count) is int and type(low) is int and type(high) is int
+                and count >= 1 and high >= low >= 1):
+            raise _Corrupt(f"block {entry[:2]!r}: bad count, min or max")
+        if type(is_sorted) is not bool:
+            raise _Corrupt(f"block {entry[:2]!r}: sorted is not a boolean")
+        if not (type(crc) is int and 0 <= crc < 1 << 32):
+            raise _Corrupt(f"block {entry[:2]!r}: bad CRC")
+        if not (type(specs) is list and len(specs) == len(names)):
+            raise _Corrupt(f"block {entry[:2]!r}: bad column list")
+        size = 0
+        for name, spec in zip(names, specs):
+            if not (type(spec) is list and len(spec) == 2 and type(spec[1]) is int
+                    and spec[1] >= 0 and (spec[0] == _JSON_COLUMN or spec[0] in _TYPECODES)):
+                raise _Corrupt(f"block {entry[:2]!r}: bad column list")
+            if spec[0] != _JSON_COLUMN and spec[1] % _ITEMSIZES[spec[0]]:
+                raise _Corrupt(f"column {name}: partial item")
+            size += spec[1]
+        block = self._blocks[pair] = Block(pair)
+        block.count, block.min, block.max, block.sorted = count, low, high, is_sorted
+        block.specs, block.size, block.crc = specs, size, crc
+        self.blocks.append(block)
+        return block
+
+    def _column(self, name: str, code: str, raw):
+        """A column's values from its bytes."""
+        if code == _JSON_COLUMN:
             try:
-                self._columns = self._decode()
-            except _Corrupt as exc:
-                raise StoreError(f"{self.path}: {exc}") from None
-        return self._columns
+                values = json.loads(bytes(raw))
+            except ValueError:
+                values = None
+            _require(type(values) is list and all(type(v) is int for v in values),
+                     f"column {name}: not a JSON array of integers")
+            return values
+        values = array(code)
+        values.frombytes(raw)
+        if self._swap:
+            values.byteswap()
+        return values
 
-    def _decode(self) -> list:
-        columns = []
-        for name, values in zip(_COLUMN_NAMES[self.kind], self._raw):
-            if type(values) is bytes:
-                try:
-                    values = json.loads(values)
-                except ValueError:
-                    values = None
-                _require(type(values) is list and all(type(v) is int for v in values),
-                         f"column {name}: not a JSON array of integers")
-            elif self._swap:
-                values.byteswap()
-            columns.append(values)
-        self._raw = None
-        *rows, rtts = columns
+    def _fill(self, blocks: list[Block]) -> None:
+        """Read and check the columns of the given blocks not held: per
+        block one seek and one read."""
+        wanted = [block for block in blocks if block.columns is None]
+        if not wanted:
+            return
+        names = [name for i, name in enumerate(_COLUMN_NAMES[self.kind])
+                 if self.ties or i != _TIE]
+        try:
+            with open(self.path, "rb") as fp:
+                for block in wanted:
+                    _checked_pair(*block.pair)
+                    fp.seek(block.offset)
+                    data = memoryview(fp.read(block.size))
+                    _require(len(data) == block.size, "columns: truncated")
+                    _require(zlib.crc32(data) == block.crc,
+                             f"block {list(block.pair)!r}: CRC mismatch")
+                    columns, at = [], 0
+                    for name, (code, size) in zip(names, block.specs):
+                        columns.append(self._column(name, code, data[at:at + size]))
+                        at += size
+                    if not self.ties:
+                        columns.insert(_TIE, None)
+                    self._check_block(block, columns)
+                    block.columns = columns
+        except _Corrupt as exc:
+            raise StoreError(f"{self.path}: {exc}") from None
+
+    def _check_block(self, block: Block, columns: list) -> None:
+        """Check a block's columns against its facts, and every value."""
+        times, ties, rtts = columns[0], columns[_TIE], columns[-1]
+        rows = [column for column in columns[:-1] if column is not None]
         if self.kind == KIND_PING:
             rows.append(rtts)
-        _require(all(len(column) == self.count for column in rows),
+        _require(all(len(column) == block.count for column in rows),
                  "columns: length differs from the count")
-        times, pair_ids = columns[0], columns[1]
-        _require(min(times) == self.min and max(times) == self.max,
+        _require(min(times) == block.min and max(times) == block.max,
                  "timestamp: min or max differs from the header")
-        _require(not self.sorted or all(map(le, times, islice(times, 1, None))),
+        _require(not block.sorted or all(map(le, times, islice(times, 1, None))),
                  "timestamp: not sorted")
-        _require(Counter(pair_ids) == dict(enumerate(self.pair_counts)),
-                 "pair: ids out of range or counts differ from the header")
+        _require(ties is None or min(ties) >= 0, "tie: negative")
+        self._check_values(columns)
+
+    def _check_values(self, columns: list) -> None:
+        rtts = columns[-1]
         if self.kind == KIND_PING:
             statuses = columns[2]
             _require(set(statuses) <= set(VALID_STATUSES), "status: not 0, 1 or 255")
@@ -384,104 +553,132 @@ class Segment:
                          default=0) >= 0, "rtt: negative")
             _require(set(compress(rtts, map(STATUS_ECHO_REPLY.__ne__, statuses))) <= {-1},
                      "rtt: present where the status is not 255")
-        else:
-            rounds, path_ids = columns[2], columns[3]
-            _require(min(rounds) >= 0, "round: negative")
-            _require(min(path_ids) >= 0 and max(path_ids) < len(self.keys),
-                     "path: id out of range")
-            _require(len(rtts) == sum(map(self.widths.__getitem__, path_ids)),
-                     "rtt: length differs from the paths' responsive hops")
-            _require(min(rtts, default=0) >= 0, "rtt: negative")
-        return columns
+            return
+        rounds, path_ids = columns[2], columns[3]
+        _require(min(rounds) >= 0, "round: negative")
+        _require(min(path_ids) >= 0 and max(path_ids) < len(self.keys),
+                 "path: id out of range")
+        for path_id in set(path_ids):
+            if self.keys[path_id] is None:
+                self._path(path_id)
+        _require(len(rtts) == sum(map(self.widths.__getitem__, path_ids)),
+                 "rtt: length differs from the paths' responsive hops")
+        _require(min(rtts, default=0) >= 0, "rtt: negative")
 
-    def _offsets(self) -> list[int]:
-        """Where each run's RTTs start in the rtt column, plus the end."""
-        return list(accumulate(map(self.widths.__getitem__, self.columns()[3]),
-                               initial=0))
+    # -- reads -----------------------------------------------------------------
 
-    def rows(self, q: StoreQuery) -> Sequence[int]:
-        """Indexes of the rows q selects. The column values are checked
-        only if the pair dictionary and the time range leave any rows."""
-        wanted = [i for i, (source, destination) in enumerate(self.pairs)
-                  if q.matches_pair(source, destination)]
-        if not wanted:  # also for a segment with no rows, which has no pairs
-            return ()
+    def check(self) -> None:
+        """Read and check every block."""
+        self._fill(self.blocks)
+
+    def opener(self, keep: bool = False) -> Callable[[], Segment]:
+        """A function that gives this segment to a later read: a segment
+        held in memory, or kept, is given as it is; a file is opened again,
+        so its columns are not held until then."""
+        if keep or self.path is None:
+            return lambda: self
+        return partial(Segment.load, self.path, self.kind)
+
+    def _select(self, q: StoreQuery) -> list[tuple[Block, Sequence[int]]]:
+        """(block, indexes of its rows) for each block with rows q selects.
+        Only those blocks are read: the pairs and time ranges of the others
+        rule them out."""
+        if not self.blocks:
+            return []
         start = self.min if q.start is None else q.start
         end = self.max + 1 if q.end is None else q.end
-        if start > self.max or end <= self.min:
-            return ()
-        times, pair_ids = self.columns()[:2]
-        if len(wanted) < len(self.pairs):
-            wanted = set(wanted)
-            return [i for i, (timestamp, pair) in enumerate(zip(times, pair_ids))
-                    if pair in wanted and start <= timestamp < end]
-        if start <= self.min and end > self.max:
-            return range(self.count)
-        return [i for i, timestamp in enumerate(times) if start <= timestamp < end]
+        blocks = [block for block in self.blocks if q.matches_pair(*block.pair)
+                  and start <= block.max and end > block.min]
+        self._fill(blocks)
+        selected = [(block, block.rows(start, end)) for block in blocks]
+        return [(block, rows) for block, rows in selected if rows]
 
     def records(self, q: StoreQuery) -> list[Record]:
-        """The records of the rows q selects, in row order."""
-        rows = self.rows(q)
-        if not rows:
-            return []
-        pairs = self.pairs
-        if self.kind == KIND_PING:
-            times, pair_ids, statuses, rtts = self.columns()
-            return [_new(PingRecord, (times[i], *pairs[pair_ids[i]], statuses[i],
-                                      rtts[i] if statuses[i] == STATUS_ECHO_REPLY
-                                      else None))
-                    for i in rows]
-        times, pair_ids, rounds, path_ids, rtts = self.columns()
-        offsets = self._offsets()
-        runs = []
-        for i in rows:
-            k = offsets[i]
-            statuses, addresses = self.keys[path_ids[i]]
-            hops = []
-            for number, (status, address) in enumerate(zip(statuses, addresses), 1):
-                if status == STATUS_TIMEOUT:
-                    hops.append(_new(Hop, (number, status, None, None)))
-                else:
-                    hops.append(_new(Hop, (number, status, address, rtts[k])))
-                    k += 1
-            runs.append(_new(TracerouteRun, (times[i], *pairs[pair_ids[i]], rounds[i],
-                                             tuple(hops))))
-        return runs
+        """The records of the rows q selects, block by block in row order.
+        Where timestamps repeat across the blocks, they are ordered by tie
+        rank, so a stable sort by timestamp orders them by (timestamp, tie
+        rank)."""
+        selected = self._select(q)
+        records: list[Record] = []
+        ties: list[int] = []
+        for block, rows in selected:
+            source, destination = block.pair
+            if len(selected) > 1 and self.ties:
+                ties += map(block.columns[_TIE].__getitem__, rows)
+            if self.kind == KIND_PING:
+                times, _, statuses, rtts = block.columns
+                records += [_new(PingRecord, (times[i], source, destination, statuses[i],
+                                              rtts[i] if statuses[i] == STATUS_ECHO_REPLY
+                                              else None))
+                            for i in rows]
+                continue
+            times, _, rounds, path_ids, rtts = block.columns
+            offsets = self._offsets(block)
+            for i in rows:
+                k = offsets[i]
+                statuses, addresses = self.keys[path_ids[i]]
+                hops = []
+                for number, (status, address) in enumerate(zip(statuses, addresses), 1):
+                    if status == STATUS_TIMEOUT:
+                        hops.append(_new(Hop, (number, status, None, None)))
+                    else:
+                        hops.append(_new(Hop, (number, status, address, rtts[k])))
+                        k += 1
+                records.append(_new(TracerouteRun, (times[i], source, destination,
+                                                    rounds[i], tuple(hops))))
+        if ties:
+            records = [records[i] for i in sorted(range(len(records)), key=ties.__getitem__)]
+        return records
+
+    def _offsets(self, block: Block) -> list[int]:
+        """Where each of the block's runs' RTTs start in its rtt column,
+        plus the end."""
+        return list(accumulate(map(self.widths.__getitem__, block.columns[3]), initial=0))
 
     def group(self, q: StoreQuery, grouped: dict[tuple[str, str], PathRuns]) -> None:
-        """Add the runs of the rows q selects to grouped, per pair."""
-        rows = self.rows(q)
-        if not rows:
-            return
-        _, pair_ids, _, path_ids, rtts = self.columns()
-        if type(rtts) is array and rtts.typecode != "q":
-            rtts = array("q", rtts)
-        offsets = self._offsets()
-        slots: dict[tuple[int, int], tuple[PathRuns, int]] = {}
-        for i in rows:
-            slot = slots.get((pair_ids[i], path_ids[i]))
-            if slot is None:
-                pair = self.pairs[pair_ids[i]]
-                runs = grouped.get(pair)
-                if runs is None:
-                    runs = grouped[pair] = PathRuns()
-                slot = slots[pair_ids[i], path_ids[i]] = \
-                    (runs, runs.path_index(*self.keys[path_ids[i]]))
-            runs, index = slot
-            runs.counts[index] += 1
-            _put(runs.rtts, index, rtts[offsets[i]:offsets[i + 1]])
+        """Add the runs of the rows q selects to grouped, per pair, in row
+        order."""
+        for block, rows in self._select(q):
+            runs = grouped.get(block.pair)
+            if runs is None:
+                runs = grouped[block.pair] = PathRuns()
+            path_ids, rtts = block.columns[3:]
+            if type(rtts) is array and rtts.typecode != "q":
+                rtts = array("q", rtts)
+            offsets = self._offsets(block)
+            indexes: dict[int, int] = {}  # path id -> index in runs
+            for i in rows:
+                index = indexes.get(path_ids[i])
+                if index is None:
+                    index = indexes[path_ids[i]] = runs.path_index(*self.keys[path_ids[i]])
+                runs.counts[index] += 1
+                _put(runs.rtts, index, rtts[offsets[i]:offsets[i + 1]])
 
     def lines(self, rank: int) -> Iterator[tuple[int, int, str]]:
         """(timestamp, rank, canonical line) of every row, by timestamp and
-        then row order."""
-        columns = self.columns()
+        then tie rank: one sort of the segment's rows."""
+        self.check()
+        blocks = self.blocks
+        if not blocks:
+            return
+        columns = [_joined([block.columns[i] for block in blocks])
+                   for i in range(len(_COLUMN_NAMES[self.kind])) if i != _TIE]
         times = columns[0]
-        order = range(self.count) if self.sorted else \
-            sorted(range(self.count), key=times.__getitem__)
-        prefixes = [_pair_prefix(*pair) for pair in self.pairs]
+        if len(blocks) == 1 and blocks[0].sorted:
+            order = range(self.count)
+        elif self.ties:
+            ties = _joined([block.columns[_TIE] for block in blocks])
+            keys = list(map(add, map(mul, times, repeat(max(ties) + 1)), ties))
+            order = sorted(range(self.count), key=keys.__getitem__)
+        else:
+            order = sorted(range(self.count), key=times.__getitem__)
+        pair_ids = array("B" if len(blocks) < 256 else "i")
+        for pair_id, block in enumerate(blocks):
+            pair_ids += array(pair_ids.typecode, [pair_id]) * block.count
+        prefixes = [_pair_prefix(*block.pair) for block in blocks]
         formats: dict[tuple[int, int], str] = {}
         if self.kind == KIND_PING:
-            _, pair_ids, statuses, rtts = columns
+            _, statuses, rtts = columns
             for i in order:
                 key = (pair_ids[i], statuses[i])
                 line = formats.get(key)
@@ -492,35 +689,45 @@ class Segment:
                 else:
                     yield times[i], rank, line % times[i]
             return
-        _, pair_ids, rounds, path_ids, rtts = columns
-        offsets = self._offsets()
+        _, rounds, path_ids_, rtts = columns
+        offsets = list(accumulate(map(self.widths.__getitem__, path_ids_), initial=0))
         for i in order:
-            key = (pair_ids[i], path_ids[i])
+            key = (pair_ids[i], path_ids_[i])
             line = formats.get(key)
             if line is None:
                 line = formats[key] = _run_format(prefixes[key[0]], *self.keys[key[1]])
             yield times[i], rank, line % (times[i], rounds[i],
                                           *rtts[offsets[i]:offsets[i + 1]])
 
-
-def line_streams(segments: list[tuple]) -> list[Iterator]:
-    """Line streams over segments, given as (min, max, rank, opener), where
-    opener() gives the Segment: segments whose time ranges do not overlap
-    share a stream, which opens them one after another, so a merge of the
-    streams holds one segment per stream."""
-    chains: list[list[tuple]] = []
+def chains(segments: list[tuple]) -> list[list[tuple]]:
+    """Segments, given as (min, max, rank, opener), where opener() gives the
+    Segment, in chains: segments whose time ranges do not overlap share a
+    chain, which opens them one after another, so a merge of the chains'
+    lines holds one segment per chain."""
+    chained: list[list[tuple]] = []
     ends: list[tuple[int, int]] = []  # (last max timestamp, chain index)
     for segment in sorted(segments, key=_FIRST):
         if ends and ends[0][0] < segment[0]:
             _, i = heapq.heappop(ends)
-            chains[i].append(segment)
+            chained[i].append(segment)
         else:
-            i = len(chains)
-            chains.append([segment])
+            i = len(chained)
+            chained.append([segment])
         heapq.heappush(ends, (segment[1], i))
-    return [_chain_lines(chain) for chain in chains]
+    return chained
 
 
-def _chain_lines(chain: list[tuple]) -> Iterator[tuple[int, int, str]]:
+def check_chains(chained: list[list[tuple]]) -> None:
+    """Open, read and check every segment of the chains. A segment alone in
+    its chain is kept, so its lines are read once; the merge would hold it
+    from its start anyway."""
+    for chain in chained:
+        for i, (low, high, rank, opener) in enumerate(chain):
+            segment = opener()
+            segment.check()
+            chain[i] = (low, high, rank, segment.opener(keep=len(chain) == 1))
+
+
+def chain_lines(chain: list[tuple]) -> Iterator[tuple[int, int, str]]:
     for _, _, rank, opener in chain:
         yield from opener().lines(rank)

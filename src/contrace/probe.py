@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Protocol
 
 from . import icmp
+from .config import ProbeSchedule, RelationKey, TransportFailure
 from .icmp import Family
 from .records import (STATUS_ECHO_REPLY, STATUS_TIME_EXCEEDED, STATUS_TIMEOUT,
                       Hop, PingRecord, TracerouteRun)
@@ -27,10 +28,6 @@ log = logging.getLogger(__name__)
 
 PING_TTL = 64
 SEQUENCE_SPACE = 0x10000
-
-
-class TransportFailure(Exception):
-    """Socket-level failure; distinct from a timeout, which yields a record."""
 
 
 class Transport(Protocol):
@@ -43,60 +40,6 @@ class Transport(Protocol):
 
 class Clock(Protocol):
     def now_us(self) -> int: ...
-
-
-@dataclass(frozen=True, slots=True)
-class RelationKey:
-    """Measurement identity: IP version plus source and destination ISP."""
-
-    ip_version: Family
-    source_id: str
-    destination_id: str
-    source_address: str
-    destination_address: str
-
-    def __post_init__(self):
-        for address in (self.source_address, self.destination_address):
-            if icmp.family_of(address) is not self.ip_version:
-                raise ValueError(
-                    f"address {address} does not match family {self.ip_version.value}")
-
-
-@dataclass(slots=True)
-class ProbeSchedule:
-    """Cadence and limits for one measurement campaign."""
-
-    ping_interval_s: float = 1.0
-    traceroute_interval_s: float = 300.0
-    traceroute_rounds: int = 3
-    max_ttl: int = 35
-    reply_timeout_s: float = 3.0
-    craft_constant_checksum: bool = True
-    jitter_fraction: float = 0.05
-
-    def __post_init__(self):
-        if self.ping_interval_s <= 0 or self.traceroute_interval_s <= 0:
-            raise ValueError("intervals must be positive")
-        if self.traceroute_rounds < 1:
-            raise ValueError("traceroute_rounds must be >= 1")
-        if not 1 <= self.max_ttl <= 255:
-            raise ValueError("max_ttl must be in 1..255")
-        if self.reply_timeout_s <= 0:
-            raise ValueError("reply_timeout_s must be positive")
-        if not 0 <= self.jitter_fraction < 1:
-            raise ValueError("jitter_fraction must be in [0, 1)")
-
-    @property
-    def ping_interval_us(self) -> int:
-        return int(round(self.ping_interval_s * 1_000_000))
-
-    @property
-    def traceroute_interval_us(self) -> int:
-        return int(round(self.traceroute_interval_s * 1_000_000))
-
-    @property
-    def reply_timeout_us(self) -> int:
-        return int(round(self.reply_timeout_s * 1_000_000))
 
 
 def _status_of(kind: icmp.Kind) -> int | None:

@@ -20,11 +20,10 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
-import yaml
-
 from . import icmp, probe
+from .config import ProbeSchedule, RelationKey, TransportFailure, load_yaml
 from .icmp import Family
-from .probe import ProbeSchedule, RelationKey, SourceWorker, TransportFailure
+from .probe import SourceWorker
 
 MAX_PATH_HOPS = 512
 
@@ -153,7 +152,7 @@ def topology_from_dict(doc: dict) -> SimTopology:
 
 def load_topology(path: str | Path) -> SimTopology:
     with open(path, "r", encoding="utf-8") as fp:
-        doc = yaml.safe_load(fp)
+        doc = load_yaml(fp)
     if not isinstance(doc, dict):
         raise TopologyError(f"{path}: topology must be a mapping")
     return topology_from_dict(doc)

@@ -2,8 +2,9 @@
 
 The active segment is NDJSON; sealing turns a segment into a columnar file
 (see columnar). Every read takes each segment as a columnar.Segment: a
-columnar file is loaded as one, and an NDJSON segment's lines are decoded
-into one held in memory. RecordStore is also importable from
+columnar file is loaded as one, reading its header and then only the
+blocks the read selects, and an NDJSON segment's lines are decoded into
+one held in memory. RecordStore is also importable from
 contrace.records.
 """
 
@@ -144,14 +145,16 @@ class RecordStore:
     Readers never write. A writer takes an exclusive flock on <store>/.lock
     at its first write, and only then recovers: it deletes temp files, seals
     segments an earlier process left open (truncating a torn tail),
-    unlinks an NDJSON whose columnar twin is valid, and converts a stem
-    that has only NDJSON. A second writer gets a StoreError.
+    unlinks an NDJSON whose columnar twin is valid, converts a stem that
+    has only NDJSON, and rewrites version 1 columnar files as version 2.
+    A second writer gets a StoreError.
 
     Every read lists the segments of the kinds it needs and validates what
-    it reads: every line of an NDJSON segment, and the CRC, header and
-    every column value of a columnar one. Records with equal timestamps
-    keep the load order: segments by first timestamp, then by name, then
-    by suffix, rows in file order. The active segment takes the place its
+    it reads: every line of an NDJSON segment; the header of a columnar
+    one, and the CRC and every column value of each block it reads.
+    Records with equal timestamps keep the load order: segments by first
+    timestamp, then by name, then by suffix, then rows in append order
+    (tie rank). The active segment takes the place its
     sealed name will give it, so this order is the same within a process
     and after a reopen. A segment another process left open loads after
     the sealed segments of its first timestamp. Reads and recovery end an
@@ -173,10 +176,11 @@ class RecordStore:
 
     # -- segment files ------------------------------------------------------
 
-    def _scan(self) -> dict[str, tuple[dict, list]]:
+    def _scan(self, kind: str | None = None) -> dict[str, tuple[dict, list]]:
         """Per kind (sealed, left_open): sealed maps the stem of each sealed
         segment to (load key, {suffix: path}); left_open lists (load key,
-        path) of the segments named -open."""
+        path) of the segments named -open. Given a kind, the other kind's
+        are left out."""
         found = {KIND_PING: ({}, []), KIND_TRACEROUTE: ({}, [])}
         try:
             names = os.listdir(self.path)
@@ -191,6 +195,8 @@ class RecordStore:
                     self._warned.add(name)
                     log.warning("ignoring %s: not a <kind>-<first>-<last|open> "
                                 "segment", self.path / name)
+                continue
+            if kind is not None and match["kind"] != kind:
                 continue
             sealed, left_open = found[match["kind"]]
             if match["last"] is None:
@@ -212,7 +218,7 @@ class RecordStore:
             yield segments
 
     def _list(self, kind: str, files: ExitStack) -> list[_Listed]:
-        sealed, left_open = self._scan()[kind]
+        sealed, left_open = self._scan(kind)[kind]
         segments, sealed_files = [], set()
         for stem, (key, paths) in sealed.items():
             if columnar.SUFFIX not in paths:
@@ -235,7 +241,7 @@ class RecordStore:
                                  f"read; read again") from None
             stat = os.fstat(fp.fileno())
             if active is not None and path == active.path:
-                last = active.segment.columns()[0][-1]
+                last = active.segment.last
                 key = (active.first, f"{kind}-{active.first}-{last}", math.inf)
             elif (stat.st_dev, stat.st_ino) in sealed_files:
                 # a sealed segment's second name: a seal cut between linking
@@ -266,8 +272,9 @@ class RecordStore:
 
     def _recover(self) -> None:
         """Bring the files to the state sealing leaves: delete temp files
-        of a cut seal, seal the segments an earlier process left open, and
-        give every sealed segment its columnar file."""
+        of a cut seal, seal the segments an earlier process left open, give
+        every sealed segment its columnar file, and rewrite version 1
+        columnar files as version 2."""
         for temp in self.path.glob("*" + columnar.TEMP_SUFFIX):
             temp.unlink()
         for kind, (_, left_open) in self._scan().items():
@@ -277,6 +284,8 @@ class RecordStore:
             for stem, (_, paths) in sealed.items():
                 if _NDJSON in paths:
                     self._give_columns(stem, kind, paths)
+                elif columnar.is_version_1(paths[columnar.SUFFIX]):
+                    self._upgrade(stem, kind, paths[columnar.SUFFIX])
 
     def _recover_open(self, path: Path, kind: str, first: int) -> None:
         """Seal a segment an earlier process left open, named by the
@@ -308,7 +317,7 @@ class RecordStore:
         ndjson = paths[_NDJSON]
         if columnar.SUFFIX in paths:
             try:
-                columnar.Segment.load(paths[columnar.SUFFIX], kind).columns()
+                columnar.Segment.load(paths[columnar.SUFFIX], kind).check()
             except StoreError as exc:
                 log.warning("rebuilding %s from %s: %s", paths[columnar.SUFFIX], ndjson,
                             exc)
@@ -323,12 +332,23 @@ class RecordStore:
             return
         if segment.count:
             self._write_columns(stem, segment)
+            os.unlink(ndjson)
+
+    def _upgrade(self, stem: str, kind: str, path: Path) -> None:
+        """Rewrite a version 1 columnar file as version 2. A file that
+        fails its checks stays as it is, so it fails the reads of its kind
+        as before."""
+        try:
+            segment = columnar.Segment.load(path, kind)
+        except StoreError as exc:
+            log.warning("%s stays version 1: %s", path, exc)
+            return
+        self._write_columns(stem, segment)
 
     def _write_columns(self, stem: str, segment: columnar.Segment) -> None:
         temp = self.path / (stem + columnar.TEMP_SUFFIX)
         columnar.write(temp, segment)
         os.replace(temp, self.path / (stem + columnar.SUFFIX))
-        os.unlink(self.path / (stem + _NDJSON))
 
     def _seal_file(self, path: Path, kind: str, first: int, last: int) -> str:
         """Move a finished NDJSON segment to its sealed name without
@@ -367,8 +387,9 @@ class RecordStore:
             return
         seg.fp.close()
         if seg.segment.count:  # else its first write failed: recovery deletes the file
-            stem = self._seal_file(seg.path, kind, seg.first, seg.segment.columns()[0][-1])
+            stem = self._seal_file(seg.path, kind, seg.first, seg.segment.last)
             self._write_columns(stem, seg.segment)
+            os.unlink(self.path / (stem + _NDJSON))
 
     def append(self, record: Record) -> None:
         """Validate and persist one record as from_json_obj decodes
@@ -419,19 +440,19 @@ class RecordStore:
     # -- reading ------------------------------------------------------------
 
     def count(self, kind: str | None = None) -> int:
-        """Records of kind (of both kinds for None), read as query reads
-        them: a columnar segment's count comes from its header, once its
-        CRC and header check; an NDJSON segment is decoded."""
+        """Records of kind (of both kinds for None): a columnar segment's
+        count comes from its header alone, once its CRC and fields check;
+        an NDJSON segment is decoded."""
         if kind is None:
             return self.count(KIND_PING) + self.count(KIND_TRACEROUTE)
         with self._segments(kind) as segments:
             return sum(segment.open().count for segment in segments)
 
     def query(self, q: StoreQuery) -> list[Record]:
-        """Matching records ordered by timestamp, then load order. Reads
-        only q.kind's segments; a columnar file whose pair dictionary or
-        time range rules out every row has only its CRC and header checked,
-        and records are built only for the rows selected."""
+        """Matching records ordered by timestamp, then load order (within
+        a segment, tie rank). Reads only q.kind's segments, and of a
+        columnar file only the header and the blocks of the pairs and time
+        range q selects; records are built only for the rows selected."""
         records = []
         with self._segments(q.kind) as segments:
             for segment in segments:
@@ -454,21 +475,24 @@ class RecordStore:
         """Write the canonical NDJSON stream; returns the record count.
 
         Records are ordered by timestamp; at equal timestamps pings come
-        before traceroute runs, then each kind's load order. Every segment
-        is validated before anything is written. Segment streams are then
-        merged: segments whose time ranges do not overlap are read one
-        after another, so memory holds about one columnar file per overlap,
-        plus the columns of the NDJSON segments."""
+        before traceroute runs, then each kind's load order, then the tie
+        rank within a segment. Every segment is validated before anything
+        is written. The segments are then merged in chains: segments whose
+        time ranges do not overlap are read one after another, so memory
+        holds about one columnar file per overlap, plus the columns of the
+        NDJSON segments. A segment alone in its chain is read once: it
+        keeps the columns its validation read."""
         with self._segments(KIND_PING) as pings, \
                 self._segments(KIND_TRACEROUTE) as runs:
             segments = []
             for rank, listed in enumerate(pings + runs):
                 segment = listed.open()
-                segment.columns()
                 if segment.count:
                     segments.append((segment.min, segment.max, rank, segment.opener()))
+            chains = columnar.chains(segments)
+            columnar.check_chains(chains)
             n = 0
-            for _, _, line in heapq.merge(*columnar.line_streams(segments)):
+            for _, _, line in heapq.merge(*map(columnar.chain_lines, chains)):
                 fp.write(line)
                 n += 1
         return n

@@ -3,7 +3,8 @@
 Everything here is deliberately naive: byte-at-a-time loops, full sorts,
 dict counting and one pass per step. None of it shares code with the
 package beyond the record classes, the simulator's Outcome and hop cap,
-and exceptions.
+and exceptions; rewrite_store_as_v1, which turns a store into one of the
+old format, reads it through RecordStore.
 """
 
 from __future__ import annotations
@@ -11,7 +12,13 @@ from __future__ import annotations
 import ipaddress
 import json
 import math
+import shutil
+import sys
+import tempfile
+import zlib
+from array import array
 from fractions import Fraction
+from pathlib import Path
 
 from contrace.probe import TransportFailure
 from contrace.records import (Hop, InvalidRecord, MalformedJson, PingRecord,
@@ -333,6 +340,70 @@ def matches(q, record) -> bool:
             and (q.end is None or record.timestamp < q.end)
             and (q.source is None or record.source == q.source)
             and (q.destination is None or record.destination == q.destination))
+
+
+# -- version 1 columnar files --------------------------------------------------------
+
+V1_MAGIC = b"contrace columns\n"
+
+
+def _v1_column(values):
+    """(typecode, bytes) of a column: the narrowest of b, h, i and q that
+    holds every value, else a JSON array."""
+    for code in "bhiq":
+        bits = 8 * array(code).itemsize - 1
+        if all(-2**bits <= v < 2**bits for v in values):
+            return code, array(code, values).tobytes()
+    return "json", json.dumps(values, separators=(",", ":")).encode()
+
+
+def write_v1(path, kind, records) -> None:
+    """Write records, in row order, as a version 1 columnar segment, the
+    format sealed segments had before their rows were clustered per pair:
+    one CRC32 over the header length, header and columns; a pair column
+    that indexes the pair dictionary; no tie column."""
+    pairs, paths, columns = {}, {}, [[] for _ in range(4 if kind == "ping" else 5)]
+    for record in records:
+        pair = (record.source, record.destination)
+        columns[0].append(record.timestamp)
+        columns[1].append(pairs.setdefault(pair, len(pairs)))
+        if kind == "ping":
+            columns[2].append(record.status)
+            columns[3].append(-1 if record.rtt is None else record.rtt)
+        else:
+            hops = tuple((hop.hop, hop.status, hop.address) for hop in record.hops)
+            columns[2].append(record.round)
+            columns[3].append(paths.setdefault(hops, len(paths)))
+            columns[4] += [hop.rtt for hop in record.hops if hop.status != 0]
+    names = ["timestamp", "pair", "status", "rtt"] if kind == "ping" else \
+        ["timestamp", "pair", "round", "path", "rtt"]
+    encoded = [_v1_column(values) for values in columns]
+    times = columns[0]
+    header = {"version": 1, "kind": kind, "byteorder": sys.byteorder,
+              "count": len(times), "min": min(times), "max": max(times),
+              "sorted": times == sorted(times),
+              "pairs": [[*pair, columns[1].count(i)] for pair, i in pairs.items()],
+              "columns": [[name, code, len(body)]
+                          for name, (code, body) in zip(names, encoded)]}
+    if kind == "traceroute":
+        header["paths"] = [list(map(list, hops)) for hops in paths]
+    head = json.dumps(header, separators=(",", ":")).encode()
+    rest = len(head).to_bytes(4, "little") + head + b"".join(body for _, body in encoded)
+    with open(path, "wb") as fp:
+        fp.write(V1_MAGIC + zlib.crc32(rest).to_bytes(4, "little") + rest)
+
+
+def rewrite_store_as_v1(store) -> None:
+    """Rewrite every columnar file of the store at path store as version 1,
+    its rows in export order: by timestamp, then row order, which is row
+    order wherever a segment's timestamps never decrease."""
+    from contrace.records import RecordStore, StoreQuery
+    for path in sorted(Path(store).glob("*.col")):
+        kind = path.name.split("-")[0]
+        with tempfile.TemporaryDirectory() as alone:
+            shutil.copy(path, alone)
+            records = RecordStore(alone).query(StoreQuery(kind))
+        write_v1(path, kind, records)
 
 
 # -- simulator --------------------------------------------------------------------

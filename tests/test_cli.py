@@ -366,7 +366,7 @@ class TestAnalyze:
                       str(tmp_path / "dump.ndjson")]):
             assert cli.main(argv) == EXIT_ERROR
             err = capsys.readouterr().err
-            assert err.startswith(f"error: {segment}: CRC mismatch")
+            assert err.startswith(f"error: {segment}: bytes after the columns")
 
     def test_two_labels_for_one_address_each_get_their_rows(self, sim_store,
                                                              tmp_path, capsys):
@@ -483,11 +483,65 @@ def test_relation_filter_parsing():
 
 
 def test_importing_the_cli_leaves_the_command_modules_unloaded():
-    """sim, analytics, enrich and yaml are imported by the commands that use
-    them, so a command that does not pays nothing for them."""
-    deferred = ("contrace.sim", "contrace.analytics", "contrace.enrich", "yaml")
+    """probe, sim, analytics, enrich and yaml are imported by the commands
+    that use them, so a command that does not pays nothing for them."""
+    deferred = ("contrace.sim", "contrace.analytics", "contrace.enrich", "yaml",
+                "contrace.probe", "socket", "select")
     code = f"import sys, contrace.cli; print([m for m in {deferred!r} if m in sys.modules])"
     src = Path(cli.__file__).resolve().parents[1]
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": str(src)}, check=True)
     assert result.stdout == "[]\n"
+
+
+def test_store_commands_import_no_probing_code(sim_store, tmp_path):
+    """analyze, export and import never load the probe engine or its
+    sockets, and rtt-series (as cdf) never loads enrichment. Each command
+    runs in a process of its own."""
+    _, config, store_path = sim_store
+    dumped = tmp_path / "dump.ndjson"
+    commands = {
+        "rtt-series": ["analyze", "--config", str(config), "--store", str(store_path),
+                       "--artifact", "rtt-series", "--relation", "v4:SUNET:Uninett",
+                       "--out", str(tmp_path / "series.csv")],
+        "inter-as": ["analyze", "--config", str(config), "--store", str(store_path),
+                     "--artifact", "inter-as", "--out", str(tmp_path / "inter-as.txt")],
+        "export": ["export", "--store", str(store_path), "--out", str(dumped)],
+        "import": ["import", "--store", str(tmp_path / "imported"), str(dumped)],
+    }
+    code = ("import json, sys\nfrom contrace import cli\ncode = cli.main(sys.argv[1:])\n"
+            "print(json.dumps([code, sorted(sys.modules)]))")
+    src = Path(cli.__file__).resolve().parents[1]
+    loaded = {}
+    for name, argv in commands.items():
+        result = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                                text=True, env={**os.environ, "PYTHONPATH": str(src)},
+                                check=True)
+        exit_code, loaded[name] = json.loads(result.stdout.splitlines()[-1])
+        assert exit_code == EXIT_OK, (name, result.stderr)
+        assert not {"contrace.probe", "contrace.sim", "socket", "select"} & \
+            set(loaded[name]), name
+    assert "contrace.enrich" not in loaded["rtt-series"]
+    assert "contrace.enrich" in loaded["inter-as"]  # the check can see a module
+
+
+def test_config_and_topology_yaml_parse_alike_with_and_without_libyaml(tmp_path):
+    """load_yaml takes libyaml's CSafeLoader when PyYAML has it; every
+    shipped YAML file and a generated config parse to the same document
+    under it and under the pure-Python SafeLoader."""
+    import yaml
+
+    from contrace.config import load_yaml
+    texts = {path.name: path.read_text(encoding="utf-8")
+             for path in sorted(FIXTURES.glob("*.yaml"))}
+    texts["generated"] = write_config(tmp_path, tmp_path / "store").read_text()
+    assert len(texts) > 5
+    loaders = [yaml.SafeLoader] + ([yaml.CSafeLoader] if hasattr(yaml, "CSafeLoader")
+                                   else [])
+    for name, text in texts.items():
+        documents = [yaml.load(text, Loader=loader) for loader in loaders]
+        assert all(document == documents[0] for document in documents), name
+        assert load_yaml(text) == documents[0], name
+        with (FIXTURES / name).open(encoding="utf-8") if name != "generated" \
+                else io.StringIO(text) as fp:
+            assert load_yaml(fp) == documents[0], name

@@ -1,8 +1,9 @@
 """Columnar sealed segments, the writer lock, and seals cut by a crash.
 
-The format is read and rewritten here from its description in the records
-module (magic, CRC32 of every later byte, header length, JSON header,
-columns), independently of the code that writes it.
+The format is read and rewritten here from its description in the columnar
+module (magic, CRC32 of the header length and header, header length, JSON
+header with one entry per pair's block, each block's columns with its own
+CRC32), independently of the code that writes it.
 """
 
 import io
@@ -43,24 +44,37 @@ def run(ts, variant=0, rnd=0, src="10.0.0.1", dst="10.1.0.1", rtt=9_000):
 
 
 def read_columnar(path):
-    """(header, [column bytes]) of a columnar segment file."""
+    """(header, [[column bytes] per block]) of a version 2 columnar segment
+    file, its CRCs checked."""
     data = path.read_bytes()
     assert data.startswith(MAGIC)
     start = len(MAGIC) + 8
     size = int.from_bytes(data[len(MAGIC) + 4:start], "little")
+    assert zlib.crc32(data[len(MAGIC) + 4:start + size]) == \
+        int.from_bytes(data[len(MAGIC):len(MAGIC) + 4], "little")
     header = json.loads(data[start:start + size])
-    columns, offset = [], start + size
-    for _, _, nbytes in header["columns"]:
-        columns.append(data[offset:offset + nbytes])
-        offset += nbytes
+    blocks, offset = [], start + size
+    for *_, specs, crc in header["blocks"]:
+        columns = []
+        for _, nbytes in specs:
+            columns.append(data[offset:offset + nbytes])
+            offset += nbytes
+        assert zlib.crc32(b"".join(columns)) == crc
+        blocks.append(columns)
     assert offset == len(data)
-    return header, columns
+    return header, blocks
 
 
-def write_columnar(path, header, columns):
+def write_columnar(path, header, blocks):
+    """Write header and the blocks' columns as a version 2 file, the
+    blocks' column sizes and CRCs and the header's CRC made to fit."""
+    for entry, columns in zip(header["blocks"], blocks):
+        entry[6] = [[code, len(raw)] for (code, _), raw in zip(entry[6], columns)]
+        entry[7] = zlib.crc32(b"".join(columns))
     head = json.dumps(header, separators=(",", ":")).encode()
-    rest = len(head).to_bytes(4, "little") + head + b"".join(columns)
-    path.write_bytes(MAGIC + zlib.crc32(rest).to_bytes(4, "little") + rest)
+    sized = len(head).to_bytes(4, "little") + head
+    path.write_bytes(MAGIC + zlib.crc32(sized).to_bytes(4, "little") + sized
+                     + b"".join(b"".join(columns) for columns in blocks))
 
 
 def dump(store):
@@ -94,8 +108,10 @@ class TestFormat:
         pings, runs = small_store(tmp_path)
         assert names(tmp_path, "*-*") == ["ping-5-7.col", "traceroute-5-8.col"]
         header, _ = read_columnar(tmp_path / "traceroute-5-8.col")
-        assert header["kind"] == "traceroute" and header["count"] == 4
-        assert header["pairs"] == [["10.0.0.1", "10.1.0.1", 3], ["10.0.0.1", "10.1.0.2", 1]]
+        assert header["kind"] == "traceroute" and header["version"] == 2
+        assert header["columns"] == ["timestamp", "round", "path", "rtt"]  # no tie
+        assert [entry[:6] for entry in header["blocks"]] == [
+            ["10.0.0.1", "10.1.0.1", 3, 5, 7, True], ["10.0.0.1", "10.1.0.2", 1, 8, 8, True]]
         assert header["paths"][0] == [[1, 1, "10.0.0.254"], [2, 0, None],
                                       [3, 255, "10.1.0.1"]]
         store = RecordStore(tmp_path)
@@ -150,13 +166,15 @@ class TestFormat:
     def test_foreign_byte_order_is_swapped(self, tmp_path):
         pings, runs = small_store(tmp_path)
         for segment in tmp_path.glob("*.col"):
-            header, columns = read_columnar(segment)
+            header, blocks = read_columnar(segment)
             swapped = []
-            for (_, code, _), raw in zip(header["columns"], columns):
-                values = array(code)
-                values.frombytes(raw)
-                values.byteswap()
-                swapped.append(values.tobytes())
+            for entry, columns in zip(header["blocks"], blocks):
+                swapped.append([])
+                for (code, _), raw in zip(entry[6], columns):
+                    values = array(code)
+                    values.frombytes(raw)
+                    values.byteswap()
+                    swapped[-1].append(values.tobytes())
             header["byteorder"] = "big" if sys.byteorder == "little" else "little"
             write_columnar(segment, header, swapped)
         store = RecordStore(tmp_path)
@@ -171,13 +189,15 @@ class TestFormat:
             for record in stored:
                 store.append(record)
         header, _ = read_columnar(tmp_path / f"ping-{huge}-7.col")
-        assert [code for _, code, _ in header["columns"]] == ["json", "b", "h", "json"]
+        [entry] = header["blocks"]
+        assert [code for code, _ in entry[6]] == ["json", "h", "json"]
         header, _ = read_columnar(tmp_path / "traceroute-6-5.col")
-        assert [code for _, code, _ in header["columns"]] == ["json", "b", "b", "b", "json"]
+        [entry] = header["blocks"]
+        assert [code for code, _ in entry[6]] == ["json", "b", "b", "json"]
         store = RecordStore(tmp_path)
         assert store.query(StoreQuery("ping")) == [stored[1], stored[0]]
         assert store.query(StoreQuery("traceroute")) == [stored[4], stored[2], stored[3]]
-        assert header["sorted"] is False
+        assert entry[5] is False  # the block is not sorted
         assert dump(store) == canonical(stored)
         [(pair, paths)] = store.path_runs(StoreQuery("traceroute")).items()
         assert sorted(paths.rtts[0]) == [505, 506, 5 + 9_000, 6 + huge,
@@ -301,7 +321,7 @@ class TestSegmentForms:
         assert (segment.count, segment.min, segment.max) == (0, None, None)
         for q in (StoreQuery(kind), StoreQuery(kind, start=1, end=2),
                   StoreQuery(kind, source="10.0.0.1")):
-            assert segment.rows(q) == () and segment.records(q) == []
+            assert segment.records(q) == []
             if kind == "traceroute":
                 grouped = {}
                 segment.group(q, grouped)
@@ -341,8 +361,9 @@ def _segment_records(draw):
 
 
 def _facts(segment):
-    return (segment.count, segment.min, segment.max, segment.sorted, segment.pairs,
-            segment.pair_counts, segment.keys, segment.widths)
+    return (segment.count, segment.min, segment.max, segment.ties,
+            [(block.pair, block.count, block.min, block.max, block.sorted)
+             for block in segment.blocks], segment.keys, segment.widths)
 
 
 def _group_state(segment, q):
@@ -350,6 +371,10 @@ def _group_state(segment, q):
     segment.group(q, grouped)
     return {pair: (runs.paths, runs.counts, list(map(list, runs.rtts)))
             for pair, runs in grouped.items()}
+
+
+def _by_time(records_):
+    return sorted(records_, key=lambda r: r.timestamp)
 
 
 @settings(max_examples=150, deadline=None)
@@ -360,25 +385,37 @@ def test_a_segment_filled_by_add_reads_alike_once_written_and_loaded(drawn):
     for record in records_:
         memory.add(record)
     times = [r.timestamp for r in records_]
-    pairs = Counter((r.source, r.destination) for r in records_)
-    assert _facts(memory)[:6] == (len(records_), min(times), max(times),
-                                  times == sorted(times), list(pairs), list(pairs.values()))
+    blocks, ties, seen = {}, {}, Counter()
+    for r in records_:  # per pair its timestamps, and each row's rank among equal ones
+        pair = (r.source, r.destination)
+        blocks.setdefault(pair, []).append(r.timestamp)
+        ties.setdefault(pair, []).append(seen[r.timestamp])
+        seen[r.timestamp] += 1
+    assert _facts(memory)[:5] == (
+        len(records_), min(times), max(times), len(set(times)) < len(times),
+        [(pair, len(ts), min(ts), max(ts), ts == sorted(ts)) for pair, ts in blocks.items()])
+    assert {block.pair: list(block.columns[1]) for block in memory.blocks} == ties
     with tempfile.TemporaryDirectory() as directory:
         path = Path(directory) / f"{kind}-1-1.col"
         columnar.write(path, memory)
         loaded = columnar.Segment.load(path, kind)
-    assert _facts(loaded) == _facts(memory)
-    middle = sorted(times)[len(times) // 2]
-    source, destination = records_[0].source, records_[0].destination
-    for q in (StoreQuery(kind), StoreQuery(kind, start=middle), StoreQuery(kind, end=middle),
-              StoreQuery(kind, min(times), middle + 1, source, destination),
-              StoreQuery(kind, source=source), StoreQuery(kind, destination="10.9.9.9")):
-        assert list(loaded.rows(q)) == list(memory.rows(q))
-        assert loaded.records(q) == memory.records(q) == \
-            [r for r in records_ if oracles.matches(q, r)]
-        if kind == "traceroute":
-            assert _group_state(loaded, q) == _group_state(memory, q)
-    assert list(loaded.lines(0)) == list(memory.lines(0))
+        assert _facts(loaded)[:5] == _facts(memory)[:5]
+        loaded.check()  # reads every block, checking the paths they use
+        assert _facts(loaded) == _facts(memory)
+        middle = sorted(times)[len(times) // 2]
+        source, destination = records_[0].source, records_[0].destination
+        for q in (StoreQuery(kind), StoreQuery(kind, start=middle),
+                  StoreQuery(kind, end=middle),
+                  StoreQuery(kind, min(times), middle + 1, source, destination),
+                  StoreQuery(kind, source=source), StoreQuery(kind, destination="10.9.9.9")):
+            # a stable sort by timestamp orders a segment's records by
+            # (timestamp, row order)
+            expected = [r for r in records_ if oracles.matches(q, r)]
+            assert _by_time(loaded.records(q)) == _by_time(memory.records(q)) == \
+                _by_time(expected)
+            if kind == "traceroute":
+                assert _group_state(loaded, q) == _group_state(memory, q)
+        assert list(loaded.lines(0)) == list(memory.lines(0))
     assert "".join(line for _, _, line in memory.lines(0)) == canonical(records_)
 
 
@@ -393,16 +430,23 @@ def _reads(store, kind):
 class TestValidation:
     @pytest.mark.parametrize("kind", ["ping", "traceroute"])
     def test_every_single_byte_flip_fails_every_read_of_its_kind(self, tmp_path, kind):
+        """A read that takes every row fails for a flip anywhere; count(),
+        which reads headers alone, fails for a flip up to the header's end."""
         pings, runs = small_store(tmp_path)
         [segment] = tmp_path.glob(f"{kind}-*.col")
         other = "traceroute" if kind == "ping" else "ping"
         original = segment.read_bytes()
+        header_end = len(MAGIC) + 8 + int.from_bytes(original[len(MAGIC) + 4:
+                                                              len(MAGIC) + 8], "little")
         store = RecordStore(tmp_path)
         for i in range(len(original)):
             flipped = bytearray(original)
             flipped[i] ^= 0xFF
             segment.write_bytes(bytes(flipped))
-            for read in _reads(store, kind):
+            reads = _reads(store, kind)
+            if i >= header_end:
+                assert reads.pop(0)() == len(pings if kind == "ping" else runs)
+            for read in reads:
                 with pytest.raises(StoreError, match="^" + re.escape(f"{segment}: ")):
                     read()
             assert store.query(StoreQuery(other)) == (runs if kind == "ping" else pings)
@@ -420,53 +464,82 @@ class TestValidation:
                 with pytest.raises(StoreError, match="^" + re.escape(f"{segment}: ")):
                     read()
 
+    # Blocks of small_store: pings (10.0.0.1, 10.1.0.1) at 5 (reply) and 6
+    # (timeout), then (10.0.0.1, 10.1.0.2) at 7; columns timestamp, status,
+    # rtt. Runs (10.0.0.1, 10.1.0.1) at 5, 6, 7, then (10.0.0.1, 10.1.0.2)
+    # at 8; columns timestamp, round, path, rtt.
     @pytest.mark.parametrize("kind, change, problem", [
-        ("ping", lambda h, c: c.__setitem__(3, _column(h, c, 3, {0: -5})), "rtt: negative"),
-        ("ping", lambda h, c: c.__setitem__(3, _column(h, c, 3, {1: 7})),
+        ("ping", lambda h, b: _set(h, b, 0, 2, {0: -5}), "rtt: negative"),
+        ("ping", lambda h, b: _set(h, b, 0, 2, {1: 7}),
          "rtt: present where the status is not 255"),
-        ("ping", lambda h, c: c.__setitem__(2, _column(h, c, 2, {1: 3})), "status"),
-        ("ping", lambda h, c: h["pairs"][0].__setitem__(1, "10.1.0.01"), "pair"),
-        ("ping", lambda h, c: h.__setitem__("min", 4), "timestamp: min or max"),
-        ("ping", lambda h, c: c.__setitem__(0, _column(h, c, 0, {0: 6})), "timestamp"),
-        ("ping", lambda h, c: h.__setitem__("count", 4), "pair counts"),
-        ("ping", lambda h, c: h.__setitem__("kind", "traceroute"),
+        ("ping", lambda h, b: _set(h, b, 0, 1, {1: 3}), "status"),
+        ("ping", lambda h, b: h["blocks"][0].__setitem__(1, "10.1.0.01"), "pair"),
+        ("ping", lambda h, b: h["blocks"][1].__setitem__(1, "10.1.0.1"),
+         "pair listed twice"),
+        ("ping", lambda h, b: h["blocks"][0].__setitem__(3, 4), "timestamp: min or max"),
+        ("ping", lambda h, b: _set(h, b, 0, 0, {0: 6, 1: 5}), "timestamp: not sorted"),
+        ("ping", lambda h, b: h["blocks"][0].__setitem__(2, 3),
+         "length differs from the count"),
+        ("ping", lambda h, b: h["blocks"][0].__setitem__(5, 1), "sorted is not a boolean"),
+        ("ping", lambda h, b: h.__setitem__("kind", "traceroute"),
          "a 'traceroute' segment"),
-        ("ping", lambda h, c: h.__setitem__("version", 2), "format version"),
-        ("traceroute", lambda h, c: h["paths"][0][2].__setitem__(2, "2001:DB8::1"),
+        ("ping", lambda h, b: h.__setitem__("version", 3), "format version 3 is not 2"),
+        ("ping", lambda h, b: h["columns"].insert(1, "pair"), "bad column list"),
+        ("traceroute", lambda h, b: h["paths"][0][2].__setitem__(2, "2001:DB8::1"),
          "path"),
-        ("traceroute", lambda h, c: h["paths"][0].append([4, 1, "10.9.9.9"]), "path"),
-        ("traceroute", lambda h, c: h["paths"][0][1].__setitem__(1, 1), "path"),
-        ("traceroute", lambda h, c: c.__setitem__(3, _column(h, c, 3, {0: 9})),
-         "path: id out of range"),
-        ("traceroute", lambda h, c: c.__setitem__(2, _column(h, c, 2, {0: -1})),
-         "round: negative"),
-        ("traceroute", lambda h, c: c.__setitem__(1, _column(h, c, 1, {0: 5})), "pair"),
-        ("traceroute", lambda h, c: c.__setitem__(4, c[4][:-1]), "partial item"),
+        ("traceroute", lambda h, b: h["paths"][0].append([4, 1, "10.9.9.9"]), "path"),
+        ("traceroute", lambda h, b: h["paths"][0][1].__setitem__(1, 1), "path"),
+        ("traceroute", lambda h, b: _set(h, b, 0, 2, {0: 9}), "path: id out of range"),
+        ("traceroute", lambda h, b: _set(h, b, 0, 1, {0: -1}), "round: negative"),
+        ("traceroute", lambda h, b: b[0].__setitem__(3, b[0][3][:-1]), "partial item"),
+        ("traceroute", lambda h, b: b[0].__setitem__(3, b[0][3][:-2]),
+         "rtt: length differs from the paths' responsive hops"),
     ])
     def test_content_that_breaks_a_record_rule_fails_under_a_valid_crc(
             self, tmp_path, kind, change, problem):
         small_store(tmp_path)
         [segment] = tmp_path.glob(f"{kind}-*.col")
-        header, columns = read_columnar(segment)
-        change(header, columns)
-        for spec, raw in zip(header["columns"], columns):
-            spec[2] = len(raw)
-        write_columnar(segment, header, columns)
+        header, blocks = read_columnar(segment)
+        change(header, blocks)
+        write_columnar(segment, header, blocks)
         for read in _reads(RecordStore(tmp_path), kind)[1:]:
             with pytest.raises(StoreError) as exc:
                 read()
             assert str(exc.value).startswith(f"{segment}: ")
             assert problem in str(exc.value)
 
+    def test_a_repeated_timestamp_gets_a_tie_column_whose_ranks_are_checked(self, tmp_path):
+        stored = [ping(5, 10), ping(5, 11, dst="10.1.0.2"), ping(5, 12), ping(6)]
+        with RecordStore(tmp_path) as store:
+            for record in stored:
+                store.append(record)
+        segment = tmp_path / "ping-5-6.col"
+        header, blocks = read_columnar(segment)
+        assert header["columns"] == ["timestamp", "tie", "status", "rtt"]
+        assert [_values(entry, columns, 1) for entry, columns in
+                zip(header["blocks"], blocks)] == [[0, 2, 0], [1]]
+        assert dump(RecordStore(tmp_path)) == canonical(stored)
+        _set(header, blocks, 0, 1, {1: -1})
+        write_columnar(segment, header, blocks)
+        with pytest.raises(StoreError, match="tie: negative"):
+            RecordStore(tmp_path).query(StoreQuery("ping"))
 
-def _column(header, columns, index, changes):
-    """Column index with the values at the given rows replaced."""
-    code = header["columns"][index][1]
-    values = array(code)
+
+def _values(entry, columns, index):
+    """The values of column index of a block, given its header entry and
+    its column bytes."""
+    values = array(entry[6][index][0])
     values.frombytes(columns[index])
+    return values.tolist()
+
+
+def _set(header, blocks, block, index, changes):
+    """Replace values of column index of a block, by row."""
+    values = array(header["blocks"][block][6][index][0], _values(header["blocks"][block],
+                                                                blocks[block], index))
     for row, value in changes.items():
         values[row] = value
-    return values.tobytes()
+    blocks[block][index] = values.tobytes()
 
 
 class TestWriterLock:
@@ -631,3 +704,131 @@ def test_export_of_a_many_segment_store_holds_about_one_segment(tmp_path):
     many_count, many_peak = _export_peak(tmp_path / "many")
     assert (one_count, many_count) == (2000, 40_000)
     assert many_peak < 2 * one_peak, (one_peak, many_peak)
+
+
+# -- version 1 files -------------------------------------------------------------
+
+@st.composite
+def _interleaved(draw):
+    """(kind, 1-40 records of that kind in row order) interleaving three
+    pairs, at 1 and then at 5-15, so timestamps repeat within and across
+    pairs and do not always increase."""
+    kind = draw(st.sampled_from(["ping", "traceroute"]))
+    chunk = TestSegmentForms().chunk(random.Random(draw(st.integers(0, 2**32))), 1, kind)
+    n = draw(st.integers(1, 40))
+    return kind, (chunk * (n // len(chunk) + 1))[:n]
+
+
+def _store_reads(store, kind, queries):
+    reads = [store.count(), dump(store)]
+    for q in queries:
+        reads.append(store.query(q))
+        if kind == "traceroute":
+            reads.append(_grouped(store.path_runs(q)))
+    return reads
+
+
+def _queries(kind, records_, rng):
+    times = sorted(r.timestamp for r in records_)
+    queries = [StoreQuery(kind)]
+    for _ in range(4):
+        start, end = sorted(rng.sample(range(times[0], times[-1] + 2), 2))
+        pair = rng.choice(TestSegmentForms.PAIRS + [(None, None)])
+        queries.append(StoreQuery(kind, rng.choice([start, None]), end, *pair))
+    return queries
+
+
+def _reference_reads(kind, records_, queries):
+    reads = [len(records_), canonical(records_)]
+    for q in queries:
+        reads.append(_by_time(r for r in records_ if oracles.matches(q, r)))
+        if kind == "traceroute":
+            reads.append(_grouped_reference(records_, q))
+    return reads
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn=_interleaved(), seed=st.integers(0, 2**32))
+def test_an_interleaved_segment_round_trips_in_both_formats(drawn, seed):
+    """One sealed segment of records that interleave pairs, repeat
+    timestamps and go back in time reads as the oracles say, whether the
+    writer sealed it or it is its version 1 twin, and through windows."""
+    kind, records_ = drawn
+    queries = _queries(kind, records_, random.Random(seed))
+    expected = _reference_reads(kind, records_, queries)
+    with tempfile.TemporaryDirectory() as directory:
+        written, old = Path(directory) / "written", Path(directory) / "old"
+        with RecordStore(written) as store:
+            for record in records_:
+                store.append(record)
+        [name] = names(written, "*.col")
+        old.mkdir()
+        oracles.write_v1(old / name, kind, records_)
+        assert _store_reads(RecordStore(written), kind, queries) == expected
+        assert _store_reads(RecordStore(old), kind, queries) == expected
+
+
+def test_a_version_1_store_reads_as_its_twin_until_a_writer_rewrites_it(tmp_path):
+    """Sealed segments written by the old writer read as the same segments
+    sealed today; the next writer's recovery rewrites them as version 2."""
+    rng = random.Random(21)
+    chunks = {kind: [TestSegmentForms().chunk(rng, first, kind) for first in (1, 20, 40)]
+              for kind in ("ping", "traceroute")}
+    twin, old = tmp_path / "twin", tmp_path / "old"
+    old.mkdir()
+    for kind, kind_chunks in chunks.items():
+        for chunk in kind_chunks:
+            with RecordStore(twin, segment_records=len(chunk)) as store:
+                for record in chunk:
+                    store.append(record)
+            oracles.write_v1(old / f"{kind}-{chunk[0].timestamp}-{chunk[-1].timestamp}.col",
+                             kind, chunk)
+    assert names(old, "*.col") == names(twin, "*.col")
+    for kind in chunks:
+        stored = [r for chunk in chunks[kind] for r in chunk]
+        queries = _queries(kind, stored, rng)
+        assert _store_reads(RecordStore(old), kind, queries) == \
+            _store_reads(RecordStore(twin), kind, queries)
+    expected = dump(RecordStore(twin))
+    assert all(columnar.is_version_1(path) for path in old.glob("*.col"))
+    with RecordStore(old) as writer:
+        writer.append(ping(100))
+    assert not any(columnar.is_version_1(path) for path in old.glob("*.col"))
+    assert dump(RecordStore(old)) == expected + serialize_line(ping(100))
+    upgraded, sealed = RecordStore(old), RecordStore(twin)
+    for q in (StoreQuery("traceroute"),
+              StoreQuery("traceroute", 5, 30, *TestSegmentForms.PAIRS[1])):
+        assert upgraded.query(q) == sealed.query(q)
+        assert _grouped(upgraded.path_runs(q)) == _grouped(sealed.path_runs(q))
+
+
+def test_a_damaged_version_1_file_stays_and_fails_its_reads(tmp_path):
+    stored = [ping(1, 10), ping(2, dst="10.1.0.2")]
+    segment = tmp_path / "ping-1-2.col"
+    oracles.write_v1(segment, "ping", stored)
+    assert RecordStore(tmp_path).query(StoreQuery("ping")) == stored
+    damaged = segment.read_bytes()[:-1] + b"\x01"
+    segment.write_bytes(damaged)
+    with RecordStore(tmp_path) as writer:
+        writer.append(run(3))
+    assert segment.read_bytes() == damaged
+    for read in _reads(RecordStore(tmp_path), "ping"):
+        with pytest.raises(StoreError, match=re.escape(f"{segment}: CRC mismatch")):
+            read()
+
+
+def test_export_reads_each_block_once_where_segments_overlap(tmp_path, monkeypatch):
+    """A ping and a traceroute segment over the same time range are each
+    alone in their chain of the export merge: each block is read once."""
+    small_store(tmp_path)
+    reads = Counter()
+    check_block = columnar.Segment._check_block
+
+    def counted(segment, block, columns):
+        reads[segment.path.name, block.pair] += 1
+        check_block(segment, block, columns)
+
+    monkeypatch.setattr(columnar.Segment, "_check_block", counted)
+    dump(RecordStore(tmp_path))
+    assert reads == {(name, pair): 1 for name in ("ping-5-7.col", "traceroute-5-8.col")
+                     for pair in [("10.0.0.1", "10.1.0.1"), ("10.0.0.1", "10.1.0.2")]}
