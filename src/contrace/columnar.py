@@ -58,11 +58,10 @@ import zlib
 from array import array
 from bisect import bisect_left
 from collections import Counter
-from functools import partial
 from itertools import accumulate, chain, compress, islice, repeat
-from operator import add, itemgetter, le, mul
+from operator import add, le, mul
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .records import (KIND_PING, KIND_TRACEROUTE, STATUS_ECHO_REPLY, STATUS_TIMEOUT,
                       VALID_STATUSES, Hop, PathRuns, PingRecord, Record, StoreError,
@@ -76,7 +75,6 @@ TEMP_SUFFIX = ".col.tmp"
 _COLUMN_NAMES = {KIND_PING: ("timestamp", "tie", "status", "rtt"),
                  KIND_TRACEROUTE: ("timestamp", "tie", "round", "path", "rtt")}
 _TIE = 1  # index of the tie column among a block's columns
-_FIRST = itemgetter(0)
 _HEADER_KEYS = {"version", "kind", "byteorder", "columns", "blocks"}
 _V1_HEAD = b'{"version":1,'  # how every version 1 header begins
 _TYPECODES = ("b", "h", "i", "q")
@@ -266,17 +264,26 @@ class Segment:
     CRC, values, and pair and paths (by the rules of from_json_obj). Any
     fault is a StoreError naming the file."""
 
+    # export holds the header of every columnar segment it writes, so a
+    # segment has no per-object dict, and a loaded one holds none of the
+    # indexes only add() and line() use
+    __slots__ = ("kind", "path", "count", "min", "max", "last", "ties", "blocks", "keys",
+                 "widths", "_paths", "_blocks", "_path_ids", "_formats", "_tie",
+                 "_tie_counts", "_swap")
+
     def __init__(self, kind: str):
         self.kind, self.path = kind, None
         self.count, self.min, self.max = 0, None, None
         self.last = None  # timestamp of the row added last
         self.ties = False
         self.blocks: list[Block] = []
-        self.keys: list[tuple[tuple, tuple]] = []
-        self.widths: list[int] = []
-        self._blocks: dict[tuple[str, str], Block] = {}
-        self._path_ids: dict[tuple[tuple, tuple], int] = {}
-        self._formats: dict[tuple, str] = {}
+        runs = kind == KIND_TRACEROUTE  # pings have no paths
+        self.keys: list[tuple[tuple, tuple]] = [] if runs else ()
+        self.widths: list[int] = [] if runs else ()
+        self._blocks: dict[tuple[str, str], Block] = {}  # filled by add()
+        # made by the first add() of a run and the first line()
+        self._path_ids: dict[tuple[tuple, tuple], int] | None = None
+        self._formats: dict[tuple, str] | None = None
         self._tie = 0  # tie rank of the row added last, while timestamps never decrease
         self._tie_counts: Counter | None = None  # rows per timestamp, once they do
         self._swap = False
@@ -296,6 +303,8 @@ class Segment:
         """The canonical line of record, from a %-format kept per pair and
         ping status or per pair and path."""
         pair = (record.source, record.destination)
+        if self._formats is None:
+            self._formats = {}
         if self.kind == KIND_PING:
             key = (pair, record.status)
             line = self._formats.get(key)
@@ -350,6 +359,8 @@ class Segment:
         else:
             _, statuses, addresses, hop_rtts = zip(*record.hops)
             key = (statuses, addresses)
+            if self._path_ids is None:
+                self._path_ids = {}
             path_id = self._path_ids.get(key)
             if path_id is None:
                 path_id = self._path_ids[key] = len(self.keys)
@@ -417,9 +428,9 @@ class Segment:
         self._read_paths(header)
         entries = header["blocks"]
         _require(type(entries) is list and entries, "header: no blocks")
-        offset = len(prefix) + size
+        offset, pairs = len(prefix) + size, set()
         for entry in entries:
-            block = self._block(entry, names)
+            block = self._block(entry, names, pairs)
             block.offset = offset
             offset += block.size
         end = os.fstat(fp.fileno()).st_size
@@ -449,18 +460,19 @@ class Segment:
         statuses, addresses = self.keys[path_id] = _checked_path(self._paths[path_id])
         self.widths[path_id] = len(statuses) - statuses.count(STATUS_TIMEOUT)
 
-    def _block(self, entry, names: list[str]) -> Block:
+    def _block(self, entry, names: list[str], pairs: set) -> Block:
         """The Block of a header's block entry, its fields checked, and
-        added. Its pair is checked when the block is read. A header may
-        hold many blocks, so each message is formatted only for a fault."""
+        added; pairs holds the pairs of the entries before it. Its pair is
+        checked when the block is read. A header may hold many blocks, so
+        each message is formatted only for a fault."""
         if not (type(entry) is list and len(entry) == 8):
             raise _Corrupt(f"block {entry!r}: expected [source, destination, records, "
                            f"min, max, sorted, columns, crc]")
         source, destination, count, low, high, is_sorted, specs, crc = entry
-        pair = (source, destination)
         if not (type(source) is str and type(destination) is str):
             raise _Corrupt(f"block {entry[:2]!r}: pair is not two addresses")
-        if pair in self._blocks:
+        pair = (sys.intern(source), sys.intern(destination))
+        if pair in pairs:
             raise _Corrupt(f"block {entry[:2]!r}: pair listed twice")
         if not (type(count) is int and type(low) is int and type(high) is int
                 and count >= 1 and high >= low >= 1):
@@ -479,9 +491,10 @@ class Segment:
             if spec[0] != _JSON_COLUMN and spec[1] % _ITEMSIZES[spec[0]]:
                 raise _Corrupt(f"column {name}: partial item")
             size += spec[1]
-        block = self._blocks[pair] = Block(pair)
+        pairs.add(pair)
+        block = Block(pair)
         block.count, block.min, block.max, block.sorted = count, low, high, is_sorted
-        block.specs, block.size, block.crc = specs, size, crc
+        block.specs, block.size, block.crc = tuple(map(tuple, specs)), size, crc
         self.blocks.append(block)
         return block
 
@@ -571,13 +584,13 @@ class Segment:
         """Read and check every block."""
         self._fill(self.blocks)
 
-    def opener(self, keep: bool = False) -> Callable[[], Segment]:
-        """A function that gives this segment to a later read: a segment
-        held in memory, or kept, is given as it is; a file is opened again,
-        so its columns are not held until then."""
-        if keep or self.path is None:
-            return lambda: self
-        return partial(Segment.load, self.path, self.kind)
+    def release(self) -> None:
+        """Drop the columns read from a version 2 file, keeping the header,
+        so a later read reads them again (_fill). Columns a version 2 file
+        did not give, those of an NDJSON or a version 1 segment, are kept."""
+        for block in self.blocks:
+            if block.specs:
+                block.columns = None
 
     def _select(self, q: StoreQuery) -> list[tuple[Block, Sequence[int]]]:
         """(block, indexes of its rows) for each block with rows q selects.
@@ -699,35 +712,37 @@ class Segment:
             yield times[i], rank, line % (times[i], rounds[i],
                                           *rtts[offsets[i]:offsets[i + 1]])
 
-def chains(segments: list[tuple]) -> list[list[tuple]]:
-    """Segments, given as (min, max, rank, opener), where opener() gives the
-    Segment, in chains: segments whose time ranges do not overlap share a
-    chain, which opens them one after another, so a merge of the chains'
-    lines holds one segment per chain."""
-    chained: list[list[tuple]] = []
+def chains(segments: list[Segment]) -> list[list[tuple[int, Segment]]]:
+    """Segments, each with its rank in the given order, in chains: segments
+    whose time ranges do not overlap share a chain, which reads them one
+    after another, so a merge of the chains' lines holds one segment's
+    columns per chain."""
+    chained: list[list[tuple[int, Segment]]] = []
     ends: list[tuple[int, int]] = []  # (last max timestamp, chain index)
-    for segment in sorted(segments, key=_FIRST):
-        if ends and ends[0][0] < segment[0]:
+    for rank, segment in sorted(enumerate(segments), key=lambda ranked: ranked[1].min):
+        if ends and ends[0][0] < segment.min:
             _, i = heapq.heappop(ends)
-            chained[i].append(segment)
+            chained[i].append((rank, segment))
         else:
             i = len(chained)
-            chained.append([segment])
-        heapq.heappush(ends, (segment[1], i))
+            chained.append([(rank, segment)])
+        heapq.heappush(ends, (segment.max, i))
     return chained
 
 
-def check_chains(chained: list[list[tuple]]) -> None:
-    """Open, read and check every segment of the chains. A segment alone in
-    its chain is kept, so its lines are read once; the merge would hold it
-    from its start anyway."""
+def check_chains(chained: list[list[tuple[int, Segment]]]) -> None:
+    """Read and check every segment of the chains. A segment that shares
+    its chain then drops the columns it read from its file; one alone in
+    its chain keeps them, so its lines are read once: the merge would hold
+    it from its start anyway."""
     for chain in chained:
-        for i, (low, high, rank, opener) in enumerate(chain):
-            segment = opener()
+        for _, segment in chain:
             segment.check()
-            chain[i] = (low, high, rank, segment.opener(keep=len(chain) == 1))
+            if len(chain) > 1:
+                segment.release()
 
 
-def chain_lines(chain: list[tuple]) -> Iterator[tuple[int, int, str]]:
-    for _, _, rank, opener in chain:
-        yield from opener().lines(rank)
+def chain_lines(chain: list[tuple[int, Segment]]) -> Iterator[tuple[int, int, str]]:
+    for rank, segment in chain:
+        yield from segment.lines(rank)
+        segment.release()

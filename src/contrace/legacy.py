@@ -91,7 +91,6 @@ def read_version_1(segment: Segment, fp, header: dict, check: int, crc: int) -> 
         block_times = block.columns[0]
         block.count, block.min, block.max = entry[2], min(block_times), max(block_times)
         block.sorted = is_sorted or all(map(le, block_times, islice(block_times, 1, None)))
-        segment._blocks[pair] = block
         segment.blocks.append(block)
     segment.count, segment.min, segment.max = count, low, high
 

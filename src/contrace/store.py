@@ -1,11 +1,12 @@
 """The record store: append-only segment files of one record kind each.
 
-The active segment is NDJSON; sealing turns a segment into a columnar file
-(see columnar). Every read takes each segment as a columnar.Segment: a
-columnar file is loaded as one, reading its header and then only the
-blocks the read selects, and an NDJSON segment's lines are decoded into
-one held in memory. RecordStore is also importable from
-contrace.records.
+Every segment is named <kind>-<id> by one counter over the store, so a
+kind's segments load in the order they were begun. The active segment is
+NDJSON; sealing turns a segment into a columnar file (see columnar). Every
+read takes each segment as a columnar.Segment: a columnar file is loaded
+as one, reading its header and then only the blocks the read selects, and
+an NDJSON segment's lines are decoded into one held in memory.
+RecordStore is also importable from contrace.records.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import heapq
 import itertools
 import json
 import logging
-import math
 import os
 import re
 import threading
@@ -33,10 +33,12 @@ log = logging.getLogger(__name__)
 
 # -- segment files -------------------------------------------------------------
 
+# <kind>-<id>, or a name given before ids: <kind>-<first>-<last>[-<n>] when
+# sealed, <kind>-<first>-open while left open
 _SEGMENT_NAME = re.compile(
-    rf"(?P<kind>{KIND_PING}|{KIND_TRACEROUTE})-(?P<first>[0-9]+)-"
-    rf"(?:(?P<last>[0-9]+)(?:-(?P<n>[1-9][0-9]*))?(?P<suffix>\.ndjson|\.col)"
-    rf"|open\.ndjson)")
+    rf"(?P<stem>(?P<kind>{KIND_PING}|{KIND_TRACEROUTE})-(?:(?P<id>[1-9][0-9]*)"
+    rf"|(?P<first>[0-9]+)-(?:(?P<last>[0-9]+)(?:-(?P<n>[1-9][0-9]*))?|open(?=\.ndjson))))"
+    rf"(?P<suffix>\.ndjson|\.col)")
 
 
 _NDJSON = ".ndjson"
@@ -48,36 +50,53 @@ def _kind_of(record: Record) -> str:
     return KIND_PING if isinstance(record, PingRecord) else KIND_TRACEROUTE
 
 
-def _load_key(match: re.Match) -> tuple[int, str, int]:
-    """Segments of one kind load by first timestamp, then by name, then by
-    collision suffix, so a suffixed segment loads after the one it
-    collided with."""
-    stem = f"{match['kind']}-{match['first']}-{match['last'] or 'open'}"
-    return int(match["first"]), stem, int(match["n"] or 0)
+class _Stem(NamedTuple):
+    """The files of one segment: <stem>.ndjson, <stem>.col or both."""
+
+    key: tuple  # its place in its kind's load order (_load_key)
+    stem: str
+    paths: dict[str, Path]  # suffix -> path
+    id: int | None  # None for a name given before ids
+    # its NDJSON is read by the end rule of _lines_within: every NDJSON but
+    # one with an old sealed name is the active segment or a crashed one
+    left_open: bool
 
 
-def _segment_record(line: bytes, kind: str, path: Path, where: int) -> Record:
-    """Decode and validate one line of a segment of the given kind; the
-    StoreError raised for a bad line names the file and the line."""
-    try:
-        record = parse_line(line.decode("utf-8"))
-    except UnicodeDecodeError as exc:
-        raise StoreError(f"{path}:{where}: not UTF-8: {exc}") from None
-    except StoreError as exc:
-        raise StoreError(f"{path}:{where}: {exc}") from exc
-    if _kind_of(record) != kind:
-        raise StoreError(f"{path}:{where}: a {_kind_of(record)} record in a "
-                         f"{kind} segment")
-    return record
+def _load_key(match: re.Match) -> tuple:
+    """The place of the segment of a file name _SEGMENT_NAME matched among
+    its kind's segments. They load by id. Segments with names given before
+    ids load first: sealed ones by first timestamp, then name, then
+    collision suffix, so a suffixed segment loads after the one it collided
+    with; then those left open, the newest of their kind when they were
+    left."""
+    if match["id"] is not None:
+        return 1, int(match["id"])
+    return (0, match["last"] is None, int(match["first"]),
+            f"{match['kind']}-{match['first']}-{match['last'] or 'open'}", int(match["n"] or 0))
+
+
+def _file_id(stat: os.stat_result) -> tuple[int, int]:
+    return stat.st_dev, stat.st_ino
 
 
 def _decode(lines: Iterable[bytes], kind: str, path: Path) -> columnar.Segment:
     """A Segment of an NDJSON segment's lines, each decoded and validated;
-    blank lines are skipped, but counted in the line numbers errors name."""
+    blank lines are skipped, but counted in the line numbers errors name.
+    The StoreError raised for a bad line names the file and the line."""
     segment = columnar.Segment(kind)
     for number, line in enumerate(lines, 1):
-        if not line.isspace():
-            segment.add(_segment_record(line, kind, path, number))
+        if line.isspace():
+            continue
+        try:
+            record = parse_line(line.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise StoreError(f"{path}:{number}: not UTF-8: {exc}") from None
+        except StoreError as exc:
+            raise StoreError(f"{path}:{number}: {exc}") from exc
+        if _kind_of(record) != kind:
+            raise StoreError(f"{path}:{number}: a {_kind_of(record)} record in a "
+                             f"{kind} segment")
+        segment.add(record)
     return segment
 
 
@@ -108,12 +127,11 @@ def _lines_within(fp: IO[bytes], size: int, left_open: bool) -> Iterator[bytes]:
 class _Listed(NamedTuple):
     """One segment file as a read lists it."""
 
-    key: tuple
     path: Path
     kind: str
     fp: IO[bytes] | None = None  # an NDJSON segment, opened when listed
     size: int = 0  # its bytes to read
-    left_open: bool = False  # named -open: read by the end rule of _lines_within
+    left_open: bool = False  # read by the end rule of _lines_within
 
     def open(self) -> columnar.Segment:
         """The segment as columns: a columnar file is loaded; an NDJSON
@@ -128,41 +146,39 @@ class _Active(NamedTuple):
 
     path: Path
     fp: IO[bytes]
-    first: int
     segment: columnar.Segment
 
 
 class RecordStore:
     """Append-only store of segment files, one record kind each.
 
-    The active segment is NDJSON, <kind>-<first>-open.ndjson. Sealing
-    names it <kind>-<first>-<last>.ndjson by the timestamps of its first
-    and last lines (a name already taken, with either suffix, gets a -<n>
-    suffix instead of replacing a file), writes the segment's columns to
-    <stem>.col.tmp from memory, renames that to <stem>.col and unlinks the
-    NDJSON. A stem with both files is read from its columnar file.
+    Every segment is named <kind>-<id>, id being one more than the largest
+    in the store when it is begun. The active segment is <kind>-<id>.ndjson,
+    created only if no such file exists. Sealing writes the segment's
+    columns to <kind>-<id>.col.tmp from memory and fsyncs it, renames that
+    to <kind>-<id>.col and unlinks the NDJSON. A stem with both files is
+    read from its columnar file.
 
     Readers never write. A writer takes an exclusive flock on <store>/.lock
-    at its first write, and only then recovers: it deletes temp files, seals
-    segments an earlier process left open (truncating a torn tail),
-    unlinks an NDJSON whose columnar twin is valid, converts a stem that
-    has only NDJSON, and rewrites version 1 columnar files as version 2.
-    A second writer gets a StoreError.
+    at its first write, and only then recovers: it deletes temp files, and
+    seals every segment that still has NDJSON (_give_columns), and rewrites
+    version 1 columnar files as version 2. A second writer gets a
+    StoreError.
 
     Every read lists the segments of the kinds it needs and validates what
     it reads: every line of an NDJSON segment; the header of a columnar
     one, and the CRC and every column value of each block it reads.
-    Records with equal timestamps keep the load order: segments by first
-    timestamp, then by name, then by suffix, then rows in append order
-    (tie rank). The active segment takes the place its
-    sealed name will give it, so this order is the same within a process
-    and after a reopen. A segment another process left open loads after
-    the sealed segments of its first timestamp. Reads and recovery end an
-    -open segment, the active one too, by one rule (_lines_within), so a
-    crashed writer's store reads the same before and after recovery. Each
+    Records with equal timestamps keep the load order: a kind's segments by
+    id (_load_key), rows in append order (tie rank). That is the order of
+    appending, within a process and after a reopen. Reads and recovery end
+    an NDJSON segment, the active one too, by one rule (_lines_within), so
+    a crashed writer's store reads the same before and after recovery. Each
     line is written and flushed under a lock, and a read takes each file's
     size under it, so it sees the active segment as it was when the read
     started and never a torn record.
+
+    Stores written before ids still open: their segments load before every
+    id, and a writer's recovery gives a segment left open the next id.
     """
 
     def __init__(self, path: str | Path, *, segment_records: int = 100_000):
@@ -171,21 +187,20 @@ class RecordStore:
         self._lock = threading.Lock()
         self._active: dict[str, _Active] = {}
         self._writer: IO[bytes] | None = None  # the locked .lock file
+        self._next_id = 0  # the id of the next segment, once a writer
         self._warned: set[str] = set()
         self.written = {KIND_PING: 0, KIND_TRACEROUTE: 0}  # records this object stored
 
     # -- segment files ------------------------------------------------------
 
-    def _scan(self, kind: str | None = None) -> dict[str, tuple[dict, list]]:
-        """Per kind (sealed, left_open): sealed maps the stem of each sealed
-        segment to (load key, {suffix: path}); left_open lists (load key,
-        path) of the segments named -open. Given a kind, the other kind's
-        are left out."""
-        found = {KIND_PING: ({}, []), KIND_TRACEROUTE: ({}, [])}
+    def _scan(self, kind: str | None = None) -> dict[str, list[_Stem]]:
+        """Per kind its segments in load order. Given a kind, the other
+        kind's are left out."""
+        found = {KIND_PING: {}, KIND_TRACEROUTE: {}}
         try:
             names = os.listdir(self.path)
         except FileNotFoundError:
-            return found
+            names = []
         for name in names:
             if not name.endswith((_NDJSON, columnar.SUFFIX)):
                 continue
@@ -193,19 +208,19 @@ class RecordStore:
             if match is None:
                 if name not in self._warned:
                     self._warned.add(name)
-                    log.warning("ignoring %s: not a <kind>-<first>-<last|open> "
+                    log.warning("ignoring %s: not a <kind>-<id>.ndjson or <kind>-<id>.col "
                                 "segment", self.path / name)
                 continue
             if kind is not None and match["kind"] != kind:
                 continue
-            sealed, left_open = found[match["kind"]]
-            if match["last"] is None:
-                left_open.append((_load_key(match), self.path / name))
-            else:
-                stem = name[:-len(match["suffix"])]
-                sealed.setdefault(stem, (_load_key(match), {}))[1][match["suffix"]] = \
-                    self.path / name
-        return found
+            stems = found[match["kind"]]
+            stem = stems.get(match["stem"])
+            if stem is None:
+                stem = stems[match["stem"]] = _Stem(
+                    _load_key(match), match["stem"], {},
+                    None if match["id"] is None else int(match["id"]), match["last"] is None)
+            stem.paths[match["suffix"]] = self.path / name
+        return {kind: sorted(stems.values(), key=_LOAD_KEY) for kind, stems in found.items()}
 
     @contextmanager
     def _segments(self, kind: str) -> Iterator[list[_Listed]]:
@@ -218,37 +233,26 @@ class RecordStore:
             yield segments
 
     def _list(self, kind: str, files: ExitStack) -> list[_Listed]:
-        sealed, left_open = self._scan(kind)[kind]
         segments, sealed_files = [], set()
-        for stem, (key, paths) in sealed.items():
-            if columnar.SUFFIX not in paths:
+        for stem in self._scan(kind)[kind]:
+            path = stem.paths.get(columnar.SUFFIX)
+            if path is None:
                 try:
-                    fp = files.enter_context(paths[_NDJSON].open("rb"))
-                except FileNotFoundError:  # a writer has converted it since
-                    paths[columnar.SUFFIX] = self.path / (stem + columnar.SUFFIX)
+                    fp = files.enter_context(stem.paths[_NDJSON].open("rb"))
+                except FileNotFoundError:  # a writer has sealed it since
+                    path = self.path / (stem.stem + columnar.SUFFIX)
                 else:
                     stat = os.fstat(fp.fileno())
-                    sealed_files.add((stat.st_dev, stat.st_ino))
-                    segments.append(_Listed(key, paths[_NDJSON], kind, fp, stat.st_size))
+                    if stem.id is None:
+                        if stem.left_open and _file_id(stat) in sealed_files:
+                            # a sealed segment's second name: a seal cut by a
+                            # writer that linked the sealed name
+                            continue
+                        sealed_files.add(_file_id(stat))
+                    segments.append(_Listed(stem.paths[_NDJSON], kind, fp, stat.st_size,
+                                            stem.left_open))
                     continue
-            segments.append(_Listed(key, paths[columnar.SUFFIX], kind))
-        active = self._active.get(kind)
-        for key, path in left_open:
-            try:
-                fp = files.enter_context(path.open("rb"))
-            except FileNotFoundError:
-                raise StoreError(f"{path}: sealed by another process during this "
-                                 f"read; read again") from None
-            stat = os.fstat(fp.fileno())
-            if active is not None and path == active.path:
-                last = active.segment.last
-                key = (active.first, f"{kind}-{active.first}-{last}", math.inf)
-            elif (stat.st_dev, stat.st_ino) in sealed_files:
-                # a sealed segment's second name: a seal cut between linking
-                # the sealed name and unlinking this one
-                continue
-            segments.append(_Listed(key, path, kind, fp, stat.st_size, True))
-        segments.sort(key=_LOAD_KEY)
+            segments.append(_Listed(path, kind))
         return segments
 
     # -- writing ------------------------------------------------------------
@@ -271,68 +275,70 @@ class RecordStore:
         self._writer = lock
 
     def _recover(self) -> None:
-        """Bring the files to the state sealing leaves: delete temp files
-        of a cut seal, seal the segments an earlier process left open, give
-        every sealed segment its columnar file, and rewrite version 1
-        columnar files as version 2."""
+        """Bring the files to the state sealing leaves, and work out the
+        next id: delete temp files of a cut seal, give every segment that
+        still has NDJSON its columnar file, and rewrite version 1 columnar
+        files as version 2. First a segment left open under an old name is
+        renamed to the next id, in load order, or unlinked if it is a second
+        name of a sealed segment."""
         for temp in self.path.glob("*" + columnar.TEMP_SUFFIX):
             temp.unlink()
-        for kind, (_, left_open) in self._scan().items():
-            for (first, _, _), path in sorted(left_open, key=_LOAD_KEY):
-                self._recover_open(path, kind, first)
-        for kind, (sealed, _) in self._scan().items():
-            for stem, (_, paths) in sealed.items():
-                if _NDJSON in paths:
-                    self._give_columns(stem, kind, paths)
-                elif columnar.is_version_1(paths[columnar.SUFFIX]):
-                    self._upgrade(stem, kind, paths[columnar.SUFFIX])
+        found = self._scan()
+        self._next_id = 1 + max((stem.id for stems in found.values() for stem in stems
+                                 if stem.id is not None), default=0)
+        for kind, stems in found.items():
+            sealed_files = set()
+            for stem in stems:
+                ndjson = stem.paths.get(_NDJSON)
+                if stem.id is not None or ndjson is None:
+                    continue
+                file = _file_id(os.stat(ndjson))
+                if not stem.left_open:
+                    sealed_files.add(file)
+                elif file in sealed_files:
+                    ndjson.unlink()
+                else:
+                    os.rename(ndjson, self.path / f"{kind}-{self._next_id}{_NDJSON}")
+                    self._next_id += 1
+        for kind, stems in self._scan().items():
+            for stem in stems:
+                if _NDJSON in stem.paths:
+                    self._give_columns(stem, kind)
+                elif columnar.is_version_1(stem.paths[columnar.SUFFIX]):
+                    self._upgrade(stem.stem, kind, stem.paths[columnar.SUFFIX])
 
-    def _recover_open(self, path: Path, kind: str, first: int) -> None:
-        """Seal a segment an earlier process left open, named by the
-        timestamp of its last line. It is read forward by the end rule reads
-        use and truncated where that read ended, so only a torn tail goes;
-        a segment with no record is deleted."""
-        last = None
-        with path.open("r+b") as fp:
-            end = fp.seek(0, os.SEEK_END)
-            fp.seek(0)
-            for number, line in enumerate(_lines_within(fp, end, True), 1):
-                if not line.isspace():
-                    last = number, line
-            if fp.tell() < end:
-                log.warning("%s: dropped a torn last line of %d bytes", path,
-                            end - fp.tell())
-                fp.truncate(fp.tell())
-        if last is None:
-            path.unlink()
-        else:
-            number, line = last
-            self._seal_file(path, kind, first,
-                            _segment_record(line, kind, path, number).timestamp)
-
-    def _give_columns(self, stem: str, kind: str, paths: dict[str, Path]) -> None:
-        """Unlink a sealed NDJSON segment whose columnar twin is valid, or
-        else write its columns. A segment with a bad line stays NDJSON, so
-        it fails the reads of its kind as before."""
-        ndjson = paths[_NDJSON]
-        if columnar.SUFFIX in paths:
+    def _give_columns(self, stem: _Stem, kind: str) -> None:
+        """Seal a segment that still has NDJSON. If its columnar twin
+        checks, the NDJSON is unlinked. Otherwise the NDJSON is read, a
+        left open one by the end rule reads use and truncated where that
+        read ended, so only a torn tail goes; a file that holds no record is
+        deleted, and the columns of one that does are written. A segment
+        with a bad line stays NDJSON, so it fails the reads of its kind as
+        before."""
+        ndjson, twin = stem.paths[_NDJSON], stem.paths.get(columnar.SUFFIX)
+        if twin is not None:
             try:
-                columnar.Segment.load(paths[columnar.SUFFIX], kind).check()
+                columnar.Segment.load(twin, kind).check()
             except StoreError as exc:
-                log.warning("rebuilding %s from %s: %s", paths[columnar.SUFFIX], ndjson,
-                            exc)
+                log.warning("rebuilding %s from %s: %s", twin, ndjson, exc)
             else:
                 ndjson.unlink()
                 return
-        try:
-            with ndjson.open("rb") as fp:
-                segment = _decode(fp, kind, ndjson)
-        except StoreError as exc:
-            log.warning("%s stays NDJSON: %s", ndjson, exc)
-            return
+        with ndjson.open("r+b") as fp:
+            end = fp.seek(0, os.SEEK_END)
+            fp.seek(0)
+            try:
+                segment = _decode(_lines_within(fp, end, stem.left_open), kind, ndjson)
+            except StoreError as exc:
+                log.warning("%s stays NDJSON: %s", ndjson, exc)
+                return
+            if fp.tell() < end:
+                log.warning("%s: dropped a torn last line of %d bytes", ndjson,
+                            end - fp.tell())
+                fp.truncate(fp.tell())
         if segment.count:
-            self._write_columns(stem, segment)
-            os.unlink(ndjson)
+            self._write_columns(stem.stem, segment)
+        ndjson.unlink()
 
     def _upgrade(self, stem: str, kind: str, path: Path) -> None:
         """Rewrite a version 1 columnar file as version 2. A file that
@@ -350,46 +356,14 @@ class RecordStore:
         columnar.write(temp, segment)
         os.replace(temp, self.path / (stem + columnar.SUFFIX))
 
-    def _seal_file(self, path: Path, kind: str, first: int, last: int) -> str:
-        """Move a finished NDJSON segment to its sealed name without
-        replacing an existing file, and return its stem: a stem taken by
-        either suffix gets the first free -<n> suffix.
-
-        The move links the sealed name, then unlinks the old one. A name
-        that is already a link to this file is a move an earlier process
-        did not finish, so only the unlink is left to do. Where the file
-        system has no hard links, the move is a rename to a name that does
-        not exist yet."""
-        base = f"{kind}-{first}-{last}"
-        n = 0
-        while True:
-            stem = f"{base}-{n}" if n else base
-            final = self.path / (stem + _NDJSON)
-            if not (self.path / (stem + columnar.SUFFIX)).exists():
-                try:
-                    os.link(path, final)
-                except FileExistsError:
-                    if os.path.samefile(path, final):
-                        path.unlink()
-                        return stem
-                except OSError:
-                    if not final.exists():
-                        path.rename(final)
-                        return stem
-                else:
-                    path.unlink()
-                    return stem
-            n += 1
-
     def _seal(self, kind: str) -> None:
         seg = self._active.pop(kind, None)
         if seg is None:
             return
         seg.fp.close()
         if seg.segment.count:  # else its first write failed: recovery deletes the file
-            stem = self._seal_file(seg.path, kind, seg.first, seg.segment.last)
-            self._write_columns(stem, seg.segment)
-            os.unlink(self.path / (stem + _NDJSON))
+            self._write_columns(seg.path.stem, seg.segment)
+            os.unlink(seg.path)
 
     def append(self, record: Record) -> None:
         """Validate and persist one record as from_json_obj decodes
@@ -410,8 +384,9 @@ class RecordStore:
                 self._become_writer()
             seg = self._active.get(kind)
             if seg is None:
-                path = self.path / f"{kind}-{record.timestamp}-open.ndjson"
-                seg = self._active[kind] = _Active(path, path.open("ab"), record.timestamp,
+                path = self.path / f"{kind}-{self._next_id}{_NDJSON}"
+                self._next_id += 1
+                seg = self._active[kind] = _Active(path, path.open("xb"),
                                                    columnar.Segment(kind))
             seg.fp.write(seg.segment.line(record).encode())
             seg.fp.flush()
@@ -484,11 +459,8 @@ class RecordStore:
         keeps the columns its validation read."""
         with self._segments(KIND_PING) as pings, \
                 self._segments(KIND_TRACEROUTE) as runs:
-            segments = []
-            for rank, listed in enumerate(pings + runs):
-                segment = listed.open()
-                if segment.count:
-                    segments.append((segment.min, segment.max, rank, segment.opener()))
+            segments = [segment for segment in map(_Listed.open, pings + runs)
+                        if segment.count]
             chains = columnar.chains(segments)
             columnar.check_chains(chains)
             n = 0

@@ -3,8 +3,9 @@
 Everything here is deliberately naive: byte-at-a-time loops, full sorts,
 dict counting and one pass per step. None of it shares code with the
 package beyond the record classes, the simulator's Outcome and hop cap,
-and exceptions; rewrite_store_as_v1, which turns a store into one of the
-old format, reads it through RecordStore.
+and exceptions; rewrite_store_as_v1 and rename_store_to_old_names, which
+turn a store into one of an old format or with old names, read it through
+RecordStore.
 """
 
 from __future__ import annotations
@@ -404,6 +405,25 @@ def rewrite_store_as_v1(store) -> None:
             shutil.copy(path, alone)
             records = RecordStore(alone).query(StoreQuery(kind))
         write_v1(path, kind, records)
+
+
+def rename_store_to_old_names(store) -> None:
+    """Rename every columnar file <kind>-<id>.col of the store at path
+    store, in id order, to a name stores gave before ids:
+    <kind>-<min>-<max>.col by its timestamps, with the first free -<n>
+    suffix where that name is taken. The old writer named a segment by its
+    first and last timestamps, which are its min and max wherever they
+    never decrease."""
+    from contrace.records import RecordStore, StoreQuery
+    for path in sorted(Path(store).glob("*.col"), key=lambda p: int(p.stem.split("-")[1])):
+        kind = path.name.split("-")[0]
+        with tempfile.TemporaryDirectory() as alone:
+            shutil.copy(path, alone)
+            times = [r.timestamp for r in RecordStore(alone).query(StoreQuery(kind))]
+        stem, n = f"{kind}-{min(times)}-{max(times)}", 0
+        while (path.parent / f"{stem}{f'-{n}' if n else ''}.col").exists():
+            n += 1
+        path.rename(path.parent / f"{stem}{f'-{n}' if n else ''}.col")
 
 
 # -- simulator --------------------------------------------------------------------

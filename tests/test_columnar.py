@@ -106,8 +106,8 @@ def small_store(path):
 class TestFormat:
     def test_sealed_segments_are_columnar_and_read_back_exactly(self, tmp_path):
         pings, runs = small_store(tmp_path)
-        assert names(tmp_path, "*-*") == ["ping-5-7.col", "traceroute-5-8.col"]
-        header, _ = read_columnar(tmp_path / "traceroute-5-8.col")
+        assert names(tmp_path, "*-*") == ["ping-1.col", "traceroute-2.col"]
+        header, _ = read_columnar(tmp_path / "traceroute-2.col")
         assert header["kind"] == "traceroute" and header["version"] == 2
         assert header["columns"] == ["timestamp", "round", "path", "rtt"]  # no tie
         assert [entry[:6] for entry in header["blocks"]] == [
@@ -154,7 +154,7 @@ class TestFormat:
             (tmp_path / "traceroute-20-21.ndjson").write_text(
                 serialize_line(run(20)) + serialize_line(run(21, variant=1)))
             assert names(tmp_path, "traceroute-*.ndjson") == [
-                "traceroute-20-21.ndjson", "traceroute-9-open.ndjson"]
+                "traceroute-20-21.ndjson", "traceroute-3.ndjson"]
             for q in (StoreQuery("traceroute"), StoreQuery("traceroute", start=3, end=21),
                       StoreQuery("traceroute", destination="10.1.0.2")):
                 expected = {}
@@ -188,10 +188,10 @@ class TestFormat:
         with RecordStore(tmp_path) as store:
             for record in stored:
                 store.append(record)
-        header, _ = read_columnar(tmp_path / f"ping-{huge}-7.col")
+        header, _ = read_columnar(tmp_path / "ping-1.col")
         [entry] = header["blocks"]
         assert [code for code, _ in entry[6]] == ["json", "h", "json"]
-        header, _ = read_columnar(tmp_path / "traceroute-6-5.col")
+        header, _ = read_columnar(tmp_path / "traceroute-2.col")
         [entry] = header["blocks"]
         assert [code for code, _ in entry[6]] == ["json", "b", "b", "json"]
         store = RecordStore(tmp_path)
@@ -245,7 +245,7 @@ def _grouped(path_runs_):
 
 class TestSegmentForms:
     """One set of records spread over every form a segment takes: sealed
-    columnar, old sealed NDJSON, another process's open NDJSON with a torn
+    columnar, old sealed NDJSON, a crashed writer's NDJSON with a torn
     tail, and the writer's own active segment. Every read equals a
     brute-force reference over the records in load order."""
 
@@ -267,29 +267,31 @@ class TestSegmentForms:
         rng = random.Random(8)
         forms = {kind: [self.chunk(rng, first, kind) for first in (1, 2, 3, 4)]
                  for kind in ("ping", "traceroute")}
-        with RecordStore(tmp_path) as first_writer:  # 1: sealed columnar
+        with RecordStore(tmp_path) as first_writer:  # 1: sealed columnar, ids 1 and 2
             for kind in forms:
                 for record in forms[kind][0]:
                     first_writer.append(record)
         with RecordStore(tmp_path) as writer:
-            for kind in forms:  # 4: the writer's active segment, after its recovery
+            for kind in forms:  # 4: the writer's active segment, ids 3 and 4
                 for record in forms[kind][3]:
                     writer.append(record)
-            for kind, (_, old, left_open, _) in forms.items():
+            for crashed, (kind, (_, old, left_open, _)) in enumerate(forms.items(), 5):
                 lines = [serialize_line(r) for r in old]  # 2: old sealed NDJSON
                 (tmp_path / f"{kind}-2-{old[-1].timestamp}.ndjson").write_text(
                     "".join(lines[:3]) + "\n" + "".join(lines[3:]))
                 lines = [serialize_line(r) for r in left_open]  # 3: a torn tail
-                (tmp_path / f"{kind}-3-open.ndjson").write_text(
+                (tmp_path / f"{kind}-{crashed}.ndjson").write_text(
                     "".join(lines) + lines[0][:25])
             # left open with no whole line: only a partial one, or only blank lines
-            (tmp_path / "ping-6-open.ndjson").write_text(serialize_line(ping(6))[:30])
-            (tmp_path / "traceroute-6-open.ndjson").write_text("\n  \n")
-            assert [re.sub(r"-[0-9]+\.", "-last.", name) for name in names(tmp_path, "*-*")] \
-                == [f"{kind}-{name}" for kind in ("ping", "traceroute")
-                    for name in ("1-last.col", "2-last.ndjson", "3-open.ndjson",
-                                 "4-open.ndjson", "6-open.ndjson")]
-            in_load_order = {kind: [r for chunk in chunks for r in chunk]
+            (tmp_path / "ping-7.ndjson").write_text(serialize_line(ping(6))[:30])
+            (tmp_path / "traceroute-8.ndjson").write_text("\n  \n")
+            assert [re.sub(r"-2-[0-9]+\.", "-2-last.", name)
+                    for name in names(tmp_path, "*-*")] == [
+                "ping-1.col", "ping-2-last.ndjson", "ping-3.ndjson", "ping-5.ndjson",
+                "ping-7.ndjson", "traceroute-2-last.ndjson", "traceroute-2.col",
+                "traceroute-4.ndjson", "traceroute-6.ndjson", "traceroute-8.ndjson"]
+            # old names load before every id, then the ids in order
+            in_load_order = {kind: [r for i in (1, 0, 3, 2) for r in chunks[i]]
                              for kind, chunks in forms.items()}
             expected_export = canonical(in_load_order["ping"] + in_load_order["traceroute"])
             pair = self.PAIRS[0]
@@ -513,7 +515,7 @@ class TestValidation:
         with RecordStore(tmp_path) as store:
             for record in stored:
                 store.append(record)
-        segment = tmp_path / "ping-5-6.col"
+        segment = tmp_path / "ping-1.col"
         header, blocks = read_columnar(segment)
         assert header["columns"] == ["timestamp", "tie", "status", "rtt"]
         assert [_values(entry, columns, 1) for entry, columns in
@@ -550,7 +552,7 @@ class TestWriterLock:
             assert reader.query(StoreQuery("ping")) == [ping(10, 100)]
             assert reader.count() == 1
             assert dump(reader) == serialize_line(ping(10, 100))
-            assert names(tmp_path, "*.*") == [".lock", "ping-10-open.ndjson"]
+            assert names(tmp_path, "*.*") == [".lock", "ping-1.ndjson"]
             writer.append(ping(11, 110))
         assert RecordStore(tmp_path).query(StoreQuery("ping")) == \
             [ping(10, 100), ping(11, 110)]
@@ -602,7 +604,7 @@ def test_a_seal_cut_after_each_step_loses_and_repeats_nothing(tmp_path, monkeypa
         raise Crash
 
     def cut_unlink(path, *args, **kwargs):
-        if str(path).endswith("-3.ndjson"):
+        if str(path).endswith("ping-1.ndjson"):
             raise Crash
         unlink(path, *args, **kwargs)
 
@@ -617,9 +619,9 @@ def test_a_seal_cut_after_each_step_loses_and_repeats_nothing(tmp_path, monkeypa
             for record in expected:
                 store.append(record)
     store.close()  # releases the lock and seals the traceroute segment
-    left = {"temp written": ["ping-1-3.col.tmp", "ping-1-3.ndjson"],
-            "renamed": ["ping-1-3.col", "ping-1-3.ndjson"],
-            "ndjson unlink": ["ping-1-3.col", "ping-1-3.ndjson"]}[step]
+    left = {"temp written": ["ping-1.col.tmp", "ping-1.ndjson"],
+            "renamed": ["ping-1.col", "ping-1.ndjson"],
+            "ndjson unlink": ["ping-1.col", "ping-1.ndjson"]}[step]
     assert names(tmp_path, "ping-*") == left
     reader = RecordStore(tmp_path)
     assert reader.count() == 3
@@ -628,7 +630,7 @@ def test_a_seal_cut_after_each_step_loses_and_repeats_nothing(tmp_path, monkeypa
     assert names(tmp_path, "ping-*") == left
     with RecordStore(tmp_path) as writer:
         writer.append(ping(5))
-    assert names(tmp_path, "ping-*") == ["ping-1-3.col", "ping-5-5.col"]
+    assert names(tmp_path, "ping-*") == ["ping-1.col", "ping-3.col"]
     assert dump(RecordStore(tmp_path)) == canonical(expected[:3] + [ping(5)])
 
 
@@ -776,13 +778,13 @@ def test_a_version_1_store_reads_as_its_twin_until_a_writer_rewrites_it(tmp_path
               for kind in ("ping", "traceroute")}
     twin, old = tmp_path / "twin", tmp_path / "old"
     old.mkdir()
+    segment_ids = iter(range(1, 7))
     for kind, kind_chunks in chunks.items():
         for chunk in kind_chunks:
             with RecordStore(twin, segment_records=len(chunk)) as store:
                 for record in chunk:
                     store.append(record)
-            oracles.write_v1(old / f"{kind}-{chunk[0].timestamp}-{chunk[-1].timestamp}.col",
-                             kind, chunk)
+            oracles.write_v1(old / f"{kind}-{next(segment_ids)}.col", kind, chunk)
     assert names(old, "*.col") == names(twin, "*.col")
     for kind in chunks:
         stored = [r for chunk in chunks[kind] for r in chunk]
@@ -818,17 +820,31 @@ def test_a_damaged_version_1_file_stays_and_fails_its_reads(tmp_path):
 
 
 def test_export_reads_each_block_once_where_segments_overlap(tmp_path, monkeypatch):
-    """A ping and a traceroute segment over the same time range are each
-    alone in their chain of the export merge: each block is read once."""
-    small_store(tmp_path)
-    reads = Counter()
-    check_block = columnar.Segment._check_block
+    """Export loads each columnar file once. A ping and a traceroute segment
+    over the same time range are each alone in their chain of the export
+    merge, so each of their blocks is read once. Two ping segments whose
+    time ranges do not overlap share a chain: their blocks are read twice,
+    once to check them and once to write them."""
+    pings, runs = small_store(tmp_path)  # ping-1 (5-7) and traceroute-2 (5-8)
+    later = [ping(10, 1400), ping(11, dst="10.1.0.2")]
+    with RecordStore(tmp_path) as writer:  # ping-3 (10-11)
+        for record in later:
+            writer.append(record)
+    loads, reads = Counter(), Counter()
+    load, check_block = columnar.Segment.load.__func__, columnar.Segment._check_block
+
+    def counted_load(cls, path, kind):
+        loads[path.name] += 1
+        return load(cls, path, kind)
 
     def counted(segment, block, columns):
         reads[segment.path.name, block.pair] += 1
         check_block(segment, block, columns)
 
+    monkeypatch.setattr(columnar.Segment, "load", classmethod(counted_load))
     monkeypatch.setattr(columnar.Segment, "_check_block", counted)
-    dump(RecordStore(tmp_path))
-    assert reads == {(name, pair): 1 for name in ("ping-5-7.col", "traceroute-5-8.col")
+    assert dump(RecordStore(tmp_path)) == canonical(pings + runs + later)
+    assert loads == {"ping-1.col": 1, "traceroute-2.col": 1, "ping-3.col": 1}
+    assert reads == {(name, pair): 2 if name.startswith("ping") else 1
+                     for name in ("ping-1.col", "traceroute-2.col", "ping-3.col")
                      for pair in [("10.0.0.1", "10.1.0.1"), ("10.0.0.1", "10.1.0.2")]}

@@ -588,13 +588,13 @@ class TestStore:
             # the files a process that crashed now would leave behind
             shutil.copytree(tmp_path / "live", crashed)
         assert RecordStore(crashed).count("ping") == 1  # a reader leaves them be
-        assert [p.name for p in crashed.glob("*.ndjson")] == ["ping-42-open.ndjson"]
+        assert [p.name for p in crashed.glob("*.ndjson")] == ["ping-1.ndjson"]
         with RecordStore(crashed) as writer:
             writer.append(run(ts=43))  # a writer recovers at its first write
         again = RecordStore(crashed)
         assert again.count("ping") == 1
-        assert not list(crashed.glob("*-open.ndjson"))
-        assert [p.name for p in crashed.glob("ping-*")] == ["ping-42-42.col"]
+        assert not list(crashed.glob("*.ndjson"))
+        assert [p.name for p in crashed.glob("ping-*")] == ["ping-1.col"]
 
     def test_non_segment_files_are_ignored_with_a_warning(self, tmp_path, caplog):
         (tmp_path / "notes.ndjson").write_text("not a record\n")
@@ -655,29 +655,36 @@ class TestStore:
             assert store.count("ping") == 1_000_000
 
 
+def _reads_of_pings(store):
+    return (lambda: store.count("ping"), lambda: store.query(StoreQuery("ping")),
+            lambda: store.export(io.StringIO()))
+
+
+def _one_timestamp_in_three_segments(path):
+    """3000 pings at one timestamp, sealed 1000 to a segment."""
+    with RecordStore(path, segment_records=1000) as store:
+        for i in range(3000):
+            store.append(ping(ts=42, rtt=i))
+    assert sorted(p.name for p in path.iterdir()) == [
+        ".lock", "ping-1.col", "ping-2.col", "ping-3.col"]
+    reopened = RecordStore(path)
+    assert reopened.count("ping") == 3000
+    assert [r.rtt for r in reopened.query(StoreQuery("ping"))] == list(range(3000))
+    dump = io.StringIO()
+    reopened.export(dump)
+    assert dump.getvalue() == "".join(serialize_line(ping(ts=42, rtt=i)) for i in range(3000))
+
+
 class TestSegments:
     def test_segments_with_equal_names_are_all_kept(self, tmp_path):
-        with RecordStore(tmp_path, segment_records=1000) as store:
-            for i in range(3000):
-                store.append(ping(ts=42, rtt=i))
-        assert sorted(p.name for p in tmp_path.iterdir()) == [
-            ".lock", "ping-42-42-1.col", "ping-42-42-2.col", "ping-42-42.col"]
-        reopened = RecordStore(tmp_path)
-        assert reopened.count("ping") == 3000
-        assert [r.rtt for r in reopened.query(StoreQuery("ping"))] == list(range(3000))
+        _one_timestamp_in_three_segments(tmp_path)
 
     def test_without_hard_links_sealing_still_never_replaces(self, tmp_path, monkeypatch):
         def no_links(src, dst):
             raise PermissionError(1, "Operation not permitted")
 
         monkeypatch.setattr(os, "link", no_links)
-        with RecordStore(tmp_path, segment_records=1000) as store:
-            for i in range(3000):
-                store.append(ping(ts=42, rtt=i))
-        assert sorted(p.name for p in tmp_path.iterdir()) == [
-            ".lock", "ping-42-42-1.col", "ping-42-42-2.col", "ping-42-42.col"]
-        reopened = RecordStore(tmp_path)
-        assert [r.rtt for r in reopened.query(StoreQuery("ping"))] == list(range(3000))
+        _one_timestamp_in_three_segments(tmp_path)
 
     def test_recovery_finishes_a_seal_cut_between_link_and_unlink(self, tmp_path):
         expected = [ping(ts=ts) for ts in range(5, 10)]
@@ -692,7 +699,7 @@ class TestSegments:
         with RecordStore(tmp_path) as writer:
             writer.append(run(ts=1))
         assert sorted(p.name for p in tmp_path.iterdir()) == [
-            ".lock", "ping-5-9.col", "traceroute-1-1.col"]
+            ".lock", "ping-5-9.col", "traceroute-1.col"]
         reopened = RecordStore(tmp_path)
         assert reopened.count("ping") == 5
         assert reopened.query(StoreQuery("ping")) == expected
@@ -711,9 +718,64 @@ class TestSegments:
             for ts, rtt in ((10, 1), (20, 2), (5, 3), (10, 4), (10, 5)):
                 store.append(ping(ts=ts, rtt=rtt))
             within = store.query(StoreQuery("ping"))
-        # segments ping-5-10, ping-10-10 (open until close), ping-10-20
-        assert [r.rtt for r in within] == [3, 4, 5, 1, 2]
+        # segments ping-1 (10, 20), ping-2 (5, 10), ping-3 (10, open until close)
+        assert [r.rtt for r in within] == [3, 1, 4, 5, 2]
         assert RecordStore(tmp_path).query(StoreQuery("ping")) == within
+
+    def test_ties_across_segments_export_in_append_order(self, tmp_path):
+        appended = [ping(ts=ts, rtt=i) for i, ts in enumerate((10, 20, 5, 10))]
+        expected = "".join(serialize_line(appended[i]) for i in (2, 0, 3, 1))
+        with RecordStore(tmp_path, segment_records=2) as store:
+            for record in appended:
+                store.append(record)
+            within = io.StringIO()
+            store.export(within)
+        after = io.StringIO()
+        RecordStore(tmp_path).export(after)
+        assert within.getvalue() == after.getvalue() == expected
+
+    def test_an_old_open_segment_loads_after_the_old_sealed_ones(self, tmp_path):
+        """A segment left open under a name given before ids is the newest of
+        its kind, so it loads after the old sealed ones, whatever its first
+        timestamp, and still does once a writer gives it the next id."""
+        sealed, left_open = [ping(ts=10, rtt=1), ping(ts=20, rtt=2)], \
+            [ping(ts=5, rtt=3), ping(ts=10, rtt=4)]
+        with RecordStore(tmp_path / "old") as old:
+            for record in sealed:
+                old.append(record)
+        (tmp_path / "old" / "ping-1.col").rename(tmp_path / "ping-10-20.col")
+        write_old_segment(tmp_path / "ping-5-open.ndjson", left_open)
+        shutil.rmtree(tmp_path / "old")
+        expected = "".join(map(serialize_line, [left_open[0], sealed[0], left_open[1],
+                                                sealed[1]]))
+        before = io.StringIO()
+        RecordStore(tmp_path).export(before)
+        assert before.getvalue() == expected
+        with RecordStore(tmp_path) as writer:
+            writer.append(run(ts=100))
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            ".lock", "ping-1.col", "ping-10-20.col", "traceroute-2.col"]
+        after = io.StringIO()
+        RecordStore(tmp_path).export(after)
+        assert after.getvalue() == expected + serialize_line(run(ts=100))
+
+    def test_a_reader_whose_listed_ndjson_is_gone_reads_its_columnar_twin(
+            self, tmp_path, monkeypatch):
+        writer = RecordStore(tmp_path)
+        for ts in (5, 6):
+            writer.append(ping(ts=ts))
+        reader = RecordStore(tmp_path)
+        scan = reader._scan
+
+        def scan_then_seal(kind=None):
+            listed = scan(kind)
+            writer.close()  # writes ping-1.col and unlinks ping-1.ndjson
+            return listed
+
+        monkeypatch.setattr(reader, "_scan", scan_then_seal)
+        assert [p.name for p in tmp_path.glob("ping-*")] == ["ping-1.ndjson"]
+        assert reader.query(StoreQuery("ping")) == [ping(ts=5), ping(ts=6)]
+        assert [p.name for p in tmp_path.glob("ping-*")] == ["ping-1.col"]
 
     @pytest.mark.parametrize("cut", [30, -1], ids=["torn", "no-newline"])
     def test_recovery_truncates_a_torn_last_line(self, tmp_path, caplog, cut):
@@ -731,13 +793,13 @@ class TestSegments:
         dump = io.StringIO()
         store.export(dump)
         if cut == -1:  # a whole record without its newline is kept
-            assert [p.name for p in tmp_path.glob("ping-*")] == ["ping-5-7.col"]
+            assert [p.name for p in tmp_path.glob("ping-*")] == ["ping-1.col"]
             assert store.count("ping") == 3
             assert "torn" not in caplog.text
             assert dump.getvalue() == \
                 kept + last + "\n" + serialize_line(run(ts=100))
         else:
-            assert [p.name for p in tmp_path.glob("ping-*")] == ["ping-5-6.col"]
+            assert [p.name for p in tmp_path.glob("ping-*")] == ["ping-1.col"]
             assert dump.getvalue() == kept + serialize_line(run(ts=100))
             assert f"dropped a torn last line of {len(last)} bytes" in caplog.text
             assert store.query(StoreQuery("ping")) == [ping(ts=5), ping(ts=6)]
@@ -771,43 +833,34 @@ class TestSegments:
         assert dump.getvalue() == exported.getvalue() + run_line
         assert after.count("ping") == count
 
-    @pytest.mark.parametrize("last", ["{not json}\n", '{"timestamp":7}'],
-                             ids=["not-json", "json-without-newline"])
-    def test_a_bad_last_line_of_an_open_segment_fails_reads_and_recovery(self, tmp_path,
-                                                                         last):
+    TWO = serialize_line(ping(ts=5)) + serialize_line(ping(ts=6))
+
+    @pytest.mark.parametrize("text, bad", [
+        (TWO + "{not json}\n", 3), (TWO + '{"timestamp":7}', 3),
+        (serialize_line(ping(ts=5)) + "{not json}\n" + serialize_line(ping(ts=6)), 2)],
+        ids=["last-not-json", "last-json-without-newline", "earlier-not-json"])
+    def test_a_bad_line_of_an_open_segment_fails_reads_and_stays_ndjson(
+            self, tmp_path, caplog, text, bad):
+        """A bad line, the last one or not, fails every read of its kind. A
+        writer's recovery gives the segment the next id, leaves it NDJSON
+        with a warning, and goes on."""
         segment = tmp_path / "ping-5-open.ndjson"
-        text = serialize_line(ping(ts=5)) + serialize_line(ping(ts=6)) + last
         segment.write_text(text)
         store = RecordStore(tmp_path)
-        for read in (lambda: store.count("ping"), lambda: store.query(StoreQuery("ping")),
-                     lambda: store.export(io.StringIO())):
-            with pytest.raises(StoreError, match=re.escape(f"{segment}:3: ")):
+        for read in _reads_of_pings(store):
+            with pytest.raises(StoreError, match=re.escape(f"{segment}:{bad}: ")):
                 read()
-        writer = RecordStore(tmp_path)
-        with pytest.raises(StoreError, match=re.escape(f"{segment}:3: ")):
-            writer.append(run(ts=100))
-        writer.close()
-        assert sorted(p.name for p in tmp_path.iterdir()) == [".lock", segment.name]
-        assert segment.read_text() == text
-
-    def test_a_bad_earlier_line_of_an_open_segment_stays_ndjson_when_sealed(
-            self, tmp_path, caplog):
-        segment = tmp_path / "ping-5-open.ndjson"
-        segment.write_text(serialize_line(ping(ts=5)) + "{bad\n" + serialize_line(ping(ts=6)))
-        store = RecordStore(tmp_path)
-        with pytest.raises(StoreError, match=re.escape(f"{segment}:2: invalid JSON")):
-            store.query(StoreQuery("ping"))
         with caplog.at_level("WARNING"):
             with RecordStore(tmp_path) as writer:
                 writer.append(run(ts=100))
-        sealed = tmp_path / "ping-5-6.ndjson"
-        assert f"{sealed} stays NDJSON" in caplog.text
+        kept = tmp_path / "ping-1.ndjson"
+        assert f"{kept} stays NDJSON" in caplog.text
         assert sorted(p.name for p in tmp_path.iterdir()) == [
-            ".lock", sealed.name, "traceroute-100-100.col"]
+            ".lock", kept.name, "traceroute-2.col"]
+        assert kept.read_text() == text
         assert store.query(StoreQuery("traceroute")) == [run(ts=100)]
-        for read in (lambda: store.count("ping"), lambda: store.query(StoreQuery("ping")),
-                     lambda: store.export(io.StringIO())):
-            with pytest.raises(StoreError, match=re.escape(f"{sealed}:2: invalid JSON")):
+        for read in _reads_of_pings(store):
+            with pytest.raises(StoreError, match=re.escape(f"{kept}:{bad}: ")):
                 read()
 
     def test_close_after_a_failed_first_write_leaves_the_store_readable(
@@ -827,14 +880,14 @@ class TestSegments:
         store, open_ = RecordStore(tmp_path), Path.open
         with monkeypatch.context() as patch:
             patch.setattr(Path, "open", lambda path, mode="r": DiskFull(open_(path, mode))
-                          if mode == "ab" else open_(path, mode))
+                          if mode == "xb" else open_(path, mode))
             with pytest.raises(OSError, match="No space left"):
                 store.append(ping(ts=5))
         store.close()
         assert RecordStore(tmp_path).count() == 0  # the half line is a torn tail
         with RecordStore(tmp_path) as writer:
             writer.append(ping(ts=6))
-        assert sorted(p.name for p in tmp_path.iterdir()) == [".lock", "ping-6-6.col"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [".lock", "ping-2.col"]
         assert RecordStore(tmp_path).query(StoreQuery("ping")) == [ping(ts=6)]
 
     def test_ping_line_in_a_traceroute_segment_fails_traceroute_reads(self, tmp_path):
@@ -862,8 +915,7 @@ class TestSegments:
             fp.write("\n{not json}\n")
         store = RecordStore(tmp_path)  # opening reads no records
         assert store.query(StoreQuery("traceroute")) == [run(ts=6)]
-        for read in (lambda: store.count("ping"), lambda: store.query(StoreQuery("ping")),
-                     lambda: store.export(io.StringIO())):
+        for read in _reads_of_pings(store):
             with pytest.raises(StoreError, match=re.escape(f"{segment}:3: invalid JSON")):
                 read()
 
@@ -905,6 +957,49 @@ class TestSegments:
         assert len(sizes) > 1 and sizes == sorted(sizes)
         assert len(final) == 1000
         assert RecordStore(tmp_path).query(StoreQuery("ping")) == final
+
+@st.composite
+def _appends(draw):
+    """(segment_records, records in append order): pings and runs of two
+    pairs at a few timestamps, so ties cross segments both ways."""
+    records_ = []
+    for i in range(draw(st.integers(1, 16))):
+        ts, dst = draw(st.integers(1, 3)), draw(st.sampled_from(["10.1.0.1", "10.1.0.2"]))
+        records_.append(ping(ts=ts, dst=dst, rtt=i) if draw(st.booleans())
+                        else run(ts=ts, dst=dst, rnd=i))
+    return draw(st.integers(1, 4)), records_
+
+
+def _export(path):
+    out = io.StringIO()
+    RecordStore(path).export(out)
+    return out.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn=_appends())
+def test_export_keeps_append_order_among_equal_timestamps(drawn):
+    """Records export by timestamp, pings first, then in append order:
+    within the writing process, after a reopen, and from a copy taken while
+    the writer is open, before and after a writer recovers that copy."""
+    segment_records, appended = drawn
+    expected = "".join(map(serialize_line, sorted(
+        appended, key=lambda r: (r.timestamp, isinstance(r, TracerouteRun)))))
+    later = ping(ts=4)
+    with tempfile.TemporaryDirectory() as directory:
+        store, copy = Path(directory) / "store", Path(directory) / "copy"
+        with RecordStore(store, segment_records=segment_records) as writer:
+            for record in appended:
+                writer.append(record)
+            within = io.StringIO()
+            writer.export(within)
+            shutil.copytree(store, copy)
+        assert within.getvalue() == _export(store) == _export(copy) == expected
+        with RecordStore(copy, segment_records=segment_records) as recovering:
+            recovering.append(later)
+        assert not list(copy.glob("*.ndjson"))
+        assert _export(copy) == expected + serialize_line(later)
+
 
 def test_store_query_validates_range():
     with pytest.raises(ValueError):
