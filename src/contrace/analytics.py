@@ -11,9 +11,8 @@ from __future__ import annotations
 import ipaddress
 import json
 import math
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from .records import STATUS_ECHO_REPLY, STATUS_TIMEOUT, PathRuns, PingRecord
 
@@ -48,8 +47,7 @@ def _stats_ms(samples_us: Sequence[int]) -> tuple[float, float, float]:
     return mean, q10, q90
 
 
-@dataclass(frozen=True, slots=True)
-class RttBucketStats:
+class RttBucketStats(NamedTuple):
     bucket_start_us: int
     count: int
     mean_ms: float
@@ -106,7 +104,6 @@ def mean_rtt_cdf(records: Iterable[PingRecord],
     return out
 
 
-@dataclass(slots=True)
 class LinkObservation:
     """One directed router-level link of one relation, and the runs whose
     path holds it; a link seen twice in one run counts once, keeping shares
@@ -118,12 +115,16 @@ class LinkObservation:
     runs.rtt_column(path, position) are that router's RTTs in those runs.
     """
 
-    relation: RelationKey
-    from_hop: EnrichedHop
-    to_hop: EnrichedHop
-    runs: PathRuns
-    runs_observed: int = 0
-    positions: dict[int, int] = field(default_factory=dict)
+    __slots__ = ("relation", "from_hop", "to_hop", "runs", "runs_observed", "positions")
+
+    def __init__(self, relation: RelationKey, from_hop: EnrichedHop, to_hop: EnrichedHop,
+                 runs: PathRuns):
+        self.relation = relation
+        self.from_hop = from_hop
+        self.to_hop = to_hop
+        self.runs = runs
+        self.runs_observed = 0
+        self.positions: dict[int, int] = {}
 
     @property
     def runs_total(self) -> int:
@@ -174,8 +175,7 @@ def link_shares(runs: PathRuns, relation: RelationKey,
     return [observations[key] for key in sorted(observations)]
 
 
-@dataclass(frozen=True, slots=True)
-class CrossingRow:
+class CrossingRow(NamedTuple):
     ip_version: str
     from_isp: str
     to_isp: str
@@ -235,8 +235,7 @@ def crossing_table(observations: Sequence[LinkObservation], group_by: str,
     return rows
 
 
-@dataclass(frozen=True, slots=True)
-class HopCountStats:
+class HopCountStats(NamedTuple):
     ip_version: str
     from_isp: str
     to_isp: str
@@ -352,8 +351,7 @@ _PALETTE = ("#e41a1c", "#377eb8", "#4daf4a", "#984ea3", "#ff7f00", "#a65628",
 _NO_AS_COLOR = "#999999"
 
 
-@dataclass(frozen=True, slots=True)
-class GraphExport:
+class GraphExport(NamedTuple):
     document: str
     unlocatable: tuple[str, ...]
 

@@ -14,15 +14,12 @@ from __future__ import annotations
 import argparse
 import io
 import os
-import signal
 import sys
-import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
-from .config import ProbeSchedule, RelationKey, TransportFailure, load_yaml
-from .icmp import Family, family_of
+from .config import Family, ProbeSchedule, RelationKey, TransportFailure, family_of, load_yaml
 from .records import KIND_PING, KIND_TRACEROUTE, StoreError, StoreQuery, canonical_address
 from .store import RecordStore
 
@@ -38,25 +35,23 @@ class ConfigError(Exception):
     pass
 
 
-@dataclass(slots=True)
-class Endpoint:
+class Endpoint(NamedTuple):
     label: str
     address: str
     family: Family
 
 
-@dataclass(slots=True)
-class Config:
+class Config(NamedTuple):
     sources: list[Endpoint]
     destinations: list[Endpoint]
     schedule: ProbeSchedule
     store_path: Path
+    relations: list[RelationKey]
     as_prefixes: Path | None = None
     as_names: Path | None = None
     geo_fixtures: Path | None = None
     fallback_url: str | None = None
     fallback_token_env: str = "CONTRACE_GEO_TOKEN"
-    relations: list[RelationKey] = field(default_factory=list)
 
 
 def _endpoints(raw, what: str) -> list[Endpoint]:
@@ -93,17 +88,7 @@ def build_config(doc: dict, base_dir: Path) -> Config:
         section = doc.get("enrichment") or {}
         return base_dir / section[key] if key in section else None
 
-    enrichment = doc.get("enrichment") or {}
-    config = Config(
-        sources=sources, destinations=destinations, schedule=schedule,
-        store_path=store_path,
-        as_prefixes=path_or_none("as_prefixes"),
-        as_names=path_or_none("as_names"),
-        geo_fixtures=path_or_none("geo_fixtures"),
-        fallback_url=enrichment.get("fallback_url"),
-        fallback_token_env=enrichment.get("fallback_token_env",
-                                          "CONTRACE_GEO_TOKEN"),
-    )
+    relations = []
     for source in sources:
         matching = [d for d in destinations if d.family is source.family]
         if not matching:
@@ -111,10 +96,20 @@ def build_config(doc: dict, base_dir: Path) -> Config:
                 f"source {source.label} ({source.family.value}) has no "
                 f"destination of the same family")
         for dest in matching:
-            config.relations.append(RelationKey(
+            relations.append(RelationKey(
                 source.family, source.label, dest.label,
                 source.address, dest.address))
-    return config
+    enrichment = doc.get("enrichment") or {}
+    return Config(
+        sources=sources, destinations=destinations, schedule=schedule,
+        store_path=store_path, relations=relations,
+        as_prefixes=path_or_none("as_prefixes"),
+        as_names=path_or_none("as_names"),
+        geo_fixtures=path_or_none("geo_fixtures"),
+        fallback_url=enrichment.get("fallback_url"),
+        fallback_token_env=enrichment.get("fallback_token_env",
+                                          "CONTRACE_GEO_TOKEN"),
+    )
 
 
 def load_config(path: str | Path) -> Config:
@@ -176,6 +171,9 @@ def _measure_sim(config: Config, args, topology) -> int:
 
 
 def _measure_live(config: Config, args, transport_factory=None) -> int:
+    import signal
+    import threading
+
     from .probe import LiveClock, RawIcmpTransport, SourceWorker, run_relation_worker
     transport_factory = transport_factory or RawIcmpTransport
     clock = LiveClock()
@@ -237,7 +235,7 @@ def cmd_measure(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if args.store:
-        config.store_path = Path(args.store)
+        config = config._replace(store_path=Path(args.store))
     if args.mode != "sim":
         return _measure_live(config, args)
     if not args.topology:
@@ -264,7 +262,7 @@ def cmd_sim_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if args.store:
-        config.store_path = Path(args.store)
+        config = config._replace(store_path=Path(args.store))
     return _measure_sim(config, args, topology)
 
 

@@ -3,42 +3,61 @@ schedule, and the YAML that configuration and topology files are written in.
 
 These live apart from the probe engine, so that the commands that only read
 the store (import, export, analyze) do not import the probing code and its
-sockets. TransportFailure is here because the command line maps it to an
-exit code. probe re-exports all three classes.
+sockets. Family is here, not in icmp, for the same reason. TransportFailure
+is here because the command line maps it to an exit code. probe re-exports
+the three classes, and icmp re-exports Family and family_of.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import ipaddress
+from enum import Enum
+from typing import NamedTuple
 
-from .icmp import Family, family_of
+
+class Family(str, Enum):
+    """IP protocol family of an address or probe."""
+
+    V4 = "v4"
+    V6 = "v6"
+
+    @property
+    def display(self) -> str:
+        return "IPv4" if self is Family.V4 else "IPv6"
+
+
+def family_of(address: str) -> Family:
+    """Family of an IP address string; raises ValueError for junk."""
+    return Family.V4 if ipaddress.ip_address(address).version == 4 else Family.V6
 
 
 class TransportFailure(Exception):
     """Socket-level failure; distinct from a timeout, which yields a record."""
 
 
-@dataclass(frozen=True, slots=True)
-class RelationKey:
-    """Measurement identity: IP version plus source and destination ISP."""
-
+class _RelationFields(NamedTuple):
     ip_version: Family
     source_id: str
     destination_id: str
     source_address: str
     destination_address: str
 
-    def __post_init__(self):
+
+class RelationKey(_RelationFields):
+    """Measurement identity: IP version plus source and destination ISP."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for address in (self.source_address, self.destination_address):
             if family_of(address) is not self.ip_version:
                 raise ValueError(
                     f"address {address} does not match family {self.ip_version.value}")
+        return self
 
 
-@dataclass(slots=True)
-class ProbeSchedule:
-    """Cadence and limits for one measurement campaign."""
-
+class _ScheduleFields(NamedTuple):
     ping_interval_s: float = 1.0
     traceroute_interval_s: float = 300.0
     traceroute_rounds: int = 3
@@ -47,7 +66,14 @@ class ProbeSchedule:
     craft_constant_checksum: bool = True
     jitter_fraction: float = 0.05
 
-    def __post_init__(self):
+
+class ProbeSchedule(_ScheduleFields):
+    """Cadence and limits for one measurement campaign."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.ping_interval_s <= 0 or self.traceroute_interval_s <= 0:
             raise ValueError("intervals must be positive")
         if self.traceroute_rounds < 1:
@@ -58,6 +84,7 @@ class ProbeSchedule:
             raise ValueError("reply_timeout_s must be positive")
         if not 0 <= self.jitter_fraction < 1:
             raise ValueError("jitter_fraction must be in [0, 1)")
+        return self
 
     @property
     def ping_interval_us(self) -> int:

@@ -13,9 +13,8 @@ import ipaddress
 import math
 import os
 import threading
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Protocol, Sequence
+from typing import Iterable, NamedTuple, Protocol, Sequence
 
 EARTH_RADIUS_KM = 6371.0
 LIGHT_SPEED_KM_S = 299792.458
@@ -34,30 +33,33 @@ class Unlocatable(EnrichError):
     """Plausibility check asked about an endpoint without a location."""
 
 
-@dataclass(frozen=True, slots=True)
-class AsEntry:
+class AsEntry(NamedTuple):
     prefix: ipaddress.IPv4Network | ipaddress.IPv6Network
     asn: int
     name: str
 
 
-@dataclass(frozen=True, slots=True)
-class GeoLocation:
+class _GeoFields(NamedTuple):
     latitude: float
     longitude: float
     country: str
     estimated_error_km: float
     provider: str
 
-    def __post_init__(self):
+
+class GeoLocation(_GeoFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (-90.0 <= self.latitude <= 90.0 and -180.0 <= self.longitude <= 180.0):
             raise ValueError("coordinates out of range")
         if self.estimated_error_km < 0:
             raise ValueError("estimated error must be >= 0")
+        return self
 
 
-@dataclass(frozen=True, slots=True)
-class EnrichedHop:
+class EnrichedHop(NamedTuple):
     address: str
     asn: int | None = None
     as_name: str | None = None
@@ -232,8 +234,7 @@ def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     return 2 * EARTH_RADIUS_KM * math.asin(math.sqrt(a))
 
 
-@dataclass(frozen=True, slots=True)
-class PlausibilityVerdict:
+class PlausibilityVerdict(NamedTuple):
     plausible: bool
     min_rtt_us: float
 

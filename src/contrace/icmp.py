@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import ipaddress
 import struct
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import NamedTuple
+
+from .config import Family, family_of  # noqa: F401 -- both stay importable from here
 
 ICMP_HEADER = struct.Struct("!BBHHH")  # type, code, checksum, identifier, sequence
 HEADER_LEN = ICMP_HEADER.size
@@ -26,22 +28,6 @@ MIN_PAYLOAD_LEN = 10      # timestamp (8 B) + compensation word (2 B)
 PREFIX_LEN = 4            # the bytes load balancers hash on
 
 ICMPV6_PROTOCOL = 58
-
-
-class Family(str, Enum):
-    """IP protocol family of an address or probe."""
-
-    V4 = "v4"
-    V6 = "v6"
-
-    @property
-    def display(self) -> str:
-        return "IPv4" if self is Family.V4 else "IPv6"
-
-
-def family_of(address: str) -> Family:
-    """Family of an IP address string; raises ValueError for junk."""
-    return Family.V4 if ipaddress.ip_address(address).version == 4 else Family.V6
 
 
 class Kind(Enum):
@@ -81,13 +67,10 @@ class MissingPseudoHeader(CodecError):
     """ICMPv6 checksums cover the pseudo-header; addresses are required."""
 
 
-@dataclass(slots=True)
-class DecodedMessage:
+class DecodedMessage(NamedTuple):
     """Result of decode_message; checksum_ok is a soft flag, never fatal."""
 
     kind: Kind
-    icmp_type: int
-    icmp_code: int
     checksum: int
     identifier: int | None
     sequence: int | None
@@ -261,7 +244,7 @@ def decode_message(data: bytes, family: Family, *, source: str | None = None,
     """
     if len(data) < HEADER_LEN:
         raise Truncated(f"{len(data)}-byte message below minimal header")
-    icmp_type, code, cksum, field1, field2 = ICMP_HEADER.unpack_from(data)
+    icmp_type, _, cksum, field1, field2 = ICMP_HEADER.unpack_from(data)
     kind = _KIND_BY_TYPE.get((family, icmp_type), Kind.OTHER)
     if family is Family.V4:
         checksum_ok = internet_checksum(data) == 0
@@ -273,10 +256,7 @@ def decode_message(data: bytes, family: Family, *, source: str | None = None,
     payload = data[HEADER_LEN:]
     if kind is Kind.TIME_EXCEEDED:
         identifier, sequence = _parse_quoted_request(payload, family) or (None, None)
-        return DecodedMessage(kind, icmp_type, code, cksum, identifier, sequence,
-                              payload, checksum_ok)
+        return DecodedMessage(kind, cksum, identifier, sequence, payload, checksum_ok)
     if kind in (Kind.ECHO_REQUEST, Kind.ECHO_REPLY):
-        return DecodedMessage(kind, icmp_type, code, cksum, field1, field2,
-                              payload, checksum_ok)
-    return DecodedMessage(Kind.OTHER, icmp_type, code, cksum, None, None,
-                          payload, checksum_ok)
+        return DecodedMessage(kind, cksum, field1, field2, payload, checksum_ok)
+    return DecodedMessage(Kind.OTHER, cksum, None, None, payload, checksum_ok)

@@ -10,13 +10,11 @@ drives; run_relation_worker is the blocking driver for one worker.
 from __future__ import annotations
 
 import heapq
-import logging
 import random
 import select
 import socket
 import time
-from dataclasses import dataclass
-from typing import Callable, Protocol
+from typing import Callable, NamedTuple, Protocol
 
 from . import icmp
 from .config import ProbeSchedule, RelationKey, TransportFailure
@@ -24,7 +22,13 @@ from .icmp import Family
 from .records import (STATUS_ECHO_REPLY, STATUS_TIME_EXCEEDED, STATUS_TIMEOUT,
                       Hop, PingRecord, TracerouteRun)
 
-log = logging.getLogger(__name__)
+
+def _warn(message: str, *args) -> None:
+    """A warning on this module's logger. logging is imported at the first
+    one, so a run that meets nothing to report never loads it."""
+    import logging
+    logging.getLogger(__name__).warning(message, *args, stacklevel=2)
+
 
 PING_TTL = 64
 SEQUENCE_SPACE = 0x10000
@@ -101,8 +105,8 @@ class TracerouteProbeRun:
             return False
         ttl = self._pending.pop(key)
         if not decoded.checksum_ok:
-            log.warning("checksum mismatch on %s reply from %s (kept)",
-                        self.relation.destination_address, source)
+            _warn("checksum mismatch on %s reply from %s (kept)",
+                  self.relation.destination_address, source)
         self._resolved[ttl] = (status, source, t_us - self._send_time[ttl])
         return True
 
@@ -132,11 +136,9 @@ class TracerouteProbeRun:
                              self.round_index, tuple(hops))
 
 
-@dataclass(slots=True)
-class _PendingPing:
+class _PendingPing(NamedTuple):
     destination: str
     sent_us: int
-    deadline_us: int
 
 
 class RecordSink(Protocol):
@@ -265,8 +267,7 @@ class SourceWorker:
                 self._enter_backoff(now_us, exc)
                 return
             deadline = sent + self.schedule.reply_timeout_us
-            self._pending[seq] = _PendingPing(relation.destination_address,
-                                              sent, deadline)
+            self._pending[seq] = _PendingPing(relation.destination_address, sent)
             heapq.heappush(self._deadlines, (deadline, seq))
 
     def _match_ping(self, data: bytes, source: str, t_us: int) -> None:
@@ -342,13 +343,13 @@ class SourceWorker:
     # -- failure handling ---------------------------------------------------
 
     def _enter_backoff(self, now_us: int, exc: Exception) -> None:
-        log.warning("transport failure on %s: %s; backing off %.1f s",
-                    self.source_address, exc, self._backoff_us / 1e6)
+        _warn("transport failure on %s: %s; backing off %.1f s",
+              self.source_address, exc, self._backoff_us / 1e6)
         if self._active is not None:
             # Partial run: probes beyond the failure were never sent, so a
             # record would fabricate timeouts. Drop it loudly.
-            log.warning("discarding interrupted traceroute run to %s",
-                        self._active.relation.destination_address)
+            _warn("discarding interrupted traceroute run to %s",
+                  self._active.relation.destination_address)
             self._active = None
         self._cycle_queue = []
         self._backoff_until = now_us + self._backoff_us
@@ -360,8 +361,7 @@ class SourceWorker:
         except TransportFailure as exc:
             self._backoff_until = now_us + self._backoff_us
             self._backoff_us = min(self._backoff_us * 2, _BACKOFF_CAP_US)
-            log.warning("transport rebuild failed on %s: %s",
-                        self.source_address, exc)
+            _warn("transport rebuild failed on %s: %s", self.source_address, exc)
             return
         self._backoff_until = None
         self._backoff_us = _BACKOFF_INITIAL_US

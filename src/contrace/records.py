@@ -30,7 +30,6 @@ import ipaddress
 import json
 import sys
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
@@ -288,28 +287,31 @@ def parse_line(line: str) -> Record:
     return from_json_obj(_loads(line))
 
 
-@dataclass(frozen=True, slots=True)
-class StoreQuery:
-    """Filter for store reads; time_range is [start, end) in microseconds.
-
-    source and destination match any spelling of an address: they are kept
-    in canonical form, as stored records are."""
-
+class _QueryFields(NamedTuple):
     kind: str
     start: int | None = None
     end: int | None = None
     source: str | None = None
     destination: str | None = None
 
-    def __post_init__(self):
+
+class StoreQuery(_QueryFields):
+    """Filter for store reads; time_range is [start, end) in microseconds.
+
+    source and destination match any spelling of an address: they are kept
+    in canonical form, as stored records are."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in (KIND_PING, KIND_TRACEROUTE):
             raise ValueError(f"unknown record kind {self.kind!r}")
         if self.start is not None and self.end is not None and self.start >= self.end:
             raise ValueError("time range start must be < end")
-        for name in ("source", "destination"):
-            address = getattr(self, name)
-            if address is not None:
-                object.__setattr__(self, name, canonical_address(address))
+        source, destination = (None if address is None else canonical_address(address)
+                               for address in (self.source, self.destination))
+        return self._replace(source=source, destination=destination)
 
     def matches_pair(self, source: str, destination: str) -> bool:
         return ((self.source is None or source == self.source)

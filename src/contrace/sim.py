@@ -17,8 +17,8 @@ import heapq
 import itertools
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import icmp, probe
 from .config import ProbeSchedule, RelationKey, TransportFailure, load_yaml
@@ -36,31 +36,23 @@ class TopologyError(Exception):
     """Invalid topology definition."""
 
 
-@dataclass(frozen=True, slots=True)
-class RouterSpec:
+class RouterSpec(NamedTuple):
     name: str
     address: str
-    asn: int | None = None
-    country: str | None = None
-    lat: float | None = None
-    lon: float | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class Policy:
+class Policy(NamedTuple):
     kind: str = POLICY_RESPONSIVE
     rate: int = 0  # responses per simulated second, rate_limit only
 
 
-@dataclass(frozen=True, slots=True)
-class SimEvent:
+class SimEvent(NamedTuple):
     at_us: int
     action: str
     params: tuple
 
 
-@dataclass(slots=True)
-class SimTopology:
+class SimTopology(NamedTuple):
     routers: dict[str, RouterSpec]
     links: dict[tuple[str, str], int]
     ecmp: dict[str, dict[str, tuple[str, ...]]]
@@ -114,10 +106,7 @@ def topology_from_dict(doc: dict) -> SimTopology:
     for name, spec in (doc.get("routers") or {}).items():
         if not isinstance(spec, dict) or "address" not in spec:
             raise TopologyError(f"router {name} needs an address")
-        routers[name] = RouterSpec(
-            name=name, address=str(spec["address"]),
-            asn=spec.get("asn"), country=spec.get("country"),
-            lat=spec.get("lat"), lon=spec.get("lon"))
+        routers[name] = RouterSpec(name, str(spec["address"]))
     links = {}
     for entry in doc.get("links") or []:
         links[(entry["from"], entry["to"])] = int(entry["latency_us"])
@@ -173,8 +162,7 @@ class VirtualClock:
         self._now = t_us
 
 
-@dataclass(slots=True)
-class Outcome:
+class Outcome(NamedTuple):
     """Fate of one forwarded packet (exactly one per probe)."""
 
     kind: str  # delivered | time_exceeded | dropped
@@ -358,8 +346,8 @@ class SimNetwork:
         path = walk.path
         if 0 < ttl < walk.expires_before:
             latency = walk.latencies[ttl]
-            return Outcome("time_exceeded", path[ttl], t_us + latency, latency,
-                           path=path[:ttl + 1])
+            return Outcome("time_exceeded", path[ttl], t_us + latency, latency, "",
+                           path[:ttl + 1])
         return Outcome(walk.kind, walk.node, t_us + walk.latency, walk.latency,
                        walk.reason, path)
 

@@ -15,7 +15,6 @@ import fcntl
 import heapq
 import itertools
 import json
-import logging
 import os
 import re
 import threading
@@ -29,7 +28,13 @@ from .records import (KIND_PING, KIND_TRACEROUTE, InvalidRecord, MalformedJson, 
                       PingRecord, Record, StoreError, StoreQuery, TracerouteRun, _loads,
                       _splitlines, from_json_obj, parse_line, to_json_obj)
 
-log = logging.getLogger(__name__)
+
+def _warn(message: str, *args) -> None:
+    """A warning on this module's logger. logging is imported at the first
+    one, so a read that meets nothing to report never loads it."""
+    import logging
+    logging.getLogger(__name__).warning(message, *args, stacklevel=2)
+
 
 # -- segment files -------------------------------------------------------------
 
@@ -208,8 +213,8 @@ class RecordStore:
             if match is None:
                 if name not in self._warned:
                     self._warned.add(name)
-                    log.warning("ignoring %s: not a <kind>-<id>.ndjson or <kind>-<id>.col "
-                                "segment", self.path / name)
+                    _warn("ignoring %s: not a <kind>-<id>.ndjson or <kind>-<id>.col "
+                          "segment", self.path / name)
                 continue
             if kind is not None and match["kind"] != kind:
                 continue
@@ -239,8 +244,11 @@ class RecordStore:
             if path is None:
                 try:
                     fp = files.enter_context(stem.paths[_NDJSON].open("rb"))
-                except FileNotFoundError:  # a writer has sealed it since
-                    path = self.path / (stem.stem + columnar.SUFFIX)
+                except FileNotFoundError:
+                    if stem.left_open and stem.id is None:
+                        raise StoreError(f"{stem.paths[_NDJSON]}: a writer renamed it to the "
+                                         f"next id while this read listed it") from None
+                    path = self.path / (stem.stem + columnar.SUFFIX)  # a writer sealed it
                 else:
                     stat = os.fstat(fp.fileno())
                     if stem.id is None:
@@ -320,7 +328,7 @@ class RecordStore:
             try:
                 columnar.Segment.load(twin, kind).check()
             except StoreError as exc:
-                log.warning("rebuilding %s from %s: %s", twin, ndjson, exc)
+                _warn("rebuilding %s from %s: %s", twin, ndjson, exc)
             else:
                 ndjson.unlink()
                 return
@@ -330,11 +338,10 @@ class RecordStore:
             try:
                 segment = _decode(_lines_within(fp, end, stem.left_open), kind, ndjson)
             except StoreError as exc:
-                log.warning("%s stays NDJSON: %s", ndjson, exc)
+                _warn("%s stays NDJSON: %s", ndjson, exc)
                 return
             if fp.tell() < end:
-                log.warning("%s: dropped a torn last line of %d bytes", ndjson,
-                            end - fp.tell())
+                _warn("%s: dropped a torn last line of %d bytes", ndjson, end - fp.tell())
                 fp.truncate(fp.tell())
         if segment.count:
             self._write_columns(stem.stem, segment)
@@ -347,7 +354,7 @@ class RecordStore:
         try:
             segment = columnar.Segment.load(path, kind)
         except StoreError as exc:
-            log.warning("%s stays version 1: %s", path, exc)
+            _warn("%s stays version 1: %s", path, exc)
             return
         self._write_columns(stem, segment)
 

@@ -495,11 +495,19 @@ def test_importing_the_cli_leaves_the_command_modules_unloaded():
 
 
 def test_store_commands_import_no_probing_code(sim_store, tmp_path):
-    """analyze, export and import never load the probe engine or its
-    sockets, and rtt-series (as cdf) never loads enrichment. Each command
-    runs in a process of its own."""
+    """analyze, export and import never load the probe engine, its sockets,
+    icmp, dataclasses or logging, and rtt-series (as cdf) never loads
+    enrichment. Each command runs in a process of its own and counts the
+    modules it adds to those loaded before `from contrace import cli`, so a
+    module that site preloads cannot fail the check. inter-as,
+    export-stray and measure show that the check sees enrich and each
+    module it rules out but dataclasses, which no module imports
+    (test_no_module_imports_dataclasses); a module preloaded before the
+    snapshot fails them instead of hiding a regression."""
     _, config, store_path = sim_store
     dumped = tmp_path / "dump.ndjson"
+    (tmp_path / "stray").mkdir()
+    (tmp_path / "stray" / "notes.col").write_bytes(b"")
     commands = {
         "rtt-series": ["analyze", "--config", str(config), "--store", str(store_path),
                        "--artifact", "rtt-series", "--relation", "v4:SUNET:Uninett",
@@ -508,21 +516,73 @@ def test_store_commands_import_no_probing_code(sim_store, tmp_path):
                      "--artifact", "inter-as", "--out", str(tmp_path / "inter-as.txt")],
         "export": ["export", "--store", str(store_path), "--out", str(dumped)],
         "import": ["import", "--store", str(tmp_path / "imported"), str(dumped)],
+        "export-stray": ["export", "--store", str(tmp_path / "stray"),
+                         "--out", str(tmp_path / "stray.ndjson")],
+        "measure": ["measure", "--config", str(config), "--mode", "sim",
+                    "--topology", str(FIXTURES / "neighbor.yaml"), "--duration", "60",
+                    "--store", str(tmp_path / "measured")],
     }
-    code = ("import json, sys\nfrom contrace import cli\ncode = cli.main(sys.argv[1:])\n"
-            "print(json.dumps([code, sorted(sys.modules)]))")
+    code = ("import json, sys\nbefore = set(sys.modules)\nfrom contrace import cli\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "print(json.dumps([code, sorted(set(sys.modules) - before)]))")
     src = Path(cli.__file__).resolve().parents[1]
-    loaded = {}
+    added = {}
     for name, argv in commands.items():
         result = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
                                 text=True, env={**os.environ, "PYTHONPATH": str(src)},
                                 check=True)
-        exit_code, loaded[name] = json.loads(result.stdout.splitlines()[-1])
+        exit_code, loaded = json.loads(result.stdout.splitlines()[-1])
         assert exit_code == EXIT_OK, (name, result.stderr)
-        assert not {"contrace.probe", "contrace.sim", "socket", "select"} & \
-            set(loaded[name]), name
-    assert "contrace.enrich" not in loaded["rtt-series"]
-    assert "contrace.enrich" in loaded["inter-as"]  # the check can see a module
+        added[name] = set(loaded)
+    probing = {"contrace.probe", "contrace.sim", "contrace.icmp", "socket", "select"}
+    for name in ("rtt-series", "inter-as", "export", "import"):
+        assert not (probing | {"dataclasses", "logging"}) & added[name], name
+    assert "contrace.enrich" not in added["rtt-series"]
+    assert "contrace.enrich" in added["inter-as"]
+    assert "logging" in added["export-stray"]
+    assert probing <= added["measure"]
+
+
+def test_no_module_imports_dataclasses():
+    """Value types are NamedTuples and mutable state is a plain __slots__
+    class: dataclasses costs every command its import and the code it
+    generates per class."""
+    import ast
+    package = Path(cli.__file__).resolve().parent
+    importers = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.partition(".")[0] == "dataclasses" for name in names):
+                importers.append(path.name)
+    assert len(list(package.glob("*.py"))) > 5
+    assert importers == []
+
+
+def test_lazy_logging_still_warns_where_nothing_configured_it(tmp_path):
+    """logging is imported at the first warning. A writer that recovers a
+    segment with a torn last line still prints the warning on stderr, by
+    logging's last-resort handler, in a process where nothing has
+    configured logging."""
+    store = tmp_path / "store"
+    store.mkdir()
+    kept, added = (serialize_line(PingRecord(ts, "10.0.0.1", "10.0.0.2", 0)) for ts in (5, 6))
+    (store / "ping-1.ndjson").write_text(kept + added[:30])
+    src = Path(cli.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys; from contrace import cli; "
+         "sys.exit(cli.main(sys.argv[1:]))", "import", "--store", str(store), "-"],
+        input=added, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert result.stderr == f"{store / 'ping-1.ndjson'}: dropped a torn last line of 30 bytes\n"
+    dump = io.StringIO()
+    RecordStore(store).export(dump)
+    assert dump.getvalue() == kept + added
 
 
 def test_config_and_topology_yaml_parse_alike_with_and_without_libyaml(tmp_path):

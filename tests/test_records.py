@@ -777,6 +777,30 @@ class TestSegments:
         assert reader.query(StoreQuery("ping")) == [ping(ts=5), ping(ts=6)]
         assert [p.name for p in tmp_path.glob("ping-*")] == ["ping-1.col"]
 
+    def test_a_reader_whose_listed_old_open_ndjson_is_renamed_fails_naming_it(
+            self, tmp_path, monkeypatch):
+        """A writer's recovery gives a segment left open under an old name
+        the next id while a read lists it. The read fails naming the file it
+        listed, not a columnar twin that was never written, and the next
+        read finds the segment under its id."""
+        write_old_segment(tmp_path / "ping-5-open.ndjson", [ping(ts=5), ping(ts=6)])
+        reader = RecordStore(tmp_path)
+        scan = reader._scan
+
+        def scan_then_recover(kind=None):
+            listed = scan(kind)
+            with RecordStore(tmp_path) as writer:
+                writer.append(run(ts=100))  # renames ping-5-open.ndjson to ping-1
+            return listed
+
+        monkeypatch.setattr(reader, "_scan", scan_then_recover)
+        with pytest.raises(StoreError, match=r"ping-5-open\.ndjson: a writer renamed it "
+                                             r"to the next id while this read listed it"):
+            reader.query(StoreQuery("ping"))
+        monkeypatch.undo()
+        assert reader.query(StoreQuery("ping")) == [ping(ts=5), ping(ts=6)]
+        assert sorted(p.name for p in tmp_path.glob("ping-*")) == ["ping-1.col"]
+
     @pytest.mark.parametrize("cut", [30, -1], ids=["torn", "no-newline"])
     def test_recovery_truncates_a_torn_last_line(self, tmp_path, caplog, cut):
         kept = serialize_line(ping(ts=5)) + serialize_line(ping(ts=6))
