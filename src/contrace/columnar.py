@@ -43,8 +43,8 @@ blocks, still load (see legacy): they are read and checked whole, then
 partitioned by pair into blocks, keeping row order. A writer's recovery
 rewrites them as version 2.
 
-An NDJSON segment is read in the same form: its decoded records are added
-to a Segment held in memory.
+An NDJSON segment is read in the same form: its lines are added to a
+Segment held in memory, with no JSON decode where they have a known shape.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ from __future__ import annotations
 import heapq
 import json
 import os
+import re
 import struct
 import sys
 import zlib
@@ -114,6 +115,22 @@ def _run_format(prefix: str, statuses: Sequence[int],
                                                           status)
         for hop, (status, address) in enumerate(zip(statuses, addresses), 1))
     return prefix + ',"round":%d,"hops":[' + hops + ']}\n'
+
+
+_split_numbers = None  # compiled at the first shape(), so a read compiles nothing
+
+
+def shape(line: str) -> tuple[str, list[str]]:
+    """(shape, parts): line with the digits of each timestamp, round and rtt
+    replaced by %d, as in a %-format above, and line split around them
+    (parts[1::2]). Only 1 to 18 digits with no leading zero, or a 0 but for
+    a timestamp, followed by "," or "}", count: others stay in the shape."""
+    global _split_numbers
+    if _split_numbers is None:
+        _split_numbers = re.compile(
+            r'":(?:(?<=mp":)(?!0)|(?<=nd":|tt":))(0|[1-9][0-9]{0,17})(?=[,}])').split
+    parts = _split_numbers(line)
+    return '":%d'.join(parts[::2]), parts
 
 
 def write(path: Path, segment: Segment) -> None:
@@ -268,7 +285,7 @@ class Segment:
     # segment has no per-object dict, and a loaded one holds none of the
     # indexes only add() and line() use
     __slots__ = ("kind", "path", "count", "min", "max", "last", "ties", "blocks", "keys",
-                 "widths", "_paths", "_blocks", "_path_ids", "_formats", "_tie",
+                 "widths", "_paths", "_blocks", "_path_ids", "_formats", "_shapes", "_tie",
                  "_tie_counts", "_swap")
 
     def __init__(self, kind: str):
@@ -284,6 +301,7 @@ class Segment:
         # made by the first add() of a run and the first line()
         self._path_ids: dict[tuple[tuple, tuple], int] | None = None
         self._formats: dict[tuple, str] | None = None
+        self._shapes: dict[str, tuple] | None = None  # format -> its _formats key
         self._tie = 0  # tie rank of the row added last, while timestamps never decrease
         self._tie_counts: Counter | None = None  # rows per timestamp, once they do
         self._swap = False
@@ -301,38 +319,55 @@ class Segment:
 
     def line(self, record: Record) -> str:
         """The canonical line of record, from a %-format kept per pair and
-        ping status or per pair and path."""
+        ping status or per pair and path. A new format is also a shape (row)
+        unless an address holds a "%": its "%%" would match a line's "%%"."""
         pair = (record.source, record.destination)
-        if self._formats is None:
-            self._formats = {}
         if self.kind == KIND_PING:
             key = (pair, record.status)
-            line = self._formats.get(key)
-            if line is None:
-                line = self._formats[key] = _ping_format(_pair_prefix(*pair), record.status)
-            if record.rtt is None:
-                return line % record.timestamp
-            return line % (record.timestamp, record.rtt)
-        _, statuses, addresses, rtts = zip(*record.hops)
-        key = (pair, statuses, addresses)
+            ints = (record.timestamp,) if record.rtt is None else (record.timestamp, record.rtt)
+        else:
+            _, statuses, addresses, rtts = zip(*record.hops)
+            key = (pair, statuses, addresses)
+            ints = (record.timestamp, record.round, *compress(rtts, statuses))
+        if self._formats is None:
+            self._formats, self._shapes = {}, {}
         line = self._formats.get(key)
         if line is None:
-            line = self._formats[key] = _run_format(_pair_prefix(*pair), statuses, addresses)
-        return line % (record.timestamp, record.round, *compress(rtts, statuses))
+            make = _ping_format if self.kind == KIND_PING else _run_format
+            line = self._formats[key] = make(_pair_prefix(*pair), *key[1:])
+            if "%%" not in line:
+                self._shapes[line] = key
+        return line % ints
+
+    def row(self, shape: str, parts: list[str]) -> tuple | None:
+        """add_row's arguments for a line of shape() (shape, parts) that is a
+        format of this segment, filled in with integers from_json_obj
+        accepts: the canonical line of a valid record. Else None; the parts
+        count rules out a "%d" in the line's own text."""
+        key = self._shapes.get(shape) if self._shapes else None
+        if key is None:
+            return None
+        if self.kind == KIND_PING:
+            pair, status = key
+            if status != STATUS_ECHO_REPLY:
+                return (pair, int(parts[1]), status, -1, ()) if len(parts) == 3 else None
+            return (pair, int(parts[1]), status, int(parts[3]), ()) if len(parts) == 5 else None
+        pair, statuses, addresses = key
+        if len(parts) != 5 + 2 * (len(statuses) - statuses.count(STATUS_TIMEOUT)):
+            return None
+        timestamp, round_, *rtts = map(int, parts[1::2])
+        return pair, timestamp, round_, (statuses, addresses), rtts
 
     def _tie_rank(self, timestamp: int) -> int:
-        """The tie rank of a row added at timestamp: a running count while
-        the segment's timestamps never decrease; from the first that does,
-        a count per timestamp, of the rows so far."""
+        """The tie rank of a row added at timestamp but at a new maximum: a
+        running count while the segment's timestamps never decrease; from
+        the first that does, a count per timestamp, of the rows so far."""
         counts = self._tie_counts
         if counts is None:
             if timestamp == self.last:
                 self._tie += 1
                 self.ties = True
                 return self._tie
-            if self.last is None or timestamp > self.last:
-                self._tie = 0
-                return 0
             counts = self._tie_counts = Counter(
                 chain.from_iterable(block.columns[0] for block in self.blocks))
         tie = counts[timestamp]
@@ -342,41 +377,49 @@ class Segment:
         return tie
 
     def add(self, record: Record) -> None:
-        """Append record's row to its pair's block, keeping the counts,
-        minima, maxima, sorted and the tie ranks current."""
+        """Append record's row to its pair's block (add_row)."""
         pair = (record.source, record.destination)
+        if self.kind == KIND_PING:
+            self.add_row(pair, record.timestamp, record.status,
+                         -1 if record.rtt is None else record.rtt, ())
+        else:  # a hop has an rtt iff its status is not 0
+            _, statuses, addresses, rtts = zip(*record.hops)
+            self.add_row(pair, record.timestamp, record.round, (statuses, addresses),
+                         list(compress(rtts, statuses)))
+
+    def add_row(self, pair: tuple[str, str], timestamp: int, third: int, fourth,
+                rtts: Sequence[int]) -> None:
+        """Append a valid record's row to pair's block, keeping the counts,
+        minima, maxima, sorted and the tie ranks current: a ping's timestamp,
+        status and rtt (-1 for none), or a run's timestamp, round, path key
+        (statuses, addresses) and responsive hops' rtts."""
         block = self._blocks.get(pair)
         if block is None:
             block = self._blocks[pair] = Block(pair, [array("b")
                                                       for _ in _COLUMN_NAMES[self.kind]])
             self.blocks.append(block)
-        timestamp = record.timestamp
-        tie = self._tie_rank(timestamp)
-        if self.kind == KIND_PING:
-            rtt = record.rtt
-            row = (timestamp, tie, record.status, -1 if rtt is None else rtt)
-            rtts = ()
+        if self._tie_counts is None and (self.last is None or timestamp > self.last):
+            tie = self._tie = 0
         else:
-            _, statuses, addresses, hop_rtts = zip(*record.hops)
-            key = (statuses, addresses)
+            tie = self._tie_rank(timestamp)
+        if self.kind == KIND_TRACEROUTE:  # fourth is the path key: store its id
             if self._path_ids is None:
                 self._path_ids = {}
-            path_id = self._path_ids.get(key)
-            if path_id is None:
-                path_id = self._path_ids[key] = len(self.keys)
+            key, fourth = fourth, self._path_ids.get(fourth)
+            if fourth is None:
+                fourth = self._path_ids[key] = len(self.keys)
                 self.keys.append(key)
-                self.widths.append(len(statuses) - statuses.count(STATUS_TIMEOUT))
-            row = (timestamp, tie, record.round, path_id)
-            rtts = list(compress(hop_rtts, statuses))  # a hop has an rtt iff status > 0
+                self.widths.append(len(key[0]) - key[0].count(STATUS_TIMEOUT))
         columns = block.columns
         n, rtts_before = block.count, len(columns[-1])
         try:
-            columns[0].append(row[0])
-            columns[1].append(row[1])
-            columns[2].append(row[2])
-            columns[3].append(row[3])
+            columns[0].append(timestamp)
+            columns[1].append(tie)
+            columns[2].append(third)
+            columns[3].append(fourth)
             columns[-1].extend(rtts)
         except OverflowError:
+            row = (timestamp, tie, third, fourth)
             for column in columns[:len(row)]:
                 del column[n:]
             del columns[-1][rtts_before:]

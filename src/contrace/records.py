@@ -279,7 +279,7 @@ def from_json_obj(obj) -> Record:
 def _loads(line: str):
     try:
         return json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also too many digits or too deep
         raise MalformedJson(f"invalid JSON: {exc}") from None
 
 
@@ -380,17 +380,16 @@ class PathRuns:
 
 
 def _splitlines(chunks: Iterable[str]) -> Iterator[str]:
-    """The lines of str.splitlines over the concatenation of chunks, each
-    yielded once it is complete. A chunk's last line is held back unless it
-    ends in "\\n": the next chunk may continue it, or turn its "\\r" into
-    "\\r\\n"."""
+    """The lines of str.splitlines(True) over the concatenation of chunks,
+    each yielded once it is complete. A chunk's last line is held back
+    unless it ends in "\\n": the next chunk may continue it, or turn its
+    "\\r" into "\\r\\n"."""
     rest = ""
     for chunk in chunks:
         lines = (rest + chunk).splitlines(True)
         rest = "" if not lines or lines[-1].endswith("\n") else lines.pop()
-        for line in lines:
-            yield line[:-2] if line.endswith("\r\n") else line[:-1]
-    yield from rest.splitlines()
+        yield from lines
+    yield from rest.splitlines(True)
 
 
 def __getattr__(name: str):

@@ -5,8 +5,8 @@ kind's segments load in the order they were begun. The active segment is
 NDJSON; sealing turns a segment into a columnar file (see columnar). Every
 read takes each segment as a columnar.Segment: a columnar file is loaded
 as one, reading its header and then only the blocks the read selects, and
-an NDJSON segment's lines are decoded into one held in memory.
-RecordStore is also importable from contrace.records.
+an NDJSON segment's lines are added to one held in memory, by shape or
+decoded. RecordStore is also importable from contrace.records.
 """
 
 from __future__ import annotations
@@ -85,22 +85,29 @@ def _file_id(stat: os.stat_result) -> tuple[int, int]:
 
 
 def _decode(lines: Iterable[bytes], kind: str, path: Path) -> columnar.Segment:
-    """A Segment of an NDJSON segment's lines, each decoded and validated;
-    blank lines are skipped, but counted in the line numbers errors name.
-    The StoreError raised for a bad line names the file and the line."""
+    """A Segment of an NDJSON segment's lines, each validated, by shape
+    (Segment.row) or decoded; blank lines are skipped, but counted in the
+    line numbers errors name. The StoreError raised names file and line."""
     segment = columnar.Segment(kind)
     for number, line in enumerate(lines, 1):
         if line.isspace():
             continue
         try:
-            record = parse_line(line.decode("utf-8"))
+            line = line.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise StoreError(f"{path}:{number}: not UTF-8: {exc}") from None
+        row = segment.row(*columnar.shape(line))
+        if row is not None:
+            segment.add_row(*row)
+            continue
+        try:
+            record = parse_line(line)
         except StoreError as exc:
             raise StoreError(f"{path}:{number}: {exc}") from exc
         if _kind_of(record) != kind:
             raise StoreError(f"{path}:{number}: a {_kind_of(record)} record in a "
                              f"{kind} segment")
+        segment.line(record)  # learns its shape
         segment.add(record)
     return segment
 
@@ -108,7 +115,7 @@ def _decode(lines: Iterable[bytes], kind: str, path: Path) -> columnar.Segment:
 def _is_json(line: bytes) -> bool:
     try:
         json.loads(line)
-    except ValueError:
+    except (ValueError, RecursionError):
         return False
     return True
 
@@ -402,6 +409,23 @@ class RecordStore:
             if seg.segment.count >= self.segment_records:
                 self._seal(kind)
 
+    def _write_line(self, line: str) -> bool:
+        """Persist a line of a shape an active segment knows, as _write does
+        its record; False, writing nothing, for any other line."""
+        shape, parts = columnar.shape(line)
+        with self._lock:
+            for kind, seg in self._active.items():
+                row = seg.segment.row(shape, parts)
+                if row is not None:
+                    seg.fp.write(line.encode())
+                    seg.fp.flush()
+                    seg.segment.add_row(*row)
+                    self.written[kind] += 1
+                    if seg.segment.count >= self.segment_records:
+                        self._seal(kind)
+                    return True
+        return False
+
     def close(self) -> None:
         """Seal the active segments and release the writer lock."""
         with self._lock:
@@ -480,19 +504,21 @@ class RecordStore:
         """Ingest newline-delimited or array-wrapped JSON documents.
 
         Returns (accepted count, [(document index, reason), ...]); rejected
-        documents are reported, never silently skipped. Each document is
-        decoded once, by from_json_obj, and written as decoded.
+        documents are reported, never silently skipped. A line of a shape
+        an active segment knows is written as it is (_write_line); any other
+        document is decoded once, by from_json_obj, and written as decoded.
 
-        Newline-delimited input is read, and each document stored, one line
-        at a time; only input whose first non-blank character is "[" is read
-        whole. An array's documents are indexed by position; otherwise the
-        documents and their indexes are the lines of str.splitlines over
-        the whole input, blank lines counted. A line holding a lone
-        surrogate, which reading bytes that are not UTF-8 with
+        Newline-delimited input is read in chunks, and each document stored
+        one line at a time; only input whose first non-blank character is
+        "[" is read whole. An array's documents are indexed by position;
+        otherwise the documents and their indexes are the lines of
+        str.splitlines over the whole input, blank lines counted. A line
+        holding a lone surrogate, which reading bytes that are not UTF-8 with
         errors="surrogateescape" leaves, is rejected as "not UTF-8"; an
         array holding one is rejected whole, at index 0.
         """
-        chunks = iter(stream)
+        chunks = iter(lambda: stream.read(1 << 13), "") if hasattr(stream, "read") \
+            else iter(stream)
         head = []
         for chunk in chunks:
             head.append(chunk)
@@ -507,20 +533,22 @@ class RecordStore:
                 documents = enumerate(json.loads(text))
             except UnicodeEncodeError:
                 return 0, [(0, "not UTF-8")]
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:  # also too many digits or too deep
                 return 0, [(0, f"invalid JSON array: {exc}")]
         else:
-            documents = ((i, line) for i, line in
-                         enumerate(_splitlines(itertools.chain((head,), chunks)))
-                         if line.strip())
+            documents = enumerate(_splitlines(itertools.chain((head,), chunks)))
         rejects: list[tuple[int, str]] = []
         accepted = 0
         for i, document in documents:
             try:
-                if not is_array:
+                if is_array:
+                    self._write(from_json_obj(document))
+                elif not self._write_line(document):
+                    document = document.splitlines()[0]
+                    if not document.strip():
+                        continue
                     document.encode()  # raises for a byte that was not UTF-8
-                    document = _loads(document)
-                self._write(from_json_obj(document))
+                    self._write(from_json_obj(_loads(document)))
                 accepted += 1
             except UnicodeEncodeError:
                 rejects.append((i, "not UTF-8"))

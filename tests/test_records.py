@@ -453,7 +453,7 @@ class TestStore:
         for text in (MIXED_NDJSON, "a\r", "a\r\n\rb\n\n", "\r\n", ""):
             for cut in range(len(text) + 1):
                 assert list(records._splitlines([text[:cut], text[cut:]])) == \
-                    text.splitlines(), (text, cut)
+                    text.splitlines(True), (text, cut)
 
     def test_import_reads_array_input_whole(self, tmp_path):
         docs = [records.to_json_obj(ping(ts=i + 1)) for i in range(3)]
@@ -653,6 +653,187 @@ class TestStore:
             for i in range(1_000_000):
                 store.append(rec)
             assert store.count("ping") == 1_000_000
+
+
+# Lines json.loads fails on with a ValueError or RecursionError of its own,
+# not a JSONDecodeError: an integer too long for int() under Python's default
+# limit of 4300 digits (in the shape of a canonical line), and deep nesting.
+HUGE_RTT = ('{"timestamp":5,"source":"10.0.0.1","destination":"10.1.0.1","status":255,'
+            '"rtt":' + "4" * 5000 + '}\n')
+DEEP = "[" * 100_000 + "\n"
+UNPARSED = [pytest.param(HUGE_RTT, "Exceeds the limit", id="huge-integer",
+                         marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                                  reason="no int() digit limit")),
+            pytest.param(DEEP, "maximum recursion depth exceeded", id="deep-nesting")]
+NUMBER_SPELLINGS = ["0{}", "-1", "1.0", "1e3", "9" * 19, "1" + "0" * 18, "0", "%d", "",
+                    "{} ", "{}0"]
+
+
+@st.composite
+def shaped_lines(draw):
+    """Canonical lines of a few drawn records, then lines of their shapes:
+    canonical lines of other timestamps, some tied, and mutated lines. A
+    mutation spells a timestamp, round or rtt otherwise (a leading zero,
+    -1, 1.0, 1e3, 19 digits, 0, a literal %d, no value), adds a field,
+    swaps two keys, adds a space, writes a v6 address in upper case, ends
+    the line in a carriage return, or doubles a "%"."""
+    bases = [records.from_json_obj(doc)
+             for doc in draw(st.lists(valid_documents(), min_size=1, max_size=4))]
+    lines = [serialize_line(record) for record in bases]
+    for _ in range(draw(st.integers(1, 12))):
+        record = draw(st.sampled_from(bases))
+        line = serialize_line(record._replace(timestamp=draw(st.sampled_from([1, 7, 10**17]))))
+        mutation = draw(st.sampled_from([None, None, "number", "number", "field", "swap",
+                                         "space", "upper", "cr", "percent"]))
+        if mutation == "number":
+            number = draw(st.sampled_from(list(re.finditer(
+                r'"(?:timestamp|round|rtt)":([0-9]+)', line))))
+            spelled = draw(st.sampled_from(NUMBER_SPELLINGS)).format(number[1])
+            line = line[:number.start(1)] + spelled + line[number.end(1):]
+        elif mutation == "field":
+            line = line[:-2] + ',"color":"red"}\n'
+        elif mutation == "swap":
+            line = re.sub(r'("source":"[^"]*"),("destination":"[^"]*")', r"\2,\1", line)
+        elif mutation == "space":
+            separator = draw(st.sampled_from(["{", ",", ":"]))
+            line = line.replace(separator, separator + " ", 1)
+        elif mutation == "upper":
+            line = line.replace("db8", "DB8").replace("ffff", "FFFF")
+        elif mutation == "cr":
+            line = line[:-1] + draw(st.sampled_from(["\r", "\r\n"]))
+        elif mutation == "percent":
+            line = line.replace("%", "%%")
+        lines.append(line)
+    return lines
+
+
+def _reference_import(text: str):
+    """(accepted, rejects) and the export of importing text, each line
+    decoded on its own by json.loads and the reference decoder."""
+    stored, rejects = [], []
+    for i, line in enumerate(text.splitlines()):
+        if not line.strip():
+            continue
+        try:
+            document = json.loads(line)
+        except ValueError as exc:
+            rejects.append((i, f"invalid JSON: {exc}"))
+            continue
+        try:
+            stored.append(oracles.reference_decode(document))
+        except (MalformedJson, InvalidRecord) as exc:
+            rejects.append((i, str(exc)))
+    stored.sort(key=lambda record: (record.timestamp, isinstance(record, TracerouteRun)))
+    return (len(stored), rejects), "".join(map(serialize_line, stored))
+
+
+class TestImportByShape:
+    """import adds a canonical line whose shape its segment has seen as a
+    row, with no JSON decode; every other line is decoded as before."""
+
+    @staticmethod
+    def _import_matches_the_reference(lines, segment_records):
+        """With few records to a segment, shapes are learned again after
+        each seal; the export while the writer is open reads the NDJSON
+        segments by shape too."""
+        text = "".join(lines)
+        expected, exported = _reference_import(text)
+        with tempfile.TemporaryDirectory() as path:
+            with RecordStore(path, segment_records=segment_records) as store:
+                assert store.import_json(io.StringIO(text)) == expected
+                dump = io.StringIO()
+                store.export(dump)
+                assert dump.getvalue() == exported
+            dump = io.StringIO()
+            RecordStore(path).export(dump)
+        assert dump.getvalue() == exported
+
+    @settings(max_examples=150, deadline=None)
+    @given(lines=shaped_lines(), segment_records=st.sampled_from([100_000, 3]))
+    def test_import_matches_decoding_each_line_on_its_own(self, lines, segment_records):
+        self._import_matches_the_reference(lines, segment_records)
+
+    @pytest.mark.parametrize("base", [ping(), ping(status=0), run(rnd=2),
+                                      run(src="2001:db8::1", dst="2001:db8::2")],
+                             ids=["reply", "timeout", "run", "run-v6"])
+    @pytest.mark.parametrize("segment_records", [100_000, 2])
+    def test_every_respelled_integer_matches_decoding_each_line(self, base, segment_records):
+        """Each timestamp, round and rtt of a canonical line spelled each
+        other way, every line after a canonical one of its shape."""
+        line = serialize_line(base)
+        lines = []
+        for number in re.finditer(r'"(?:timestamp|round|rtt)":([0-9]+)', line):
+            for spelled in NUMBER_SPELLINGS:
+                lines += [line, line[:number.start(1)] + spelled.format(number[1])
+                          + line[number.end(1):]]
+        self._import_matches_the_reference(lines, segment_records)
+
+    @pytest.mark.parametrize("segment_records", [100_000, 7])
+    def test_canonical_lines_are_decoded_once_per_shape_per_segment(
+            self, tmp_path, monkeypatch, segment_records):
+        calls = []
+        for name in ("_ping_record", "_traceroute_run"):
+            def counting_decode(obj, decode=getattr(records, name)):
+                calls.append(obj)
+                return decode(obj)
+            monkeypatch.setattr(records, name, counting_decode)
+        rng = random.Random(3)
+        appended = [ping(ts=i + 1, src=rng.choice(["10.0.0.1", "10.0.0.2"]),
+                         status=rng.choice([0, 255]), rtt=rng.randrange(10**6))
+                    if rng.random() < 0.5 else
+                    run(ts=i + 1, dst=rng.choice(["10.1.0.1", "10.1.0.2"]), rnd=rng.randrange(3))
+                    for i in range(100)]
+        decodes = 0  # distinct shapes per segment: per pair and ping status or path
+        for kind in (PingRecord, TracerouteRun):
+            shapes = [(r.source, r.destination, r.status if kind is PingRecord else
+                       tuple(hop[1:3] for hop in r.hops)) for r in appended if type(r) is kind]
+            decodes += sum(len(set(shapes[i:i + segment_records]))
+                           for i in range(0, len(shapes), segment_records))
+        with RecordStore(tmp_path, segment_records=segment_records) as store:
+            assert store.import_json(io.StringIO("".join(map(serialize_line, appended)))) == \
+                (100, [])
+            assert len(calls) == decodes < 100
+        assert RecordStore(tmp_path).query(StoreQuery("ping")) + \
+            RecordStore(tmp_path).query(StoreQuery("traceroute")) == \
+            [r for kind in (PingRecord, TracerouteRun) for r in appended if type(r) is kind]
+
+    def test_a_doubled_percent_does_not_match_a_scoped_address(self, tmp_path):
+        """A format holding an address with a scope id has "%%" where the
+        canonical line has "%"; a line with "%%" there is rejected."""
+        line = serialize_line(ping(src="fe80::1%eth0", dst="fe80::2"))
+        with RecordStore(tmp_path) as store:
+            accepted, rejects = store.import_json(io.StringIO(line * 2 + line.replace("%", "%%")))
+        assert (accepted, [i for i, _ in rejects]) == (2, [2])
+        assert RecordStore(tmp_path).query(StoreQuery("ping")) == \
+            [ping(src="fe80::1%eth0", dst="fe80::2")] * 2
+
+    @pytest.mark.parametrize("line, reason", UNPARSED)
+    def test_a_line_json_loads_cannot_parse_is_rejected(self, tmp_path, line, reason):
+        text = serialize_line(ping(ts=1)) + line + serialize_line(ping(ts=2))
+        with RecordStore(tmp_path) as store:
+            accepted, rejects = store.import_json(io.StringIO(text))
+        assert (accepted, [i for i, _ in rejects]) == (2, [1])
+        assert rejects[0][1].startswith(f"invalid JSON: {reason}")
+        assert [r.timestamp for r in RecordStore(tmp_path).query(StoreQuery("ping"))] == [1, 2]
+
+    @pytest.mark.parametrize("line, reason", UNPARSED)
+    def test_an_array_json_loads_cannot_parse_is_rejected_whole(self, tmp_path, line, reason):
+        with RecordStore(tmp_path) as store:
+            accepted, rejects = store.import_json(io.StringIO(
+                "[" + serialize_line(ping(ts=1)) + "," + line + "]"))
+        assert (accepted, [i for i, _ in rejects]) == (0, [0])
+        assert rejects[0][1].startswith(f"invalid JSON array: {reason}")
+        assert RecordStore(tmp_path).count() == 0
+
+    @pytest.mark.parametrize("line, reason", UNPARSED)
+    def test_a_line_json_loads_cannot_parse_fails_reads_of_its_segment(self, tmp_path, line,
+                                                                      reason):
+        segment = tmp_path / "ping-1.ndjson"
+        segment.write_text(serialize_line(ping(ts=1)) + line)
+        for read in _reads_of_pings(RecordStore(tmp_path)):
+            with pytest.raises(StoreError, match=re.escape(
+                    f"{segment}:2: invalid JSON: {reason}")):
+                read()
 
 
 def _reads_of_pings(store):
