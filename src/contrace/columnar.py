@@ -66,7 +66,7 @@ from typing import Iterator, Sequence
 
 from .records import (KIND_PING, KIND_TRACEROUTE, STATUS_ECHO_REPLY, STATUS_TIMEOUT,
                       VALID_STATUSES, Hop, PathRuns, PingRecord, Record, StoreError,
-                      StoreQuery, TracerouteRun, _ENCODE, _new, _put, from_json_obj)
+                      StoreQuery, TracerouteRun, _ENCODE, _new, _ping, _put, _run)
 
 _MAGIC = b"contrace columns\n"
 _PREFIX = struct.Struct("<II")
@@ -190,19 +190,19 @@ def _count_at_least(value, minimum: int) -> bool:
     return type(value) is int and value >= minimum
 
 
-def _decoded(document: dict, what: str) -> Record:
-    try:
-        return from_json_obj(document)
-    except StoreError as exc:
-        raise _Corrupt(f"{what}: {exc}") from None
+def _checked(check, what: str, *fields) -> Record:
+    """check(*fields), for _ping or _run; a problem is a _Corrupt of what."""
+    problems: list[str] = []
+    record = check(*fields, problems)
+    _require(not problems, f"{what}: {'; '.join(problems)}")
+    return record
 
 
 def _checked_pair(source, destination) -> tuple[str, str]:
     """(source, destination) of a block or a version 1 pair entry, checked
     as a document's source and destination are."""
     what = f"pair {[source, destination]!r}"
-    record = _decoded({"timestamp": 1, "source": source, "destination": destination,
-                       "status": STATUS_TIMEOUT}, what)
+    record = _checked(_ping, what, 1, source, destination, STATUS_TIMEOUT, None)
     _require((record.source, record.destination) == (source, destination),
              f"{what}: addresses not canonical")
     return source, destination
@@ -213,16 +213,9 @@ def _checked_path(entry) -> tuple[tuple[int, ...], tuple[str | None, ...]]:
     hops of a document are."""
     _require(type(entry) is list and all(type(h) is list and len(h) == 3 for h in entry),
              f"path {entry!r}: expected [[hop, status, address], ...]")
-    hops = []
-    for number, status, address in entry:
-        hop = {"hop": number, "status": status}
-        if address is not None:
-            hop["address"] = address
-        if status != STATUS_TIMEOUT:
-            hop["rtt"] = 0
-        hops.append(hop)
-    run = _decoded({"timestamp": 1, "source": "0.0.0.1", "destination": "0.0.0.1",
-                    "round": 0, "hops": hops}, f"path {entry!r}")
+    run = _checked(_run, f"path {entry!r}", 1, "0.0.0.1", "0.0.0.1", 0,
+                   [(number, status, address, None if status == STATUS_TIMEOUT else 0)
+                    for number, status, address in entry])
     path = tuple(hop[:3] for hop in run.hops)
     _require(path == tuple(map(tuple, entry)), f"path {entry!r}: addresses not canonical")
     return tuple(zip(*path))[1:]
@@ -278,12 +271,12 @@ class Segment:
     record to its pair's block, widening a column only as its values
     demand. Segment.load(path, kind) opens a columnar file and checks its
     header; a read then reads the blocks it selects and checks each one's
-    CRC, values, and pair and paths (by the rules of from_json_obj). Any
+    CRC, values, and pair and paths (by the checks of records). Any
     fault is a StoreError naming the file."""
 
     # export holds the header of every columnar segment it writes, so a
     # segment has no per-object dict, and a loaded one holds none of the
-    # indexes only add() and line() use
+    # indexes only add() uses
     __slots__ = ("kind", "path", "count", "min", "max", "last", "ties", "blocks", "keys",
                  "widths", "_paths", "_blocks", "_path_ids", "_formats", "_shapes", "_tie",
                  "_tie_counts", "_swap")
@@ -298,7 +291,7 @@ class Segment:
         self.keys: list[tuple[tuple, tuple]] = [] if runs else ()
         self.widths: list[int] = [] if runs else ()
         self._blocks: dict[tuple[str, str], Block] = {}  # filled by add()
-        # made by the first add() of a run and the first line()
+        # made by the first add_row() of a run, and the first add()
         self._path_ids: dict[tuple[tuple, tuple], int] | None = None
         self._formats: dict[tuple, str] | None = None
         self._shapes: dict[str, tuple] | None = None  # format -> its _formats key
@@ -316,28 +309,6 @@ class Segment:
         except _Corrupt as exc:
             raise StoreError(f"{path}: {exc}") from None
         return segment
-
-    def line(self, record: Record) -> str:
-        """The canonical line of record, from a %-format kept per pair and
-        ping status or per pair and path. A new format is also a shape (row)
-        unless an address holds a "%": its "%%" would match a line's "%%"."""
-        pair = (record.source, record.destination)
-        if self.kind == KIND_PING:
-            key = (pair, record.status)
-            ints = (record.timestamp,) if record.rtt is None else (record.timestamp, record.rtt)
-        else:
-            _, statuses, addresses, rtts = zip(*record.hops)
-            key = (pair, statuses, addresses)
-            ints = (record.timestamp, record.round, *compress(rtts, statuses))
-        if self._formats is None:
-            self._formats, self._shapes = {}, {}
-        line = self._formats.get(key)
-        if line is None:
-            make = _ping_format if self.kind == KIND_PING else _run_format
-            line = self._formats[key] = make(_pair_prefix(*pair), *key[1:])
-            if "%%" not in line:
-                self._shapes[line] = key
-        return line % ints
 
     def row(self, shape: str, parts: list[str]) -> tuple | None:
         """add_row's arguments for a line of shape() (shape, parts) that is a
@@ -376,16 +347,32 @@ class Segment:
             self.ties = True
         return tie
 
-    def add(self, record: Record) -> None:
-        """Append record's row to its pair's block (add_row)."""
-        pair = (record.source, record.destination)
+    def add(self, record: Record, write=None) -> None:
+        """Append a valid record's row to its pair's block (add_row) once
+        write, if given, took its line, from a %-format kept per pair and
+        ping status or path. A new format is also a shape (row) unless an
+        address holds a "%": its "%%" would match a line's "%%"."""
+        pair, timestamp = (record.source, record.destination), record.timestamp
         if self.kind == KIND_PING:
-            self.add_row(pair, record.timestamp, record.status,
-                         -1 if record.rtt is None else record.rtt, ())
+            key, rtt = (pair, record.status), record.rtt
+            ints = (timestamp,) if rtt is None else (timestamp, rtt)
+            row = (pair, timestamp, record.status, -1 if rtt is None else rtt, ())
         else:  # a hop has an rtt iff its status is not 0
             _, statuses, addresses, rtts = zip(*record.hops)
-            self.add_row(pair, record.timestamp, record.round, (statuses, addresses),
-                         list(compress(rtts, statuses)))
+            key, rtts = (pair, statuses, addresses), list(compress(rtts, statuses))
+            ints = (timestamp, record.round, *rtts)
+            row = (pair, timestamp, record.round, key[1:], rtts)
+        if self._formats is None:
+            self._formats, self._shapes = {}, {}
+        line = self._formats.get(key)
+        if line is None:
+            make = _ping_format if self.kind == KIND_PING else _run_format
+            line = self._formats[key] = make(_pair_prefix(*pair), *key[1:])
+            if "%%" not in line:
+                self._shapes[line] = key
+        if write is not None:
+            write(line % ints)
+        self.add_row(*row)
 
     def add_row(self, pair: tuple[str, str], timestamp: int, third: int, fourth,
                 rtts: Sequence[int]) -> None:

@@ -8,6 +8,11 @@ the run on one forwarding path.
 Payload layout: bytes 0-7 hold the send timestamp (microseconds, unsigned
 big-endian), bytes 8-9 hold the compensation word that pins the checksum,
 remaining bytes are zero.
+
+An echo reply differs from its request only in its type and code, so its
+checksum is the request's updated for that word (RFC 1624), not summed
+again. The ICMPv6 pseudo-header sum needs no update: it is symmetric in the
+two addresses, and an echo reply comes from its request's destination.
 """
 
 from __future__ import annotations
@@ -37,18 +42,12 @@ class Kind(Enum):
     OTHER = "other"
 
 
-ECHO_REQUEST_TYPE = {Family.V4: 8, Family.V6: 128}
-ECHO_REPLY_TYPE = {Family.V4: 0, Family.V6: 129}
-TIME_EXCEEDED_TYPE = {Family.V4: 11, Family.V6: 3}
+# Compared by identity: on Python 3.11 a Kind.X or Family.X, or a hash of one, is slow.
+ECHO_REQUEST, ECHO_REPLY, TIME_EXCEEDED, OTHER = Kind
+_V4 = Family.V4
 
-_KIND_BY_TYPE = {
-    (Family.V4, 8): Kind.ECHO_REQUEST,
-    (Family.V4, 0): Kind.ECHO_REPLY,
-    (Family.V4, 11): Kind.TIME_EXCEEDED,
-    (Family.V6, 128): Kind.ECHO_REQUEST,
-    (Family.V6, 129): Kind.ECHO_REPLY,
-    (Family.V6, 3): Kind.TIME_EXCEEDED,
-}
+_KIND_V4 = {8: ECHO_REQUEST, 0: ECHO_REPLY, 11: TIME_EXCEEDED}
+_KIND_V6 = {128: ECHO_REQUEST, 129: ECHO_REPLY, 3: TIME_EXCEEDED}
 
 
 class CodecError(Exception):
@@ -85,28 +84,23 @@ class DecodedMessage(NamedTuple):
 
 
 @lru_cache(maxsize=128)
-def _word_struct(n: int) -> struct.Struct:
-    return struct.Struct(f"!{n}H")
-
-
-@lru_cache(maxsize=128)
 def _request_struct(payload_len: int) -> struct.Struct:
     """Echo request: header, timestamp, compensation word, zero tail."""
     return struct.Struct(f"!BBHHHQH{payload_len - MIN_PAYLOAD_LEN}x")
 
 
 def _word_sum(data: bytes) -> int:
-    """Sum of big-endian 16-bit words, zero-padded to even length."""
-    if len(data) & 1:
-        data = data + b"\x00"
-    return sum(_word_struct(len(data) >> 1).unpack(data))
+    """data as one big-endian integer, zero-padded to even length: as
+    2**16 is 1 mod 0xFFFF, congruent to the sum of its 16-bit words, and
+    zero exactly when that sum is, which is all _fold needs."""
+    total = int.from_bytes(data, "big")
+    return total << 8 if len(data) & 1 else total
 
 
 def _fold(total: int) -> int:
-    """End-around-carry reduction of a word sum into 16 bits."""
-    while total > 0xFFFF:
-        total = (total & 0xFFFF) + (total >> 16)
-    return total
+    """End-around-carry reduction of a word sum (or a _word_sum) into 16
+    bits: 0 for 0, else its residue mod 0xFFFF in 1..0xFFFF."""
+    return total % 0xFFFF or (0xFFFF if total else 0)
 
 
 def internet_checksum(data: bytes) -> int:
@@ -114,22 +108,15 @@ def internet_checksum(data: bytes) -> int:
     return ~_fold(_word_sum(data)) & 0xFFFF
 
 
-def _pseudo_word_sum(family: Family, source: str | None, destination: str | None,
-                     message_len: int) -> int:
-    """Word sum of the checksum prefix: 0 for v4, the ICMPv6 pseudo-header for v6."""
-    if family is Family.V4:
-        return 0
-    return _v6_pseudo_word_sum(source, destination, message_len)
-
-
 @lru_cache(maxsize=4096)
 def _v6_pseudo_word_sum(source: str | None, destination: str | None,
                         message_len: int) -> int:
+    """Folded word sum of the ICMPv6 pseudo-header, the checksum's prefix."""
     if not source or not destination:
         raise MissingPseudoHeader("ICMPv6 checksum needs source and destination addresses")
     src = ipaddress.IPv6Address(source).packed
     dst = ipaddress.IPv6Address(destination).packed
-    return _word_sum(src + dst + struct.pack("!I3xB", message_len, ICMPV6_PROTOCOL))
+    return _fold(_word_sum(src + dst + struct.pack("!I3xB", message_len, ICMPV6_PROTOCOL)))
 
 
 def _compensation(base_sum: int, target: int) -> int:
@@ -171,13 +158,14 @@ def make_request_bytes(family: Family, identifier: int, sequence: int,
             f"payload of {payload_len} B cannot hold timestamp and compensation word")
     if target_checksum is not None and not 0 <= target_checksum <= 0xFFFF:
         raise ValueError("target checksum must be a 16-bit value")
-    icmp_type = ECHO_REQUEST_TYPE[family]
+    icmp_type = 8 if family is _V4 else 128
     ts = timestamp_us & 0xFFFFFFFFFFFFFFFF
     # The words of type|code, identifier, sequence and the four timestamp
     # words, summed without packing; the pack below range-checks the fields.
     base_sum = ((icmp_type << 8) + identifier + sequence + (ts >> 48)
                 + (ts >> 32 & 0xFFFF) + (ts >> 16 & 0xFFFF) + (ts & 0xFFFF))
-    base_sum += _pseudo_word_sum(family, source, destination, HEADER_LEN + payload_len)
+    if family is not _V4:
+        base_sum += _v6_pseudo_word_sum(source, destination, HEADER_LEN + payload_len)
     if target_checksum is None:
         cksum, comp = ~_fold(base_sum) & 0xFFFF, 0
     else:
@@ -187,31 +175,35 @@ def make_request_bytes(family: Family, identifier: int, sequence: int,
                                              ts, comp)
 
 
-def _encode(family: Family, icmp_type: int, field1: int, field2: int, body: bytes,
-            source: str | None, destination: str | None) -> bytes:
-    """ICMP message with code 0, its checksum computed once over all words."""
-    total = _word_sum(ICMP_HEADER.pack(icmp_type, 0, 0, field1, field2) + body)
-    total += _pseudo_word_sum(family, source, destination, HEADER_LEN + len(body))
-    return ICMP_HEADER.pack(icmp_type, 0, ~_fold(total) & 0xFFFF, field1, field2) + body
+_FIRST_WORDS = struct.Struct("!HH")  # type and code, checksum
 
 
-def reply_bytes_for_request(request: bytes, family: Family, *,
-                            source: str | None = None,
-                            destination: str | None = None) -> bytes:
-    """Echo reply mirroring a request's identifier, sequence and payload."""
+def reply_bytes_for_request(request: bytes, family: Family) -> bytes:
+    """Echo reply mirroring a request's identifier, sequence and payload,
+    with code 0, its checksum the request's HC updated for the first word m
+    to m' as HC' = ~(~HC + ~m + m') (RFC 1624): for a right HC, what a full
+    sum gives, but for a v4 reply of all-zero words, which gets 0xFFFF (not
+    0). A request with a bad checksum gets a reply with a bad checksum."""
     if len(request) < HEADER_LEN:
         raise Truncated(f"{len(request)}-byte request below minimal header")
-    _, _, _, identifier, sequence = ICMP_HEADER.unpack_from(request)
-    return _encode(family, ECHO_REPLY_TYPE[family], identifier, sequence,
-                   request[HEADER_LEN:], source, destination)
+    word, checksum = _FIRST_WORDS.unpack_from(request)
+    reply_word = 0 if family is _V4 else 129 << 8
+    rest = request[4:]
+    total = _fold((checksum ^ 0xFFFF) + (word ^ 0xFFFF) + reply_word)
+    if total == 0xFFFF and not (reply_word or _word_sum(rest)):
+        total = 0
+    return _FIRST_WORDS.pack(reply_word, ~total & 0xFFFF) + rest
 
 
 def encode_time_exceeded(original: bytes, family: Family, *,
                          source: str | None = None,
                          destination: str | None = None) -> bytes:
     """Time-exceeded error quoting the expired message after 4 unused bytes."""
-    return _encode(family, TIME_EXCEEDED_TYPE[family], 0, 0, original,
-                   source, destination)
+    icmp_type = 11 if family is _V4 else 3
+    total = (icmp_type << 8) + _word_sum(original)
+    if family is not _V4:
+        total += _v6_pseudo_word_sum(source, destination, HEADER_LEN + len(original))
+    return ICMP_HEADER.pack(icmp_type, 0, ~_fold(total) & 0xFFFF, 0, 0) + original
 
 
 def _parse_quoted_request(quote: bytes, family: Family) -> tuple[int, int] | None:
@@ -223,9 +215,9 @@ def _parse_quoted_request(quote: bytes, family: Family) -> tuple[int, int] | Non
     rest = quote
     if rest:
         version = rest[0] >> 4
-        if family is Family.V4 and version == 4 and len(rest) >= 20:
+        if family is _V4 and version == 4 and len(rest) >= 20:
             rest = rest[(rest[0] & 0x0F) * 4:]
-        elif family is Family.V6 and version == 6 and len(rest) >= 40:
+        elif family is not _V4 and version == 6 and len(rest) >= 40:
             rest = rest[40:]
     if len(rest) < HEADER_LEN:
         return None
@@ -245,18 +237,16 @@ def decode_message(data: bytes, family: Family, *, source: str | None = None,
     if len(data) < HEADER_LEN:
         raise Truncated(f"{len(data)}-byte message below minimal header")
     icmp_type, _, cksum, field1, field2 = ICMP_HEADER.unpack_from(data)
-    kind = _KIND_BY_TYPE.get((family, icmp_type), Kind.OTHER)
-    if family is Family.V4:
-        checksum_ok = internet_checksum(data) == 0
-    elif source and destination:
-        total = _word_sum(data) + _pseudo_word_sum(family, source, destination, len(data))
-        checksum_ok = (~_fold(total) & 0xFFFF) == 0
+    if family is _V4:
+        kind = _KIND_V4.get(icmp_type, OTHER)
+        checksum_ok = _fold(_word_sum(data)) == 0xFFFF
     else:
-        checksum_ok = True
+        kind = _KIND_V6.get(icmp_type, OTHER)
+        checksum_ok = not (source and destination) or _fold(
+            _word_sum(data) + _v6_pseudo_word_sum(source, destination, len(data))) == 0xFFFF
     payload = data[HEADER_LEN:]
-    if kind is Kind.TIME_EXCEEDED:
-        identifier, sequence = _parse_quoted_request(payload, family) or (None, None)
-        return DecodedMessage(kind, cksum, identifier, sequence, payload, checksum_ok)
-    if kind in (Kind.ECHO_REQUEST, Kind.ECHO_REPLY):
-        return DecodedMessage(kind, cksum, field1, field2, payload, checksum_ok)
-    return DecodedMessage(Kind.OTHER, cksum, None, None, payload, checksum_ok)
+    if kind is TIME_EXCEEDED:
+        field1, field2 = _parse_quoted_request(payload, family) or (None, None)
+    elif kind is OTHER:
+        field1 = field2 = None
+    return DecodedMessage(kind, cksum, field1, field2, payload, checksum_ok)

@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple, Protocol
 
 from . import icmp
 from .config import ProbeSchedule, RelationKey, TransportFailure
-from .icmp import Family
+from .icmp import ECHO_REPLY, TIME_EXCEEDED, Family
 from .records import (STATUS_ECHO_REPLY, STATUS_TIME_EXCEEDED, STATUS_TIMEOUT,
                       Hop, PingRecord, TracerouteRun)
 
@@ -47,11 +47,8 @@ class Clock(Protocol):
 
 
 def _status_of(kind: icmp.Kind) -> int | None:
-    if kind is icmp.Kind.ECHO_REPLY:
-        return STATUS_ECHO_REPLY
-    if kind is icmp.Kind.TIME_EXCEEDED:
-        return STATUS_TIME_EXCEEDED
-    return None
+    return (STATUS_ECHO_REPLY if kind is ECHO_REPLY
+            else STATUS_TIME_EXCEEDED if kind is TIME_EXCEEDED else None)
 
 
 class TracerouteProbeRun:
@@ -170,6 +167,7 @@ class SourceWorker:
         self.source_address = relations[0].source_address
         self.relations = list(relations)
         self.schedule = schedule
+        self._reply_timeout_us = schedule.reply_timeout_us
         self.sink = sink
         self.start_us = start_us
         self.end_us = end_us
@@ -266,7 +264,7 @@ class SourceWorker:
             except TransportFailure as exc:
                 self._enter_backoff(now_us, exc)
                 return
-            deadline = sent + self.schedule.reply_timeout_us
+            deadline = sent + self._reply_timeout_us
             self._pending[seq] = _PendingPing(relation.destination_address, sent)
             heapq.heappush(self._deadlines, (deadline, seq))
 

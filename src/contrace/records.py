@@ -9,15 +9,16 @@ Canonical interchange schema (one JSON document per line):
                address and rtt omitted when a hop's status is 0
 
 Addresses are rendered canonically (compressed lower-case for v6). One
-decoder, from_json_obj, maps, validates and canonicalizes a document for
-store reads, import and append alike, and checks the pair and path
-dictionaries of columnar segments. In memory, records are immutable named
-tuples, and unpacking follows the field order of the classes below, not
-the JSON order: PingRecord(timestamp, source, destination, status, rtt),
-Hop(hop, status, address, rtt) and TracerouteRun(timestamp, source,
-destination, round, hops). PathRuns holds one pair's traceroute runs
-grouped by distinct path, the form traceroute analytics read;
-columnar.Segment.group fills it.
+set of checks over field values (_ping, _run) validates and canonicalizes
+records: the decoder from_json_obj runs them over a document's fields for
+store reads and import, validated over a record's fields for append, and
+columnar over the pair and path dictionaries of its segments. In memory,
+records are immutable named tuples, and unpacking follows the field order
+of the classes below, not the JSON order: PingRecord(timestamp, source,
+destination, status, rtt), Hop(hop, status, address, rtt) and
+TracerouteRun(timestamp, source, destination, round, hops). PathRuns holds
+one pair's traceroute runs grouped by distinct path, the form traceroute
+analytics read; columnar.Segment.group fills it.
 
 The append-only store, RecordStore, is defined in contrace.store (segment
 files) and contrace.columnar (segments as columns, the form every read
@@ -177,16 +178,14 @@ def _reject(obj: dict, problems: list[str]) -> None:
         raise InvalidRecord(problems)
 
 
-# The decoders check each field as they read it; a fast check (type(...) is
-# int, a cached address) passes only what the check that formats the
-# message accepts, and that check runs only when the fast one fails. With
+# The checks run over field values, a document's or a record's. A fast check
+# (type(...) is int, a cached address) passes only what the check that
+# formats the message accepts, which runs only when the fast one fails. With
 # every required field present and not null, the field count rules out
 # unknown fields, so _reject runs only on a failure or an unexpected count.
 
-def _header(obj: dict, problems: list[str]) -> tuple[int, str, str]:
+def _header(timestamp, source, destination, problems: list[str]) -> tuple[int, str, str]:
     """The timestamp and the canonical source and destination of either kind."""
-    timestamp, source, destination = (obj.get("timestamp"), obj.get("source"),
-                                      obj.get("destination"))
     if type(timestamp) is not int or timestamp < 1:
         _check_int(timestamp, "timestamp", problems, 1)
     src_version, source = _check_address(source, "source", problems)
@@ -196,10 +195,9 @@ def _header(obj: dict, problems: list[str]) -> tuple[int, str, str]:
     return timestamp, source, destination
 
 
-def _ping_record(obj: dict) -> PingRecord:
-    problems: list[str] = []
-    timestamp, source, destination = _header(obj, problems)
-    status, rtt = obj.get("status"), obj.get("rtt")
+def _ping(timestamp, source, destination, status, rtt, problems: list[str]) -> PingRecord:
+    """The ping of these field values, canonical; valid if no problem was added."""
+    timestamp, source, destination = _header(timestamp, source, destination, problems)
     if type(status) is not int and not _is_int(status) or status not in VALID_STATUSES:
         problems.append(f"status: must be one of {VALID_STATUSES}, got {status!r}")
     if status == STATUS_ECHO_REPLY:
@@ -209,29 +207,19 @@ def _ping_record(obj: dict) -> PingRecord:
             _check_int(rtt, "rtt", problems, 0)
     elif rtt is not None:
         problems.append(f"rtt: must be absent when status is {status}")
-    if problems or len(obj) != (4 if rtt is None else 5):
-        _reject(obj, problems)
     return _new(PingRecord, (timestamp, source, destination, status, rtt))
 
 
-def _traceroute_run(obj: dict) -> TracerouteRun:
-    problems: list[str] = []
-    timestamp, source, destination = _header(obj, problems)
-    round_, hops_obj = obj.get("round"), obj.get("hops")
+def _run(timestamp, source, destination, round_, hops, problems: list[str]) -> TracerouteRun:
+    """As _ping, for a run; hops holds (hop, status, address, rtt) tuples."""
+    timestamp, source, destination = _header(timestamp, source, destination, problems)
     if type(round_) is not int or round_ < 0:
         _check_int(round_, "round", problems, 0)
-    if not isinstance(hops_obj, list):
-        _reject(obj, problems)  # raises, as hops is not a list
-    if not hops_obj:
+    if not hops:
         problems.append("hops: must contain at least one hop")
-    extra_fields = len(obj) - 5
-    hops = []
+    checked = []
     replied = False
-    for i, h in enumerate(hops_obj):
-        if type(h) is not dict and not isinstance(h, dict):
-            _reject(obj, problems)  # raises, as this hop is not an object
-        hop, status = h.get("hop"), h.get("status")
-        address, rtt = h.get("address"), h.get("rtt")
+    for i, (hop, status, address, rtt) in enumerate(hops):
         if hop != i + 1 or type(hop) is not int and not _is_int(hop):
             problems.append(f"hops[{i}].hop: expected {i + 1}, got {hop!r}")
         if type(status) is not int and not _is_int(status) or status not in VALID_STATUSES:
@@ -258,22 +246,58 @@ def _traceroute_run(obj: dict) -> TracerouteRun:
                 _check_int(rtt, f"hops[{i}].rtt", problems, 0)
             if status == STATUS_ECHO_REPLY:
                 replied = True
-        extra_fields += len(h) - (2 if address is None else 4)
-        hops.append(_new(Hop, (hop, status, address, rtt)))
-    if problems or extra_fields:
+        checked.append(_new(Hop, (hop, status, address, rtt)))
+    return _new(TracerouteRun, (timestamp, source, destination, round_, tuple(checked)))
+
+
+def _ping_record(obj: dict) -> PingRecord:
+    problems: list[str] = []
+    record = _ping(obj.get("timestamp"), obj.get("source"), obj.get("destination"),
+                   obj.get("status"), obj.get("rtt"), problems)
+    if problems or len(obj) != (4 if record.rtt is None else 5):
         _reject(obj, problems)
-    return _new(TracerouteRun, (timestamp, source, destination, round_, tuple(hops)))
+    return record
+
+
+def _traceroute_run(obj: dict) -> TracerouteRun:
+    hops = obj.get("hops")
+    if not isinstance(hops, list) or not all(isinstance(h, dict) for h in hops):
+        _reject(obj, [])  # raises, as hops is not a list or a hop not an object
+    problems: list[str] = []
+    run = _run(obj.get("timestamp"), obj.get("source"), obj.get("destination"),
+               obj.get("round"), [(h.get("hop"), h.get("status"), h.get("address"),
+                                   h.get("rtt")) for h in hops], problems)
+    if problems or len(obj) + sum(map(len, hops)) != 5 + sum(  # a valid hop: 2 or 4
+            2 if hop.address is None else 4 for hop in run.hops):
+        _reject(obj, problems)
+    return run
 
 
 def from_json_obj(obj) -> Record:
     """Map a parsed JSON document onto a validated record with canonical
-    addresses, in one pass: the one decoder that store reads, import and
-    append use. Raises MalformedJson for a document of the wrong shape and
+    addresses, in one pass: the one decoder that store reads and import
+    use. Raises MalformedJson for a document of the wrong shape and
     InvalidRecord, with per-field reasons, for values that break the model.
     Equal addresses share one string from the _address_info cache."""
     if isinstance(obj, dict):
         return _traceroute_run(obj) if "hops" in obj else _ping_record(obj)
     raise MalformedJson(f"expected a JSON object, got {type(obj).__name__}")
+
+
+def validated(record: Record) -> Record:
+    """from_json_obj(to_json_obj(record)), by the same checks run over the
+    record's fields, with no document built. A record that fails them, or is
+    not exactly a PingRecord or a TracerouteRun with a tuple of Hop, goes
+    the document's way, so it raises what its document raises."""
+    problems: list[str] = []
+    if type(record) is PingRecord:
+        checked = _ping(*record, problems)
+    elif type(record) is TracerouteRun and type(record.hops) is tuple \
+            and all(type(hop) is Hop for hop in record.hops):
+        checked = _run(*record, problems)
+    else:
+        checked = None
+    return checked if checked and not problems else from_json_obj(to_json_obj(record))
 
 
 def _loads(line: str):

@@ -378,8 +378,7 @@ class SimNetwork:
         if not self._policy_allows(outcome.node, outcome.at_us):
             return None
         if outcome.kind == "delivered":
-            data = icmp.reply_bytes_for_request(request, family, source=responder,
-                                                destination=source_address)
+            data = icmp.reply_bytes_for_request(request, family)
         else:
             data = icmp.encode_time_exceeded(request, family, source=responder,
                                              destination=source_address)

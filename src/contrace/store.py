@@ -26,7 +26,7 @@ from typing import IO, Iterable, Iterator, NamedTuple
 from . import columnar
 from .records import (KIND_PING, KIND_TRACEROUTE, InvalidRecord, MalformedJson, PathRuns,
                       PingRecord, Record, StoreError, StoreQuery, TracerouteRun, _loads,
-                      _splitlines, from_json_obj, parse_line, to_json_obj)
+                      _splitlines, from_json_obj, parse_line, validated)
 
 
 def _warn(message: str, *args) -> None:
@@ -107,8 +107,7 @@ def _decode(lines: Iterable[bytes], kind: str, path: Path) -> columnar.Segment:
         if _kind_of(record) != kind:
             raise StoreError(f"{path}:{number}: a {_kind_of(record)} record in a "
                              f"{kind} segment")
-        segment.line(record)  # learns its shape
-        segment.add(record)
+        segment.add(record)  # learns its shape
     return segment
 
 
@@ -157,8 +156,15 @@ class _Active(NamedTuple):
     """The segment a writer appends to, and its records so far."""
 
     path: Path
-    fp: IO[bytes]
+    fd: int
     segment: columnar.Segment
+
+    def write(self, line: str) -> None:
+        """os.write line to the file, again for the rest after a short write."""
+        data = line.encode()
+        written = os.write(self.fd, data)
+        while written < len(data):
+            written += os.write(self.fd, data[written:])
 
 
 class RecordStore:
@@ -185,9 +191,9 @@ class RecordStore:
     appending, within a process and after a reopen. Reads and recovery end
     an NDJSON segment, the active one too, by one rule (_lines_within), so
     a crashed writer's store reads the same before and after recovery. Each
-    line is written and flushed under a lock, and a read takes each file's
-    size under it, so it sees the active segment as it was when the read
-    started and never a torn record.
+    line is passed to the operating system under a lock, and a read takes
+    each file's size under it, so it sees the active segment as it was when
+    the read started and never a torn record.
 
     Stores written before ids still open: their segments load before every
     id, and a writer's recovery gives a segment left open the next id.
@@ -374,21 +380,20 @@ class RecordStore:
         seg = self._active.pop(kind, None)
         if seg is None:
             return
-        seg.fp.close()
+        os.close(seg.fd)
         if seg.segment.count:  # else its first write failed: recovery deletes the file
             self._write_columns(seg.path.stem, seg.segment)
             os.unlink(seg.path)
 
     def append(self, record: Record) -> None:
         """Validate and persist one record as from_json_obj decodes
-        to_json_obj(record): with the checks and messages of a JSON document,
-        and canonical addresses. The line is written from a %-format kept
-        per pair and path, not JSON-encoded, and flushed to the operating
-        system but not fsynced: it survives a crash of this process, not of
-        the machine. A sealed segment's columnar file is fsynced."""
+        to_json_obj(record), by the same checks over its fields (validated).
+        Its line, from a %-format kept per pair and path, goes by one
+        os.write to the operating system, not fsynced: it survives a crash of
+        this process, not of the machine. Sealed segments are fsynced."""
         if not isinstance(record, (PingRecord, TracerouteRun)):
             raise InvalidRecord([f"unsupported record type {type(record).__name__}"])
-        self._write(from_json_obj(to_json_obj(record)))
+        self._write(validated(record))
 
     def _write(self, record: Record) -> None:
         """Persist one record that from_json_obj returned."""
@@ -400,11 +405,9 @@ class RecordStore:
             if seg is None:
                 path = self.path / f"{kind}-{self._next_id}{_NDJSON}"
                 self._next_id += 1
-                seg = self._active[kind] = _Active(path, path.open("xb"),
-                                                   columnar.Segment(kind))
-            seg.fp.write(seg.segment.line(record).encode())
-            seg.fp.flush()
-            seg.segment.add(record)
+                fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                seg = self._active[kind] = _Active(path, fd, columnar.Segment(kind))
+            seg.segment.add(record, seg.write)
             self.written[kind] += 1
             if seg.segment.count >= self.segment_records:
                 self._seal(kind)
@@ -417,8 +420,7 @@ class RecordStore:
             for kind, seg in self._active.items():
                 row = seg.segment.row(shape, parts)
                 if row is not None:
-                    seg.fp.write(line.encode())
-                    seg.fp.flush()
+                    seg.write(line)
                     seg.segment.add_row(*row)
                     self.written[kind] += 1
                     if seg.segment.count >= self.segment_records:

@@ -40,6 +40,26 @@ def checksum_reference(data: bytes) -> int:
     return ~total & 0xFFFF
 
 
+def pseudo_header_reference(source: str, destination: str, length: int) -> bytes:
+    """The ICMPv6 pseudo-header a checksum covers: both addresses, the
+    message length and the next header, 58."""
+    return (ipaddress.IPv6Address(source).packed + ipaddress.IPv6Address(destination).packed
+            + length.to_bytes(4, "big") + bytes(3) + bytes([58]))
+
+
+def echo_reply_reference(request: bytes, family: str, source: str | None = None,
+                         destination: str | None = None) -> bytes:
+    """The echo reply of a request by a full sum: type 0 (v4) or 129 (v6),
+    code 0, then the request's bytes after its checksum, its checksum summed
+    over every word, for v6 after the pseudo-header from source (the
+    responder) to destination."""
+    message = bytes([0 if family == "v4" else 129, 0, 0, 0]) + request[4:]
+    prefix = b"" if family == "v4" else pseudo_header_reference(source, destination,
+                                                                len(message))
+    checksum = checksum_reference(prefix + message)
+    return message[:2] + checksum.to_bytes(2, "big") + message[4:]
+
+
 def nearest_rank_reference(values, p_num: int, p_den: int):
     """Nearest-rank quantile via exact Fraction arithmetic and a full sort."""
     ordered = sorted(values)

@@ -2,11 +2,13 @@
 
 Two 1800 s seed-7 `sim-run`s, of neighbor.yaml and of inter_continental.yaml,
 fill one store each; a third store imports both exports, so the analyses
-with `--relation all` cover two relations. Two more seed-7 `sim-run`s pin
-the simulator alone: intra_continental.yaml (an ECMP group of width 4) and
+with `--relation all` cover two relations. Three more seed-7 `sim-run`s pin
+the simulator alone: intra_continental.yaml (an ECMP group of width 4),
 route_events.yaml (latency, link and policy events while probes are in
-flight); only their exports are digested. Each output's sha256 is pinned
-below; any changed byte fails the test named after that output.
+flight) and neighbor_v6.yaml (neighbor.yaml over IPv6, whose checksums
+cover the ICMPv6 pseudo-header); only their exports are digested. Each
+output's sha256 is pinned below; any changed byte fails the test named
+after that output.
 """
 
 import hashlib
@@ -59,6 +61,7 @@ GOLDEN = {
     "export-inter_continental": "9b2a6f187e76acfbaa039b2f4023e4228b350f103f998f6e45d11cc22ba7205c",
     "export-intra_continental": "726d6330963913acc0a03571c17183171393a7099ca9431f1be3e818085fa148",
     "export-neighbor": "f712eeef3a6c0ce6c771681c88b0508bb9cda01fcc56fc006e45bae8a980bc07",
+    "export-neighbor_v6": "8fd410962b89ce81aa9d3696d44ef65a3a0e8c130fe4c3d972a9ff801a825036",
     "export-route_events": "3998e5e630bbed8b4677ba46ade063af77e2a05e2cd759bea628dd55247ab530",
     "graph-csv-0.1": "03d71c2bdde4a742b2ac78984e8b23a46680bdc31da7b07c2c40b11dd94d50d9",
     "graph-csv-40": "c9ba4512bfb6f799af302ddf5bbe7af9e8b09e9f397e8ed77f3849e66ac2108c",
@@ -92,7 +95,7 @@ def golden_outputs(root: Path) -> dict[str, str]:
     """sha256 of every output named in GOLDEN, computed under root."""
     digests = {}
     for topology in ("neighbor", "inter_continental", "intra_continental",
-                     "route_events"):
+                     "route_events", "neighbor_v6"):
         store = root / topology
         assert cli.main(["sim-run", "--topology", str(FIXTURES / f"{topology}.yaml"),
                          "--duration", "1800", "--seed", "7",

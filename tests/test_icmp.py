@@ -1,13 +1,13 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contrace import icmp
 from contrace.icmp import Family, Kind
 
-from oracles import checksum_reference
+from oracles import checksum_reference, echo_reply_reference, pseudo_header_reference
 
 
 class TestInternetChecksum:
@@ -149,8 +149,7 @@ class TestEncodeDecode:
         src, dst = "fd00::10", "fd00::20"
         request = icmp.make_request_bytes(Family.V6, 5, 6, 7, source=dst,
                                           destination=src)
-        data = icmp.reply_bytes_for_request(request, Family.V6, source=src,
-                                            destination=dst)
+        data = icmp.reply_bytes_for_request(request, Family.V6)
         decoded = icmp.decode_message(data, Family.V6, source=src, destination=dst)
         assert decoded.kind is Kind.ECHO_REPLY
         assert (decoded.identifier, decoded.sequence) == (5, 6)
@@ -203,6 +202,67 @@ class TestEncodeDecode:
         assert decoded.kind is Kind.ECHO_REPLY
         assert decoded.match_key == (77, 88)
         assert decoded.payload == request[icmp.HEADER_LEN:]
+
+
+V6_HOSTS = ["2001:db8::1", "2001:db8:16:1::10", "fd00::20", "2001:db8:22:2::10"]
+
+
+class TestEchoReplyOracle:
+    """reply_bytes_for_request updates the request's checksum (RFC 1624);
+    echo_reply_reference sums the reply over every word."""
+
+    @settings(max_examples=500)
+    @given(family=st.sampled_from([Family.V4, Family.V6]),
+           ident=st.integers(0, 0xFFFF), seq=st.integers(0, 0xFFFF),
+           ts=st.integers(0, 2**64 - 1), payload_len=st.integers(10, 64),
+           target=st.one_of(st.none(), st.integers(0, 0xFFFE)),
+           hosts=st.lists(st.sampled_from(V6_HOSTS), min_size=2, max_size=2, unique=True))
+    @example(family=Family.V4, ident=0, seq=0, ts=0, payload_len=16, target=None,
+             hosts=V6_HOSTS[:2])
+    @example(family=Family.V6, ident=0, seq=0, ts=0, payload_len=16, target=None,
+             hosts=V6_HOSTS[:2])
+    @example(family=Family.V4, ident=0, seq=0, ts=0, payload_len=10, target=0,
+             hosts=V6_HOSTS[:2])
+    def test_reply_equals_the_full_sum(self, family, ident, seq, ts, payload_len,
+                                       target, hosts):
+        prober, target_host = hosts if family is Family.V6 else (None, None)
+        request = icmp.make_request_bytes(family, ident, seq, ts, target_checksum=target,
+                                          payload_len=payload_len, source=prober,
+                                          destination=target_host)
+        reply = icmp.reply_bytes_for_request(request, family)
+        assert reply == echo_reply_reference(request, family.value, target_host, prober)
+        decoded = icmp.decode_message(reply, family, source=target_host, destination=prober)
+        assert decoded.kind is Kind.ECHO_REPLY and decoded.checksum_ok
+
+    def test_an_all_zero_v4_reply_has_checksum_ffff(self):
+        """+0 and -0: the update alone would give 0x0000."""
+        request = icmp.make_request_bytes(Family.V4, 0, 0, 0)
+        reply = icmp.reply_bytes_for_request(request, Family.V4)
+        assert reply == b"\x00\x00\xff\xff" + bytes(len(request) - 4)
+        assert reply == echo_reply_reference(request, "v4")
+
+    def test_a_bad_request_checksum_gives_a_bad_reply_checksum(self):
+        request = bytearray(icmp.make_request_bytes(Family.V4, 1, 2, 3))
+        request[3] ^= 0x01
+        reply = icmp.reply_bytes_for_request(bytes(request), Family.V4)
+        assert not icmp.decode_message(reply, Family.V4).checksum_ok
+
+    @settings(max_examples=500)
+    @given(data=st.one_of(st.binary(min_size=8, max_size=81),
+                          st.integers(8, 81).map(bytes)),
+           hosts=st.lists(st.sampled_from(V6_HOSTS), min_size=2, max_size=2, unique=True))
+    @example(data=bytes(9), hosts=V6_HOSTS[:2])
+    @example(data=b"\xff" * 9, hosts=V6_HOSTS[:2])
+    def test_checksum_ok_matches_the_reference(self, data, hosts):
+        """On odd lengths and all-zero buffers too: a zero sum does not
+        verify, as its checksum would be 0xFFFF."""
+        assert icmp.decode_message(data, Family.V4).checksum_ok == \
+            (checksum_reference(data) == 0)
+        source, destination = hosts
+        prefix = pseudo_header_reference(source, destination, len(data))
+        assert icmp.decode_message(data, Family.V6, source=source,
+                                   destination=destination).checksum_ok == \
+            (checksum_reference(prefix + data) == 0)
 
 
 def test_family_of():

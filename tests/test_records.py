@@ -333,13 +333,34 @@ class TestSinglePassDecode:
             patch.setattr(records, "_reject", None)  # any call would fail
             assert repr(records.from_json_obj(doc)) == repr(expected)
 
+    @settings(max_examples=1000, deadline=None)
+    @given(doc=mutated_documents())
+    def test_a_record_is_checked_as_its_document(self, doc):
+        """validated(record) returns or raises what decoding
+        to_json_obj(record) does, for records of odd field values."""
+        if not isinstance(doc, dict):
+            return
+        fields = (doc.get("timestamp"), doc.get("source"), doc.get("destination"))
+        if "hops" in doc:
+            hops = doc["hops"]
+            if isinstance(hops, list):
+                hops = tuple(Hop(h.get("hop"), h.get("status"), h.get("address"),
+                                 h.get("rtt")) if isinstance(h, dict) else h for h in hops)
+            record = TracerouteRun(*fields, doc.get("round"), hops)
+        else:
+            record = PingRecord(*fields, doc.get("status"), doc.get("rtt"))
+        assert _outcome(records.validated, record) == _outcome(
+            lambda r: records.from_json_obj(records.to_json_obj(r)), record)
+
     @settings(max_examples=300, deadline=None)
     @given(doc=valid_documents())
     def test_written_line_is_the_canonical_line(self, doc):
         record = records.from_json_obj(doc)
         segment = columnar.Segment("ping" if isinstance(record, PingRecord) else "traceroute")
+        lines = []
         for _ in range(2):  # the %-format is built, then reused
-            assert segment.line(record) == serialize_line(record)
+            segment.add(record, lines.append)
+        assert lines == [serialize_line(record)] * 2
 
     def test_equal_addresses_share_one_string(self):
         first = records.parse_line('{"timestamp":1,"source":"2001:DB8::1",'
@@ -623,29 +644,56 @@ class TestStore:
                 t.join()
             assert store.count("ping") == 800
 
-    def test_append_builds_the_json_form_once(self, tmp_path, monkeypatch):
-        calls = []
-        to_json_obj = records.to_json_obj
+    def test_append_builds_no_dict(self, tmp_path, monkeypatch):
+        """append checks a record's fields as they are: it neither builds
+        the record's document nor decodes one."""
+        def no_document(_):
+            raise AssertionError("append built or decoded a document")
 
-        def counting(record):
-            calls.append(record)
-            return to_json_obj(record)
-
-        monkeypatch.setattr(records, "to_json_obj", counting)
-        monkeypatch.setattr(store_module, "to_json_obj", counting)
+        for module in (records, store_module):
+            for name in ("to_json_obj", "from_json_obj"):
+                monkeypatch.setattr(module, name, no_document, raising=False)
         appended = [ping(ts=1), ping(ts=2, status=0), run(ts=3),
                     ping(ts=4, src="2001:DB8::1", dst="2001:db8::2")]
         with RecordStore(tmp_path) as store:
             for record in appended:
                 store.append(record)
-            # one dict per append, for the decoder; lines come from %-formats
-            assert len(calls) == 4
-            stored = store.query(StoreQuery("ping")) + store.query(StoreQuery("traceroute"))
             lines = b"".join(p.read_bytes() for p in sorted(tmp_path.glob("*.ndjson")))
+        monkeypatch.undo()
+        stored = RecordStore(tmp_path).query(StoreQuery("ping"))
         assert stored[2].source == "2001:db8::1"
-        assert lines.decode() == "".join(
-            serialize_line(r) for r in sorted(stored, key=lambda r: r.timestamp)
-            if isinstance(r, PingRecord)) + serialize_line(run(ts=3))
+        assert lines.decode() == "".join(map(serialize_line, stored)) + \
+            serialize_line(run(ts=3))
+
+    @pytest.mark.parametrize("record", [
+        ping(ts=0),
+        PingRecord(1, "10.0.0.1", "10.0.0.2", 255, True),
+        PingRecord(1, "10.0.0.1", "2001:db8::1", 0),
+        PingRecord(1, "10.0.0.1", "10.0.0.2", 7),
+        PingRecord(1, "10.0.0.1", "10.0.0.2", 0, 5),
+        TracerouteRun(1, "10.0.0.1", "10.0.0.2", 0,
+                      (Hop(1, 255, "10.0.0.2", 10), Hop(2, 1, "10.0.0.3", 5))),
+        PingRecord(1, "2001:DB8::1", "10.0.0.2", 0),
+        PingRecord(1, "2001:DB8::1", "2001:db8::2", 255, 3),
+        TracerouteRun(1, "10.0.0.1", "10.0.0.2", 0, [Hop(1, 1, "10.0.0.9", 5)]),
+        TracerouteRun(1, "10.0.0.1", "10.0.0.2", 0, ((1, 0, None, None),)),
+        TracerouteRun(1, "10.0.0.1", "10.0.0.2", 0, None),
+        TracerouteRun(1, "10.0.0.1", "10.0.0.2", 0, ()),
+    ], ids=["timestamp-0", "rtt-bool", "mixed-families", "unknown-status",
+            "rtt-on-timeout", "hop-after-reply", "upper-case-v6-mixed",
+            "upper-case-v6", "hops-a-list", "hop-a-tuple", "hops-none", "no-hops"])
+    def test_append_fails_or_stores_as_the_document_does(self, tmp_path, record):
+        """append raises the exception class and message that decoding
+        to_json_obj(record) raises, or stores the record it decodes."""
+        expected = _outcome(lambda r: records.from_json_obj(records.to_json_obj(r)), record)
+        with RecordStore(tmp_path) as store:
+            try:
+                store.append(record)
+            except Exception as exc:
+                outcome = type(exc), str(exc)
+            else:
+                outcome = repr(store.query(StoreQuery(store_module._kind_of(record)))[0])
+        assert outcome == expected
 
     def test_bulk_append_one_million(self, tmp_path):
         with RecordStore(tmp_path, segment_records=500_000) as store:
@@ -1070,22 +1118,15 @@ class TestSegments:
 
     def test_close_after_a_failed_first_write_leaves_the_store_readable(
             self, tmp_path, monkeypatch):
-        class DiskFull:
-            def __init__(self, fp):
-                self.fp = fp
+        write = os.write
 
-            def write(self, data):
-                self.fp.write(data[:len(data) // 2])
-                self.fp.flush()
-                raise OSError(28, "No space left on device")
+        def disk_full(fd, data):
+            write(fd, data[:len(data) // 2])
+            raise OSError(28, "No space left on device")
 
-            def __getattr__(self, name):
-                return getattr(self.fp, name)
-
-        store, open_ = RecordStore(tmp_path), Path.open
+        store = RecordStore(tmp_path)
         with monkeypatch.context() as patch:
-            patch.setattr(Path, "open", lambda path, mode="r": DiskFull(open_(path, mode))
-                          if mode == "xb" else open_(path, mode))
+            patch.setattr(os, "write", disk_full)
             with pytest.raises(OSError, match="No space left"):
                 store.append(ping(ts=5))
         store.close()
