@@ -1,12 +1,12 @@
 """Operator command line: run measurements, move records, produce analyses.
 
 Subcommands: measure (live raw sockets or simulator), sim-run (simulator
-shortcut driven by the topology file), import, export, analyze. Exit codes:
-0 ok, 1 generic error or strict-mode rejects, 2 configuration error,
-3 privilege error, 4 transport failure, 5 empty selection.
-Modules that only some commands use (yaml, probe, sim, analytics, enrich)
-are imported by those commands, so import, export and analyze never load
-the probing code.
+shortcut driven by the topology file), import, export, analyze, upgrade.
+Exit codes: 0 ok, 1 generic error or strict-mode rejects, 2 configuration
+error, 3 privilege error, 4 transport failure, 5 empty selection.
+Modules that only some commands use (yaml, probe, sim, analytics, enrich,
+legacy) are imported by those commands, so import, export and analyze
+never load the probing code.
 """
 
 from __future__ import annotations
@@ -314,6 +314,12 @@ def cmd_export(args) -> int:
     return EXIT_OK
 
 
+def cmd_upgrade(args) -> int:
+    from . import legacy
+    print(legacy.upgrade(args.store))
+    return EXIT_OK
+
+
 # -- analyze ------------------------------------------------------------------
 
 def _parse_relation_filter(spec: str) -> tuple[Family, str, str]:
@@ -455,6 +461,10 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--store", required=True)
     exp.add_argument("--out")
     exp.set_defaults(func=cmd_export)
+
+    upgrade = sub.add_parser("upgrade", help="convert a store of an older format, once")
+    upgrade.add_argument("--store", required=True)
+    upgrade.set_defaults(func=cmd_upgrade)
 
     analyze = sub.add_parser("analyze", help="compute tables, series and graphs")
     analyze.add_argument("--config", required=True)

@@ -39,9 +39,8 @@ found by bisection. A file whose blocks are all ruled out costs its header alone
 and so does count().
 
 Version 1 files, one CRC over the whole file and a pair column instead of
-blocks, still load (see legacy): they are read and checked whole, then
-partitioned by pair into blocks, keeping row order. A writer's recovery
-rewrites them as version 2.
+blocks, fail every read, and a writer's recovery, with the StoreError of
+needs_upgrade: `contrace upgrade` rewrites them as version 2 (see legacy).
 
 An NDJSON segment is read in the same form: its lines are added to a
 Segment held in memory, with no JSON decode where they have a known shape.
@@ -169,12 +168,19 @@ def write(path: Path, segment: Segment) -> None:
         os.fsync(fp.fileno())
 
 
-def is_version_1(path: Path) -> bool:
-    """Whether the columnar file at path begins as a version 1 file does:
-    the test a writer's recovery uses to find the files to rewrite."""
+def needs_upgrade(path: Path, problem: str) -> StoreError:
+    """The error of a read or a writer that meets path, a file of a store
+    written before <kind>-<id> names and format version 2."""
+    return StoreError(f"{path}: {problem}; run contrace upgrade --store {path.parent}")
+
+
+def refuse_version_1(path: Path) -> None:
+    """Raise needs_upgrade if the columnar file at path begins as a version
+    1 file does; a writer checks every file so before it changes one."""
     with open(path, "rb") as fp:
         start = fp.read(len(_MAGIC) + _PREFIX.size + len(_V1_HEAD))
-    return start.startswith(_MAGIC) and start.endswith(_V1_HEAD)
+    if start.startswith(_MAGIC) and start.endswith(_V1_HEAD):
+        raise needs_upgrade(path, "columnar format version 1")
 
 
 class _Corrupt(Exception):
@@ -186,10 +192,6 @@ def _require(condition, problem: str) -> None:
         raise _Corrupt(problem)
 
 
-def _count_at_least(value, minimum: int) -> bool:
-    return type(value) is int and value >= minimum
-
-
 def _checked(check, what: str, *fields) -> Record:
     """check(*fields), for _ping or _run; a problem is a _Corrupt of what."""
     problems: list[str] = []
@@ -198,14 +200,12 @@ def _checked(check, what: str, *fields) -> Record:
     return record
 
 
-def _checked_pair(source, destination) -> tuple[str, str]:
-    """(source, destination) of a block or a version 1 pair entry, checked
-    as a document's source and destination are."""
+def _check_pair(source, destination) -> None:
+    """Check a block's pair as a document's source and destination are."""
     what = f"pair {[source, destination]!r}"
     record = _checked(_ping, what, 1, source, destination, STATUS_TIMEOUT, None)
     _require((record.source, record.destination) == (source, destination),
              f"{what}: addresses not canonical")
-    return source, destination
 
 
 def _checked_path(entry) -> tuple[tuple[int, ...], tuple[str | None, ...]]:
@@ -429,7 +429,7 @@ class Segment:
     # -- reading files ---------------------------------------------------------
 
     def _read(self, fp) -> None:
-        """Read and check the header; a version 1 file is read whole."""
+        """Read and check the header."""
         prefix = fp.read(len(_MAGIC) + _PREFIX.size)
         _require(prefix.startswith(_MAGIC) and len(prefix) == len(_MAGIC) + _PREFIX.size,
                  "not a columnar segment")
@@ -441,21 +441,29 @@ class Segment:
         except ValueError as exc:
             header = exc
         if check != crc:  # a version 1 CRC covers the columns as well
-            _require(type(header) is dict and header.get("version") == 1,
-                     "header: CRC mismatch")
-            from . import legacy
-            return legacy.read_version_1(self, fp, header, check, crc)
+            if type(header) is dict and header.get("version") == 1:
+                raise needs_upgrade(self.path, "columnar format version 1")
+            raise _Corrupt("header: CRC mismatch")
         _require(not isinstance(header, ValueError), f"header: {header}")
         keys = _HEADER_KEYS | ({"paths"} if self.kind == KIND_TRACEROUTE else set())
         _require(type(header) is dict and header.keys() == keys, "header: wrong fields")
-        self._check_identity(header, _FORMAT_VERSION)
+        version = header["version"]
+        _require(type(version) is int and version == _FORMAT_VERSION,
+                 f"format version {version!r} is not {_FORMAT_VERSION}")
+        _require(header["kind"] == self.kind, f"a {header['kind']!r} segment")
+        _require(header["byteorder"] in ("little", "big"), "header: unknown byte order")
+        self._swap = header["byteorder"] != sys.byteorder
         names = header["columns"]
         _require(type(names) is list and names in (
             list(_COLUMN_NAMES[self.kind]),
             [name for i, name in enumerate(_COLUMN_NAMES[self.kind]) if i != _TIE]),
             "header: bad column list")
         self.ties = len(names) == len(_COLUMN_NAMES[self.kind])
-        self._read_paths(header)
+        if self.kind == KIND_TRACEROUTE:  # a path is checked when a block that uses it is read
+            self._paths = header["paths"]
+            _require(type(self._paths) is list and self._paths, "header: no paths")
+            self.keys = [None] * len(self._paths)
+            self.widths = [None] * len(self._paths)
         entries = header["blocks"]
         _require(type(entries) is list and entries, "header: no blocks")
         offset, pairs = len(prefix) + size, set()
@@ -469,26 +477,6 @@ class Segment:
         self.count = sum(block.count for block in self.blocks)
         self.min = min(block.min for block in self.blocks)
         self.max = max(block.max for block in self.blocks)
-
-    def _check_identity(self, header: dict, version: int) -> None:
-        _require(_count_at_least(header["version"], 0) and header["version"] == version,
-                 f"format version {header['version']!r} is not {version}")
-        _require(header["kind"] == self.kind, f"a {header['kind']!r} segment")
-        _require(header["byteorder"] in ("little", "big"), "header: unknown byte order")
-        self._swap = header["byteorder"] != sys.byteorder
-
-    def _read_paths(self, header: dict) -> None:
-        """Keep the path dictionary; a path is checked when a block that
-        uses it is read (_path)."""
-        if self.kind == KIND_TRACEROUTE:
-            self._paths = header["paths"]
-            _require(type(self._paths) is list and self._paths, "header: no paths")
-            self.keys = [None] * len(self._paths)
-            self.widths = [None] * len(self._paths)
-
-    def _path(self, path_id: int) -> None:
-        statuses, addresses = self.keys[path_id] = _checked_path(self._paths[path_id])
-        self.widths[path_id] = len(statuses) - statuses.count(STATUS_TIMEOUT)
 
     def _block(self, entry, names: list[str], pairs: set) -> Block:
         """The Block of a header's block entry, its fields checked, and
@@ -555,7 +543,7 @@ class Segment:
         try:
             with open(self.path, "rb") as fp:
                 for block in wanted:
-                    _checked_pair(*block.pair)
+                    _check_pair(*block.pair)
                     fp.seek(block.offset)
                     data = memoryview(fp.read(block.size))
                     _require(len(data) == block.size, "columns: truncated")
@@ -585,10 +573,6 @@ class Segment:
         _require(not block.sorted or all(map(le, times, islice(times, 1, None))),
                  "timestamp: not sorted")
         _require(ties is None or min(ties) >= 0, "tie: negative")
-        self._check_values(columns)
-
-    def _check_values(self, columns: list) -> None:
-        rtts = columns[-1]
         if self.kind == KIND_PING:
             statuses = columns[2]
             _require(set(statuses) <= set(VALID_STATUSES), "status: not 0, 1 or 255")
@@ -603,7 +587,8 @@ class Segment:
                  "path: id out of range")
         for path_id in set(path_ids):
             if self.keys[path_id] is None:
-                self._path(path_id)
+                statuses, _ = self.keys[path_id] = _checked_path(self._paths[path_id])
+                self.widths[path_id] = len(statuses) - statuses.count(STATUS_TIMEOUT)
         _require(len(rtts) == sum(map(self.widths.__getitem__, path_ids)),
                  "rtt: length differs from the paths' responsive hops")
         _require(min(rtts, default=0) >= 0, "rtt: negative")
@@ -615,9 +600,9 @@ class Segment:
         self._fill(self.blocks)
 
     def release(self) -> None:
-        """Drop the columns read from a version 2 file, keeping the header,
-        so a later read reads them again (_fill). Columns a version 2 file
-        did not give, those of an NDJSON or a version 1 segment, are kept."""
+        """Drop the columns read from the segment's file, keeping the header,
+        so a later read reads them again (_fill). Columns no file gave, those
+        of an NDJSON segment, are kept."""
         for block in self.blocks:
             if block.specs:
                 block.columns = None

@@ -1,120 +1,175 @@
-"""Reading version 1 columnar files, imported only when one is met.
+"""upgrade: convert a store written before <kind>-<id> names and columnar
+format version 2, once. Only `contrace upgrade` imports this module.
 
-A version 1 file has the layout of version 2 (see columnar) up to its
-header, but its CRC covers the header and every column, and its rows are
-not clustered: the header holds the count, min and max timestamp and
-sorted of the whole segment and the pair dictionary [[source, destination,
-records], ...], and the columns are timestamp, pair (an index into that
-dictionary), then those of version 2 but the tie rank. The file is read and
-checked whole, then partitioned by pair into the blocks of a Segment,
-keeping row order and giving each row its tie rank.
+Before ids, a sealed segment was <kind>-<first>-<last>[-<n>], ending by
+the strict rule (its last line counts, JSON or not), and one left open
+<kind>-<first>-open.ndjson, which a cut seal could leave as a second name
+of the sealed file. Old sealed segments loaded first, by first timestamp,
+name and suffix, then those left open, then ids. A version 1 columnar file
+has one CRC over all that follows it and a pair column instead of blocks.
+
+upgrade holds the writer lock and works in two phases; a rerun completes
+either if it is cut. 1. In place: unlink each second name; give each old
+sealed NDJSON segment, and each segment with a columnar twin, its columnar
+file; rewrite each version 1 file as version 2. A file that fails its
+checks stops the upgrade before anything is renamed. 2. Only if an old
+name is left: rename every segment to an id above the largest present, in
+load order, the last one first, so the renamed ones are a suffix of it.
 """
 
 from __future__ import annotations
 
+import json
+import os
+import re
+import sys
 import zlib
-from array import array
-from collections import Counter
-from itertools import chain, compress, islice, repeat
-from operator import eq, le
+from operator import itemgetter
+from pathlib import Path
 
-from .columnar import (_COLUMN_NAMES, _ITEMSIZES, _JSON_COLUMN, _TIE, _TYPECODES, Block,
-                       Segment, _checked_pair, _count_at_least, _require)
-from .records import KIND_PING, KIND_TRACEROUTE, _put
+from .columnar import (_MAGIC, _PREFIX, SUFFIX, TEMP_SUFFIX, Segment, _Corrupt, _require,
+                       refuse_version_1)
+from .records import (KIND_PING, KIND_TRACEROUTE, Hop, PingRecord, StoreError, TracerouteRun,
+                      validated)
+from .store import _NDJSON, _OLDER, _decode, _lines_within, _lock, _write_columns
 
-_HEADER_KEYS = {"version", "kind", "byteorder", "count", "min", "max", "sorted", "pairs",
-                "columns"}
-
-
-def read_version_1(segment: Segment, fp, header: dict, check: int, crc: int) -> None:
-    """Read the rest of a version 1 file into segment, whose header has been
-    read and whose CRC so far is check: the CRC first, then the header and
-    every value."""
-    rest = fp.read()
-    _require(zlib.crc32(rest, check) == crc, "CRC mismatch")
-    kind = segment.kind
-    keys = _HEADER_KEYS | ({"paths"} if kind == KIND_TRACEROUTE else set())
-    _require(header.keys() == keys, "header: wrong fields")
-    names = ("timestamp", "pair", *_COLUMN_NAMES[kind][2:])
-    specs = header["columns"]
-    _require(type(specs) is list and len(specs) == len(names)
-             and all(type(spec) is list and len(spec) == 3 and spec[0] == name
-                     and (spec[1] == _JSON_COLUMN or spec[1] in _TYPECODES)
-                     and _count_at_least(spec[2], 0) for spec, name in zip(specs, names)),
-             "header: bad column list")
-    segment._check_identity(header, 1)
-    count, low, high, is_sorted = (header[key] for key in ("count", "min", "max", "sorted"))
-    _require(_count_at_least(count, 1) and _count_at_least(low, 1)
-             and _count_at_least(high, low), "header: bad count, min or max")
-    _require(type(is_sorted) is bool, "header: sorted is not a boolean")
-    entries = header["pairs"]
-    _require(type(entries) is list and entries, "header: no pairs")
-    _require(all(type(entry) is list and len(entry) == 3 and _count_at_least(entry[2], 1)
-                 for entry in entries), "header: expected pairs [source, destination, records]")
-    pairs = [_checked_pair(*entry[:2]) for entry in entries]
-    _require(sum(entry[2] for entry in entries) == count,
-             "header: pair counts do not add up to the count")
-    segment._read_paths(header)
-    columns, at = [], 0
-    for name, code, size in specs:
-        _require(code == _JSON_COLUMN or size % _ITEMSIZES[code] == 0,
-                 f"column {name}: partial item")
-        _require(at + size <= len(rest), f"column {name}: truncated")
-        columns.append(segment._column(name, code, rest[at:at + size]))
-        at += size
-    _require(at == len(rest), "bytes after the columns")
-    times, pair_ids, rtts = columns[0], columns[1], columns[-1]
-    _require(all(len(column) == count for column in
-                 columns[:-1] + ([rtts] if kind == KIND_PING else [])),
-             "columns: length differs from the count")
-    _require(min(times) == low and max(times) == high,
-             "timestamp: min or max differs from the header")
-    _require(not is_sorted or all(map(le, times, islice(times, 1, None))),
-             "timestamp: not sorted")
-    _require(Counter(pair_ids) == {i: entry[2] for i, entry in enumerate(entries)},
-             "pair: ids out of range or counts differ from the header")
-    segment._check_values(columns)
-    for path_id, key in enumerate(segment.keys):  # a rewrite writes every path
-        if key is None:
-            segment._path(path_id)
-    columns[_TIE] = _tie_ranks(times, is_sorted)
-    segment.ties = columns[_TIE] is not None
-    if kind == KIND_TRACEROUTE:
-        row_widths = array("q", map(segment.widths.__getitem__, columns[3]))
-    for pair_id, (pair, entry) in enumerate(zip(pairs, entries)):
-        keep = bytes(map(pair_id.__eq__, pair_ids))
-        block = Block(pair, [None if column is None else _kept(column, keep)
-                             for column in columns[:-1]])
-        if kind == KIND_TRACEROUTE:  # the RTTs of the kept rows
-            keep = bytes(chain.from_iterable(map(repeat, keep, row_widths)))
-        block.columns.append(_kept(rtts, keep))
-        block_times = block.columns[0]
-        block.count, block.min, block.max = entry[2], min(block_times), max(block_times)
-        block.sorted = is_sorted or all(map(le, block_times, islice(block_times, 1, None)))
-        segment.blocks.append(block)
-    segment.count, segment.min, segment.max = count, low, high
+_ANY_NAME = re.compile(
+    rf"(?P<stem>(?P<kind>{KIND_PING}|{KIND_TRACEROUTE})-(?:(?P<id>[1-9][0-9]*)"
+    rf"|(?P<first>[0-9]+)-(?:(?P<last>[0-9]+)(?:-(?P<n>[1-9][0-9]*))?|open(?=\.ndjson))))"
+    rf"(?P<suffix>\.ndjson|\.col)")
+_V1_COLUMNS = {KIND_PING: ["timestamp", "pair", "status", "rtt"],
+               KIND_TRACEROUTE: ["timestamp", "pair", "round", "path", "rtt"]}
+_SEALED, _LEFT_OPEN = (0, False), (0, True)  # how the load key of an old name begins
 
 
-def _tie_ranks(times, is_sorted: bool) -> array | None:
-    """The tie rank of each row, in row order, or None if no timestamp
-    repeats: a running count where the timestamps never decrease, else a
-    count per timestamp."""
-    if is_sorted and not any(map(eq, times, islice(times, 1, None))):
-        return None
-    ties, counts, previous, tie = [array("b")], {}, None, 0
-    for timestamp in times:
-        if is_sorted:
-            tie = tie + 1 if timestamp == previous else 0
-            previous = timestamp
+def _scan(path: Path) -> dict[str, list[tuple[tuple, str, dict[str, Path]]]]:
+    """Per kind its segments in load order, each as (load key, stem, suffix
+    -> path); an id's load key is (1, id)."""
+    found = {KIND_PING: {}, KIND_TRACEROUTE: {}}
+    for name in os.listdir(path):
+        match = _ANY_NAME.fullmatch(name)
+        if match is None:
+            if _OLDER.match(name) and name.endswith((_NDJSON, SUFFIX)):
+                raise StoreError(f"{path / name}: no store format names a segment so; "
+                                 f"move it out of the store")
+            continue
+        key = (1, int(match["id"])) if match["id"] else (
+            0, match["last"] is None, int(match["first"]),
+            f"{match['kind']}-{match['first']}-{match['last'] or 'open'}", int(match["n"] or 0))
+        stem = found[match["kind"]].setdefault(match["stem"], (key, match["stem"], {}))
+        stem[2][match["suffix"]] = path / name
+    return {kind: sorted(stems.values(), key=itemgetter(0)) for kind, stems in found.items()}
+
+
+def is_version_1(path: Path) -> bool:
+    """Whether the columnar file at path begins as a version 1 file does."""
+    try:
+        refuse_version_1(path)
+    except StoreError:
+        return True
+    return False
+
+
+def _load(path: Path, kind: str) -> Segment:
+    """The columnar file at path, of either version, read and checked whole.
+    A version 1 file's rows are validated as records and added in row
+    order, which gives each row its block and its tie rank."""
+    if not is_version_1(path):
+        segment = Segment.load(path, kind)
+        segment.check()
+        return segment
+    data, segment = memoryview(path.read_bytes()), Segment(kind)
+    crc, size = _PREFIX.unpack_from(data, len(_MAGIC))
+    if zlib.crc32(data[len(_MAGIC) + 4:]) != crc:
+        raise StoreError(f"{path}: CRC mismatch")
+    try:
+        at = len(_MAGIC) + _PREFIX.size
+        header = json.loads(bytes(data[at:at + size]))
+        _require(header["kind"] == kind, f"a {header['kind']!r} segment")
+        _require([spec[0] for spec in header["columns"]] == _V1_COLUMNS[kind],
+                 "header: bad column list")
+        segment._swap = header["byteorder"] != sys.byteorder
+        columns, at = [], at + size
+        for name, code, nbytes in header["columns"]:
+            columns.append(segment._column(name, code, data[at:at + nbytes]))
+            at += nbytes
+        _require(at == len(data), "bytes after the columns")
+        times, pair_ids, thirds, fourths, rtts = columns + [None] * (5 - len(columns))
+        pairs, k = [entry[:2] for entry in header["pairs"]], 0
+        for timestamp, pair, third, fourth in zip(times, pair_ids, thirds, fourths):
+            if kind == KIND_PING:
+                rtt = None if fourth == -1 else fourth
+                record = PingRecord(timestamp, *pairs[pair], third, rtt)
+            else:
+                hops = []
+                for number, status, address in header["paths"][fourth]:
+                    hops.append(Hop(number, status, address, rtts[k] if status else None))
+                    k += bool(status)
+                record = TracerouteRun(timestamp, *pairs[pair], third, tuple(hops))
+            segment.add(validated(record))
+        _require(len(times) == header["count"] == segment.count
+                 and all(map(len(times).__eq__, map(len, columns[:4])))
+                 and (kind == KIND_PING or k == len(rtts)),
+                 "columns: length differs from the count")
+    except (_Corrupt, StoreError, LookupError, TypeError, ValueError) as exc:
+        raise StoreError(f"{path}: {exc}") from None
+    return segment
+
+
+def upgrade(path: str | Path) -> str:
+    """Convert the store at path as the module docstring says, and say what
+    changed. A store of ids and version 2 files alone is left as it is."""
+    path = Path(path)
+    if not path.is_dir():
+        raise StoreError(f"{path}: no store there")
+    with _lock(path):
+        for temp in path.glob("*" + TEMP_SUFFIX):
+            temp.unlink()
+        unlinked = sealed = rewritten = 0
+        for stems in _scan(path).values():
+            files = [paths[_NDJSON] for key, _, paths in stems
+                     if key[:2] == _SEALED and _NDJSON in paths]
+            for key, _, paths in stems:
+                if key[:2] == _LEFT_OPEN and any(map(paths[_NDJSON].samefile, files)):
+                    paths[_NDJSON].unlink()
+                    unlinked += 1
+        for kind, stems in _scan(path).items():
+            for key, stem, paths in stems:
+                if _NDJSON in paths and (SUFFIX in paths or key[:2] == _SEALED):
+                    _give_columns(path, stem, paths, kind, strict=key[:2] == _SEALED)
+                    sealed += 1
+        for kind, stems in _scan(path).items():
+            for _, stem, paths in stems:
+                if SUFFIX in paths and is_version_1(paths[SUFFIX]):
+                    _write_columns(path, stem, _load(paths[SUFFIX], kind))
+                    rewritten += 1
+        order = [(kind, stem) for kind, stems in _scan(path).items() for stem in stems]
+        if all(key[0] for _, (key, _, _) in order):
+            order = []  # no old name is left
+        top = max((key[1] for _, (key, _, _) in order if key[0]), default=0)
+        for new_id, (kind, (_, _, paths)) in reversed(list(enumerate(order, top + 1))):
+            for suffix, file in paths.items():
+                os.rename(file, path / f"{kind}-{new_id}{suffix}")
+    return (f"upgraded {path}: segments renamed {len(order)}, version 1 files rewritten "
+            f"{rewritten}, NDJSON segments sealed {sealed}, second names unlinked {unlinked}")
+
+
+def _give_columns(path: Path, stem: str, paths: dict[str, Path], kind: str,
+                  strict: bool) -> None:
+    """Seal a segment that still has NDJSON, as a writer's recovery does: if
+    its columnar twin checks, unlink the NDJSON; else write its columns from
+    the NDJSON, read by its end rule, then unlink it. A bad line raises."""
+    if SUFFIX in paths:
+        try:
+            _load(paths[SUFFIX], kind)
+        except StoreError:
+            pass
         else:
-            tie = counts.get(timestamp, 0)
-            counts[timestamp] = tie + 1
-        _put(ties, 0, (tie,))
-    return ties[0] if max(ties[0]) else None
-
-
-def _kept(column, keep: bytes):
-    """The values of column whose byte in keep is not 0, in the column's form."""
-    if type(column) is list:
-        return list(compress(column, keep))
-    return array(column.typecode, compress(column, keep))
+            paths[_NDJSON].unlink()
+            return
+    with open(paths[_NDJSON], "rb") as fp:
+        lines = fp if strict else _lines_within(fp, os.fstat(fp.fileno()).st_size)
+        segment = _decode(lines, kind, paths[_NDJSON])
+    if segment.count:
+        _write_columns(path, stem, segment)
+    paths[_NDJSON].unlink()

@@ -6,7 +6,10 @@ NDJSON; sealing turns a segment into a columnar file (see columnar). Every
 read takes each segment as a columnar.Segment: a columnar file is loaded
 as one, reading its header and then only the blocks the read selects, and
 an NDJSON segment's lines are added to one held in memory, by shape or
-decoded. RecordStore is also importable from contrace.records.
+decoded. Reads and writers know only <kind>-<id> names and columnar
+format version 2; a file of an older store fails them with a StoreError
+that says to run `contrace upgrade` (see legacy). RecordStore is also
+importable from contrace.records.
 """
 
 from __future__ import annotations
@@ -38,17 +41,16 @@ def _warn(message: str, *args) -> None:
 
 # -- segment files -------------------------------------------------------------
 
-# <kind>-<id>, or a name given before ids: <kind>-<first>-<last>[-<n>] when
-# sealed, <kind>-<first>-open while left open
 _SEGMENT_NAME = re.compile(
-    rf"(?P<stem>(?P<kind>{KIND_PING}|{KIND_TRACEROUTE})-(?:(?P<id>[1-9][0-9]*)"
-    rf"|(?P<first>[0-9]+)-(?:(?P<last>[0-9]+)(?:-(?P<n>[1-9][0-9]*))?|open(?=\.ndjson))))"
+    rf"(?P<stem>(?P<kind>{KIND_PING}|{KIND_TRACEROUTE})-(?P<id>[1-9][0-9]*))"
     rf"(?P<suffix>\.ndjson|\.col)")
+# a segment file that is not <kind>-<id>: one of a store written before ids
+_OLDER = re.compile(rf"(?:{KIND_PING}|{KIND_TRACEROUTE})-[0-9]")
 
 
 _NDJSON = ".ndjson"
 _TIMESTAMP = attrgetter("timestamp")
-_LOAD_KEY = itemgetter(0)
+_ID = itemgetter(0)
 
 
 def _kind_of(record: Record) -> str:
@@ -58,30 +60,28 @@ def _kind_of(record: Record) -> str:
 class _Stem(NamedTuple):
     """The files of one segment: <stem>.ndjson, <stem>.col or both."""
 
-    key: tuple  # its place in its kind's load order (_load_key)
+    id: int  # its kind's segments load by id
     stem: str
     paths: dict[str, Path]  # suffix -> path
-    id: int | None  # None for a name given before ids
-    # its NDJSON is read by the end rule of _lines_within: every NDJSON but
-    # one with an old sealed name is the active segment or a crashed one
-    left_open: bool
 
 
-def _load_key(match: re.Match) -> tuple:
-    """The place of the segment of a file name _SEGMENT_NAME matched among
-    its kind's segments. They load by id. Segments with names given before
-    ids load first: sealed ones by first timestamp, then name, then
-    collision suffix, so a suffixed segment loads after the one it collided
-    with; then those left open, the newest of their kind when they were
-    left."""
-    if match["id"] is not None:
-        return 1, int(match["id"])
-    return (0, match["last"] is None, int(match["first"]),
-            f"{match['kind']}-{match['first']}-{match['last'] or 'open'}", int(match["n"] or 0))
+def _lock(path: Path) -> IO[bytes]:
+    """<path>/.lock, flocked: the store's writer lock, held by one process."""
+    path.mkdir(parents=True, exist_ok=True)
+    lock = open(path / ".lock", "ab")
+    try:
+        fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except BlockingIOError:
+        lock.close()
+        raise StoreError(f"{path}: another writer holds {path / '.lock'}") from None
+    return lock
 
 
-def _file_id(stat: os.stat_result) -> tuple[int, int]:
-    return stat.st_dev, stat.st_ino
+def _write_columns(path: Path, stem: str, segment: columnar.Segment) -> None:
+    """Write segment as <path>/<stem>.col, by way of a fsynced temp file."""
+    temp = path / (stem + columnar.TEMP_SUFFIX)
+    columnar.write(temp, segment)
+    os.replace(temp, path / (stem + columnar.SUFFIX))
 
 
 def _decode(lines: Iterable[bytes], kind: str, path: Path) -> columnar.Segment:
@@ -119,16 +119,16 @@ def _is_json(line: bytes) -> bool:
     return True
 
 
-def _lines_within(fp: IO[bytes], size: int, left_open: bool) -> Iterator[bytes]:
-    """The lines of fp's first size bytes, never reading past them. The end
-    rule of a segment left open: a last line without a newline counts if
-    it is JSON; otherwise it is a torn tail, which is not read, and fp is
-    left at its start."""
+def _lines_within(fp: IO[bytes], size: int) -> Iterator[bytes]:
+    """The lines of fp's first size bytes, never reading past them, by the
+    end rule of every NDJSON segment: a last line without a newline counts
+    if it is JSON; otherwise it is a torn tail, which is not read, and fp
+    is left at its start."""
     while size > 0:
         line = fp.readline(size)
         if not line:
             return
-        if left_open and not line.endswith(b"\n") and not _is_json(line):
+        if not line.endswith(b"\n") and not _is_json(line):
             fp.seek(-len(line), os.SEEK_CUR)
             return
         size -= len(line)
@@ -142,14 +142,13 @@ class _Listed(NamedTuple):
     kind: str
     fp: IO[bytes] | None = None  # an NDJSON segment, opened when listed
     size: int = 0  # its bytes to read
-    left_open: bool = False  # read by the end rule of _lines_within
 
     def open(self) -> columnar.Segment:
         """The segment as columns: a columnar file is loaded; an NDJSON
         segment's lines are decoded."""
         if self.fp is None:
             return columnar.Segment.load(self.path, self.kind)
-        return _decode(_lines_within(self.fp, self.size, self.left_open), self.kind, self.path)
+        return _decode(_lines_within(self.fp, self.size), self.kind, self.path)
 
 
 class _Active(NamedTuple):
@@ -178,16 +177,15 @@ class RecordStore:
     read from its columnar file.
 
     Readers never write. A writer takes an exclusive flock on <store>/.lock
-    at its first write, and only then recovers: it deletes temp files, and
-    seals every segment that still has NDJSON (_give_columns), and rewrites
-    version 1 columnar files as version 2. A second writer gets a
-    StoreError.
+    at its first write, and only then recovers: it deletes temp files and
+    seals every segment that still has NDJSON (_give_columns). A second
+    writer gets a StoreError.
 
     Every read lists the segments of the kinds it needs and validates what
     it reads: every line of an NDJSON segment; the header of a columnar
     one, and the CRC and every column value of each block it reads.
     Records with equal timestamps keep the load order: a kind's segments by
-    id (_load_key), rows in append order (tie rank). That is the order of
+    id, rows in append order (tie rank). That is the order of
     appending, within a process and after a reopen. Reads and recovery end
     an NDJSON segment, the active one too, by one rule (_lines_within), so
     a crashed writer's store reads the same before and after recovery. Each
@@ -195,8 +193,9 @@ class RecordStore:
     each file's size under it, so it sees the active segment as it was when
     the read started and never a torn record.
 
-    Stores written before ids still open: their segments load before every
-    id, and a writer's recovery gives a segment left open the next id.
+    A store written before ids or columnar format version 2 fails every
+    read and writer, changing no file, with a StoreError that names an old
+    file and says to run `contrace upgrade --store DIR` (legacy.upgrade).
     """
 
     def __init__(self, path: str | Path, *, segment_records: int = 100_000):
@@ -213,7 +212,7 @@ class RecordStore:
 
     def _scan(self, kind: str | None = None) -> dict[str, list[_Stem]]:
         """Per kind its segments in load order. Given a kind, the other
-        kind's are left out."""
+        kind's are left out; a file of an older store fails either way."""
         found = {KIND_PING: {}, KIND_TRACEROUTE: {}}
         try:
             names = os.listdir(self.path)
@@ -224,6 +223,8 @@ class RecordStore:
                 continue
             match = _SEGMENT_NAME.fullmatch(name)
             if match is None:
+                if _OLDER.match(name):
+                    raise columnar.needs_upgrade(self.path / name, "not named <kind>-<id>")
                 if name not in self._warned:
                     self._warned.add(name)
                     _warn("ignoring %s: not a <kind>-<id>.ndjson or <kind>-<id>.col "
@@ -234,11 +235,9 @@ class RecordStore:
             stems = found[match["kind"]]
             stem = stems.get(match["stem"])
             if stem is None:
-                stem = stems[match["stem"]] = _Stem(
-                    _load_key(match), match["stem"], {},
-                    None if match["id"] is None else int(match["id"]), match["last"] is None)
+                stem = stems[match["stem"]] = _Stem(int(match["id"]), match["stem"], {})
             stem.paths[match["suffix"]] = self.path / name
-        return {kind: sorted(stems.values(), key=_LOAD_KEY) for kind, stems in found.items()}
+        return {kind: sorted(stems.values(), key=_ID) for kind, stems in found.items()}
 
     @contextmanager
     def _segments(self, kind: str) -> Iterator[list[_Listed]]:
@@ -251,27 +250,17 @@ class RecordStore:
             yield segments
 
     def _list(self, kind: str, files: ExitStack) -> list[_Listed]:
-        segments, sealed_files = [], set()
+        segments = []
         for stem in self._scan(kind)[kind]:
             path = stem.paths.get(columnar.SUFFIX)
             if path is None:
                 try:
                     fp = files.enter_context(stem.paths[_NDJSON].open("rb"))
                 except FileNotFoundError:
-                    if stem.left_open and stem.id is None:
-                        raise StoreError(f"{stem.paths[_NDJSON]}: a writer renamed it to the "
-                                         f"next id while this read listed it") from None
                     path = self.path / (stem.stem + columnar.SUFFIX)  # a writer sealed it
                 else:
-                    stat = os.fstat(fp.fileno())
-                    if stem.id is None:
-                        if stem.left_open and _file_id(stat) in sealed_files:
-                            # a sealed segment's second name: a seal cut by a
-                            # writer that linked the sealed name
-                            continue
-                        sealed_files.add(_file_id(stat))
-                    segments.append(_Listed(stem.paths[_NDJSON], kind, fp, stat.st_size,
-                                            stem.left_open))
+                    segments.append(_Listed(stem.paths[_NDJSON], kind, fp,
+                                            os.fstat(fp.fileno()).st_size))
                     continue
             segments.append(_Listed(path, kind))
         return segments
@@ -280,14 +269,7 @@ class RecordStore:
 
     def _become_writer(self) -> None:
         """Take the store's writer lock, then recover."""
-        self.path.mkdir(parents=True, exist_ok=True)
-        lock = open(self.path / ".lock", "ab")
-        try:
-            fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
-        except BlockingIOError:
-            lock.close()
-            raise StoreError(f"{self.path}: another writer holds "
-                             f"{self.path / '.lock'}") from None
+        lock = _lock(self.path)
         try:
             self._recover()
         except BaseException:
@@ -297,45 +279,27 @@ class RecordStore:
 
     def _recover(self) -> None:
         """Bring the files to the state sealing leaves, and work out the
-        next id: delete temp files of a cut seal, give every segment that
-        still has NDJSON its columnar file, and rewrite version 1 columnar
-        files as version 2. First a segment left open under an old name is
-        renamed to the next id, in load order, or unlinked if it is a second
-        name of a sealed segment."""
+        next id: delete temp files of a cut seal and give every segment
+        that still has NDJSON its columnar file. First a file of an older
+        store is refused: an old name by the scan, version 1 by a peek."""
+        found = [(kind, stem) for kind, stems in self._scan().items() for stem in stems]
+        for _, stem in found:
+            if columnar.SUFFIX in stem.paths:
+                columnar.refuse_version_1(stem.paths[columnar.SUFFIX])
         for temp in self.path.glob("*" + columnar.TEMP_SUFFIX):
             temp.unlink()
-        found = self._scan()
-        self._next_id = 1 + max((stem.id for stems in found.values() for stem in stems
-                                 if stem.id is not None), default=0)
-        for kind, stems in found.items():
-            sealed_files = set()
-            for stem in stems:
-                ndjson = stem.paths.get(_NDJSON)
-                if stem.id is not None or ndjson is None:
-                    continue
-                file = _file_id(os.stat(ndjson))
-                if not stem.left_open:
-                    sealed_files.add(file)
-                elif file in sealed_files:
-                    ndjson.unlink()
-                else:
-                    os.rename(ndjson, self.path / f"{kind}-{self._next_id}{_NDJSON}")
-                    self._next_id += 1
-        for kind, stems in self._scan().items():
-            for stem in stems:
-                if _NDJSON in stem.paths:
-                    self._give_columns(stem, kind)
-                elif columnar.is_version_1(stem.paths[columnar.SUFFIX]):
-                    self._upgrade(stem.stem, kind, stem.paths[columnar.SUFFIX])
+        self._next_id = 1 + max((stem.id for _, stem in found), default=0)
+        for kind, stem in found:
+            if _NDJSON in stem.paths:
+                self._give_columns(stem, kind)
 
     def _give_columns(self, stem: _Stem, kind: str) -> None:
         """Seal a segment that still has NDJSON. If its columnar twin
-        checks, the NDJSON is unlinked. Otherwise the NDJSON is read, a
-        left open one by the end rule reads use and truncated where that
-        read ended, so only a torn tail goes; a file that holds no record is
-        deleted, and the columns of one that does are written. A segment
-        with a bad line stays NDJSON, so it fails the reads of its kind as
-        before."""
+        checks, the NDJSON is unlinked. Otherwise the NDJSON is read by the
+        end rule reads use and truncated where that read ended, so only a
+        torn tail goes; a file that holds no record is deleted, and the
+        columns of one that does are written. A segment with a bad line
+        stays NDJSON, so it fails the reads of its kind as before."""
         ndjson, twin = stem.paths[_NDJSON], stem.paths.get(columnar.SUFFIX)
         if twin is not None:
             try:
@@ -349,7 +313,7 @@ class RecordStore:
             end = fp.seek(0, os.SEEK_END)
             fp.seek(0)
             try:
-                segment = _decode(_lines_within(fp, end, stem.left_open), kind, ndjson)
+                segment = _decode(_lines_within(fp, end), kind, ndjson)
             except StoreError as exc:
                 _warn("%s stays NDJSON: %s", ndjson, exc)
                 return
@@ -357,24 +321,8 @@ class RecordStore:
                 _warn("%s: dropped a torn last line of %d bytes", ndjson, end - fp.tell())
                 fp.truncate(fp.tell())
         if segment.count:
-            self._write_columns(stem.stem, segment)
+            _write_columns(self.path, stem.stem, segment)
         ndjson.unlink()
-
-    def _upgrade(self, stem: str, kind: str, path: Path) -> None:
-        """Rewrite a version 1 columnar file as version 2. A file that
-        fails its checks stays as it is, so it fails the reads of its kind
-        as before."""
-        try:
-            segment = columnar.Segment.load(path, kind)
-        except StoreError as exc:
-            _warn("%s stays version 1: %s", path, exc)
-            return
-        self._write_columns(stem, segment)
-
-    def _write_columns(self, stem: str, segment: columnar.Segment) -> None:
-        temp = self.path / (stem + columnar.TEMP_SUFFIX)
-        columnar.write(temp, segment)
-        os.replace(temp, self.path / (stem + columnar.SUFFIX))
 
     def _seal(self, kind: str) -> None:
         seg = self._active.pop(kind, None)
@@ -382,7 +330,7 @@ class RecordStore:
             return
         os.close(seg.fd)
         if seg.segment.count:  # else its first write failed: recovery deletes the file
-            self._write_columns(seg.path.stem, seg.segment)
+            _write_columns(self.path, seg.path.stem, seg.segment)
             os.unlink(seg.path)
 
     def append(self, record: Record) -> None:

@@ -158,7 +158,7 @@ class TestSimRun:
         assert cli.main(argv) == EXIT_OK
         assert capsys.readouterr().out.startswith("simulated 60 s: 60 ping, ")
         lines = [serialize_line(PingRecord(ts, "10.16.1.10", "10.22.2.10", 0)) for ts in (1, 2)]
-        (store / "ping-1-open.ndjson").write_text(lines[0] + lines[1].rstrip("\n"))
+        (store / "ping-3.ndjson").write_text(lines[0] + lines[1].rstrip("\n"))
         assert cli.main(argv) == EXIT_OK
         assert capsys.readouterr().out.startswith("simulated 60 s: 60 ping, ")
         assert RecordStore(store).count("ping") == 122
@@ -483,10 +483,11 @@ def test_relation_filter_parsing():
 
 
 def test_importing_the_cli_leaves_the_command_modules_unloaded():
-    """probe, sim, analytics, enrich and yaml are imported by the commands
-    that use them, so a command that does not pays nothing for them."""
+    """probe, sim, analytics, enrich, legacy and yaml are imported by the
+    commands that use them, so a command that does not pays nothing for
+    them."""
     deferred = ("contrace.sim", "contrace.analytics", "contrace.enrich", "yaml",
-                "contrace.probe", "socket", "select")
+                "contrace.probe", "socket", "select", "contrace.legacy")
     code = f"import sys, contrace.cli; print([m for m in {deferred!r} if m in sys.modules])"
     src = Path(cli.__file__).resolve().parents[1]
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -496,14 +497,15 @@ def test_importing_the_cli_leaves_the_command_modules_unloaded():
 
 def test_store_commands_import_no_probing_code(sim_store, tmp_path):
     """analyze, export and import never load the probe engine, its sockets,
-    icmp, dataclasses or logging, and rtt-series (as cdf) never loads
-    enrichment. Each command runs in a process of its own and counts the
-    modules it adds to those loaded before `from contrace import cli`, so a
-    module that site preloads cannot fail the check. inter-as,
-    export-stray and measure show that the check sees enrich and each
-    module it rules out but dataclasses, which no module imports
-    (test_no_module_imports_dataclasses); a module preloaded before the
-    snapshot fails them instead of hiding a regression."""
+    icmp, dataclasses or logging, rtt-series (as cdf) never loads
+    enrichment, and no command here loads legacy. Each command runs in a
+    process of its own and counts the modules it adds to those loaded
+    before `from contrace import cli`, so a module that site preloads
+    cannot fail the check. inter-as, export-stray and measure show that
+    the check sees enrich and each module it rules out but dataclasses,
+    which no module imports (test_no_module_imports_dataclasses); a module
+    preloaded before the snapshot fails them instead of hiding a
+    regression."""
     _, config, store_path = sim_store
     dumped = tmp_path / "dump.ndjson"
     (tmp_path / "stray").mkdir()
@@ -537,6 +539,8 @@ def test_store_commands_import_no_probing_code(sim_store, tmp_path):
     probing = {"contrace.probe", "contrace.sim", "contrace.icmp", "socket", "select"}
     for name in ("rtt-series", "inter-as", "export", "import"):
         assert not (probing | {"dataclasses", "logging"}) & added[name], name
+    for name, loaded in added.items():
+        assert "contrace.legacy" not in loaded, name
     assert "contrace.enrich" not in added["rtt-series"]
     assert "contrace.enrich" in added["inter-as"]
     assert "logging" in added["export-stray"]

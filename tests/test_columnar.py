@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from contrace import cli, columnar
+from contrace import cli, columnar, legacy
 from contrace.records import (Hop, PingRecord, RecordStore, StoreError, StoreQuery,
                               TracerouteRun, from_json_obj, to_json_obj)
 from conftest import path_runs
@@ -150,11 +150,11 @@ class TestFormat:
         with RecordStore(tmp_path, segment_records=4) as store:
             for record in stored:
                 store.append(record)  # two columnar segments, one active NDJSON
-            # an old sealed segment, written after the writer converted the store
-            (tmp_path / "traceroute-20-21.ndjson").write_text(
+            # a segment another process left open
+            (tmp_path / "traceroute-20.ndjson").write_text(
                 serialize_line(run(20)) + serialize_line(run(21, variant=1)))
             assert names(tmp_path, "traceroute-*.ndjson") == [
-                "traceroute-20-21.ndjson", "traceroute-3.ndjson"]
+                "traceroute-20.ndjson", "traceroute-3.ndjson"]
             for q in (StoreQuery("traceroute"), StoreQuery("traceroute", start=3, end=21),
                       StoreQuery("traceroute", destination="10.1.0.2")):
                 expected = {}
@@ -245,9 +245,9 @@ def _grouped(path_runs_):
 
 class TestSegmentForms:
     """One set of records spread over every form a segment takes: sealed
-    columnar, old sealed NDJSON, a crashed writer's NDJSON with a torn
-    tail, and the writer's own active segment. Every read equals a
-    brute-force reference over the records in load order."""
+    columnar, old sealed NDJSON once upgraded, a crashed writer's NDJSON
+    with a torn tail, and the writer's own active segment. Every read
+    equals a brute-force reference over the records in load order."""
 
     PAIRS = [("10.0.0.1", "10.1.0.1"), ("10.0.0.1", "10.1.0.2"), ("10.0.0.2", "10.1.0.1")]
 
@@ -271,26 +271,29 @@ class TestSegmentForms:
             for kind in forms:
                 for record in forms[kind][0]:
                     first_writer.append(record)
+        for kind, (_, old, _, _) in forms.items():
+            lines = [serialize_line(r) for r in old]  # 2: old sealed NDJSON
+            (tmp_path / f"{kind}-2-{old[-1].timestamp}.ndjson").write_text(
+                "".join(lines[:3]) + "\n" + "".join(lines[3:]))
+        # old names load before every id: upgrade renumbers all in that order
+        legacy.upgrade(tmp_path)
+        assert names(tmp_path, "*-*") == [
+            "ping-3.col", "ping-4.col", "traceroute-5.col", "traceroute-6.col"]
         with RecordStore(tmp_path) as writer:
-            for kind in forms:  # 4: the writer's active segment, ids 3 and 4
+            for kind in forms:  # 4: the writer's active segment, ids 7 and 8
                 for record in forms[kind][3]:
                     writer.append(record)
-            for crashed, (kind, (_, old, left_open, _)) in enumerate(forms.items(), 5):
-                lines = [serialize_line(r) for r in old]  # 2: old sealed NDJSON
-                (tmp_path / f"{kind}-2-{old[-1].timestamp}.ndjson").write_text(
-                    "".join(lines[:3]) + "\n" + "".join(lines[3:]))
+            for crashed, (kind, (_, _, left_open, _)) in enumerate(forms.items(), 9):
                 lines = [serialize_line(r) for r in left_open]  # 3: a torn tail
                 (tmp_path / f"{kind}-{crashed}.ndjson").write_text(
                     "".join(lines) + lines[0][:25])
             # left open with no whole line: only a partial one, or only blank lines
-            (tmp_path / "ping-7.ndjson").write_text(serialize_line(ping(6))[:30])
-            (tmp_path / "traceroute-8.ndjson").write_text("\n  \n")
-            assert [re.sub(r"-2-[0-9]+\.", "-2-last.", name)
-                    for name in names(tmp_path, "*-*")] == [
-                "ping-1.col", "ping-2-last.ndjson", "ping-3.ndjson", "ping-5.ndjson",
-                "ping-7.ndjson", "traceroute-2-last.ndjson", "traceroute-2.col",
-                "traceroute-4.ndjson", "traceroute-6.ndjson", "traceroute-8.ndjson"]
-            # old names load before every id, then the ids in order
+            (tmp_path / "ping-11.ndjson").write_text(serialize_line(ping(6))[:30])
+            (tmp_path / "traceroute-12.ndjson").write_text("\n  \n")
+            assert names(tmp_path, "*-*") == [
+                "ping-11.ndjson", "ping-3.col", "ping-4.col", "ping-7.ndjson",
+                "ping-9.ndjson", "traceroute-10.ndjson", "traceroute-12.ndjson",
+                "traceroute-5.col", "traceroute-6.col", "traceroute-8.ndjson"]
             in_load_order = {kind: [r for i in (1, 0, 3, 2) for r in chunks[i]]
                              for kind, chunks in forms.items()}
             expected_export = canonical(in_load_order["ping"] + in_load_order["traceroute"])
@@ -559,11 +562,11 @@ class TestWriterLock:
 
     def test_a_reader_skips_the_partial_last_line_of_a_live_segment(self, tmp_path):
         line = serialize_line(ping(10, 100))
-        (tmp_path / "ping-10-open.ndjson").write_text(line + line[:20])
+        (tmp_path / "ping-1.ndjson").write_text(line + line[:20])
         reader = RecordStore(tmp_path)
         assert reader.query(StoreQuery("ping")) == [ping(10, 100)]
         assert reader.count("ping") == 1
-        assert (tmp_path / "ping-10-open.ndjson").read_text() == line + line[:20]
+        assert (tmp_path / "ping-1.ndjson").read_text() == line + line[:20]
 
     def test_a_second_writer_is_refused(self, tmp_path):
         with RecordStore(tmp_path) as first:
@@ -634,7 +637,7 @@ def test_a_seal_cut_after_each_step_loses_and_repeats_nothing(tmp_path, monkeypa
     assert dump(RecordStore(tmp_path)) == canonical(expected[:3] + [ping(5)])
 
 
-def test_an_old_ndjson_store_reads_byte_identically_and_a_writer_converts_it(tmp_path):
+def test_an_old_ndjson_store_exports_byte_identically_once_upgraded(tmp_path):
     rng = random.Random(11)
     stored = {"ping": [], "traceroute": []}
     segments = []
@@ -653,28 +656,29 @@ def test_an_old_ndjson_store_reads_byte_identically_and_a_writer_converts_it(tmp
             stored[kind] += chunk
             segments.append(f"{name}.ndjson")
     expected = canonical(stored["ping"] + stored["traceroute"])
-    old = RecordStore(tmp_path)
-    assert dump(old) == expected
-    for kind in stored:
-        assert old.query(StoreQuery(kind)) == \
-            sorted(stored[kind], key=lambda r: r.timestamp)
     assert names(tmp_path) == sorted(segments)
+    legacy.upgrade(tmp_path)
+    assert not list(tmp_path.glob("*.ndjson"))
+    assert len(list(tmp_path.glob("*.col"))) == len(segments)
+    upgraded = RecordStore(tmp_path)
+    assert dump(upgraded) == expected
+    for kind in stored:
+        assert upgraded.query(StoreQuery(kind)) == \
+            sorted(stored[kind], key=lambda r: r.timestamp)
     with RecordStore(tmp_path) as writer:
         writer.append(run(10_000))
-    assert not list(tmp_path.glob("*.ndjson"))
-    assert len(list(tmp_path.glob("*.col"))) == len(segments) + 1
     assert dump(RecordStore(tmp_path)) == expected + serialize_line(run(10_000))
 
 
 def test_a_writer_rebuilds_an_invalid_columnar_twin_from_its_ndjson(tmp_path):
     expected = [ping(1, 10), ping(2)]
-    (tmp_path / "ping-1-2.ndjson").write_text("".join(map(serialize_line, expected)))
-    (tmp_path / "ping-1-2.col").write_bytes(b"contrace columns\n garbage")
-    with pytest.raises(StoreError, match="ping-1-2.col: "):
+    (tmp_path / "ping-1.ndjson").write_text("".join(map(serialize_line, expected)))
+    (tmp_path / "ping-1.col").write_bytes(b"contrace columns\n garbage")
+    with pytest.raises(StoreError, match="ping-1.col: "):
         RecordStore(tmp_path).query(StoreQuery("ping"))
     with RecordStore(tmp_path) as writer:
         writer.append(run(3))
-    assert names(tmp_path, "ping-*") == ["ping-1-2.col"]
+    assert names(tmp_path, "ping-*") == ["ping-1.col"]
     assert RecordStore(tmp_path).query(StoreQuery("ping")) == expected
 
 
@@ -754,7 +758,8 @@ def _reference_reads(kind, records_, queries):
 def test_an_interleaved_segment_round_trips_in_both_formats(drawn, seed):
     """One sealed segment of records that interleave pairs, repeat
     timestamps and go back in time reads as the oracles say, whether the
-    writer sealed it or it is its version 1 twin, and through windows."""
+    writer sealed it or upgrade rewrote its version 1 twin, and through
+    windows."""
     kind, records_ = drawn
     queries = _queries(kind, records_, random.Random(seed))
     expected = _reference_reads(kind, records_, queries)
@@ -766,13 +771,15 @@ def test_an_interleaved_segment_round_trips_in_both_formats(drawn, seed):
         [name] = names(written, "*.col")
         old.mkdir()
         oracles.write_v1(old / name, kind, records_)
+        legacy.upgrade(old)
         assert _store_reads(RecordStore(written), kind, queries) == expected
         assert _store_reads(RecordStore(old), kind, queries) == expected
 
 
-def test_a_version_1_store_reads_as_its_twin_until_a_writer_rewrites_it(tmp_path):
-    """Sealed segments written by the old writer read as the same segments
-    sealed today; the next writer's recovery rewrites them as version 2."""
+def test_a_version_1_store_reads_as_its_twin_once_upgraded(tmp_path):
+    """Sealed segments written by the old writer fail every read until
+    upgrade rewrites them as version 2; then they read as the same segments
+    sealed today."""
     rng = random.Random(21)
     chunks = {kind: [TestSegmentForms().chunk(rng, first, kind) for first in (1, 20, 40)]
               for kind in ("ping", "traceroute")}
@@ -786,16 +793,23 @@ def test_a_version_1_store_reads_as_its_twin_until_a_writer_rewrites_it(tmp_path
                     store.append(record)
             oracles.write_v1(old / f"{kind}-{next(segment_ids)}.col", kind, chunk)
     assert names(old, "*.col") == names(twin, "*.col")
+    assert all(legacy.is_version_1(path) for path in old.glob("*.col"))
+    for read in _reads(RecordStore(old), "traceroute"):
+        with pytest.raises(StoreError, match=r"-[14]\.col: columnar format version 1; run "
+                                             r"contrace upgrade --store " + re.escape(str(old))):
+            read()
+    assert legacy.upgrade(old) == (f"upgraded {old}: segments renamed 0, version 1 files "
+                                   f"rewritten 6, NDJSON segments sealed 0, second names "
+                                   f"unlinked 0")
+    assert not any(legacy.is_version_1(path) for path in old.glob("*.col"))
     for kind in chunks:
         stored = [r for chunk in chunks[kind] for r in chunk]
         queries = _queries(kind, stored, rng)
         assert _store_reads(RecordStore(old), kind, queries) == \
             _store_reads(RecordStore(twin), kind, queries)
     expected = dump(RecordStore(twin))
-    assert all(columnar.is_version_1(path) for path in old.glob("*.col"))
     with RecordStore(old) as writer:
         writer.append(ping(100))
-    assert not any(columnar.is_version_1(path) for path in old.glob("*.col"))
     assert dump(RecordStore(old)) == expected + serialize_line(ping(100))
     upgraded, sealed = RecordStore(old), RecordStore(twin)
     for q in (StoreQuery("traceroute"),
@@ -804,19 +818,20 @@ def test_a_version_1_store_reads_as_its_twin_until_a_writer_rewrites_it(tmp_path
         assert _grouped(upgraded.path_runs(q)) == _grouped(sealed.path_runs(q))
 
 
-def test_a_damaged_version_1_file_stays_and_fails_its_reads(tmp_path):
+def test_upgrade_stops_at_a_damaged_version_1_file_and_renames_nothing(tmp_path):
     stored = [ping(1, 10), ping(2, dst="10.1.0.2")]
     segment = tmp_path / "ping-1-2.col"
     oracles.write_v1(segment, "ping", stored)
-    assert RecordStore(tmp_path).query(StoreQuery("ping")) == stored
-    damaged = segment.read_bytes()[:-1] + b"\x01"
-    segment.write_bytes(damaged)
-    with RecordStore(tmp_path) as writer:
-        writer.append(run(3))
-    assert segment.read_bytes() == damaged
-    for read in _reads(RecordStore(tmp_path), "ping"):
-        with pytest.raises(StoreError, match=re.escape(f"{segment}: CRC mismatch")):
-            read()
+    small_store(tmp_path / "later")
+    for later in (tmp_path / "later").glob("*.col"):
+        later.rename(tmp_path / later.name)
+    segment.write_bytes(segment.read_bytes()[:-1] + b"\x01")
+    before = {path.name: path.read_bytes() for path in tmp_path.glob("*.col")}
+    with pytest.raises(StoreError, match=re.escape(f"{segment}: CRC mismatch")):
+        legacy.upgrade(tmp_path)
+    assert {path.name: path.read_bytes() for path in tmp_path.glob("*.col")} == before
+    assert sorted(before) == ["ping-1-2.col", "ping-1.col", "traceroute-2.col"]
+    assert cli.main(["upgrade", "--store", str(tmp_path)]) == 1
 
 
 def test_export_reads_each_block_once_where_segments_overlap(tmp_path, monkeypatch):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contrace import columnar, records
+from contrace import columnar, legacy, records
 from contrace import store as store_module
 from contrace.records import (Hop, InvalidRecord, MalformedJson, PingRecord,
                               RecordStore, StoreError, StoreQuery, TracerouteRun)
@@ -38,7 +38,8 @@ def run(ts=1_600_000_000_000_000, src="10.0.0.1", dst="10.1.0.1", rnd=0):
 
 
 def write_old_segment(path, records_):
-    """A sealed NDJSON segment, as stores wrote before columnar segments."""
+    """records_ as an NDJSON segment file at path, one canonical line each:
+    a segment a crashed writer left, or one an old store sealed."""
     path.write_text("".join(serialize_line(r) for r in records_))
 
 
@@ -915,20 +916,24 @@ class TestSegments:
         monkeypatch.setattr(os, "link", no_links)
         _one_timestamp_in_three_segments(tmp_path)
 
-    def test_recovery_finishes_a_seal_cut_between_link_and_unlink(self, tmp_path):
+    def test_upgrade_finishes_a_seal_cut_between_link_and_unlink(self, tmp_path):
         expected = [ping(ts=ts) for ts in range(5, 10)]
-        # the state a crash after os.link and before unlink leaves behind
+        # the state an old writer's crash after os.link and before unlink left
         write_old_segment(tmp_path / "ping-5-9.ndjson", expected)
         os.link(tmp_path / "ping-5-9.ndjson", tmp_path / "ping-5-open.ndjson")
+        with pytest.raises(StoreError, match="; run contrace upgrade --store "):
+            RecordStore(tmp_path).count("ping")
+        assert legacy.upgrade(tmp_path) == (
+            f"upgraded {tmp_path}: segments renamed 1, version 1 files rewritten 0, "
+            f"NDJSON segments sealed 1, second names unlinked 1")
         reader = RecordStore(tmp_path)
         assert reader.count("ping") == 5
         assert reader.query(StoreQuery("ping")) == expected
-        assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "ping-5-9.ndjson", "ping-5-open.ndjson"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [".lock", "ping-1.col"]
         with RecordStore(tmp_path) as writer:
             writer.append(run(ts=1))
         assert sorted(p.name for p in tmp_path.iterdir()) == [
-            ".lock", "ping-5-9.col", "traceroute-1.col"]
+            ".lock", "ping-1.col", "traceroute-2.col"]
         reopened = RecordStore(tmp_path)
         assert reopened.count("ping") == 5
         assert reopened.query(StoreQuery("ping")) == expected
@@ -966,7 +971,8 @@ class TestSegments:
     def test_an_old_open_segment_loads_after_the_old_sealed_ones(self, tmp_path):
         """A segment left open under a name given before ids is the newest of
         its kind, so it loads after the old sealed ones, whatever its first
-        timestamp, and still does once a writer gives it the next id."""
+        timestamp: upgrade gives it the id after theirs, and a writer then
+        seals it."""
         sealed, left_open = [ping(ts=10, rtt=1), ping(ts=20, rtt=2)], \
             [ping(ts=5, rtt=3), ping(ts=10, rtt=4)]
         with RecordStore(tmp_path / "old") as old:
@@ -977,13 +983,16 @@ class TestSegments:
         shutil.rmtree(tmp_path / "old")
         expected = "".join(map(serialize_line, [left_open[0], sealed[0], left_open[1],
                                                 sealed[1]]))
+        legacy.upgrade(tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            ".lock", "ping-1.col", "ping-2.ndjson"]
         before = io.StringIO()
         RecordStore(tmp_path).export(before)
         assert before.getvalue() == expected
         with RecordStore(tmp_path) as writer:
             writer.append(run(ts=100))
         assert sorted(p.name for p in tmp_path.iterdir()) == [
-            ".lock", "ping-1.col", "ping-10-20.col", "traceroute-2.col"]
+            ".lock", "ping-1.col", "ping-2.col", "traceroute-3.col"]
         after = io.StringIO()
         RecordStore(tmp_path).export(after)
         assert after.getvalue() == expected + serialize_line(run(ts=100))
@@ -1006,39 +1015,15 @@ class TestSegments:
         assert reader.query(StoreQuery("ping")) == [ping(ts=5), ping(ts=6)]
         assert [p.name for p in tmp_path.glob("ping-*")] == ["ping-1.col"]
 
-    def test_a_reader_whose_listed_old_open_ndjson_is_renamed_fails_naming_it(
-            self, tmp_path, monkeypatch):
-        """A writer's recovery gives a segment left open under an old name
-        the next id while a read lists it. The read fails naming the file it
-        listed, not a columnar twin that was never written, and the next
-        read finds the segment under its id."""
-        write_old_segment(tmp_path / "ping-5-open.ndjson", [ping(ts=5), ping(ts=6)])
-        reader = RecordStore(tmp_path)
-        scan = reader._scan
-
-        def scan_then_recover(kind=None):
-            listed = scan(kind)
-            with RecordStore(tmp_path) as writer:
-                writer.append(run(ts=100))  # renames ping-5-open.ndjson to ping-1
-            return listed
-
-        monkeypatch.setattr(reader, "_scan", scan_then_recover)
-        with pytest.raises(StoreError, match=r"ping-5-open\.ndjson: a writer renamed it "
-                                             r"to the next id while this read listed it"):
-            reader.query(StoreQuery("ping"))
-        monkeypatch.undo()
-        assert reader.query(StoreQuery("ping")) == [ping(ts=5), ping(ts=6)]
-        assert sorted(p.name for p in tmp_path.glob("ping-*")) == ["ping-1.col"]
-
     @pytest.mark.parametrize("cut", [30, -1], ids=["torn", "no-newline"])
     def test_recovery_truncates_a_torn_last_line(self, tmp_path, caplog, cut):
         kept = serialize_line(ping(ts=5)) + serialize_line(ping(ts=6))
         last = serialize_line(ping(ts=7))[:cut]
-        (tmp_path / "ping-5-open.ndjson").write_text(kept + last)
+        (tmp_path / "ping-1.ndjson").write_text(kept + last)
         # a reader reads what recovery keeps and leaves the file as it is
         assert RecordStore(tmp_path).query(StoreQuery("ping")) == \
             [ping(ts=5), ping(ts=6)] + ([ping(ts=7)] if cut == -1 else [])
-        assert (tmp_path / "ping-5-open.ndjson").read_text() == kept + last
+        assert (tmp_path / "ping-1.ndjson").read_text() == kept + last
         with caplog.at_level("WARNING", logger="contrace.records"):
             with RecordStore(tmp_path) as writer:
                 writer.append(run(ts=100))
@@ -1059,20 +1044,24 @@ class TestSegments:
 
     WHOLE = serialize_line(ping(ts=7)).rstrip("\n")  # a record without its newline
 
-    @pytest.mark.parametrize("tail, linked, held", [
+    @pytest.mark.parametrize("tail, sealed, held", [
         ("", False, 2), (WHOLE[:30], False, 2), (WHOLE, False, 3), ("   ", False, 2),
         ("\n\n \n", False, 2), (WHOLE, True, 3)],
-        ids=["none", "torn", "no-newline", "spaces", "blank-lines", "second-link"])
+        ids=["none", "torn", "no-newline", "spaces", "blank-lines", "columnar-twin"])
     def test_a_crashed_writers_segment_reads_the_same_before_and_after_recovery(
-            self, tmp_path, tail, linked, held):
+            self, tmp_path, tail, sealed, held):
         """Reads and a writer's recovery end an open segment by one rule, so
         export and count do not change when a writer recovers the store.
-        second-link: a seal cut between linking the sealed name and
-        unlinking the -open one."""
-        segment = tmp_path / "ping-5-open.ndjson"
+        columnar-twin: a seal cut between renaming the columnar file and
+        unlinking the NDJSON."""
+        segment = tmp_path / "ping-1.ndjson"
         segment.write_text(serialize_line(ping(ts=5)) + serialize_line(ping(ts=6)) + tail)
-        if linked:
-            os.link(segment, tmp_path / "ping-5-7.ndjson")
+        if sealed:
+            with RecordStore(tmp_path / "twin") as twin:
+                for ts in (5, 6, 7):
+                    twin.append(ping(ts=ts))
+            os.rename(tmp_path / "twin" / "ping-1.col", tmp_path / "ping-1.col")
+            shutil.rmtree(tmp_path / "twin")
         before = RecordStore(tmp_path)
         exported, count = io.StringIO(), before.count()
         before.export(exported)
@@ -1095,9 +1084,9 @@ class TestSegments:
     def test_a_bad_line_of_an_open_segment_fails_reads_and_stays_ndjson(
             self, tmp_path, caplog, text, bad):
         """A bad line, the last one or not, fails every read of its kind. A
-        writer's recovery gives the segment the next id, leaves it NDJSON
-        with a warning, and goes on."""
-        segment = tmp_path / "ping-5-open.ndjson"
+        writer's recovery leaves the segment NDJSON with a warning, and goes
+        on."""
+        segment = tmp_path / "ping-1.ndjson"
         segment.write_text(text)
         store = RecordStore(tmp_path)
         for read in _reads_of_pings(store):
@@ -1137,9 +1126,9 @@ class TestSegments:
         assert RecordStore(tmp_path).query(StoreQuery("ping")) == [ping(ts=6)]
 
     def test_ping_line_in_a_traceroute_segment_fails_traceroute_reads(self, tmp_path):
-        segment = tmp_path / "traceroute-5-7.ndjson"
+        segment = tmp_path / "traceroute-1.ndjson"
         write_old_segment(segment, [run(ts=5), ping(ts=7)])
-        write_old_segment(tmp_path / "ping-6-6.ndjson", [ping(ts=6)])
+        write_old_segment(tmp_path / "ping-2.ndjson", [ping(ts=6)])
         store = RecordStore(tmp_path)
         with pytest.raises(StoreError, match=re.escape(
                 f"{segment}:2: a ping record in a traceroute segment")):
@@ -1155,7 +1144,7 @@ class TestSegments:
     def test_corrupt_ping_line_fails_only_reads_of_pings(self, tmp_path):
         with RecordStore(tmp_path) as store:
             store.append(run(ts=6))
-        segment = tmp_path / "ping-5-5.ndjson"
+        segment = tmp_path / "ping-2.ndjson"
         write_old_segment(segment, [ping(ts=5)])
         with segment.open("a") as fp:
             fp.write("\n{not json}\n")
