@@ -291,7 +291,7 @@ class Segment:
         self.keys: list[tuple[tuple, tuple]] = [] if runs else ()
         self.widths: list[int] = [] if runs else ()
         self._blocks: dict[tuple[str, str], Block] = {}  # filled by add()
-        # made by the first add_row() of a run, and the first add()
+        # made by the first add_rows() of a run, and the first add()
         self._path_ids: dict[tuple[tuple, tuple], int] | None = None
         self._formats: dict[tuple, str] | None = None
         self._shapes: dict[str, tuple] | None = None  # format -> its _formats key
@@ -311,7 +311,7 @@ class Segment:
         return segment
 
     def row(self, shape: str, parts: list[str]) -> tuple | None:
-        """add_row's arguments for a line of shape() (shape, parts) that is a
+        """The add_rows row of a line of shape() (shape, parts) that is a
         format of this segment, filled in with integers from_json_obj
         accepts: the canonical line of a valid record. Else None; the parts
         count rules out a "%d" in the line's own text."""
@@ -329,26 +329,8 @@ class Segment:
         timestamp, round_, *rtts = map(int, parts[1::2])
         return pair, timestamp, round_, (statuses, addresses), rtts
 
-    def _tie_rank(self, timestamp: int) -> int:
-        """The tie rank of a row added at timestamp but at a new maximum: a
-        running count while the segment's timestamps never decrease; from
-        the first that does, a count per timestamp, of the rows so far."""
-        counts = self._tie_counts
-        if counts is None:
-            if timestamp == self.last:
-                self._tie += 1
-                self.ties = True
-                return self._tie
-            counts = self._tie_counts = Counter(
-                chain.from_iterable(block.columns[0] for block in self.blocks))
-        tie = counts[timestamp]
-        counts[timestamp] = tie + 1
-        if tie:
-            self.ties = True
-        return tie
-
     def add(self, record: Record, write=None) -> None:
-        """Append a valid record's row to its pair's block (add_row) once
+        """Append a valid record's row to its pair's block (add_rows) once
         write, if given, took its line, from a %-format kept per pair and
         ping status or path. A new format is also a shape (row) unless an
         address holds a "%": its "%%" would match a line's "%%"."""
@@ -372,59 +354,78 @@ class Segment:
                 self._shapes[line] = key
         if write is not None:
             write(line % ints)
-        self.add_row(*row)
+        self.add_rows((row,))
 
-    def add_row(self, pair: tuple[str, str], timestamp: int, third: int, fourth,
-                rtts: Sequence[int]) -> None:
-        """Append a valid record's row to pair's block, keeping the counts,
-        minima, maxima, sorted and the tie ranks current: a ping's timestamp,
-        status and rtt (-1 for none), or a run's timestamp, round, path key
-        (statuses, addresses) and responsive hops' rtts."""
-        block = self._blocks.get(pair)
-        if block is None:
-            block = self._blocks[pair] = Block(pair, [array("b")
-                                                      for _ in _COLUMN_NAMES[self.kind]])
-            self.blocks.append(block)
-        if self._tie_counts is None and (self.last is None or timestamp > self.last):
-            tie = self._tie = 0
-        else:
-            tie = self._tie_rank(timestamp)
-        if self.kind == KIND_TRACEROUTE:  # fourth is the path key: store its id
-            if self._path_ids is None:
-                self._path_ids = {}
-            key, fourth = fourth, self._path_ids.get(fourth)
-            if fourth is None:
-                fourth = self._path_ids[key] = len(self.keys)
-                self.keys.append(key)
-                self.widths.append(len(key[0]) - key[0].count(STATUS_TIMEOUT))
-        columns = block.columns
-        n, rtts_before = block.count, len(columns[-1])
-        try:
-            columns[0].append(timestamp)
-            columns[1].append(tie)
-            columns[2].append(third)
-            columns[3].append(fourth)
-            columns[-1].extend(rtts)
-        except OverflowError:
-            row = (timestamp, tie, third, fourth)
-            for column in columns[:len(row)]:
-                del column[n:]
-            del columns[-1][rtts_before:]
-            for i, value in enumerate(row):
-                _put(columns, i, (value,))
-            _put(columns, -1, rtts)
-        block.count = n + 1
-        if n == 0:
-            block.min = block.max = timestamp
-        elif timestamp < block.max:
-            block.sorted = False
-            block.min = min(block.min, timestamp)
-        else:
-            block.max = timestamp
-        self.min = timestamp if self.count == 0 or timestamp < self.min else self.min
-        self.max = timestamp if self.count == 0 or timestamp > self.max else self.max
-        self.count += 1
-        self.last = timestamp
+    def add_rows(self, rows: Sequence[tuple]) -> None:
+        """Append valid records' rows in order, each to its pair's block: a
+        ping's (pair, timestamp, status, rtt (-1 for none), ()), or a run's
+        (pair, timestamp, round, path key (statuses, addresses), responsive
+        hops' rtts), as row() gives them. One call keeps the counts, minima,
+        maxima, sorted and tie ranks current as adding the rows one at a
+        time would, and widens a column only as its values demand."""
+        runs = self.kind == KIND_TRACEROUTE
+        if runs and self._path_ids is None:
+            self._path_ids = {}
+        blocks = self._blocks
+        last, tie, counts = self.last, self._tie, self._tie_counts
+        low, high = self.min, self.max
+        for pair, timestamp, third, fourth, rtts in rows:
+            # the tie rank: a running count while timestamps never decrease;
+            # from the first that does, a count per timestamp of the rows so far
+            if counts is None:
+                if last is None or timestamp > last:
+                    tie = 0
+                elif timestamp == last:
+                    tie += 1
+                    self.ties = True
+                else:
+                    counts = Counter(chain.from_iterable(
+                        block.columns[0] for block in self.blocks))
+            if counts is not None:
+                tie = counts[timestamp]
+                counts[timestamp] = tie + 1
+                if tie:
+                    self.ties = True
+            last = timestamp
+            if runs:  # fourth is the path key: store its id
+                key, fourth = fourth, self._path_ids.get(fourth)
+                if fourth is None:
+                    fourth = self._path_ids[key] = len(self.keys)
+                    self.keys.append(key)
+                    self.widths.append(len(key[0]) - key[0].count(STATUS_TIMEOUT))
+            block = blocks.get(pair)
+            if block is None:
+                block = blocks[pair] = Block(pair, [array("b")
+                                                    for _ in _COLUMN_NAMES[self.kind]])
+                self.blocks.append(block)
+            columns, n = block.columns, block.count
+            try:
+                columns[0].append(timestamp)
+                columns[1].append(tie)
+                columns[2].append(third)
+                columns[3].append(fourth)
+            except OverflowError:
+                for column in columns[:4]:
+                    del column[n:]
+                for i, value in enumerate((timestamp, tie, third, fourth)):
+                    _put(columns, i, (value,))
+            if runs:
+                _put(columns, 4, rtts)
+            block.count = n + 1
+            if n == 0:
+                block.min = block.max = timestamp
+            elif timestamp < block.max:
+                block.sorted = False
+                if timestamp < block.min:
+                    block.min = timestamp
+            else:
+                block.max = timestamp
+            if low is None or timestamp < low:
+                low = timestamp
+            if high is None or timestamp > high:
+                high = timestamp
+        self.count += len(rows)
+        self.min, self.max, self.last, self._tie, self._tie_counts = low, high, last, tie, counts
 
     # -- reading files ---------------------------------------------------------
 

@@ -403,17 +403,19 @@ class PathRuns:
         return self.rtts[path][position::self.widths[path]]
 
 
-def _splitlines(chunks: Iterable[str]) -> Iterator[str]:
+def _line_batches(chunks: Iterable[str]) -> Iterator[list[str]]:
     """The lines of str.splitlines(True) over the concatenation of chunks,
-    each yielded once it is complete. A chunk's last line is held back
-    unless it ends in "\\n": the next chunk may continue it, or turn its
-    "\\r" into "\\r\\n"."""
+    in batches: after each chunk, the lines it completed, if any. A chunk's
+    last line is held back unless it ends in "\\n": the next chunk may
+    continue it, or turn its "\\r" into "\\r\\n"."""
     rest = ""
     for chunk in chunks:
         lines = (rest + chunk).splitlines(True)
         rest = "" if not lines or lines[-1].endswith("\n") else lines.pop()
-        yield from lines
-    yield from rest.splitlines(True)
+        if lines:
+            yield lines
+    if rest:
+        yield [rest]
 
 
 def __getattr__(name: str):

@@ -6,10 +6,13 @@ NDJSON; sealing turns a segment into a columnar file (see columnar). Every
 read takes each segment as a columnar.Segment: a columnar file is loaded
 as one, reading its header and then only the blocks the read selects, and
 an NDJSON segment's lines are added to one held in memory, by shape or
-decoded. Reads and writers know only <kind>-<id> names and columnar
-format version 2; a file of an older store fails them with a StoreError
-that says to run `contrace upgrade` (see legacy). RecordStore is also
-importable from contrace.records.
+decoded. append writes one line per os.write; import writes in batches,
+each run of whole lines bound for one segment by one os.write under the
+lock, in input order, so a read never sees a torn record and a killed
+import keeps a prefix of its input. Reads and writers know only
+<kind>-<id> names and columnar format version 2; a file of an older store
+fails them with a StoreError that says to run `contrace upgrade` (see
+legacy). RecordStore is also importable from contrace.records.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import IO, Iterable, Iterator, NamedTuple
 from . import columnar
 from .records import (KIND_PING, KIND_TRACEROUTE, InvalidRecord, MalformedJson, PathRuns,
                       PingRecord, Record, StoreError, StoreQuery, TracerouteRun, _loads,
-                      _splitlines, from_json_obj, parse_line, validated)
+                      _line_batches, from_json_obj, parse_line, validated)
 
 
 def _warn(message: str, *args) -> None:
@@ -49,6 +52,7 @@ _OLDER = re.compile(rf"(?:{KIND_PING}|{KIND_TRACEROUTE})-[0-9]")
 
 
 _NDJSON = ".ndjson"
+_CHUNK = 1 << 13  # characters of newline-delimited input import reads at a time
 _TIMESTAMP = attrgetter("timestamp")
 _ID = itemgetter(0)
 
@@ -98,7 +102,7 @@ def _decode(lines: Iterable[bytes], kind: str, path: Path) -> columnar.Segment:
             raise StoreError(f"{path}:{number}: not UTF-8: {exc}") from None
         row = segment.row(*columnar.shape(line))
         if row is not None:
-            segment.add_row(*row)
+            segment.add_rows((row,))
             continue
         try:
             record = parse_line(line)
@@ -158,9 +162,10 @@ class _Active(NamedTuple):
     fd: int
     segment: columnar.Segment
 
-    def write(self, line: str) -> None:
-        """os.write line to the file, again for the rest after a short write."""
-        data = line.encode()
+    def write(self, lines: str) -> None:
+        """os.write whole lines to the file, again for the rest after a short
+        write: append's one line, or a run of import's batch."""
+        data = lines.encode()
         written = os.write(self.fd, data)
         while written < len(data):
             written += os.write(self.fd, data[written:])
@@ -188,10 +193,11 @@ class RecordStore:
     id, rows in append order (tie rank). That is the order of
     appending, within a process and after a reopen. Reads and recovery end
     an NDJSON segment, the active one too, by one rule (_lines_within), so
-    a crashed writer's store reads the same before and after recovery. Each
-    line is passed to the operating system under a lock, and a read takes
-    each file's size under it, so it sees the active segment as it was when
-    the read started and never a torn record.
+    a crashed writer's store reads the same before and after recovery.
+    Whole lines are passed to the operating system by one os.write under a
+    lock, one line by append, a run of an import's batch by import_json,
+    and a read takes each file's size under it, so it sees the active
+    segment as it was when the read started and never a torn record.
 
     A store written before ids or columnar format version 2 fails every
     read and writer, changing no file, with a StoreError that names an old
@@ -345,36 +351,99 @@ class RecordStore:
 
     def _write(self, record: Record) -> None:
         """Persist one record that from_json_obj returned."""
-        kind = _kind_of(record)
         with self._lock:
-            if self._writer is None:
-                self._become_writer()
-            seg = self._active.get(kind)
-            if seg is None:
-                path = self.path / f"{kind}-{self._next_id}{_NDJSON}"
-                self._next_id += 1
-                fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-                seg = self._active[kind] = _Active(path, fd, columnar.Segment(kind))
-            seg.segment.add(record, seg.write)
-            self.written[kind] += 1
-            if seg.segment.count >= self.segment_records:
-                self._seal(kind)
+            self._add(record)
 
-    def _write_line(self, line: str) -> bool:
-        """Persist a line of a shape an active segment knows, as _write does
-        its record; False, writing nothing, for any other line."""
-        shape, parts = columnar.shape(line)
+    def _add(self, record: Record) -> None:
+        """_write under the lock, which the caller holds."""
+        kind = _kind_of(record)
+        if self._writer is None:
+            self._become_writer()
+        seg = self._active.get(kind)
+        if seg is None:
+            path = self.path / f"{kind}-{self._next_id}{_NDJSON}"
+            self._next_id += 1
+            fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            seg = self._active[kind] = _Active(path, fd, columnar.Segment(kind))
+        seg.segment.add(record, seg.write)
+        self.written[kind] += 1
+        if seg.segment.count >= self.segment_records:
+            self._seal(kind)
+
+    def _import_lines(self, lines: list[str], first: int,
+                      rejects: list[tuple[int, str]]) -> int:
+        """Store one batch of newline-delimited input, the complete lines
+        of one read chunk, which are documents first, first + 1, ...;
+        returns the count accepted and appends the rejects to rejects. The
+        lock is taken once.
+
+        A run of lines of shapes that one active segment knows goes to it
+        as it is (_add_run): one os.write, then one add_rows. A run ends
+        where its segment reaches segment_records, so seals fall on the
+        lines they fall on when lines are stored one at a time. Any other
+        line first ends the run before it, so the files are written in
+        input order; it is decoded once, by from_json_obj, and written as
+        decoded (_add)."""
+        accepted = 0
+        active = self._active
+        target, run, rows = None, [], []  # the run's kind, lines and their rows
         with self._lock:
-            for kind, seg in self._active.items():
-                row = seg.segment.row(shape, parts)
-                if row is not None:
-                    seg.write(line)
-                    seg.segment.add_row(*row)
-                    self.written[kind] += 1
-                    if seg.segment.count >= self.segment_records:
-                        self._seal(kind)
-                    return True
-        return False
+            for i, line in enumerate(lines, first):
+                shape, parts = columnar.shape(line)
+                for kind, seg in active.items():
+                    row = seg.segment.row(shape, parts)
+                    if row is not None:
+                        if kind != target:
+                            self._add_run(target, run, rows)
+                            target, run, rows = kind, [], []
+                        run.append(line)
+                        rows.append(row)
+                        accepted += 1
+                        if seg.segment.count + len(rows) >= self.segment_records:
+                            self._add_run(target, run, rows)  # and seals
+                            target, run, rows = None, [], []
+                        break
+                else:  # no active segment knows the line's shape
+                    self._add_run(target, run, rows)
+                    target, run, rows = None, [], []
+                    document = line.splitlines()[0]
+                    if not document.strip():
+                        continue
+                    try:
+                        document.encode()  # raises for a byte that was not UTF-8
+                        self._add(from_json_obj(_loads(document)))
+                        accepted += 1
+                    except UnicodeEncodeError:
+                        rejects.append((i, "not UTF-8"))
+                    except (MalformedJson, InvalidRecord) as exc:
+                        rejects.append((i, str(exc)))
+            self._add_run(target, run, rows)
+        return accepted
+
+    def _add_run(self, kind: str | None, lines: list[str], rows: list[tuple]) -> None:
+        """Write lines to kind's active segment by one os.write, then add
+        their rows, sealing the segment if it is full; the lock is held. If
+        the write fails, only the rows of the lines that reached the file
+        are added, so the segment in memory holds what a read of the file
+        finds, and the error is raised."""
+        if not rows:
+            return
+        seg = self._active[kind]
+        start = os.lseek(seg.fd, 0, os.SEEK_CUR)
+        try:
+            seg.write("".join(lines))
+        except BaseException:
+            # a line is read if all but its newline reached the file: the
+            # rest of a canonical line is JSON (_lines_within)
+            reached = os.lseek(seg.fd, 0, os.SEEK_CUR) - start
+            ends = itertools.accumulate(len(line.encode()) for line in lines)
+            rows = rows[:sum(end - 1 <= reached for end in ends)]
+            raise
+        finally:
+            seg.segment.add_rows(rows)
+            self.written[kind] += len(rows)
+        if seg.segment.count >= self.segment_records:
+            self._seal(kind)
 
     def close(self) -> None:
         """Seal the active segments and release the writer lock."""
@@ -455,19 +524,24 @@ class RecordStore:
 
         Returns (accepted count, [(document index, reason), ...]); rejected
         documents are reported, never silently skipped. A line of a shape
-        an active segment knows is written as it is (_write_line); any other
-        document is decoded once, by from_json_obj, and written as decoded.
+        an active segment knows is written as it is; any other document is
+        decoded once, by from_json_obj, and written as decoded.
 
-        Newline-delimited input is read in chunks, and each document stored
-        one line at a time; only input whose first non-blank character is
-        "[" is read whole. An array's documents are indexed by position;
-        otherwise the documents and their indexes are the lines of
-        str.splitlines over the whole input, blank lines counted. A line
-        holding a lone surrogate, which reading bytes that are not UTF-8 with
+        Newline-delimited input is read in chunks of _CHUNK characters, and
+        stored in batches, the complete lines of one chunk each
+        (_import_lines): each run of lines of known shapes is one os.write
+        of whole lines under the lock, so a read never sees a torn record,
+        and the files are written in input order, so a killed import keeps
+        a prefix of its input. Only input whose first non-blank character
+        is "[" is read whole, and its documents are stored one at a time.
+        An array's documents are indexed by position; otherwise the
+        documents and their indexes are the lines of str.splitlines over
+        the whole input, blank lines counted. A line holding a lone
+        surrogate, which reading bytes that are not UTF-8 with
         errors="surrogateescape" leaves, is rejected as "not UTF-8"; an
         array holding one is rejected whole, at index 0.
         """
-        chunks = iter(lambda: stream.read(1 << 13), "") if hasattr(stream, "read") \
+        chunks = iter(lambda: stream.read(_CHUNK), "") if hasattr(stream, "read") \
             else iter(stream)
         head = []
         for chunk in chunks:
@@ -475,33 +549,26 @@ class RecordStore:
             if chunk.strip():
                 break
         head = "".join(head)
-        is_array = head.lstrip().startswith("[")
-        if is_array:
-            text = head + (stream.read() if hasattr(stream, "read") else "".join(chunks))
-            try:
-                text.encode()  # raises for a byte that was not UTF-8
-                documents = enumerate(json.loads(text))
-            except UnicodeEncodeError:
-                return 0, [(0, "not UTF-8")]
-            except (ValueError, RecursionError) as exc:  # also too many digits or too deep
-                return 0, [(0, f"invalid JSON array: {exc}")]
-        else:
-            documents = enumerate(_splitlines(itertools.chain((head,), chunks)))
         rejects: list[tuple[int, str]] = []
         accepted = 0
-        for i, document in documents:
+        if not head.lstrip().startswith("["):
+            first = 0
+            for lines in _line_batches(itertools.chain((head,), chunks)):
+                accepted += self._import_lines(lines, first, rejects)
+                first += len(lines)
+            return accepted, rejects
+        text = head + (stream.read() if hasattr(stream, "read") else "".join(chunks))
+        try:
+            text.encode()  # raises for a byte that was not UTF-8
+            documents = json.loads(text)
+        except UnicodeEncodeError:
+            return 0, [(0, "not UTF-8")]
+        except (ValueError, RecursionError) as exc:  # also too many digits or too deep
+            return 0, [(0, f"invalid JSON array: {exc}")]
+        for i, document in enumerate(documents):
             try:
-                if is_array:
-                    self._write(from_json_obj(document))
-                elif not self._write_line(document):
-                    document = document.splitlines()[0]
-                    if not document.strip():
-                        continue
-                    document.encode()  # raises for a byte that was not UTF-8
-                    self._write(from_json_obj(_loads(document)))
+                self._write(from_json_obj(document))
                 accepted += 1
-            except UnicodeEncodeError:
-                rejects.append((i, "not UTF-8"))
             except (MalformedJson, InvalidRecord) as exc:
                 rejects.append((i, str(exc)))
         return accepted, rejects

@@ -1,5 +1,6 @@
 import copy
 import io
+import itertools
 import json
 import os
 import random
@@ -474,7 +475,9 @@ class TestStore:
     def test_splitlines_of_any_two_chunks_equals_str_splitlines(self):
         for text in (MIXED_NDJSON, "a\r", "a\r\n\rb\n\n", "\r\n", ""):
             for cut in range(len(text) + 1):
-                assert list(records._splitlines([text[:cut], text[cut:]])) == \
+                batches = list(records._line_batches([text[:cut], text[cut:]]))
+                assert all(batches) and len(batches) <= 3, (text, cut)
+                assert list(itertools.chain.from_iterable(batches)) == \
                     text.splitlines(True), (text, cut)
 
     def test_import_reads_array_input_whole(self, tmp_path):
@@ -757,8 +760,9 @@ def shaped_lines(draw):
 
 
 def _reference_import(text: str):
-    """(accepted, rejects) and the export of importing text, each line
-    decoded on its own by json.loads and the reference decoder."""
+    """(accepted, rejects), the export and the records in input order of
+    importing text, each line decoded on its own by json.loads and the
+    reference decoder."""
     stored, rejects = [], []
     for i, line in enumerate(text.splitlines()):
         if not line.strip():
@@ -772,8 +776,14 @@ def _reference_import(text: str):
             stored.append(oracles.reference_decode(document))
         except (MalformedJson, InvalidRecord) as exc:
             rejects.append((i, str(exc)))
-    stored.sort(key=lambda record: (record.timestamp, isinstance(record, TracerouteRun)))
-    return (len(stored), rejects), "".join(map(serialize_line, stored))
+    exported = sorted(stored, key=lambda record: (record.timestamp,
+                                                  isinstance(record, TracerouteRun)))
+    return (len(stored), rejects), "".join(map(serialize_line, exported)), stored
+
+
+def _segment_files(path: Path) -> dict[str, bytes]:
+    """Each segment file's name and bytes."""
+    return {file.name: file.read_bytes() for file in path.iterdir() if file.name != ".lock"}
 
 
 class TestImportByShape:
@@ -783,11 +793,13 @@ class TestImportByShape:
     @staticmethod
     def _import_matches_the_reference(lines, segment_records):
         """With few records to a segment, shapes are learned again after
-        each seal; the export while the writer is open reads the NDJSON
-        segments by shape too."""
+        each seal, and a seal can fall inside a batch; the export while the
+        writer is open reads the NDJSON segments by shape too. The sealed
+        files are those of appending the decoded records in input order."""
         text = "".join(lines)
-        expected, exported = _reference_import(text)
-        with tempfile.TemporaryDirectory() as path:
+        expected, exported, decoded = _reference_import(text)
+        with tempfile.TemporaryDirectory() as path, \
+                tempfile.TemporaryDirectory() as appended:
             with RecordStore(path, segment_records=segment_records) as store:
                 assert store.import_json(io.StringIO(text)) == expected
                 dump = io.StringIO()
@@ -795,6 +807,10 @@ class TestImportByShape:
                 assert dump.getvalue() == exported
             dump = io.StringIO()
             RecordStore(path).export(dump)
+            with RecordStore(appended, segment_records=segment_records) as store:
+                for record in decoded:
+                    store.append(record)
+            assert _segment_files(Path(path)) == _segment_files(Path(appended))
         assert dump.getvalue() == exported
 
     @settings(max_examples=150, deadline=None)
@@ -1105,25 +1121,44 @@ class TestSegments:
             with pytest.raises(StoreError, match=re.escape(f"{kept}:{bad}: ")):
                 read()
 
+    @pytest.mark.parametrize("writer", ["append", "import_json"])
     def test_close_after_a_failed_first_write_leaves_the_store_readable(
-            self, tmp_path, monkeypatch):
+            self, tmp_path, monkeypatch, writer):
+        """The first write of an append, or of an import whose five lines
+        go in one batch, writes half its data and fails. A reader before
+        close(), the store after close(), and a writer that recovers a copy
+        of the files taken before close() all read the records whose lines
+        reached the file whole: the half line is a torn tail."""
         write = os.write
 
         def disk_full(fd, data):
             write(fd, data[:len(data) // 2])
             raise OSError(28, "No space left on device")
 
-        store = RecordStore(tmp_path)
+        path, crashed = tmp_path / "store", tmp_path / "crashed"
+        store = RecordStore(path)
+        if writer == "append":
+            stored = []
+            fail = lambda: store.append(ping(ts=5))
+        else:
+            store.append(ping(ts=1))  # the lines' shape is known: they are one batch
+            stored = [ping(ts=1), ping(ts=2), ping(ts=3)]  # and half of ts=4
+            text = "".join(serialize_line(ping(ts=ts)) for ts in range(2, 7))
+            fail = lambda: store.import_json(io.StringIO(text))
         with monkeypatch.context() as patch:
             patch.setattr(os, "write", disk_full)
             with pytest.raises(OSError, match="No space left"):
-                store.append(ping(ts=5))
+                fail()
+        assert RecordStore(path).query(StoreQuery("ping")) == stored
+        shutil.copytree(path, crashed)
         store.close()
-        assert RecordStore(tmp_path).count() == 0  # the half line is a torn tail
-        with RecordStore(tmp_path) as writer:
-            writer.append(ping(ts=6))
-        assert sorted(p.name for p in tmp_path.iterdir()) == [".lock", "ping-2.col"]
-        assert RecordStore(tmp_path).query(StoreQuery("ping")) == [ping(ts=6)]
+        assert RecordStore(path).query(StoreQuery("ping")) == stored
+        for directory in (path, crashed):
+            with RecordStore(directory) as later:
+                later.append(ping(ts=7))
+            assert RecordStore(directory).query(StoreQuery("ping")) == stored + [ping(ts=7)]
+        assert _segment_files(crashed) == _segment_files(path)
+        assert sorted(_segment_files(path)) == ["ping-1.col"] * bool(stored) + ["ping-2.col"]
 
     def test_ping_line_in_a_traceroute_segment_fails_traceroute_reads(self, tmp_path):
         segment = tmp_path / "traceroute-1.ndjson"
