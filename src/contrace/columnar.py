@@ -135,7 +135,7 @@ def shape(line: str) -> tuple[str, list[str]]:
 def write(path: Path, segment: Segment) -> None:
     """Write segment to path as a version 2 columnar file and fsync it.
     Every block's columns must be held, as they are in a segment filled by
-    add() or loaded and checked."""
+    add_rows() or loaded and checked."""
     names = [name for i, name in enumerate(_COLUMN_NAMES[segment.kind])
              if segment.ties or i != _TIE]
     entries, bodies = [], []
@@ -267,16 +267,16 @@ class Segment:
     prunes by: count, min and max timestamp (None with no rows), each
     block's pair and facts, whether some timestamp repeats (ties), and for
     traceroutes each path's key (statuses, addresses) and width
-    (responsive hops). Segment(kind) is empty; add() appends a validated
-    record to its pair's block, widening a column only as its values
-    demand. Segment.load(path, kind) opens a columnar file and checks its
-    header; a read then reads the blocks it selects and checks each one's
-    CRC, values, and pair and paths (by the checks of records). Any
-    fault is a StoreError naming the file."""
+    (responsive hops). Segment(kind) is empty; add_rows() appends
+    validated records' rows to their pairs' blocks, widening a column only
+    as its values demand. Segment.load(path, kind) opens a columnar file
+    and checks its header; a read then reads the blocks it selects and
+    checks each one's CRC, values, and pair and paths (by the checks of
+    records). Any fault is a StoreError naming the file."""
 
     # export holds the header of every columnar segment it writes, so a
     # segment has no per-object dict, and a loaded one holds none of the
-    # indexes only add() uses
+    # indexes only add_rows() and encode() use
     __slots__ = ("kind", "path", "count", "min", "max", "last", "ties", "blocks", "keys",
                  "widths", "_paths", "_blocks", "_path_ids", "_formats", "_shapes", "_tie",
                  "_tie_counts", "_swap")
@@ -290,8 +290,8 @@ class Segment:
         runs = kind == KIND_TRACEROUTE  # pings have no paths
         self.keys: list[tuple[tuple, tuple]] = [] if runs else ()
         self.widths: list[int] = [] if runs else ()
-        self._blocks: dict[tuple[str, str], Block] = {}  # filled by add()
-        # made by the first add_rows() of a run, and the first add()
+        self._blocks: dict[tuple[str, str], Block] = {}  # filled by add_rows()
+        # made by the first add_rows() of a run, and the first encode()
         self._path_ids: dict[tuple[tuple, tuple], int] | None = None
         self._formats: dict[tuple, str] | None = None
         self._shapes: dict[str, tuple] | None = None  # format -> its _formats key
@@ -329,11 +329,11 @@ class Segment:
         timestamp, round_, *rtts = map(int, parts[1::2])
         return pair, timestamp, round_, (statuses, addresses), rtts
 
-    def add(self, record: Record, write=None) -> None:
-        """Append a valid record's row to its pair's block (add_rows) once
-        write, if given, took its line, from a %-format kept per pair and
-        ping status or path. A new format is also a shape (row) unless an
-        address holds a "%": its "%%" would match a line's "%%"."""
+    def encode(self, record: Record) -> tuple[str, tuple]:
+        """(line, row): a valid record's canonical line, from a %-format
+        kept per pair and ping status or path, and its add_rows row, which
+        is not added. A new format is also a shape (row) unless an address
+        holds a "%": its "%%" would match a line's "%%"."""
         pair, timestamp = (record.source, record.destination), record.timestamp
         if self.kind == KIND_PING:
             key, rtt = (pair, record.status), record.rtt
@@ -352,9 +352,11 @@ class Segment:
             line = self._formats[key] = make(_pair_prefix(*pair), *key[1:])
             if "%%" not in line:
                 self._shapes[line] = key
-        if write is not None:
-            write(line % ints)
-        self.add_rows((row,))
+        return line % ints, row
+
+    def add(self, record: Record) -> None:
+        """Append a valid record's row (add_rows), learning its shape (encode)."""
+        self.add_rows((self.encode(record)[1],))
 
     def add_rows(self, rows: Sequence[tuple]) -> None:
         """Append valid records' rows in order, each to its pair's block: a
@@ -436,16 +438,13 @@ class Segment:
                  "not a columnar segment")
         crc, size = _PREFIX.unpack_from(prefix, len(_MAGIC))
         head = fp.read(size)
-        check = zlib.crc32(head, zlib.crc32(prefix[-4:]))
+        if zlib.crc32(head, zlib.crc32(prefix[-4:])) != crc:
+            refuse_version_1(self.path)  # a version 1 CRC covers the columns as well
+            raise _Corrupt("header: CRC mismatch")
         try:
             header = json.loads(head)
         except ValueError as exc:
-            header = exc
-        if check != crc:  # a version 1 CRC covers the columns as well
-            if type(header) is dict and header.get("version") == 1:
-                raise needs_upgrade(self.path, "columnar format version 1")
-            raise _Corrupt("header: CRC mismatch")
-        _require(not isinstance(header, ValueError), f"header: {header}")
+            raise _Corrupt(f"header: {exc}") from None
         keys = _HEADER_KEYS | ({"paths"} if self.kind == KIND_TRACEROUTE else set())
         _require(type(header) is dict and header.keys() == keys, "header: wrong fields")
         version = header["version"]

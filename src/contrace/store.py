@@ -6,13 +6,14 @@ NDJSON; sealing turns a segment into a columnar file (see columnar). Every
 read takes each segment as a columnar.Segment: a columnar file is loaded
 as one, reading its header and then only the blocks the read selects, and
 an NDJSON segment's lines are added to one held in memory, by shape or
-decoded. append writes one line per os.write; import writes in batches,
-each run of whole lines bound for one segment by one os.write under the
-lock, in input order, so a read never sees a torn record and a killed
-import keeps a prefix of its input. Reads and writers know only
-<kind>-<id> names and columnar format version 2; a file of an older store
-fails them with a StoreError that says to run `contrace upgrade` (see
-legacy). RecordStore is also importable from contrace.records.
+decoded. Every record reaches a file in a run of whole lines bound for
+one segment, by one os.write under the lock: append's run is one line,
+import's the lines of a batch for one segment, in input order. So a read
+never sees a torn record, a killed import keeps a prefix of its input, and
+a failed write ends its segment as a crash does. Reads and writers know
+only <kind>-<id> names and columnar format version 2; a file of an older
+store fails them with a StoreError that says to run `contrace upgrade`
+(see legacy). RecordStore is also importable from contrace.records.
 """
 
 from __future__ import annotations
@@ -24,14 +25,14 @@ import json
 import os
 import re
 import threading
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack, contextmanager, suppress
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 from . import columnar
 from .records import (KIND_PING, KIND_TRACEROUTE, InvalidRecord, MalformedJson, PathRuns,
-                      PingRecord, Record, StoreError, StoreQuery, TracerouteRun, _loads,
+                      PingRecord, Record, StoreError, StoreQuery, TracerouteRun,
                       _line_batches, from_json_obj, parse_line, validated)
 
 
@@ -163,8 +164,8 @@ class _Active(NamedTuple):
     segment: columnar.Segment
 
     def write(self, lines: str) -> None:
-        """os.write whole lines to the file, again for the rest after a short
-        write: append's one line, or a run of import's batch."""
+        """os.write a run of whole lines to the file (RecordStore._write),
+        again for the rest after a short write."""
         data = lines.encode()
         written = os.write(self.fd, data)
         while written < len(data):
@@ -195,9 +196,11 @@ class RecordStore:
     an NDJSON segment, the active one too, by one rule (_lines_within), so
     a crashed writer's store reads the same before and after recovery.
     Whole lines are passed to the operating system by one os.write under a
-    lock, one line by append, a run of an import's batch by import_json,
-    and a read takes each file's size under it, so it sees the active
-    segment as it was when the read started and never a torn record.
+    lock, in runs bound for one segment (_write): one line by append, the
+    lines of an import's batch for one segment by import_json. A read takes
+    each file's size under the lock, so it sees the active segment as it was
+    when the read started and never a torn record. A failed write ends its
+    segment, which stays NDJSON until the next writer recovers it.
 
     A store written before ids or columnar format version 2 fails every
     read and writer, changing no file, with a StoreError that names an old
@@ -331,119 +334,115 @@ class RecordStore:
         ndjson.unlink()
 
     def _seal(self, kind: str) -> None:
-        seg = self._active.pop(kind, None)
-        if seg is None:
-            return
+        seg = self._active.pop(kind)
         os.close(seg.fd)
-        if seg.segment.count:  # else its first write failed: recovery deletes the file
-            _write_columns(self.path, seg.path.stem, seg.segment)
-            os.unlink(seg.path)
+        _write_columns(self.path, seg.path.stem, seg.segment)
+        os.unlink(seg.path)
+
+    def _segment(self, kind: str) -> columnar.Segment:
+        """kind's active segment, or a new one, which its first _write begins."""
+        seg = self._active.get(kind)
+        return columnar.Segment(kind) if seg is None else seg.segment
+
+    def _write(self, segment: columnar.Segment, lines: str, rows: Sequence[tuple]) -> None:
+        """The one way records reach a file: write lines, the canonical
+        lines of rows, to segment's file by one os.write, add rows to it,
+        and seal it if it is full; the lock is held. A segment not active
+        is begun, its file created, after _become_writer at the first.
+        If anything fails on the way, the segment ends as a crash ends it:
+        it leaves _active, its file descriptor is closed even if that
+        fails, and the error is raised. Its file stays NDJSON, read by the
+        end rule (_lines_within) until the next writer recovers it, and a
+        later write begins a new segment: nothing follows torn bytes."""
+        kind = segment.kind
+        try:
+            seg = self._active.get(kind)
+            if seg is None:
+                if self._writer is None:
+                    self._become_writer()
+                path = self.path / f"{kind}-{self._next_id}{_NDJSON}"
+                self._next_id += 1
+                fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                seg = self._active[kind] = _Active(path, fd, segment)
+            seg.write(lines)
+            segment.add_rows(rows)
+        except BaseException:
+            with suppress(KeyError, OSError):  # KeyError: it was not begun
+                os.close(self._active.pop(kind).fd)
+            raise
+        self.written[kind] += len(rows)
+        if segment.count >= self.segment_records:
+            self._seal(kind)
 
     def append(self, record: Record) -> None:
         """Validate and persist one record as from_json_obj decodes
         to_json_obj(record), by the same checks over its fields (validated).
-        Its line, from a %-format kept per pair and path, goes by one
-        os.write to the operating system, not fsynced: it survives a crash of
-        this process, not of the machine. Sealed segments are fsynced."""
+        Its line is a run of one (_write): one os.write to the operating
+        system, not fsynced, so it survives a crash of this process, not of
+        the machine. Sealed segments are fsynced."""
         if not isinstance(record, (PingRecord, TracerouteRun)):
             raise InvalidRecord([f"unsupported record type {type(record).__name__}"])
-        self._write(validated(record))
-
-    def _write(self, record: Record) -> None:
-        """Persist one record that from_json_obj returned."""
+        record = validated(record)
         with self._lock:
-            self._add(record)
-
-    def _add(self, record: Record) -> None:
-        """_write under the lock, which the caller holds."""
-        kind = _kind_of(record)
-        if self._writer is None:
-            self._become_writer()
-        seg = self._active.get(kind)
-        if seg is None:
-            path = self.path / f"{kind}-{self._next_id}{_NDJSON}"
-            self._next_id += 1
-            fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-            seg = self._active[kind] = _Active(path, fd, columnar.Segment(kind))
-        seg.segment.add(record, seg.write)
-        self.written[kind] += 1
-        if seg.segment.count >= self.segment_records:
-            self._seal(kind)
+            segment = self._segment(_kind_of(record))
+            line, row = segment.encode(record)
+            self._write(segment, line, (row,))
 
     def _import_lines(self, lines: list[str], first: int,
                       rejects: list[tuple[int, str]]) -> int:
         """Store one batch of newline-delimited input, the complete lines
         of one read chunk, which are documents first, first + 1, ...;
         returns the count accepted and appends the rejects to rejects. The
-        lock is taken once.
-
-        A run of lines of shapes that one active segment knows goes to it
-        as it is (_add_run): one os.write, then one add_rows. A run ends
-        where its segment reaches segment_records, so seals fall on the
-        lines they fall on when lines are stored one at a time. Any other
-        line first ends the run before it, so the files are written in
-        input order; it is decoded once, by from_json_obj, and written as
-        decoded (_add)."""
+        lock is taken once. A line of a shape that the run's segment, or
+        else another active one, knows (Segment.row) goes as it is; any
+        other is decoded once, by from_json_obj, and goes as its canonical
+        line (Segment.encode). A run, written by one _write, ends before a
+        line for another segment and where its segment reaches
+        segment_records, so seals fall on the lines they fall on when lines
+        are stored one at a time; files are written in input order."""
         accepted = 0
         active = self._active
-        target, run, rows = None, [], []  # the run's kind, lines and their rows
+        target, run, rows = None, [], []  # the run's segment, lines and their rows
         with self._lock:
             for i, line in enumerate(lines, first):
                 shape, parts = columnar.shape(line)
-                for kind, seg in active.items():
-                    row = seg.segment.row(shape, parts)
-                    if row is not None:
-                        if kind != target:
-                            self._add_run(target, run, rows)
-                            target, run, rows = kind, [], []
-                        run.append(line)
-                        rows.append(row)
-                        accepted += 1
-                        if seg.segment.count + len(rows) >= self.segment_records:
-                            self._add_run(target, run, rows)  # and seals
-                            target, run, rows = None, [], []
-                        break
-                else:  # no active segment knows the line's shape
-                    self._add_run(target, run, rows)
+                segment = target
+                row = None if target is None else target.row(shape, parts)
+                if row is None:
+                    for seg in active.values():
+                        if seg.segment is not target:
+                            segment = seg.segment
+                            row = segment.row(shape, parts)
+                            if row is not None:
+                                break
+                    else:  # no active segment knows the line's shape
+                        document = line.splitlines()[0]
+                        if not document.strip():
+                            continue
+                        try:
+                            document.encode()  # raises for a byte that was not UTF-8
+                            record = parse_line(document)
+                        except (UnicodeEncodeError, MalformedJson, InvalidRecord) as exc:
+                            rejects.append((i, str(exc) if isinstance(exc, StoreError)
+                                            else "not UTF-8"))
+                            continue
+                        kind = _kind_of(record)
+                        segment = target if target is not None and target.kind == kind \
+                            else self._segment(kind)
+                        line, row = segment.encode(record)
+                if segment is not target:
+                    if target is not None:
+                        self._write(target, "".join(run), rows)
+                    target, run, rows = segment, [], []
+                run.append(line)
+                rows.append(row)
+                accepted += 1
+                if segment.count + len(rows) >= self.segment_records:
+                    self._write(segment, "".join(run), rows)  # and seals
                     target, run, rows = None, [], []
-                    document = line.splitlines()[0]
-                    if not document.strip():
-                        continue
-                    try:
-                        document.encode()  # raises for a byte that was not UTF-8
-                        self._add(from_json_obj(_loads(document)))
-                        accepted += 1
-                    except UnicodeEncodeError:
-                        rejects.append((i, "not UTF-8"))
-                    except (MalformedJson, InvalidRecord) as exc:
-                        rejects.append((i, str(exc)))
-            self._add_run(target, run, rows)
+            if target is not None:
+                self._write(target, "".join(run), rows)
         return accepted
-
-    def _add_run(self, kind: str | None, lines: list[str], rows: list[tuple]) -> None:
-        """Write lines to kind's active segment by one os.write, then add
-        their rows, sealing the segment if it is full; the lock is held. If
-        the write fails, only the rows of the lines that reached the file
-        are added, so the segment in memory holds what a read of the file
-        finds, and the error is raised."""
-        if not rows:
-            return
-        seg = self._active[kind]
-        start = os.lseek(seg.fd, 0, os.SEEK_CUR)
-        try:
-            seg.write("".join(lines))
-        except BaseException:
-            # a line is read if all but its newline reached the file: the
-            # rest of a canonical line is JSON (_lines_within)
-            reached = os.lseek(seg.fd, 0, os.SEEK_CUR) - start
-            ends = itertools.accumulate(len(line.encode()) for line in lines)
-            rows = rows[:sum(end - 1 <= reached for end in ends)]
-            raise
-        finally:
-            seg.segment.add_rows(rows)
-            self.written[kind] += len(rows)
-        if seg.segment.count >= self.segment_records:
-            self._seal(kind)
 
     def close(self) -> None:
         """Seal the active segments and release the writer lock."""
@@ -525,15 +524,16 @@ class RecordStore:
         Returns (accepted count, [(document index, reason), ...]); rejected
         documents are reported, never silently skipped. A line of a shape
         an active segment knows is written as it is; any other document is
-        decoded once, by from_json_obj, and written as decoded.
+        decoded once, by from_json_obj, and written as its canonical line.
 
         Newline-delimited input is read in chunks of _CHUNK characters, and
         stored in batches, the complete lines of one chunk each
-        (_import_lines): each run of lines of known shapes is one os.write
-        of whole lines under the lock, so a read never sees a torn record,
-        and the files are written in input order, so a killed import keeps
-        a prefix of its input. Only input whose first non-blank character
-        is "[" is read whole, and its documents are stored one at a time.
+        (_import_lines): each run of a batch's lines bound for one segment
+        is one os.write of whole lines under the lock, so a read never sees
+        a torn record, and the files are written in input order, so a
+        killed import keeps a prefix of its input. Only input whose first
+        non-blank character is "[" is read whole, and its documents are
+        stored one at a time.
         An array's documents are indexed by position; otherwise the
         documents and their indexes are the lines of str.splitlines over
         the whole input, blank lines counted. A line holding a lone
@@ -567,7 +567,7 @@ class RecordStore:
             return 0, [(0, f"invalid JSON array: {exc}")]
         for i, document in enumerate(documents):
             try:
-                self._write(from_json_obj(document))
+                self.append(from_json_obj(document))
                 accepted += 1
             except (MalformedJson, InvalidRecord) as exc:
                 rejects.append((i, str(exc)))

@@ -361,7 +361,7 @@ class TestSinglePassDecode:
         segment = columnar.Segment("ping" if isinstance(record, PingRecord) else "traceroute")
         lines = []
         for _ in range(2):  # the %-format is built, then reused
-            segment.add(record, lines.append)
+            lines.append(segment.encode(record)[0])
         assert lines == [serialize_line(record)] * 2
 
     def test_equal_addresses_share_one_string(self):
@@ -862,6 +862,27 @@ class TestImportByShape:
             RecordStore(tmp_path).query(StoreQuery("traceroute")) == \
             [r for kind in (PingRecord, TracerouteRun) for r in appended if type(r) is kind]
 
+    def test_a_run_of_one_segments_lines_is_one_write(self, tmp_path, monkeypatch):
+        """A decoded line joins the run of its segment's lines, and so do
+        canonical lines after it; blank and rejected lines do not end the
+        run, and a line of the other kind does."""
+        lines = [serialize_line(ping(ts=1)), json.dumps(records.to_json_obj(ping(ts=2))) + "\n",
+                 "\n", "{bad}\n", serialize_line(ping(ts=3)), serialize_line(run(ts=4)),
+                 serialize_line(ping(ts=5))]
+        write, writes = os.write, []
+
+        def counting_write(fd, data):
+            writes.append(data.count(b"\n"))
+            return write(fd, data)
+
+        with RecordStore(tmp_path) as store:
+            with monkeypatch.context() as patch:
+                patch.setattr(os, "write", counting_write)
+                accepted, rejects = store.import_json(io.StringIO("".join(lines)))
+        assert (accepted, [i for i, _ in rejects]) == (5, [3])
+        assert writes == [3, 1, 1]
+        assert RecordStore(tmp_path).query(StoreQuery("ping")) == [ping(ts=ts) for ts in (1, 2, 3, 5)]
+
     def test_a_doubled_percent_does_not_match_a_scoped_address(self, tmp_path):
         """A format holding an address with a scope id has "%%" where the
         canonical line has "%"; a line with "%%" there is rejected."""
@@ -1128,27 +1149,36 @@ class TestSegments:
         go in one batch, writes half its data and fails. A reader before
         close(), the store after close(), and a writer that recovers a copy
         of the files taken before close() all read the records whose lines
-        reached the file whole: the half line is a torn tail."""
+        reached the file whole: the half line is a torn tail. So they do
+        when the store writes once more before close(), by append or by
+        import_json, and read that record as well: a failed write ends its
+        segment, so the next line is never glued to the torn bytes."""
         write = os.write
 
         def disk_full(fd, data):
             write(fd, data[:len(data) // 2])
             raise OSError(28, "No space left on device")
 
+        def failed(path):
+            """A store at path whose write failed, and the records whose
+            lines reached the file."""
+            store = RecordStore(path)
+            if writer == "append":
+                stored = []
+                fail = lambda: store.append(ping(ts=5))
+            else:
+                store.append(ping(ts=1))  # the lines' shape is known: they are one batch
+                stored = [ping(ts=1), ping(ts=2), ping(ts=3)]  # and half of ts=4
+                text = "".join(serialize_line(ping(ts=ts)) for ts in range(2, 7))
+                fail = lambda: store.import_json(io.StringIO(text))
+            with monkeypatch.context() as patch:
+                patch.setattr(os, "write", disk_full)
+                with pytest.raises(OSError, match="No space left"):
+                    fail()
+            return store, stored
+
         path, crashed = tmp_path / "store", tmp_path / "crashed"
-        store = RecordStore(path)
-        if writer == "append":
-            stored = []
-            fail = lambda: store.append(ping(ts=5))
-        else:
-            store.append(ping(ts=1))  # the lines' shape is known: they are one batch
-            stored = [ping(ts=1), ping(ts=2), ping(ts=3)]  # and half of ts=4
-            text = "".join(serialize_line(ping(ts=ts)) for ts in range(2, 7))
-            fail = lambda: store.import_json(io.StringIO(text))
-        with monkeypatch.context() as patch:
-            patch.setattr(os, "write", disk_full)
-            with pytest.raises(OSError, match="No space left"):
-                fail()
+        store, stored = failed(path)
         assert RecordStore(path).query(StoreQuery("ping")) == stored
         shutil.copytree(path, crashed)
         store.close()
@@ -1159,6 +1189,26 @@ class TestSegments:
             assert RecordStore(directory).query(StoreQuery("ping")) == stored + [ping(ts=7)]
         assert _segment_files(crashed) == _segment_files(path)
         assert sorted(_segment_files(path)) == ["ping-1.col"] * bool(stored) + ["ping-2.col"]
+
+        for again in ("append", "import_json"):
+            path, crashed = tmp_path / again, tmp_path / f"{again}-crashed"
+            store, stored = failed(path)
+            if again == "append":
+                store.append(ping(ts=8))
+            else:
+                assert store.import_json(io.StringIO(serialize_line(ping(ts=8)))) == (1, [])
+            stored.append(ping(ts=8))
+            assert RecordStore(path).query(StoreQuery("ping")) == stored
+            shutil.copytree(path, crashed)
+            store.close()
+            assert RecordStore(path).query(StoreQuery("ping")) == stored
+            for directory in (path, crashed):
+                with RecordStore(directory) as later:  # recovers the files
+                    later.append(ping(ts=9))
+                assert RecordStore(directory).query(StoreQuery("ping")) == stored + [ping(ts=9)]
+            assert _segment_files(crashed) == _segment_files(path)
+            assert sorted(_segment_files(path)) == (
+                ["ping-1.col"] * (len(stored) > 1) + ["ping-2.col", "ping-3.col"])
 
     def test_ping_line_in_a_traceroute_segment_fails_traceroute_reads(self, tmp_path):
         segment = tmp_path / "traceroute-1.ndjson"
