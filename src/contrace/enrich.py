@@ -12,9 +12,8 @@ import csv
 import ipaddress
 import math
 import os
-import threading
 from pathlib import Path
-from typing import Iterable, NamedTuple, Protocol, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Protocol, Sequence
 
 EARTH_RADIUS_KM = 6371.0
 LIGHT_SPEED_KM_S = 299792.458
@@ -31,6 +30,33 @@ class ProviderUnavailable(EnrichError):
 
 class Unlocatable(EnrichError):
     """Plausibility check asked about an endpoint without a location."""
+
+
+def _read_csv(path: str | Path, fields: int,
+              parse: Callable[[list[str]], tuple]) -> Iterator[tuple]:
+    """parse(row) for each row of a CSV file that has at least fields columns.
+
+    Blank rows and rows starting with # are skipped. A malformed row raises
+    ValueError naming the file and the line.
+    """
+    with open(path, newline="", encoding="utf-8") as fp:
+        reader = csv.reader(fp)
+        for row in reader:
+            if not row or row[0].startswith("#"):
+                continue
+            try:
+                if len(row) < fields:
+                    raise ValueError(f"expected {fields} fields, got {len(row)}")
+                value = parse(row)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+            yield value
+
+
+def _number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
 
 
 class AsEntry(NamedTuple):
@@ -120,19 +146,12 @@ class AsnTable:
         """
         names: dict[int, str] = {}
         if names_path is not None:
-            with open(names_path, newline="", encoding="utf-8") as fp:
-                for row in csv.reader(fp):
-                    if not row or row[0].startswith("#"):
-                        continue
-                    names[int(row[0])] = row[1].strip()
+            names = dict(_read_csv(names_path, 2,
+                                   lambda row: (int(row[0]), row[1].strip())))
         table = cls()
-        with open(prefix_path, newline="", encoding="utf-8") as fp:
-            for row in csv.reader(fp):
-                if not row or row[0].startswith("#"):
-                    continue
-                prefix = ipaddress.ip_network(row[0].strip())
-                asn = int(row[1])
-                table.add(AsEntry(prefix, asn, names.get(asn, f"AS{asn}")))
+        for prefix, asn in _read_csv(prefix_path, 2, lambda row: (
+                ipaddress.ip_network(row[0].strip()), int(row[1]))):
+            table.add(AsEntry(prefix, asn, names.get(asn, f"AS{asn}")))
         return table
 
 
@@ -147,15 +166,10 @@ class CsvGeoProvider:
 
     def __init__(self, path: str | Path, name: str = "fixture_db"):
         self.name = name
-        self._table: dict[str, GeoLocation] = {}
-        with open(path, newline="", encoding="utf-8") as fp:
-            for row in csv.reader(fp):
-                if not row or row[0].startswith("#"):
-                    continue
-                address = str(ipaddress.ip_address(row[0].strip()))
-                self._table[address] = GeoLocation(
-                    float(row[1]), float(row[2]), row[3].strip(),
-                    float(row[4]), self.name)
+        self._table: dict[str, GeoLocation] = dict(_read_csv(path, 5, lambda row: (
+            str(ipaddress.ip_address(row[0].strip())),
+            GeoLocation(float(row[1]), float(row[2]), row[3].strip(),
+                        float(row[4]), self.name))))
 
     def locate(self, address: str) -> GeoLocation | None:
         return self._table.get(str(ipaddress.ip_address(address)))
@@ -163,8 +177,10 @@ class CsvGeoProvider:
 
 class HttpGeoProvider:
     """Online fallback: GET <base_url>/<address> returning a JSON object
-    with lat, lon, country and error_km fields. The API token comes from
-    an environment variable so it never lives in config files."""
+    with numeric lat and lon, a string country and an optional numeric
+    error_km. A 200 response without them counts as the provider being
+    unavailable. The API token comes from an environment variable so it
+    never lives in config files."""
 
     def __init__(self, base_url: str, token_env: str = "CONTRACE_GEO_TOKEN",
                  session=None, name: str = "fallback_http"):
@@ -190,39 +206,37 @@ class HttpGeoProvider:
             return None
         if response.status_code != 200:
             raise ProviderUnavailable(f"HTTP {response.status_code}")
-        doc = response.json()
-        return GeoLocation(float(doc["lat"]), float(doc["lon"]),
-                           str(doc["country"]), float(doc.get("error_km", 0.0)),
-                           self.name)
+        try:
+            doc = response.json()
+            if not isinstance(doc, dict) or not isinstance(doc.get("country"), str):
+                raise ValueError("expected an object with lat, lon and country")
+            return GeoLocation(_number(doc.get("lat")), _number(doc.get("lon")),
+                               doc["country"], _number(doc.get("error_km", 0.0)),
+                               self.name)
+        except ValueError as exc:
+            raise ProviderUnavailable(f"bad response for {address}: {exc}") from exc
 
 
 class GeoResolver:
-    """Chains providers; first sufficiently accurate answer wins and is
-    cached (misses are cached too, keeping runs hermetic and cheap)."""
+    """Chains providers; the first sufficiently accurate answer wins.
+
+    Every call asks the providers again; Enricher keeps the answers.
+    """
 
     def __init__(self, providers: Sequence[GeoProvider],
                  accept_km: float = GEO_ACCEPT_KM):
         self.providers = list(providers)
         self.accept_km = accept_km
-        self._cache: dict[str, GeoLocation | None] = {}
-        self._lock = threading.Lock()
 
     def resolve(self, address: str) -> GeoLocation | None:
-        with self._lock:
-            if address in self._cache:
-                return self._cache[address]
-        result = None
         for provider in self.providers:
             try:
                 candidate = provider.locate(address)
             except ProviderUnavailable:
                 continue
             if candidate is not None and candidate.estimated_error_km <= self.accept_km:
-                result = candidate
-                break
-        with self._lock:
-            self._cache[address] = result
-        return result
+                return candidate
+        return None
 
 
 def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
@@ -259,7 +273,12 @@ def plausibility_filter(from_geo: GeoLocation | None, to_geo: GeoLocation | None
 
 
 class Enricher:
-    """Annotates addresses with AS and geo data; results are cached."""
+    """Annotates addresses with AS and geo data.
+
+    Every address's result is cached, including one that no table or
+    provider knows, so each address reaches the providers at most once
+    (keeping runs hermetic and cheap).
+    """
 
     def __init__(self, asn_table: AsnTable | None = None,
                  geo_resolver: GeoResolver | None = None):

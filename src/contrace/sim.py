@@ -446,28 +446,22 @@ def drive_workers(workers: list[SourceWorker], transports: list[SimTransport],
     are reproducible, and the order matters: rate-limit token buckets are
     shared by all workers.
 
-    One heap holds (time, worker index) for each worker's next wakeup and
-    earliest arrival. A worker's wakeup and inbox change only when that
-    worker acts, so after a pass only the due workers push their times
-    again; an entry that matches neither current time of its worker is
-    stale and skipped.
+    nexts[i] is the earlier of worker i's next wakeup and its earliest
+    arrival. Both change only when that worker acts, so after a pass only
+    the due workers' entries are recomputed. The loop ends when no worker
+    has a wakeup left; arrivals still queued then are stray.
     """
     wakeups = [worker.next_wakeup() for worker in workers]
-    heap = [(t, i) for i, t in enumerate(wakeups) if t is not None]
-    heapq.heapify(heap)
-    live = len(heap)
-    # Stop when every worker is finished: arrivals still queued are stray.
-    while live:
-        t, i = heapq.heappop(heap)
-        if t != wakeups[i] and t != transports[i].peek_arrival():
-            continue
-        now = max(t, clock.now_us())
+
+    def next_time(i: int) -> float:
+        times = (wakeups[i], transports[i].peek_arrival())
+        return min((t for t in times if t is not None), default=math.inf)
+
+    nexts = [next_time(i) for i in range(len(workers))]
+    while any(wakeup is not None for wakeup in wakeups):
+        now = max(min(nexts), clock.now_us())
         clock.advance_to(now)
-        due = {i}
-        while heap and heap[0][0] <= now:
-            due.add(heapq.heappop(heap)[1])
-        due = sorted(due)
-        wakeups_before = [wakeups[i] for i in due]
+        due = [i for i, t in enumerate(nexts) if t <= now]
         for i in due:
             packets = transports[i].pop_due(now)
             for data, responder, t_us in packets:
@@ -478,13 +472,8 @@ def drive_workers(workers: list[SourceWorker], transports: list[SimTransport],
             if wakeups[i] is not None and wakeups[i] <= now:
                 workers[i].on_wakeup(now)
                 wakeups[i] = workers[i].next_wakeup()
-        for i, wakeup_before in zip(due, wakeups_before):
-            arrival = transports[i].peek_arrival()
-            if arrival is not None:
-                heapq.heappush(heap, (arrival, i))
-            if wakeups[i] is not None:
-                heapq.heappush(heap, (wakeups[i], i))
-            live += (wakeups[i] is not None) - (wakeup_before is not None)
+        for i in due:
+            nexts[i] = next_time(i)
 
 
 def run_scenario(topology: SimTopology, relations: list[RelationKey],

@@ -368,6 +368,22 @@ class TestAnalyze:
             err = capsys.readouterr().err
             assert err.startswith(f"error: {segment}: bytes after the columns")
 
+    @pytest.mark.parametrize("fixture, row", [("as_prefixes.csv", "10.0.0.0/8"),
+                                              ("geo.csv", "10.22.2.10,1.0")])
+    def test_malformed_enrichment_row_is_one_error_line(self, sim_store, tmp_path,
+                                                        capsys, fixture, row):
+        _, config, store_path = sim_store
+        bad = tmp_path / fixture
+        bad.write_text((FIXTURES / fixture).read_text() + row + "\n")
+        line = len(bad.read_text().splitlines())
+        bad_config = tmp_path / "config.yaml"
+        bad_config.write_text(config.read_text().replace(str(FIXTURES / fixture), str(bad)))
+        code = cli.main(["analyze", "--config", str(bad_config),
+                         "--store", str(store_path), "--artifact", "inter-as"])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}:{line}: ") and err.count("\n") == 1
+
     def test_two_labels_for_one_address_each_get_their_rows(self, sim_store,
                                                              tmp_path, capsys):
         """Both relations of one (source, destination) pair are analysed in

@@ -1,4 +1,5 @@
 import ipaddress
+import json
 import math
 import random
 
@@ -58,6 +59,22 @@ class TestAsnLookup:
         table = AsnTable.from_csv(tmp_path / "prefixes.csv")
         assert table.lookup("10.0.0.1") == (65000, "AS65000")
 
+    @pytest.mark.parametrize("prefixes, names, bad_file, line", [
+        ("# prefix,asn\n10.0.0.0/8\n", "1,ONE\n", "prefixes.csv", 2),
+        ("10.0.0.0/8,1\n10.0.0.x/16,2\n", "1,ONE\n", "prefixes.csv", 2),
+        ("10.0.0.0/8,1\n\n10.1.0.0/16,AS2\n", "1,ONE\n", "prefixes.csv", 3),
+        ("10.0.0.0/8,1\n", "1,ONE\n2\n", "names.csv", 2),
+        ("10.0.0.0/8,1\n", "one,ONE\n", "names.csv", 1),
+    ], ids=["prefix-without-asn", "bad-prefix", "bad-asn", "name-without-asn",
+            "bad-asn-in-names"])
+    def test_malformed_row_names_file_and_line(self, tmp_path, prefixes, names,
+                                                bad_file, line):
+        (tmp_path / "prefixes.csv").write_text(prefixes)
+        (tmp_path / "names.csv").write_text(names)
+        with pytest.raises(ValueError) as info:
+            AsnTable.from_csv(tmp_path / "prefixes.csv", tmp_path / "names.csv")
+        assert str(info.value).startswith(f"{tmp_path / bad_file}:{line}: ")
+
 
 class _StubProvider:
     def __init__(self, name, result, fail=False):
@@ -86,20 +103,6 @@ class TestGeoResolver:
                                 _StubProvider("b", None)])
         assert resolver.resolve("10.0.0.1") is None
 
-    def test_cache_means_single_provider_call(self):
-        provider = _StubProvider("a", GeoLocation(1.0, 2.0, "NO", 1.0, "a"))
-        resolver = GeoResolver([provider])
-        for _ in range(5):
-            resolver.resolve("10.0.0.1")
-        assert provider.calls == 1
-
-    def test_negative_results_cached_too(self):
-        provider = _StubProvider("a", None)
-        resolver = GeoResolver([provider])
-        resolver.resolve("10.0.0.1")
-        resolver.resolve("10.0.0.1")
-        assert provider.calls == 1
-
     def test_lower_threshold_only_changes_acceptance(self):
         loc = GeoLocation(10.0, 20.0, "DE", 20.0, "a")
         accept = GeoResolver([_StubProvider("a", loc)], accept_km=25.0).resolve("x")
@@ -116,6 +119,16 @@ class TestGeoResolver:
         assert got.country == "SE" and got.estimated_error_km == 3.0
         assert provider.locate("2001:DB8::1").country == "NO"
         assert provider.locate("10.9.9.9") is None
+
+    @pytest.mark.parametrize("row", ["10.22.2.10,1.0", "10.22.2.10,1.0,x,NO,1.0",
+                                     "10.22.2.x,1.0,2.0,NO,1.0",
+                                     "10.22.2.10,91.0,2.0,NO,1.0"])
+    def test_csv_provider_malformed_row_names_file_and_line(self, tmp_path, row):
+        path = tmp_path / "geo.csv"
+        path.write_text(f"# address,lat,lon,country,error_km\n10.0.0.1,1.0,2.0,SE,3.0\n{row}\n")
+        with pytest.raises(ValueError) as info:
+            CsvGeoProvider(path)
+        assert str(info.value).startswith(f"{path}:3: ")
 
     def test_http_provider_parses_and_reports_unavailable(self):
         class FakeResponse:
@@ -149,6 +162,27 @@ class TestGeoResolver:
         missing = FakeSession(FakeResponse(404))
         assert HttpGeoProvider("http://geo.test/api",
                                session=missing).locate("10.0.0.1") is None
+
+    @pytest.mark.parametrize("body", [
+        '{}', '[]', '{"lat": 1.0}', '{"lat": "1.0", "lon": 2.0, "country": "SE"}',
+        '{"lat": 1.0, "lon": 2.0, "country": 7}', '{"lat": 95.0, "lon": 2.0, "country": "SE"}',
+        '{"lat": 1.0, "lon": 2.0, "country": "SE", "error_km": null}', '<html>'])
+    def test_http_provider_bad_body_is_unavailable(self, body):
+        class FakeResponse:
+            status_code = 200
+
+            def json(self):
+                return json.loads(body)
+
+        class FakeSession:
+            def get(self, url, headers=None, timeout=None):
+                return FakeResponse()
+
+        provider = HttpGeoProvider("http://geo.test/api", session=FakeSession())
+        with pytest.raises(ProviderUnavailable):
+            provider.locate("10.0.0.1")
+        fallback = _StubProvider("b", GeoLocation(1.0, 2.0, "NO", 1.0, "b"))
+        assert GeoResolver([provider, fallback]).resolve("10.0.0.1").provider == "b"
 
     def test_http_provider_token_from_env(self, monkeypatch):
         class FakeSession:
@@ -240,3 +274,17 @@ class TestEnricher:
         assert (hop.asn is None) == (hop.as_name is None)
         none = enricher.enrich("192.0.2.1")
         assert none.asn is None and none.as_name is None and none.as_group is None
+
+    def test_cache_means_single_provider_call(self):
+        provider = _StubProvider("a", GeoLocation(1.0, 2.0, "NO", 1.0, "a"))
+        enricher = enrich.Enricher(geo_resolver=GeoResolver([provider]))
+        for _ in range(5):
+            enricher.enrich("10.0.0.1")
+        assert provider.calls == 1
+
+    def test_negative_results_cached_too(self):
+        provider = _StubProvider("a", None)
+        enricher = enrich.Enricher(geo_resolver=GeoResolver([provider]))
+        assert enricher.enrich("10.0.0.1").geo is None
+        enricher.enrich("10.0.0.1")
+        assert provider.calls == 1

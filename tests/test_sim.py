@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from contrace import icmp, records, sim
 from contrace.icmp import Family
-from contrace.probe import ProbeSchedule, TransportFailure
+from contrace.probe import ProbeSchedule, SourceWorker, TransportFailure
 from contrace.sim import (SimNetwork, SimTransport, TopologyError, VirtualClock,
                           load_topology, run_scenario, topology_from_dict)
 
@@ -400,6 +400,73 @@ class TestScenario:
         hub_hops = [r.hops[0] for r in fast if isinstance(r, records.TracerouteRun)
                     and r.destination == "10.9.9.1"]
         assert {hop.status for hop in hub_hops} == {0, 1}  # the hub ran dry
+        assert any(isinstance(r, records.PingRecord) and r.rtt == 0 for r in fast)
+
+    @pytest.mark.parametrize("jitter", [0.0, 0.05])
+    def test_eight_workers_match_reference(self, jitter):
+        # As many workers as the campaign benchmark runs, driven directly so
+        # each can end at its own time. dst answers in 1 s; far answers in
+        # 3 s, after the 2 s reply timeout, so every worker that pings far
+        # gets replies after its last wakeup. Worker 3's first sends fail,
+        # so it backs off; worker 0 also pings its own address.
+        topo = topology_from_dict({
+            "start_time": START_US,
+            "routers": {"hub": {"address": "10.9.0.1"}, "dst": {"address": "10.9.9.1"},
+                        "far": {"address": "10.9.99.1"},
+                        **{f"s{i}": {"address": f"10.9.{i + 1}.1"} for i in range(8)}},
+            "links": [*({"from": f"s{i}", "to": "hub", "latency_us": 100 * (i + 1)}
+                        for i in range(8)),
+                      {"from": "hub", "to": "dst", "latency_us": 500_000 - 300},
+                      {"from": "hub", "to": "far", "latency_us": 1_500_000}],
+            "ecmp": {"hub": {"dst": ["dst"], "far": ["far"]}},
+            "policies": {"hub": {"rate_limit": 2}, "dst": {"rate_limit": 1}},
+        })
+        schedule = ProbeSchedule(ping_interval_s=1.0, traceroute_interval_s=20.0,
+                                 traceroute_rounds=2, max_ttl=4,
+                                 reply_timeout_s=2.0, craft_constant_checksum=False,
+                                 jitter_fraction=jitter)
+
+        class Transport(SimTransport):
+            failures = strays = 0
+
+            def send(self, data, ttl, destination):
+                if self.failures:
+                    self.failures -= 1
+                    raise TransportFailure("injected send failure")
+                return super().send(data, ttl, destination)
+
+            def pop_due(self, now_us):
+                packets = super().pop_due(now_us)
+                if self.worker.next_wakeup() is None:
+                    self.strays += len(packets)
+                return packets
+
+        def run(driver):
+            network = SimNetwork(topo)
+            clock = VirtualClock(START_US)
+            produced, workers, transports = [], [], []
+            for i in range(8):
+                transport = Transport(network, clock, topo.routers[f"s{i}"].address)
+                transport.failures = 4 if i == 3 else 0
+                relations = [relation_for(topo, f"s{i}", "dst", f"S{i}", "D")]
+                if i % 2 == 0:
+                    relations.append(relation_for(topo, f"s{i}", "far", f"S{i}", "F"))
+                if i == 0:
+                    relations.append(relation_for(topo, "s0", "s0", "S0", "S0"))
+                transport.worker = SourceWorker(
+                    relations, schedule, lambda t=transport: t, produced,
+                    start_us=START_US, end_us=START_US + (30 + 10 * i) * 1_000_000,
+                    seed=5)
+                workers.append(transport.worker)
+                transports.append(transport)
+            driver(workers, transports, clock)
+            return produced, transports
+
+        fast, transports = run(sim.drive_workers)
+        assert fast == run(drive_workers_reference)[0]
+        assert all(transports[i].strays for i in range(0, 8, 2))
+        assert transports[3].failures == 0
+        assert any(r.source == "10.9.4.1" for r in fast)
         assert any(isinstance(r, records.PingRecord) and r.rtt == 0 for r in fast)
 
     def test_sim_transport_blocking_receive(self):
