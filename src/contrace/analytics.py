@@ -112,7 +112,8 @@ class LinkObservation:
     positions maps each such path (an index into runs.paths) to the
     position, among the path's responsive hops, of the link's
     destination-side router at the link's earliest occurrence, so
-    runs.rtt_column(path, position) are that router's RTTs in those runs.
+    runs.rtt_column(path, position) gathers that router's RTTs in those
+    runs. Only crossing_table gathers them; a link itself holds no RTT.
     """
 
     __slots__ = ("relation", "from_hop", "to_hop", "runs", "runs_observed", "positions")

@@ -375,7 +375,8 @@ def cmd_analyze(args) -> int:
             document = analytics.format_cdf(analytics.mean_rtt_cdf(pings))
         return _emit(document, args)
 
-    enricher = build_enricher(config)
+    # hop counts read no enrichment file
+    enricher = None if args.artifact == "hops" else build_enricher(config)
     pairs = [(canonical_address(r.source_address),
               canonical_address(r.destination_address)) for r in relations]
     query = StoreQuery(KIND_TRACEROUTE, args.start, args.end,

@@ -65,7 +65,7 @@ from typing import Iterator, Sequence
 
 from .records import (KIND_PING, KIND_TRACEROUTE, STATUS_ECHO_REPLY, STATUS_TIMEOUT,
                       VALID_STATUSES, Hop, PathRuns, PingRecord, Record, StoreError,
-                      StoreQuery, TracerouteRun, _ENCODE, _new, _ping, _put, _run)
+                      StoreQuery, TracerouteRun, _ENCODE, _new, _ping, _run)
 
 _MAGIC = b"contrace columns\n"
 _PREFIX = struct.Struct("<II")
@@ -80,6 +80,7 @@ _V1_HEAD = b'{"version":1,'  # how every version 1 header begins
 _TYPECODES = ("b", "h", "i", "q")
 _ITEMSIZES = {code: array(code).itemsize for code in _TYPECODES}
 _JSON_COLUMN = "json"
+_WIDER = {"b": "h", "h": "i", "i": "q"}
 
 
 def _json_literal(text: str) -> str:
@@ -219,6 +220,21 @@ def _checked_path(entry) -> tuple[tuple[int, ...], tuple[str | None, ...]]:
     path = tuple(hop[:3] for hop in run.hops)
     _require(path == tuple(map(tuple, entry)), f"path {entry!r}: addresses not canonical")
     return tuple(zip(*path))[1:]
+
+
+def _put(columns: list, index: int, values) -> None:
+    """Extend columns[index] by values, widening the column until it holds
+    them: an array to the next wider typecode, a q array to a list."""
+    while True:
+        column = columns[index]
+        n = len(column)
+        try:
+            column.extend(values)
+            return
+        except OverflowError:
+            del column[n:]
+            code = _WIDER.get(column.typecode)
+            columns[index] = array(code, column) if code else column.tolist()
 
 
 def _joined(columns: list):
@@ -561,17 +577,24 @@ class Segment:
             raise StoreError(f"{self.path}: {exc}") from None
 
     def _check_block(self, block: Block, columns: list) -> None:
-        """Check a block's columns against its facts, and every value."""
+        """Check a block's columns against its facts, and every value, with
+        one scan of each column: a sorted block's min and max are its first
+        and last timestamps once its order is checked, and the path ids are
+        counted once for their range, their paths and the RTT count."""
         times, ties, rtts = columns[0], columns[_TIE], columns[-1]
         rows = [column for column in columns[:-1] if column is not None]
         if self.kind == KIND_PING:
             rows.append(rtts)
         _require(all(len(column) == block.count for column in rows),
                  "columns: length differs from the count")
-        _require(min(times) == block.min and max(times) == block.max,
+        in_order = not block.sorted or all(map(le, times, islice(times, 1, None)))
+        if block.sorted and in_order:
+            low, high = times[0], times[-1]
+        else:
+            low, high = min(times), max(times)
+        _require(low == block.min and high == block.max,
                  "timestamp: min or max differs from the header")
-        _require(not block.sorted or all(map(le, times, islice(times, 1, None))),
-                 "timestamp: not sorted")
+        _require(in_order, "timestamp: not sorted")
         _require(ties is None or min(ties) >= 0, "tie: negative")
         if self.kind == KIND_PING:
             statuses = columns[2]
@@ -581,15 +604,16 @@ class Segment:
             _require(set(compress(rtts, map(STATUS_ECHO_REPLY.__ne__, statuses))) <= {-1},
                      "rtt: present where the status is not 255")
             return
-        rounds, path_ids = columns[2], columns[3]
+        rounds, path_counts = columns[2], Counter(columns[3])
         _require(min(rounds) >= 0, "round: negative")
-        _require(min(path_ids) >= 0 and max(path_ids) < len(self.keys),
+        _require(min(path_counts) >= 0 and max(path_counts) < len(self.keys),
                  "path: id out of range")
-        for path_id in set(path_ids):
+        for path_id in set(path_counts):  # the order set(path_ids) gives the bad paths
             if self.keys[path_id] is None:
                 statuses, _ = self.keys[path_id] = _checked_path(self._paths[path_id])
                 self.widths[path_id] = len(statuses) - statuses.count(STATUS_TIMEOUT)
-        _require(len(rtts) == sum(map(self.widths.__getitem__, path_ids)),
+        _require(len(rtts) == sum(map(mul, map(self.widths.__getitem__, path_counts),
+                                      path_counts.values())),
                  "rtt: length differs from the paths' responsive hops")
         _require(min(rtts, default=0) >= 0, "rtt: negative")
 
@@ -665,22 +689,24 @@ class Segment:
 
     def group(self, q: StoreQuery, grouped: dict[tuple[str, str], PathRuns]) -> None:
         """Add the runs of the rows q selects to grouped, per pair, in row
-        order."""
+        order: one pass over a block's rows finds, per path, where its runs'
+        RTTs start in the block's rtt column. No RTT is read or copied."""
         for block, rows in self._select(q):
             runs = grouped.get(block.pair)
             if runs is None:
                 runs = grouped[block.pair] = PathRuns()
             path_ids, rtts = block.columns[3:]
-            if type(rtts) is array and rtts.typecode != "q":
-                rtts = array("q", rtts)
             offsets = self._offsets(block)
-            indexes: dict[int, int] = {}  # path id -> index in runs
+            code = "i" if len(rtts) <= 0x7FFFFFFF else "q"
+            starts: dict[int, array] = {}  # path id -> starts, in order of first use
             for i in rows:
-                index = indexes.get(path_ids[i])
-                if index is None:
-                    index = indexes[path_ids[i]] = runs.path_index(*self.keys[path_ids[i]])
-                runs.counts[index] += 1
-                _put(runs.rtts, index, rtts[offsets[i]:offsets[i + 1]])
+                path_id = path_ids[i]
+                at = starts.get(path_id)
+                if at is None:
+                    at = starts[path_id] = array(code)
+                at.append(offsets[i])
+            for path_id, at in starts.items():
+                runs.add(*self.keys[path_id], rtts, at)
 
     def lines(self, rank: int) -> Iterator[tuple[int, int, str]]:
         """(timestamp, rank, canonical line) of every row, by timestamp and

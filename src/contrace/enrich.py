@@ -12,6 +12,7 @@ import csv
 import ipaddress
 import math
 import os
+import re
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Protocol, Sequence
 
@@ -32,19 +33,26 @@ class Unlocatable(EnrichError):
     """Plausibility check asked about an endpoint without a location."""
 
 
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
 def _read_csv(path: str | Path, fields: int,
               parse: Callable[[list[str]], tuple]) -> Iterator[tuple]:
     """parse(row) for each row of a CSV file that has at least fields columns.
 
-    Blank rows and rows starting with # are skipped. A malformed row raises
-    ValueError naming the file and the line.
+    Blank rows and rows starting with # are skipped. A malformed row, one
+    that is not UTF-8 among them, raises ValueError naming the file and the
+    line.
     """
-    with open(path, newline="", encoding="utf-8") as fp:
+    # an undecodable byte reads as a lone surrogate, so the row it is in fails
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fp:
         reader = csv.reader(fp)
         for row in reader:
             if not row or row[0].startswith("#"):
                 continue
             try:
+                if _SURROGATE.search(",".join(row)):
+                    raise ValueError("not UTF-8")
                 if len(row) < fields:
                     raise ValueError(f"expected {fields} fields, got {len(row)}")
                 value = parse(row)

@@ -18,7 +18,8 @@ of the classes below, not the JSON order: PingRecord(timestamp, source,
 destination, status, rtt), Hop(hop, status, address, rtt) and
 TracerouteRun(timestamp, source, destination, round, hops). PathRuns holds
 one pair's traceroute runs grouped by distinct path, the form traceroute
-analytics read; columnar.Segment.group fills it.
+analytics read: per path its run count and where its runs' RTTs are in the
+store's columns; columnar.Segment.group fills it.
 
 The append-only store, RecordStore, is defined in contrace.store (segment
 files) and contrace.columnar (segments as columns, the form every read
@@ -32,7 +33,8 @@ import json
 import sys
 from array import array
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple
+from operator import itemgetter
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 STATUS_TIMEOUT = 0
 STATUS_TIME_EXCEEDED = 1
@@ -344,63 +346,57 @@ class StoreQuery(_QueryFields):
 
 # -- traceroute runs grouped by path ---------------------------------------------
 
-_WIDER = {"b": "h", "h": "i", "i": "q"}
-
-
-def _put(columns: list, index: int, values) -> None:
-    """Extend columns[index] by values, widening the column until it holds
-    them: an array to the next wider typecode, a q array to a list."""
-    while True:
-        column = columns[index]
-        n = len(column)
-        try:
-            column.extend(values)
-            return
-        except OverflowError:
-            del column[n:]
-            code = _WIDER.get(column.typecode)
-            columns[index] = array(code, column) if code else column.tolist()
-
-
 class PathRuns:
     """One (source, destination) pair's traceroute runs, grouped by the
-    distinct path they took. A path is a tuple of (hop, status, address),
-    one per hop. counts[i] runs took path i, and rtts[i] holds their RTTs
-    row by row: one row of widths[i] values per run, the RTTs of the path's
-    responsive hops in hop order. len() is the number of runs.
+    distinct path they took, the paths in order of first use. A path is a
+    tuple of (hop, status, address), one per hop, and counts[i] runs took
+    path i. len() is the number of runs.
 
-    Runs of one pair repeat a handful of paths, so work per hop is done
-    once per path, and work per run is a lookup in a row."""
+    No RTT is copied: pieces[i] holds, per block with runs of path i and in
+    block order, (rtts, starts): that block's rtt column, and where in it
+    each of those runs' RTTs start, in row order. rtt_column() gathers the
+    values it is asked for. So work per hop is done once per path, and the
+    RTTs of a run are read only where an analysis reads them."""
 
-    __slots__ = ("paths", "widths", "counts", "rtts", "_index")
+    __slots__ = ("paths", "counts", "pieces", "_index")
 
     def __init__(self):
         self.paths: list[tuple[tuple[int, int, str | None], ...]] = []
-        self.widths: list[int] = []
         self.counts: list[int] = []
-        self.rtts: list = []  # per path an array("q"), or a list if it outgrows one
+        self.pieces: list[list[tuple[Sequence[int], array]]] = []
         self._index: dict[tuple, int] = {}
 
     def __len__(self) -> int:
         return sum(self.counts)
 
-    def path_index(self, statuses: tuple, addresses: tuple) -> int:
-        """Index of the path with these hop statuses and addresses, added
-        with no runs if it is new."""
+    def add(self, statuses: tuple, addresses: tuple, rtts: Sequence[int],
+            starts: array) -> None:
+        """Add the runs of the path with these hop statuses and addresses
+        whose RTTs start at starts in rtts, a block's rtt column."""
         key = (statuses, addresses)
         i = self._index.get(key)
         if i is None:
             i = self._index[key] = len(self.paths)
             self.paths.append(tuple(zip(range(1, len(statuses) + 1), statuses, addresses)))
-            self.widths.append(len(statuses) - statuses.count(STATUS_TIMEOUT))
             self.counts.append(0)
-            self.rtts.append(array("q"))
-        return i
+            self.pieces.append([])
+        self.counts[i] += len(starts)
+        self.pieces[i].append((rtts, starts))
 
-    def rtt_column(self, path: int, position: int):
+    def rtt_column(self, path: int, position: int) -> list[int]:
         """RTTs of the path's responsive hop at position (0-based, among
-        the responsive hops), one per run of the path."""
-        return self.rtts[path][position::self.widths[path]]
+        the responsive hops), one per run of the path in row order. They
+        are gathered from the blocks' rtt columns on each call."""
+        values: list[int] = []
+        for rtts, starts in self.pieces[path]:
+            # the values at starts of the column from position on; the
+            # slice of an array's memoryview copies nothing
+            column = memoryview(rtts)[position:] if type(rtts) is array else rtts[position:]
+            if len(starts) == 1:
+                values.append(column[starts[0]])
+            else:
+                values += itemgetter(*starts)(column)
+        return values
 
 
 def _line_batches(chunks: Iterable[str]) -> Iterator[list[str]]:

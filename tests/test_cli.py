@@ -11,7 +11,8 @@ import pytest
 from contrace import cli
 from contrace.cli import (EXIT_CONFIG, EXIT_EMPTY, EXIT_ERROR, EXIT_OK,
                           EXIT_PRIVILEGE)
-from contrace.records import Hop, PingRecord, RecordStore, StoreQuery, TracerouteRun
+from contrace.records import (Hop, PathRuns, PingRecord, RecordStore, StoreQuery,
+                              TracerouteRun)
 from conftest import MIXED_NDJSON, MIXED_NDJSON_REJECTED, path_runs
 from oracles import serialize_line
 
@@ -272,6 +273,23 @@ class TestAnalyze:
         assert any(",SE,NO," in line or ",DK,NO," in line
                    for line in out.splitlines())
 
+    def test_only_crossing_tables_gather_rtts(self, sim_store, capsys, monkeypatch):
+        """Grouping by path reads no RTT: hops and graph gather none; only
+        the crossing tables of inter-as and inter-country do."""
+        _, config, store_path = sim_store
+        gathered = []
+        rtt_column = PathRuns.rtt_column
+        monkeypatch.setattr(PathRuns, "rtt_column", lambda runs, path, position: (
+            gathered.append((path, position)) or rtt_column(runs, path, position)))
+        calls = {}
+        for artifact in ("hops", "graph", "inter-as", "inter-country"):
+            assert cli.main(["analyze", "--config", str(config), "--store", str(store_path),
+                             "--artifact", artifact]) == EXIT_OK
+            calls[artifact], gathered[:] = len(gathered), []
+        capsys.readouterr()
+        assert calls["hops"] == calls["graph"] == 0
+        assert calls["inter-as"] and calls["inter-country"]
+
     def test_hops_table(self, sim_store, capsys):
         root, config, store_path = sim_store
         code = cli.main(["analyze", "--config", str(config),
@@ -383,6 +401,26 @@ class TestAnalyze:
         assert code == EXIT_ERROR
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}:{line}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("fixture", ["as_prefixes.csv", "geo.csv"])
+    def test_enrichment_row_not_utf8_is_one_error_line(self, sim_store, tmp_path,
+                                                       capsys, fixture):
+        """A second line that starts with the bytes ff fe names its file
+        and line, as any malformed row does; hops reads no enrichment file,
+        so it still runs."""
+        _, config, store_path = sim_store
+        first, *rest = (FIXTURES / fixture).read_bytes().splitlines(True)
+        bad = tmp_path / fixture
+        bad.write_bytes(first + b"\xff\xfe" + b"".join(rest))
+        bad_config = tmp_path / "config.yaml"
+        bad_config.write_text(config.read_text().replace(str(FIXTURES / fixture), str(bad)))
+        for artifact in ("inter-as", "graph"):
+            code = cli.main(["analyze", "--config", str(bad_config),
+                             "--store", str(store_path), "--artifact", artifact])
+            assert code == EXIT_ERROR
+            assert capsys.readouterr().err == f"error: {bad}:2: not UTF-8\n"
+        assert cli.main(["analyze", "--config", str(bad_config), "--store",
+                         str(store_path), "--artifact", "hops"]) == EXIT_OK
 
     def test_two_labels_for_one_address_each_get_their_rows(self, sim_store,
                                                              tmp_path, capsys):
@@ -513,7 +551,7 @@ def test_importing_the_cli_leaves_the_command_modules_unloaded():
 
 def test_store_commands_import_no_probing_code(sim_store, tmp_path):
     """analyze, export and import never load the probe engine, its sockets,
-    icmp, dataclasses or logging, rtt-series (as cdf) never loads
+    icmp, dataclasses or logging, rtt-series (as cdf) and hops never load
     enrichment, and no command here loads legacy. Each command runs in a
     process of its own and counts the modules it adds to those loaded
     before `from contrace import cli`, so a module that site preloads
@@ -532,6 +570,8 @@ def test_store_commands_import_no_probing_code(sim_store, tmp_path):
                        "--out", str(tmp_path / "series.csv")],
         "inter-as": ["analyze", "--config", str(config), "--store", str(store_path),
                      "--artifact", "inter-as", "--out", str(tmp_path / "inter-as.txt")],
+        "hops": ["analyze", "--config", str(config), "--store", str(store_path),
+                 "--artifact", "hops", "--out", str(tmp_path / "hops.txt")],
         "export": ["export", "--store", str(store_path), "--out", str(dumped)],
         "import": ["import", "--store", str(tmp_path / "imported"), str(dumped)],
         "export-stray": ["export", "--store", str(tmp_path / "stray"),
@@ -553,11 +593,12 @@ def test_store_commands_import_no_probing_code(sim_store, tmp_path):
         assert exit_code == EXIT_OK, (name, result.stderr)
         added[name] = set(loaded)
     probing = {"contrace.probe", "contrace.sim", "contrace.icmp", "socket", "select"}
-    for name in ("rtt-series", "inter-as", "export", "import"):
+    for name in ("rtt-series", "inter-as", "hops", "export", "import"):
         assert not (probing | {"dataclasses", "logging"}) & added[name], name
     for name, loaded in added.items():
         assert "contrace.legacy" not in loaded, name
     assert "contrace.enrich" not in added["rtt-series"]
+    assert "contrace.enrich" not in added["hops"]
     assert "contrace.enrich" in added["inter-as"]
     assert "logging" in added["export-stray"]
     assert probing <= added["measure"]

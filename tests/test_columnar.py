@@ -17,6 +17,7 @@ import tracemalloc
 import zlib
 from array import array
 from collections import Counter
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -135,13 +136,13 @@ class TestFormat:
         assert pair == ("10.0.0.1", "10.1.0.1")
         paths = grouped[pair]
         assert len(paths) == 3 and paths.counts == [2, 1]
-        assert list(paths.rtts[0]) == [505, 9005, 507, 9007]
+        assert _rtt_rows(paths, 0) == [(505, 9005), (507, 9007)]
         assert list(paths.rtt_column(1, 1)) == [706]
         assert path_runs(runs[:3]).paths == paths.paths
 
     def test_path_runs_read_every_kind_of_segment_alike(self, tmp_path):
         def by_path(grouped):
-            return {pair: {path: sorted(zip(*[iter(runs.rtts[i])] * runs.widths[i]))
+            return {pair: {path: sorted(_rtt_rows(runs, i))
                            for i, path in enumerate(runs.paths)}
                     for pair, runs in grouped.items()}
 
@@ -200,8 +201,8 @@ class TestFormat:
         assert entry[5] is False  # the block is not sorted
         assert dump(store) == canonical(stored)
         [(pair, paths)] = store.path_runs(StoreQuery("traceroute")).items()
-        assert sorted(paths.rtts[0]) == [505, 506, 5 + 9_000, 6 + huge,
-                                         500 + huge, 9_000 + huge]
+        assert sorted(chain.from_iterable(_rtt_rows(paths, 0))) == [
+            505, 506, 5 + 9_000, 6 + huge, 500 + huge, 9_000 + huge]
 
     def test_written_values_round_trip_through_import_and_export(self, tmp_path):
         rng = random.Random(3)
@@ -237,9 +238,21 @@ def _grouped_reference(runs, q):
     return {pair: list(paths.items()) for pair, paths in grouped.items()}
 
 
+def _responsive(path):
+    """The number of responsive hops of a PathRuns path."""
+    return sum(status != 0 for _, status, _ in path)
+
+
+def _rtt_rows(runs, path):
+    """The responsive-hop RTTs of each run of a PathRuns path, run by
+    run, gathered through rtt_column."""
+    columns = [runs.rtt_column(path, position)
+               for position in range(_responsive(runs.paths[path]))]
+    return list(zip(*columns)) if columns else [()] * runs.counts[path]
+
+
 def _grouped(path_runs_):
-    return {pair: [(path, list(zip(*[iter(runs.rtts[i])] * runs.widths[i])))
-                   for i, path in enumerate(runs.paths)]
+    return {pair: [(path, _rtt_rows(runs, i)) for i, path in enumerate(runs.paths)]
             for pair, runs in path_runs_.items()}
 
 
@@ -374,7 +387,8 @@ def _facts(segment):
 def _group_state(segment, q):
     grouped = {}
     segment.group(q, grouped)
-    return {pair: (runs.paths, runs.counts, list(map(list, runs.rtts)))
+    return {pair: (runs.paths, runs.counts,
+                   [_rtt_rows(runs, i) for i in range(len(runs.paths))])
             for pair, runs in grouped.items()}
 
 
@@ -422,6 +436,62 @@ def test_a_segment_filled_by_add_reads_alike_once_written_and_loaded(drawn):
                 assert _group_state(loaded, q) == _group_state(memory, q)
         assert list(loaded.lines(0)) == list(memory.lines(0))
     assert "".join(line for _, _, line in memory.lines(0)) == canonical(records_)
+
+
+@st.composite
+def _stored_runs(draw):
+    """(runs, segment_records, split): traceroute runs in append order, of
+    the pairs of TestSegmentForms, their timestamps unsorted and repeating
+    and their RTTs among _VALUES; a writer's segment size; and how many of
+    the runs a writer appends, the rest left in a crashed writer's segment."""
+    runs = []
+    for _ in range(draw(st.integers(1, 24))):
+        source, destination = draw(st.sampled_from(TestSegmentForms.PAIRS))
+        n = draw(st.integers(1, 3))
+        hops = []
+        for number in range(1, n + 1):
+            status = draw(st.sampled_from([0, 1, 255] if number == n else [0, 1]))
+            hops.append(Hop(number, status) if status == 0 else
+                        Hop(number, status, draw(st.sampled_from(["10.0.0.254", destination])),
+                            draw(_VALUES)))
+        runs.append(TracerouteRun(draw(st.integers(1, 12)), source, destination,
+                                  draw(st.integers(0, 2)), tuple(hops)))
+    return runs, draw(st.integers(2, 5)), draw(st.integers(0, len(runs)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn=_stored_runs(), window=st.tuples(st.integers(1, 12), st.integers(1, 12)))
+def test_path_runs_equal_the_reference_over_every_form_of_segment(drawn, window):
+    """A writer's sealed segments and its active NDJSON one, then a crashed
+    writer's NDJSON segment with a torn tail: per pair, the paths in order
+    of first use, their run counts, and each rtt_column() equal the
+    reference, read by the writer and by a reader, whole and under a time
+    window and a pair."""
+    runs, segment_records, split = drawn
+    start, end = sorted(window)
+    pair = TestSegmentForms.PAIRS[0]
+    queries = [StoreQuery("traceroute"), StoreQuery("traceroute", start, end + 1),
+               StoreQuery("traceroute", start, end + 1, *pair)]
+    with tempfile.TemporaryDirectory() as directory:
+        directory = Path(directory)
+        with RecordStore(directory, segment_records=segment_records) as writer:
+            for record in runs[:split]:
+                writer.append(record)
+            lines = [serialize_line(record) for record in runs[split:]]
+            (directory / "traceroute-1000.ndjson").write_text(
+                "".join(lines) + (lines[0][:25] if lines else ""))
+            for store in (writer, RecordStore(directory)):
+                for q in queries:
+                    expected = {pair: [(path, len(rows), [list(column) for column in
+                                                          zip(*rows)] if rows[0] else [])
+                                       for path, rows in paths]
+                                for pair, paths in _grouped_reference(runs, q).items()}
+                    got = {pair: [(path, count, [grouped.rtt_column(i, position)
+                                                 for position in range(_responsive(path))])
+                                  for i, (path, count) in enumerate(
+                                      zip(grouped.paths, grouped.counts))]
+                           for pair, grouped in store.path_runs(q).items()}
+                    assert got == expected
 
 
 def _reads(store, kind):
@@ -528,6 +598,56 @@ class TestValidation:
         write_columnar(segment, header, blocks)
         with pytest.raises(StoreError, match="tie: negative"):
             RecordStore(tmp_path).query(StoreQuery("ping"))
+
+
+def _breaks_sorted_min(segment):
+    segment.blocks[0].min = 2
+
+
+def _breaks_sorted_order(segment):
+    times = segment.blocks[0].columns[0]
+    times[1], times[2] = times[2], times[1]
+
+
+def _breaks_sorted_order_and_max(segment):
+    _breaks_sorted_order(segment)
+    segment.blocks[0].max = 5
+
+
+def _path_id(value):
+    def change(segment):
+        segment.blocks[0].columns[3][1] = len(segment.keys) if value is None else value
+    return change
+
+
+def _drops_an_rtt(segment):
+    del segment.blocks[0].columns[4][-1]
+
+
+@pytest.mark.parametrize("change, problem", [
+    (_breaks_sorted_min, "timestamp: min or max differs from the header"),
+    (_breaks_sorted_order, "timestamp: not sorted"),
+    (_breaks_sorted_order_and_max, "timestamp: min or max differs from the header"),
+    (_path_id(None), "path: id out of range"),
+    (_path_id(-1), "path: id out of range"),
+    (_drops_an_rtt, "rtt: length differs from the paths' responsive hops"),
+])
+def test_a_written_block_that_breaks_its_facts_fails_its_check(tmp_path, change, problem):
+    """A file columnar.write makes of a segment whose block facts or
+    columns were changed, so its CRCs hold: the block check names the first
+    rule broken. The block is sorted, of timestamps 1 to 4 and two paths."""
+    segment = columnar.Segment("traceroute")
+    for timestamp in range(1, 5):
+        segment.add(run(timestamp, variant=timestamp % 2))
+    [block] = segment.blocks
+    assert (block.sorted, block.min, block.max, len(segment.keys)) == (True, 1, 4, 2)
+    change(segment)
+    path = tmp_path / "traceroute-1.col"
+    columnar.write(path, segment)
+    loaded = columnar.Segment.load(path, "traceroute")
+    with pytest.raises(StoreError) as exc:
+        loaded.check()
+    assert str(exc.value) == f"{path}: {problem}"
 
 
 def _values(entry, columns, index):
