@@ -1,5 +1,8 @@
 """Statistics over measurement records: RTT series, CDFs, crossings, graphs.
 
+They read columns, never a record per row: RTT series and CDFs bucket
+PingColumns by UTC hour; traceroute analytics read PathRuns.
+
 Quantiles are nearest-rank throughout: the sorted sample at 1-based index
 ceil(p*n), computed in exact integer arithmetic so results match brute-force
 oracles bit for bit. RTT outputs are milliseconds (mean = integer microsecond
@@ -12,9 +15,9 @@ import ipaddress
 import json
 import math
 from datetime import datetime, timezone
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
-from .records import STATUS_ECHO_REPLY, STATUS_TIMEOUT, PathRuns, PingRecord
+from .records import STATUS_ECHO_REPLY, STATUS_TIMEOUT, PathRuns, PingColumns
 
 if TYPE_CHECKING:  # annotations only: rtt-series and cdf never load enrich
     from .config import RelationKey
@@ -56,19 +59,17 @@ class RttBucketStats(NamedTuple):
     q90_ms: float
 
 
-def bucket_rtt_series(records: Iterable[PingRecord],
-                      bucket_us: int = HOUR_US) -> list[RttBucketStats]:
-    """Per-bucket RTT statistics over echo-reply records.
+def bucket_rtt_series(pings: PingColumns) -> list[RttBucketStats]:
+    """Per-hour RTT statistics over the echo replies among pings.
 
-    Buckets align to multiples of bucket_us since the epoch (UTC hour
-    boundaries for the default width); empty buckets produce no entry.
+    Buckets align to UTC hour boundaries, multiples of HOUR_US since the
+    epoch; empty buckets produce no entry.
     """
     buckets: dict[int, list[int]] = {}
-    for record in records:
-        if record.status != STATUS_ECHO_REPLY:
-            continue
-        start = (record.timestamp // bucket_us) * bucket_us
-        buckets.setdefault(start, []).append(record.rtt)
+    for times, statuses, rtts in pings.blocks:
+        for timestamp, status, rtt in zip(times, statuses, rtts):
+            if status == STATUS_ECHO_REPLY:
+                buckets.setdefault(timestamp // HOUR_US * HOUR_US, []).append(rtt)
     series = []
     for start in sorted(buckets):
         samples = buckets[start]
@@ -82,14 +83,13 @@ def _year_of(us: int) -> int:
     return datetime.fromtimestamp(us // 1_000_000, timezone.utc).year
 
 
-def mean_rtt_cdf(records: Iterable[PingRecord],
-                 bucket_us: int = HOUR_US) -> dict[int, list[tuple[float, float]]]:
+def mean_rtt_cdf(pings: PingColumns) -> dict[int, list[tuple[float, float]]]:
     """Per-calendar-year empirical CDF over hourly-bucket mean RTTs.
 
     Steps are (x in ms, fraction of bucket means <= x); y rises to 1.0.
     """
     by_year: dict[int, list[float]] = {}
-    for bucket in bucket_rtt_series(records, bucket_us):
+    for bucket in bucket_rtt_series(pings):
         by_year.setdefault(_year_of(bucket.bucket_start_us), []).append(bucket.mean_ms)
     out: dict[int, list[tuple[float, float]]] = {}
     for year in sorted(by_year):

@@ -124,7 +124,7 @@ def load_config(path: str | Path) -> Config:
     return build_config(doc, path.parent)
 
 
-def build_enricher(config: Config, session=None) -> Enricher:
+def build_enricher(config: Config) -> Enricher:
     from .enrich import AsnTable, CsvGeoProvider, Enricher, GeoResolver, HttpGeoProvider
     table = None
     if config.as_prefixes is not None:
@@ -133,9 +133,7 @@ def build_enricher(config: Config, session=None) -> Enricher:
     if config.geo_fixtures is not None:
         providers.append(CsvGeoProvider(config.geo_fixtures))
     if config.fallback_url:
-        providers.append(HttpGeoProvider(config.fallback_url,
-                                         config.fallback_token_env,
-                                         session=session))
+        providers.append(HttpGeoProvider(config.fallback_url, config.fallback_token_env))
     resolver = GeoResolver(providers) if providers else None
     return Enricher(table, resolver)
 
@@ -362,9 +360,9 @@ def cmd_analyze(args) -> int:
             print("error: rtt-series and cdf need a single --relation",
                   file=sys.stderr)
             return EXIT_CONFIG
-        pings = store.query(StoreQuery(KIND_PING, args.start, args.end,
-                                       relations[0].source_address,
-                                       relations[0].destination_address))
+        pings = store.ping_columns(StoreQuery(KIND_PING, args.start, args.end,
+                                              relations[0].source_address,
+                                              relations[0].destination_address))
         if not pings:
             print("error: no ping records match the selection", file=sys.stderr)
             return EXIT_EMPTY

@@ -8,8 +8,9 @@ sorted when its timestamps never decrease. Every row also has a tie rank:
 its rank among the segment's rows with the same timestamp, in row order.
 So ordering a segment's rows by (timestamp, tie rank) orders them by
 timestamp and then by row order, though the blocks no longer interleave
-the pairs: export, and a query that selects several pairs, read a segment
-in that order.
+the pairs: export and query read a segment in that order. A read takes
+the rows it selects as canonical lines (lines, the one row renderer), runs
+grouped by path (group) or ping columns (pings), never a record per row.
 
 A sealed segment <stem>.col, format version 2:
 
@@ -64,8 +65,8 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 from .records import (KIND_PING, KIND_TRACEROUTE, STATUS_ECHO_REPLY, STATUS_TIMEOUT,
-                      VALID_STATUSES, Hop, PathRuns, PingRecord, Record, StoreError,
-                      StoreQuery, TracerouteRun, _ENCODE, _new, _ping, _run)
+                      VALID_STATUSES, PathRuns, PingColumns, Record, StoreError, StoreQuery,
+                      _ENCODE, _ping, _run)
 
 _MAGIC = b"contrace columns\n"
 _PREFIX = struct.Struct("<II")
@@ -645,47 +646,17 @@ class Segment:
         selected = [(block, block.rows(start, end)) for block in blocks]
         return [(block, rows) for block, rows in selected if rows]
 
-    def records(self, q: StoreQuery) -> list[Record]:
-        """The records of the rows q selects, block by block in row order.
-        Where timestamps repeat across the blocks, they are ordered by tie
-        rank, so a stable sort by timestamp orders them by (timestamp, tie
-        rank)."""
-        selected = self._select(q)
-        records: list[Record] = []
-        ties: list[int] = []
-        for block, rows in selected:
-            source, destination = block.pair
-            if len(selected) > 1 and self.ties:
-                ties += map(block.columns[_TIE].__getitem__, rows)
-            if self.kind == KIND_PING:
-                times, _, statuses, rtts = block.columns
-                records += [_new(PingRecord, (times[i], source, destination, statuses[i],
-                                              rtts[i] if statuses[i] == STATUS_ECHO_REPLY
-                                              else None))
-                            for i in rows]
-                continue
-            times, _, rounds, path_ids, rtts = block.columns
-            offsets = self._offsets(block)
-            for i in rows:
-                k = offsets[i]
-                statuses, addresses = self.keys[path_ids[i]]
-                hops = []
-                for number, (status, address) in enumerate(zip(statuses, addresses), 1):
-                    if status == STATUS_TIMEOUT:
-                        hops.append(_new(Hop, (number, status, None, None)))
-                    else:
-                        hops.append(_new(Hop, (number, status, address, rtts[k])))
-                        k += 1
-                records.append(_new(TracerouteRun, (times[i], source, destination,
-                                                    rounds[i], tuple(hops))))
-        if ties:
-            records = [records[i] for i in sorted(range(len(records)), key=ties.__getitem__)]
-        return records
-
-    def _offsets(self, block: Block) -> list[int]:
-        """Where each of the block's runs' RTTs start in its rtt column,
-        plus the end."""
-        return list(accumulate(map(self.widths.__getitem__, block.columns[3]), initial=0))
+    def pings(self, q: StoreQuery, columns: PingColumns) -> None:
+        """Add the timestamp, status and rtt columns of each block with
+        rows q selects to columns, cut to those rows: a block selected
+        whole is not copied, a range of rows is a slice."""
+        for block, rows in self._select(q):
+            times, _, statuses, rtts = block.columns
+            if len(rows) < block.count:
+                times, statuses, rtts = (
+                    column[rows.start:rows.stop] if type(rows) is range
+                    else [column[i] for i in rows] for column in (times, statuses, rtts))
+            columns.blocks.append((times, statuses, rtts))
 
     def group(self, q: StoreQuery, grouped: dict[tuple[str, str], PathRuns]) -> None:
         """Add the runs of the rows q selects to grouped, per pair, in row
@@ -696,7 +667,7 @@ class Segment:
             if runs is None:
                 runs = grouped[block.pair] = PathRuns()
             path_ids, rtts = block.columns[3:]
-            offsets = self._offsets(block)
+            offsets = list(accumulate(map(self.widths.__getitem__, path_ids), initial=0))
             code = "i" if len(rtts) <= 0x7FFFFFFF else "q"
             starts: dict[int, array] = {}  # path id -> starts, in order of first use
             for i in rows:
@@ -708,24 +679,31 @@ class Segment:
             for path_id, at in starts.items():
                 runs.add(*self.keys[path_id], rtts, at)
 
-    def lines(self, rank: int) -> Iterator[tuple[int, int, str]]:
-        """(timestamp, rank, canonical line) of every row, by timestamp and
-        then tie rank: one sort of the segment's rows."""
-        self.check()
-        blocks = self.blocks
+    def lines(self, rank: int, q: StoreQuery | None = None) -> Iterator[tuple[int, int, str]]:
+        """(timestamp, rank, canonical line) of every row, or of the rows q
+        selects, by timestamp and then tie rank: one sort of those rows.
+        With q, only the blocks it selects are read (_select)."""
+        if q is None:
+            self.check()
+            blocks, rows = self.blocks, range(self.count)
+        else:
+            selected = self._select(q)
+            blocks = [block for block, _ in selected]
+            starts = accumulate((block.count for block in blocks), initial=0)
+            rows = [start + i for (_, chosen), start in zip(selected, starts) for i in chosen]
         if not blocks:
             return
         columns = [_joined([block.columns[i] for block in blocks])
                    for i in range(len(_COLUMN_NAMES[self.kind])) if i != _TIE]
         times = columns[0]
         if len(blocks) == 1 and blocks[0].sorted:
-            order = range(self.count)
+            order = rows
         elif self.ties:
             ties = _joined([block.columns[_TIE] for block in blocks])
             keys = list(map(add, map(mul, times, repeat(max(ties) + 1)), ties))
-            order = sorted(range(self.count), key=keys.__getitem__)
+            order = sorted(rows, key=keys.__getitem__)
         else:
-            order = sorted(range(self.count), key=times.__getitem__)
+            order = sorted(rows, key=times.__getitem__)
         pair_ids = array("B" if len(blocks) < 256 else "i")
         for pair_id, block in enumerate(blocks):
             pair_ids += array(pair_ids.typecode, [pair_id]) * block.count

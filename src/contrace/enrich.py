@@ -226,15 +226,14 @@ class HttpGeoProvider:
 
 
 class GeoResolver:
-    """Chains providers; the first sufficiently accurate answer wins.
+    """Chains providers; the first answer whose estimated error is at most
+    GEO_ACCEPT_KM wins.
 
     Every call asks the providers again; Enricher keeps the answers.
     """
 
-    def __init__(self, providers: Sequence[GeoProvider],
-                 accept_km: float = GEO_ACCEPT_KM):
+    def __init__(self, providers: Sequence[GeoProvider]):
         self.providers = list(providers)
-        self.accept_km = accept_km
 
     def resolve(self, address: str) -> GeoLocation | None:
         for provider in self.providers:
@@ -242,7 +241,7 @@ class GeoResolver:
                 candidate = provider.locate(address)
             except ProviderUnavailable:
                 continue
-            if candidate is not None and candidate.estimated_error_km <= self.accept_km:
+            if candidate is not None and candidate.estimated_error_km <= GEO_ACCEPT_KM:
                 return candidate
         return None
 

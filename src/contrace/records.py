@@ -16,10 +16,11 @@ columnar over the pair and path dictionaries of its segments. In memory,
 records are immutable named tuples, and unpacking follows the field order
 of the classes below, not the JSON order: PingRecord(timestamp, source,
 destination, status, rtt), Hop(hop, status, address, rtt) and
-TracerouteRun(timestamp, source, destination, round, hops). PathRuns holds
-one pair's traceroute runs grouped by distinct path, the form traceroute
-analytics read: per path its run count and where its runs' RTTs are in the
-store's columns; columnar.Segment.group fills it.
+TracerouteRun(timestamp, source, destination, round, hops). Analysis reads
+two column forms instead of records. PathRuns holds one pair's traceroute
+runs grouped by distinct path: per path its run count and where its runs'
+RTTs are in the store's columns (columnar.Segment.group fills it).
+PingColumns holds the selected pings' columns (Segment.pings fills it).
 
 The append-only store, RecordStore, is defined in contrace.store (segment
 files) and contrace.columnar (segments as columns, the form every read
@@ -397,6 +398,20 @@ class PathRuns:
             else:
                 values += itemgetter(*starts)(column)
         return values
+
+
+class PingColumns:
+    """Pings as rtt-series and cdf read them: per block with rows a read
+    selects, (timestamps, statuses, rtts) cut to those rows, an rtt being
+    -1 where the status is not 255. len() is the number of pings."""
+
+    __slots__ = ("blocks",)
+
+    def __init__(self):
+        self.blocks: list[tuple[Sequence[int], Sequence[int], Sequence[int]]] = []
+
+    def __len__(self) -> int:
+        return sum(len(times) for times, _, _ in self.blocks)
 
 
 def _line_batches(chunks: Iterable[str]) -> Iterator[list[str]]:

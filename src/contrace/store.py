@@ -6,7 +6,8 @@ NDJSON; sealing turns a segment into a columnar file (see columnar). Every
 read takes each segment as a columnar.Segment: a columnar file is loaded
 as one, reading its header and then only the blocks the read selects, and
 an NDJSON segment's lines are added to one held in memory, by shape or
-decoded. Every record reaches a file in a run of whole lines bound for
+decoded. Only query builds records, from the lines export writes. Every
+record reaches a file in a run of whole lines bound for
 one segment, by one os.write under the lock: append's run is one line,
 import's the lines of a batch for one segment, in input order. So a read
 never sees a torn record, a killed import keeps a prefix of its input, and
@@ -26,14 +27,14 @@ import os
 import re
 import threading
 from contextlib import ExitStack, contextmanager, suppress
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 from . import columnar
 from .records import (KIND_PING, KIND_TRACEROUTE, InvalidRecord, MalformedJson, PathRuns,
-                      PingRecord, Record, StoreError, StoreQuery, TracerouteRun,
-                      _line_batches, from_json_obj, parse_line, validated)
+                      PingColumns, PingRecord, Record, StoreError, StoreQuery, TracerouteRun,
+                      _ENCODE, _line_batches, from_json_obj, parse_line, validated)
 
 
 def _warn(message: str, *args) -> None:
@@ -54,7 +55,6 @@ _OLDER = re.compile(rf"(?:{KIND_PING}|{KIND_TRACEROUTE})-[0-9]")
 
 _NDJSON = ".ndjson"
 _CHUNK = 1 << 13  # characters of newline-delimited input import reads at a time
-_TIMESTAMP = attrgetter("timestamp")
 _ID = itemgetter(0)
 
 
@@ -388,8 +388,8 @@ class RecordStore:
             line, row = segment.encode(record)
             self._write(segment, line, (row,))
 
-    def _import_lines(self, lines: list[str], first: int,
-                      rejects: list[tuple[int, str]]) -> int:
+    def _import_lines(self, lines: list[str], first: int, rejects: list[tuple[int, str]],
+                      documents: list | None = None) -> int:
         """Store one batch of newline-delimited input, the complete lines
         of one read chunk, which are documents first, first + 1, ...;
         returns the count accepted and appends the rejects to rejects. The
@@ -399,7 +399,8 @@ class RecordStore:
         line (Segment.encode). A run, written by one _write, ends before a
         line for another segment and where its segment reaches
         segment_records, so seals fall on the lines they fall on when lines
-        are stored one at a time; files are written in input order."""
+        are stored one at a time; files are written in input order. An
+        array's lines are decoded from its documents, not parsed again."""
         accepted = 0
         active = self._active
         target, run, rows = None, [], []  # the run's segment, lines and their rows
@@ -416,12 +417,15 @@ class RecordStore:
                             if row is not None:
                                 break
                     else:  # no active segment knows the line's shape
-                        document = line.splitlines()[0]
-                        if not document.strip():
-                            continue
                         try:
-                            document.encode()  # raises for a byte that was not UTF-8
-                            record = parse_line(document)
+                            if documents is not None:
+                                record = from_json_obj(documents[i - first])
+                            else:
+                                document = line.splitlines()[0]
+                                if not document.strip():
+                                    continue
+                                document.encode()  # raises for a byte that was not UTF-8
+                                record = parse_line(document)
                         except (UnicodeEncodeError, MalformedJson, InvalidRecord) as exc:
                             rejects.append((i, str(exc) if isinstance(exc, StoreError)
                                             else "not UTF-8"))
@@ -474,15 +478,24 @@ class RecordStore:
 
     def query(self, q: StoreQuery) -> list[Record]:
         """Matching records ordered by timestamp, then load order (within
-        a segment, tie rank). Reads only q.kind's segments, and of a
-        columnar file only the header and the blocks of the pairs and time
-        range q selects; records are built only for the rows selected."""
-        records = []
+        a segment, tie rank): the canonical lines of the rows q selects
+        (Segment.lines), merged across segments as export merges them and
+        parsed. Reads only q.kind's segments, and of a columnar file only
+        the header and the blocks of the pairs and time range q selects."""
         with self._segments(q.kind) as segments:
+            lines = [segment.open().lines(rank, q) for rank, segment in enumerate(segments)]
+            return [parse_line(line) for _, _, line in heapq.merge(*lines)]
+
+    def ping_columns(self, q: StoreQuery) -> PingColumns:
+        """The timestamp, status and rtt columns of the pings q selects,
+        block by block (Segment.pings); read as query reads them."""
+        if q.kind != KIND_PING:
+            raise ValueError("ping_columns reads pings")
+        columns = PingColumns()
+        with self._segments(KIND_PING) as segments:
             for segment in segments:
-                records += segment.open().records(q)
-        records.sort(key=_TIMESTAMP)
-        return records
+                segment.open().pings(q, columns)
+        return columns
 
     def path_runs(self, q: StoreQuery) -> dict[tuple[str, str], PathRuns]:
         """The traceroute runs q selects, as a PathRuns per (source,
@@ -532,8 +545,8 @@ class RecordStore:
         is one os.write of whole lines under the lock, so a read never sees
         a torn record, and the files are written in input order, so a
         killed import keeps a prefix of its input. Only input whose first
-        non-blank character is "[" is read whole, and its documents are
-        stored one at a time.
+        non-blank character is "[" is read whole; its documents, each
+        encoded as one compact line, are then stored as one batch.
         An array's documents are indexed by position; otherwise the
         documents and their indexes are the lines of str.splitlines over
         the whole input, blank lines counted. A line holding a lone
@@ -550,9 +563,8 @@ class RecordStore:
                 break
         head = "".join(head)
         rejects: list[tuple[int, str]] = []
-        accepted = 0
         if not head.lstrip().startswith("["):
-            first = 0
+            accepted, first = 0, 0
             for lines in _line_batches(itertools.chain((head,), chunks)):
                 accepted += self._import_lines(lines, first, rejects)
                 first += len(lines)
@@ -565,10 +577,5 @@ class RecordStore:
             return 0, [(0, "not UTF-8")]
         except (ValueError, RecursionError) as exc:  # also too many digits or too deep
             return 0, [(0, f"invalid JSON array: {exc}")]
-        for i, document in enumerate(documents):
-            try:
-                self.append(from_json_obj(document))
-                accepted += 1
-            except (MalformedJson, InvalidRecord) as exc:
-                rejects.append((i, str(exc)))
-        return accepted, rejects
+        lines = [_ENCODE(document) + "\n" for document in documents]
+        return self._import_lines(lines, 0, rejects, documents), rejects

@@ -6,7 +6,8 @@ from contrace.columnar import Segment
 from contrace.icmp import Family
 from contrace.probe import (ProbeSchedule, RelationKey, SourceWorker,
                             TracerouteProbeRun, run_relation_worker)
-from contrace.records import KIND_TRACEROUTE, PathRuns, PingRecord, StoreQuery
+from contrace.records import (KIND_PING, KIND_TRACEROUTE, PathRuns, PingColumns, PingRecord,
+                              StoreQuery)
 from contrace.sim import SimNetwork, SimTransport, VirtualClock, topology_from_dict
 
 START_US = 1_609_459_200_000_000  # 2021-01-01T00:00:00Z
@@ -22,6 +23,18 @@ def path_runs(runs) -> PathRuns:
     grouped = {}
     segment.group(StoreQuery(KIND_TRACEROUTE), grouped)
     return grouped.get(("", ""), PathRuns())
+
+
+def ping_columns(pings) -> PingColumns:
+    """pings as columns as a store read gives them, through Segment.add
+    and Segment.pings; as in a PingColumns, the pair of each ping is not
+    kept."""
+    segment = Segment(KIND_PING)
+    for ping in pings:
+        segment.add(ping._replace(source="", destination=""))
+    columns = PingColumns()
+    segment.pings(StoreQuery(KIND_PING), columns)
+    return columns
 
 
 def linear_topology(n_routers: int, latencies=None, *, policies=None, events=None):

@@ -19,8 +19,8 @@ from contrace.records import Hop, PingRecord, RecordStore, StoreQuery, Tracerout
 from contrace.sim import run_scenario
 
 import oracles
-from conftest import (START_US, ecmp4_topology, linear_topology, path_runs, ping_once,
-                      relation_for)
+from conftest import (START_US, ecmp4_topology, linear_topology, path_runs, ping_columns,
+                      ping_once, relation_for)
 from test_analytics import _AS_BY_OCTET, enrich_fixture
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -267,12 +267,12 @@ def test_08_aggregation_oracle_equivalence():
         pings, runs = _random_corpus(rng)
         assert len(pings) + len(runs) <= 10_000
 
-        series = analytics.bucket_rtt_series(pings)
+        series = analytics.bucket_rtt_series(ping_columns(pings))
         expected = oracles.bucket_series_reference(pings, analytics.HOUR_US)
         assert {b.bucket_start_us: (b.count, b.mean_ms, b.min_ms, b.q10_ms,
                                     b.q90_ms) for b in series} == expected
 
-        cdf = analytics.mean_rtt_cdf(pings)
+        cdf = analytics.mean_rtt_cdf(ping_columns(pings))
         by_year = {}
         for bucket in series:
             by_year.setdefault(analytics._year_of(bucket.bucket_start_us),

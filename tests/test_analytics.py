@@ -15,7 +15,7 @@ from contrace.probe import RelationKey
 from contrace.records import Hop, PingRecord, TracerouteRun
 
 import oracles
-from conftest import path_runs
+from conftest import path_runs, ping_columns
 
 HOUR = 3_600_000_000
 T0 = 1_609_459_200_000_000  # 2021-01-01T00:00:00Z
@@ -89,7 +89,7 @@ class TestBucketSeries:
     def test_constant_series(self):
         recs = [PingRecord(T0 + i * 1_000_000, "10.1.0.1", "10.3.0.9", 255, 10_000)
                 for i in range(100)]
-        series = bucket_rtt_series(recs)
+        series = bucket_rtt_series(ping_columns(recs))
         assert len(series) == 1
         b = series[0]
         assert (b.count, b.mean_ms, b.min_ms, b.q10_ms, b.q90_ms) == \
@@ -98,25 +98,25 @@ class TestBucketSeries:
     def test_1_to_100_ms_quantiles(self):
         recs = [PingRecord(T0 + i, "10.1.0.1", "10.3.0.9", 255, (i + 1) * 1000)
                 for i in range(100)]
-        b = bucket_rtt_series(recs)[0]
+        b = bucket_rtt_series(ping_columns(recs))[0]
         assert b.q10_ms == 10.0
         assert b.q90_ms == 90.0
 
     def test_hour_boundary_splits_counts(self):
         recs = [PingRecord(T0 + HOUR - 2 + i, "10.1.0.1", "10.3.0.9", 255, 5000)
                 for i in range(4)]
-        series = bucket_rtt_series(recs)
+        series = bucket_rtt_series(ping_columns(recs))
         assert [b.count for b in series] == [2, 2]
         assert series[0].bucket_start_us == T0
         assert series[1].bucket_start_us == T0 + HOUR
 
     def test_empty_input(self):
-        assert bucket_rtt_series([]) == []
+        assert bucket_rtt_series(ping_columns([])) == []
 
     def test_timeouts_do_not_contribute(self):
         recs = [PingRecord(T0, "10.1.0.1", "10.3.0.9", 0),
                 PingRecord(T0 + 1, "10.1.0.1", "10.3.0.9", 255, 7000)]
-        series = bucket_rtt_series(recs)
+        series = bucket_rtt_series(ping_columns(recs))
         assert series[0].count == 1
 
     def test_matches_oracle_on_random_records(self):
@@ -124,7 +124,7 @@ class TestBucketSeries:
         recs = [PingRecord(T0 + rng.randrange(0, 50 * HOUR), "10.1.0.1",
                            "10.3.0.9", 255, rng.randrange(1000, 300_000))
                 for _ in range(3000)]
-        series = bucket_rtt_series(recs)
+        series = bucket_rtt_series(ping_columns(recs))
         expected = oracles.bucket_series_reference(recs, HOUR)
         assert len(series) == len(expected)
         for b in series:
@@ -137,9 +137,9 @@ class TestBucketSeries:
         recs = [PingRecord(T0 + rng.randrange(0, 5 * HOUR), "10.1.0.1",
                            "10.3.0.9", 255, rng.randrange(1000, 99_000))
                 for _ in range(500)]
-        whole = bucket_rtt_series(recs)
+        whole = bucket_rtt_series(ping_columns(recs))
         rng.shuffle(recs)
-        again = bucket_rtt_series(recs)
+        again = bucket_rtt_series(ping_columns(recs))
         assert whole == again
 
 
@@ -147,20 +147,20 @@ class TestCdf:
     def test_single_bucket_single_step(self):
         recs = [PingRecord(T0 + i, "10.1.0.1", "10.3.0.9", 255, 12_000)
                 for i in range(10)]
-        cdf = mean_rtt_cdf(recs)
+        cdf = mean_rtt_cdf(ping_columns(recs))
         assert cdf == {2021: [(12.0, 1.0)]}
 
     def test_two_bucket_steps(self):
         recs = [PingRecord(T0 + 1, "10.1.0.1", "10.3.0.9", 255, 10_000),
                 PingRecord(T0 + HOUR + 1, "10.1.0.1", "10.3.0.9", 255, 20_000)]
-        cdf = mean_rtt_cdf(recs)
+        cdf = mean_rtt_cdf(ping_columns(recs))
         assert cdf[2021] == [(10.0, 0.5), (20.0, 1.0)]
 
     def test_years_separated(self):
         year_us = 366 * 24 * HOUR
         recs = [PingRecord(T0 + 1, "10.1.0.1", "10.3.0.9", 255, 10_000),
                 PingRecord(T0 + year_us, "10.1.0.1", "10.3.0.9", 255, 30_000)]
-        cdf = mean_rtt_cdf(recs)
+        cdf = mean_rtt_cdf(ping_columns(recs))
         assert set(cdf) == {2021, 2022}
 
     def test_full_year_matches_sort_oracle(self):
@@ -171,8 +171,8 @@ class TestCdf:
             for _ in range(3):
                 recs.append(PingRecord(base + rng.randrange(HOUR), "10.1.0.1",
                                        "10.3.0.9", 255, rng.randrange(5000, 80_000)))
-        cdf = mean_rtt_cdf(recs)
-        means = [b.mean_ms for b in bucket_rtt_series(recs)
+        cdf = mean_rtt_cdf(ping_columns(recs))
+        means = [b.mean_ms for b in bucket_rtt_series(ping_columns(recs))
                  if analytics._year_of(b.bucket_start_us) == 2021]
         assert cdf[2021] == oracles.ecdf_reference(means)
         ys = [y for _x, y in cdf[2021]]
@@ -393,7 +393,7 @@ class TestRendering:
     def test_bucket_series_csv(self):
         recs = [PingRecord(T0 + i, "10.1.0.1", "10.3.0.9", 255, 10_000)
                 for i in range(3)]
-        doc = analytics.format_bucket_series(bucket_rtt_series(recs))
+        doc = analytics.format_bucket_series(bucket_rtt_series(ping_columns(recs)))
         assert doc.splitlines()[1] == f"{T0},3,10.00,10.00,10.00,10.00"
 
 

@@ -360,12 +360,51 @@ class TestAnalyze:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
-    def test_empty_selection_exit(self, sim_store, capsys):
+    @pytest.mark.parametrize("artifact, kind", [("inter-as", "traceroute"),
+                                                ("rtt-series", "ping"), ("cdf", "ping")])
+    def test_empty_selection_exit(self, sim_store, capsys, artifact, kind):
         root, config, store_path = sim_store
         code = cli.main(["analyze", "--config", str(config),
-                         "--store", str(store_path), "--artifact", "inter-as",
+                         "--store", str(store_path), "--artifact", artifact,
                          "--end", "2"])
         assert code == EXIT_EMPTY
+        assert capsys.readouterr() == ("", f"error: no {kind} records match the selection\n")
+
+    @pytest.mark.parametrize("statuses", [(0, 1), (0, 1, 255)], ids=["no-reply", "replies"])
+    def test_rtt_series_and_cdf_read_open_and_sealed_segments_alike(self, tmp_path, capsys,
+                                                                     statuses):
+        """A writer's open NDJSON segment gives the output its sealed
+        columnar file gives; pings with no echo reply give the header line
+        alone, and exit 0."""
+        config = tmp_path / "config.yaml"
+        config.write_text('sources:\n  - {label: A, address: "10.0.0.1"}\n'
+                          'destinations:\n  - {label: B, address: "10.0.0.2"}\n'
+                          f"store: {tmp_path / 'store'}\n")
+        outputs = []
+
+        def analyze():
+            for artifact in ("rtt-series", "cdf"):
+                code = cli.main(["analyze", "--config", str(config), "--artifact", artifact,
+                                 "--relation", "v4:A:B"])
+                outputs.append((code, capsys.readouterr()))
+
+        with RecordStore(tmp_path / "store") as writer:
+            for i in range(600):
+                status = statuses[i % len(statuses)]
+                writer.append(PingRecord(1_609_459_200_000_000 + i * 15_000_000, "10.0.0.1",
+                                         "10.0.0.2", status,
+                                         1000 + i % 97 if status == 255 else None))
+            analyze()
+        assert not list((tmp_path / "store").glob("*.ndjson"))
+        analyze()
+        assert outputs[:2] == outputs[2:]
+        assert all(code == EXIT_OK and captured.err == "" for code, captured in outputs)
+        series, cdf = (captured.out.splitlines() for _, captured in outputs[:2])
+        if 255 in statuses:
+            assert len(series) == 4 and len(cdf) == 4  # three hours, three means
+        else:
+            assert series == ["bucket_start_us,count,mean_ms,min_ms,q10_ms,q90_ms"]
+            assert cdf == ["year,mean_rtt_ms,fraction"]
 
     def test_corrupt_ping_segment_fails_only_commands_that_read_pings(
             self, sim_store, tmp_path, capsys):

@@ -13,7 +13,6 @@ import random
 import re
 import sys
 import tempfile
-import tracemalloc
 import zlib
 from array import array
 from collections import Counter
@@ -26,9 +25,10 @@ from hypothesis import strategies as st
 
 import oracles
 from contrace import cli, columnar, legacy
+from contrace.analytics import HOUR_US, bucket_rtt_series
 from contrace.records import (Hop, PingRecord, RecordStore, StoreError, StoreQuery,
                               TracerouteRun, from_json_obj, to_json_obj)
-from conftest import path_runs
+from conftest import path_runs, ping_columns
 from oracles import serialize_line
 
 MAGIC = b"contrace columns\n"
@@ -339,7 +339,7 @@ class TestSegmentForms:
         assert (segment.count, segment.min, segment.max) == (0, None, None)
         for q in (StoreQuery(kind), StoreQuery(kind, start=1, end=2),
                   StoreQuery(kind, source="10.0.0.1")):
-            assert segment.records(q) == []
+            assert list(segment.lines(0, q)) == []
             if kind == "traceroute":
                 grouped = {}
                 segment.group(q, grouped)
@@ -396,6 +396,11 @@ def _by_time(records_):
     return sorted(records_, key=lambda r: r.timestamp)
 
 
+def _parsed(lines):
+    """The records of Segment.lines' canonical lines, in their order."""
+    return [from_json_obj(json.loads(line)) for _, _, line in lines]
+
+
 @settings(max_examples=150, deadline=None)
 @given(drawn=_segment_records())
 def test_a_segment_filled_by_add_reads_alike_once_written_and_loaded(drawn):
@@ -430,7 +435,7 @@ def test_a_segment_filled_by_add_reads_alike_once_written_and_loaded(drawn):
             # a stable sort by timestamp orders a segment's records by
             # (timestamp, row order)
             expected = [r for r in records_ if oracles.matches(q, r)]
-            assert _by_time(loaded.records(q)) == _by_time(memory.records(q)) == \
+            assert _parsed(loaded.lines(0, q)) == _parsed(memory.lines(0, q)) == \
                 _by_time(expected)
             if kind == "traceroute":
                 assert _group_state(loaded, q) == _group_state(memory, q)
@@ -494,11 +499,62 @@ def test_path_runs_equal_the_reference_over_every_form_of_segment(drawn, window)
                     assert got == expected
 
 
+_STEP = HOUR_US // 3  # pings three to an hour bucket
+
+
+@st.composite
+def _stored_pings(draw):
+    """(pings, segment_records, split) as _stored_runs gives runs: pings of
+    the pairs of TestSegmentForms at whole _STEPs, their timestamps unsorted
+    and repeating, their statuses any and the RTTs of echo replies among
+    _VALUES, so some need a JSON column."""
+    pings = []
+    for _ in range(draw(st.integers(1, 24))):
+        status = draw(st.sampled_from([0, 1, 255]))
+        pings.append(PingRecord(draw(st.integers(1, 12)) * _STEP,
+                                *draw(st.sampled_from(TestSegmentForms.PAIRS)), status,
+                                draw(_VALUES) if status == 255 else None))
+    return pings, draw(st.integers(2, 5)), draw(st.integers(0, len(pings)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn=_stored_pings(), window=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+       pair=st.sampled_from(TestSegmentForms.PAIRS + [(None, None)]))
+def test_ping_columns_bucket_as_the_records_they_hold(drawn, window, pair):
+    """Sealed segments, a writer's active NDJSON one and a crashed writer's
+    NDJSON segment with a torn tail: the hourly series of the pings a read
+    selects as columns equals the series of the selected records, built
+    into columns by the reference and by the oracle, read by the writer and
+    by a reader, whole and under a time window and a pair."""
+    pings, segment_records, split = drawn
+    start, end = sorted(window)
+    queries = [StoreQuery("ping"), StoreQuery("ping", start * _STEP, end * _STEP + 1, *pair)]
+    with tempfile.TemporaryDirectory() as directory:
+        directory = Path(directory)
+        with RecordStore(directory, segment_records=segment_records) as writer:
+            for record in pings[:split]:
+                writer.append(record)
+            lines = [serialize_line(record) for record in pings[split:]]
+            (directory / "ping-1000.ndjson").write_text(
+                "".join(lines) + (lines[0][:25] if lines else ""))
+            for store in (writer, RecordStore(directory)):
+                for q in queries:
+                    selected = [r for r in pings if oracles.matches(q, r)]
+                    columns = store.ping_columns(q)
+                    series = bucket_rtt_series(columns)
+                    assert len(columns) == len(selected)
+                    assert series == bucket_rtt_series(ping_columns(selected))
+                    assert {b.bucket_start_us: tuple(b[1:]) for b in series} == \
+                        oracles.bucket_series_reference(selected, HOUR_US)
+
+
 def _reads(store, kind):
     reads = [lambda: store.count(kind), lambda: store.query(StoreQuery(kind)),
              lambda: dump(store)]
     if kind == "traceroute":
         reads.append(lambda: store.path_runs(StoreQuery(kind)))
+    else:
+        reads.append(lambda: store.ping_columns(StoreQuery(kind)))
     return reads
 
 
@@ -807,29 +863,30 @@ class _Discard:
         return len(text)
 
 
-def _export_peak(path):
-    store = RecordStore(path)
-    tracemalloc.start()
-    try:
-        count = store.export(_Discard())
-        return count, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+def test_export_of_a_many_segment_store_holds_about_one_segment(tmp_path, monkeypatch):
+    """Twenty sealed segments whose time ranges do not overlap form one
+    chain, so export holds the columns of one of them at a time: after
+    each read of a segment's columns, no other segment holds any."""
+    with RecordStore(tmp_path, segment_records=2000) as store:
+        store.import_json(serialize_line(ping(ts, 1000 + ts % 977))
+                          for ts in range(1, 40_001))
+    assert len(list(tmp_path.glob("*.col"))) == 20
+    loaded, held = [], []
+    load, fill = columnar.Segment.load.__func__, columnar.Segment._fill
 
+    def counted_load(cls, path, kind):
+        loaded.append(load(cls, path, kind))
+        return loaded[-1]
 
-def test_export_of_a_many_segment_store_holds_about_one_segment(tmp_path):
-    def fill(path, n):
-        with RecordStore(path, segment_records=2000) as store:
-            store.import_json(serialize_line(ping(ts, 1000 + ts % 977))
-                              for ts in range(1, n + 1))
+    def counted_fill(segment, blocks):
+        fill(segment, blocks)
+        held.append(sum(any(block.columns is not None for block in each.blocks)
+                        for each in loaded))
 
-    fill(tmp_path / "one", 2000)
-    fill(tmp_path / "many", 40_000)
-    assert len(list((tmp_path / "many").glob("*.col"))) == 20
-    one_count, one_peak = _export_peak(tmp_path / "one")
-    many_count, many_peak = _export_peak(tmp_path / "many")
-    assert (one_count, many_count) == (2000, 40_000)
-    assert many_peak < 2 * one_peak, (one_peak, many_peak)
+    monkeypatch.setattr(columnar.Segment, "load", classmethod(counted_load))
+    monkeypatch.setattr(columnar.Segment, "_fill", counted_fill)
+    assert RecordStore(tmp_path).export(_Discard()) == 40_000
+    assert len(loaded) == 20 and held and max(held) == 1, held
 
 
 # -- version 1 files -------------------------------------------------------------
@@ -983,3 +1040,34 @@ def test_export_reads_each_block_once_where_segments_overlap(tmp_path, monkeypat
     assert reads == {(name, pair): 2 if name.startswith("ping") else 1
                      for name in ("ping-1.col", "traceroute-2.col", "ping-3.col")
                      for pair in [("10.0.0.1", "10.1.0.1"), ("10.0.0.1", "10.1.0.2")]}
+
+
+def test_a_selective_read_reads_only_the_blocks_it_selects(tmp_path, monkeypatch):
+    """query and ping_columns read, of each columnar file, only the blocks
+    of the pairs and time range they select, each once."""
+    pings, _ = small_store(tmp_path)  # ping-1 (5-7) and traceroute-2 (5-8)
+    later = [ping(10, 1400), ping(11, dst="10.1.0.2")]
+    with RecordStore(tmp_path) as writer:  # ping-3 (10-11)
+        for record in later:
+            writer.append(record)
+    reads, check_block = Counter(), columnar.Segment._check_block
+
+    def counted(segment, block, columns):
+        reads[segment.path.name, block.pair[1]] += 1
+        check_block(segment, block, columns)
+
+    monkeypatch.setattr(columnar.Segment, "_check_block", counted)
+    store = RecordStore(tmp_path)
+    for q, blocks in ((StoreQuery("ping", destination="10.1.0.2"),
+                       {("ping-1.col", "10.1.0.2"): 1, ("ping-3.col", "10.1.0.2"): 1}),
+                      (StoreQuery("ping", 10, 12), {("ping-3.col", "10.1.0.1"): 1,
+                                                    ("ping-3.col", "10.1.0.2"): 1}),
+                      (StoreQuery("ping", 6, 7, "10.0.0.1", "10.1.0.1"),
+                       {("ping-1.col", "10.1.0.1"): 1})):
+        selected = [r for r in pings + later if oracles.matches(q, r)]
+        for read in (store.query, store.ping_columns):
+            reads.clear()
+            result = read(q)
+            assert reads == blocks
+            assert len(result) == len(selected)
+        assert store.query(q) == _by_time(selected)

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from contrace import enrich
-from contrace.enrich import (AsEntry, AsnTable, CsvGeoProvider, GeoLocation,
+from contrace.enrich import (GEO_ACCEPT_KM, AsEntry, AsnTable, CsvGeoProvider, GeoLocation,
                              GeoResolver, HttpGeoProvider, ProviderUnavailable,
                              Unlocatable, haversine_km, plausibility_filter)
 
@@ -103,12 +103,12 @@ class TestGeoResolver:
                                 _StubProvider("b", None)])
         assert resolver.resolve("10.0.0.1") is None
 
-    def test_lower_threshold_only_changes_acceptance(self):
-        loc = GeoLocation(10.0, 20.0, "DE", 20.0, "a")
-        accept = GeoResolver([_StubProvider("a", loc)], accept_km=25.0).resolve("x")
-        reject = GeoResolver([_StubProvider("a", loc)], accept_km=10.0).resolve("x")
-        assert accept == loc
-        assert reject is None
+    def test_an_error_beyond_the_accept_distance_is_rejected(self):
+        within, edge, beyond = (GeoLocation(10.0, 20.0, "DE", error_km, "a")
+                                for error_km in (20.0, GEO_ACCEPT_KM, GEO_ACCEPT_KM + 0.5))
+        assert GeoResolver([_StubProvider("a", within)]).resolve("x") == within
+        assert GeoResolver([_StubProvider("a", edge)]).resolve("x") == edge
+        assert GeoResolver([_StubProvider("a", beyond)]).resolve("x") is None
 
     def test_csv_provider(self, tmp_path):
         (tmp_path / "geo.csv").write_text(

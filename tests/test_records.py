@@ -452,7 +452,9 @@ class TestStore:
             "".join(json.dumps(d) + "\n" for d in docs)
         with RecordStore(tmp_path) as store:
             assert store.import_json(io.StringIO(text)) == (50, [])
-        assert len(calls) == 50
+        # an array's documents become compact lines, which are canonical
+        # here: after the first, each is stored by its shape, with no decode
+        assert len(calls) == (1 if array else 50)
 
     def test_import_streams_lines_with_whole_input_indexes(self, tmp_path):
         """Streamed import gives each document the index it has in
@@ -781,6 +783,25 @@ def _reference_import(text: str):
     return (len(stored), rejects), "".join(map(serialize_line, exported)), stored
 
 
+def _reference_array_import(text: str):
+    """(array, (accepted, rejects)): the lines of text that json.loads
+    accepts, as one JSON array, and the outcome of importing it, each
+    document decoded by the reference decoder and indexed by position."""
+    kept, stored, rejects = [], 0, []
+    for line in text.splitlines():
+        try:
+            document = json.loads(line)
+        except ValueError:
+            continue
+        try:
+            oracles.reference_decode(document)
+            stored += 1
+        except (MalformedJson, InvalidRecord) as exc:
+            rejects.append((len(kept), str(exc)))
+        kept.append(line)
+    return "[" + ",\n".join(kept) + "]", (stored, rejects)
+
+
 def _segment_files(path: Path) -> dict[str, bytes]:
     """Each segment file's name and bytes."""
     return {file.name: file.read_bytes() for file in path.iterdir() if file.name != ".lock"}
@@ -795,11 +816,14 @@ class TestImportByShape:
         """With few records to a segment, shapes are learned again after
         each seal, and a seal can fall inside a batch; the export while the
         writer is open reads the NDJSON segments by shape too. The sealed
-        files are those of appending the decoded records in input order."""
+        files are those of appending the decoded records in input order,
+        and so are those of importing the lines that are JSON as an array."""
         text = "".join(lines)
         expected, exported, decoded = _reference_import(text)
+        array, array_expected = _reference_array_import(text)
         with tempfile.TemporaryDirectory() as path, \
-                tempfile.TemporaryDirectory() as appended:
+                tempfile.TemporaryDirectory() as appended, \
+                tempfile.TemporaryDirectory() as imported_array:
             with RecordStore(path, segment_records=segment_records) as store:
                 assert store.import_json(io.StringIO(text)) == expected
                 dump = io.StringIO()
@@ -810,7 +834,10 @@ class TestImportByShape:
             with RecordStore(appended, segment_records=segment_records) as store:
                 for record in decoded:
                     store.append(record)
-            assert _segment_files(Path(path)) == _segment_files(Path(appended))
+            with RecordStore(imported_array, segment_records=segment_records) as store:
+                assert store.import_json(io.StringIO(array)) == array_expected
+            assert _segment_files(Path(path)) == _segment_files(Path(appended)) == \
+                _segment_files(Path(imported_array))
         assert dump.getvalue() == exported
 
     @settings(max_examples=150, deadline=None)
