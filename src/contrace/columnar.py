@@ -9,8 +9,12 @@ its rank among the segment's rows with the same timestamp, in row order.
 So ordering a segment's rows by (timestamp, tie rank) orders them by
 timestamp and then by row order, though the blocks no longer interleave
 the pairs: export and query read a segment in that order. A read takes
-the rows it selects as canonical lines (lines, the one row renderer), runs
-grouped by path (group) or ping columns (pings), never a record per row.
+the rows it selects as canonical lines, runs grouped by path (group) or
+ping columns (pings), never a record per row. lines, the one row renderer,
+gives a segment's lines in slabs of at most SLAB_ROWS rows, each rendered
+in bulk; merge interleaves the slabs of several segments by cutting them
+at timestamps (bisect), so export and query handle a run of rows at a
+time, not a row.
 
 A sealed segment <stem>.col, format version 2:
 
@@ -36,8 +40,9 @@ tie rank is 0.
 A read checks the CRC and header of each file it lists. A block it selects
 by pair and time range costs one seek and one read, after which its CRC,
 pair, paths and every value are checked; in a sorted block a time range is
-found by bisection. A file whose blocks are all ruled out costs its header alone,
-and so does count().
+found by bisection. A block read again, after release() dropped its columns,
+is checked by its CRC alone. A file whose blocks are all ruled out costs its
+header alone, and so does count().
 
 Version 1 files, one CRC over the whole file and a pair column instead of
 blocks, fail every read, and a writer's recovery, with the StoreError of
@@ -57,16 +62,16 @@ import struct
 import sys
 import zlib
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from itertools import accumulate, chain, compress, islice, repeat
-from operator import add, le, mul
+from operator import add, le, mod, mul
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .records import (KIND_PING, KIND_TRACEROUTE, STATUS_ECHO_REPLY, STATUS_TIMEOUT,
-                      VALID_STATUSES, PathRuns, PingColumns, Record, StoreError, StoreQuery,
-                      _ENCODE, _ping, _run)
+from .records import (KIND_PING, KIND_TRACEROUTE, STATUS_ECHO_REPLY, STATUS_TIME_EXCEEDED,
+                      STATUS_TIMEOUT, VALID_STATUSES, PathRuns, PingColumns, Record,
+                      StoreError, StoreQuery, _ENCODE, _ping, _run, canonical_address)
 
 _MAGIC = b"contrace columns\n"
 _PREFIX = struct.Struct("<II")
@@ -82,6 +87,12 @@ _TYPECODES = ("b", "h", "i", "q")
 _ITEMSIZES = {code: array(code).itemsize for code in _TYPECODES}
 _JSON_COLUMN = "json"
 _WIDER = {"b": "h", "h": "i", "i": "q"}
+SLAB_ROWS = 1024  # the most rows a slab of Segment.lines holds
+_NO_RTT = "%.0s"  # ends a ping's %-format that has no rtt: takes it and prints nothing
+# bytes.translate tables: a top byte to 1 if its item is negative, else 0;
+# a status's low byte to 1 if the status is not 255, else 0
+_NEGATIVE = bytes(byte >> 7 for byte in range(256))
+_NOT_ECHO = bytes(int(byte != STATUS_ECHO_REPLY) for byte in range(256))
 
 
 def _json_literal(text: str) -> str:
@@ -91,6 +102,7 @@ def _json_literal(text: str) -> str:
 
 # Canonical lines, the form export writes, are built from %-formats, one per
 # pair and ping status or per pair and path, so a line costs one % operation.
+# A format is a pair's prefix and a ping status's or a path's tail.
 
 def _pair_prefix(source: str, destination: str) -> str:
     """%-format of the start of a canonical line; takes the timestamp."""
@@ -98,24 +110,23 @@ def _pair_prefix(source: str, destination: str) -> str:
             f'"destination":{_json_literal(destination)}')
 
 
-def _ping_format(prefix: str, status: int) -> str:
-    """%-format of a ping's canonical line: prefix's timestamp, then the
-    rtt if status is 255."""
+def _ping_tail(status: int) -> str:
+    """%-format of the rest of a ping's canonical line: the rtt if status
+    is 255."""
     if status == STATUS_ECHO_REPLY:
-        return prefix + ',"status":%d,"rtt":%%d}\n' % status
-    return prefix + ',"status":%d}\n' % status
+        return ',"status":%d,"rtt":%%d}\n' % status
+    return ',"status":%d}\n' % status
 
 
-def _run_format(prefix: str, statuses: Sequence[int],
-                addresses: Sequence[str | None]) -> str:
-    """%-format of a traceroute run's canonical line: prefix's timestamp,
-    the round, then the rtt of each responsive hop."""
+def _run_tail(statuses: Sequence[int], addresses: Sequence[str | None]) -> str:
+    """%-format of the rest of a traceroute run's canonical line: the
+    round, then the rtt of each responsive hop."""
     hops = ",".join(
         '{"hop":%d,"status":%d}' % (hop, status) if status == STATUS_TIMEOUT else
         '{"hop":%d,"address":%s,"status":%d,"rtt":%%d}' % (hop, _json_literal(address),
                                                           status)
         for hop, (status, address) in enumerate(zip(statuses, addresses), 1))
-    return prefix + ',"round":%d,"hops":[' + hops + ']}\n'
+    return ',"round":%d,"hops":[' + hops + ']}\n'
 
 
 _split_numbers = None  # compiled at the first shape(), so a read compiles nothing
@@ -212,7 +223,43 @@ def _check_pair(source, destination) -> None:
 
 def _checked_path(entry) -> tuple[tuple[int, ...], tuple[str | None, ...]]:
     """The (statuses, addresses) of a path dictionary entry, checked as the
-    hops of a document are."""
+    hops of a document are, over its [hop, status, address] triples: hops
+    numbered 1, 2, ...; each status 0, 1 or 255, and 255 only last; no
+    address where the status is 0, a canonical one elsewhere. An entry that
+    fails is checked again as a run's hops (_checked_run_path), which gives
+    the message."""
+    if type(entry) is list and entry:
+        statuses, addresses = [], []
+        for number, hop in enumerate(entry, 1):
+            if type(hop) is not list or len(hop) != 3:
+                break
+            hop_number, status, address = hop
+            if type(hop_number) is not int or hop_number != number or type(status) is not int:
+                break
+            if status != STATUS_TIMEOUT:
+                if not (status == STATUS_TIME_EXCEEDED
+                        or status == STATUS_ECHO_REPLY and number == len(entry)) \
+                        or type(address) is not str:
+                    break
+                try:
+                    canonical = canonical_address(address)
+                except ValueError:
+                    break
+                if canonical != address:
+                    break
+                address = canonical  # interned
+            elif address is not None:
+                break
+            statuses.append(status)
+            addresses.append(address)
+        else:
+            return tuple(statuses), tuple(addresses)
+    return _checked_run_path(entry)
+
+
+def _checked_run_path(entry) -> tuple[tuple[int, ...], tuple[str | None, ...]]:
+    """_checked_path(entry) by way of a TracerouteRun of the entry's hops,
+    checked by _run: a fault raises a _Corrupt that names its problems."""
     _require(type(entry) is list and all(type(h) is list and len(h) == 3 for h in entry),
              f"path {entry!r}: expected [[hop, status, address], ...]")
     run = _checked(_run, f"path {entry!r}", 1, "0.0.0.1", "0.0.0.1", 0,
@@ -221,6 +268,22 @@ def _checked_path(entry) -> tuple[tuple[int, ...], tuple[str | None, ...]]:
     path = tuple(hop[:3] for hop in run.hops)
     _require(path == tuple(map(tuple, entry)), f"path {entry!r}: addresses not canonical")
     return tuple(zip(*path))[1:]
+
+
+def _bytes_of(column: array, top: bool) -> bytes:
+    """The most (top) or else the least significant byte of each item of
+    column, in order."""
+    size = column.itemsize
+    at = size - 1 if (sys.byteorder == "little") == top else 0
+    return memoryview(column).cast("B")[at::size].tobytes()
+
+
+def _nonnegative(column) -> bool:
+    """Whether no value of column is negative; for an array, whether no
+    item's sign bit is set, read a byte per item at C speed."""
+    if type(column) is list:
+        return min(column, default=0) >= 0
+    return _bytes_of(column, top=True).isascii()
 
 
 def _put(columns: list, index: int, values) -> None:
@@ -258,15 +321,17 @@ class Block:
     order of the kind's column names, or None while a file's block is not
     read. The tie column is None where the segment has none. A file's block
     also records where its columns are: their [typecode, bytes] specs,
-    their offset and size in the file, and their CRC."""
+    their offset and size in the file, and their CRC, and whether its pair
+    and values were checked once read (checked)."""
 
     __slots__ = ("pair", "count", "min", "max", "sorted", "columns", "specs", "offset",
-                 "size", "crc")
+                 "size", "crc", "checked")
 
     def __init__(self, pair: tuple[str, str], columns: list | None = None):
         self.pair, self.columns = pair, columns
         self.count, self.min, self.max, self.sorted = 0, None, None, True
         self.specs, self.offset, self.size, self.crc = (), 0, 0, 0
+        self.checked = False
 
     def rows(self, start: int, end: int) -> Sequence[int]:
         """Indexes of the rows with start <= timestamp < end, in row order;
@@ -365,8 +430,8 @@ class Segment:
             self._formats, self._shapes = {}, {}
         line = self._formats.get(key)
         if line is None:
-            make = _ping_format if self.kind == KIND_PING else _run_format
-            line = self._formats[key] = make(_pair_prefix(*pair), *key[1:])
+            tail = _ping_tail if self.kind == KIND_PING else _run_tail
+            line = self._formats[key] = _pair_prefix(*pair) + tail(*key[1:])
             if "%%" not in line:
                 self._shapes[line] = key
         return line % ints, row
@@ -551,7 +616,9 @@ class Segment:
 
     def _fill(self, blocks: list[Block]) -> None:
         """Read and check the columns of the given blocks not held: per
-        block one seek and one read."""
+        block one seek and one read. A block read before, whose columns
+        release() dropped, is checked by its CRC alone: bytes with the CRC
+        its values passed with hold those values."""
         wanted = [block for block in blocks if block.columns is None]
         if not wanted:
             return
@@ -560,7 +627,8 @@ class Segment:
         try:
             with open(self.path, "rb") as fp:
                 for block in wanted:
-                    _check_pair(*block.pair)
+                    if not block.checked:
+                        _check_pair(*block.pair)
                     fp.seek(block.offset)
                     data = memoryview(fp.read(block.size))
                     _require(len(data) == block.size, "columns: truncated")
@@ -572,7 +640,9 @@ class Segment:
                         at += size
                     if not self.ties:
                         columns.insert(_TIE, None)
-                    self._check_block(block, columns)
+                    if not block.checked:
+                        self._check_block(block, columns)
+                        block.checked = True
                     block.columns = columns
         except _Corrupt as exc:
             raise StoreError(f"{self.path}: {exc}") from None
@@ -596,17 +666,25 @@ class Segment:
         _require(low == block.min and high == block.max,
                  "timestamp: min or max differs from the header")
         _require(in_order, "timestamp: not sorted")
-        _require(ties is None or min(ties) >= 0, "tie: negative")
+        _require(ties is None or _nonnegative(ties), "tie: negative")
         if self.kind == KIND_PING:
             statuses = columns[2]
             _require(set(statuses) <= set(VALID_STATUSES), "status: not 0, 1 or 255")
-            _require(min(compress(rtts, map(STATUS_ECHO_REPLY.__eq__, statuses)),
-                         default=0) >= 0, "rtt: negative")
-            _require(set(compress(rtts, map(STATUS_ECHO_REPLY.__ne__, statuses))) <= {-1},
-                     "rtt: present where the status is not 255")
+            # rtt >= 0 where the status is 255 and -1 elsewhere, at C speed for
+            # arrays: each rtt's sign is that of its status's low byte not being
+            # 255, and the -1s are as many as those statuses. Else a scan
+            # finds the rule that is broken.
+            if (type(statuses) is list or type(rtts) is list
+                    or _bytes_of(rtts, top=True).translate(_NEGATIVE)
+                    != _bytes_of(statuses, top=False).translate(_NOT_ECHO)
+                    or rtts.count(-1) != len(rtts) - statuses.count(STATUS_ECHO_REPLY)):
+                _require(min(compress(rtts, map(STATUS_ECHO_REPLY.__eq__, statuses)),
+                             default=0) >= 0, "rtt: negative")
+                _require(set(compress(rtts, map(STATUS_ECHO_REPLY.__ne__, statuses))) <= {-1},
+                         "rtt: present where the status is not 255")
             return
         rounds, path_counts = columns[2], Counter(columns[3])
-        _require(min(rounds) >= 0, "round: negative")
+        _require(_nonnegative(rounds), "round: negative")
         _require(min(path_counts) >= 0 and max(path_counts) < len(self.keys),
                  "path: id out of range")
         for path_id in set(path_counts):  # the order set(path_ids) gives the bad paths
@@ -616,7 +694,7 @@ class Segment:
         _require(len(rtts) == sum(map(mul, map(self.widths.__getitem__, path_counts),
                                       path_counts.values())),
                  "rtt: length differs from the paths' responsive hops")
-        _require(min(rtts, default=0) >= 0, "rtt: negative")
+        _require(_nonnegative(rtts), "rtt: negative")
 
     # -- reads -----------------------------------------------------------------
 
@@ -679,10 +757,14 @@ class Segment:
             for path_id, at in starts.items():
                 runs.add(*self.keys[path_id], rtts, at)
 
-    def lines(self, rank: int, q: StoreQuery | None = None) -> Iterator[tuple[int, int, str]]:
-        """(timestamp, rank, canonical line) of every row, or of the rows q
-        selects, by timestamp and then tie rank: one sort of those rows.
-        With q, only the blocks it selects are read (_select)."""
+    def lines(self, rank: int, q: StoreQuery | None = None
+              ) -> Iterator[tuple[int, Sequence[int], list[str]]]:
+        """Slabs (rank, timestamps, canonical lines) of every row, or of the
+        rows q selects, by timestamp and then tie rank: one sort of those
+        rows, then at most SLAB_ROWS rows at a time, gathered from the
+        columns and rendered by one % a line from a %-format made once per
+        pair and ping status or path. With q, only the blocks it selects are
+        read (_select)."""
         if q is None:
             self.check()
             blocks, rows = self.blocks, range(self.count)
@@ -693,43 +775,54 @@ class Segment:
             rows = [start + i for (_, chosen), start in zip(selected, starts) for i in chosen]
         if not blocks:
             return
+        pings = self.kind == KIND_PING
         columns = [_joined([block.columns[i] for block in blocks])
                    for i in range(len(_COLUMN_NAMES[self.kind])) if i != _TIE]
-        times = columns[0]
         if len(blocks) == 1 and blocks[0].sorted:
             order = rows
-        elif self.ties:
-            ties = _joined([block.columns[_TIE] for block in blocks])
-            keys = list(map(add, map(mul, times, repeat(max(ties) + 1)), ties))
-            order = sorted(rows, key=keys.__getitem__)
+        else:  # the rows are sorted, then gathered one by one, which is faster
+            # from lists: the per-row columns, all but a run's rtt column
+            columns[:3] = [column if type(column) is list else column.tolist()
+                           for column in columns[:3]]
+            if self.ties:
+                ties = _joined([block.columns[_TIE] for block in blocks])
+                keys = list(map(add, map(mul, columns[0], repeat(max(ties) + 1)), ties))
+                order = sorted(rows, key=keys.__getitem__)
+            else:
+                order = sorted(rows, key=columns[0].__getitem__)
+        times = columns[0]
+        # each row's %-format, in block order, by its pair and the column
+        # before the last (status or path id): every ping's takes (timestamp,
+        # rtt), as _NO_RTT takes the -1 of a ping with no rtt
+        tails = {value: _ping_tail(value) + ("" if value == STATUS_ECHO_REPLY else _NO_RTT)
+                 if pings else _run_tail(*self.keys[value]) for value in set(columns[-2])}
+        formats: list[str] = []
+        for block in blocks:
+            prefix, values = _pair_prefix(*block.pair), block.columns[-2]
+            made = {value: prefix + tails[value] for value in set(values)}
+            formats += map(made.__getitem__, values)
+        if pings:
+            rtts = columns[2]
         else:
-            order = sorted(rows, key=times.__getitem__)
-        pair_ids = array("B" if len(blocks) < 256 else "i")
-        for pair_id, block in enumerate(blocks):
-            pair_ids += array(pair_ids.typecode, [pair_id]) * block.count
-        prefixes = [_pair_prefix(*block.pair) for block in blocks]
-        formats: dict[tuple[int, int], str] = {}
-        if self.kind == KIND_PING:
-            _, statuses, rtts = columns
-            for i in order:
-                key = (pair_ids[i], statuses[i])
-                line = formats.get(key)
-                if line is None:
-                    line = formats[key] = _ping_format(prefixes[key[0]], key[1])
-                if key[1] == STATUS_ECHO_REPLY:
-                    yield times[i], rank, line % (times[i], rtts[i])
-                else:
-                    yield times[i], rank, line % times[i]
-            return
-        _, rounds, path_ids_, rtts = columns
-        offsets = list(accumulate(map(self.widths.__getitem__, path_ids_), initial=0))
-        for i in order:
-            key = (pair_ids[i], path_ids_[i])
-            line = formats.get(key)
-            if line is None:
-                line = formats[key] = _run_format(prefixes[key[0]], *self.keys[key[1]])
-            yield times[i], rank, line % (times[i], rounds[i],
-                                          *rtts[offsets[i]:offsets[i + 1]])
+            _, rounds, path_ids, rtts = columns
+            offsets = list(accumulate(map(self.widths.__getitem__, path_ids), initial=0))
+        for at in range(0, len(order), SLAB_ROWS):
+            slab = order[at:at + SLAB_ROWS]
+            stamps = _take(times, slab)
+            if pings:
+                lines = list(map(mod, _take(formats, slab), zip(stamps, _take(rtts, slab))))
+            else:
+                lines = [formats[i] % (times[i], rounds[i], *rtts[offsets[i]:offsets[i + 1]])
+                         for i in slab]
+            yield rank, stamps, lines
+
+
+def _take(column: Sequence[int], rows: Sequence[int]) -> Sequence[int]:
+    """column's values at rows, in order: a slice where rows is a range."""
+    if type(rows) is range:
+        return column[rows.start:rows.stop]
+    return list(map(column.__getitem__, rows))
+
 
 def chains(segments: list[Segment]) -> list[list[tuple[int, Segment]]]:
     """Segments, each with its rank in the given order, in chains: segments
@@ -761,7 +854,49 @@ def check_chains(chained: list[list[tuple[int, Segment]]]) -> None:
                 segment.release()
 
 
-def chain_lines(chain: list[tuple[int, Segment]]) -> Iterator[tuple[int, int, str]]:
+def chain_lines(chain: list[tuple[int, Segment]], q: StoreQuery | None = None
+                ) -> Iterator[tuple[int, Sequence[int], list[str]]]:
+    """The slabs (Segment.lines) of a chain's segments, one after another;
+    each segment drops the columns it read once its slabs are taken."""
     for rank, segment in chain:
-        yield from segment.lines(rank)
+        yield from segment.lines(rank, q)
         segment.release()
+
+
+def merge(streams: Iterable[Iterator[tuple[int, Sequence[int], list[str]]]]
+          ) -> Iterator[Sequence[str]]:
+    """The lines of slab streams, each in (timestamp, rank) order, merged
+    into (timestamp, rank) order and given as runs of consecutive lines:
+    the stream with the smallest head gives its rows up to a cut at the
+    smallest other head, found by bisection in the slab's timestamps; rows
+    at that head's timestamp go first if their rank is lower. A stream's
+    current slabs hold a rank no other stream's current slab holds, as a
+    chain's segments do (chains)."""
+    heads: list[tuple[int, int, int]] = []  # (next row's timestamp, rank, stream)
+    current: list[list] = []  # per stream: its slabs, timestamps, lines, next row
+    for slabs in map(iter, streams):
+        for rank, stamps, lines in slabs:
+            heads.append((stamps[0], rank, len(current)))
+            current.append([slabs, stamps, lines, 0])
+            break
+    heapq.heapify(heads)
+    while heads:
+        _, rank, i = heads[0]
+        state = current[i]
+        slabs, stamps, lines, at = state
+        if len(heads) == 1:
+            cut = len(lines)
+        else:
+            stamp, other, _ = min(heads[1:3])
+            cut = (bisect_right if rank < other else bisect_left)(stamps, stamp, at)
+        yield lines if at == 0 and cut == len(lines) else lines[at:cut]
+        if cut < len(lines):
+            state[3] = cut
+            heapq.heapreplace(heads, (stamps[cut], rank, i))
+            continue
+        for rank, stamps, lines in slabs:
+            state[1:] = stamps, lines, 0
+            heapq.heapreplace(heads, (stamps[0], rank, i))
+            break
+        else:
+            heapq.heappop(heads)

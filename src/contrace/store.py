@@ -20,7 +20,6 @@ store fails them with a StoreError that says to run `contrace upgrade`
 from __future__ import annotations
 
 import fcntl
-import heapq
 import itertools
 import json
 import os
@@ -478,13 +477,16 @@ class RecordStore:
 
     def query(self, q: StoreQuery) -> list[Record]:
         """Matching records ordered by timestamp, then load order (within
-        a segment, tie rank): the canonical lines of the rows q selects
-        (Segment.lines), merged across segments as export merges them and
-        parsed. Reads only q.kind's segments, and of a columnar file only
-        the header and the blocks of the pairs and time range q selects."""
+        a segment, tie rank): the canonical lines of the rows q selects, in
+        slabs (Segment.lines), merged across chains of segments by the
+        merge export uses, and parsed. Reads only q.kind's segments, and of a
+        columnar file only the header and the blocks of the pairs and time
+        range q selects."""
         with self._segments(q.kind) as segments:
-            lines = [segment.open().lines(rank, q) for rank, segment in enumerate(segments)]
-            return [parse_line(line) for _, _, line in heapq.merge(*lines)]
+            chains = columnar.chains([segment for segment in map(_Listed.open, segments)
+                                      if segment.count])
+            runs = columnar.merge(columnar.chain_lines(chain, q) for chain in chains)
+            return [parse_line(line) for run in runs for line in run]
 
     def ping_columns(self, q: StoreQuery) -> PingColumns:
         """The timestamp, status and rtt columns of the pings q selects,
@@ -518,7 +520,11 @@ class RecordStore:
         time ranges do not overlap are read one after another, so memory
         holds about one columnar file per overlap, plus the columns of the
         NDJSON segments. A segment alone in its chain is read once: it
-        keeps the columns its validation read."""
+        keeps the columns its validation read; one that shares its chain
+        reads its blocks again, checked by their CRC alone. Each segment
+        gives its lines in slabs of at most columnar.SLAB_ROWS rows, and
+        the merge cuts the chains' slabs at timestamps into runs of lines,
+        each written by one write."""
         with self._segments(KIND_PING) as pings, \
                 self._segments(KIND_TRACEROUTE) as runs:
             segments = [segment for segment in map(_Listed.open, pings + runs)
@@ -526,9 +532,9 @@ class RecordStore:
             chains = columnar.chains(segments)
             columnar.check_chains(chains)
             n = 0
-            for _, _, line in heapq.merge(*map(columnar.chain_lines, chains)):
-                fp.write(line)
-                n += 1
+            for run in columnar.merge(map(columnar.chain_lines, chains)):
+                fp.write("".join(run))
+                n += len(run)
         return n
 
     def import_json(self, stream: IO[str] | Iterable[str]) -> tuple[int, list[tuple[int, str]]]:

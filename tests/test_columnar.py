@@ -16,8 +16,9 @@ import tempfile
 import zlib
 from array import array
 from collections import Counter
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -396,9 +397,14 @@ def _by_time(records_):
     return sorted(records_, key=lambda r: r.timestamp)
 
 
-def _parsed(lines):
+def _lines(slabs):
+    """The canonical lines of Segment.lines' slabs, in their order."""
+    return [line for _, _, lines in slabs for line in lines]
+
+
+def _parsed(slabs):
     """The records of Segment.lines' canonical lines, in their order."""
-    return [from_json_obj(json.loads(line)) for _, _, line in lines]
+    return [from_json_obj(json.loads(line)) for line in _lines(slabs)]
 
 
 @settings(max_examples=150, deadline=None)
@@ -439,8 +445,8 @@ def test_a_segment_filled_by_add_reads_alike_once_written_and_loaded(drawn):
                 _by_time(expected)
             if kind == "traceroute":
                 assert _group_state(loaded, q) == _group_state(memory, q)
-        assert list(loaded.lines(0)) == list(memory.lines(0))
-    assert "".join(line for _, _, line in memory.lines(0)) == canonical(records_)
+        assert _lines(loaded.lines(0)) == _lines(memory.lines(0))
+    assert "".join(_lines(memory.lines(0))) == canonical(records_)
 
 
 @st.composite
@@ -656,6 +662,56 @@ class TestValidation:
             RecordStore(tmp_path).query(StoreQuery("ping"))
 
 
+@st.composite
+def _path_entries(draw):
+    """Path dictionary entries: a valid path of 1-5 hops, which may lose
+    its last hop or gain one, then have up to two of its fields replaced
+    by odd values, a hop by something that is not a triple, or the entry
+    by something that is not a list."""
+    statuses = draw(st.lists(st.sampled_from([0, 1]), max_size=4)) + \
+        draw(st.sampled_from([[0], [1], [255]]))
+    entry = [[number, status, None if status == 0 else draw(st.sampled_from(
+        ["10.0.0.1", "192.0.2.7", "2001:db8::1", "fe80::1%eth0"]))]
+        for number, status in enumerate(statuses, 1)]
+    if draw(st.booleans()):
+        entry = entry[:-1] if draw(st.booleans()) else entry + [[len(entry) + 1, 1, "10.9.9.9"]]
+    odd = [None, 0, 1, 2, 255, -1, True, 1.0, "1", "10.0.0.1", "10.0.0.01", "2001:DB8::1",
+           "::ffff:10.0.0.1", "fe80::1%", "x", [], [1, 1]]
+    for _ in range(draw(st.integers(0, 2))):
+        if not entry:
+            break
+        hop = draw(st.integers(0, len(entry) - 1))
+        if type(entry[hop]) is not list or len(entry[hop]) != 3:
+            continue
+        if draw(st.integers(0, 5)):
+            field = draw(st.integers(0, 2))
+            number = hop + 1  # odd hop numbers near the right one, 1 and True among them
+            near = [number - 1, number + 1, float(number), str(number), number == 1]
+            entry[hop][field] = draw(st.sampled_from(near + odd if field == 0 else odd))
+        else:
+            entry[hop] = draw(st.sampled_from([(hop + 1, 1, "10.0.0.1"), entry[hop][:2],
+                                               entry[hop] + [0], "hop", None]))
+    return draw(st.sampled_from([entry] * 9 + [tuple(entry), {"hops": entry}, None]))
+
+
+def _path_check(check, entry):
+    """check(entry), or the message of the fault it raises."""
+    try:
+        return check(entry)
+    except columnar._Corrupt as exc:
+        return f"fault: {exc}"
+
+
+@settings(max_examples=500, deadline=None)
+@given(entry=_path_entries())
+def test_the_path_check_over_triples_agrees_with_the_check_of_a_run(entry):
+    """_checked_path checks an entry's triples directly; it accepts the
+    entries the check by way of a TracerouteRun accepts, with the same
+    (statuses, addresses), and fails the others with its message."""
+    assert _path_check(columnar._checked_path, entry) == \
+        _path_check(columnar._checked_run_path, entry)
+
+
 def _breaks_sorted_min(segment):
     segment.blocks[0].min = 2
 
@@ -721,6 +777,99 @@ def _set(header, blocks, block, index, changes):
     for row, value in changes.items():
         values[row] = value
     blocks[block][index] = values.tobytes()
+
+
+def _recoded(segment, codes, changes=None, swapped=False):
+    """Rewrite columns of the first block of the file segment: column i in
+    typecode codes[i], its values changed by row as changes[i] says; then
+    the whole file in the other byte order if swapped."""
+    header, blocks = read_columnar(segment)
+    entry, columns = header["blocks"][0], blocks[0]
+    for index, code in codes.items():
+        values = array(code, _values(entry, columns, index))
+        for row, value in (changes or {}).get(index, {}).items():
+            values[row] = value
+        columns[index] = values.tobytes()
+        entry[6][index][0] = code
+    if swapped:
+        for entry, columns in zip(header["blocks"], blocks):
+            for index, (code, _) in enumerate(entry[6]):
+                values = array(code)
+                values.frombytes(columns[index])
+                values.byteswap()
+                columns[index] = values.tobytes()
+        header["byteorder"] = "big" if sys.byteorder == "little" else "little"
+    write_columnar(segment, header, blocks)
+
+
+def _sign_store(path, kind):
+    """One segment of kind: one block of three rows at one timestamp, so it
+    has a tie column, the first and the last a ping's echo reply, and
+    every value small enough for typecode b."""
+    hops = (Hop(1, 1, "10.0.0.254", 3), Hop(2, 0), Hop(3, 255, "10.1.0.1", 9))
+    stored = ([ping(5, 10), ping(5), ping(5, 12)] if kind == "ping" else
+              [TracerouteRun(5, "10.0.0.1", "10.1.0.1", rnd, hops) for rnd in (0, 1, 2)])
+    with RecordStore(path) as store:
+        for record in stored:
+            store.append(record)
+    return next(path.glob(f"{kind}-*.col")), stored
+
+
+@pytest.mark.parametrize("swapped", [False, True])
+@pytest.mark.parametrize("code", ["b", "h", "i", "q"])
+@pytest.mark.parametrize("kind, index, problem", [
+    ("ping", 1, "tie: negative"), ("ping", 3, "rtt: negative"),
+    ("traceroute", 1, "tie: negative"), ("traceroute", 2, "round: negative"),
+    ("traceroute", 4, "rtt: negative")])
+@pytest.mark.parametrize("row", [None, 0, -1])
+def test_a_negative_value_fails_first_or_last_in_each_typecode_and_byte_order(
+        tmp_path, swapped, code, kind, index, problem, row):
+    """The sign checks read each item's top byte: a negative value as the
+    first or the last of a column of typecode b, h, i or q, in either byte
+    order, fails every read of its rows with the message a scan of the
+    values gives; with none (row None) the reads give the records. The
+    value is -256 but in b, so only its top byte is negative."""
+    segment, stored = _sign_store(tmp_path, kind)
+    negative = -1 if code == "b" else -256
+    _recoded(segment, {index: code}, {} if row is None else {index: {row: negative}}, swapped)
+    store = RecordStore(tmp_path)
+    if row is None:
+        assert store.query(StoreQuery(kind)) == stored
+        assert dump(store) == canonical(stored)
+        return
+    for read in _reads(store, kind)[1:]:
+        with pytest.raises(StoreError, match=re.escape(f"{segment}: {problem}")):
+            read()
+
+
+@pytest.mark.parametrize("swapped", [False, True])
+@pytest.mark.parametrize("code", ["h", "i", "q"])  # a status of 255 needs h or wider
+@pytest.mark.parametrize("rtts, problem", [
+    ({}, None),
+    ({1: -2}, "rtt: present where the status is not 255"),
+    ({1: 7}, "rtt: present where the status is not 255"),
+    ({1: 0}, "rtt: present where the status is not 255"),
+    ({0: -1, 1: 10}, "rtt: negative"),
+    ({2: -1}, "rtt: negative")])
+def test_the_ping_rtt_rule_is_checked_alike_in_each_typecode_and_byte_order(
+        tmp_path, monkeypatch, swapped, code, rtts, problem):
+    """A ping's rtt is >= 0 where its status is 255 and -1 elsewhere: the
+    check that compares the rtts' signs with the statuses byte by byte
+    accepts a valid block without a scan of its values, and fails another
+    with the message that scan gives, the status and rtt columns of any
+    typecode, in either byte order."""
+    segment, stored = _sign_store(tmp_path, "ping")
+    _recoded(segment, {2: code, 3: code}, {3: rtts}, swapped)
+    store = RecordStore(tmp_path)
+    if problem is None:
+        def scan(*args):
+            raise AssertionError("a valid block was scanned")
+        monkeypatch.setattr(columnar, "compress", scan)
+        assert store.query(StoreQuery("ping")) == stored
+        return
+    for read in _reads(store, "ping")[1:]:
+        with pytest.raises(StoreError, match=re.escape(f"{segment}: {problem}")):
+            read()
 
 
 class TestWriterLock:
@@ -889,6 +1038,93 @@ def test_export_of_a_many_segment_store_holds_about_one_segment(tmp_path, monkey
     assert len(loaded) == 20 and held and max(held) == 1, held
 
 
+# -- slabs and their merge ---------------------------------------------------------
+
+@st.composite
+def _slab_streams(draw):
+    """Streams of slabs as chain_lines gives them, and the rows they hold.
+    Each stream holds segments of ranks no other stream holds, whose time
+    ranges rise and do not overlap; a segment's rows are sorted with
+    repeats, and cut into slabs of 1-3 rows. Rows are (timestamp, rank,
+    line), the line naming the row."""
+    ranks = draw(st.permutations(range(draw(st.integers(1, 8)))))
+    cuts = sorted(draw(st.lists(st.integers(0, len(ranks)), max_size=3)))
+    streams, rows = [], []
+    for first, last in zip([0, *cuts], [*cuts, len(ranks)]):
+        slabs, low = [], 1
+        for rank in ranks[first:last]:
+            stamps = sorted(draw(st.lists(st.integers(low, low + 3), min_size=1, max_size=8)))
+            low = stamps[-1] + draw(st.integers(1, 2))
+            lines = [f"{stamp} {rank} {i}\n" for i, stamp in enumerate(stamps)]
+            rows += zip(stamps, repeat(rank), lines)
+            at = 0
+            while at < len(stamps):
+                size = draw(st.integers(1, 3))
+                slabs.append((rank, stamps[at:at + size], lines[at:at + size]))
+                at += size
+        streams.append(slabs)
+    return streams, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=_slab_streams())
+def test_merge_orders_the_rows_of_slab_streams_by_timestamp_and_rank(drawn):
+    """merge gives every row once, in (timestamp, rank, row) order, as runs
+    that are never empty."""
+    streams, rows = drawn
+    runs = list(columnar.merge(map(iter, streams)))
+    assert all(runs)
+    assert list(chain.from_iterable(runs)) == [line for *_, line in sorted(rows)]
+
+
+@st.composite
+def _merge_stores(draw):
+    """(segment_records, slab rows, records in append order): pings and runs
+    of two pairs, at timestamps that rise, so chains of segments form, or
+    that are drawn from a few, so segments overlap; ties within a segment,
+    across segments and across kinds either way."""
+    rising = draw(st.booleans())
+    appended, at = [], 1
+    for _ in range(draw(st.integers(1, 30))):
+        at += draw(st.integers(0, 2))
+        ts = at if rising else draw(st.integers(1, 6))
+        dst = draw(st.sampled_from(["10.1.0.1", "10.1.0.2"]))
+        if draw(st.booleans()):
+            appended.append(ping(ts, draw(st.sampled_from([None, 0, 1200])), dst=dst))
+        else:
+            appended.append(run(ts, draw(st.integers(0, 1)), draw(st.integers(0, 2)), dst=dst))
+    return (draw(st.integers(1, 4)), draw(st.sampled_from([1, 2, 3, columnar.SLAB_ROWS])),
+            appended)
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=_merge_stores())
+def test_export_and_query_match_records_sorted_by_time_kind_and_append_order(drawn):
+    """With slabs of 1, 2, 3 or SLAB_ROWS rows, export and query give the
+    records sorted by timestamp, then pings first, then load and append
+    order (one writer: both are append order): from a writer whose last
+    segment is open NDJSON, from a reader of its files then, and once all
+    are sealed."""
+    segment_records, slab_rows, appended = drawn
+    queries = [StoreQuery(kind, *window) for kind in ("ping", "traceroute")
+               for window in ((), (2, 5), (None, None, None, "10.1.0.2"))]
+    expected = [canonical(appended)] + [
+        sorted((r for r in appended if isinstance(r, TracerouteRun) == (q.kind == "traceroute")
+                and oracles.matches(q, r)), key=lambda r: r.timestamp)
+        for q in queries]
+
+    def reads(store):
+        return [dump(store)] + [store.query(q) for q in queries]
+
+    with mock.patch.object(columnar, "SLAB_ROWS", slab_rows), \
+            tempfile.TemporaryDirectory() as directory:
+        with RecordStore(directory, segment_records=segment_records) as writer:
+            for record in appended:
+                writer.append(record)
+            assert reads(writer) == reads(RecordStore(directory)) == expected
+        assert reads(RecordStore(directory)) == expected
+
+
 # -- version 1 files -------------------------------------------------------------
 
 @st.composite
@@ -1012,11 +1248,12 @@ def test_upgrade_stops_at_a_damaged_version_1_file_and_renames_nothing(tmp_path)
 
 
 def test_export_reads_each_block_once_where_segments_overlap(tmp_path, monkeypatch):
-    """Export loads each columnar file once. A ping and a traceroute segment
-    over the same time range are each alone in their chain of the export
-    merge, so each of their blocks is read once. Two ping segments whose
-    time ranges do not overlap share a chain: their blocks are read twice,
-    once to check them and once to write them."""
+    """Export loads each columnar file once, and checks the values of each
+    block once. A ping and a traceroute segment over the same time range
+    are each alone in their chain of the export merge, so each of their
+    blocks is read once. Two ping segments whose time ranges do not overlap
+    share a chain: their blocks are read twice, once to check them and once
+    to write them, and the second read checks their CRC alone."""
     pings, runs = small_store(tmp_path)  # ping-1 (5-7) and traceroute-2 (5-8)
     later = [ping(10, 1400), ping(11, dst="10.1.0.2")]
     with RecordStore(tmp_path) as writer:  # ping-3 (10-11)
@@ -1037,9 +1274,34 @@ def test_export_reads_each_block_once_where_segments_overlap(tmp_path, monkeypat
     monkeypatch.setattr(columnar.Segment, "_check_block", counted)
     assert dump(RecordStore(tmp_path)) == canonical(pings + runs + later)
     assert loads == {"ping-1.col": 1, "traceroute-2.col": 1, "ping-3.col": 1}
-    assert reads == {(name, pair): 2 if name.startswith("ping") else 1
+    assert reads == {(name, pair): 1
                      for name in ("ping-1.col", "traceroute-2.col", "ping-3.col")
                      for pair in [("10.0.0.1", "10.1.0.1"), ("10.0.0.1", "10.1.0.2")]}
+
+
+def test_a_block_changed_after_its_check_fails_the_export_by_its_crc(tmp_path, monkeypatch):
+    """A segment that shares its chain reads its blocks again to write them,
+    checked by their CRC alone: bytes changed after its values were checked
+    fail the export with the CRC mismatch."""
+    small_store(tmp_path)  # ping-1 (5-7) and traceroute-2 (5-8)
+    with RecordStore(tmp_path) as writer:  # ping-3 (10-11), in ping-1's chain
+        for record in [ping(10, 1400), ping(11, dst="10.1.0.2")]:
+            writer.append(record)
+    target, release, changed = tmp_path / "ping-1.col", columnar.Segment.release, []
+
+    def changing(segment):
+        release(segment)
+        if segment.path == target and not changed:  # after the check, before the write
+            data = bytearray(target.read_bytes())
+            data[-1] ^= 1  # in the columns of its last block
+            target.write_bytes(data)
+            changed.append(segment)
+
+    monkeypatch.setattr(columnar.Segment, "release", changing)
+    with pytest.raises(StoreError, match=r"ping-1\.col: block \['10\.0\.0\.1', "
+                                         r"'10\.1\.0\.2'\]: CRC mismatch"):
+        dump(RecordStore(tmp_path))
+    assert changed
 
 
 def test_a_selective_read_reads_only_the_blocks_it_selects(tmp_path, monkeypatch):
