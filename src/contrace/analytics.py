@@ -1,7 +1,8 @@
 """Statistics over measurement records: RTT series, CDFs, crossings, graphs.
 
 They read columns, never a record per row: RTT series and CDFs bucket
-PingColumns by UTC hour; traceroute analytics read PathRuns.
+PingColumns' (timestamp, rtt) pairs by UTC hour; traceroute analytics read
+PathRuns.
 
 Quantiles are nearest-rank throughout: the sorted sample at 1-based index
 ceil(p*n), computed in exact integer arithmetic so results match brute-force
@@ -60,15 +61,16 @@ class RttBucketStats(NamedTuple):
 
 
 def bucket_rtt_series(pings: PingColumns) -> list[RttBucketStats]:
-    """Per-hour RTT statistics over the echo replies among pings.
+    """Per-hour RTT statistics over the echo replies among pings, the
+    pings with an rtt (>= 0).
 
     Buckets align to UTC hour boundaries, multiples of HOUR_US since the
     epoch; empty buckets produce no entry.
     """
     buckets: dict[int, list[int]] = {}
-    for times, statuses, rtts in pings.blocks:
-        for timestamp, status, rtt in zip(times, statuses, rtts):
-            if status == STATUS_ECHO_REPLY:
+    for times, rtts in pings.blocks:
+        for timestamp, rtt in zip(times, rtts):
+            if rtt >= 0:
                 buckets.setdefault(timestamp // HOUR_US * HOUR_US, []).append(rtt)
     series = []
     for start in sorted(buckets):
@@ -84,23 +86,28 @@ def _year_of(us: int) -> int:
 
 
 def mean_rtt_cdf(pings: PingColumns) -> dict[int, list[tuple[float, float]]]:
-    """Per-calendar-year empirical CDF over hourly-bucket mean RTTs.
+    """Per-calendar-year empirical CDF over hourly-bucket mean RTTs, each
+    from an exact integer RTT sum and count, the hour's only state.
 
     Steps are (x in ms, fraction of bucket means <= x); y rises to 1.0.
     """
+    sums: dict[int, int] = {}
+    counts: dict[int, int] = {}
+    for times, rtts in pings.blocks:
+        for timestamp, rtt in zip(times, rtts):
+            if rtt >= 0:
+                hour = timestamp // HOUR_US
+                sums[hour] = sums.get(hour, 0) + rtt
+                counts[hour] = counts.get(hour, 0) + 1
     by_year: dict[int, list[float]] = {}
-    for bucket in bucket_rtt_series(pings):
-        by_year.setdefault(_year_of(bucket.bucket_start_us), []).append(bucket.mean_ms)
+    for hour, total in sums.items():
+        by_year.setdefault(_year_of(hour * HOUR_US), []).append(total / counts[hour] / 1000.0)
     out: dict[int, list[tuple[float, float]]] = {}
     for year in sorted(by_year):
         means = sorted(by_year[year])
-        n = len(means)
-        steps = []
-        for i, value in enumerate(means):
-            if i + 1 < n and means[i + 1] == value:
-                continue
-            steps.append((value, (i + 1) / n))
-        out[year] = steps
+        n = len(means)  # a step at each distinct mean, its last rank
+        out[year] = [(value, (i + 1) / n) for i, value in enumerate(means)
+                     if i + 1 == n or means[i + 1] != value]
     return out
 
 

@@ -8,13 +8,13 @@ sorted when its timestamps never decrease. Every row also has a tie rank:
 its rank among the segment's rows with the same timestamp, in row order.
 So ordering a segment's rows by (timestamp, tie rank) orders them by
 timestamp and then by row order, though the blocks no longer interleave
-the pairs: export and query read a segment in that order. A read takes
-the rows it selects as canonical lines, runs grouped by path (group) or
-ping columns (pings), never a record per row. lines, the one row renderer,
-gives a segment's lines in slabs of at most SLAB_ROWS rows, each rendered
-in bulk; merge interleaves the slabs of several segments by cutting them
-at timestamps (bisect), so export and query handle a run of rows at a
-time, not a row.
+the pairs: export and query read a segment in that order. Each read has
+one mode. lines, the one row renderer, gives every row of a segment as
+canonical lines, in slabs of at most SLAB_ROWS rows, each rendered in
+bulk; merge interleaves the slabs of several segments by cutting them at
+timestamps (bisect), so export and query handle a run of rows at a time,
+not a row. Only group (runs grouped by path) and pings (timestamp and rtt
+columns) select rows, by pair and time range; neither builds a record.
 
 A sealed segment <stem>.col, format version 2:
 
@@ -725,16 +725,11 @@ class Segment:
         return [(block, rows) for block, rows in selected if rows]
 
     def pings(self, q: StoreQuery, columns: PingColumns) -> None:
-        """Add the timestamp, status and rtt columns of each block with
-        rows q selects to columns, cut to those rows: a block selected
+        """Add the timestamp and rtt columns of each block with rows q
+        selects to columns, cut to those rows (_take): a block selected
         whole is not copied, a range of rows is a slice."""
         for block, rows in self._select(q):
-            times, _, statuses, rtts = block.columns
-            if len(rows) < block.count:
-                times, statuses, rtts = (
-                    column[rows.start:rows.stop] if type(rows) is range
-                    else [column[i] for i in rows] for column in (times, statuses, rtts))
-            columns.blocks.append((times, statuses, rtts))
+            columns.blocks.append((_take(block.columns[0], rows), _take(block.columns[-1], rows)))
 
     def group(self, q: StoreQuery, grouped: dict[tuple[str, str], PathRuns]) -> None:
         """Add the runs of the rows q selects to grouped, per pair, in row
@@ -757,22 +752,14 @@ class Segment:
             for path_id, at in starts.items():
                 runs.add(*self.keys[path_id], rtts, at)
 
-    def lines(self, rank: int, q: StoreQuery | None = None
-              ) -> Iterator[tuple[int, Sequence[int], list[str]]]:
-        """Slabs (rank, timestamps, canonical lines) of every row, or of the
-        rows q selects, by timestamp and then tie rank: one sort of those
-        rows, then at most SLAB_ROWS rows at a time, gathered from the
-        columns and rendered by one % a line from a %-format made once per
-        pair and ping status or path. With q, only the blocks it selects are
-        read (_select)."""
-        if q is None:
-            self.check()
-            blocks, rows = self.blocks, range(self.count)
-        else:
-            selected = self._select(q)
-            blocks = [block for block, _ in selected]
-            starts = accumulate((block.count for block in blocks), initial=0)
-            rows = [start + i for (_, chosen), start in zip(selected, starts) for i in chosen]
+    def lines(self, rank: int) -> Iterator[tuple[int, Sequence[int], list[str]]]:
+        """Slabs (rank, timestamps, canonical lines) of every row, by
+        timestamp and then tie rank: one sort of the rows, then at most
+        SLAB_ROWS rows at a time, gathered from the columns and rendered by
+        one % a line from a %-format made once per pair and ping status or
+        path. Every block is read and checked (check)."""
+        self.check()
+        blocks, rows = self.blocks, range(self.count)
         if not blocks:
             return
         pings = self.kind == KIND_PING
@@ -818,9 +805,10 @@ class Segment:
 
 
 def _take(column: Sequence[int], rows: Sequence[int]) -> Sequence[int]:
-    """column's values at rows, in order: a slice where rows is a range."""
+    """column's values at rows, in order: a slice where rows is a range,
+    column itself where that range is the whole column."""
     if type(rows) is range:
-        return column[rows.start:rows.stop]
+        return column if len(rows) == len(column) else column[rows.start:rows.stop]
     return list(map(column.__getitem__, rows))
 
 
@@ -854,12 +842,12 @@ def check_chains(chained: list[list[tuple[int, Segment]]]) -> None:
                 segment.release()
 
 
-def chain_lines(chain: list[tuple[int, Segment]], q: StoreQuery | None = None
+def chain_lines(chain: list[tuple[int, Segment]]
                 ) -> Iterator[tuple[int, Sequence[int], list[str]]]:
     """The slabs (Segment.lines) of a chain's segments, one after another;
     each segment drops the columns it read once its slabs are taken."""
     for rank, segment in chain:
-        yield from segment.lines(rank, q)
+        yield from segment.lines(rank)
         segment.release()
 
 

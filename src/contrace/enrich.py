@@ -172,8 +172,9 @@ class GeoProvider(Protocol):
 class CsvGeoProvider:
     """Offline fixture provider: address,lat,lon,country,error_km rows."""
 
-    def __init__(self, path: str | Path, name: str = "fixture_db"):
-        self.name = name
+    name = "fixture_db"
+
+    def __init__(self, path: str | Path):
         self._table: dict[str, GeoLocation] = dict(_read_csv(path, 5, lambda row: (
             str(ipaddress.ip_address(row[0].strip())),
             GeoLocation(float(row[1]), float(row[2]), row[3].strip(),
@@ -190,9 +191,9 @@ class HttpGeoProvider:
     unavailable. The API token comes from an environment variable so it
     never lives in config files."""
 
-    def __init__(self, base_url: str, token_env: str = "CONTRACE_GEO_TOKEN",
-                 session=None, name: str = "fallback_http"):
-        self.name = name
+    name = "fallback_http"
+
+    def __init__(self, base_url: str, token_env: str = "CONTRACE_GEO_TOKEN", session=None):
         self.base_url = base_url.rstrip("/")
         self.token_env = token_env
         if session is None:

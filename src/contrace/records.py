@@ -402,16 +402,16 @@ class PathRuns:
 
 class PingColumns:
     """Pings as rtt-series and cdf read them: per block with rows a read
-    selects, (timestamps, statuses, rtts) cut to those rows, an rtt being
-    -1 where the status is not 255. len() is the number of pings."""
+    selects, (timestamps, rtts) cut to those rows, an rtt being -1 where
+    the status is not 255 (no echo reply). len() is the number of pings."""
 
     __slots__ = ("blocks",)
 
     def __init__(self):
-        self.blocks: list[tuple[Sequence[int], Sequence[int], Sequence[int]]] = []
+        self.blocks: list[tuple[Sequence[int], Sequence[int]]] = []
 
     def __len__(self) -> int:
-        return sum(len(times) for times, _, _ in self.blocks)
+        return sum(len(times) for times, _ in self.blocks)
 
 
 def _line_batches(chunks: Iterable[str]) -> Iterator[list[str]]:

@@ -6,12 +6,13 @@ NDJSON; sealing turns a segment into a columnar file (see columnar). Every
 read takes each segment as a columnar.Segment: a columnar file is loaded
 as one, reading its header and then only the blocks the read selects, and
 an NDJSON segment's lines are added to one held in memory, by shape or
-decoded. Only query builds records, from the lines export writes. Every
-record reaches a file in a run of whole lines bound for
-one segment, by one os.write under the lock: append's run is one line,
-import's the lines of a batch for one segment, in input order. So a read
-never sees a torn record, a killed import keeps a prefix of its input, and
-a failed write ends its segment as a crash does. Reads and writers know
+decoded. Only query builds records: it parses the lines export writes of
+every segment of its kind and keeps those it matches. Every record reaches
+a file in a run of whole lines bound for one segment, by one os.write
+under the lock: append's run is one line, import's the lines of a batch
+for one segment, in input order. So a read never sees a torn record, a
+killed import keeps a prefix of its input, and a failed write ends its
+segment as a crash does. Reads and writers know
 only <kind>-<id> names and columnar format version 2; a file of an older
 store fails them with a StoreError that says to run `contrace upgrade`
 (see legacy). RecordStore is also importable from contrace.records.
@@ -477,20 +478,21 @@ class RecordStore:
 
     def query(self, q: StoreQuery) -> list[Record]:
         """Matching records ordered by timestamp, then load order (within
-        a segment, tie rank): the canonical lines of the rows q selects, in
-        slabs (Segment.lines), merged across chains of segments by the
-        merge export uses, and parsed. Reads only q.kind's segments, and of a
-        columnar file only the header and the blocks of the pairs and time
-        range q selects."""
+        a segment, tie rank): q.kind's segments read whole, as export reads
+        them, and each line parsed and kept if q's pair and [start, end)
+        match it."""
         with self._segments(q.kind) as segments:
             chains = columnar.chains([segment for segment in map(_Listed.open, segments)
                                       if segment.count])
-            runs = columnar.merge(columnar.chain_lines(chain, q) for chain in chains)
-            return [parse_line(line) for run in runs for line in run]
+            runs = columnar.merge(map(columnar.chain_lines, chains))
+            return [record for record in map(parse_line, itertools.chain.from_iterable(runs))
+                    if q.matches_pair(record.source, record.destination)
+                    and (q.start is None or record.timestamp >= q.start)
+                    and (q.end is None or record.timestamp < q.end)]
 
     def ping_columns(self, q: StoreQuery) -> PingColumns:
-        """The timestamp, status and rtt columns of the pings q selects,
-        block by block (Segment.pings); read as query reads them."""
+        """The timestamp and rtt columns of the pings q selects, block by
+        block (Segment.pings), reading only the blocks q selects."""
         if q.kind != KIND_PING:
             raise ValueError("ping_columns reads pings")
         columns = PingColumns()
@@ -501,7 +503,7 @@ class RecordStore:
 
     def path_runs(self, q: StoreQuery) -> dict[tuple[str, str], PathRuns]:
         """The traceroute runs q selects, as a PathRuns per (source,
-        destination) pair; read as query reads them."""
+        destination) pair (Segment.group); read as ping_columns reads."""
         if q.kind != KIND_TRACEROUTE:
             raise ValueError("path_runs reads traceroute runs")
         grouped: dict[tuple[str, str], PathRuns] = {}

@@ -27,8 +27,8 @@ from hypothesis import strategies as st
 import oracles
 from contrace import cli, columnar, legacy
 from contrace.analytics import HOUR_US, bucket_rtt_series
-from contrace.records import (Hop, PingRecord, RecordStore, StoreError, StoreQuery,
-                              TracerouteRun, from_json_obj, to_json_obj)
+from contrace.records import (Hop, PingColumns, PingRecord, RecordStore, StoreError,
+                              StoreQuery, TracerouteRun, from_json_obj, to_json_obj)
 from conftest import path_runs, ping_columns
 from oracles import serialize_line
 
@@ -340,11 +340,10 @@ class TestSegmentForms:
         assert (segment.count, segment.min, segment.max) == (0, None, None)
         for q in (StoreQuery(kind), StoreQuery(kind, start=1, end=2),
                   StoreQuery(kind, source="10.0.0.1")):
-            assert list(segment.lines(0, q)) == []
-            if kind == "traceroute":
-                grouped = {}
-                segment.group(q, grouped)
-                assert grouped == {}
+            if kind == "ping":
+                assert _ping_state(segment, q) == []
+            else:
+                assert _group_state(segment, q) == {}
         assert list(segment.lines(0)) == []
 
 
@@ -393,6 +392,26 @@ def _group_state(segment, q):
             for pair, runs in grouped.items()}
 
 
+def _ping_state(segment, q):
+    columns = PingColumns()
+    segment.pings(q, columns)
+    return [(list(times), list(rtts)) for times, rtts in columns.blocks]
+
+
+def _ping_reference(pings, q):
+    """Segment.pings by brute force: per pair, in the order of the pairs'
+    first pings, the (timestamps, rtts) of q's pings in append order, an
+    rtt being -1 where the ping has none; a pair q selects none of is left
+    out."""
+    blocks = {(r.source, r.destination): ([], []) for r in pings}
+    for record in pings:
+        if oracles.matches(q, record):
+            times, rtts = blocks[record.source, record.destination]
+            times.append(record.timestamp)
+            rtts.append(-1 if record.rtt is None else record.rtt)
+    return [block for block in blocks.values() if block[0]]
+
+
 def _by_time(records_):
     return sorted(records_, key=lambda r: r.timestamp)
 
@@ -400,11 +419,6 @@ def _by_time(records_):
 def _lines(slabs):
     """The canonical lines of Segment.lines' slabs, in their order."""
     return [line for _, _, lines in slabs for line in lines]
-
-
-def _parsed(slabs):
-    """The records of Segment.lines' canonical lines, in their order."""
-    return [from_json_obj(json.loads(line)) for line in _lines(slabs)]
 
 
 @settings(max_examples=150, deadline=None)
@@ -438,13 +452,14 @@ def test_a_segment_filled_by_add_reads_alike_once_written_and_loaded(drawn):
                   StoreQuery(kind, end=middle),
                   StoreQuery(kind, min(times), middle + 1, source, destination),
                   StoreQuery(kind, source=source), StoreQuery(kind, destination="10.9.9.9")):
-            # a stable sort by timestamp orders a segment's records by
-            # (timestamp, row order)
-            expected = [r for r in records_ if oracles.matches(q, r)]
-            assert _parsed(loaded.lines(0, q)) == _parsed(memory.lines(0, q)) == \
-                _by_time(expected)
-            if kind == "traceroute":
+            if kind == "ping":
+                assert _ping_state(loaded, q) == _ping_state(memory, q) == \
+                    _ping_reference(records_, q)
+            else:
                 assert _group_state(loaded, q) == _group_state(memory, q)
+                grouped = {}
+                loaded.group(q, grouped)
+                assert _grouped(grouped) == _grouped_reference(records_, q)
         assert _lines(loaded.lines(0)) == _lines(memory.lines(0))
     assert "".join(_lines(memory.lines(0))) == canonical(records_)
 
@@ -1305,9 +1320,10 @@ def test_a_block_changed_after_its_check_fails_the_export_by_its_crc(tmp_path, m
 
 
 def test_a_selective_read_reads_only_the_blocks_it_selects(tmp_path, monkeypatch):
-    """query and ping_columns read, of each columnar file, only the blocks
-    of the pairs and time range they select, each once."""
-    pings, _ = small_store(tmp_path)  # ping-1 (5-7) and traceroute-2 (5-8)
+    """ping_columns and path_runs read, of each columnar file, only the
+    blocks of the pairs and time range they select, each once; query, which
+    reads its kind whole, returns the same records."""
+    pings, runs = small_store(tmp_path)  # ping-1 (5-7) and traceroute-2 (5-8)
     later = [ping(10, 1400), ping(11, dst="10.1.0.2")]
     with RecordStore(tmp_path) as writer:  # ping-3 (10-11)
         for record in later:
@@ -1325,11 +1341,17 @@ def test_a_selective_read_reads_only_the_blocks_it_selects(tmp_path, monkeypatch
                       (StoreQuery("ping", 10, 12), {("ping-3.col", "10.1.0.1"): 1,
                                                     ("ping-3.col", "10.1.0.2"): 1}),
                       (StoreQuery("ping", 6, 7, "10.0.0.1", "10.1.0.1"),
-                       {("ping-1.col", "10.1.0.1"): 1})):
-        selected = [r for r in pings + later if oracles.matches(q, r)]
-        for read in (store.query, store.ping_columns):
-            reads.clear()
-            result = read(q)
-            assert reads == blocks
-            assert len(result) == len(selected)
+                       {("ping-1.col", "10.1.0.1"): 1}),
+                      (StoreQuery("traceroute", destination="10.1.0.2"),
+                       {("traceroute-2.col", "10.1.0.2"): 1}),
+                      (StoreQuery("traceroute", 5, 8), {("traceroute-2.col", "10.1.0.1"): 1}),
+                      (StoreQuery("traceroute", 9), {})):
+        stored = pings + later if q.kind == "ping" else runs
+        selected = [r for r in stored if oracles.matches(q, r)]
+        reads.clear()
+        if q.kind == "ping":
+            assert len(store.ping_columns(q)) == len(selected)
+        else:
+            assert _grouped(store.path_runs(q)) == _grouped_reference(runs, q)
+        assert reads == blocks
         assert store.query(q) == _by_time(selected)
