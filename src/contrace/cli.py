@@ -1,7 +1,8 @@
 """Operator command line: run measurements, move records, produce analyses.
 
-Subcommands: measure (live raw sockets or simulator), sim-run (simulator
-shortcut driven by the topology file), import, export, analyze, upgrade.
+Subcommands: measure (the live network over raw sockets), sim-run (the
+simulator; endpoints from --config or the topology's measurement section),
+import, export, analyze, upgrade.
 Exit codes: 0 ok, 1 generic error or strict-mode rejects, 2 configuration
 error, 3 privilege error, 4 transport failure, 5 empty selection.
 Modules that only some commands use (yaml, probe, sim, analytics, enrich,
@@ -14,8 +15,9 @@ from __future__ import annotations
 import argparse
 import io
 import os
+import stat
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from typing import NamedTuple
 
@@ -83,10 +85,10 @@ def build_config(doc: dict, base_dir: Path) -> Config:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad schedule: {exc}") from None
     store_path = base_dir / str(doc.get("store", "store"))
+    enrichment = doc.get("enrichment") or {}
 
     def path_or_none(key):
-        section = doc.get("enrichment") or {}
-        return base_dir / section[key] if key in section else None
+        return base_dir / enrichment[key] if key in enrichment else None
 
     relations = []
     for source in sources:
@@ -99,7 +101,6 @@ def build_config(doc: dict, base_dir: Path) -> Config:
             relations.append(RelationKey(
                 source.family, source.label, dest.label,
                 source.address, dest.address))
-    enrichment = doc.get("enrichment") or {}
     return Config(
         sources=sources, destinations=destinations, schedule=schedule,
         store_path=store_path, relations=relations,
@@ -138,41 +139,28 @@ def build_enricher(config: Config) -> Enricher:
     return Enricher(table, resolver)
 
 
-# -- measure ------------------------------------------------------------------
+# -- measure / sim-run -------------------------------------------------------
 
-def _load_topology(path: str):
-    """The topology at path, or None once its error line is printed."""
-    import yaml
-
-    from . import sim
+def _seconds(text: str) -> float:
+    """--duration: seconds, at least 0, finite also in microseconds."""
     try:
-        return sim.load_topology(path)
-    except (OSError, sim.TopologyError, yaml.YAMLError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
+        if 0 <= float(text) * 1_000_000 < float("inf"):
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a finite number of seconds >= 0, got {text!r}")
 
 
-def _measure_sim(config: Config, args, topology) -> int:
-    from . import sim
-    known = {r.address for r in topology.routers.values()}
-    for endpoint in config.sources + config.destinations:
-        if endpoint.address not in known:
-            print(f"error: address {endpoint.address} ({endpoint.label}) "
-                  f"is not in the topology", file=sys.stderr)
-            return EXIT_CONFIG
-    with RecordStore(config.store_path) as store:
-        sim.run_scenario(topology, config.relations, config.schedule,
-                         args.duration, seed=args.seed, sink=store)
-    print(f"simulated {args.duration:.0f} s: {store.written[KIND_PING]} ping, "
-          f"{store.written[KIND_TRACEROUTE]} traceroute records -> {config.store_path}")
-    return EXIT_OK
-
-
-def _measure_live(config: Config, args, transport_factory=None) -> int:
+def cmd_measure(args, transport_factory=None) -> int:
     import signal
     import threading
 
-    from .probe import LiveClock, RawIcmpTransport, SourceWorker, run_relation_worker
+    from .probe import LiveClock, RawIcmpTransport, campaign_workers, run_relation_worker
+    try:
+        config = load_config(args.config)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     transport_factory = transport_factory or RawIcmpTransport
     clock = LiveClock()
     stop = threading.Event()
@@ -180,22 +168,22 @@ def _measure_live(config: Config, args, transport_factory=None) -> int:
     def handle(signum, frame):
         stop.set()
 
+    opened = []
+
+    def open_transport(address):
+        transport = transport_factory(address, clock)
+        opened.append(transport)
+        return transport
+
     start = clock.now_us()
     end = start + int(args.duration * 1_000_000) if args.duration else 2**62
-    by_source: dict[str, list[RelationKey]] = {}
-    for relation in config.relations:
-        by_source.setdefault(relation.source_address, []).append(relation)
-
-    workers: list[SourceWorker] = []
     previous = {}
     try:
-        with RecordStore(config.store_path) as store:
+        with RecordStore(args.store or config.store_path) as store:
             try:
-                for address in sorted(by_source):
-                    workers.append(SourceWorker(
-                        by_source[address], config.schedule,
-                        lambda a=address: transport_factory(a, clock),
-                        store, start_us=start, end_us=end, seed=args.seed))
+                workers = campaign_workers(config.relations, config.schedule,
+                                           open_transport, store, start_us=start,
+                                           end_us=end, seed=args.seed)
             except PermissionError as exc:
                 print(f"error: raw ICMP sockets require privileges: {exc}",
                       file=sys.stderr)
@@ -219,49 +207,39 @@ def _measure_live(config: Config, args, transport_factory=None) -> int:
     finally:
         for signum, handler in previous.items():
             signal.signal(signum, handler)
-        for worker in workers:
-            closer = getattr(worker.transport, "close", None)
-            if closer:
-                closer()
+        for transport in opened:
+            transport.close()
     return EXIT_OK
 
 
-def cmd_measure(args) -> int:
-    try:
-        config = load_config(args.config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    if args.store:
-        config = config._replace(store_path=Path(args.store))
-    if args.mode != "sim":
-        return _measure_live(config, args)
-    if not args.topology:
-        print("error: sim mode needs --topology", file=sys.stderr)
-        return EXIT_CONFIG
-    topology = _load_topology(args.topology)
-    return EXIT_CONFIG if topology is None else _measure_sim(config, args, topology)
-
-
 def cmd_sim_run(args) -> int:
-    """Simulator shortcut: endpoints and schedule come from the topology."""
-    topology = _load_topology(args.topology)
-    if topology is None:
-        return EXIT_CONFIG
-    if not topology.measurement:
-        print("error: topology has no measurement section; use "
-              "'measure --mode sim' with a config file", file=sys.stderr)
-        return EXIT_CONFIG
-    doc = dict(topology.measurement)
-    doc.setdefault("store", args.store or "store")
+    """Simulate the campaign of --config, or else of the topology's measurement."""
+    import yaml
+
+    from . import sim
     try:
-        config = build_config(doc, Path(args.topology).parent)
-    except ConfigError as exc:
+        topology = sim.load_topology(args.topology)
+        if args.config:
+            config = load_config(args.config)
+        elif topology.measurement:
+            config = build_config(dict(topology.measurement), Path(args.topology).parent)
+        else:
+            raise ConfigError("topology has no measurement section; give --config")
+        known = {r.address for r in topology.routers.values()}
+        for endpoint in config.sources + config.destinations:
+            if endpoint.address not in known:
+                raise ConfigError(f"address {endpoint.address} ({endpoint.label}) "
+                                  f"is not in the topology")
+    except (OSError, sim.TopologyError, yaml.YAMLError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if args.store:
-        config = config._replace(store_path=Path(args.store))
-    return _measure_sim(config, args, topology)
+    store_path = args.store or config.store_path
+    with RecordStore(store_path) as store:
+        sim.run_scenario(topology, config.relations, config.schedule,
+                         args.duration, seed=args.seed, sink=store)
+    print(f"simulated {args.duration:.0f} s: {store.written[KIND_PING]} ping, "
+          f"{store.written[KIND_TRACEROUTE]} traceroute records -> {store_path}")
+    return EXIT_OK
 
 
 # -- import / export ----------------------------------------------------------
@@ -301,13 +279,36 @@ def cmd_import(args) -> int:
     return EXIT_OK
 
 
+@contextmanager
+def _output_file(name: str):
+    """name open for writing. A regular file, or a new one, is written as
+    name.<pid>.tmp and renamed onto name, with its mode, once the block
+    succeeds; another path (a device, a FIFO, a symlink) is written as is."""
+    try:
+        mode = os.lstat(name).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(name, "w", encoding="utf-8") as fp:
+            yield fp
+        return
+    tmp = f"{name}.{os.getpid()}.tmp"
+    fp = open(tmp, "x", encoding="utf-8")
+    try:
+        with fp:
+            yield fp
+        if mode is not None:
+            os.chmod(tmp, stat.S_IMODE(mode))
+        os.replace(tmp, name)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def cmd_export(args) -> int:
     store = RecordStore(args.store)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fp:
-            count = store.export(fp)
-    else:
-        count = store.export(sys.stdout)
+    with _output_file(args.out) if args.out else nullcontext(sys.stdout) as fp:
+        count = store.export(fp)
     print(f"exported {count} records", file=sys.stderr)
     return EXIT_OK
 
@@ -415,10 +416,8 @@ def cmd_analyze(args) -> int:
 
 
 def _emit(document: str, args) -> int:
-    if args.out:
-        Path(args.out).write_text(document, encoding="utf-8")
-    else:
-        sys.stdout.write(document)
+    with _output_file(args.out) if args.out else nullcontext(sys.stdout) as fp:
+        fp.write(document)
     return EXIT_OK
 
 
@@ -431,22 +430,24 @@ def build_parser() -> argparse.ArgumentParser:
                     "storage and route analytics.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    measure = sub.add_parser("measure", help="run measurements (live or simulated)")
+    measure = sub.add_parser("measure", help="probe the live network (raw ICMP sockets)")
     measure.add_argument("--config", required=True)
-    measure.add_argument("--mode", choices=("live", "sim"), default="sim")
-    measure.add_argument("--topology", help="topology YAML (sim mode)")
-    measure.add_argument("--duration", type=float, default=3600.0,
-                         help="seconds to run (default 3600)")
+    measure.add_argument("--duration", type=_seconds, default=3600.0,
+                         help="seconds to run (default 3600; 0 runs until "
+                              "SIGINT or SIGTERM)")
     measure.add_argument("--seed", type=int, default=0)
     measure.add_argument("--store", help="override the config store path")
     measure.set_defaults(func=cmd_measure)
 
-    sim_run = sub.add_parser("sim-run",
-                             help="simulate using the topology's measurement section")
+    sim_run = sub.add_parser("sim-run", help="simulate a campaign on a topology")
     sim_run.add_argument("--topology", required=True)
-    sim_run.add_argument("--duration", type=float, default=3600.0)
+    sim_run.add_argument("--config",
+                         help="endpoints, schedule and store (default: the "
+                              "topology's measurement section)")
+    sim_run.add_argument("--duration", type=_seconds, default=3600.0,
+                         help="simulated seconds (default 3600)")
     sim_run.add_argument("--seed", type=int, default=0)
-    sim_run.add_argument("--store")
+    sim_run.add_argument("--store", help="override the config store path")
     sim_run.set_defaults(func=cmd_sim_run)
 
     imp = sub.add_parser("import", help="import NDJSON or JSON-array records")

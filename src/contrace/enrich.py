@@ -185,38 +185,43 @@ class CsvGeoProvider:
 
 
 class HttpGeoProvider:
-    """Online fallback: GET <base_url>/<address> returning a JSON object
-    with numeric lat and lon, a string country and an optional numeric
-    error_km. A 200 response without them counts as the provider being
-    unavailable. The API token comes from an environment variable so it
-    never lives in config files."""
+    """Online fallback: GET <base_url>/<address> by urlopen (by default
+    urllib's) returning a JSON object with numeric lat and lon, a string
+    country and an optional numeric error_km. A 404 is no answer; another
+    status, a failed request or a 200 without those fields counts as the
+    provider being unavailable. The API token comes from an environment
+    variable so it never lives in config files."""
 
     name = "fallback_http"
 
-    def __init__(self, base_url: str, token_env: str = "CONTRACE_GEO_TOKEN", session=None):
+    def __init__(self, base_url: str, token_env: str = "CONTRACE_GEO_TOKEN", urlopen=None):
         self.base_url = base_url.rstrip("/")
         self.token_env = token_env
-        if session is None:
-            import requests
-            session = requests.Session()
-        self._session = session
+        self._urlopen = urlopen
 
     def locate(self, address: str) -> GeoLocation | None:
+        import json
+        import urllib.error
+        import urllib.request
         headers = {}
         token = os.environ.get(self.token_env)
         if token:
             headers["Authorization"] = f"Bearer {token}"
+        request = urllib.request.Request(f"{self.base_url}/{address}", headers=headers)
         try:
-            response = self._session.get(f"{self.base_url}/{address}",
-                                         headers=headers, timeout=10)
+            with (self._urlopen or urllib.request.urlopen)(request, timeout=10) as response:
+                status, body = response.status, response.read()
+        except urllib.error.HTTPError as exc:
+            exc.close()
+            status, body = exc.code, b""
         except Exception as exc:
             raise ProviderUnavailable(str(exc)) from exc
-        if response.status_code == 404:
+        if status == 404:
             return None
-        if response.status_code != 200:
-            raise ProviderUnavailable(f"HTTP {response.status_code}")
+        if status != 200:
+            raise ProviderUnavailable(f"HTTP {status}")
         try:
-            doc = response.json()
+            doc = json.loads(body)
             if not isinstance(doc, dict) or not isinstance(doc.get("country"), str):
                 raise ValueError("expected an object with lat, lon and country")
             return GeoLocation(_number(doc.get("lat")), _number(doc.get("lon")),

@@ -2,9 +2,10 @@
 
 One worker handles all relations of one source address; workers never share
 state beyond the record sink, so they can run as threads against raw
-sockets or single-threaded against the simulator's virtual clock. A
-traceroute run is a small state machine (TracerouteProbeRun) that the worker
-drives; run_relation_worker is the blocking driver for one worker.
+sockets or single-threaded against the simulator's virtual clock;
+campaign_workers builds them for either. A traceroute run is a small state
+machine (TracerouteProbeRun) that the worker drives; run_relation_worker
+is the blocking driver for one worker on a live transport.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ class Transport(Protocol):
         """Send one probe; returns the send timestamp in microseconds."""
 
     def receive(self, deadline_us: int) -> tuple[bytes, str, int] | None:
-        """Next (data, source address, timestamp) no later than deadline."""
+        """Next (data, source address, timestamp) no later than deadline,
+        waiting for it; only live transports have it, for run_relation_worker."""
 
 
 class Clock(Protocol):
@@ -152,8 +154,8 @@ class SourceWorker:
     Ping bursts fire every ping interval to all destinations at once;
     traceroute cycles start on a jittered interval grid and probe each
     destination sequentially with the configured number of rounds. Driven
-    by next_wakeup()/on_wakeup()/on_packet(); see run_relation_worker for
-    the blocking driver.
+    by next_wakeup()/on_wakeup()/on_packet(): run_relation_worker drives
+    it on a live transport, sim.drive_workers on the virtual clock.
     """
 
     def __init__(self, relations: list[RelationKey], schedule: ProbeSchedule,
@@ -373,6 +375,20 @@ class SourceWorker:
             self._next_cycle_us = self._cycle_start(self._cycle_index)
 
 
+def campaign_workers(relations: list[RelationKey], schedule: ProbeSchedule,
+                     transport_for: Callable[[str], Transport], sink: RecordSink, *,
+                     start_us: int, end_us: int, seed: int) -> list[SourceWorker]:
+    """A SourceWorker per source address, in sorted order; transport_for(address)
+    makes its transport, at construction and after a transport failure."""
+    by_source: dict[str, list[RelationKey]] = {}
+    for relation in relations:
+        by_source.setdefault(relation.source_address, []).append(relation)
+    return [SourceWorker(by_source[address], schedule,
+                         lambda a=address: transport_for(a), sink,
+                         start_us=start_us, end_us=end_us, seed=seed)
+            for address in sorted(by_source)]
+
+
 class LiveClock:
     """Epoch-anchored monotonic clock: wall-clock timestamps, no backsteps."""
 
@@ -444,7 +460,7 @@ class RawIcmpTransport:
 
 def run_relation_worker(worker: SourceWorker, clock: Clock,
                         should_stop: Callable[[], bool] = lambda: False) -> None:
-    """Blocking driver: runs one worker against a real (or sim) transport."""
+    """Blocking driver: runs one worker against a live transport."""
     while not should_stop():
         wakeup = worker.next_wakeup()
         if wakeup is None:

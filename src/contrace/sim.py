@@ -3,10 +3,11 @@
 Models TTL decrement, ECMP next-hop selection keyed on the first 4 bytes of
 the transport header, per-router ICMP response policies (responsive, silent,
 token-bucket rate limit) and scripted topology changes on a virtual
-microsecond clock. Replies travel back over the reverse of the forward path
-with the same accumulated latency, so ping RTTs are exactly twice the
-one-way link latency sum. run_scenario streams every record into the
-caller's sink as it is produced and keeps no record or packet itself.
+microsecond clock, which drive_workers alone moves. Replies travel back
+over the reverse of the forward path with the same accumulated latency, so
+ping RTTs are exactly twice the one-way link latency sum. run_scenario
+streams every record into the caller's sink as it is produced and keeps
+no record or packet itself.
 
 Topology files are YAML; see fixtures/ for the documented schema.
 """
@@ -23,7 +24,6 @@ from typing import NamedTuple
 from . import icmp, probe
 from .config import ProbeSchedule, RelationKey, TransportFailure, load_yaml
 from .icmp import Family
-from .probe import SourceWorker
 
 MAX_PATH_HOPS = 512
 
@@ -148,7 +148,7 @@ def load_topology(path: str | Path) -> SimTopology:
 
 
 class VirtualClock:
-    """Monotone integer-microsecond clock; time only moves via advance_to."""
+    """Monotone integer-microsecond clock; drive_workers moves it by advance_to."""
 
     def __init__(self, start_us: int):
         self._now = start_us
@@ -386,7 +386,8 @@ class SimNetwork:
 
 
 class SimTransport:
-    """probe.Transport implementation bound to one simulated source node."""
+    """probe.Transport bound to one simulated source node; replies wait in
+    its inbox until drive_workers delivers them."""
 
     def __init__(self, network: SimNetwork, clock: VirtualClock, source_address: str):
         self.network = network
@@ -419,23 +420,8 @@ class SimTransport:
             out.append((data, responder, arrival))
         return out
 
-    def receive(self, deadline_us: int) -> tuple[bytes, str, int] | None:
-        """Blocking-style receive: advances the virtual clock itself.
 
-        Only for single-worker use; the scenario runner owns the clock and
-        drains inboxes via pop_due instead.
-        """
-        if self._inbox and self._inbox[0][0] <= deadline_us:
-            arrival, _, data, responder = heapq.heappop(self._inbox)
-            if arrival > self.clock.now_us():
-                self.clock.advance_to(arrival)
-            return data, responder, arrival
-        if deadline_us > self.clock.now_us():
-            self.clock.advance_to(deadline_us)
-        return None
-
-
-def drive_workers(workers: list[SourceWorker], transports: list[SimTransport],
+def drive_workers(workers: list[probe.SourceWorker], transports: list[SimTransport],
                   clock: VirtualClock) -> None:
     """Single-threaded event loop interleaving workers on the virtual clock.
 
@@ -489,20 +475,11 @@ def run_scenario(topology: SimTopology, relations: list[RelationKey],
     """
     network = SimNetwork(topology)
     clock = VirtualClock(topology.start_us)
-    end_us = topology.start_us + int(round(duration_s * 1_000_000))
-
-    by_source: dict[str, list[RelationKey]] = {}
-    for relation in relations:
-        by_source.setdefault(relation.source_address, []).append(relation)
-
-    workers: list[SourceWorker] = []
-    transports: list[SimTransport] = []
-    for source_address in sorted(by_source):
-        transport = SimTransport(network, clock, source_address)
-        worker = SourceWorker(by_source[source_address], schedule,
-                              lambda t=transport: t, sink,
-                              start_us=topology.start_us, end_us=end_us, seed=seed)
-        workers.append(worker)
-        transports.append(transport)
-
-    drive_workers(workers, transports, clock)
+    transports: dict[str, SimTransport] = {}
+    # one per source: a worker that rebuilds its transport gets the same one
+    workers = probe.campaign_workers(
+        relations, schedule,
+        lambda address: transports.setdefault(address, SimTransport(network, clock, address)),
+        sink, start_us=topology.start_us,
+        end_us=topology.start_us + int(round(duration_s * 1_000_000)), seed=seed)
+    drive_workers(workers, [transports[w.source_address] for w in workers], clock)

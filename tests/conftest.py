@@ -1,5 +1,7 @@
 """Shared fixtures: small topologies, relation builders and probe drivers."""
 
+import heapq
+
 import pytest
 
 from contrace.columnar import Segment
@@ -102,14 +104,32 @@ def quick_schedule():
                          traceroute_rounds=3, max_ttl=20, reply_timeout_s=3.0)
 
 
+class BlockingSimTransport(SimTransport):
+    """A SimTransport with the receive of a live transport, which waits: it
+    moves the virtual clock to the next arrival, or to the deadline if none
+    comes before it. Drives one worker by run_relation_worker, or one
+    TracerouteProbeRun; a campaign's clock is moved by drive_workers."""
+
+    def receive(self, deadline_us):
+        if self._inbox and self._inbox[0][0] <= deadline_us:
+            arrival, _, data, responder = heapq.heappop(self._inbox)
+            if arrival > self.clock.now_us():
+                self.clock.advance_to(arrival)
+            return data, responder, arrival
+        if deadline_us > self.clock.now_us():
+            self.clock.advance_to(deadline_us)
+        return None
+
+
 def ping_once(topology, relation, *, reply_timeout_s=3.0, seed=0):
     """The record of one ping tick, matched by the production worker.
 
     A SourceWorker whose run ends right after its first tick is driven by
-    run_relation_worker over a SimTransport. Returns (record, clock).
+    run_relation_worker over a BlockingSimTransport. Returns (record, clock).
     """
     clock = VirtualClock(topology.start_us)
-    transport = SimTransport(SimNetwork(topology), clock, relation.source_address)
+    transport = BlockingSimTransport(SimNetwork(topology), clock,
+                                     relation.source_address)
     schedule = ProbeSchedule(reply_timeout_s=reply_timeout_s)
     sink = []
     worker = SourceWorker([relation], schedule, lambda: transport, sink,
@@ -122,7 +142,7 @@ def ping_once(topology, relation, *, reply_timeout_s=3.0, seed=0):
 
 
 def traceroute_once(relation, schedule, transport, clock):
-    """One TracerouteProbeRun taken to completion over a blocking transport."""
+    """One TracerouteProbeRun taken to completion over a BlockingSimTransport."""
     run = TracerouteProbeRun(relation, schedule, identifier=1, seq_base=0,
                              round_index=0, transport=transport,
                              now_us=clock.now_us())

@@ -43,29 +43,30 @@ enrichment:
     return path
 
 
+def sim_run(config, duration, seed):
+    """sim-run of neighbor.yaml with endpoints, schedule and store from config."""
+    return cli.main(["sim-run", "--topology", str(FIXTURES / "neighbor.yaml"),
+                     "--config", str(config), "--duration", str(duration),
+                     "--seed", str(seed)])
+
+
 @pytest.fixture(scope="module")
 def sim_store(tmp_path_factory):
     """One 20-minute simulated campaign on the neighbor fixture."""
     root = tmp_path_factory.mktemp("simstore")
     store_path = root / "store"
     config = write_config(root, store_path)
-    code = cli.main(["measure", "--config", str(config), "--mode", "sim",
-                     "--topology", str(FIXTURES / "neighbor.yaml"),
-                     "--duration", "1200", "--seed", "7"])
-    assert code == EXIT_OK
+    assert sim_run(config, 1200, 7) == EXIT_OK
     return root, config, store_path
 
 
-class TestMeasureSim:
+class TestSimRunConfig:
     def test_deterministic_store_contents(self, tmp_path, capsys):
         outputs = []
         for name in ("a", "b"):
             store = tmp_path / name
             config = write_config(tmp_path, store)
-            code = cli.main(["measure", "--config", str(config), "--mode", "sim",
-                             "--topology", str(FIXTURES / "neighbor.yaml"),
-                             "--duration", "120", "--seed", "3"])
-            assert code == EXIT_OK
+            assert sim_run(config, 120, 3) == EXIT_OK
             dump = io.StringIO()
             RecordStore(store).export(dump)
             outputs.append(dump.getvalue())
@@ -89,8 +90,9 @@ class TestMeasureSim:
 
     def test_missing_topology_is_config_error(self, tmp_path, capsys):
         config = write_config(tmp_path, tmp_path / "s")
-        assert cli.main(["measure", "--config", str(config), "--mode", "sim"]) \
-            == EXIT_CONFIG
+        with pytest.raises(SystemExit) as info:
+            cli.main(["sim-run", "--config", str(config)])
+        assert info.value.code == EXIT_CONFIG
 
     def test_address_not_in_topology_is_config_error(self, tmp_path):
         config = tmp_path / "config.yaml"
@@ -98,14 +100,63 @@ class TestMeasureSim:
             "sources: [{label: X, address: 192.0.2.1}]\n"
             "destinations: [{label: Y, address: 192.0.2.2}]\n"
             "store: s\n")
-        assert cli.main(["measure", "--config", str(config), "--mode", "sim",
-                         "--topology", str(FIXTURES / "neighbor.yaml"),
-                         "--duration", "10"]) == EXIT_CONFIG
+        assert sim_run(config, 10, 0) == EXIT_CONFIG
 
     def test_bad_config_rejected(self, tmp_path):
         config = tmp_path / "config.yaml"
         config.write_text("sources: []\ndestinations: []\n")
         assert cli.main(["measure", "--config", str(config)]) == EXIT_CONFIG
+        assert sim_run(config, 10, 0) == EXIT_CONFIG
+
+    def test_config_replaces_the_measurement_section(self, tmp_path, capsys):
+        """The config's endpoints, schedule and store, not the section's."""
+        config = tmp_path / "config.yaml"
+        config.write_text(
+            "sources: [{label: CERNET, address: 10.80.1.10}]\n"
+            "destinations: [{label: Uninett, address: 10.22.2.10}]\n"
+            "schedule: {ping_interval_s: 2, traceroute_interval_s: 3600}\n"
+            "store: s\n")
+        assert cli.main(["sim-run", "--topology", str(FIXTURES / "inter_continental.yaml"),
+                         "--config", str(config), "--duration", "60"]) == EXIT_OK
+        store = RecordStore(tmp_path / "s")
+        assert store.count("ping") == 30
+        assert {r.source for r in store.query(StoreQuery("ping"))} == {"10.80.1.10"}
+
+    def test_measure_has_no_sim_mode(self, tmp_path, capsys):
+        config = write_config(tmp_path, tmp_path / "s")
+        with pytest.raises(SystemExit) as info:
+            cli.main(["measure", "--config", str(config), "--mode", "sim",
+                      "--topology", str(FIXTURES / "neighbor.yaml")])
+        assert info.value.code == EXIT_CONFIG
+        assert "unrecognized arguments: --mode sim --topology" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("command", ["measure", "sim-run"])
+@pytest.mark.parametrize("value", ["inf", "nan", "-5", "1e308", "x"])
+def test_bad_duration_is_one_usage_error(tmp_path, capsys, command, value):
+    """--duration takes a finite number of seconds, at least 0; any other
+    value stops the command before it runs, with argparse's one line."""
+    config = write_config(tmp_path, tmp_path / "s")
+    argv = [command, "--config", str(config), f"--duration={value}"]
+    if command == "sim-run":
+        argv += ["--topology", str(FIXTURES / "neighbor.yaml")]
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == (f"contrace {command}: error: argument --duration: must be a "
+                       f"finite number of seconds >= 0, got {value!r}")
+    assert not (tmp_path / "s").exists()
+
+
+def test_zero_duration_is_accepted():
+    """measure --duration 0 runs until SIGINT or SIGTERM; sim-run's
+    simulates nothing."""
+    for command in (["measure"], ["sim-run", "--topology", "t.yaml"]):
+        args = cli.build_parser().parse_args([*command, "--config", "c.yaml",
+                                              "--duration", "0"])
+        assert args.duration == 0
 
 
 class TestSimRun:
@@ -127,12 +178,14 @@ class TestSimRun:
             assert s.count("ping") == 320
             assert s.count("traceroute") == 6  # 2 cycles x 3 rounds
 
-    def test_topology_without_measurement_rejected(self, tmp_path):
+    def test_topology_without_measurement_rejected(self, tmp_path, capsys):
         topo = tmp_path / "bare.yaml"
         topo.write_text(
             "routers:\n  a: {address: 10.0.0.1}\n  b: {address: 10.0.0.2}\n"
             "links:\n  - {from: a, to: b, latency_us: 10}\n")
         assert cli.main(["sim-run", "--topology", str(topo)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            "error: topology has no measurement section; give --config\n"
 
     def test_summary_counts_only_this_run_in_a_filled_store(self, tmp_path, capsys):
         store = tmp_path / "store"
@@ -188,6 +241,30 @@ class TestImportExport:
         assert cli.main(["export", "--store", str(second),
                          "--out", str(out2)]) == EXIT_OK
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_failed_export_leaves_the_out_file_as_it_was(self, sim_store, tmp_path,
+                                                           capsys):
+        """export --out FILE writes a file beside FILE and renames it onto
+        FILE only when the export succeeds, keeping FILE's mode; a failed
+        export leaves FILE's bytes and no other file."""
+        _, _, store_path = sim_store
+        broken = tmp_path / "broken"
+        shutil.copytree(store_path, broken)
+        with open(broken / "ping-1.col", "ab") as fp:
+            fp.write(b"x")
+        out = tmp_path / "dump.ndjson"
+        out.write_bytes(b"previous\n")
+        out.chmod(0o640)
+        assert cli.main(["export", "--store", str(broken), "--out", str(out)]) == EXIT_ERROR
+        assert capsys.readouterr().err.endswith("ping-1.col: bytes after the columns\n")
+        assert out.read_bytes() == b"previous\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["broken", "dump.ndjson"]
+        assert cli.main(["export", "--store", str(store_path)]) == EXIT_OK
+        expected = capsys.readouterr().out
+        assert cli.main(["export", "--store", str(store_path), "--out", str(out)]) == EXIT_OK
+        assert out.read_text() == expected
+        assert out.stat().st_mode & 0o777 == 0o640
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["broken", "dump.ndjson"]
 
     def test_corrupt_line_counts_rejected(self, tmp_path, capsys):
         source = tmp_path / "in.ndjson"
@@ -520,16 +597,16 @@ class TestAnalyze:
 
 class TestLivePrivileges:
     def test_privilege_error_exit_code(self, tmp_path, capsys):
-        config = cli.load_config(write_config(tmp_path, tmp_path / "s"))
-
         def denied(address, clock):
             raise PermissionError("raw socket forbidden")
 
         class Args:
+            config = write_config(tmp_path, tmp_path / "s")
+            store = None
             duration = 1.0
             seed = 0
 
-        code = cli._measure_live(config, Args(), transport_factory=denied)
+        code = cli.cmd_measure(Args(), transport_factory=denied)
         assert code == EXIT_PRIVILEGE
         assert not (tmp_path / "s").exists() or \
             RecordStore(tmp_path / "s").count() == 0  # no partial corruption
@@ -594,7 +671,7 @@ def test_store_commands_import_no_probing_code(sim_store, tmp_path):
     enrichment, and no command here loads legacy. Each command runs in a
     process of its own and counts the modules it adds to those loaded
     before `from contrace import cli`, so a module that site preloads
-    cannot fail the check. inter-as, export-stray and measure show that
+    cannot fail the check. inter-as, export-stray and sim-run show that
     the check sees enrich and each module it rules out but dataclasses,
     which no module imports (test_no_module_imports_dataclasses); a module
     preloaded before the snapshot fails them instead of hiding a
@@ -615,9 +692,9 @@ def test_store_commands_import_no_probing_code(sim_store, tmp_path):
         "import": ["import", "--store", str(tmp_path / "imported"), str(dumped)],
         "export-stray": ["export", "--store", str(tmp_path / "stray"),
                          "--out", str(tmp_path / "stray.ndjson")],
-        "measure": ["measure", "--config", str(config), "--mode", "sim",
-                    "--topology", str(FIXTURES / "neighbor.yaml"), "--duration", "60",
-                    "--store", str(tmp_path / "measured")],
+        "sim-run": ["sim-run", "--topology", str(FIXTURES / "neighbor.yaml"),
+                    "--config", str(config), "--duration", "60",
+                    "--store", str(tmp_path / "simulated")],
     }
     code = ("import json, sys\nbefore = set(sys.modules)\nfrom contrace import cli\n"
             "code = cli.main(sys.argv[1:])\n"
@@ -640,7 +717,7 @@ def test_store_commands_import_no_probing_code(sim_store, tmp_path):
     assert "contrace.enrich" not in added["hops"]
     assert "contrace.enrich" in added["inter-as"]
     assert "logging" in added["export-stray"]
-    assert probing <= added["measure"]
+    assert probing <= added["sim-run"]
 
 
 def test_no_module_imports_dataclasses():

@@ -1,7 +1,12 @@
+import http.server
+import io
 import ipaddress
 import json
 import math
 import random
+import threading
+import urllib.error
+import urllib.response
 
 import pytest
 
@@ -11,6 +16,24 @@ from contrace.enrich import (GEO_ACCEPT_KM, AsEntry, AsnTable, CsvGeoProvider, G
                              Unlocatable, haversine_km, plausibility_filter)
 
 from oracles import great_circle_reference
+
+
+class FakeUrlopen:
+    """Stands in for urllib.request.urlopen: every request gets status and
+    body (a JSON document, or bytes), as a response for a 200 and as an
+    HTTPError otherwise. requests holds each request's URL and headers."""
+
+    def __init__(self, status, doc=None, body=None):
+        self.status = status
+        self.body = json.dumps(doc).encode() if body is None else body
+        self.requests = []
+
+    def __call__(self, request, timeout=None):
+        self.requests.append((request.full_url, dict(request.header_items())))
+        if self.status != 200:
+            raise urllib.error.HTTPError(request.full_url, self.status, "error", {}, None)
+        return urllib.response.addinfourl(io.BytesIO(self.body), {}, request.full_url,
+                                          self.status)
 
 
 def entry(prefix, asn, name="X"):
@@ -131,76 +154,83 @@ class TestGeoResolver:
         assert str(info.value).startswith(f"{path}:3: ")
 
     def test_http_provider_parses_and_reports_unavailable(self):
-        class FakeResponse:
-            def __init__(self, code, doc=None):
-                self.status_code = code
-                self._doc = doc
-
-            def json(self):
-                return self._doc
-
-        class FakeSession:
-            def __init__(self, response):
-                self.response = response
-                self.requests = []
-
-            def get(self, url, headers=None, timeout=None):
-                self.requests.append((url, headers))
-                return self.response
-
-        ok = FakeSession(FakeResponse(200, {"lat": 1.0, "lon": 2.0,
-                                            "country": "SE", "error_km": 4.0}))
-        provider = HttpGeoProvider("http://geo.test/api", session=ok)
+        ok = FakeUrlopen(200, {"lat": 1.0, "lon": 2.0, "country": "SE", "error_km": 4.0})
+        provider = HttpGeoProvider("http://geo.test/api", urlopen=ok)
         got = provider.locate("10.0.0.1")
         assert got.country == "SE"
         assert ok.requests[0][0] == "http://geo.test/api/10.0.0.1"
 
-        down = FakeSession(FakeResponse(503))
+        down = FakeUrlopen(503)
         with pytest.raises(ProviderUnavailable):
-            HttpGeoProvider("http://geo.test/api", session=down).locate("10.0.0.1")
+            HttpGeoProvider("http://geo.test/api", urlopen=down).locate("10.0.0.1")
 
-        missing = FakeSession(FakeResponse(404))
+        missing = FakeUrlopen(404)
         assert HttpGeoProvider("http://geo.test/api",
-                               session=missing).locate("10.0.0.1") is None
+                               urlopen=missing).locate("10.0.0.1") is None
+
+    def test_http_provider_transport_error_is_unavailable(self):
+        def unreachable(request, timeout=None):
+            raise urllib.error.URLError("connection refused")
+
+        with pytest.raises(ProviderUnavailable):
+            HttpGeoProvider("http://geo.test/api", urlopen=unreachable).locate("10.0.0.1")
 
     @pytest.mark.parametrize("body", [
         '{}', '[]', '{"lat": 1.0}', '{"lat": "1.0", "lon": 2.0, "country": "SE"}',
         '{"lat": 1.0, "lon": 2.0, "country": 7}', '{"lat": 95.0, "lon": 2.0, "country": "SE"}',
         '{"lat": 1.0, "lon": 2.0, "country": "SE", "error_km": null}', '<html>'])
     def test_http_provider_bad_body_is_unavailable(self, body):
-        class FakeResponse:
-            status_code = 200
-
-            def json(self):
-                return json.loads(body)
-
-        class FakeSession:
-            def get(self, url, headers=None, timeout=None):
-                return FakeResponse()
-
-        provider = HttpGeoProvider("http://geo.test/api", session=FakeSession())
+        provider = HttpGeoProvider("http://geo.test/api",
+                                   urlopen=FakeUrlopen(200, body=body.encode()))
         with pytest.raises(ProviderUnavailable):
             provider.locate("10.0.0.1")
         fallback = _StubProvider("b", GeoLocation(1.0, 2.0, "NO", 1.0, "b"))
         assert GeoResolver([provider, fallback]).resolve("10.0.0.1").provider == "b"
 
     def test_http_provider_token_from_env(self, monkeypatch):
-        class FakeSession:
-            def __init__(self):
-                self.headers_seen = None
-
-            def get(self, url, headers=None, timeout=None):
-                self.headers_seen = headers
-
-                class R:
-                    status_code = 404
-                return R()
-
-        session = FakeSession()
+        urlopen = FakeUrlopen(404)
         monkeypatch.setenv("MY_GEO_TOKEN", "sekrit")
         HttpGeoProvider("http://x", token_env="MY_GEO_TOKEN",
-                        session=session).locate("10.0.0.1")
-        assert session.headers_seen == {"Authorization": "Bearer sekrit"}
+                        urlopen=urlopen).locate("10.0.0.1")
+        assert urlopen.requests[0][1] == {"Authorization": "Bearer sekrit"}
+
+    def test_http_provider_over_a_local_server(self, monkeypatch):
+        """The default urlopen against an HTTP server on the loopback: a
+        200, a 404 and a 503, each request carrying the token."""
+        answers = {"/api/10.0.0.1": (200, b'{"lat": 1.0, "lon": 2.0, "country": "SE"}'),
+                   "/api/10.0.0.2": (404, b"not found"), "/api/10.0.0.3": (503, b"busy")}
+        seen = []
+
+        class Handler(http.server.BaseHTTPRequestHandler):
+            def do_GET(self):
+                seen.append((self.path, self.headers["Authorization"]))
+                status, body = answers[self.path]
+                self.send_response(status)
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, *args):
+                pass
+
+        monkeypatch.setenv("CONTRACE_GEO_TOKEN", "sekrit")
+        for proxy in ("http_proxy", "HTTP_PROXY", "all_proxy", "ALL_PROXY"):
+            monkeypatch.delenv(proxy, raising=False)  # reach the loopback directly
+        with http.server.HTTPServer(("127.0.0.1", 0), Handler) as server:
+            thread = threading.Thread(target=server.serve_forever)
+            thread.start()
+            try:
+                provider = HttpGeoProvider(f"http://127.0.0.1:{server.server_port}/api/")
+                assert provider.locate("10.0.0.1") == GeoLocation(1.0, 2.0, "SE", 0.0,
+                                                                  "fallback_http")
+                assert provider.locate("10.0.0.2") is None
+                with pytest.raises(ProviderUnavailable):
+                    provider.locate("10.0.0.3")
+            finally:
+                server.shutdown()
+                thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert seen == [(f"/api/10.0.0.{i}", "Bearer sekrit") for i in (1, 2, 3)]
 
 
 class TestHaversine:

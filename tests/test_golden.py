@@ -8,13 +8,16 @@ route_events.yaml (latency, link and policy events while probes are in
 flight) and neighbor_v6.yaml (neighbor.yaml over IPv6, whose checksums
 cover the ICMPv6 pseudo-header); only their exports are digested. Each
 output's sha256 is pinned below; any changed byte fails the test named
-after that output.
+after that output. Each sim-run is made twice: with the endpoints and
+schedule of the topology's measurement section, and with `--config` naming
+a file written from that section; both exports have the one digest.
 """
 
 import hashlib
 from pathlib import Path
 
 import pytest
+import yaml
 
 from contrace import cli
 
@@ -91,20 +94,30 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+SIM_RUNS = ("neighbor", "inter_continental", "intra_continental", "route_events",
+            "neighbor_v6")
+VIA_CONFIG = "-via-config"  # suffix of the name of a sim-run export made with --config
+NAMES = sorted(GOLDEN) + [f"export-{topology}{VIA_CONFIG}" for topology in SIM_RUNS]
+
+
 def golden_outputs(root: Path) -> dict[str, str]:
-    """sha256 of every output named in GOLDEN, computed under root."""
+    """sha256 of every output named in NAMES, computed under root."""
     digests = {}
-    for topology in ("neighbor", "inter_continental", "intra_continental",
-                     "route_events", "neighbor_v6"):
-        store = root / topology
-        assert cli.main(["sim-run", "--topology", str(FIXTURES / f"{topology}.yaml"),
-                         "--duration", "1800", "--seed", "7",
-                         "--store", str(store)]) == cli.EXIT_OK
-        out = root / f"{topology}.ndjson"
-        assert cli.main(["export", "--store", str(store), "--out", str(out)]) \
-            == cli.EXIT_OK
-        digests[f"export-{topology}"] = _sha256(out)
-    exports = [str(root / f"{topology}.ndjson")
+    for topology in SIM_RUNS:
+        path = FIXTURES / f"{topology}.yaml"
+        config = root / f"{topology}-config.yaml"
+        config.write_text(yaml.safe_dump(yaml.safe_load(path.read_text())["measurement"]))
+        for name, extra in ((f"export-{topology}", []),
+                            (f"export-{topology}{VIA_CONFIG}", ["--config", str(config)])):
+            store = root / name
+            assert cli.main(["sim-run", "--topology", str(path), *extra,
+                             "--duration", "1800", "--seed", "7",
+                             "--store", str(store)]) == cli.EXIT_OK
+            out = root / f"{name}.ndjson"
+            assert cli.main(["export", "--store", str(store), "--out", str(out)]) \
+                == cli.EXIT_OK
+            digests[name] = _sha256(out)
+    exports = [str(root / f"export-{topology}.ndjson")
                for topology in ("neighbor", "inter_continental")]
     both = root / "both"
     assert cli.main(["import", "--store", str(both), *exports]) == cli.EXIT_OK
@@ -126,10 +139,10 @@ def outputs(tmp_path_factory):
     return golden_outputs(tmp_path_factory.mktemp("golden"))
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
+@pytest.mark.parametrize("name", NAMES)
 def test_output_matches_golden_digest(outputs, name):
-    assert outputs[name] == GOLDEN[name]
+    assert outputs[name] == GOLDEN[name.removesuffix(VIA_CONFIG)]
 
 
 def test_every_output_has_a_golden_digest(outputs):
-    assert sorted(outputs) == sorted(GOLDEN)
+    assert sorted(outputs) == sorted(NAMES)

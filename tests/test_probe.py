@@ -2,6 +2,7 @@ import heapq
 
 import pytest
 
+from contrace import icmp
 from contrace.icmp import Family
 from contrace.probe import (PING_TTL, ProbeSchedule, RelationKey, SourceWorker,
                             TransportFailure, run_relation_worker)
@@ -9,14 +10,14 @@ from contrace.records import PingRecord, TracerouteRun
 from contrace.sim import (SimNetwork, SimTransport, VirtualClock, drive_workers,
                           run_scenario, topology_from_dict)
 
-from conftest import (START_US, ecmp4_topology, linear_topology, ping_once,
-                      relation_for, traceroute_once)
+from conftest import (START_US, BlockingSimTransport, ecmp4_topology, linear_topology,
+                      ping_once, relation_for, traceroute_once)
 
 
 def _setup(topology, source="10.0.0.1"):
     net = SimNetwork(topology)
     clock = VirtualClock(topology.start_us)
-    return net, clock, SimTransport(net, clock, source)
+    return net, clock, BlockingSimTransport(net, clock, source)
 
 
 class TestRunPingOnce:
@@ -314,7 +315,7 @@ class TestBlockingDriver:
         topo = linear_topology(2)
         net = SimNetwork(topo)
         clock = VirtualClock(START_US)
-        transport = SimTransport(net, clock, "10.0.0.1")
+        transport = BlockingSimTransport(net, clock, "10.0.0.1")
         relation = relation_for(topo)
         schedule = ProbeSchedule(traceroute_interval_s=3600.0)
         sink = []
@@ -323,6 +324,27 @@ class TestBlockingDriver:
                               end_us=START_US + 3_000_000, seed=0)
         run_relation_worker(worker, clock)
         assert len([r for r in sink if isinstance(r, PingRecord)]) == 3
+
+    def test_sim_transport_blocking_receive(self):
+        topo = linear_topology(2, [1000, 2000, 2000])
+        net = SimNetwork(topo)
+        clock = VirtualClock(START_US)
+        transport = BlockingSimTransport(net, clock, "10.0.0.1")
+        data = icmp.make_request_bytes(Family.V4, 1, 1, START_US)
+        transport.send(data, 10, topo.routers["dst"].address)
+        got = transport.receive(START_US + 60_000_000)
+        assert got is not None
+        payload, responder, t_us = got
+        assert t_us == START_US + 2 * 5000
+        assert clock.now_us() == t_us
+
+    def test_receive_timeout_advances_clock(self):
+        topo = linear_topology(2)
+        net = SimNetwork(topo)
+        clock = VirtualClock(START_US)
+        transport = BlockingSimTransport(net, clock, "10.0.0.1")
+        assert transport.receive(START_US + 777) is None
+        assert clock.now_us() == START_US + 777
 
 
 class TestScheduleValidation:

@@ -1,5 +1,6 @@
 import io
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -469,27 +470,6 @@ class TestScenario:
         assert any(r.source == "10.9.4.1" for r in fast)
         assert any(isinstance(r, records.PingRecord) and r.rtt == 0 for r in fast)
 
-    def test_sim_transport_blocking_receive(self):
-        topo = linear_topology(2, [1000, 2000, 2000])
-        net = SimNetwork(topo)
-        clock = VirtualClock(START_US)
-        transport = SimTransport(net, clock, "10.0.0.1")
-        data = icmp.make_request_bytes(Family.V4, 1, 1, START_US)
-        transport.send(data, 10, topo.routers["dst"].address)
-        got = transport.receive(START_US + 60_000_000)
-        assert got is not None
-        payload, responder, t_us = got
-        assert t_us == START_US + 2 * 5000
-        assert clock.now_us() == t_us
-
-    def test_receive_timeout_advances_clock(self):
-        topo = linear_topology(2)
-        net = SimNetwork(topo)
-        clock = VirtualClock(START_US)
-        transport = SimTransport(net, clock, "10.0.0.1")
-        assert transport.receive(START_US + 777) is None
-        assert clock.now_us() == START_US + 777
-
 
 def test_load_topology_yaml(tmp_path):
     path = tmp_path / "t.yaml"
@@ -502,3 +482,25 @@ def test_load_topology_yaml(tmp_path):
         "  - {from: a, to: b, latency_us: 42}\n")
     topo = load_topology(path)
     assert topo.links[("a", "b")] == 42
+
+
+def test_one_builder_makes_workers_and_only_drive_workers_moves_the_clock():
+    """In the package, SourceWorker is built only by probe.campaign_workers
+    and VirtualClock.advance_to is called only by sim.drive_workers; a
+    SimTransport cannot wait, as it has no receive."""
+    import ast
+    package = Path(sim.__file__).resolve().parent
+    callers = {"SourceWorker": set(), "advance_to": set()}
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for function in ast.walk(tree):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            for node in ast.walk(function):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                    if name in callers:
+                        callers[name].add(f"{path.stem}.{function.name}")
+    assert callers == {"SourceWorker": {"probe.campaign_workers"},
+                       "advance_to": {"sim.drive_workers"}}
+    assert not hasattr(SimTransport, "receive")
