@@ -21,7 +21,8 @@ from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from typing import NamedTuple
 
-from .config import Family, ProbeSchedule, RelationKey, TransportFailure, family_of, load_yaml
+from .config import (Family, MalformedYaml, ProbeSchedule, RelationKey, TransportFailure,
+                     family_of, load_yaml)
 from .records import KIND_PING, KIND_TRACEROUTE, StoreError, StoreQuery, canonical_address
 from .store import RecordStore
 
@@ -57,6 +58,8 @@ class Config(NamedTuple):
 
 
 def _endpoints(raw, what: str) -> list[Endpoint]:
+    if raw is not None and not isinstance(raw, list):
+        raise ConfigError(f"{what}s must be a list, got {type(raw).__name__}")
     if not raw:
         raise ConfigError(f"config needs at least one {what}")
     endpoints = []
@@ -70,7 +73,11 @@ def _endpoints(raw, what: str) -> list[Endpoint]:
         except ValueError:
             raise ConfigError(f"{what} {label}: invalid address {address!r}") from None
         declared = entry.get("family")
-        if declared is not None and Family(declared) is not family:
+        try:
+            mismatch = declared is not None and Family(declared) is not family
+        except ValueError:
+            raise ConfigError(f"{what} {label}: unknown family {declared!r}") from None
+        if mismatch:
             raise ConfigError(
                 f"{what} {label}: family {declared} does not match {address}")
         endpoints.append(Endpoint(label, address, family))
@@ -78,6 +85,8 @@ def _endpoints(raw, what: str) -> list[Endpoint]:
 
 
 def build_config(doc: dict, base_dir: Path) -> Config:
+    """The Config of a parsed document; ConfigError for a section that is
+    missing, of the wrong type or holds a bad value."""
     sources = _endpoints(doc.get("sources"), "source")
     destinations = _endpoints(doc.get("destinations"), "destination")
     try:
@@ -86,9 +95,15 @@ def build_config(doc: dict, base_dir: Path) -> Config:
         raise ConfigError(f"bad schedule: {exc}") from None
     store_path = base_dir / str(doc.get("store", "store"))
     enrichment = doc.get("enrichment") or {}
+    if not isinstance(enrichment, dict):
+        raise ConfigError(f"enrichment must be a mapping, got {type(enrichment).__name__}")
 
     def path_or_none(key):
-        return base_dir / enrichment[key] if key in enrichment else None
+        if key not in enrichment:
+            return None
+        if not isinstance(enrichment[key], str):
+            raise ConfigError(f"enrichment {key} must be a path, got {enrichment[key]!r}")
+        return base_dir / enrichment[key]
 
     relations = []
     for source in sources:
@@ -119,7 +134,10 @@ def load_config(path: str | Path) -> Config:
         text = os.path.expandvars(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
-    doc = load_yaml(text)
+    try:
+        doc = load_yaml(text)
+    except MalformedYaml as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a mapping")
     return build_config(doc, path.parent)
@@ -214,8 +232,6 @@ def cmd_measure(args, transport_factory=None) -> int:
 
 def cmd_sim_run(args) -> int:
     """Simulate the campaign of --config, or else of the topology's measurement."""
-    import yaml
-
     from . import sim
     try:
         topology = sim.load_topology(args.topology)
@@ -230,7 +246,7 @@ def cmd_sim_run(args) -> int:
             if endpoint.address not in known:
                 raise ConfigError(f"address {endpoint.address} ({endpoint.label}) "
                                   f"is not in the topology")
-    except (OSError, sim.TopologyError, yaml.YAMLError, ConfigError) as exc:
+    except (OSError, sim.TopologyError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     store_path = args.store or config.store_path

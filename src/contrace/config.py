@@ -4,8 +4,9 @@ schedule, and the YAML that configuration and topology files are written in.
 These live apart from the probe engine, so that the commands that only read
 the store (import, export, analyze) do not import the probing code and its
 sockets. Family is here, not in icmp, for the same reason. TransportFailure
-is here because the command line maps it to an exit code. probe re-exports
-the three classes, and icmp re-exports Family and family_of.
+is here because the command line maps it to an exit code, and MalformedYaml
+because load_yaml reads both configuration and topology files. probe
+re-exports the three classes, and icmp re-exports Family and family_of.
 """
 
 from __future__ import annotations
@@ -99,9 +100,21 @@ class ProbeSchedule(_ScheduleFields):
         return int(round(self.reply_timeout_s * 1_000_000))
 
 
+class MalformedYaml(ValueError):
+    """A configuration or topology file that is not YAML; one line, with
+    where the parser stopped when it knows."""
+
+
 def load_yaml(stream):
     """The document of a YAML string or file, parsed safely: by libyaml
-    (CSafeLoader) when PyYAML was built with it, else by SafeLoader. Both
-    raise yaml.YAMLError for malformed input."""
+    (CSafeLoader) when PyYAML was built with it, else by SafeLoader. Either
+    one's yaml.YAMLError for malformed input is raised as MalformedYaml, so
+    callers need not import yaml to catch it."""
     import yaml
-    return yaml.load(stream, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    try:
+        return yaml.load(stream, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    except yaml.YAMLError as exc:
+        mark, problem = getattr(exc, "problem_mark", None), getattr(exc, "problem", None)
+        detail = (f"line {mark.line + 1}, column {mark.column + 1}: {problem}"
+                  if mark is not None and problem else " ".join(str(exc).split()))
+        raise MalformedYaml(f"malformed YAML: {detail}") from None

@@ -34,6 +34,10 @@ PREFIX_LEN = 4            # the bytes load balancers hash on
 
 ICMPV6_PROTOCOL = 58
 
+# Builds a named tuple from the tuple of all its fields without the
+# generated __new__'s argument handling: once per reply, that adds up.
+_new = tuple.__new__
+
 
 class Kind(Enum):
     ECHO_REQUEST = "echo_request"
@@ -249,4 +253,4 @@ def decode_message(data: bytes, family: Family, *, source: str | None = None,
         field1, field2 = _parse_quoted_request(payload, family) or (None, None)
     elif kind is OTHER:
         field1 = field2 = None
-    return DecodedMessage(kind, cksum, field1, field2, payload, checksum_ok)
+    return _new(DecodedMessage, (kind, cksum, field1, field2, payload, checksum_ok))

@@ -34,6 +34,10 @@ def _warn(message: str, *args) -> None:
 PING_TTL = 64
 SEQUENCE_SPACE = 0x10000
 
+# Builds a named tuple from the tuple of all its fields without the
+# generated __new__'s argument handling: once per probe, that adds up.
+_new = tuple.__new__
+
 
 class Transport(Protocol):
     def send(self, data: bytes, ttl: int, destination: str) -> int:
@@ -168,8 +172,10 @@ class SourceWorker:
             raise ValueError("one worker handles exactly one source address")
         self.source_address = relations[0].source_address
         self.relations = list(relations)
+        self._family = relations[0].ip_version
         self.schedule = schedule
         self._reply_timeout_us = schedule.reply_timeout_us
+        self._ping_interval_us = schedule.ping_interval_us
         self.sink = sink
         self.start_us = start_us
         self.end_us = end_us
@@ -214,19 +220,28 @@ class SourceWorker:
     # -- scheduling surface -------------------------------------------------
 
     def next_wakeup(self) -> int | None:
-        candidates = []
+        """The earliest of the back-off's end, or else of the next ping tick
+        and the next cycle before end_us, or the active run's deadline in
+        place of the cycle; and of the earliest ping deadline. None when
+        nothing is left. Plain comparisons, no list: the drivers ask after
+        every event."""
         if self._backoff_until is not None:
-            candidates.append(self._backoff_until)
+            wakeup = self._backoff_until
+        elif self._active is None:
+            wakeup = self._next_ping_us
+            if self._next_cycle_us < wakeup:
+                wakeup = self._next_cycle_us
+            if wakeup >= self.end_us:
+                wakeup = None
         else:
-            if self._next_ping_us < self.end_us:
-                candidates.append(self._next_ping_us)
-            if self._active is not None:
-                candidates.append(self._active.deadline)
-            elif self._next_cycle_us < self.end_us:
-                candidates.append(self._next_cycle_us)
+            wakeup = self._active.deadline
+            if self._next_ping_us < self.end_us and self._next_ping_us < wakeup:
+                wakeup = self._next_ping_us
         if self._deadlines:
-            candidates.append(self._deadlines[0][0])
-        return min(candidates) if candidates else None
+            deadline = self._deadlines[0][0]
+            if wakeup is None or deadline < wakeup:
+                wakeup = deadline
+        return wakeup
 
     def on_wakeup(self, now_us: int) -> None:
         self._expire_pings(now_us)
@@ -241,7 +256,7 @@ class SourceWorker:
             self._begin_cycle(now_us)
         while self._next_ping_us <= now_us and self._next_ping_us < self.end_us:
             tick = self._next_ping_us
-            self._next_ping_us += self.schedule.ping_interval_us
+            self._next_ping_us += self._ping_interval_us
             self._ping_burst(tick, now_us)
 
     def on_packet(self, data: bytes, source: str, t_us: int) -> None:
@@ -267,34 +282,27 @@ class SourceWorker:
                 self._enter_backoff(now_us, exc)
                 return
             deadline = sent + self._reply_timeout_us
-            self._pending[seq] = _PendingPing(relation.destination_address, sent)
+            self._pending[seq] = _new(_PendingPing, (relation.destination_address, sent))
             heapq.heappush(self._deadlines, (deadline, seq))
 
     def _match_ping(self, data: bytes, source: str, t_us: int) -> None:
-        family = self.relations[0].ip_version
         try:
-            decoded = icmp.decode_message(data, family, source=source,
-                                          destination=self.source_address)
+            kind, _, identifier, sequence, _, _ = icmp.decode_message(
+                data, self._family, source=source, destination=self.source_address)
         except icmp.Truncated:
             return
-        key = decoded.match_key
-        if key is None or key[0] != self.identifier:
-            return
-        pending = self._pending.pop(key[1], None)
+        if identifier != self.identifier or sequence is None:
+            return  # no match key, or another worker's
+        status = _status_of(kind)
+        if status is None:
+            return  # leaves the ping pending
+        pending = self._pending.pop(sequence, None)
         if pending is None:
             return  # duplicate or late reply: the first resolution stands
-        status = _status_of(decoded.kind)
-        if status == STATUS_ECHO_REPLY:
-            record = PingRecord(pending.sent_us, self.source_address,
-                                pending.destination, status,
-                                t_us - pending.sent_us)
-        elif status == STATUS_TIME_EXCEEDED:
-            record = PingRecord(pending.sent_us, self.source_address,
-                                pending.destination, status)
-        else:
-            self._pending[key[1]] = pending
-            return
-        self.sink.append(record)
+        destination, sent = pending
+        self.sink.append(_new(PingRecord, (
+            sent, self.source_address, destination, status,
+            t_us - sent if status == STATUS_ECHO_REPLY else None)))
 
     def _expire_pings(self, now_us: int) -> None:
         while self._deadlines and self._deadlines[0][0] <= now_us:
@@ -302,8 +310,9 @@ class SourceWorker:
             pending = self._pending.pop(seq, None)
             if pending is None:
                 continue  # already answered
-            self.sink.append(PingRecord(pending.sent_us, self.source_address,
-                                        pending.destination, STATUS_TIMEOUT))
+            destination, sent = pending
+            self.sink.append(_new(PingRecord, (sent, self.source_address, destination,
+                                               STATUS_TIMEOUT, None)))
 
     # -- traceroute cycles --------------------------------------------------
 
@@ -366,7 +375,7 @@ class SourceWorker:
         self._backoff_until = None
         self._backoff_us = _BACKOFF_INITIAL_US
         # Skip ticks missed while down; fabricating them would lie.
-        interval = self.schedule.ping_interval_us
+        interval = self._ping_interval_us
         if self._next_ping_us <= now_us:
             missed = (now_us - self._next_ping_us) // interval + 1
             self._next_ping_us += missed * interval

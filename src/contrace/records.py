@@ -191,8 +191,14 @@ def _header(timestamp, source, destination, problems: list[str]) -> tuple[int, s
     """The timestamp and the canonical source and destination of either kind."""
     if type(timestamp) is not int or timestamp < 1:
         _check_int(timestamp, "timestamp", problems, 1)
-    src_version, source = _check_address(source, "source", problems)
-    dst_version, destination = _check_address(destination, "destination", problems)
+    try:
+        src_version, source = _address_info(source)
+    except (TypeError, ValueError):
+        src_version, source = _check_address(source, "source", problems)
+    try:
+        dst_version, destination = _address_info(destination)
+    except (TypeError, ValueError):
+        dst_version, destination = _check_address(destination, "destination", problems)
     if src_version and dst_version and src_version != dst_version:
         problems.append("source and destination are of different IP families")
     return timestamp, source, destination

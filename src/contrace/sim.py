@@ -22,7 +22,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import icmp, probe
-from .config import ProbeSchedule, RelationKey, TransportFailure, load_yaml
+from .config import (MalformedYaml, ProbeSchedule, RelationKey, TransportFailure,
+                     load_yaml)
 from .icmp import Family
 
 MAX_PATH_HOPS = 512
@@ -30,6 +31,10 @@ MAX_PATH_HOPS = 512
 POLICY_RESPONSIVE = "responsive"
 POLICY_SILENT = "silent"
 POLICY_RATE_LIMIT = "rate_limit"
+
+# Builds a named tuple from the tuple of all its fields without the
+# generated __new__'s argument handling: once per probe, that adds up.
+_new = tuple.__new__
 
 
 class TopologyError(Exception):
@@ -132,16 +137,24 @@ def topology_from_dict(doc: dict) -> SimTopology:
             raise TopologyError(f"unknown event action {action!r}")
         events.append(SimEvent(at_us, action, params))
     events.sort(key=lambda e: e.at_us)
+    measurement = doc.get("measurement")
+    if measurement is not None and not isinstance(measurement, dict):
+        raise TopologyError("measurement must be a mapping")
     topo = SimTopology(routers=routers, links=links, ecmp=ecmp,
                        policies=policies, events=events, start_us=start_us,
-                       measurement=doc.get("measurement"))
+                       measurement=measurement)
     topo.validate()
     return topo
 
 
 def load_topology(path: str | Path) -> SimTopology:
+    """The validated topology of a YAML file; TopologyError if it is not
+    YAML or breaks the schema, OSError if it cannot be read."""
     with open(path, "r", encoding="utf-8") as fp:
-        doc = load_yaml(fp)
+        try:
+            doc = load_yaml(fp)
+        except MalformedYaml as exc:
+            raise TopologyError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise TopologyError(f"{path}: topology must be a mapping")
     return topology_from_dict(doc)
@@ -244,6 +257,7 @@ class SimNetwork:
     def __init__(self, topology: SimTopology):
         self.topology = topology
         self._by_address = {r.address: r.name for r in topology.routers.values()}
+        self._addresses = {r.name: r.address for r in topology.routers.values()}
         self._ecmp = {r: dict(g) for r, g in topology.ecmp.items()}
         # group[prefix % len(group)] == group[(prefix % period) % len(group)]
         # for every group, because every group size divides the period.
@@ -263,6 +277,7 @@ class SimNetwork:
                 policies[router] = policy
             self._epoch_times.append(event.at_us)
             self._epochs.append(_EpochState(links, policies))
+        self._last_event_us = self._epoch_times[-1]  # the last epoch begins there
         self._walks: dict[tuple[int, str, str, int], _Walk] = {}
         self._buckets: dict[str, _TokenBucket] = {}
 
@@ -273,9 +288,11 @@ class SimNetwork:
             raise TransportFailure(f"no simulated node has address {address}") from None
 
     def address_of(self, node: str) -> str:
-        return self.topology.routers[node].address
+        return self._addresses[node]
 
     def state_at(self, t_us: int) -> _EpochState:
+        if t_us >= self._last_event_us:  # no bisect once the events are over
+            return self._epochs[-1]
         idx = bisect_right(self._epoch_times, t_us) - 1
         return self._epochs[max(idx, 0)]
 
@@ -330,26 +347,28 @@ class SimNetwork:
         only a packet that it carries to its end before the next event;
         any other packet is walked afresh and that walk is not kept.
         """
-        if ingress not in self.topology.routers:
+        if ingress not in self._addresses:
             raise TransportFailure(f"unknown ingress node {ingress}")
         residue = int.from_bytes(data[:icmp.PREFIX_LEN], "big") % self._ecmp_period
         # The epoch is counted by bisect_right, which never decreases as
         # time grows: a walk that ends in its send time's epoch stayed there.
+        # A packet sent in the last epoch stays in it, and needs no bisect.
         times = self._epoch_times
-        epoch = bisect_right(times, t_us)
+        last = t_us >= self._last_event_us
+        epoch = len(times) if last else bisect_right(times, t_us)
         key = (epoch, ingress, dest_node, residue)
         walk = self._walks.get(key)
-        if walk is None or bisect_right(times, t_us + walk.latency) != epoch:
+        if walk is None or not last and bisect_right(times, t_us + walk.latency) != epoch:
             walk = self._walk(ingress, dest_node, residue, t_us)
-            if bisect_right(times, t_us + walk.latency) == epoch:
+            if last or bisect_right(times, t_us + walk.latency) == epoch:
                 self._walks[key] = walk
         path = walk.path
         if 0 < ttl < walk.expires_before:
             latency = walk.latencies[ttl]
-            return Outcome("time_exceeded", path[ttl], t_us + latency, latency, "",
-                           path[:ttl + 1])
-        return Outcome(walk.kind, walk.node, t_us + walk.latency, walk.latency,
-                       walk.reason, path)
+            return _new(Outcome, ("time_exceeded", path[ttl], t_us + latency, latency, "",
+                                  path[:ttl + 1]))
+        return _new(Outcome, (walk.kind, walk.node, t_us + walk.latency, walk.latency,
+                              walk.reason, path))
 
     def _policy_allows(self, node: str, t_us: int) -> bool:
         policy = self.state_at(t_us).policies.get(node)
@@ -372,17 +391,18 @@ class SimNetwork:
         Responses retrace the forward path, so the return leg adds the same
         accumulated latency; response transit is not subject to policies.
         """
-        if outcome.kind == "dropped":
+        kind, node, at_us, latency_us, _, _ = outcome
+        if kind == "dropped":
             return None
-        responder = self.address_of(outcome.node)
-        if not self._policy_allows(outcome.node, outcome.at_us):
+        responder = self._addresses[node]
+        if not self._policy_allows(node, at_us):
             return None
-        if outcome.kind == "delivered":
+        if kind == "delivered":
             data = icmp.reply_bytes_for_request(request, family)
         else:
             data = icmp.encode_time_exceeded(request, family, source=responder,
                                              destination=source_address)
-        return outcome.at_us + outcome.latency_us, data, responder
+        return at_us + latency_us, data, responder
 
 
 class SimTransport:
@@ -414,9 +434,9 @@ class SimTransport:
         return self._inbox[0][0] if self._inbox else None
 
     def pop_due(self, now_us: int) -> list[tuple[bytes, str, int]]:
-        out = []
-        while self._inbox and self._inbox[0][0] <= now_us:
-            arrival, _, data, responder = heapq.heappop(self._inbox)
+        inbox, out = self._inbox, []
+        while inbox and inbox[0][0] <= now_us:
+            arrival, _, data, responder = heapq.heappop(inbox)
             out.append((data, responder, arrival))
         return out
 
@@ -430,36 +450,57 @@ def drive_workers(workers: list[probe.SourceWorker], transports: list[SimTranspo
     worker in construction order; then the due wakeups run in that order.
     A reply that lands at the current instant waits for the next pass. Runs
     are reproducible, and the order matters: rate-limit token buckets are
-    shared by all workers.
+    shared by all workers. The loop ends when no worker has a wakeup left
+    (live counts those that do); arrivals still queued then are stray.
 
     nexts[i] is the earlier of worker i's next wakeup and its earliest
-    arrival. Both change only when that worker acts, so after a pass only
-    the due workers' entries are recomputed. The loop ends when no worker
-    has a wakeup left; arrivals still queued then are stray.
+    arrival (arrivals[i]). All three change only when that worker acts, so
+    after a pass only the due workers' entries are recomputed. A pass
+    costs the due workers' work plus a min and a count over nexts, done in
+    C; only a pass at which several workers are due runs a comprehension
+    over nexts. pop_due is called only for a worker whose earliest arrival
+    is due.
     """
+    inf = math.inf
     wakeups = [worker.next_wakeup() for worker in workers]
-
-    def next_time(i: int) -> float:
-        times = (wakeups[i], transports[i].peek_arrival())
-        return min((t for t in times if t is not None), default=math.inf)
-
-    nexts = [next_time(i) for i in range(len(workers))]
-    while any(wakeup is not None for wakeup in wakeups):
-        now = max(min(nexts), clock.now_us())
-        clock.advance_to(now)
-        due = [i for i, t in enumerate(nexts) if t <= now]
+    arrivals = [transport.peek_arrival() for transport in transports]
+    live = len(wakeups) - wakeups.count(None)
+    now = clock.now_us()
+    nexts = [now] * len(workers)  # the first pass, at the clock's time, sets them
+    while live:
+        first = min(nexts)
+        if first > now:
+            now = first
+            clock.advance_to(now)
+        if first == now and nexts.count(now) == 1:
+            due = (nexts.index(now),)
+        else:
+            due = [i for i, t in enumerate(nexts) if t <= now]
         for i in due:
-            packets = transports[i].pop_due(now)
-            for data, responder, t_us in packets:
-                workers[i].on_packet(data, responder, t_us)
-            if packets:
-                wakeups[i] = workers[i].next_wakeup()
+            arrival = arrivals[i]
+            if arrival is not None and arrival <= now:
+                worker = workers[i]
+                for data, responder, t_us in transports[i].pop_due(now):
+                    worker.on_packet(data, responder, t_us)
+                wakeup = worker.next_wakeup()
+                if (wakeup is None) is not (wakeups[i] is None):
+                    live += 1 if wakeup is not None else -1
+                wakeups[i] = wakeup
+        # a worker's wakeup and sends touch only its own entries, so each
+        # due worker's next time is final once its wakeup has run
         for i in due:
-            if wakeups[i] is not None and wakeups[i] <= now:
-                workers[i].on_wakeup(now)
-                wakeups[i] = workers[i].next_wakeup()
-        for i in due:
-            nexts[i] = next_time(i)
+            wakeup = wakeups[i]
+            if wakeup is not None and wakeup <= now:
+                worker = workers[i]
+                worker.on_wakeup(now)
+                wakeup = wakeups[i] = worker.next_wakeup()
+                if wakeup is None:
+                    live -= 1
+            arrival = arrivals[i] = transports[i].peek_arrival()
+            if arrival is None:
+                nexts[i] = inf if wakeup is None else wakeup
+            else:
+                nexts[i] = arrival if wakeup is None or arrival < wakeup else wakeup
 
 
 def run_scenario(topology: SimTopology, relations: list[RelationKey],

@@ -163,14 +163,6 @@ class _Active(NamedTuple):
     fd: int
     segment: columnar.Segment
 
-    def write(self, lines: str) -> None:
-        """os.write a run of whole lines to the file (RecordStore._write),
-        again for the rest after a short write."""
-        data = lines.encode()
-        written = os.write(self.fd, data)
-        while written < len(data):
-            written += os.write(self.fd, data[written:])
-
 
 class RecordStore:
     """Append-only store of segment files, one record kind each.
@@ -344,11 +336,14 @@ class RecordStore:
         seg = self._active.get(kind)
         return columnar.Segment(kind) if seg is None else seg.segment
 
-    def _write(self, segment: columnar.Segment, lines: str, rows: Sequence[tuple]) -> None:
+    def _write(self, segment: columnar.Segment, lines: str, rows: Sequence[tuple],
+               seg: _Active | None = None) -> None:
         """The one way records reach a file: write lines, the canonical
         lines of rows, to segment's file by one os.write, add rows to it,
-        and seal it if it is full; the lock is held. A segment not active
-        is begun, its file created, after _become_writer at the first.
+        and seal it if it is full; the lock is held. seg is segment's entry
+        in _active when the caller has looked it up, else it is looked up
+        here. A segment not active is begun, its file created, after
+        _become_writer at the first.
         If anything fails on the way, the segment ends as a crash ends it:
         it leaves _active, its file descriptor is closed even if that
         fails, and the error is raised. Its file stays NDJSON, read by the
@@ -356,7 +351,8 @@ class RecordStore:
         later write begins a new segment: nothing follows torn bytes."""
         kind = segment.kind
         try:
-            seg = self._active.get(kind)
+            if seg is None:
+                seg = self._active.get(kind)
             if seg is None:
                 if self._writer is None:
                     self._become_writer()
@@ -364,7 +360,10 @@ class RecordStore:
                 self._next_id += 1
                 fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
                 seg = self._active[kind] = _Active(path, fd, segment)
-            seg.write(lines)
+            data = lines.encode()
+            written = os.write(seg.fd, data)
+            while written < len(data):  # a short write: again for the rest
+                written += os.write(seg.fd, data[written:])
             segment.add_rows(rows)
         except BaseException:
             with suppress(KeyError, OSError):  # KeyError: it was not begun
@@ -379,14 +378,18 @@ class RecordStore:
         to_json_obj(record), by the same checks over its fields (validated).
         Its line is a run of one (_write): one os.write to the operating
         system, not fsynced, so it survives a crash of this process, not of
-        the machine. Sealed segments are fsynced."""
+        the machine. Sealed segments are fsynced. Called once per record
+        by a campaign, so the record's kind and its kind's active segment
+        are looked up once, here."""
         if not isinstance(record, (PingRecord, TracerouteRun)):
             raise InvalidRecord([f"unsupported record type {type(record).__name__}"])
-        record = validated(record)
+        record = validated(record)  # exactly a PingRecord or a TracerouteRun
+        kind = KIND_PING if type(record) is PingRecord else KIND_TRACEROUTE
         with self._lock:
-            segment = self._segment(_kind_of(record))
+            seg = self._active.get(kind)
+            segment = columnar.Segment(kind) if seg is None else seg.segment
             line, row = segment.encode(record)
-            self._write(segment, line, (row,))
+            self._write(segment, line, (row,), seg)
 
     def _import_lines(self, lines: list[str], first: int, rejects: list[tuple[int, str]],
                       documents: list | None = None) -> int:

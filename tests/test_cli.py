@@ -132,6 +132,44 @@ class TestSimRunConfig:
         assert not (tmp_path / "s").exists()
 
 
+_SOURCES = "sources: [{label: SUNET, address: 10.16.1.10}]\n"
+_DESTINATIONS = "destinations: [{label: Uninett, address: 10.22.2.10}]\n"
+
+
+@pytest.mark.parametrize("command", ["analyze", "measure", "sim-run"])
+@pytest.mark.parametrize("document", [
+    "sources: [\n", "sources: 5\n" + _DESTINATIONS,
+    _SOURCES + _DESTINATIONS + "enrichment: 5\n",
+    _SOURCES + _DESTINATIONS + "enrichment: {as_prefixes: 5}\n",
+    _SOURCES.replace("}", ", family: v5}") + _DESTINATIONS,
+], ids=["malformed-yaml", "sources-not-a-list", "enrichment-not-a-mapping",
+        "enrichment-path-not-a-string", "unknown-family"])
+def test_bad_config_is_one_error_line(tmp_path, capsys, command, document):
+    """A config that is not YAML, or whose section has the wrong type, is a
+    configuration error for every command that reads --config: exit 2 and
+    one error line, no traceback, and no store is made."""
+    config = tmp_path / "config.yaml"
+    config.write_text(document + f"store: {tmp_path / 's'}\n")
+    argv = [command, "--config", str(config)]
+    argv += {"analyze": ["--artifact", "hops"], "measure": ["--duration", "1"],
+             "sim-run": ["--topology", str(FIXTURES / "neighbor.yaml")]}[command]
+    assert cli.main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "s").exists()
+
+
+def test_malformed_topology_is_a_topology_error(tmp_path):
+    from contrace import sim
+    topology = tmp_path / "topology.yaml"
+    topology.write_text("routers: {a: [\n")
+    with pytest.raises(sim.TopologyError, match=r"^.*topology\.yaml: malformed YAML: line"):
+        sim.load_topology(topology)
+    topology.write_text("routers: {}\nmeasurement: 5\n")
+    with pytest.raises(sim.TopologyError, match="measurement must be a mapping"):
+        sim.load_topology(topology)
+
+
 @pytest.mark.parametrize("command", ["measure", "sim-run"])
 @pytest.mark.parametrize("value", ["inf", "nan", "-5", "1e308", "x"])
 def test_bad_duration_is_one_usage_error(tmp_path, capsys, command, value):

@@ -363,3 +363,51 @@ class TestScheduleValidation:
             RelationKey(Family.V4, "a", "b", "10.0.0.1", "2001:db8::1")
         with pytest.raises(ValueError):
             RelationKey(Family.V6, "a", "b", "10.0.0.1", "10.0.0.2")
+
+
+def test_per_probe_tuples_are_exactly_their_classes(quick_schedule):
+    """The per-probe path builds Outcome, DecodedMessage, _PendingPing and
+    PingRecord by tuple.__new__, skipping the generated __new__; each is
+    still exactly its class, with the fields, equality, hash and repr of the
+    twin that its class builds from the same values."""
+    from contrace.icmp import DecodedMessage
+    from contrace.probe import _PendingPing
+    from contrace.sim import Outcome
+
+    def assert_twin(value, cls):
+        assert type(value) is cls
+        twin = cls(*value)
+        assert twin._asdict() == value._asdict()
+        assert twin == value and hash(twin) == hash(value) and repr(twin) == repr(value)
+
+    topology = linear_topology(2, policies={"dst": "silent"})
+    network = SimNetwork(topology)
+    request = icmp.make_request_bytes(Family.V4, 7, 1, START_US)
+    outcomes = [network.forward(request, ttl, "src", "dst", START_US) for ttl in (1, 64)]
+    outcomes.append(network.forward(request, 64, "dst", "src", START_US))
+    assert [o.kind for o in outcomes] == ["time_exceeded", "delivered", "dropped"]
+    for outcome in outcomes:
+        assert_twin(outcome, Outcome)
+    replies = [icmp.reply_bytes_for_request(request, Family.V4),
+               icmp.encode_time_exceeded(request, Family.V4), bytes([3]) + bytes(7)]
+    messages = [icmp.decode_message(reply, Family.V4) for reply in replies]
+    assert [m.kind for m in messages] == [icmp.ECHO_REPLY, icmp.TIME_EXCEEDED, icmp.OTHER]
+    for message in messages:
+        assert_twin(message, DecodedMessage)
+
+    # r1 answers pings, the silent dst lets them time out
+    clock = VirtualClock(START_US)
+    transport = SimTransport(network, clock, "10.0.0.1")
+    produced = []
+    worker = SourceWorker([relation_for(topology, "src", "r1"), relation_for(topology)],
+                          quick_schedule, lambda: transport, produced,
+                          start_us=START_US, end_us=START_US + 5_000_000)
+    worker.on_wakeup(START_US)
+    assert len(worker._pending) == 2
+    for pending in worker._pending.values():
+        assert_twin(pending, _PendingPing)
+    drive_workers([worker], [transport], clock)
+    pings = [r for r in produced if type(r) is not TracerouteRun]
+    assert {p.status for p in pings} == {0, 255} and len(pings) == 10
+    for ping in pings:
+        assert_twin(ping, PingRecord)

@@ -471,6 +471,110 @@ class TestScenario:
         assert any(isinstance(r, records.PingRecord) and r.rtt == 0 for r in fast)
 
 
+class _FlakyTransport(SimTransport):
+    """A SimTransport whose sends numbered in fail (1, 2, ... per transport)
+    raise TransportFailure, as does its factory's rebuild at the calls
+    numbered in fail_rebuild; the factory hands back this transport, the
+    one the driver watches."""
+
+    def __init__(self, network, clock, address, fail, fail_rebuild):
+        super().__init__(network, clock, address)
+        self.fail, self.fail_rebuild = fail, fail_rebuild
+        self.sends = self.rebuilds = 0
+
+    def send(self, data, ttl, destination):
+        self.sends += 1
+        if self.sends in self.fail:
+            raise TransportFailure("injected send failure")
+        return super().send(data, ttl, destination)
+
+    def rebuild(self):
+        self.rebuilds += 1
+        if self.rebuilds in self.fail_rebuild:
+            raise TransportFailure("injected rebuild failure")
+        return self
+
+
+_POLICIES = st.sampled_from([sim.Policy(), sim.Policy(sim.POLICY_SILENT),
+                             sim.Policy(sim.POLICY_RATE_LIMIT, 0),
+                             sim.Policy(sim.POLICY_RATE_LIMIT, 1),
+                             sim.Policy(sim.POLICY_RATE_LIMIT, 3)])
+
+
+@st.composite
+def _campaigns(draw):
+    """A random small campaign: 1-8 sources behind one hub that fans out to
+    1-3 destinations, link latencies from 0 (replies at the sending
+    instant) to beyond the reply timeout (replies after a worker's last
+    wakeup), shared router policies and scripted changes to them, and per
+    source its own end time and injected send and rebuild failures."""
+    sources = draw(st.integers(1, 8))
+    destinations = draw(st.integers(1, 3))
+    latency = st.sampled_from([0, 0, 1, 250, 400_000, 1_200_000, 2_500_000])
+    routers = {"hub": sim.RouterSpec("hub", "10.9.0.1")}
+    routers.update({f"s{i}": sim.RouterSpec(f"s{i}", f"10.9.{i + 1}.1")
+                    for i in range(sources)})
+    routers.update({f"d{j}": sim.RouterSpec(f"d{j}", f"10.9.{100 + j}.1")
+                    for j in range(destinations)})
+    links = {(f"s{i}", "hub"): draw(latency) for i in range(sources)}
+    links.update({("hub", f"d{j}"): draw(latency) for j in range(destinations)})
+    policies = {name: draw(_POLICIES)
+                for name in ["hub", *(f"d{j}" for j in range(destinations))]}
+    change = st.one_of(
+        st.tuples(st.just("set_policy"), st.tuples(st.sampled_from(sorted(policies)),
+                                                   _POLICIES)),
+        st.tuples(st.just("set_latency"), st.tuples(st.just("hub"), st.just("d0"), latency)))
+    events = sorted((sim.SimEvent(START_US + draw(st.integers(0, 20_000_000)), action, params)
+                     for action, params in draw(st.lists(change, max_size=3))),
+                    key=lambda event: event.at_us)
+    # built as is: validate() would refuse the links of latency 0
+    ecmp = {"hub": {f"d{j}": (f"d{j}",) for j in range(destinations)}}
+    topology = sim.SimTopology(routers, links, ecmp, policies, events, START_US)
+    schedule = ProbeSchedule(
+        ping_interval_s=draw(st.sampled_from([0.5, 1.0, 2.0])),
+        traceroute_interval_s=draw(st.sampled_from([3.0, 7.0, 20.0])),
+        traceroute_rounds=draw(st.integers(1, 2)), max_ttl=draw(st.integers(1, 3)),
+        reply_timeout_s=draw(st.sampled_from([0.5, 2.0, 3.0])),
+        craft_constant_checksum=draw(st.booleans()),
+        jitter_fraction=draw(st.sampled_from([0.0, 0.05])))
+    workers = []
+    for i in range(sources):
+        targets = draw(st.lists(st.integers(0, destinations), min_size=1, max_size=3,
+                                unique=True))  # destinations, else s{i} itself
+        workers.append(dict(
+            relations=[relation_for(topology, f"s{i}", f"d{j}" if j < destinations
+                                    else f"s{i}", f"S{i}", f"D{j}") for j in targets],
+            end_us=START_US + draw(st.integers(0, 20)) * 1_000_000,
+            fail=set(draw(st.lists(st.integers(1, 40), max_size=3))),
+            fail_rebuild=set(draw(st.lists(st.integers(2, 4), max_size=2)))))
+    return topology, schedule, workers
+
+
+@settings(max_examples=60, deadline=None)
+@given(_campaigns())
+def test_drive_workers_matches_the_reference_on_random_campaigns(campaign):
+    """sim.drive_workers produces the records of the reference driver, which
+    polls every worker at every step, in the same order, and leaves the
+    clock at the same time."""
+    topology, schedule, specs = campaign
+
+    def run(driver):
+        network = SimNetwork(topology)
+        clock = VirtualClock(START_US)
+        produced, workers, transports = [], [], []
+        for i, spec in enumerate(specs):
+            transport = _FlakyTransport(network, clock, topology.routers[f"s{i}"].address,
+                                        spec["fail"], spec["fail_rebuild"])
+            workers.append(SourceWorker(spec["relations"], schedule, transport.rebuild,
+                                        produced, start_us=START_US,
+                                        end_us=spec["end_us"], seed=9))
+            transports.append(transport)
+        driver(workers, transports, clock)
+        return produced, clock.now_us()
+
+    assert run(sim.drive_workers) == run(drive_workers_reference)
+
+
 def test_load_topology_yaml(tmp_path):
     path = tmp_path / "t.yaml"
     path.write_text(
