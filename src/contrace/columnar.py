@@ -16,7 +16,7 @@ timestamps (bisect), so export and query handle a run of rows at a time,
 not a row. Only group (runs grouped by path) and pings (timestamp and rtt
 columns) select rows, by pair and time range; neither builds a record.
 
-A sealed segment <stem>.col, format version 2:
+A sealed segment <stem>.col, format version 3:
 
   magic   b"contrace columns\n"
   crc     uint32, little-endian: CRC32 of size and header
@@ -24,11 +24,17 @@ A sealed segment <stem>.col, format version 2:
   header  JSON: format version, kind, byte order of the columns, the column
           names, for traceroutes the path dictionary [[[hop, status,
           address], ...], ...], and the blocks [[source, destination,
-          records, min, max, sorted, [[typecode, bytes] per column], CRC32
-          of its columns], ...]
-  body    each block's columns in order, block after block: array.tobytes()
-          of typecode b, h, i or q, the narrowest that holds every value,
-          or a JSON array of integers when none does
+          records, min, max, sorted, [[typecode, stored bytes, items] per
+          column], CRC32 of its stored columns], ...]
+  body    each block's stored columns in order, block after block
+
+A column's values are array.tobytes() of typecode b, h, i or q, the
+narrowest that holds every value, or, when none does, the JSON array of its
+integers, whose items are its bytes. They are stored as
+zlib.compress(shuffle(values), 1): shuffle gives byte k of every item, for
+k in order (the shuffle filter of Blosc and HDF5), so the like bytes of
+neighbouring values meet and compress. A column of one value per row
+declares as many items as its block has records.
 
 Pings have the columns timestamp, tie, status and rtt (-1 where the status
 is not 255). Traceroute runs have timestamp, tie, round, path and rtt: the
@@ -40,13 +46,18 @@ tie rank is 0.
 A read checks the CRC and header of each file it lists. A block it selects
 by pair and time range costs one seek and one read, after which its CRC,
 pair, paths and every value are checked; in a sorted block a time range is
-found by bisection. A block read again, after release() dropped its columns,
-is checked by its CRC alone. A file whose blocks are all ruled out costs its
-header alone, and so does count().
+found by bisection. The CRC covers the stored bytes, so it is checked
+before any is inflated. A column is inflated to at most its declared items
+(max_length), and one whose stream does not end exactly there, or leaves
+bytes over, is a fault: a damaged spec cannot make a read allocate beyond
+what the header declares. A block read again, after release() dropped its
+columns, is checked by its CRC alone. A file whose blocks are all ruled out
+costs its header alone, and so does count().
 
-Version 1 files, one CRC over the whole file and a pair column instead of
-blocks, fail every read, and a writer's recovery, with the StoreError of
-needs_upgrade: `contrace upgrade` rewrites them as version 2 (see legacy).
+Files of format version 1 (one CRC over the whole file and a pair column
+instead of blocks) and version 2 (the same blocks, uncompressed) fail every
+read, and a writer's recovery, with the StoreError of needs_upgrade:
+`contrace upgrade` rewrites them as version 3 (see legacy).
 
 An NDJSON segment is read in the same form: its lines are added to a
 Segment held in memory, with no JSON decode where they have a known shape.
@@ -75,14 +86,15 @@ from .records import (KIND_PING, KIND_TRACEROUTE, STATUS_ECHO_REPLY, STATUS_TIME
 
 _MAGIC = b"contrace columns\n"
 _PREFIX = struct.Struct("<II")
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
 SUFFIX = ".col"
 TEMP_SUFFIX = ".col.tmp"
 _COLUMN_NAMES = {KIND_PING: ("timestamp", "tie", "status", "rtt"),
                  KIND_TRACEROUTE: ("timestamp", "tie", "round", "path", "rtt")}
 _TIE = 1  # index of the tie column among a block's columns
 _HEADER_KEYS = {"version", "kind", "byteorder", "columns", "blocks"}
-_V1_HEAD = b'{"version":1,'  # how every version 1 header begins
+# how every version 1 and version 2 header begins, by version
+_OLD_HEADS = {1: b'{"version":1,', 2: b'{"version":2,'}
 _TYPECODES = ("b", "h", "i", "q")
 _ITEMSIZES = {code: array(code).itemsize for code in _TYPECODES}
 _JSON_COLUMN = "json"
@@ -145,8 +157,29 @@ def shape(line: str) -> tuple[str, list[str]]:
     return '":%d'.join(parts[::2]), parts
 
 
+def _compressed(raw: bytes, size: int) -> bytes:
+    """zlib.compress(shuffle(raw), 1) for items of size bytes, where
+    shuffle(raw) is byte k of every item, for k in order: each k's bytes
+    are a slice taken at C speed and fed to one compressor, so the shuffled
+    column is never held whole."""
+    deflate = zlib.compressobj(1)
+    parts = [deflate.compress(raw[k::size]) for k in range(size)]
+    parts.append(deflate.flush())
+    return b"".join(parts)
+
+
+def _unshuffled(data: bytes, size: int) -> bytes | bytearray:
+    """The items whose bytes data holds shuffled (_compressed)."""
+    if size == 1:
+        return data
+    raw, n = bytearray(len(data)), len(data) // size
+    for k in range(size):
+        raw[k::size] = data[k * n:(k + 1) * n]
+    return raw
+
+
 def write(path: Path, segment: Segment) -> None:
-    """Write segment to path as a version 2 columnar file and fsync it.
+    """Write segment to path as a version 3 columnar file and fsync it.
     Every block's columns must be held, as they are in a segment filled by
     add_rows() or loaded and checked."""
     names = [name for i, name in enumerate(_COLUMN_NAMES[segment.kind])
@@ -158,12 +191,13 @@ def write(path: Path, segment: Segment) -> None:
             if i == _TIE and not segment.ties:
                 continue
             if type(values) is list:
-                code, values = _JSON_COLUMN, _ENCODE(values).encode()
+                code, raw, size = _JSON_COLUMN, _ENCODE(values).encode(), 1
             else:
-                code = values.typecode
-            specs.append([code, memoryview(values).nbytes])
-            crc = zlib.crc32(values, crc)
-            bodies.append(values)
+                code, raw, size = values.typecode, values.tobytes(), values.itemsize
+            stored = _compressed(raw, size)
+            specs.append([code, len(stored), len(raw) // size])
+            crc = zlib.crc32(stored, crc)
+            bodies.append(stored)
         entries.append([*block.pair, block.count, block.min, block.max, block.sorted,
                         specs, crc])
     header = {"version": _FORMAT_VERSION, "kind": segment.kind,
@@ -183,17 +217,34 @@ def write(path: Path, segment: Segment) -> None:
 
 def needs_upgrade(path: Path, problem: str) -> StoreError:
     """The error of a read or a writer that meets path, a file of a store
-    written before <kind>-<id> names and format version 2."""
+    written before <kind>-<id> names and format version 3."""
     return StoreError(f"{path}: {problem}; run contrace upgrade --store {path.parent}")
 
 
-def refuse_version_1(path: Path) -> None:
-    """Raise needs_upgrade if the columnar file at path begins as a version
-    1 file does; a writer checks every file so before it changes one."""
+def _old_version(head: bytes) -> int | None:
+    """1 or 2 where a header, or its start, begins as one of that format
+    version does, else None."""
+    for version, start in _OLD_HEADS.items():
+        if head.startswith(start):
+            return version
+    return None
+
+
+def old_version(path: Path) -> int | None:
+    """The format version, 1 or 2, that the columnar file at path begins
+    as, by a peek at its start; None for any other file."""
     with open(path, "rb") as fp:
-        start = fp.read(len(_MAGIC) + _PREFIX.size + len(_V1_HEAD))
-    if start.startswith(_MAGIC) and start.endswith(_V1_HEAD):
-        raise needs_upgrade(path, "columnar format version 1")
+        start = fp.read(len(_MAGIC) + _PREFIX.size + len(_OLD_HEADS[1]))
+    return _old_version(start[len(_MAGIC) + _PREFIX.size:]) if start.startswith(_MAGIC) else None
+
+
+def refuse_old_version(path: Path) -> None:
+    """Raise needs_upgrade if the columnar file at path is of format
+    version 1 or 2 (old_version); a writer checks every file so before it
+    changes one."""
+    version = old_version(path)
+    if version is not None:
+        raise needs_upgrade(path, f"columnar format version {version}")
 
 
 class _Corrupt(Exception):
@@ -320,9 +371,9 @@ class Block:
     with no rows), sorted, and columns, the list of its columns in the
     order of the kind's column names, or None while a file's block is not
     read. The tie column is None where the segment has none. A file's block
-    also records where its columns are: their [typecode, bytes] specs,
-    their offset and size in the file, and their CRC, and whether its pair
-    and values were checked once read (checked)."""
+    also records where its columns are: their (typecode, stored bytes,
+    items) specs, their offset and size in the file, and their CRC, and
+    whether its pair and values were checked once read (checked)."""
 
     __slots__ = ("pair", "count", "min", "max", "sorted", "columns", "specs", "offset",
                  "size", "crc", "checked")
@@ -362,6 +413,8 @@ class Segment:
     __slots__ = ("kind", "path", "count", "min", "max", "last", "ties", "blocks", "keys",
                  "widths", "_paths", "_blocks", "_path_ids", "_formats", "_shapes", "_tie",
                  "_tie_counts", "_swap")
+    version = _FORMAT_VERSION  # the format version load() reads
+    _SPEC_FIELDS = 3  # [typecode, stored bytes, items]
 
     def __init__(self, kind: str):
         self.kind, self.path = kind, None
@@ -520,9 +573,10 @@ class Segment:
                  "not a columnar segment")
         crc, size = _PREFIX.unpack_from(prefix, len(_MAGIC))
         head = fp.read(size)
-        if zlib.crc32(head, zlib.crc32(prefix[-4:])) != crc:
-            refuse_version_1(self.path)  # a version 1 CRC covers the columns as well
-            raise _Corrupt("header: CRC mismatch")
+        old = _old_version(head)
+        if old is not None and old != self.version:
+            raise needs_upgrade(self.path, f"columnar format version {old}")
+        _require(zlib.crc32(head, zlib.crc32(prefix[-4:])) == crc, "header: CRC mismatch")
         try:
             header = json.loads(head)
         except ValueError as exc:
@@ -530,8 +584,8 @@ class Segment:
         keys = _HEADER_KEYS | ({"paths"} if self.kind == KIND_TRACEROUTE else set())
         _require(type(header) is dict and header.keys() == keys, "header: wrong fields")
         version = header["version"]
-        _require(type(version) is int and version == _FORMAT_VERSION,
-                 f"format version {version!r} is not {_FORMAT_VERSION}")
+        _require(type(version) is int and version == self.version,
+                 f"format version {version!r} is not {self.version}")
         _require(header["kind"] == self.kind, f"a {header['kind']!r} segment")
         _require(header["byteorder"] in ("little", "big"), "header: unknown byte order")
         self._swap = header["byteorder"] != sys.byteorder
@@ -585,11 +639,11 @@ class Segment:
             raise _Corrupt(f"block {entry[:2]!r}: bad column list")
         size = 0
         for name, spec in zip(names, specs):
-            if not (type(spec) is list and len(spec) == 2 and type(spec[1]) is int
-                    and spec[1] >= 0 and (spec[0] == _JSON_COLUMN or spec[0] in _TYPECODES)):
+            if not (type(spec) is list and len(spec) == self._SPEC_FIELDS
+                    and all(type(field) is int and field >= 0 for field in spec[1:])
+                    and (spec[0] == _JSON_COLUMN or spec[0] in _TYPECODES)):
                 raise _Corrupt(f"block {entry[:2]!r}: bad column list")
-            if spec[0] != _JSON_COLUMN and spec[1] % _ITEMSIZES[spec[0]]:
-                raise _Corrupt(f"column {name}: partial item")
+            self._check_spec(name, spec, count)
             size += spec[1]
         pairs.add(pair)
         block = Block(pair)
@@ -597,6 +651,33 @@ class Segment:
         block.specs, block.size, block.crc = tuple(map(tuple, specs)), size, crc
         self.blocks.append(block)
         return block
+
+    def _check_spec(self, name: str, spec: list, count: int) -> None:
+        """Check a column's [typecode, stored bytes, items] against its
+        block's count: a column of one value per row, but a JSON one, has
+        as many items as the block has records."""
+        if (spec[2] != count and spec[0] != _JSON_COLUMN
+                and (self.kind == KIND_PING or name != "rtt")):
+            raise _Corrupt("columns: length differs from the count")
+
+    def _raw(self, name: str, spec: tuple, stored) -> bytes | bytearray:
+        """A column's bytes, from its stored bytes: inflated to at most the
+        items its spec declares, then unshuffled. A stream that does not
+        end there, leaves bytes over, or gives a partial item or another
+        count of them is a fault."""
+        code, _, items = spec
+        size = 1 if code == _JSON_COLUMN else _ITEMSIZES[code]
+        inflate = zlib.decompressobj()
+        try:  # max_length 0 would be no limit
+            data = inflate.decompress(stored, items * size or 1)
+        except zlib.error as exc:
+            raise _Corrupt(f"column {name}: {exc}") from None
+        _require(inflate.eof and not inflate.unconsumed_tail and not inflate.unused_data,
+                 f"column {name}: not one zlib stream of {items} items")
+        _require(len(data) % size == 0, f"column {name}: partial item")
+        _require(len(data) == items * size,
+                 f"column {name}: {len(data) // size} items, not {items}")
+        return _unshuffled(data, size)
 
     def _column(self, name: str, code: str, raw):
         """A column's values from its bytes."""
@@ -635,9 +716,10 @@ class Segment:
                     _require(zlib.crc32(data) == block.crc,
                              f"block {list(block.pair)!r}: CRC mismatch")
                     columns, at = [], 0
-                    for name, (code, size) in zip(names, block.specs):
-                        columns.append(self._column(name, code, data[at:at + size]))
-                        at += size
+                    for name, spec in zip(names, block.specs):
+                        stored = data[at:at + spec[1]]
+                        columns.append(self._column(name, spec[0], self._raw(name, spec, stored)))
+                        at += spec[1]
                     if not self.ties:
                         columns.insert(_TIE, None)
                     if not block.checked:

@@ -1,5 +1,5 @@
 """upgrade: convert a store written before <kind>-<id> names and columnar
-format version 2, once. Only `contrace upgrade` imports this module.
+format version 3, once. Only `contrace upgrade` imports this module.
 
 Before ids, a sealed segment was <kind>-<first>-<last>[-<n>], ending by
 the strict rule (its last line counts, JSON or not), and one left open
@@ -7,11 +7,14 @@ the strict rule (its last line counts, JSON or not), and one left open
 of the sealed file. Old sealed segments loaded first, by first timestamp,
 name and suffix, then those left open, then ids. A version 1 columnar file
 has one CRC over all that follows it and a pair column instead of blocks.
+A version 2 file has the blocks of version 3 (see columnar), but each
+column is stored as it is, array.tobytes() or JSON, and its spec is
+[typecode, bytes]; it is read by the checks of version 3.
 
 upgrade holds the writer lock and works in two phases; a rerun completes
 either if it is cut. 1. In place: unlink each second name; give each old
 sealed NDJSON segment, and each segment with a columnar twin, its columnar
-file; rewrite each version 1 file as version 2. A file that fails its
+file; rewrite each version 1 or 2 file as version 3. A file that fails its
 checks stops the upgrade before anything is renamed. 2. Only if an old
 name is left: rename every segment to an id above the largest present, in
 load order, the last one first, so the renamed ones are a suffix of it.
@@ -27,8 +30,8 @@ import zlib
 from operator import itemgetter
 from pathlib import Path
 
-from .columnar import (_MAGIC, _PREFIX, SUFFIX, TEMP_SUFFIX, Segment, _Corrupt, _require,
-                       refuse_version_1)
+from .columnar import (_ITEMSIZES, _JSON_COLUMN, _MAGIC, _PREFIX, SUFFIX, TEMP_SUFFIX, Segment,
+                       _Corrupt, _require, old_version)
 from .records import (KIND_PING, KIND_TRACEROUTE, Hop, PingRecord, StoreError, TracerouteRun,
                       validated)
 from .store import _NDJSON, _OLDER, _decode, _lines_within, _lock, _write_columns
@@ -61,22 +64,32 @@ def _scan(path: Path) -> dict[str, list[tuple[tuple, str, dict[str, Path]]]]:
     return {kind: sorted(stems.values(), key=itemgetter(0)) for kind, stems in found.items()}
 
 
-def is_version_1(path: Path) -> bool:
-    """Whether the columnar file at path begins as a version 1 file does."""
-    try:
-        refuse_version_1(path)
-    except StoreError:
-        return True
-    return False
+class _Version2(Segment):
+    """A version 2 file, read as Segment reads version 3: only a column's
+    spec and its stored bytes differ."""
+
+    __slots__ = ()
+    version = 2
+    _SPEC_FIELDS = 2  # [typecode, bytes]
+
+    def _check_spec(self, name: str, spec: list, count: int) -> None:
+        if spec[0] != _JSON_COLUMN and spec[1] % _ITEMSIZES[spec[0]]:
+            raise _Corrupt(f"column {name}: partial item")
+
+    def _raw(self, name: str, spec: tuple, stored):
+        return stored
 
 
 def _load(path: Path, kind: str) -> Segment:
-    """The columnar file at path, of either version, read and checked whole.
+    """The columnar file at path, of any version, read and checked whole.
     A version 1 file's rows are validated as records and added in row
     order, which gives each row its block and its tie rank."""
-    if not is_version_1(path):
-        segment = Segment.load(path, kind)
+    version = old_version(path)
+    if version != 1:
+        segment = (Segment if version is None else _Version2).load(path, kind)
         segment.check()
+        if None in segment.keys:
+            raise StoreError(f"{path}: path {segment.keys.index(None)}: no block uses it")
         return segment
     data, segment = memoryview(path.read_bytes()), Segment(kind)
     crc, size = _PREFIX.unpack_from(data, len(_MAGIC))
@@ -118,7 +131,7 @@ def _load(path: Path, kind: str) -> Segment:
 
 def upgrade(path: str | Path) -> str:
     """Convert the store at path as the module docstring says, and say what
-    changed. A store of ids and version 2 files alone is left as it is."""
+    changed. A store of ids and version 3 files alone is left as it is."""
     path = Path(path)
     if not path.is_dir():
         raise StoreError(f"{path}: no store there")
@@ -140,7 +153,7 @@ def upgrade(path: str | Path) -> str:
                     sealed += 1
         for kind, stems in _scan(path).items():
             for _, stem, paths in stems:
-                if SUFFIX in paths and is_version_1(paths[SUFFIX]):
+                if SUFFIX in paths and old_version(paths[SUFFIX]) is not None:
                     _write_columns(path, stem, _load(paths[SUFFIX], kind))
                     rewritten += 1
         order = [(kind, stem) for kind, stems in _scan(path).items() for stem in stems]
@@ -150,8 +163,9 @@ def upgrade(path: str | Path) -> str:
         for new_id, (kind, (_, _, paths)) in reversed(list(enumerate(order, top + 1))):
             for suffix, file in paths.items():
                 os.rename(file, path / f"{kind}-{new_id}{suffix}")
-    return (f"upgraded {path}: segments renamed {len(order)}, version 1 files rewritten "
-            f"{rewritten}, NDJSON segments sealed {sealed}, second names unlinked {unlinked}")
+    return (f"upgraded {path}: segments renamed {len(order)}, version 1 and 2 files "
+            f"rewritten {rewritten}, NDJSON segments sealed {sealed}, second names unlinked "
+            f"{unlinked}")
 
 
 def _give_columns(path: Path, stem: str, paths: dict[str, Path], kind: str,

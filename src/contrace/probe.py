@@ -92,14 +92,9 @@ class TracerouteProbeRun:
             self._send_time[ttl] = sent
             self._pending[(identifier, seq)] = ttl
 
-    def on_packet(self, data: bytes, source: str, t_us: int) -> bool:
-        """Attribute a reply to its probe; returns True when consumed."""
-        try:
-            decoded = icmp.decode_message(data, self.relation.ip_version,
-                                          source=source,
-                                          destination=self.relation.source_address)
-        except icmp.Truncated:
-            return False
+    def on_packet(self, decoded: icmp.DecodedMessage, source: str, t_us: int) -> bool:
+        """Attribute a reply, decoded for this run's source address, to its
+        probe; returns True when consumed."""
         key = decoded.match_key
         if key is None or key not in self._pending:
             return False
@@ -260,11 +255,18 @@ class SourceWorker:
             self._ping_burst(tick, now_us)
 
     def on_packet(self, data: bytes, source: str, t_us: int) -> None:
-        if self._active is not None and self._active.on_packet(data, source, t_us):
+        """Decode a reply once, then give it to the active traceroute run,
+        or else match it to a pending ping."""
+        try:
+            decoded = icmp.decode_message(data, self._family, source=source,
+                                          destination=self.source_address)
+        except icmp.Truncated:
+            return
+        if self._active is not None and self._active.on_packet(decoded, source, t_us):
             if self._active.completed(t_us):
                 self._finish_active(t_us)
             return
-        self._match_ping(data, source, t_us)
+        self._match_ping(decoded, t_us)
 
     # -- ping ---------------------------------------------------------------
 
@@ -285,12 +287,8 @@ class SourceWorker:
             self._pending[seq] = _new(_PendingPing, (relation.destination_address, sent))
             heapq.heappush(self._deadlines, (deadline, seq))
 
-    def _match_ping(self, data: bytes, source: str, t_us: int) -> None:
-        try:
-            kind, _, identifier, sequence, _, _ = icmp.decode_message(
-                data, self._family, source=source, destination=self.source_address)
-        except icmp.Truncated:
-            return
+    def _match_ping(self, decoded: icmp.DecodedMessage, t_us: int) -> None:
+        kind, _, identifier, sequence, _, _ = decoded
         if identifier != self.identifier or sequence is None:
             return  # no match key, or another worker's
         status = _status_of(kind)

@@ -13,7 +13,7 @@ under the lock: append's run is one line, import's the lines of a batch
 for one segment, in input order. So a read never sees a torn record, a
 killed import keeps a prefix of its input, and a failed write ends its
 segment as a crash does. Reads and writers know
-only <kind>-<id> names and columnar format version 2; a file of an older
+only <kind>-<id> names and columnar format version 3; a file of an older
 store fails them with a StoreError that says to run `contrace upgrade`
 (see legacy). RecordStore is also importable from contrace.records.
 """
@@ -194,7 +194,7 @@ class RecordStore:
     when the read started and never a torn record. A failed write ends its
     segment, which stays NDJSON until the next writer recovers it.
 
-    A store written before ids or columnar format version 2 fails every
+    A store written before ids or columnar format version 3 fails every
     read and writer, changing no file, with a StoreError that names an old
     file and says to run `contrace upgrade --store DIR` (legacy.upgrade).
     """
@@ -282,11 +282,12 @@ class RecordStore:
         """Bring the files to the state sealing leaves, and work out the
         next id: delete temp files of a cut seal and give every segment
         that still has NDJSON its columnar file. First a file of an older
-        store is refused: an old name by the scan, version 1 by a peek."""
+        store is refused: an old name by the scan, format version 1 or 2
+        by a peek."""
         found = [(kind, stem) for kind, stems in self._scan().items() for stem in stems]
         for _, stem in found:
             if columnar.SUFFIX in stem.paths:
-                columnar.refuse_version_1(stem.paths[columnar.SUFFIX])
+                columnar.refuse_old_version(stem.paths[columnar.SUFFIX])
         for temp in self.path.glob("*" + columnar.TEMP_SUFFIX):
             temp.unlink()
         self._next_id = 1 + max((stem.id for _, stem in found), default=0)

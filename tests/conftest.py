@@ -1,9 +1,15 @@
-"""Shared fixtures: small topologies, relation builders and probe drivers."""
+"""Shared fixtures: a time limit on every test, small topologies, relation
+builders and probe drivers."""
 
+import faulthandler
 import heapq
+import os
+import signal
+import sys
 
 import pytest
 
+from contrace import icmp
 from contrace.columnar import Segment
 from contrace.icmp import Family
 from contrace.probe import (ProbeSchedule, RelationKey, SourceWorker,
@@ -13,6 +19,45 @@ from contrace.records import (KIND_PING, KIND_TRACEROUTE, PathRuns, PingColumns,
 from contrace.sim import SimNetwork, SimTransport, VirtualClock, topology_from_dict
 
 START_US = 1_609_459_200_000_000  # 2021-01-01T00:00:00Z
+TIME_LIMIT_S = 60  # per test; the slowest takes under 10 s
+
+
+_stderr = None  # the run's stderr, as a descriptor that output capture leaves alone
+
+
+def pytest_configure(config):
+    global _stderr
+    _stderr = os.dup(sys.stderr.fileno())
+
+
+def pytest_unconfigure(config):
+    os.close(_stderr)
+
+
+class TimeLimitExceeded(BaseException):
+    """A test ran longer than TIME_LIMIT_S. Not an Exception, so Hypothesis
+    does not take it for a failing example and run the test again."""
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    """Fail a test that runs longer than TIME_LIMIT_S, so a loop that never
+    ends fails the suite instead of hanging it: a SIGALRM raises
+    TimeLimitExceeded in the test. A signal's handler runs only between
+    bytecodes, so should the test be stuck in C, faulthandler prints every
+    thread's stack and ends the run TIME_LIMIT_S later."""
+    def expired(signum, frame):
+        raise TimeLimitExceeded(f"the test ran longer than {TIME_LIMIT_S} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, TIME_LIMIT_S)
+    faulthandler.dump_traceback_later(2 * TIME_LIMIT_S, exit=True, file=_stderr)
+    try:
+        yield
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def path_runs(runs) -> PathRuns:
@@ -149,7 +194,10 @@ def traceroute_once(relation, schedule, transport, clock):
     while not run.completed(clock.now_us()):
         packet = transport.receive(run.deadline)
         if packet is not None:
-            run.on_packet(*packet)
+            data, source, t_us = packet
+            run.on_packet(icmp.decode_message(data, relation.ip_version, source=source,
+                                              destination=relation.source_address),
+                          source, t_us)
     return run.result()
 
 

@@ -3,9 +3,9 @@
 Everything here is deliberately naive: byte-at-a-time loops, full sorts,
 dict counting and one pass per step. None of it shares code with the
 package beyond the record classes, the simulator's Outcome and hop cap,
-and exceptions; rewrite_store_as_v1 and rename_store_to_old_names, which
-turn a store into one of an old format or with old names, read it through
-RecordStore.
+and exceptions; rewrite_store_as_v1, rewrite_store_as_v2 and
+rename_store_to_old_names, which turn a store into one of an old format or
+with old names, read it through RecordStore or columnar.Segment.
 """
 
 from __future__ import annotations
@@ -363,9 +363,9 @@ def matches(q, record) -> bool:
             and (q.destination is None or record.destination == q.destination))
 
 
-# -- version 1 columnar files --------------------------------------------------------
+# -- version 1 and 2 columnar files ---------------------------------------------------
 
-V1_MAGIC = b"contrace columns\n"
+MAGIC = b"contrace columns\n"  # how every columnar file begins
 
 
 def _v1_column(values):
@@ -411,7 +411,7 @@ def write_v1(path, kind, records) -> None:
     head = json.dumps(header, separators=(",", ":")).encode()
     rest = len(head).to_bytes(4, "little") + head + b"".join(body for _, body in encoded)
     with open(path, "wb") as fp:
-        fp.write(V1_MAGIC + zlib.crc32(rest).to_bytes(4, "little") + rest)
+        fp.write(MAGIC + zlib.crc32(rest).to_bytes(4, "little") + rest)
 
 
 def rewrite_store_as_v1(store) -> None:
@@ -425,6 +425,57 @@ def rewrite_store_as_v1(store) -> None:
             shutil.copy(path, alone)
             records = RecordStore(alone).query(StoreQuery(kind))
         write_v1(path, kind, records)
+
+
+V2_COLUMNS = {"ping": ("timestamp", "tie", "status", "rtt"),
+              "traceroute": ("timestamp", "tie", "round", "path", "rtt")}
+
+
+def write_v2(path, segment) -> None:
+    """Write a columnar.Segment whose blocks' columns are all held (filled
+    by add() or loaded and checked) as a version 2 columnar segment, the
+    format sealed segments had before their columns were compressed: each
+    column array.tobytes() or a JSON array, its spec [typecode, bytes], each
+    block's CRC32 over those bytes; the tie column (index 1) only where
+    some timestamp repeats."""
+    names = [name for i, name in enumerate(V2_COLUMNS[segment.kind])
+             if segment.ties or i != 1]
+    entries, bodies = [], []
+    for block in segment.blocks:
+        specs, crc = [], 0
+        for i, values in enumerate(block.columns):
+            if i == 1 and not segment.ties:
+                continue
+            if type(values) is list:
+                code, values = "json", json.dumps(values, separators=(",", ":")).encode()
+            else:
+                code = values.typecode
+            specs.append([code, memoryview(values).nbytes])
+            crc = zlib.crc32(values, crc)
+            bodies.append(values)
+        entries.append([*block.pair, block.count, block.min, block.max, block.sorted,
+                        specs, crc])
+    header = {"version": 2, "kind": segment.kind, "byteorder": sys.byteorder,
+              "columns": names, "blocks": entries}
+    if segment.kind == "traceroute":
+        header["paths"] = [list(zip(range(1, len(statuses) + 1), statuses, addresses))
+                           for statuses, addresses in segment.keys]
+    head = json.dumps(header, separators=(",", ":")).encode()
+    sized = len(head).to_bytes(4, "little") + head
+    with open(path, "wb") as fp:
+        fp.write(MAGIC + zlib.crc32(sized).to_bytes(4, "little") + sized)
+        for body in bodies:
+            fp.write(body)
+
+
+def rewrite_store_as_v2(store) -> None:
+    """Rewrite every columnar file of the store at path store as version 2,
+    with the blocks, rows and tie ranks it holds."""
+    from contrace.columnar import Segment
+    for path in sorted(Path(store).glob("*.col")):
+        segment = Segment.load(path, path.name.split("-")[0])
+        segment.check()
+        write_v2(path, segment)
 
 
 def rename_store_to_old_names(store) -> None:

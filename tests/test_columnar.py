@@ -2,8 +2,9 @@
 
 The format is read and rewritten here from its description in the columnar
 module (magic, CRC32 of the header length and header, header length, JSON
-header with one entry per pair's block, each block's columns with its own
-CRC32), independently of the code that writes it.
+header with one entry per pair's block, each block's columns byte-shuffled
+and zlib-compressed with its own CRC32 over the stored bytes),
+independently of the code that writes it.
 """
 
 import io
@@ -13,6 +14,7 @@ import random
 import re
 import sys
 import tempfile
+import tracemalloc
 import zlib
 from array import array
 from collections import Counter
@@ -45,38 +47,85 @@ def run(ts, variant=0, rnd=0, src="10.0.0.1", dst="10.1.0.1", rtt=9_000):
                          + (Hop(3, 255, dst, rtt + ts),))
 
 
+def _itemsize(code):
+    return 1 if code == "json" else array(code).itemsize
+
+
+def _shuffle(raw, size):
+    """Byte k of every item, for k in order."""
+    return bytes(raw[i + k] for k in range(size) for i in range(0, len(raw), size))
+
+
+def _unshuffle(data, size):
+    n = len(data) // size
+    return bytes(data[k * n + i] for i in range(n) for k in range(size))
+
+
+def stored_columns(path):
+    """(header, [[stored column bytes] per block]) of a version 3 file, as
+    its specs cut them; nothing is checked."""
+    data = path.read_bytes()
+    start = len(MAGIC) + 8
+    size = int.from_bytes(data[len(MAGIC) + 4:start], "little")
+    header = json.loads(data[start:start + size])
+    blocks, offset = [], start + size
+    for *_, specs, _ in header["blocks"]:
+        blocks.append([])
+        for _, nbytes, _ in specs:
+            blocks[-1].append(data[offset:offset + nbytes])
+            offset += nbytes
+    return header, blocks
+
+
 def read_columnar(path):
-    """(header, [[column bytes] per block]) of a version 2 columnar segment
-    file, its CRCs checked."""
+    """(header, [[column bytes] per block]) of a version 3 columnar segment
+    file, its CRCs checked and its columns inflated and unshuffled, each to
+    the items its spec declares."""
     data = path.read_bytes()
     assert data.startswith(MAGIC)
     start = len(MAGIC) + 8
     size = int.from_bytes(data[len(MAGIC) + 4:start], "little")
     assert zlib.crc32(data[len(MAGIC) + 4:start + size]) == \
         int.from_bytes(data[len(MAGIC):len(MAGIC) + 4], "little")
-    header = json.loads(data[start:start + size])
-    blocks, offset = [], start + size
-    for *_, specs, crc in header["blocks"]:
-        columns = []
-        for _, nbytes in specs:
-            columns.append(data[offset:offset + nbytes])
-            offset += nbytes
-        assert zlib.crc32(b"".join(columns)) == crc
-        blocks.append(columns)
-    assert offset == len(data)
+    header, stored = stored_columns(path)
+    assert start + size + sum(map(len, chain.from_iterable(stored))) == len(data)
+    blocks = []
+    for entry, columns in zip(header["blocks"], stored):
+        assert zlib.crc32(b"".join(columns)) == entry[7]
+        blocks.append([])
+        for (code, _, items), column in zip(entry[6], columns):
+            raw = zlib.decompress(column)
+            assert len(raw) == items * _itemsize(code)
+            blocks[-1].append(_unshuffle(raw, _itemsize(code)))
     return header, blocks
 
 
-def write_columnar(path, header, blocks):
-    """Write header and the blocks' columns as a version 2 file, the
-    blocks' column sizes and CRCs and the header's CRC made to fit."""
-    for entry, columns in zip(header["blocks"], blocks):
-        entry[6] = [[code, len(raw)] for (code, _), raw in zip(entry[6], columns)]
-        entry[7] = zlib.crc32(b"".join(columns))
+def write_stored(path, header, blocks):
+    """Write header, its specs as they are, and the stored columns of its
+    blocks, each block's CRC and the header's CRC made to fit."""
+    for entry, stored in zip(header["blocks"], blocks):
+        entry[7] = zlib.crc32(b"".join(stored))
     head = json.dumps(header, separators=(",", ":")).encode()
     sized = len(head).to_bytes(4, "little") + head
     path.write_bytes(MAGIC + zlib.crc32(sized).to_bytes(4, "little") + sized
-                     + b"".join(b"".join(columns) for columns in blocks))
+                     + b"".join(chain.from_iterable(blocks)))
+
+
+def write_columnar(path, header, blocks):
+    """Write header and the blocks' columns as a version 3 file, each
+    column shuffled and compressed, the blocks' column specs and CRCs and
+    the header's CRC made to fit. A column that ends in a partial item
+    declares one item more and is stored unshuffled."""
+    stored = []
+    for entry, columns in zip(header["blocks"], blocks):
+        specs = []
+        stored.append([])
+        for (code, *_), raw in zip(entry[6], columns):
+            size = _itemsize(code)
+            stored[-1].append(zlib.compress(raw if len(raw) % size else _shuffle(raw, size)))
+            specs.append([code, len(stored[-1][-1]), -(-len(raw) // size)])
+        entry[6] = specs
+    write_stored(path, header, stored)
 
 
 def dump(store):
@@ -110,7 +159,7 @@ class TestFormat:
         pings, runs = small_store(tmp_path)
         assert names(tmp_path, "*-*") == ["ping-1.col", "traceroute-2.col"]
         header, _ = read_columnar(tmp_path / "traceroute-2.col")
-        assert header["kind"] == "traceroute" and header["version"] == 2
+        assert header["kind"] == "traceroute" and header["version"] == 3
         assert header["columns"] == ["timestamp", "round", "path", "rtt"]  # no tie
         assert [entry[:6] for entry in header["blocks"]] == [
             ["10.0.0.1", "10.1.0.1", 3, 5, 7, True], ["10.0.0.1", "10.1.0.2", 1, 8, 8, True]]
@@ -172,7 +221,7 @@ class TestFormat:
             swapped = []
             for entry, columns in zip(header["blocks"], blocks):
                 swapped.append([])
-                for (code, _), raw in zip(entry[6], columns):
+                for (code, *_), raw in zip(entry[6], columns):
                     values = array(code)
                     values.frombytes(raw)
                     values.byteswap()
@@ -192,10 +241,10 @@ class TestFormat:
                 store.append(record)
         header, _ = read_columnar(tmp_path / "ping-1.col")
         [entry] = header["blocks"]
-        assert [code for code, _ in entry[6]] == ["json", "h", "json"]
+        assert [code for code, *_ in entry[6]] == ["json", "h", "json"]
         header, _ = read_columnar(tmp_path / "traceroute-2.col")
         [entry] = header["blocks"]
-        assert [code for code, _ in entry[6]] == ["json", "b", "b", "json"]
+        assert [code for code, *_ in entry[6]] == ["json", "b", "b", "json"]
         store = RecordStore(tmp_path)
         assert store.query(StoreQuery("ping")) == [stored[1], stored[0]]
         assert store.query(StoreQuery("traceroute")) == [stored[4], stored[2], stored[3]]
@@ -635,7 +684,9 @@ class TestValidation:
         ("ping", lambda h, b: h["blocks"][0].__setitem__(5, 1), "sorted is not a boolean"),
         ("ping", lambda h, b: h.__setitem__("kind", "traceroute"),
          "a 'traceroute' segment"),
-        ("ping", lambda h, b: h.__setitem__("version", 3), "format version 3 is not 2"),
+        ("ping", lambda h, b: h.__setitem__("version", 2),
+         "columnar format version 2; run contrace upgrade --store "),
+        ("ping", lambda h, b: h.__setitem__("version", 4), "format version 4 is not 3"),
         ("ping", lambda h, b: h["columns"].insert(1, "pair"), "bad column list"),
         ("traceroute", lambda h, b: h["paths"][0][2].__setitem__(2, "2001:DB8::1"),
          "path"),
@@ -659,6 +710,66 @@ class TestValidation:
                 read()
             assert str(exc.value).startswith(f"{segment}: ")
             assert problem in str(exc.value)
+
+    # A spec is [typecode, stored bytes, items]: block 0 of the pings holds 2
+    # rows and columns timestamp, status and rtt; block 0 of the runs holds
+    # 3 rows of 2, 3 and 2 responsive hops, so 7 rtts.
+    @pytest.mark.parametrize("kind, change, problem, header_only", [
+        ("ping", lambda specs: specs[0].__setitem__(2, 3),
+         "columns: length differs from the count", True),
+        ("ping", lambda specs: specs[2].__setitem__(2, 1),
+         "columns: length differs from the count", True),
+        ("traceroute", lambda specs: specs[3].__setitem__(2, 8), "column rtt: 7 items, not 8",
+         False),
+        ("traceroute", lambda specs: specs[3].__setitem__(2, 0),
+         "column rtt: not one zlib stream of 0 items", False),
+        ("ping", lambda specs: (specs[0].__setitem__(1, specs[0][1] - 2),
+                                specs[1].__setitem__(1, specs[1][1] + 2)),
+         "column timestamp: not one zlib stream of 2 items", False),
+        ("ping", lambda specs: (specs[0].__setitem__(1, specs[0][1] + 2),
+                                specs[1].__setitem__(1, specs[1][1] - 2)),
+         "column timestamp: not one zlib stream of 2 items", False),
+    ], ids=["row-items-above-count", "row-items-below-count", "rtt-items-above",
+            "rtt-items-zero", "stream-cut", "bytes-after-stream"])
+    def test_a_damaged_spec_fails_every_read_under_valid_crcs(
+            self, tmp_path, kind, change, problem, header_only):
+        """A spec whose items or stored bytes do not fit its column fails
+        every read of the block's rows with a StoreError that names the
+        file; a row column's items are checked in the header, so count()
+        fails too."""
+        small_store(tmp_path)
+        [segment] = tmp_path.glob(f"{kind}-*.col")
+        header, blocks = stored_columns(segment)
+        change(header["blocks"][0][6])
+        write_stored(segment, header, blocks)
+        for read in _reads(RecordStore(tmp_path), kind)[0 if header_only else 1:]:
+            with pytest.raises(StoreError) as exc:
+                read()
+            assert str(exc.value).startswith(f"{segment}: ")
+            assert problem in str(exc.value)
+
+    def test_a_column_that_inflates_beyond_its_spec_fails_within_the_declared_size(
+            self, tmp_path):
+        """A stored column that would inflate to 16 MiB, under a spec of 2
+        items, fails every read having allocated about its declared size:
+        the stream is inflated to at most its spec's items."""
+        small_store(tmp_path)
+        segment = tmp_path / "ping-1.col"
+        header, blocks = stored_columns(segment)
+        blocks[0][0] = zlib.compress(bytes(1 << 24), 1)
+        header["blocks"][0][6][0][1] = len(blocks[0][0])
+        write_stored(segment, header, blocks)
+        store = RecordStore(tmp_path)
+        for read in _reads(store, "ping")[1:]:
+            tracemalloc.start()
+            try:
+                with pytest.raises(StoreError, match=re.escape(
+                        f"{segment}: column timestamp: not one zlib stream of 2 items")):
+                    read()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
 
     def test_a_repeated_timestamp_gets_a_tie_column_whose_ranks_are_checked(self, tmp_path):
         stored = [ping(5, 10), ping(5, 11, dst="10.1.0.2"), ping(5, 12), ping(6)]
@@ -808,7 +919,7 @@ def _recoded(segment, codes, changes=None, swapped=False):
         entry[6][index][0] = code
     if swapped:
         for entry, columns in zip(header["blocks"], blocks):
-            for index, (code, _) in enumerate(entry[6]):
+            for index, (code, *_) in enumerate(entry[6]):
                 values = array(code)
                 values.frombytes(columns[index])
                 values.byteswap()
@@ -1140,7 +1251,7 @@ def test_export_and_query_match_records_sorted_by_time_kind_and_append_order(dra
         assert reads(RecordStore(directory)) == expected
 
 
-# -- version 1 files -------------------------------------------------------------
+# -- version 1 and 2 files -------------------------------------------------------
 
 @st.composite
 def _interleaved(draw):
@@ -1186,28 +1297,50 @@ def _reference_reads(kind, records_, queries):
 def test_an_interleaved_segment_round_trips_in_both_formats(drawn, seed):
     """One sealed segment of records that interleave pairs, repeat
     timestamps and go back in time reads as the oracles say, whether the
-    writer sealed it or upgrade rewrote its version 1 twin, and through
-    windows."""
+    writer sealed it or upgrade rewrote its version 1 or version 2 twin,
+    and through windows."""
     kind, records_ = drawn
     queries = _queries(kind, records_, random.Random(seed))
     expected = _reference_reads(kind, records_, queries)
     with tempfile.TemporaryDirectory() as directory:
-        written, old = Path(directory) / "written", Path(directory) / "old"
+        written = Path(directory) / "written"
         with RecordStore(written) as store:
             for record in records_:
                 store.append(record)
         [name] = names(written, "*.col")
-        old.mkdir()
-        oracles.write_v1(old / name, kind, records_)
-        legacy.upgrade(old)
         assert _store_reads(RecordStore(written), kind, queries) == expected
-        assert _store_reads(RecordStore(old), kind, queries) == expected
+        for version in (1, 2):
+            old = Path(directory) / f"v{version}"
+            old.mkdir()
+            _write_old(old / name, version, kind, records_)
+            legacy.upgrade(old)
+            assert _store_reads(RecordStore(old), kind, queries) == expected
+
+
+def _write_old(path, version, kind, records_):
+    """Write records_ as a columnar file of format version 1 or 2."""
+    if version == 1:
+        oracles.write_v1(path, kind, records_)
+        return
+    segment = columnar.Segment(kind)
+    for record in records_:
+        segment.add(record)
+    oracles.write_v2(path, segment)
 
 
 def test_a_version_1_store_reads_as_its_twin_once_upgraded(tmp_path):
     """Sealed segments written by the old writer fail every read until
-    upgrade rewrites them as version 2; then they read as the same segments
+    upgrade rewrites them as version 3; then they read as the same segments
     sealed today."""
+    _an_old_store_reads_as_its_twin_once_upgraded(tmp_path, 1)
+
+
+def test_a_version_2_store_reads_as_its_twin_once_upgraded(tmp_path):
+    """So do sealed segments of version 2, whose columns are not compressed."""
+    _an_old_store_reads_as_its_twin_once_upgraded(tmp_path, 2)
+
+
+def _an_old_store_reads_as_its_twin_once_upgraded(tmp_path, version):
     rng = random.Random(21)
     chunks = {kind: [TestSegmentForms().chunk(rng, first, kind) for first in (1, 20, 40)]
               for kind in ("ping", "traceroute")}
@@ -1219,17 +1352,18 @@ def test_a_version_1_store_reads_as_its_twin_once_upgraded(tmp_path):
             with RecordStore(twin, segment_records=len(chunk)) as store:
                 for record in chunk:
                     store.append(record)
-            oracles.write_v1(old / f"{kind}-{next(segment_ids)}.col", kind, chunk)
+            _write_old(old / f"{kind}-{next(segment_ids)}.col", version, kind, chunk)
     assert names(old, "*.col") == names(twin, "*.col")
-    assert all(legacy.is_version_1(path) for path in old.glob("*.col"))
+    assert all(columnar.old_version(path) == version for path in old.glob("*.col"))
     for read in _reads(RecordStore(old), "traceroute"):
-        with pytest.raises(StoreError, match=r"-[14]\.col: columnar format version 1; run "
-                                             r"contrace upgrade --store " + re.escape(str(old))):
+        with pytest.raises(StoreError, match=rf"-[14]\.col: columnar format version {version}; "
+                                             r"run contrace upgrade --store "
+                                             + re.escape(str(old))):
             read()
-    assert legacy.upgrade(old) == (f"upgraded {old}: segments renamed 0, version 1 files "
-                                   f"rewritten 6, NDJSON segments sealed 0, second names "
-                                   f"unlinked 0")
-    assert not any(legacy.is_version_1(path) for path in old.glob("*.col"))
+    assert legacy.upgrade(old) == (f"upgraded {old}: segments renamed 0, version 1 and 2 "
+                                   f"files rewritten 6, NDJSON segments sealed 0, second "
+                                   f"names unlinked 0")
+    assert not any(columnar.old_version(path) for path in old.glob("*.col"))
     for kind in chunks:
         stored = [r for chunk in chunks[kind] for r in chunk]
         queries = _queries(kind, stored, rng)

@@ -988,7 +988,7 @@ class TestSegments:
         with pytest.raises(StoreError, match="; run contrace upgrade --store "):
             RecordStore(tmp_path).count("ping")
         assert legacy.upgrade(tmp_path) == (
-            f"upgraded {tmp_path}: segments renamed 1, version 1 files rewritten 0, "
+            f"upgraded {tmp_path}: segments renamed 1, version 1 and 2 files rewritten 0, "
             f"NDJSON segments sealed 1, second names unlinked 1")
         reader = RecordStore(tmp_path)
         assert reader.count("ping") == 5

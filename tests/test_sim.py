@@ -3,7 +3,7 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contrace import icmp, records, sim
@@ -501,23 +501,62 @@ _POLICIES = st.sampled_from([sim.Policy(), sim.Policy(sim.POLICY_SILENT),
                              sim.Policy(sim.POLICY_RATE_LIMIT, 3)])
 
 
+def _hub_topology(source_links, destination_links, policies, events=()):
+    """Sources s0, s1, ... behind one hub that fans out to destinations d0,
+    d1, ..., at the given link latencies. Built as is: validate() would
+    refuse the links of latency 0."""
+    routers = {"hub": sim.RouterSpec("hub", "10.9.0.1")}
+    routers.update({f"s{i}": sim.RouterSpec(f"s{i}", f"10.9.{i + 1}.1")
+                    for i in range(len(source_links))})
+    routers.update({f"d{j}": sim.RouterSpec(f"d{j}", f"10.9.{100 + j}.1")
+                    for j in range(len(destination_links))})
+    links = {(f"s{i}", "hub"): latency for i, latency in enumerate(source_links)}
+    links.update({("hub", f"d{j}"): latency for j, latency in enumerate(destination_links)})
+    ecmp = {"hub": {f"d{j}": (f"d{j}",) for j in range(len(destination_links))}}
+    return sim.SimTopology(routers, links, ecmp, policies, list(events), START_US)
+
+
+def _aligned_campaign():
+    """One source that pings three destinations every I = 999,999 us, with
+    a reply timeout T = 2I. From the third tick on, each tick meets the
+    pings sent two ticks back: the reply of the destination at I arrives,
+    then the ping to the destination beyond T times out; 1 us later the
+    destination at (I + 1) / 2 answers the last tick's ping. So a driver
+    that hands a reply to its worker 1 us early records it before that
+    timeout."""
+    interval_us = 999_999
+    topology = _hub_topology([0], [(interval_us + 1) // 2, interval_us, 2_500_000],
+                             {name: sim.Policy() for name in ("hub", "d0", "d1", "d2")})
+    schedule = ProbeSchedule(ping_interval_s=interval_us / 1e6, traceroute_interval_s=20.0,
+                             traceroute_rounds=1, max_ttl=3,
+                             reply_timeout_s=2 * interval_us / 1e6, jitter_fraction=0.0)
+    relations = [relation_for(topology, "s0", f"d{j}", "S0", f"D{j}") for j in range(3)]
+    return topology, schedule, [dict(relations=relations, end_us=START_US + 10_000_000,
+                                     fail=set(), fail_rebuild=set())]
+
+
 @st.composite
 def _campaigns(draw):
     """A random small campaign: 1-8 sources behind one hub that fans out to
     1-3 destinations, link latencies from 0 (replies at the sending
     instant) to beyond the reply timeout (replies after a worker's last
     wakeup), shared router policies and scripted changes to them, and per
-    source its own end time and injected send and rebuild failures."""
+    source its own end time and injected send and rebuild failures.
+
+    Replies also land 1 us after a wakeup. An RTT is twice a one-way sum,
+    so that takes an odd ping interval I: from a source whose link to the
+    hub has latency 0, a destination at (I + 1) / 2 answers each ping 1 us
+    after the next tick, one at I answers exactly at the tick after next,
+    and one at T / 2 at the ping's deadline T, which is a tick if T = 2I."""
     sources = draw(st.integers(1, 8))
     destinations = draw(st.integers(1, 3))
+    interval_s = draw(st.sampled_from([0.5, 1.0, 2.0, 0.999_999]))
+    timeout_s = draw(st.sampled_from([0.5, 2.0, 3.0, 1.999_998]))
+    interval_us, timeout_us = round(interval_s * 1e6), round(timeout_s * 1e6)
     latency = st.sampled_from([0, 0, 1, 250, 400_000, 1_200_000, 2_500_000])
-    routers = {"hub": sim.RouterSpec("hub", "10.9.0.1")}
-    routers.update({f"s{i}": sim.RouterSpec(f"s{i}", f"10.9.{i + 1}.1")
-                    for i in range(sources)})
-    routers.update({f"d{j}": sim.RouterSpec(f"d{j}", f"10.9.{100 + j}.1")
-                    for j in range(destinations)})
-    links = {(f"s{i}", "hub"): draw(latency) for i in range(sources)}
-    links.update({("hub", f"d{j}"): draw(latency) for j in range(destinations)})
+    near = st.sampled_from([(interval_us + 1) // 2, interval_us, timeout_us // 2])
+    source_links = [draw(latency) for _ in range(sources)]
+    destination_links = [draw(st.one_of(latency, near)) for _ in range(destinations)]
     policies = {name: draw(_POLICIES)
                 for name in ["hub", *(f"d{j}" for j in range(destinations))]}
     change = st.one_of(
@@ -527,14 +566,12 @@ def _campaigns(draw):
     events = sorted((sim.SimEvent(START_US + draw(st.integers(0, 20_000_000)), action, params)
                      for action, params in draw(st.lists(change, max_size=3))),
                     key=lambda event: event.at_us)
-    # built as is: validate() would refuse the links of latency 0
-    ecmp = {"hub": {f"d{j}": (f"d{j}",) for j in range(destinations)}}
-    topology = sim.SimTopology(routers, links, ecmp, policies, events, START_US)
+    topology = _hub_topology(source_links, destination_links, policies, events)
     schedule = ProbeSchedule(
-        ping_interval_s=draw(st.sampled_from([0.5, 1.0, 2.0])),
+        ping_interval_s=interval_s,
         traceroute_interval_s=draw(st.sampled_from([3.0, 7.0, 20.0])),
         traceroute_rounds=draw(st.integers(1, 2)), max_ttl=draw(st.integers(1, 3)),
-        reply_timeout_s=draw(st.sampled_from([0.5, 2.0, 3.0])),
+        reply_timeout_s=timeout_s,
         craft_constant_checksum=draw(st.booleans()),
         jitter_fraction=draw(st.sampled_from([0.0, 0.05])))
     workers = []
@@ -552,10 +589,12 @@ def _campaigns(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(_campaigns())
+@example(_aligned_campaign())
 def test_drive_workers_matches_the_reference_on_random_campaigns(campaign):
     """sim.drive_workers produces the records of the reference driver, which
     polls every worker at every step, in the same order, and leaves the
-    clock at the same time."""
+    clock at the same time: on random campaigns, and on one whose ticks
+    each meet a reply, a deadline and, 1 us later, another reply."""
     topology, schedule, specs = campaign
 
     def run(driver):

@@ -1,5 +1,5 @@
 """`contrace upgrade`: a store written before <kind>-<id> names and columnar
-format version 2 fails every read and writer until it is upgraded, and an
+format version 3 fails every read and writer until it is upgraded, and an
 upgrade that is cut at any rename or replace completes when run again."""
 
 import os
@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import oracles
-from contrace import cli, legacy
+from contrace import cli, columnar, legacy
 from contrace.records import RecordStore, StoreError, StoreQuery
 from oracles import serialize_line
 from test_columnar import canonical, dump, ping, run
@@ -60,9 +60,17 @@ def _version_1(path):
     return path / "traceroute-2.col"
 
 
+def _version_2(path):
+    segment = columnar.Segment.load(path / "traceroute-2.col", "traceroute")
+    segment.check()
+    oracles.write_v2(path / "traceroute-2.col", segment)
+    return path / "traceroute-2.col"
+
+
 @pytest.mark.parametrize("make_old, upgraded", [
-    (_old_name_col, 4), (_old_name_ndjson, 6), (_open_ndjson, 5), (_version_1, 4)],
-    ids=["sealed-col", "sealed-ndjson", "open-ndjson", "version-1"])
+    (_old_name_col, 4), (_old_name_ndjson, 6), (_open_ndjson, 5), (_version_1, 4),
+    (_version_2, 4)],
+    ids=["sealed-col", "sealed-ndjson", "open-ndjson", "version-1", "version-2"])
 def test_every_read_and_a_writer_refuse_an_old_file_and_change_nothing(
         tmp_path, capsys, make_old, upgraded):
     """An old file is refused, never skipped as a stray file is: skipping
@@ -162,7 +170,7 @@ def test_an_upgrade_cut_at_any_rename_or_replace_completes_when_run_again(
     with monkeypatch.context() as patch:
         counted = _Cut(patch)
         assert legacy.upgrade(whole) == (
-            f"upgraded {whole}: segments renamed 9, version 1 files rewritten 2, "
+            f"upgraded {whole}: segments renamed 9, version 1 and 2 files rewritten 2, "
             f"NDJSON segments sealed 3, second names unlinked 1")
     assert counted.calls == 12  # 3 columnar files written, 9 segments renamed
     assert dump(RecordStore(whole)) == expected
@@ -187,6 +195,64 @@ def test_an_upgrade_cut_at_any_rename_or_replace_completes_when_run_again(
         assert _snapshot(store) == again, k
 
 
+def test_an_upgrade_of_version_2_files_cut_at_any_replace_completes_when_run_again(
+        tmp_path, monkeypatch):
+    """Each version 2 file is rewritten as version 3 by one os.replace. An
+    upgrade cut at any of them leaves a store that reads still refuse, and
+    that a rerun completes; the store then exports what it did before it
+    was rewritten as version 2, and a third run changes no byte."""
+    whole = tmp_path / "whole"
+    with RecordStore(whole, segment_records=3) as writer:
+        for record in (ping(5, 10), run(5), ping(5), run(6, variant=1), ping(6, 11),
+                       ping(4, 12, dst="10.1.0.2"), run(7, rnd=2), run(5, dst="10.1.0.2"),
+                       ping(8), ping(9, 2**40), run(9, rtt=2**40), run(2**70)):
+            writer.append(record)
+    expected = dump(RecordStore(whole))
+    oracles.rewrite_store_as_v2(whole)
+    old = _snapshot(whole)
+    assert sorted(name for name in old if name.endswith(".col")) == [
+        "ping-1.col", "ping-3.col", "traceroute-2.col", "traceroute-4.col"]
+    with monkeypatch.context() as patch:
+        counted = _Cut(patch)
+        assert legacy.upgrade(whole) == (
+            f"upgraded {whole}: segments renamed 0, version 1 and 2 files rewritten 4, "
+            f"NDJSON segments sealed 0, second names unlinked 0")
+    assert counted.calls == 4
+    assert dump(RecordStore(whole)) == expected
+    for k in range(1, counted.calls + 1):
+        store = tmp_path / f"cut-{k}"
+        store.mkdir()
+        for name, data in old.items():
+            (store / name).write_bytes(data)
+        with monkeypatch.context() as patch:
+            _Cut(patch, k)
+            with pytest.raises(Crash):
+                legacy.upgrade(store)
+        with pytest.raises(StoreError, match="columnar format version 2; run contrace upgrade"):
+            dump(RecordStore(store))
+        legacy.upgrade(store)
+        assert dump(RecordStore(store)) == expected, k
+        again = _snapshot(store)
+        legacy.upgrade(store)
+        assert _snapshot(store) == again, k
+
+
+def test_upgrade_stops_at_a_version_2_path_that_no_block_uses(tmp_path):
+    """A version 3 file holds only the paths its blocks use, so a version 2
+    file with another one fails the upgrade, which changes no file."""
+    with RecordStore(tmp_path) as writer:
+        writer.append(run(5))
+    segment = columnar.Segment.load(tmp_path / "traceroute-1.col", "traceroute")
+    segment.check()
+    segment.keys.append(((255,), ("10.9.9.9",)))
+    oracles.write_v2(tmp_path / "traceroute-1.col", segment)
+    before = _snapshot(tmp_path)
+    with pytest.raises(StoreError, match=re.escape(
+            f"{tmp_path / 'traceroute-1.col'}: path 1: no block uses it")):
+        legacy.upgrade(tmp_path)
+    assert _snapshot(tmp_path) == before
+
+
 def test_upgrade_of_a_missing_store_fails_and_makes_none(tmp_path, capsys):
     assert cli.main(["upgrade", "--store", str(tmp_path / "none")]) == 1
     assert capsys.readouterr().err == f"error: {tmp_path / 'none'}: no store there\n"
@@ -195,7 +261,7 @@ def test_upgrade_of_a_missing_store_fails_and_makes_none(tmp_path, capsys):
         writer.append(ping(5))
     fresh = _snapshot(tmp_path / "fresh")
     assert legacy.upgrade(tmp_path / "fresh") == (
-        f"upgraded {tmp_path / 'fresh'}: segments renamed 0, version 1 files rewritten 0, "
+        f"upgraded {tmp_path / 'fresh'}: segments renamed 0, version 1 and 2 files rewritten 0, "
         f"NDJSON segments sealed 0, second names unlinked 0")
     assert _snapshot(tmp_path / "fresh") == fresh
     assert dump(RecordStore(tmp_path / "fresh")) == serialize_line(ping(5))
