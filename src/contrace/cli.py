@@ -250,9 +250,9 @@ def cmd_sim_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     store_path = args.store or config.store_path
-    with RecordStore(store_path) as store:
+    with RecordStore(store_path) as store, store.runs() as sink:
         sim.run_scenario(topology, config.relations, config.schedule,
-                         args.duration, seed=args.seed, sink=store)
+                         args.duration, seed=args.seed, sink=sink)
     print(f"simulated {args.duration:.0f} s: {store.written[KIND_PING]} ping, "
           f"{store.written[KIND_TRACEROUTE]} traceroute records -> {store_path}")
     return EXIT_OK

@@ -157,13 +157,19 @@ def shape(line: str) -> tuple[str, list[str]]:
     return '":%d'.join(parts[::2]), parts
 
 
-def _compressed(raw: bytes, size: int) -> bytes:
-    """zlib.compress(shuffle(raw), 1) for items of size bytes, where
-    shuffle(raw) is byte k of every item, for k in order: each k's bytes
-    are a slice taken at C speed and fed to one compressor, so the shuffled
-    column is never held whole."""
+def _compressed(column: bytes | array) -> bytes:
+    """zlib.compress(shuffle(raw), 1) of the bytes raw of column, whose
+    items are column.itemsize bytes (bytes: 1), where shuffle(raw) is byte
+    k of every item, for k in order: each k's bytes are copied out of the
+    column at C speed (_bytes_of's slice) and fed to one compressor, so
+    neither the shuffled column nor a copy of raw is ever held whole."""
     deflate = zlib.compressobj(1)
-    parts = [deflate.compress(raw[k::size]) for k in range(size)]
+    size = column.itemsize if type(column) is array else 1
+    if size == 1:
+        parts = [deflate.compress(column)]
+    else:
+        view = memoryview(column).cast("B")
+        parts = [deflate.compress(view[k::size].tobytes()) for k in range(size)]
     parts.append(deflate.flush())
     return b"".join(parts)
 
@@ -191,11 +197,11 @@ def write(path: Path, segment: Segment) -> None:
             if i == _TIE and not segment.ties:
                 continue
             if type(values) is list:
-                code, raw, size = _JSON_COLUMN, _ENCODE(values).encode(), 1
+                code, values = _JSON_COLUMN, _ENCODE(values).encode()
             else:
-                code, raw, size = values.typecode, values.tobytes(), values.itemsize
-            stored = _compressed(raw, size)
-            specs.append([code, len(stored), len(raw) // size])
+                code = values.typecode
+            stored = _compressed(values)
+            specs.append([code, len(stored), len(values)])
             crc = zlib.crc32(stored, crc)
             bodies.append(stored)
         entries.append([*block.pair, block.count, block.min, block.max, block.sorted,

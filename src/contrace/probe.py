@@ -40,6 +40,11 @@ _new = tuple.__new__
 
 
 class Transport(Protocol):
+    """A transport may also have ping(data, destination, timeout_us) ->
+    (send time, queued), which sends a ping by send and may queue its
+    record for on_packet (sim.SimTransport.ping); a worker uses it when
+    there."""
+
     def send(self, data: bytes, ttl: int, destination: str) -> int:
         """Send one probe; returns the send timestamp in microseconds."""
 
@@ -254,9 +259,15 @@ class SourceWorker:
             self._next_ping_us += self._ping_interval_us
             self._ping_burst(tick, now_us)
 
-    def on_packet(self, data: bytes, source: str, t_us: int) -> None:
+    def on_packet(self, data: bytes | list, source: str | None, t_us: int) -> None:
         """Decode a reply once, then give it to the active traceroute run,
-        or else match it to a pending ping."""
+        or else match it to a pending ping. A source of None marks a ping's
+        record that the transport queued (Transport.ping) in a list: it
+        goes to the sink, taken out so that a copy of the entry gives none."""
+        if source is None:
+            if data:
+                self.sink.append(data.pop())
+            return
         try:
             decoded = icmp.decode_message(data, self._family, source=source,
                                           destination=self.source_address)
@@ -271,21 +282,27 @@ class SourceWorker:
     # -- ping ---------------------------------------------------------------
 
     def _ping_burst(self, tick_us: int, now_us: int) -> None:
+        transport, timeout = self.transport, self._reply_timeout_us
+        ping = getattr(transport, "ping", None)
         for idx, relation in enumerate(self.relations):
             seq = self._alloc(idx)
+            destination = relation.destination_address
             data = icmp.make_request_bytes(
                 relation.ip_version, self.identifier, seq, now_us,
-                source=relation.source_address,
-                destination=relation.destination_address)
+                source=relation.source_address, destination=destination)
             try:
-                sent = self.transport.send(data, PING_TTL,
-                                           relation.destination_address)
+                if ping is None:
+                    sent, queued = transport.send(data, PING_TTL, destination), False
+                else:
+                    sent, queued = ping(data, destination, timeout)
             except TransportFailure as exc:
                 self._enter_backoff(now_us, exc)
                 return
-            deadline = sent + self._reply_timeout_us
-            self._pending[seq] = _new(_PendingPing, (relation.destination_address, sent))
-            heapq.heappush(self._deadlines, (deadline, seq))
+            if not queued:
+                self._pending[seq] = _new(_PendingPing, (destination, sent))
+            # A queued ping's deadline only wakes the worker: it keeps the
+            # worker driven until the record, due by then, is handed over.
+            heapq.heappush(self._deadlines, (sent + timeout, seq))
 
     def _match_ping(self, decoded: icmp.DecodedMessage, t_us: int) -> None:
         kind, _, identifier, sequence, _, _ = decoded

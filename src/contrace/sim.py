@@ -5,9 +5,10 @@ the transport header, per-router ICMP response policies (responsive, silent,
 token-bucket rate limit) and scripted topology changes on a virtual
 microsecond clock, which drive_workers alone moves. Replies travel back
 over the reverse of the forward path with the same accumulated latency, so
-ping RTTs are exactly twice the one-way link latency sum. run_scenario
-streams every record into the caller's sink as it is produced and keeps
-no record or packet itself.
+ping RTTs are exactly twice the one-way link latency sum. A ping whose
+fate its send fixes takes its record from the table instead of reply
+bytes (SimTransport.ping). run_scenario streams every record into the
+caller's sink as it is produced and keeps no record or packet itself.
 
 Topology files are YAML; see fixtures/ for the documented schema.
 """
@@ -25,6 +26,7 @@ from . import icmp, probe
 from .config import (MalformedYaml, ProbeSchedule, RelationKey, TransportFailure,
                      load_yaml)
 from .icmp import Family
+from .records import STATUS_ECHO_REPLY, PingRecord
 
 MAX_PATH_HOPS = 512
 
@@ -207,11 +209,14 @@ class _Walk:
     path[i] is the router reached after i hops and latencies[i] the latency
     accumulated there; the walk ends delivered (path[-1] is the destination)
     or dropped for reason at path[-1]. A TTL t with 0 < t < expires_before
-    expires at path[t]; any other TTL sees the walk's own end.
+    expires at path[t]; any other TTL sees the walk's own end. echo_rtt is
+    the table's entry: set only on a kept walk that is delivered to a
+    destination whose policy in the walk's epoch is absent or responsive,
+    the RTT of the echo reply that any probe it carries to its end gets.
     """
 
     __slots__ = ("path", "latencies", "kind", "node", "reason", "latency",
-                 "expires_before")
+                 "expires_before", "echo_rtt")
 
     def __init__(self, path: tuple[str, ...], latencies: tuple[int, ...],
                  kind: str, reason: str = ""):
@@ -223,6 +228,7 @@ class _Walk:
         self.latency = latencies[-1]
         # the destination answers a probe that reaches it with TTL to spare
         self.expires_before = len(path) - 1 if kind == "delivered" else len(path)
+        self.echo_rtt: int | None = None
 
 
 class _TokenBucket:
@@ -251,7 +257,9 @@ class SimNetwork:
     Routing depends only on the epoch (the interval between two events),
     the ingress, the destination and the probe's prefix modulo the lcm of
     the ECMP group sizes, so each such walk is computed once and reused by
-    every probe that it carries from send to end within its epoch.
+    every probe that it carries from send to end within its epoch. Those
+    kept walks are the table: per epoch, ingress, destination and prefix,
+    the RTT of an echo reply fixed at send (echo_rtt).
     """
 
     def __init__(self, topology: SimTopology):
@@ -335,6 +343,42 @@ class SimNetwork:
             current = nxt
         return _Walk(tuple(path), tuple(latencies), "dropped", "routing loop")
 
+    def _walk_at(self, data: bytes, ingress: str, dest_node: str, t_us: int) -> _Walk:
+        """The walk of a packet sent at t_us: the kept one of its key if it
+        ends in its send time's epoch, else a fresh one, kept if it does.
+        A walk is kept with its echo_rtt."""
+        residue = int.from_bytes(data[:icmp.PREFIX_LEN], "big") % self._ecmp_period
+        # The epoch is counted by bisect_right, which never decreases as
+        # time grows: a walk that ends in its send time's epoch stayed there.
+        # A packet sent in the last epoch stays in it, and needs no bisect.
+        times = self._epoch_times
+        last = t_us >= self._last_event_us
+        epoch = len(times) if last else bisect_right(times, t_us)
+        key = (epoch, ingress, dest_node, residue)
+        walk = self._walks.get(key)
+        if walk is None or not last and bisect_right(times, t_us + walk.latency) != epoch:
+            walk = self._walk(ingress, dest_node, residue, t_us)
+            if last or bisect_right(times, t_us + walk.latency) == epoch:
+                self._walks[key] = walk
+                if walk.kind == "delivered":
+                    policy = self._epochs[max(epoch - 1, 0)].policies.get(walk.node)
+                    if policy is None or policy.kind == POLICY_RESPONSIVE:
+                        walk.echo_rtt = 2 * walk.latency
+        return walk
+
+    def echo_rtt(self, data: bytes, ttl: int, ingress: str, dest_node: str,
+                 t_us: int) -> int | None:
+        """The RTT of the echo reply to a probe sent at t_us, if its send
+        fixes it: the probe reaches a responsive destination, with TTL to
+        spare, before the next event. Else None, and forward and
+        response_for decide its fate. response_for would answer such a
+        probe and charge no token bucket, and a reply's way back meets no
+        event or policy, so only the way out must stay in one epoch."""
+        walk = self._walk_at(data, ingress, dest_node, t_us)
+        if 0 < ttl < walk.expires_before:
+            return None
+        return walk.echo_rtt
+
     def forward(self, data: bytes, ttl: int, ingress: str, dest_node: str,
                 t_us: int) -> Outcome:
         """The packet's walk, cut at the router where its TTL runs out.
@@ -349,19 +393,7 @@ class SimNetwork:
         """
         if ingress not in self._addresses:
             raise TransportFailure(f"unknown ingress node {ingress}")
-        residue = int.from_bytes(data[:icmp.PREFIX_LEN], "big") % self._ecmp_period
-        # The epoch is counted by bisect_right, which never decreases as
-        # time grows: a walk that ends in its send time's epoch stayed there.
-        # A packet sent in the last epoch stays in it, and needs no bisect.
-        times = self._epoch_times
-        last = t_us >= self._last_event_us
-        epoch = len(times) if last else bisect_right(times, t_us)
-        key = (epoch, ingress, dest_node, residue)
-        walk = self._walks.get(key)
-        if walk is None or not last and bisect_right(times, t_us + walk.latency) != epoch:
-            walk = self._walk(ingress, dest_node, residue, t_us)
-            if last or bisect_right(times, t_us + walk.latency) == epoch:
-                self._walks[key] = walk
+        walk = self._walk_at(data, ingress, dest_node, t_us)
         path = walk.path
         if 0 < ttl < walk.expires_before:
             latency = walk.latencies[ttl]
@@ -407,7 +439,13 @@ class SimNetwork:
 
 class SimTransport:
     """probe.Transport bound to one simulated source node; replies wait in
-    its inbox until drive_workers delivers them."""
+    its inbox until drive_workers delivers them.
+
+    An inbox entry is (arrival, counter, data, responder): reply bytes
+    from responder, or, for a ping that took its record from the table, a
+    list holding that record and None. A worker takes the record out of
+    the list (SourceWorker.on_packet), so a copied entry gives no second
+    record, as a duplicated reply finds its ping no longer pending."""
 
     def __init__(self, network: SimNetwork, clock: VirtualClock, source_address: str):
         self.network = network
@@ -415,12 +453,40 @@ class SimTransport:
         self.source_address = source_address
         self.source_node = network.node_by_address(source_address)
         self.family = icmp.family_of(source_address)
-        self._inbox: list[tuple[int, int, bytes, str]] = []
+        self._inbox: list[tuple[int, int, bytes | list, str | None]] = []
         self._counter = itertools.count()
+        self._ping_timeout_us: int | None = None  # while ping() sends
+        self._tabled = False  # whether send took the ping's record from the table
+
+    def ping(self, data: bytes, destination: str, timeout_us: int) -> tuple[int, bool]:
+        """Send a ping, an echo request of TTL probe.PING_TTL whose reply
+        counts until timeout_us after it is sent, by send, the one way a
+        probe leaves (so a subclass that overrides send sees it). If its
+        send fixes an echo reply (SimNetwork.echo_rtt) no later than that,
+        send queues its record (sent, source, destination, echo reply,
+        RTT) where the reply bytes would go, so it reaches the worker's
+        sink when they would have, and makes no reply bytes. Returns the
+        send time and whether the record was queued: the caller then keeps
+        no pending entry for the ping, only a wakeup at its deadline."""
+        self._ping_timeout_us, self._tabled = timeout_us, False
+        try:
+            sent = self.send(data, probe.PING_TTL, destination)
+        finally:
+            self._ping_timeout_us = None
+        return sent, self._tabled
 
     def send(self, data: bytes, ttl: int, destination: str) -> int:
         now = self.clock.now_us()
         dest_node = self.network.node_by_address(destination)
+        timeout = self._ping_timeout_us
+        if timeout is not None:
+            rtt = self.network.echo_rtt(data, ttl, self.source_node, dest_node, now)
+            if rtt is not None and rtt <= timeout:
+                record = _new(PingRecord, (now, self.source_address, destination,
+                                           STATUS_ECHO_REPLY, rtt))
+                heapq.heappush(self._inbox, (now + rtt, next(self._counter), [record], None))
+                self._tabled = True
+                return now
         outcome = self.network.forward(data, ttl, self.source_node, dest_node, now)
         response = self.network.response_for(outcome, data, self.family,
                                              self.source_address)
@@ -433,7 +499,7 @@ class SimTransport:
     def peek_arrival(self) -> int | None:
         return self._inbox[0][0] if self._inbox else None
 
-    def pop_due(self, now_us: int) -> list[tuple[bytes, str, int]]:
+    def pop_due(self, now_us: int) -> list[tuple[bytes | list, str | None, int]]:
         inbox, out = self._inbox, []
         while inbox and inbox[0][0] <= now_us:
             arrival, _, data, responder = heapq.heappop(inbox)

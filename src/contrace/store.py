@@ -9,10 +9,11 @@ an NDJSON segment's lines are added to one held in memory, by shape or
 decoded. Only query builds records: it parses the lines export writes of
 every segment of its kind and keeps those it matches. Every record reaches
 a file in a run of whole lines bound for one segment, by one os.write
-under the lock: append's run is one line, import's the lines of a batch
-for one segment, in input order. So a read never sees a torn record, a
-killed import keeps a prefix of its input, and a failed write ends its
-segment as a crash does. Reads and writers know
+under the lock: append's run is one line, extend's the records of one
+kind in a row, import's the lines of a batch for one segment, in input
+order. So a read never sees a torn record, a killed import keeps a
+prefix of its input, and a failed write ends its segment as a crash
+does. Reads and writers know
 only <kind>-<id> names and columnar format version 3; a file of an older
 store fails them with a StoreError that says to run `contrace upgrade`
 (see legacy). RecordStore is also importable from contrace.records.
@@ -164,6 +165,31 @@ class _Active(NamedTuple):
     segment: columnar.Segment
 
 
+RUN_RECORDS = 256  # records a Runs sink holds before it stores them
+
+
+class Runs:
+    """A record sink that holds up to size records and then stores them
+    by store.extend, which writes each kind's run by one os.write: what
+    sim-run gives its workers. A process killed with records held loses
+    them, as it loses those it had yet to make."""
+
+    def __init__(self, store: RecordStore, size: int):
+        self._store, self._size, self._held = store, size, []
+
+    def append(self, record: Record) -> None:
+        held = self._held
+        held.append(record)
+        if len(held) >= self._size:
+            self.flush()
+
+    def flush(self) -> None:
+        """Store the held records; they are let go first, so a failed
+        write cannot store them twice."""
+        held, self._held = self._held, []
+        self._store.extend(held)
+
+
 class RecordStore:
     """Append-only store of segment files, one record kind each.
 
@@ -189,7 +215,8 @@ class RecordStore:
     a crashed writer's store reads the same before and after recovery.
     Whole lines are passed to the operating system by one os.write under a
     lock, in runs bound for one segment (_write): one line by append, the
-    lines of an import's batch for one segment by import_json. A read takes
+    records of one kind in a row by extend (a Runs sink's), the lines of
+    an import's batch for one segment by import_json. A read takes
     each file's size under the lock, so it sees the active segment as it was
     when the read started and never a torn record. A failed write ends its
     segment, which stays NDJSON until the next writer recovers it.
@@ -375,22 +402,56 @@ class RecordStore:
             self._seal(kind)
 
     def append(self, record: Record) -> None:
-        """Validate and persist one record as from_json_obj decodes
-        to_json_obj(record), by the same checks over its fields (validated).
-        Its line is a run of one (_write): one os.write to the operating
-        system, not fsynced, so it survives a crash of this process, not of
-        the machine. Sealed segments are fsynced. Called once per record
-        by a campaign, so the record's kind and its kind's active segment
-        are looked up once, here."""
-        if not isinstance(record, (PingRecord, TracerouteRun)):
-            raise InvalidRecord([f"unsupported record type {type(record).__name__}"])
-        record = validated(record)  # exactly a PingRecord or a TracerouteRun
-        kind = KIND_PING if type(record) is PingRecord else KIND_TRACEROUTE
+        """Validate and persist one record: extend((record,)), a run of one
+        line, one os.write. measure appends each record as it is made."""
+        self.extend((record,))
+
+    def extend(self, records: Iterable[Record]) -> None:
+        """Validate and persist records in order, each as from_json_obj
+        decodes to_json_obj(record), by the same checks over its fields
+        (validated). Consecutive records of one kind go to its segment as
+        one run (_write), one os.write to the operating system, not
+        fsynced, so they survive a crash of this process, not of the
+        machine; sealed segments are fsynced. A run ends before a record of
+        the other kind and where its segment reaches segment_records, so
+        the files and seals are those of appending the records one at a
+        time. An invalid record raises InvalidRecord once the records
+        before it are written."""
+        target, lines, rows = None, [], []  # the run's segment, lines and their rows
         with self._lock:
-            seg = self._active.get(kind)
-            segment = columnar.Segment(kind) if seg is None else seg.segment
-            line, row = segment.encode(record)
-            self._write(segment, line, (row,), seg)
+            try:
+                for record in records:
+                    if not isinstance(record, (PingRecord, TracerouteRun)):
+                        raise InvalidRecord(
+                            [f"unsupported record type {type(record).__name__}"])
+                    record = validated(record)  # exactly a PingRecord or a TracerouteRun
+                    kind = KIND_PING if type(record) is PingRecord else KIND_TRACEROUTE
+                    if target is None or target.kind != kind:
+                        if target is not None:
+                            self._write(target, "".join(lines), rows)
+                        target, lines, rows = self._segment(kind), [], []
+                    line, row = target.encode(record)
+                    lines.append(line)
+                    rows.append(row)
+                    if target.count + len(rows) >= self.segment_records:
+                        self._write(target, "".join(lines), rows)  # and seals
+                        target, lines, rows = None, [], []
+            except InvalidRecord:
+                if target is not None:
+                    self._write(target, "".join(lines), rows)
+                raise
+            if target is not None:
+                self._write(target, "".join(lines), rows)
+
+    @contextmanager
+    def runs(self, size: int = RUN_RECORDS) -> Iterator[Runs]:
+        """A sink (Runs) that stores the records appended to it in runs of
+        size by extend, and the rest on exit."""
+        sink = Runs(self, size)
+        try:
+            yield sink
+        finally:
+            sink.flush()
 
     def _import_lines(self, lines: list[str], first: int, rejects: list[tuple[int, str]],
                       documents: list | None = None) -> int:

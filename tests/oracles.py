@@ -5,7 +5,8 @@ dict counting and one pass per step. None of it shares code with the
 package beyond the record classes, the simulator's Outcome and hop cap,
 and exceptions; rewrite_store_as_v1, rewrite_store_as_v2 and
 rename_store_to_old_names, which turn a store into one of an old format or
-with old names, read it through RecordStore or columnar.Segment.
+with old names, read it through RecordStore or columnar.Segment; and
+EngineTransport is the simulator's own transport with its table left out.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from array import array
 from fractions import Fraction
 from pathlib import Path
 
-from contrace.probe import TransportFailure
+from contrace.probe import PING_TTL, TransportFailure
 from contrace.records import (Hop, InvalidRecord, MalformedJson, PingRecord,
                               TracerouteRun)
-from contrace.sim import MAX_PATH_HOPS, Outcome
+from contrace.sim import MAX_PATH_HOPS, Outcome, SimTransport
 
 
 def checksum_reference(data: bytes) -> int:
@@ -584,3 +585,13 @@ def drive_workers_reference(workers, transports, clock) -> None:
             if wakeups[i] is not None and wakeups[i] <= now:
                 worker.on_wakeup(now)
                 wakeups[i] = worker.next_wakeup()
+
+
+class EngineTransport(SimTransport):
+    """A SimTransport whose pings never take a record from the table: each
+    is sent by send, as any probe, and gets its reply bytes, decode_message
+    and the worker's match, as every ping did before the table. Patched in
+    for sim.SimTransport, it runs a whole sim-run so."""
+
+    def ping(self, data: bytes, destination: str, timeout_us: int) -> tuple[int, bool]:
+        return self.send(data, PING_TTL, destination), False

@@ -171,6 +171,24 @@ class TestFormat:
         assert store.count() == 7
         assert dump(store) == canonical(pings + runs)
 
+    def test_sealing_holds_less_than_a_copy_of_a_column(self, tmp_path):
+        """write takes each byte plane of a column from the column itself,
+        so sealing 200,000 pings peaks below the 1.6 MB of their timestamp
+        column, not a second copy of it above that."""
+        segment = columnar.Segment("ping")
+        segment.add_rows([(("10.0.0.1", "10.1.0.1"), 1_600_000_000_000_000 + 1_000_000 * i,
+                           255, 10_000 + i % 997, ()) for i in range(200_000)])
+        timestamps = segment.blocks[0].columns[0]
+        assert timestamps.typecode == "q"
+        tracemalloc.start()
+        try:
+            columnar.write(tmp_path / "ping-1.col", segment)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(timestamps) * timestamps.itemsize
+        assert columnar.Segment.load(tmp_path / "ping-1.col", "ping").count == 200_000
+
     def test_query_prunes_and_filters_on_the_columns(self, tmp_path):
         pings, runs = small_store(tmp_path)
         store = RecordStore(tmp_path)

@@ -395,19 +395,23 @@ def test_per_probe_tuples_are_exactly_their_classes(quick_schedule):
     for message in messages:
         assert_twin(message, DecodedMessage)
 
-    # r1 answers pings, the silent dst lets them time out
+    # r2 answers pings from the table; r1, rate-limited, by reply bytes
+    # that the worker matches; the silent dst lets them time out
+    network = SimNetwork(linear_topology(2, policies={"dst": "silent",
+                                                      "r1": {"rate_limit": 1000}}))
     clock = VirtualClock(START_US)
     transport = SimTransport(network, clock, "10.0.0.1")
     produced = []
-    worker = SourceWorker([relation_for(topology, "src", "r1"), relation_for(topology)],
+    worker = SourceWorker([relation_for(topology, "src", "r1"), relation_for(topology),
+                           relation_for(topology, "src", "r2")],
                           quick_schedule, lambda: transport, produced,
                           start_us=START_US, end_us=START_US + 5_000_000)
     worker.on_wakeup(START_US)
-    assert len(worker._pending) == 2
+    assert len(worker._pending) == 2 and len(worker._deadlines) == 3
     for pending in worker._pending.values():
         assert_twin(pending, _PendingPing)
     drive_workers([worker], [transport], clock)
     pings = [r for r in produced if type(r) is not TracerouteRun]
-    assert {p.status for p in pings} == {0, 255} and len(pings) == 10
+    assert {p.status for p in pings} == {0, 255} and len(pings) == 15
     for ping in pings:
         assert_twin(ping, PingRecord)

@@ -701,6 +701,44 @@ class TestStore:
                 outcome = repr(store.query(StoreQuery(store_module._kind_of(record)))[0])
         assert outcome == expected
 
+    def test_extend_writes_the_files_of_appending_one_at_a_time(self, tmp_path):
+        """extend writes a run per kind in a row, cut where a segment fills,
+        so its files and seals are those of one append per record."""
+        stored = [ping(ts=5), ping(ts=1), run(ts=2), ping(ts=3), ping(ts=4), ping(ts=4),
+                  run(ts=6), run(ts=6), run(ts=7), ping(ts=8, status=0, rtt=None)]
+        with RecordStore(tmp_path / "extended", segment_records=3) as store:
+            store.extend(stored)
+            assert store.written == {"ping": 6, "traceroute": 4}
+        with RecordStore(tmp_path / "appended", segment_records=3) as store:
+            for record in stored:
+                store.append(record)
+
+        def files(path):
+            return {name.name: name.read_bytes() for name in path.glob("*-*")}
+
+        assert len(files(tmp_path / "extended")) == 4  # two of each kind
+        assert files(tmp_path / "extended") == files(tmp_path / "appended")
+
+    def test_extend_stores_the_records_before_an_invalid_one(self, tmp_path):
+        with RecordStore(tmp_path) as store:
+            with pytest.raises(InvalidRecord, match="unsupported record type str"):
+                store.extend([ping(ts=1), run(ts=2), ping(ts=3), "not a record", ping(ts=4)])
+        assert [r.timestamp for r in RecordStore(tmp_path).query(StoreQuery("ping"))] == [1, 3]
+        assert RecordStore(tmp_path).count("traceroute") == 1
+
+    def test_a_runs_sink_stores_what_it_holds_at_exit(self, tmp_path):
+        """A Runs sink stores its records by the run, and on leaving its
+        context, also one left by an exception, the records it holds."""
+        with RecordStore(tmp_path) as store:
+            with pytest.raises(RuntimeError):
+                with store.runs(2) as sink:
+                    for ts in (1, 2, 3):
+                        sink.append(ping(ts=ts))
+                    assert store.written["ping"] == 2
+                    raise RuntimeError("the simulation failed")
+            assert store.written["ping"] == 3
+        assert RecordStore(tmp_path).count("ping") == 3
+
     def test_bulk_append_one_million(self, tmp_path):
         with RecordStore(tmp_path, segment_records=500_000) as store:
             rec = ping()

@@ -1,19 +1,22 @@
 import io
 import random
+import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from contrace import icmp, records, sim
+from contrace import cli, icmp, probe, records, sim
 from contrace.icmp import Family
 from contrace.probe import ProbeSchedule, SourceWorker, TransportFailure
 from contrace.sim import (SimNetwork, SimTransport, TopologyError, VirtualClock,
                           load_topology, run_scenario, topology_from_dict)
+from contrace.store import RecordStore
 
 from conftest import START_US, ecmp4_topology, linear_topology, relation_for
-from oracles import drive_workers_reference, forward_reference, serialize_line
+from oracles import (EngineTransport, drive_workers_reference, forward_reference,
+                     serialize_line)
 
 
 def _probe_bytes(checksum_target=0x1234, seq=1):
@@ -535,6 +538,26 @@ def _aligned_campaign():
                                      fail=set(), fail_rebuild=set())]
 
 
+def _boundary_campaign():
+    """One source that pings, every second with a reply timeout T of 2 s,
+    destinations whose RTTs are 2 us under, at and 2 us over T (d0, d1,
+    d2) and one rate-limited to silence (d3); d1 turns silent 5.5 s in,
+    which the ping sent to it at 5 s meets on its way out."""
+    timeout_us = 2_000_000
+    responsive = sim.Policy()
+    policies = {"hub": responsive, "d0": responsive, "d1": responsive, "d2": responsive,
+                "d3": sim.Policy(sim.POLICY_RATE_LIMIT, 0)}
+    topology = _hub_topology(
+        [0], [timeout_us // 2 - 1, timeout_us // 2, timeout_us // 2 + 1, 250], policies,
+        [sim.SimEvent(START_US + 5_500_000, "set_policy", ("d1", sim.Policy(sim.POLICY_SILENT)))])
+    schedule = ProbeSchedule(ping_interval_s=1.0, traceroute_interval_s=20.0,
+                             traceroute_rounds=1, max_ttl=3, reply_timeout_s=timeout_us / 1e6,
+                             jitter_fraction=0.0)
+    relations = [relation_for(topology, "s0", f"d{j}", "S0", f"D{j}") for j in range(4)]
+    return topology, schedule, [dict(relations=relations, end_us=START_US + 10_000_000,
+                                     fail=set(), fail_rebuild=set())]
+
+
 @st.composite
 def _campaigns(draw):
     """A random small campaign: 1-8 sources behind one hub that fans out to
@@ -543,22 +566,38 @@ def _campaigns(draw):
     wakeup), shared router policies and scripted changes to them, and per
     source its own end time and injected send and rebuild failures.
 
-    Replies also land 1 us after a wakeup. An RTT is twice a one-way sum,
-    so that takes an odd ping interval I: from a source whose link to the
-    hub has latency 0, a destination at (I + 1) / 2 answers each ping 1 us
-    after the next tick, one at I answers exactly at the tick after next,
-    and one at T / 2 at the ping's deadline T, which is a tick if T = 2I."""
+    Replies also land 1 us after a wakeup and around a deadline. An RTT is
+    twice a one-way sum, so a destination's link is mostly drawn to make
+    the sum from a source that pings it, over that source's own link, one
+    of these: (I + 1) / 2 answers each ping 1 us after the next tick, which
+    takes an odd ping interval I, as most are; I answers exactly at the
+    tick after next; and T / 2 - 1, T / 2 and T / 2 + 1 answer 2 us
+    before, at and 2 us after the ping's deadline T, which is a tick if
+    T = 2I. Such replies count where a destination answers and a source
+    runs for a while, so most destinations are responsive and most
+    sources run the whole 20 s."""
     sources = draw(st.integers(1, 8))
     destinations = draw(st.integers(1, 3))
-    interval_s = draw(st.sampled_from([0.5, 1.0, 2.0, 0.999_999]))
-    timeout_s = draw(st.sampled_from([0.5, 2.0, 3.0, 1.999_998]))
+    interval_s = draw(st.sampled_from([0.999_999, 0.499_999, 1.999_999, 1.0]))
+    timeout_s = draw(st.sampled_from([2 * interval_s, 0.5, 2.0, 3.0]))
     interval_us, timeout_us = round(interval_s * 1e6), round(timeout_s * 1e6)
     latency = st.sampled_from([0, 0, 1, 250, 400_000, 1_200_000, 2_500_000])
-    near = st.sampled_from([(interval_us + 1) // 2, interval_us, timeout_us // 2])
     source_links = [draw(latency) for _ in range(sources)]
-    destination_links = [draw(st.one_of(latency, near)) for _ in range(destinations)]
-    policies = {name: draw(_POLICIES)
-                for name in ["hub", *(f"d{j}" for j in range(destinations))]}
+    targets = [draw(st.lists(st.integers(0, destinations), min_size=1, max_size=3,
+                             unique=True))  # destinations, else s{i} itself
+               for _ in range(sources)]
+    sums = ((interval_us + 1) // 2, timeout_us // 2 + 1, interval_us,
+            timeout_us // 2 - 1, (interval_us + 1) // 2, timeout_us // 2)
+    destination_links = []
+    for j in range(destinations):
+        pingers = [i for i in range(sources) if j in targets[i]] or range(sources)
+        base = source_links[draw(st.sampled_from(pingers))]
+        near = [one_way - base for one_way in sums if one_way >= base] or [0]
+        destination_links.append(draw(st.one_of(st.sampled_from(near), st.sampled_from(near),
+                                                latency)))
+    policies = {"hub": draw(_POLICIES)}
+    policies.update((f"d{j}", draw(st.one_of(st.just(sim.Policy()), _POLICIES)))
+                    for j in range(destinations))
     change = st.one_of(
         st.tuples(st.just("set_policy"), st.tuples(st.sampled_from(sorted(policies)),
                                                    _POLICIES)),
@@ -576,31 +615,41 @@ def _campaigns(draw):
         jitter_fraction=draw(st.sampled_from([0.0, 0.05])))
     workers = []
     for i in range(sources):
-        targets = draw(st.lists(st.integers(0, destinations), min_size=1, max_size=3,
-                                unique=True))  # destinations, else s{i} itself
         workers.append(dict(
             relations=[relation_for(topology, f"s{i}", f"d{j}" if j < destinations
-                                    else f"s{i}", f"S{i}", f"D{j}") for j in targets],
-            end_us=START_US + draw(st.integers(0, 20)) * 1_000_000,
+                                    else f"s{i}", f"S{i}", f"D{j}") for j in targets[i]],
+            end_us=START_US + draw(st.one_of(st.just(20), st.integers(0, 20))) * 1_000_000,
             fail=set(draw(st.lists(st.integers(1, 40), max_size=3))),
             fail_rebuild=set(draw(st.lists(st.integers(2, 4), max_size=2)))))
     return topology, schedule, workers
 
 
-@settings(max_examples=60, deadline=None)
+class _Timed(list):
+    """The records appended, each with the simulated time it came at."""
+
+    def __init__(self, clock):
+        super().__init__()
+        self.clock = clock
+
+    def append(self, record):
+        super().append((self.clock.now_us(), record))
+
+
+@settings(max_examples=100, deadline=None)
 @given(_campaigns())
 @example(_aligned_campaign())
 def test_drive_workers_matches_the_reference_on_random_campaigns(campaign):
     """sim.drive_workers produces the records of the reference driver, which
-    polls every worker at every step, in the same order, and leaves the
-    clock at the same time: on random campaigns, and on one whose ticks
-    each meet a reply, a deadline and, 1 us later, another reply."""
+    polls every worker at every step, in the same order and at the same
+    simulated times, and leaves the clock at the same time: on random
+    campaigns, and on one whose ticks each meet a reply, a deadline and,
+    1 us later, another reply."""
     topology, schedule, specs = campaign
 
     def run(driver):
         network = SimNetwork(topology)
         clock = VirtualClock(START_US)
-        produced, workers, transports = [], [], []
+        produced, workers, transports = _Timed(clock), [], []
         for i, spec in enumerate(specs):
             transport = _FlakyTransport(network, clock, topology.routers[f"s{i}"].address,
                                         spec["fail"], spec["fail_rebuild"])
@@ -612,6 +661,92 @@ def test_drive_workers_matches_the_reference_on_random_campaigns(campaign):
         return produced, clock.now_us()
 
     assert run(sim.drive_workers) == run(drive_workers_reference)
+
+
+class _FlakyEngine(_FlakyTransport, EngineTransport):
+    """A _FlakyTransport whose pings never take a record from the table."""
+
+
+class _Tee(list):
+    """The records appended, each also appended to sink."""
+
+    def __init__(self, sink):
+        super().__init__()
+        self.sink = sink
+
+    def append(self, record):
+        super().append(record)
+        self.sink.append(record)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_campaigns(), st.sampled_from([17, 64, 1000]), st.integers(1, 40))
+@example(_aligned_campaign(), 17, 7)
+@example(_boundary_campaign(), 17, 7)
+def test_pings_from_the_table_give_the_engines_records_and_store_files(
+        campaign, segment_records, run_records):
+    """A campaign whose pings take their records from the table where
+    they can gives the records, in the same order, that it gives with
+    every ping through the engine (EngineTransport). Stored by a Runs
+    sink of run_records records into segments of segment_records, they
+    make the files that appending the engine's records one at a time
+    makes."""
+    topology, schedule, specs = campaign
+
+    def run(transport_class, sink):
+        network = SimNetwork(topology)
+        clock = VirtualClock(START_US)
+        produced, workers, transports = _Tee(sink), [], []
+        for i, spec in enumerate(specs):
+            transport = transport_class(network, clock, topology.routers[f"s{i}"].address,
+                                        spec["fail"], spec["fail_rebuild"])
+            workers.append(SourceWorker(spec["relations"], schedule, transport.rebuild,
+                                        produced, start_us=START_US,
+                                        end_us=spec["end_us"], seed=9))
+            transports.append(transport)
+        sim.drive_workers(workers, transports, clock)
+        return produced
+
+    def files(path):  # the segment files; none, nor the store, if no record came
+        return {name.name: name.read_bytes() for name in path.glob("*-*")}
+
+    with tempfile.TemporaryDirectory() as tmp:
+        table, engine = Path(tmp) / "table", Path(tmp) / "engine"
+        with RecordStore(table, segment_records=segment_records) as store, \
+                store.runs(run_records) as sink:
+            produced = run(_FlakyTransport, sink)
+        with RecordStore(engine, segment_records=segment_records) as store:
+            assert produced == run(_FlakyEngine, store)
+        assert files(table) == files(engine)
+
+
+def test_a_sim_run_makes_reply_bytes_for_traceroute_probes_alone(tmp_path, monkeypatch):
+    """A 60 s sim-run of the benchmark's campaign topology, seed 7, makes
+    reply bytes at most once per traceroute probe it sends: its pings, all
+    answered, take their records from the table, not one reply each."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import netgen
+    from run import Campaign
+    netgen.write_inputs(netgen.build_network(7, **Campaign.SHAPE), tmp_path,
+                        schedule=Campaign.SCHEDULE)
+    assert Campaign.SCHEDULE["max_ttl"] < probe.PING_TTL  # a TTL tells pings apart
+    counts = {"replies": 0, "pings": 0, "traceroute probes": 0}
+    reply_bytes, send = icmp.reply_bytes_for_request, SimTransport.send
+
+    def counted_reply_bytes(request, family):
+        counts["replies"] += 1
+        return reply_bytes(request, family)
+
+    def counted_send(self, data, ttl, destination):
+        counts["pings" if ttl == probe.PING_TTL else "traceroute probes"] += 1
+        return send(self, data, ttl, destination)
+
+    monkeypatch.setattr(icmp, "reply_bytes_for_request", counted_reply_bytes)
+    monkeypatch.setattr(SimTransport, "send", counted_send)
+    assert cli.main(["sim-run", "--topology", str(tmp_path / "topology.yaml"),
+                     "--duration", "60", "--seed", "7", "--store", str(tmp_path / "store")]) == 0
+    assert counts["pings"] == 32 * 60
+    assert 0 < counts["replies"] <= counts["traceroute probes"]
 
 
 def test_load_topology_yaml(tmp_path):
