@@ -98,6 +98,8 @@ _OLD_HEADS = {1: b'{"version":1,', 2: b'{"version":2,'}
 _TYPECODES = ("b", "h", "i", "q")
 _ITEMSIZES = {code: array(code).itemsize for code in _TYPECODES}
 _JSON_COLUMN = "json"
+# items of a column inflated, or read for a check, at a time
+_CHUNK = 1 << 13
 _WIDER = {"b": "h", "h": "i", "i": "q"}
 SLAB_ROWS = 1024  # the most rows a slab of Segment.lines holds
 _NO_RTT = "%.0s"  # ends a ping's %-format that has no rtt: takes it and prints nothing
@@ -172,16 +174,6 @@ def _compressed(column: bytes | array) -> bytes:
         parts = [deflate.compress(view[k::size].tobytes()) for k in range(size)]
     parts.append(deflate.flush())
     return b"".join(parts)
-
-
-def _unshuffled(data: bytes, size: int) -> bytes | bytearray:
-    """The items whose bytes data holds shuffled (_compressed)."""
-    if size == 1:
-        return data
-    raw, n = bytearray(len(data)), len(data) // size
-    for k in range(size):
-        raw[k::size] = data[k * n:(k + 1) * n]
-    return raw
 
 
 def write(path: Path, segment: Segment) -> None:
@@ -327,12 +319,14 @@ def _checked_run_path(entry) -> tuple[tuple[int, ...], tuple[str | None, ...]]:
     return tuple(zip(*path))[1:]
 
 
-def _bytes_of(column: array, top: bool) -> bytes:
+def _bytes_of(column: array, top: bool) -> Iterator[bytes]:
     """The most (top) or else the least significant byte of each item of
-    column, in order."""
+    column, in order, _CHUNK items at a time."""
     size = column.itemsize
     at = size - 1 if (sys.byteorder == "little") == top else 0
-    return memoryview(column).cast("B")[at::size].tobytes()
+    with memoryview(column) as view, view.cast("B") as raw:
+        for start in range(at, len(raw), _CHUNK * size):
+            yield raw[start:start + _CHUNK * size:size].tobytes()
 
 
 def _nonnegative(column) -> bool:
@@ -340,7 +334,7 @@ def _nonnegative(column) -> bool:
     item's sign bit is set, read a byte per item at C speed."""
     if type(column) is list:
         return min(column, default=0) >= 0
-    return _bytes_of(column, top=True).isascii()
+    return all(part.isascii() for part in _bytes_of(column, top=True))
 
 
 def _put(columns: list, index: int, values) -> None:
@@ -666,27 +660,51 @@ class Segment:
                 and (self.kind == KIND_PING or name != "rtt")):
             raise _Corrupt("columns: length differs from the count")
 
-    def _raw(self, name: str, spec: tuple, stored) -> bytes | bytearray:
-        """A column's bytes, from its stored bytes: inflated to at most the
-        items its spec declares, then unshuffled. A stream that does not
-        end there, leaves bytes over, or gives a partial item or another
-        count of them is a fault."""
+    def _values(self, name: str, spec: tuple, stored):
+        """A column's values from its stored bytes. The stream holds byte
+        plane k, byte k of every item, for k in order (_compressed). Each
+        plane is inflated in pieces of _CHUNK items, to at most the items
+        the spec declares; then piece j of every plane is interleaved into
+        items that the values take, and the pieces are dropped as they go.
+        So the pieces and the values together hold the column's bytes
+        about once, never the whole inflated stream and an unshuffled copy
+        of it beside the values. A JSON column is one plane, the bytes of
+        its array. A stream that does not end there, leaves bytes over, or
+        gives a partial item or another count of them is a fault."""
         code, _, items = spec
         size = 1 if code == _JSON_COLUMN else _ITEMSIZES[code]
-        inflate = zlib.decompressobj()
-        try:  # max_length 0 would be no limit
-            data = inflate.decompress(stored, items * size or 1)
+        inflate, pieces, got = zlib.decompressobj(), [], 0
+        try:
+            if not items:  # max_length 0 would be no limit
+                got = len(inflate.decompress(stored, 1))
+            while got < items * size:
+                piece = inflate.decompress(stored, min(items - got % items, _CHUNK))
+                if not piece:
+                    break
+                stored = inflate.unconsumed_tail
+                pieces.append(piece)
+                got += len(piece)
         except zlib.error as exc:
             raise _Corrupt(f"column {name}: {exc}") from None
         _require(inflate.eof and not inflate.unconsumed_tail and not inflate.unused_data,
                  f"column {name}: not one zlib stream of {items} items")
-        _require(len(data) % size == 0, f"column {name}: partial item")
-        _require(len(data) == items * size,
-                 f"column {name}: {len(data) // size} items, not {items}")
-        return _unshuffled(data, size)
+        _require(got % size == 0, f"column {name}: partial item")
+        _require(got == items * size, f"column {name}: {got // size} items, not {items}")
+        if code == _JSON_COLUMN:
+            return self._column(name, code, b"".join(pieces))
+        values, per_plane = array(code), len(pieces) // size
+        for j in range(per_plane):
+            part = bytearray(len(pieces[j]) * size)
+            for k in range(size):  # piece j of plane k
+                part[k::size] = pieces[k * per_plane + j]
+                pieces[k * per_plane + j] = None
+            values.frombytes(part)
+        if self._swap:
+            values.byteswap()
+        return values
 
     def _column(self, name: str, code: str, raw):
-        """A column's values from its bytes."""
+        """A column's values from its bytes, unshuffled and not compressed."""
         if code == _JSON_COLUMN:
             try:
                 values = json.loads(bytes(raw))
@@ -724,7 +742,7 @@ class Segment:
                     columns, at = [], 0
                     for name, spec in zip(names, block.specs):
                         stored = data[at:at + spec[1]]
-                        columns.append(self._column(name, spec[0], self._raw(name, spec, stored)))
+                        columns.append(self._values(name, spec, stored))
                         at += spec[1]
                     if not self.ties:
                         columns.insert(_TIE, None)
@@ -763,8 +781,9 @@ class Segment:
             # 255, and the -1s are as many as those statuses. Else a scan
             # finds the rule that is broken.
             if (type(statuses) is list or type(rtts) is list
-                    or _bytes_of(rtts, top=True).translate(_NEGATIVE)
-                    != _bytes_of(statuses, top=False).translate(_NOT_ECHO)
+                    or not all(signs.translate(_NEGATIVE) == lows.translate(_NOT_ECHO)
+                               for signs, lows in zip(_bytes_of(rtts, top=True),
+                                                      _bytes_of(statuses, top=False)))
                     or rtts.count(-1) != len(rtts) - statuses.count(STATUS_ECHO_REPLY)):
                 _require(min(compress(rtts, map(STATUS_ECHO_REPLY.__eq__, statuses)),
                              default=0) >= 0, "rtt: negative")

@@ -76,8 +76,8 @@ class _Version2(Segment):
         if spec[0] != _JSON_COLUMN and spec[1] % _ITEMSIZES[spec[0]]:
             raise _Corrupt(f"column {name}: partial item")
 
-    def _raw(self, name: str, spec: tuple, stored):
-        return stored
+    def _values(self, name: str, spec: tuple, stored):
+        return self._column(name, spec[0], stored)
 
 
 def _load(path: Path, kind: str) -> Segment:

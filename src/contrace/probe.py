@@ -42,8 +42,8 @@ _new = tuple.__new__
 class Transport(Protocol):
     """A transport may also have ping(data, destination, timeout_us) ->
     (send time, queued), which sends a ping by send and may queue its
-    record for on_packet (sim.SimTransport.ping); a worker uses it when
-    there."""
+    record for its driver to hand to the worker's sink
+    (sim.SimTransport.ping); a worker uses it when there."""
 
     def send(self, data: bytes, ttl: int, destination: str) -> int:
         """Send one probe; returns the send timestamp in microseconds."""
@@ -259,15 +259,9 @@ class SourceWorker:
             self._next_ping_us += self._ping_interval_us
             self._ping_burst(tick, now_us)
 
-    def on_packet(self, data: bytes | list, source: str | None, t_us: int) -> None:
+    def on_packet(self, data: bytes, source: str, t_us: int) -> None:
         """Decode a reply once, then give it to the active traceroute run,
-        or else match it to a pending ping. A source of None marks a ping's
-        record that the transport queued (Transport.ping) in a list: it
-        goes to the sink, taken out so that a copy of the entry gives none."""
-        if source is None:
-            if data:
-                self.sink.append(data.pop())
-            return
+        or else match it to a pending ping."""
         try:
             decoded = icmp.decode_message(data, self._family, source=source,
                                           destination=self.source_address)
@@ -298,11 +292,9 @@ class SourceWorker:
             except TransportFailure as exc:
                 self._enter_backoff(now_us, exc)
                 return
-            if not queued:
+            if not queued:  # else the driver hands its record to the sink
                 self._pending[seq] = _new(_PendingPing, (destination, sent))
-            # A queued ping's deadline only wakes the worker: it keeps the
-            # worker driven until the record, due by then, is handed over.
-            heapq.heappush(self._deadlines, (sent + timeout, seq))
+                heapq.heappush(self._deadlines, (sent + timeout, seq))
 
     def _match_ping(self, decoded: icmp.DecodedMessage, t_us: int) -> None:
         kind, _, identifier, sequence, _, _ = decoded

@@ -20,7 +20,7 @@ import itertools
 import math
 from bisect import bisect_right
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from . import icmp, probe
 from .config import (MalformedYaml, ProbeSchedule, RelationKey, TransportFailure,
@@ -437,15 +437,27 @@ class SimNetwork:
         return at_us + latency_us, data, responder
 
 
+class TableEntry(NamedTuple):
+    """A ping's record that the table gave (SimTransport.ping), queued until
+    its arrival: a heap of them is ordered by (arrival, index, counter)."""
+
+    arrival: int
+    index: int  # of the transport, and its worker, in the driver's lists
+    counter: int  # the transport's, shared with its inbox entries
+    record: PingRecord
+
+
 class SimTransport:
     """probe.Transport bound to one simulated source node; replies wait in
-    its inbox until drive_workers delivers them.
+    its inbox until a driver delivers them, and the records of pings that
+    took them from the table wait in its table until a driver hands them
+    to the worker's sink.
 
-    An inbox entry is (arrival, counter, data, responder): reply bytes
-    from responder, or, for a ping that took its record from the table, a
-    list holding that record and None. A worker takes the record out of
-    the list (SourceWorker.on_packet), so a copied entry gives no second
-    record, as a duplicated reply finds its ping no longer pending."""
+    An inbox entry is (arrival, counter, data, responder): reply bytes from
+    responder. A TableEntry takes a counter from the same count, so a driver
+    can tell a record from the replies that came before and after it at
+    its arrival (pop_table). The table is the transport's own heap, index
+    0, until share_table joins it to a campaign's."""
 
     def __init__(self, network: SimNetwork, clock: VirtualClock, source_address: str):
         self.network = network
@@ -453,8 +465,10 @@ class SimTransport:
         self.source_address = source_address
         self.source_node = network.node_by_address(source_address)
         self.family = icmp.family_of(source_address)
-        self._inbox: list[tuple[int, int, bytes | list, str | None]] = []
+        self._inbox: list[tuple[int, int, bytes, str]] = []
         self._counter = itertools.count()
+        self.table: list[TableEntry] = []
+        self.index = 0
         self._ping_timeout_us: int | None = None  # while ping() sends
         self._tabled = False  # whether send took the ping's record from the table
 
@@ -464,10 +478,10 @@ class SimTransport:
         probe leaves (so a subclass that overrides send sees it). If its
         send fixes an echo reply (SimNetwork.echo_rtt) no later than that,
         send queues its record (sent, source, destination, echo reply,
-        RTT) where the reply bytes would go, so it reaches the worker's
-        sink when they would have, and makes no reply bytes. Returns the
-        send time and whether the record was queued: the caller then keeps
-        no pending entry for the ping, only a wakeup at its deadline."""
+        RTT) in the table, due at the reply's arrival, and makes no reply
+        bytes. Returns the send time and whether the record was queued:
+        the caller then keeps neither a pending entry nor a deadline for
+        the ping, as its driver hands the record to the worker's sink."""
         self._ping_timeout_us, self._tabled = timeout_us, False
         try:
             sent = self.send(data, probe.PING_TTL, destination)
@@ -484,7 +498,8 @@ class SimTransport:
             if rtt is not None and rtt <= timeout:
                 record = _new(PingRecord, (now, self.source_address, destination,
                                            STATUS_ECHO_REPLY, rtt))
-                heapq.heappush(self._inbox, (now + rtt, next(self._counter), [record], None))
+                heapq.heappush(self.table, _new(TableEntry, (
+                    now + rtt, self.index, next(self._counter), record)))
                 self._tabled = True
                 return now
         outcome = self.network.forward(data, ttl, self.source_node, dest_node, now)
@@ -499,12 +514,41 @@ class SimTransport:
     def peek_arrival(self) -> int | None:
         return self._inbox[0][0] if self._inbox else None
 
-    def pop_due(self, now_us: int) -> list[tuple[bytes | list, str | None, int]]:
+    def pop_due(self, now_us: int) -> list[tuple[int, int, bytes, str]]:
+        """The inbox entries due by now_us, (arrival, counter, data,
+        responder), in that order."""
         inbox, out = self._inbox, []
         while inbox and inbox[0][0] <= now_us:
-            arrival, _, data, responder = heapq.heappop(inbox)
-            out.append((data, responder, arrival))
+            out.append(heapq.heappop(inbox))
         return out
+
+
+def share_table(transports: list[SimTransport]) -> list[TableEntry]:
+    """One table for transports: each transport queues its records there
+    under its index in transports, and the records it queued before move
+    there."""
+    table = []
+    for index, transport in enumerate(transports):
+        table.extend(entry._replace(index=index) for entry in transport.table)
+        transport.table, transport.index = table, index
+    heapq.heapify(table)
+    return table
+
+
+def pop_table(table: list[TableEntry], key: tuple) -> Iterator[tuple[int, int, PingRecord]]:
+    """Pop the entries of a table below key, in key order, as (arrival,
+    index, record).
+
+    Every driver hands the records over by one rule, the order the
+    replies' bytes would have given them: before a pass at instant t, the
+    records due before t, key (t,); within the pass, before worker i's due
+    reply of counter c, those below it, key (t, i, c); the rest of instant
+    t, key (t, math.inf), after the replies and before any wakeup; and all
+    that is left when the loop ends, key (math.inf,). The clock is moved
+    to each record's arrival before its worker's sink takes it."""
+    while table and table[0] < key:
+        arrival, index, _, record = heapq.heappop(table)
+        yield arrival, index, record
 
 
 def drive_workers(workers: list[probe.SourceWorker], transports: list[SimTransport],
@@ -519,6 +563,12 @@ def drive_workers(workers: list[probe.SourceWorker], transports: list[SimTranspo
     shared by all workers. The loop ends when no worker has a wakeup left
     (live counts those that do); arrivals still queued then are stray.
 
+    The records that pings took from the table are no arrivals: they wait
+    in one table for all transports (share_table), and each is handed to
+    its worker's sink at its arrival by pop_table's rule, so a table
+    record costs no pass of its own. The clock ends at the last wakeup or
+    record.
+
     nexts[i] is the earlier of worker i's next wakeup and its earliest
     arrival (arrivals[i]). All three change only when that worker acts, so
     after a pass only the due workers' entries are recomputed. A pass
@@ -528,6 +578,8 @@ def drive_workers(workers: list[probe.SourceWorker], transports: list[SimTranspo
     is due.
     """
     inf = math.inf
+    table = share_table(transports)
+    sinks = [worker.sink for worker in workers]
     wakeups = [worker.next_wakeup() for worker in workers]
     arrivals = [transport.peek_arrival() for transport in transports]
     live = len(wakeups) - wakeups.count(None)
@@ -535,6 +587,12 @@ def drive_workers(workers: list[probe.SourceWorker], transports: list[SimTranspo
     nexts = [now] * len(workers)  # the first pass, at the clock's time, sets them
     while live:
         first = min(nexts)
+        if table and table[0][0] < first:
+            for arrival, i, record in pop_table(table, (first,)):
+                if arrival > now:
+                    now = arrival
+                    clock.advance_to(now)
+                sinks[i].append(record)
         if first > now:
             now = first
             clock.advance_to(now)
@@ -546,12 +604,18 @@ def drive_workers(workers: list[probe.SourceWorker], transports: list[SimTranspo
             arrival = arrivals[i]
             if arrival is not None and arrival <= now:
                 worker = workers[i]
-                for data, responder, t_us in transports[i].pop_due(now):
-                    worker.on_packet(data, responder, t_us)
+                for arrival, counter, data, responder in transports[i].pop_due(now):
+                    if table and table[0][0] <= arrival:
+                        for _, j, record in pop_table(table, (arrival, i, counter)):
+                            sinks[j].append(record)
+                    worker.on_packet(data, responder, arrival)
                 wakeup = worker.next_wakeup()
                 if (wakeup is None) is not (wakeups[i] is None):
                     live += 1 if wakeup is not None else -1
                 wakeups[i] = wakeup
+        if table and table[0][0] <= now:
+            for _, j, record in pop_table(table, (now, inf)):
+                sinks[j].append(record)
         # a worker's wakeup and sends touch only its own entries, so each
         # due worker's next time is final once its wakeup has run
         for i in due:
@@ -567,6 +631,11 @@ def drive_workers(workers: list[probe.SourceWorker], transports: list[SimTranspo
                 nexts[i] = inf if wakeup is None else wakeup
             else:
                 nexts[i] = arrival if wakeup is None or arrival < wakeup else wakeup
+    for arrival, i, record in pop_table(table, (inf,)):
+        if arrival > now:
+            now = arrival
+            clock.advance_to(now)
+        sinks[i].append(record)
 
 
 def run_scenario(topology: SimTopology, relations: list[RelationKey],

@@ -3,6 +3,7 @@ builders and probe drivers."""
 
 import faulthandler
 import heapq
+import math
 import os
 import signal
 import sys
@@ -16,7 +17,7 @@ from contrace.probe import (ProbeSchedule, RelationKey, SourceWorker,
                             TracerouteProbeRun, run_relation_worker)
 from contrace.records import (KIND_PING, KIND_TRACEROUTE, PathRuns, PingColumns, PingRecord,
                               StoreQuery)
-from contrace.sim import SimNetwork, SimTransport, VirtualClock, topology_from_dict
+from contrace.sim import SimNetwork, SimTransport, VirtualClock, pop_table, topology_from_dict
 
 START_US = 1_609_459_200_000_000  # 2021-01-01T00:00:00Z
 TIME_LIMIT_S = 60  # per test; the slowest takes under 10 s
@@ -152,15 +153,32 @@ def quick_schedule():
 class BlockingSimTransport(SimTransport):
     """A SimTransport with the receive of a live transport, which waits: it
     moves the virtual clock to the next arrival, or to the deadline if none
-    comes before it. Drives one worker by run_relation_worker, or one
-    TracerouteProbeRun; a campaign's clock is moved by drive_workers."""
+    comes before it. The table records due by then go to sink first, at
+    their arrival, by pop_table's rule with one reply a pass; the driver
+    hands over the rest when its loop ends. Drives one worker by
+    run_relation_worker, or one TracerouteProbeRun; a campaign's clock is
+    moved by drive_workers."""
+
+    def __init__(self, network, clock, source_address, sink=None):
+        super().__init__(network, clock, source_address)
+        self.sink = sink
+
+    def hand_over(self, key=(math.inf,)):
+        """Hand the table records below key to sink, each at its arrival;
+        by default all that are left."""
+        for arrival, _, record in pop_table(self.table, key):
+            if arrival > self.clock.now_us():
+                self.clock.advance_to(arrival)
+            self.sink.append(record)
 
     def receive(self, deadline_us):
         if self._inbox and self._inbox[0][0] <= deadline_us:
-            arrival, _, data, responder = heapq.heappop(self._inbox)
+            arrival, counter, data, responder = heapq.heappop(self._inbox)
+            self.hand_over((arrival, self.index, counter))
             if arrival > self.clock.now_us():
                 self.clock.advance_to(arrival)
             return data, responder, arrival
+        self.hand_over((deadline_us, math.inf))
         if deadline_us > self.clock.now_us():
             self.clock.advance_to(deadline_us)
         return None
@@ -173,14 +191,15 @@ def ping_once(topology, relation, *, reply_timeout_s=3.0, seed=0):
     run_relation_worker over a BlockingSimTransport. Returns (record, clock).
     """
     clock = VirtualClock(topology.start_us)
-    transport = BlockingSimTransport(SimNetwork(topology), clock,
-                                     relation.source_address)
-    schedule = ProbeSchedule(reply_timeout_s=reply_timeout_s)
     sink = []
+    transport = BlockingSimTransport(SimNetwork(topology), clock,
+                                     relation.source_address, sink)
+    schedule = ProbeSchedule(reply_timeout_s=reply_timeout_s)
     worker = SourceWorker([relation], schedule, lambda: transport, sink,
                           start_us=topology.start_us,
                           end_us=topology.start_us + 1, seed=seed)
     run_relation_worker(worker, clock)
+    transport.hand_over()
     pings = [r for r in sink if isinstance(r, PingRecord)]
     assert len(pings) == 1
     return pings[0], clock

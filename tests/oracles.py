@@ -25,7 +25,7 @@ from pathlib import Path
 from contrace.probe import PING_TTL, TransportFailure
 from contrace.records import (Hop, InvalidRecord, MalformedJson, PingRecord,
                               TracerouteRun)
-from contrace.sim import MAX_PATH_HOPS, Outcome, SimTransport
+from contrace.sim import MAX_PATH_HOPS, Outcome, SimTransport, share_table
 
 
 def checksum_reference(data: bytes) -> int:
@@ -567,24 +567,42 @@ def drive_workers_reference(workers, transports, clock) -> None:
     instant every worker, in construction order, first gets the replies due
     by then; then every worker whose wakeup is due runs once, in the same
     order. A reply sent to arrive at the current instant waits for the next
-    step. The loop ends when no worker has a wakeup left.
+    step. The loop ends when no worker has a wakeup left. The records of
+    the table (share_table) go to their workers' sinks by pop_table's rule,
+    each at its arrival.
     """
+    table = share_table(transports)
+
+    def hand_over(below):  # read by field, so the heap's order plays no part
+        def key(entry):
+            return entry.arrival, entry.index, entry.counter
+
+        due = sorted((entry for entry in table if key(entry) < below), key=key)
+        table[:] = [entry for entry in table if key(entry) >= below]
+        for entry in due:
+            clock.advance_to(max(entry.arrival, clock.now_us()))
+            workers[entry.index].sink.append(entry.record)
+
     wakeups = [worker.next_wakeup() for worker in workers]
     while any(wakeup is not None for wakeup in wakeups):
         pending = [*wakeups, *(transport.peek_arrival() for transport in transports)]
         next_time = min(t for t in pending if t is not None)
+        hand_over((next_time,))
         clock.advance_to(max(next_time, clock.now_us()))
         now = clock.now_us()
         for i, (worker, transport) in enumerate(zip(workers, transports)):
             packets = transport.pop_due(now)
-            for data, responder, t_us in packets:
-                worker.on_packet(data, responder, t_us)
+            for arrival, counter, data, responder in packets:
+                hand_over((arrival, i, counter))
+                worker.on_packet(data, responder, arrival)
             if packets:
                 wakeups[i] = worker.next_wakeup()
+        hand_over((now, math.inf))
         for i, worker in enumerate(workers):
             if wakeups[i] is not None and wakeups[i] <= now:
                 worker.on_wakeup(now)
                 wakeups[i] = worker.next_wakeup()
+    hand_over((math.inf,))
 
 
 class EngineTransport(SimTransport):

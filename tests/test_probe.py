@@ -251,6 +251,9 @@ class TestSourceWorker:
         clock = VirtualClock(START_US)
 
         class DuplicatingTransport(SimTransport):
+            def ping(self, data, destination, timeout_us):  # by reply bytes, duplicated
+                return self.send(data, PING_TTL, destination), False
+
             def send(self, data, ttl, destination):
                 t = super().send(data, ttl, destination)
                 if self._inbox:
@@ -315,14 +318,15 @@ class TestBlockingDriver:
         topo = linear_topology(2)
         net = SimNetwork(topo)
         clock = VirtualClock(START_US)
-        transport = BlockingSimTransport(net, clock, "10.0.0.1")
+        sink = []
+        transport = BlockingSimTransport(net, clock, "10.0.0.1", sink)
         relation = relation_for(topo)
         schedule = ProbeSchedule(traceroute_interval_s=3600.0)
-        sink = []
         worker = SourceWorker([relation], schedule, lambda: transport,
                               sink, start_us=START_US,
                               end_us=START_US + 3_000_000, seed=0)
         run_relation_worker(worker, clock)
+        transport.hand_over()
         assert len([r for r in sink if isinstance(r, PingRecord)]) == 3
 
     def test_sim_transport_blocking_receive(self):
@@ -395,8 +399,9 @@ def test_per_probe_tuples_are_exactly_their_classes(quick_schedule):
     for message in messages:
         assert_twin(message, DecodedMessage)
 
-    # r2 answers pings from the table; r1, rate-limited, by reply bytes
-    # that the worker matches; the silent dst lets them time out
+    # r2 answers pings from the table, which leaves no pending entry or
+    # deadline; r1, rate-limited, by reply bytes that the worker matches;
+    # the silent dst lets them time out
     network = SimNetwork(linear_topology(2, policies={"dst": "silent",
                                                       "r1": {"rate_limit": 1000}}))
     clock = VirtualClock(START_US)
@@ -407,7 +412,7 @@ def test_per_probe_tuples_are_exactly_their_classes(quick_schedule):
                           quick_schedule, lambda: transport, produced,
                           start_us=START_US, end_us=START_US + 5_000_000)
     worker.on_wakeup(START_US)
-    assert len(worker._pending) == 2 and len(worker._deadlines) == 3
+    assert len(worker._pending) == 2 and len(worker._deadlines) == 2
     for pending in worker._pending.values():
         assert_twin(pending, _PendingPing)
     drive_workers([worker], [transport], clock)

@@ -558,6 +558,32 @@ def _boundary_campaign():
                                      fail=set(), fail_rebuild=set())]
 
 
+def _merge_campaign():
+    """Three sources that ping, every second with a reply timeout of 2 s,
+    destinations 1 s away over equal links: d0 and d2 answer from the
+    table; d1, rate-limited, by reply bytes; d3, silent, not at all; d4
+    answers 700 us after each tick. So at every tick from the second on,
+    the table records of workers 0 and 1 land at the instant of worker 2's
+    reply from d1; worker 2's own records from d0 and d2 land then too,
+    queued before and after that reply; and worker 0's wakeup records the
+    timeout of its ping to d3 and queues the record of a ping to its own
+    address (RTT 0)."""
+    one_way = 500_000 - 100
+    policies = {"hub": sim.Policy(), "d0": sim.Policy(), "d2": sim.Policy(),
+                "d1": sim.Policy(sim.POLICY_RATE_LIMIT, 5), "d3": sim.Policy(sim.POLICY_SILENT),
+                "d4": sim.Policy()}
+    topology = _hub_topology([100] * 3, [one_way] * 4 + [250], policies)
+    schedule = ProbeSchedule(ping_interval_s=1.0, traceroute_interval_s=20.0,
+                             traceroute_rounds=1, max_ttl=2, reply_timeout_s=2.0,
+                             jitter_fraction=0.0)
+    targets = [("d3", "d0", "d2", "s0"), ("d0", "d4"), ("d0", "d1", "d2")]
+    return topology, schedule, [
+        dict(relations=[relation_for(topology, f"s{i}", name, f"S{i}", name.upper())
+                        for name in names],
+             end_us=START_US + 10_000_000, fail=set(), fail_rebuild=set())
+        for i, names in enumerate(targets)]
+
+
 @st.composite
 def _campaigns(draw):
     """A random small campaign: 1-8 sources behind one hub that fans out to
@@ -638,12 +664,14 @@ class _Timed(list):
 @settings(max_examples=100, deadline=None)
 @given(_campaigns())
 @example(_aligned_campaign())
+@example(_merge_campaign())
 def test_drive_workers_matches_the_reference_on_random_campaigns(campaign):
     """sim.drive_workers produces the records of the reference driver, which
     polls every worker at every step, in the same order and at the same
     simulated times, and leaves the clock at the same time: on random
-    campaigns, and on one whose ticks each meet a reply, a deadline and,
-    1 us later, another reply."""
+    campaigns; on one whose ticks each meet a reply, a deadline and, 1 us
+    later, another reply; and on one whose ticks each meet the table
+    records of three workers, a reply between them and a timeout."""
     topology, schedule, specs = campaign
 
     def run(driver):
@@ -723,15 +751,20 @@ def test_pings_from_the_table_give_the_engines_records_and_store_files(
 def test_a_sim_run_makes_reply_bytes_for_traceroute_probes_alone(tmp_path, monkeypatch):
     """A 60 s sim-run of the benchmark's campaign topology, seed 7, makes
     reply bytes at most once per traceroute probe it sends: its pings, all
-    answered, take their records from the table, not one reply each."""
+    answered, take their records from the table, not one reply each. A
+    worker gets a packet only for reply bytes made, at most once each, and
+    keeps a ping's deadline only while the ping is pending."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     import netgen
     from run import Campaign
     netgen.write_inputs(netgen.build_network(7, **Campaign.SHAPE), tmp_path,
                         schedule=Campaign.SCHEDULE)
     assert Campaign.SCHEDULE["max_ttl"] < probe.PING_TTL  # a TTL tells pings apart
-    counts = {"replies": 0, "pings": 0, "traceroute probes": 0}
+    counts = {"replies": 0, "pings": 0, "traceroute probes": 0, "responses": 0,
+              "packets": 0, "packets not bytes": 0, "deadlines not pending": 0}
     reply_bytes, send = icmp.reply_bytes_for_request, SimTransport.send
+    response_for = SimNetwork.response_for
+    on_packet, on_wakeup = SourceWorker.on_packet, SourceWorker.on_wakeup
 
     def counted_reply_bytes(request, family):
         counts["replies"] += 1
@@ -741,12 +774,33 @@ def test_a_sim_run_makes_reply_bytes_for_traceroute_probes_alone(tmp_path, monke
         counts["pings" if ttl == probe.PING_TTL else "traceroute probes"] += 1
         return send(self, data, ttl, destination)
 
+    def counted_response_for(self, *args):
+        response = response_for(self, *args)
+        counts["responses"] += response is not None
+        return response
+
+    def counted_on_packet(self, data, source, t_us):
+        counts["packets"] += 1
+        counts["packets not bytes"] += type(data) is not bytes
+        return on_packet(self, data, source, t_us)
+
+    def checked_on_wakeup(self, now_us):
+        on_wakeup(self, now_us)
+        counts["deadlines not pending"] += sum(seq not in self._pending
+                                               for _, seq in self._deadlines)
+
     monkeypatch.setattr(icmp, "reply_bytes_for_request", counted_reply_bytes)
     monkeypatch.setattr(SimTransport, "send", counted_send)
+    monkeypatch.setattr(SimNetwork, "response_for", counted_response_for)
+    monkeypatch.setattr(SourceWorker, "on_packet", counted_on_packet)
+    monkeypatch.setattr(SourceWorker, "on_wakeup", checked_on_wakeup)
     assert cli.main(["sim-run", "--topology", str(tmp_path / "topology.yaml"),
                      "--duration", "60", "--seed", "7", "--store", str(tmp_path / "store")]) == 0
     assert counts["pings"] == 32 * 60
     assert 0 < counts["replies"] <= counts["traceroute probes"]
+    assert 0 < counts["packets"] <= counts["responses"]
+    assert counts["packets not bytes"] == 0
+    assert counts["deadlines not pending"] == 0
 
 
 def test_load_topology_yaml(tmp_path):
