@@ -363,6 +363,10 @@ def _selected_relations(config: Config, spec: str | None) -> list[RelationKey]:
 
 def cmd_analyze(args) -> int:
     from . import analytics
+    if args.start is not None and args.end is not None and args.start >= args.end:
+        print(f"error: --start must be less than --end, got {args.start} and {args.end}",
+              file=sys.stderr)
+        return EXIT_CONFIG
     try:
         config = load_config(args.config)
         relations = _selected_relations(config, args.relation)

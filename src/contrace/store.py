@@ -8,15 +8,14 @@ as one, reading its header and then only the blocks the read selects, and
 an NDJSON segment's lines are added to one held in memory, by shape or
 decoded. Only query builds records: it parses the lines export writes of
 every segment of its kind and keeps those it matches. Every record reaches
-a file in a run of whole lines bound for one segment, by one os.write
-under the lock: append's run is one line, extend's the records of one
-kind in a row, import's the lines of a batch for one segment, in input
-order. So a read never sees a torn record, a killed import keeps a
-prefix of its input, and a failed write ends its segment as a crash
-does. Reads and writers know
-only <kind>-<id> names and columnar format version 3; a file of an older
-store fails them with a StoreError that says to run `contrace upgrade`
-(see legacy). RecordStore is also importable from contrace.records.
+a file in a run of whole lines bound for one segment (_Run says where a
+run ends), by one os.write under the lock, in input order. So a read
+never sees a torn record, a killed import keeps a prefix of its input,
+and a failed write ends its segment as a crash does. Reads and writers
+know only <kind>-<id> names and columnar format version 3; a file of an
+older store fails them with a StoreError that says to run `contrace
+upgrade` (see legacy). RecordStore is also importable from
+contrace.records.
 """
 
 from __future__ import annotations
@@ -170,9 +169,9 @@ RUN_RECORDS = 256  # records a Runs sink holds before it stores them
 
 class Runs:
     """A record sink that holds up to size records and then stores them
-    by store.extend, which writes each kind's run by one os.write: what
-    sim-run gives its workers. A process killed with records held loses
-    them, as it loses those it had yet to make."""
+    by store.extend, in runs (_Run): what sim-run gives its workers. A
+    process killed with records held loses them, as it loses those it had
+    yet to make."""
 
     def __init__(self, store: RecordStore, size: int):
         self._store, self._size, self._held = store, size, []
@@ -188,6 +187,53 @@ class Runs:
         write cannot store them twice."""
         held, self._held = self._held, []
         self._store.extend(held)
+
+
+class _Run:
+    """The run a writer builds during one hold of the store's lock: whole
+    lines bound for one segment, written by one _write. This is the one
+    place a run ends: before a line bound for another segment, where its
+    segment reaches segment_records, and at exit, also an exit by an error.
+    So seals fall on the lines they fall on when lines are stored one at a
+    time, and the lines before an error are written before it propagates."""
+
+    def __init__(self, store: RecordStore):
+        self._store, self.segment, self._lines, self._rows = store, None, [], []
+
+    def __enter__(self) -> _Run:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.end()
+
+    def segment_for(self, kind: str) -> columnar.Segment:
+        """The segment a record of kind goes to: the run's, else kind's
+        active segment, else a new one, which its first _write begins."""
+        segment = self.segment
+        if segment is None or segment.kind != kind:
+            active = self._store._active.get(kind)
+            segment = columnar.Segment(kind) if active is None else active.segment
+        return segment
+
+    def add(self, segment: columnar.Segment, line: str, row: tuple) -> None:
+        """Add line, the canonical line of row, bound for segment."""
+        if segment is not self.segment:
+            self.end()
+            self.segment = segment
+        self._lines.append(line)
+        rows = self._rows
+        rows.append(row)
+        if segment.count + len(rows) >= self._store.segment_records:
+            self.end()  # and seals
+
+    def end(self) -> None:
+        """Write the run, if it holds a line. It is let go first, as
+        Runs.flush lets go of its records, so a failed write cannot store
+        it twice."""
+        segment, lines, rows = self.segment, self._lines, self._rows
+        if segment is not None:
+            self.segment, self._lines, self._rows = None, [], []
+            self._store._write(segment, "".join(lines), rows)
 
 
 class RecordStore:
@@ -214,9 +260,8 @@ class RecordStore:
     an NDJSON segment, the active one too, by one rule (_lines_within), so
     a crashed writer's store reads the same before and after recovery.
     Whole lines are passed to the operating system by one os.write under a
-    lock, in runs bound for one segment (_write): one line by append, the
-    records of one kind in a row by extend (a Runs sink's), the lines of
-    an import's batch for one segment by import_json. A read takes
+    lock, in runs bound for one segment, which extend (append's and a Runs
+    sink's too) and import_json build alike (_Run). A read takes
     each file's size under the lock, so it sees the active segment as it was
     when the read started and never a torn record. A failed write ends its
     segment, which stays NDJSON until the next writer recovers it.
@@ -359,18 +404,11 @@ class RecordStore:
         _write_columns(self.path, seg.path.stem, seg.segment)
         os.unlink(seg.path)
 
-    def _segment(self, kind: str) -> columnar.Segment:
-        """kind's active segment, or a new one, which its first _write begins."""
-        seg = self._active.get(kind)
-        return columnar.Segment(kind) if seg is None else seg.segment
-
-    def _write(self, segment: columnar.Segment, lines: str, rows: Sequence[tuple],
-               seg: _Active | None = None) -> None:
-        """The one way records reach a file: write lines, the canonical
-        lines of rows, to segment's file by one os.write, add rows to it,
-        and seal it if it is full; the lock is held. seg is segment's entry
-        in _active when the caller has looked it up, else it is looked up
-        here. A segment not active is begun, its file created, after
+    def _write(self, segment: columnar.Segment, lines: str, rows: Sequence[tuple]) -> None:
+        """The one way records reach a file, a run's (_Run.end): write
+        lines, the canonical lines of rows, to segment's file by one
+        os.write, add rows to it, and seal it if it is full; the lock is
+        held. A segment not active is begun, its file created, after
         _become_writer at the first.
         If anything fails on the way, the segment ends as a crash ends it:
         it leaves _active, its file descriptor is closed even if that
@@ -379,8 +417,7 @@ class RecordStore:
         later write begins a new segment: nothing follows torn bytes."""
         kind = segment.kind
         try:
-            if seg is None:
-                seg = self._active.get(kind)
+            seg = self._active.get(kind)
             if seg is None:
                 if self._writer is None:
                     self._become_writer()
@@ -409,39 +446,21 @@ class RecordStore:
     def extend(self, records: Iterable[Record]) -> None:
         """Validate and persist records in order, each as from_json_obj
         decodes to_json_obj(record), by the same checks over its fields
-        (validated). Consecutive records of one kind go to its segment as
-        one run (_write), one os.write to the operating system, not
-        fsynced, so they survive a crash of this process, not of the
-        machine; sealed segments are fsynced. A run ends before a record of
-        the other kind and where its segment reaches segment_records, so
-        the files and seals are those of appending the records one at a
-        time. An invalid record raises InvalidRecord once the records
+        (validated). The records are stored in runs (_Run), each run by one
+        os.write to the operating system, not fsynced, so they survive a
+        crash of this process, not of the machine; sealed segments are
+        fsynced. The files and seals are those of appending the records one
+        at a time. An invalid record raises InvalidRecord once the records
         before it are written."""
-        target, lines, rows = None, [], []  # the run's segment, lines and their rows
-        with self._lock:
-            try:
-                for record in records:
-                    if not isinstance(record, (PingRecord, TracerouteRun)):
-                        raise InvalidRecord(
-                            [f"unsupported record type {type(record).__name__}"])
-                    record = validated(record)  # exactly a PingRecord or a TracerouteRun
-                    kind = KIND_PING if type(record) is PingRecord else KIND_TRACEROUTE
-                    if target is None or target.kind != kind:
-                        if target is not None:
-                            self._write(target, "".join(lines), rows)
-                        target, lines, rows = self._segment(kind), [], []
-                    line, row = target.encode(record)
-                    lines.append(line)
-                    rows.append(row)
-                    if target.count + len(rows) >= self.segment_records:
-                        self._write(target, "".join(lines), rows)  # and seals
-                        target, lines, rows = None, [], []
-            except InvalidRecord:
-                if target is not None:
-                    self._write(target, "".join(lines), rows)
-                raise
-            if target is not None:
-                self._write(target, "".join(lines), rows)
+        with self._lock, _Run(self) as run:
+            for record in records:
+                if not isinstance(record, (PingRecord, TracerouteRun)):
+                    raise InvalidRecord([f"unsupported record type {type(record).__name__}"])
+                record = validated(record)  # exactly a PingRecord or a TracerouteRun
+                segment = run.segment_for(
+                    KIND_PING if type(record) is PingRecord else KIND_TRACEROUTE)
+                line, row = segment.encode(record)
+                run.add(segment, line, row)
 
     @contextmanager
     def runs(self, size: int = RUN_RECORDS) -> Iterator[Runs]:
@@ -458,25 +477,22 @@ class RecordStore:
         """Store one batch of newline-delimited input, the complete lines
         of one read chunk, which are documents first, first + 1, ...;
         returns the count accepted and appends the rejects to rejects. The
-        lock is taken once. A line of a shape that the run's segment, or
-        else another active one, knows (Segment.row) goes as it is; any
+        lock is taken once, and the accepted lines are stored in runs
+        (_Run), in input order. A line of a shape that the run's segment,
+        or else another active one, knows (Segment.row) goes as it is; any
         other is decoded once, by from_json_obj, and goes as its canonical
-        line (Segment.encode). A run, written by one _write, ends before a
-        line for another segment and where its segment reaches
-        segment_records, so seals fall on the lines they fall on when lines
-        are stored one at a time; files are written in input order. An
-        array's lines are decoded from its documents, not parsed again."""
+        line (Segment.encode). An array's lines are decoded from its
+        documents, not parsed again."""
         accepted = 0
         active = self._active
-        target, run, rows = None, [], []  # the run's segment, lines and their rows
-        with self._lock:
+        with self._lock, _Run(self) as run:
             for i, line in enumerate(lines, first):
                 shape, parts = columnar.shape(line)
-                segment = target
-                row = None if target is None else target.row(shape, parts)
+                segment = run.segment
+                row = None if segment is None else segment.row(shape, parts)
                 if row is None:
                     for seg in active.values():
-                        if seg.segment is not target:
+                        if seg.segment is not run.segment:
                             segment = seg.segment
                             row = segment.row(shape, parts)
                             if row is not None:
@@ -495,22 +511,10 @@ class RecordStore:
                             rejects.append((i, str(exc) if isinstance(exc, StoreError)
                                             else "not UTF-8"))
                             continue
-                        kind = _kind_of(record)
-                        segment = target if target is not None and target.kind == kind \
-                            else self._segment(kind)
+                        segment = run.segment_for(_kind_of(record))
                         line, row = segment.encode(record)
-                if segment is not target:
-                    if target is not None:
-                        self._write(target, "".join(run), rows)
-                    target, run, rows = segment, [], []
-                run.append(line)
-                rows.append(row)
+                run.add(segment, line, row)
                 accepted += 1
-                if segment.count + len(rows) >= self.segment_records:
-                    self._write(segment, "".join(run), rows)  # and seals
-                    target, run, rows = None, [], []
-            if target is not None:
-                self._write(target, "".join(run), rows)
         return accepted
 
     def close(self) -> None:

@@ -188,6 +188,22 @@ def test_bad_duration_is_one_usage_error(tmp_path, capsys, command, value):
     assert not (tmp_path / "s").exists()
 
 
+@pytest.mark.parametrize("artifact", ["cdf", "hops"])
+@pytest.mark.parametrize("start, end", [(5, 5), (6, 5)])
+def test_an_empty_time_range_is_one_usage_error(tmp_path, capsys, artifact, start, end):
+    """analyze --start S --end E with S >= E stops before the store is
+    read, with one error line and exit 2: the store here holds a file of an
+    older store, which would fail any read with exit 1."""
+    store = tmp_path / "s"
+    store.mkdir()
+    (store / "ping-5-9.ndjson").write_text("")
+    config = write_config(tmp_path, store)
+    assert cli.main(["analyze", "--config", str(config), "--artifact", artifact,
+                     "--start", str(start), "--end", str(end)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        f"error: --start must be less than --end, got {start} and {end}\n"
+
+
 def test_zero_duration_is_accepted():
     """measure --duration 0 runs until SIGINT or SIGTERM; sim-run's
     simulates nothing."""

@@ -855,12 +855,14 @@ class TestImportByShape:
         each seal, and a seal can fall inside a batch; the export while the
         writer is open reads the NDJSON segments by shape too. The sealed
         files are those of appending the decoded records in input order,
-        and so are those of importing the lines that are JSON as an array."""
+        of storing them by one extend, and of importing the lines that are
+        JSON as an array."""
         text = "".join(lines)
         expected, exported, decoded = _reference_import(text)
         array, array_expected = _reference_array_import(text)
         with tempfile.TemporaryDirectory() as path, \
                 tempfile.TemporaryDirectory() as appended, \
+                tempfile.TemporaryDirectory() as extended, \
                 tempfile.TemporaryDirectory() as imported_array:
             with RecordStore(path, segment_records=segment_records) as store:
                 assert store.import_json(io.StringIO(text)) == expected
@@ -872,10 +874,12 @@ class TestImportByShape:
             with RecordStore(appended, segment_records=segment_records) as store:
                 for record in decoded:
                     store.append(record)
+            with RecordStore(extended, segment_records=segment_records) as store:
+                store.extend(decoded)
             with RecordStore(imported_array, segment_records=segment_records) as store:
                 assert store.import_json(io.StringIO(array)) == array_expected
             assert _segment_files(Path(path)) == _segment_files(Path(appended)) == \
-                _segment_files(Path(imported_array))
+                _segment_files(Path(extended)) == _segment_files(Path(imported_array))
         assert dump.getvalue() == exported
 
     @settings(max_examples=150, deadline=None)
@@ -930,7 +934,8 @@ class TestImportByShape:
     def test_a_run_of_one_segments_lines_is_one_write(self, tmp_path, monkeypatch):
         """A decoded line joins the run of its segment's lines, and so do
         canonical lines after it; blank and rejected lines do not end the
-        run, and a line of the other kind does."""
+        run, and a line of the other kind does. extend of the five records
+        the lines hold writes the same runs."""
         lines = [serialize_line(ping(ts=1)), json.dumps(records.to_json_obj(ping(ts=2))) + "\n",
                  "\n", "{bad}\n", serialize_line(ping(ts=3)), serialize_line(run(ts=4)),
                  serialize_line(ping(ts=5))]
@@ -940,13 +945,16 @@ class TestImportByShape:
             writes.append(data.count(b"\n"))
             return write(fd, data)
 
-        with RecordStore(tmp_path) as store:
+        with RecordStore(tmp_path) as store, RecordStore(tmp_path / "extended") as extended:
             with monkeypatch.context() as patch:
                 patch.setattr(os, "write", counting_write)
                 accepted, rejects = store.import_json(io.StringIO("".join(lines)))
+                extended.extend([ping(ts=1), ping(ts=2), ping(ts=3), run(ts=4), ping(ts=5)])
         assert (accepted, [i for i, _ in rejects]) == (5, [3])
-        assert writes == [3, 1, 1]
-        assert RecordStore(tmp_path).query(StoreQuery("ping")) == [ping(ts=ts) for ts in (1, 2, 3, 5)]
+        assert writes == [3, 1, 1] * 2
+        for path in (tmp_path, tmp_path / "extended"):
+            assert RecordStore(path).query(StoreQuery("ping")) == \
+                [ping(ts=ts) for ts in (1, 2, 3, 5)]
 
     def test_a_doubled_percent_does_not_match_a_scoped_address(self, tmp_path):
         """A format holding an address with a scope id has "%%" where the
@@ -1207,17 +1215,21 @@ class TestSegments:
             with pytest.raises(StoreError, match=re.escape(f"{kept}:{bad}: ")):
                 read()
 
-    @pytest.mark.parametrize("writer", ["append", "import_json"])
+    @pytest.mark.parametrize("writer", ["append", "import_json", "extend"])
     def test_close_after_a_failed_first_write_leaves_the_store_readable(
             self, tmp_path, monkeypatch, writer):
-        """The first write of an append, or of an import whose five lines
-        go in one batch, writes half its data and fails. A reader before
-        close(), the store after close(), and a writer that recovers a copy
-        of the files taken before close() all read the records whose lines
-        reached the file whole: the half line is a torn tail. So they do
-        when the store writes once more before close(), by append or by
-        import_json, and read that record as well: a failed write ends its
-        segment, so the next line is never glued to the torn bytes."""
+        """The first write of an append, of an import whose five lines go in
+        one batch, or of an extend of those five records and a traceroute
+        run, writes half its data and fails. extend fails at the switch to
+        the traceroute run, and its run was let go before the write, so no
+        record is stored twice and the traceroute run is not stored. A
+        reader before close(), the store after close(), and a writer that
+        recovers a copy of the files taken before close() all read the
+        records whose lines reached the file whole: the half line is a torn
+        tail. So they do when the store writes once more before close(), by
+        append or by import_json, and read that record as well: a failed
+        write ends its segment, so the next line is never glued to the torn
+        bytes."""
         write = os.write
 
         def disk_full(fd, data):
@@ -1235,7 +1247,8 @@ class TestSegments:
                 store.append(ping(ts=1))  # the lines' shape is known: they are one batch
                 stored = [ping(ts=1), ping(ts=2), ping(ts=3)]  # and half of ts=4
                 text = "".join(serialize_line(ping(ts=ts)) for ts in range(2, 7))
-                fail = lambda: store.import_json(io.StringIO(text))
+                fail = lambda: store.import_json(io.StringIO(text)) if writer == "import_json" \
+                    else store.extend([ping(ts=ts) for ts in range(2, 7)] + [run(ts=7)])
             with monkeypatch.context() as patch:
                 patch.setattr(os, "write", disk_full)
                 with pytest.raises(OSError, match="No space left"):
