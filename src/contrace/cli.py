@@ -169,6 +169,16 @@ def _seconds(text: str) -> float:
     raise argparse.ArgumentTypeError(f"must be a finite number of seconds >= 0, got {text!r}")
 
 
+def _percent(text: str) -> float:
+    """--threshold: a finite percentage from 0 to 100."""
+    try:
+        if 0 <= float(text) <= 100:
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a percentage from 0 to 100, got {text!r}")
+
+
 def cmd_measure(args, transport_factory=None) -> int:
     import signal
     import threading
@@ -494,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
                                   "inter-country", "hops", "graph"))
     analyze.add_argument("--relation", default="all",
                          help="<v4|v6>:<from-isp>:<to-isp> or 'all'")
-    analyze.add_argument("--threshold", type=float, default=0.1,
+    analyze.add_argument("--threshold", type=_percent, default=0.1,
                          help="minimum observation share in percent "
                               "(paper tables use 0.1, 2.5, 10, 15)")
     analyze.add_argument("--format", default=None,

@@ -102,7 +102,7 @@ _JSON_COLUMN = "json"
 _CHUNK = 1 << 13
 _WIDER = {"b": "h", "h": "i", "i": "q"}
 SLAB_ROWS = 1024  # the most rows a slab of Segment.lines holds
-_NO_RTT = "%.0s"  # ends a ping's %-format that has no rtt: takes it and prints nothing
+NO_RTT = "%.0s"  # ends a ping's %-format that has no rtt: takes it and prints nothing
 # bytes.translate tables: a top byte to 1 if its item is negative, else 0;
 # a status's low byte to 1 if the status is not 255, else 0
 _NEGATIVE = bytes(byte >> 7 for byte in range(256))
@@ -465,10 +465,8 @@ class Segment:
         return pair, timestamp, round_, (statuses, addresses), rtts
 
     def encode(self, record: Record) -> tuple[str, tuple]:
-        """(line, row): a valid record's canonical line, from a %-format
-        kept per pair and ping status or path, and its add_rows row, which
-        is not added. A new format is also a shape (row) unless an address
-        holds a "%": its "%%" would match a line's "%%"."""
+        """(line, row): a valid record's canonical line, from its %-format
+        (format), and its add_rows row, which is not added."""
         pair, timestamp = (record.source, record.destination), record.timestamp
         if self.kind == KIND_PING:
             key, rtt = (pair, record.status), record.rtt
@@ -479,15 +477,22 @@ class Segment:
             key, rtts = (pair, statuses, addresses), list(compress(rtts, statuses))
             ints = (timestamp, record.round, *rtts)
             row = (pair, timestamp, record.round, key[1:], rtts)
+        return self.format(key) % ints, row
+
+    def format(self, key: tuple) -> str:
+        """The %-format of key's canonical lines, key being a pair and a
+        ping status or a path, kept per key from its first use. A new
+        format is also a shape (row) unless an address holds a "%": its
+        "%%" would match a line's "%%"."""
         if self._formats is None:
             self._formats, self._shapes = {}, {}
         line = self._formats.get(key)
         if line is None:
             tail = _ping_tail if self.kind == KIND_PING else _run_tail
-            line = self._formats[key] = _pair_prefix(*pair) + tail(*key[1:])
+            line = self._formats[key] = _pair_prefix(*key[0]) + tail(*key[1:])
             if "%%" not in line:
                 self._shapes[line] = key
-        return line % ints, row
+        return line
 
     def add(self, record: Record) -> None:
         """Append a valid record's row (add_rows), learning its shape (encode)."""
@@ -887,8 +892,8 @@ class Segment:
         times = columns[0]
         # each row's %-format, in block order, by its pair and the column
         # before the last (status or path id): every ping's takes (timestamp,
-        # rtt), as _NO_RTT takes the -1 of a ping with no rtt
-        tails = {value: _ping_tail(value) + ("" if value == STATUS_ECHO_REPLY else _NO_RTT)
+        # rtt), as NO_RTT takes the -1 of a ping with no rtt
+        tails = {value: _ping_tail(value) + ("" if value == STATUS_ECHO_REPLY else NO_RTT)
                  if pings else _run_tail(*self.keys[value]) for value in set(columns[-2])}
         formats: list[str] = []
         for block in blocks:

@@ -143,12 +143,12 @@ def _compensation(base_sum: int, target: int) -> int:
     return w
 
 
-def make_request_bytes(family: Family, identifier: int, sequence: int,
-                       timestamp_us: int, *, target_checksum: int | None = None,
-                       payload_len: int = DEFAULT_PAYLOAD_LEN,
-                       source: str | None = None,
-                       destination: str | None = None) -> bytes:
-    """Assemble a ready-to-send echo request, optionally checksum-pinned.
+def _request_words(family: Family, identifier: int, sequence: int, ts: int,
+                   target_checksum: int | None, payload_len: int,
+                   source: str | None, destination: str | None) -> tuple[int, int, int]:
+    """(type, checksum, compensation word) of an echo request whose
+    timestamp is ts, 64 bits: the arithmetic of make_request_bytes and
+    request_prefix.
 
     Only the header and timestamp words contribute to the base sum: the
     compensation slot and tail are zero, and zero words never change a
@@ -160,23 +160,50 @@ def make_request_bytes(family: Family, identifier: int, sequence: int,
     if payload_len < MIN_PAYLOAD_LEN:
         raise PayloadTooSmall(
             f"payload of {payload_len} B cannot hold timestamp and compensation word")
-    if target_checksum is not None and not 0 <= target_checksum <= 0xFFFF:
-        raise ValueError("target checksum must be a 16-bit value")
     icmp_type = 8 if family is _V4 else 128
-    ts = timestamp_us & 0xFFFFFFFFFFFFFFFF
-    # The words of type|code, identifier, sequence and the four timestamp
-    # words, summed without packing; the pack below range-checks the fields.
-    base_sum = ((icmp_type << 8) + identifier + sequence + (ts >> 48)
-                + (ts >> 32 & 0xFFFF) + (ts >> 16 & 0xFFFF) + (ts & 0xFFFF))
+    # The words of type|code, identifier and sequence, summed without
+    # packing, plus ts as one integer: as in _word_sum, it is congruent to
+    # the sum of its four words, and the type word makes the total nonzero,
+    # so _fold and _compensation give what the word sum gives.
+    base_sum = (icmp_type << 8) + identifier + sequence + ts
     if family is not _V4:
         base_sum += _v6_pseudo_word_sum(source, destination, HEADER_LEN + payload_len)
     if target_checksum is None:
-        cksum, comp = ~_fold(base_sum) & 0xFFFF, 0
-    else:
-        # the compensation lands the fold exactly on the target
-        cksum, comp = target_checksum, _compensation(base_sum, target_checksum)
+        return icmp_type, ~_fold(base_sum) & 0xFFFF, 0
+    if not 0 <= target_checksum <= 0xFFFF:
+        raise ValueError("target checksum must be a 16-bit value")
+    # the compensation lands the fold exactly on the target
+    return icmp_type, target_checksum, _compensation(base_sum, target_checksum)
+
+
+def make_request_bytes(family: Family, identifier: int, sequence: int,
+                       timestamp_us: int, *, target_checksum: int | None = None,
+                       payload_len: int = DEFAULT_PAYLOAD_LEN,
+                       source: str | None = None,
+                       destination: str | None = None) -> bytes:
+    """Assemble a ready-to-send echo request, optionally checksum-pinned
+    (_request_words); the pack range-checks the fields."""
+    ts = timestamp_us & 0xFFFFFFFFFFFFFFFF
+    icmp_type, cksum, comp = _request_words(family, identifier, sequence, ts,
+                                            target_checksum, payload_len, source,
+                                            destination)
     return _request_struct(payload_len).pack(icmp_type, 0, cksum, identifier, sequence,
                                              ts, comp)
+
+
+def request_prefix(family: Family, identifier: int, sequence: int,
+                   timestamp_us: int, *, target_checksum: int | None = None,
+                   payload_len: int = DEFAULT_PAYLOAD_LEN,
+                   source: str | None = None, destination: str | None = None) -> int:
+    """The first PREFIX_LEN bytes (type, code and checksum) of the request
+    make_request_bytes assembles from these fields, as a big-endian
+    integer, with no bytes built: the ECMP key of the probe. For fields
+    that make_request_bytes accepts; it raises what that raises but for
+    the pack's range checks."""
+    icmp_type, cksum, _ = _request_words(family, identifier, sequence,
+                                         timestamp_us & 0xFFFFFFFFFFFFFFFF,
+                                         target_checksum, payload_len, source, destination)
+    return icmp_type << 24 | cksum
 
 
 _FIRST_WORDS = struct.Struct("!HH")  # type and code, checksum

@@ -40,10 +40,13 @@ _new = tuple.__new__
 
 
 class Transport(Protocol):
-    """A transport may also have ping(data, destination, timeout_us) ->
-    (send time, queued), which sends a ping by send and may queue its
-    record for its driver to hand to the worker's sink
-    (sim.SimTransport.ping); a worker uses it when there."""
+    """A transport may also have ping(prefix, destination, timeout_us) ->
+    send time or None, a table that answers a ping by the value of its
+    request's first icmp.PREFIX_LEN bytes (icmp.request_prefix) alone
+    (sim.SimTransport.ping). A worker asks it first, when there: a ping it
+    answers costs no request bytes, no pending entry and no deadline, as
+    the driver hands its record to the worker's sink; a ping it does not
+    answer (None) is built by icmp.make_request_bytes and sent by send."""
 
     def send(self, data: bytes, ttl: int, destination: str) -> int:
         """Send one probe; returns the send timestamp in microseconds."""
@@ -276,25 +279,25 @@ class SourceWorker:
     # -- ping ---------------------------------------------------------------
 
     def _ping_burst(self, tick_us: int, now_us: int) -> None:
-        transport, timeout = self.transport, self._reply_timeout_us
+        transport, timeout, identifier = self.transport, self._reply_timeout_us, self.identifier
         ping = getattr(transport, "ping", None)
         for idx, relation in enumerate(self.relations):
             seq = self._alloc(idx)
+            family, source = relation.ip_version, relation.source_address
             destination = relation.destination_address
-            data = icmp.make_request_bytes(
-                relation.ip_version, self.identifier, seq, now_us,
-                source=relation.source_address, destination=destination)
             try:
-                if ping is None:
-                    sent, queued = transport.send(data, PING_TTL, destination), False
-                else:
-                    sent, queued = ping(data, destination, timeout)
+                if ping is not None and ping(icmp.request_prefix(
+                        family, identifier, seq, now_us, source=source,
+                        destination=destination), destination, timeout) is not None:
+                    continue  # the table answered: the driver hands its record to the sink
+                sent = transport.send(icmp.make_request_bytes(
+                    family, identifier, seq, now_us, source=source,
+                    destination=destination), PING_TTL, destination)
             except TransportFailure as exc:
                 self._enter_backoff(now_us, exc)
                 return
-            if not queued:  # else the driver hands its record to the sink
-                self._pending[seq] = _new(_PendingPing, (destination, sent))
-                heapq.heappush(self._deadlines, (sent + timeout, seq))
+            self._pending[seq] = _new(_PendingPing, (destination, sent))
+            heapq.heappush(self._deadlines, (sent + timeout, seq))
 
     def _match_ping(self, decoded: icmp.DecodedMessage, t_us: int) -> None:
         kind, _, identifier, sequence, _, _ = decoded

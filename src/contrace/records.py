@@ -34,7 +34,8 @@ import json
 import sys
 from array import array
 from functools import lru_cache
-from operator import itemgetter
+from itertools import compress, repeat
+from operator import eq, is_, itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 STATUS_TIMEOUT = 0
@@ -307,6 +308,48 @@ def validated(record: Record) -> Record:
     else:
         checked = None
     return checked if checked and not problems else from_json_obj(to_json_obj(record))
+
+
+def checked_pings(pings: Sequence[PingRecord]) -> tuple | None:
+    """The columns (pairs, timestamps, statuses, rtts) of pings, each
+    exactly a PingRecord, if a fast check over whole columns finds that
+    validated returns each unchanged; else None, and each must go through
+    validated. It passes only timestamps of type int of at least 1,
+    statuses of type int among VALID_STATUSES, rtts of type int of at least
+    0 where the status is 255 and None elsewhere, and addresses already in
+    canonical form, each pair of one family. The pairs hold the canonical
+    strings validated gives (_canonical_pair)."""
+    timestamps, sources, destinations, statuses, rtts = zip(*pings)
+    if {*map(type, timestamps), *map(type, statuses)} != {int} or min(timestamps) < 1 \
+            or not {*statuses} <= {*VALID_STATUSES}:
+        return None
+    replied = list(compress(rtts, map(eq, statuses, repeat(STATUS_ECHO_REPLY))))
+    if replied and ({*map(type, replied)} != {int} or min(replied) < 0) \
+            or sum(map(is_, rtts, repeat(None))) != len(rtts) - len(replied):
+        return None
+    pairs = list(zip(sources, destinations))
+    try:
+        canonical = {pair: _canonical_pair(*pair) for pair in set(pairs)}
+    except TypeError:  # unhashable
+        return None
+    if None in canonical.values():
+        return None
+    return list(map(canonical.__getitem__, pairs)), timestamps, statuses, rtts
+
+
+@lru_cache(maxsize=65536)
+def _canonical_pair(source, destination) -> tuple[str, str] | None:
+    """(source, destination) as the canonical strings of _address_info, if
+    they are canonical addresses of one family already; else None."""
+    try:
+        (src_version, canonical_source), (dst_version, canonical_destination) = \
+            _address_info(source), _address_info(destination)
+    except (TypeError, ValueError):
+        return None
+    if src_version != dst_version or (canonical_source, canonical_destination) \
+            != (source, destination):
+        return None
+    return canonical_source, canonical_destination
 
 
 def _loads(line: str):

@@ -6,8 +6,9 @@ token-bucket rate limit) and scripted topology changes on a virtual
 microsecond clock, which drive_workers alone moves. Replies travel back
 over the reverse of the forward path with the same accumulated latency, so
 ping RTTs are exactly twice the one-way link latency sum. A ping whose
-fate its send fixes takes its record from the table instead of reply
-bytes (SimTransport.ping). run_scenario streams every record into the
+fate its send fixes takes its record from the table, keyed by the value of
+its first four bytes, with no request or reply bytes made
+(SimTransport.ping). run_scenario streams every record into the
 caller's sink as it is produced and keeps no record or packet itself.
 
 Topology files are YAML; see fixtures/ for the documented schema.
@@ -343,11 +344,12 @@ class SimNetwork:
             current = nxt
         return _Walk(tuple(path), tuple(latencies), "dropped", "routing loop")
 
-    def _walk_at(self, data: bytes, ingress: str, dest_node: str, t_us: int) -> _Walk:
-        """The walk of a packet sent at t_us: the kept one of its key if it
-        ends in its send time's epoch, else a fresh one, kept if it does.
+    def _walk_at(self, prefix: int, ingress: str, dest_node: str, t_us: int) -> _Walk:
+        """The walk of a packet sent at t_us whose first icmp.PREFIX_LEN
+        bytes have the big-endian value prefix: the kept one of its key if
+        it ends in its send time's epoch, else a fresh one, kept if it does.
         A walk is kept with its echo_rtt."""
-        residue = int.from_bytes(data[:icmp.PREFIX_LEN], "big") % self._ecmp_period
+        residue = prefix % self._ecmp_period
         # The epoch is counted by bisect_right, which never decreases as
         # time grows: a walk that ends in its send time's epoch stayed there.
         # A packet sent in the last epoch stays in it, and needs no bisect.
@@ -366,15 +368,16 @@ class SimNetwork:
                         walk.echo_rtt = 2 * walk.latency
         return walk
 
-    def echo_rtt(self, data: bytes, ttl: int, ingress: str, dest_node: str,
+    def echo_rtt(self, prefix: int, ttl: int, ingress: str, dest_node: str,
                  t_us: int) -> int | None:
-        """The RTT of the echo reply to a probe sent at t_us, if its send
-        fixes it: the probe reaches a responsive destination, with TTL to
-        spare, before the next event. Else None, and forward and
-        response_for decide its fate. response_for would answer such a
+        """The RTT of the echo reply to a probe sent at t_us whose first
+        icmp.PREFIX_LEN bytes have the value prefix (icmp.request_prefix),
+        if its send fixes it: the probe reaches a responsive destination,
+        with TTL to spare, before the next event. Else None, and forward
+        and response_for decide its fate. response_for would answer such a
         probe and charge no token bucket, and a reply's way back meets no
         event or policy, so only the way out must stay in one epoch."""
-        walk = self._walk_at(data, ingress, dest_node, t_us)
+        walk = self._walk_at(prefix, ingress, dest_node, t_us)
         if 0 < ttl < walk.expires_before:
             return None
         return walk.echo_rtt
@@ -393,7 +396,8 @@ class SimNetwork:
         """
         if ingress not in self._addresses:
             raise TransportFailure(f"unknown ingress node {ingress}")
-        walk = self._walk_at(data, ingress, dest_node, t_us)
+        walk = self._walk_at(int.from_bytes(data[:icmp.PREFIX_LEN], "big"), ingress,
+                             dest_node, t_us)
         path = walk.path
         if 0 < ttl < walk.expires_before:
             latency = walk.latencies[ttl]
@@ -438,8 +442,9 @@ class SimNetwork:
 
 
 class TableEntry(NamedTuple):
-    """A ping's record that the table gave (SimTransport.ping), queued until
-    its arrival: a heap of them is ordered by (arrival, index, counter)."""
+    """The record of a ping that the table answered (SimTransport.ping),
+    queued until its arrival: a heap of them is ordered by (arrival, index,
+    counter)."""
 
     arrival: int
     index: int  # of the transport, and its worker, in the driver's lists
@@ -450,7 +455,7 @@ class TableEntry(NamedTuple):
 class SimTransport:
     """probe.Transport bound to one simulated source node; replies wait in
     its inbox until a driver delivers them, and the records of pings that
-    took them from the table wait in its table until a driver hands them
+    the table answered (ping) wait in its table until a driver hands them
     to the worker's sink.
 
     An inbox entry is (arrival, counter, data, responder): reply bytes from
@@ -469,39 +474,43 @@ class SimTransport:
         self._counter = itertools.count()
         self.table: list[TableEntry] = []
         self.index = 0
-        self._ping_timeout_us: int | None = None  # while ping() sends
-        self._tabled = False  # whether send took the ping's record from the table
 
-    def ping(self, data: bytes, destination: str, timeout_us: int) -> tuple[int, bool]:
-        """Send a ping, an echo request of TTL probe.PING_TTL whose reply
-        counts until timeout_us after it is sent, by send, the one way a
-        probe leaves (so a subclass that overrides send sees it). If its
-        send fixes an echo reply (SimNetwork.echo_rtt) no later than that,
-        send queues its record (sent, source, destination, echo reply,
-        RTT) in the table, due at the reply's arrival, and makes no reply
-        bytes. Returns the send time and whether the record was queued:
-        the caller then keeps neither a pending entry nor a deadline for
-        the ping, as its driver hands the record to the worker's sink."""
-        self._ping_timeout_us, self._tabled = timeout_us, False
-        try:
-            sent = self.send(data, probe.PING_TTL, destination)
-        finally:
-            self._ping_timeout_us = None
-        return sent, self._tabled
+    def depart(self, ttl: int, destination: str) -> None:
+        """Called for every probe as it leaves, by send and by ping alike,
+        once its destination is known to be a node's and before anything
+        is queued for it: a subclass overrides it to see each probe, or to
+        fail one by raising TransportFailure."""
+
+    def ping(self, prefix: int, destination: str, timeout_us: int) -> int | None:
+        """Send a ping from the table if its send fixes an echo reply
+        (SimNetwork.echo_rtt) no later than timeout_us after it: an echo
+        request of TTL probe.PING_TTL whose first icmp.PREFIX_LEN bytes
+        have the value prefix (icmp.request_prefix). It departs, and its
+        record (sent, source, destination, echo reply, RTT) is queued in
+        the table, due at the reply's arrival; no bytes are made. Returns
+        the send time: the caller keeps neither a pending entry nor a
+        deadline for the ping, as its driver hands the record to the
+        worker's sink. Else returns None, having sent nothing, and the
+        caller sends the ping's bytes by send. A destination that no node
+        has raises TransportFailure."""
+        now = self.clock.now_us()
+        rtt = self.network.echo_rtt(prefix, probe.PING_TTL, self.source_node,
+                                    self.network.node_by_address(destination), now)
+        if rtt is None or rtt > timeout_us:
+            return None
+        self.depart(probe.PING_TTL, destination)
+        record = _new(PingRecord, (now, self.source_address, destination,
+                                   STATUS_ECHO_REPLY, rtt))
+        heapq.heappush(self.table, _new(TableEntry, (
+            now + rtt, self.index, next(self._counter), record)))
+        return now
 
     def send(self, data: bytes, ttl: int, destination: str) -> int:
+        """Send a probe's bytes through forward and response_for, queueing
+        the reply they make, if any, in the inbox."""
         now = self.clock.now_us()
         dest_node = self.network.node_by_address(destination)
-        timeout = self._ping_timeout_us
-        if timeout is not None:
-            rtt = self.network.echo_rtt(data, ttl, self.source_node, dest_node, now)
-            if rtt is not None and rtt <= timeout:
-                record = _new(PingRecord, (now, self.source_address, destination,
-                                           STATUS_ECHO_REPLY, rtt))
-                heapq.heappush(self.table, _new(TableEntry, (
-                    now + rtt, self.index, next(self._counter), record)))
-                self._tabled = True
-                return now
+        self.depart(ttl, destination)
         outcome = self.network.forward(data, ttl, self.source_node, dest_node, now)
         response = self.network.response_for(outcome, data, self.family,
                                              self.source_address)

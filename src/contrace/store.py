@@ -27,14 +27,15 @@ import os
 import re
 import threading
 from contextlib import ExitStack, contextmanager, suppress
-from operator import itemgetter
+from operator import itemgetter, mod
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 from . import columnar
-from .records import (KIND_PING, KIND_TRACEROUTE, InvalidRecord, MalformedJson, PathRuns,
-                      PingColumns, PingRecord, Record, StoreError, StoreQuery, TracerouteRun,
-                      _ENCODE, _line_batches, from_json_obj, parse_line, validated)
+from .records import (KIND_PING, KIND_TRACEROUTE, STATUS_ECHO_REPLY, InvalidRecord,
+                      MalformedJson, PathRuns, PingColumns, PingRecord, Record, StoreError,
+                      StoreQuery, TracerouteRun, _ENCODE, _line_batches, checked_pings,
+                      from_json_obj, parse_line, validated)
 
 
 def _warn(message: str, *args) -> None:
@@ -169,9 +170,10 @@ RUN_RECORDS = 256  # records a Runs sink holds before it stores them
 
 class Runs:
     """A record sink that holds up to size records and then stores them
-    by store.extend, in runs (_Run): what sim-run gives its workers. A
-    process killed with records held loses them, as it loses those it had
-    yet to make."""
+    by store.extend, in runs (_Run): what sim-run gives its workers. So
+    its pings, which come in long runs, are checked and encoded a column
+    at a time, with no validated or encode per record. A process killed
+    with records held loses them, as it loses those it had yet to make."""
 
     def __init__(self, store: RecordStore, size: int):
         self._store, self._size, self._held = store, size, []
@@ -187,6 +189,19 @@ class Runs:
         write cannot store them twice."""
         held, self._held = self._held, []
         self._store.extend(held)
+
+
+def _encode_pings(segment: columnar.Segment, pairs: list, timestamps: tuple, statuses: tuple,
+                  rtts: tuple) -> tuple[list[str], list[tuple]]:
+    """segment.encode's lines and rows of valid pings given as columns
+    (checked_pings), as two lists: the lines from the same %-formats
+    (Segment.format) by one map(mod, ...), as Segment.lines renders them."""
+    keys = list(zip(pairs, statuses))
+    made = {key: segment.format(key) + ("" if key[1] == STATUS_ECHO_REPLY else columnar.NO_RTT)
+            for key in set(keys)}
+    return (list(map(mod, map(made.__getitem__, keys), zip(timestamps, rtts))),
+            list(zip(pairs, timestamps, statuses, map({None: -1}.get, rtts, rtts),
+                     itertools.repeat(()))))
 
 
 class _Run:
@@ -225,6 +240,41 @@ class _Run:
         rows.append(row)
         if segment.count + len(rows) >= self._store.segment_records:
             self.end()  # and seals
+
+    def add_pings(self, pings: list[PingRecord]) -> None:
+        """Add pings, bound for the ping segment: one at a time
+        (add_records) if they fail checked_pings' fast check, else a column
+        at a time, the rows that fit each segment encoded at once
+        (_encode_pings) and cut where add cuts them."""
+        columns = checked_pings(pings) if pings else None
+        if columns is None:
+            self.add_records(pings)
+            return
+        limit, at = self._store.segment_records, 0
+        while at < len(pings):
+            segment = self.segment_for(KIND_PING)
+            if segment is not self.segment:
+                self.end()
+                self.segment = segment
+            end = at + max(1, limit - segment.count - len(self._rows))
+            lines, rows = _encode_pings(segment, *(column[at:end] for column in columns))
+            self._lines += lines
+            self._rows += rows
+            at = end
+            if segment.count + len(self._rows) >= limit:
+                self.end()  # and seals
+
+    def add_records(self, records: Iterable[Record]) -> None:
+        """Add records one at a time, each checked by validated, so an
+        invalid one raises InvalidRecord after the records before it."""
+        for record in records:
+            if not isinstance(record, (PingRecord, TracerouteRun)):
+                raise InvalidRecord([f"unsupported record type {type(record).__name__}"])
+            record = validated(record)  # exactly a PingRecord or a TracerouteRun
+            segment = self.segment_for(
+                KIND_PING if type(record) is PingRecord else KIND_TRACEROUTE)
+            line, row = segment.encode(record)
+            self.add(segment, line, row)
 
     def end(self) -> None:
         """Write the run, if it holds a line. It is let go first, as
@@ -412,9 +462,11 @@ class RecordStore:
         _become_writer at the first.
         If anything fails on the way, the segment ends as a crash ends it:
         it leaves _active, its file descriptor is closed even if that
-        fails, and the error is raised. Its file stays NDJSON, read by the
-        end rule (_lines_within) until the next writer recovers it, and a
-        later write begins a new segment: nothing follows torn bytes."""
+        fails, and the error is raised, an OSError with the segment's path
+        as its filename if it had none (os.write's). Its file stays NDJSON,
+        read by the end rule (_lines_within) until the next writer recovers
+        it, and a later write begins a new segment: nothing follows torn
+        bytes."""
         kind = segment.kind
         try:
             seg = self._active.get(kind)
@@ -430,9 +482,13 @@ class RecordStore:
             while written < len(data):  # a short write: again for the rest
                 written += os.write(seg.fd, data[written:])
             segment.add_rows(rows)
-        except BaseException:
-            with suppress(KeyError, OSError):  # KeyError: it was not begun
-                os.close(self._active.pop(kind).fd)
+        except BaseException as exc:
+            seg = self._active.pop(kind, None)  # None: it was not begun
+            if seg is not None:
+                with suppress(OSError):
+                    os.close(seg.fd)
+                if isinstance(exc, OSError) and exc.filename is None:
+                    exc.filename = str(seg.path)
             raise
         self.written[kind] += len(rows)
         if segment.count >= self.segment_records:
@@ -446,21 +502,27 @@ class RecordStore:
     def extend(self, records: Iterable[Record]) -> None:
         """Validate and persist records in order, each as from_json_obj
         decodes to_json_obj(record), by the same checks over its fields
-        (validated). The records are stored in runs (_Run), each run by one
-        os.write to the operating system, not fsynced, so they survive a
-        crash of this process, not of the machine; sealed segments are
-        fsynced. The files and seals are those of appending the records one
-        at a time. An invalid record raises InvalidRecord once the records
-        before it are written."""
+        (validated). Each maximal run of PingRecords is checked and encoded
+        a column at a time when it passes checked_pings' fast check, and
+        one record at a time when it does not, as is every other record
+        (_Run.add_pings). The records are stored in runs (_Run), each run
+        by one os.write to the operating system, not fsynced, so they
+        survive a crash of this process, not of the machine; sealed
+        segments are fsynced. The files and seals are those of appending
+        the records one at a time. An invalid record raises InvalidRecord
+        once the records before it are written."""
         with self._lock, _Run(self) as run:
-            for record in records:
-                if not isinstance(record, (PingRecord, TracerouteRun)):
-                    raise InvalidRecord([f"unsupported record type {type(record).__name__}"])
-                record = validated(record)  # exactly a PingRecord or a TracerouteRun
-                segment = run.segment_for(
-                    KIND_PING if type(record) is PingRecord else KIND_TRACEROUTE)
-                line, row = segment.encode(record)
-                run.add(segment, line, row)
+            pings: list[PingRecord] = []
+            try:
+                for record in records:
+                    if type(record) is PingRecord:
+                        pings.append(record)
+                    else:
+                        held, pings = pings, []
+                        run.add_pings(held)
+                        run.add_records((record,))
+            finally:  # also the pings taken before records raised
+                run.add_pings(pings)
 
     @contextmanager
     def runs(self, size: int = RUN_RECORDS) -> Iterator[Runs]:

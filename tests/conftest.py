@@ -222,7 +222,8 @@ def traceroute_once(relation, schedule, transport, clock):
 
 @pytest.fixture
 def sent_probes(monkeypatch):
-    """Every probe a SimTransport sends during the test, as (t_us, ttl, data)."""
+    """Every probe a SimTransport sends by its bytes (send) during the
+    test, as (t_us, ttl, data): not a ping that the table answers."""
     sent = []
     send = SimTransport.send
 

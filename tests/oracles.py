@@ -22,7 +22,7 @@ from array import array
 from fractions import Fraction
 from pathlib import Path
 
-from contrace.probe import PING_TTL, TransportFailure
+from contrace.probe import TransportFailure
 from contrace.records import (Hop, InvalidRecord, MalformedJson, PingRecord,
                               TracerouteRun)
 from contrace.sim import MAX_PATH_HOPS, Outcome, SimTransport, share_table
@@ -606,10 +606,11 @@ def drive_workers_reference(workers, transports, clock) -> None:
 
 
 class EngineTransport(SimTransport):
-    """A SimTransport whose pings never take a record from the table: each
-    is sent by send, as any probe, and gets its reply bytes, decode_message
-    and the worker's match, as every ping did before the table. Patched in
-    for sim.SimTransport, it runs a whole sim-run so."""
+    """A SimTransport whose pings never take a record from the table: its
+    table answers none, so each is built and sent by send, as any probe,
+    and gets its reply bytes, decode_message and the worker's match, as
+    every ping did before the table. Patched in for sim.SimTransport, it
+    runs a whole sim-run so."""
 
-    def ping(self, data: bytes, destination: str, timeout_us: int) -> tuple[int, bool]:
-        return self.send(data, PING_TTL, destination), False
+    def ping(self, prefix: int, destination: str, timeout_us: int) -> None:
+        return None

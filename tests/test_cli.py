@@ -204,6 +204,24 @@ def test_an_empty_time_range_is_one_usage_error(tmp_path, capsys, artifact, star
         f"error: --start must be less than --end, got {start} and {end}\n"
 
 
+def test_a_threshold_is_a_finite_percentage(tmp_path, capsys):
+    """analyze --threshold takes a finite percentage from 0 to 100; any
+    other value stops the command before the store is read, with
+    argparse's one line and exit 2."""
+    config = write_config(tmp_path, tmp_path / "s")
+    argv = ["analyze", "--config", str(config), "--artifact", "inter-as", "--threshold"]
+    for value in ["nan", "inf", "-5", "200", "x"]:
+        with pytest.raises(SystemExit) as info:
+            cli.main([*argv, value])
+        assert info.value.code == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == ("contrace analyze: error: argument --threshold: must be a "
+                           f"percentage from 0 to 100, got {value!r}")
+    assert not (tmp_path / "s").exists()
+    for value in ["0", "2.5", "100"]:
+        assert cli.build_parser().parse_args([*argv, value]).threshold == float(value)
+
+
 def test_zero_duration_is_accepted():
     """measure --duration 0 runs until SIGINT or SIGTERM; sim-run's
     simulates nothing."""

@@ -270,3 +270,38 @@ def test_family_of():
     assert icmp.family_of("2001:db8::1") is Family.V6
     with pytest.raises(ValueError):
         icmp.family_of("not-an-ip")
+
+
+class TestRequestPrefix:
+    """request_prefix is the value of the first four bytes that
+    make_request_bytes gives the same fields, computed without the bytes."""
+
+    @settings(max_examples=500)
+    @given(family=st.sampled_from([Family.V4, Family.V6]),
+           ident=st.integers(0, 0xFFFF), seq=st.integers(0, 0xFFFF),
+           ts=st.integers(0, 2**64 - 1), payload_len=st.integers(10, 64),
+           target=st.one_of(st.none(), st.integers(0, 0xFFFE)),
+           hosts=st.lists(st.sampled_from(V6_HOSTS), min_size=2, max_size=2, unique=True))
+    @example(family=Family.V4, ident=0, seq=0, ts=0, payload_len=16, target=None,
+             hosts=V6_HOSTS[:2])
+    @example(family=Family.V6, ident=0xFFFF, seq=0xFFFF, ts=2**64 - 1, payload_len=10,
+             target=0, hosts=V6_HOSTS[:2])
+    def test_prefix_is_the_value_of_the_requests_first_four_bytes(
+            self, family, ident, seq, ts, payload_len, target, hosts):
+        source, destination = hosts if family is Family.V6 else (None, None)
+        fields = dict(target_checksum=target, payload_len=payload_len, source=source,
+                      destination=destination)
+        request = icmp.make_request_bytes(family, ident, seq, ts, **fields)
+        assert icmp.request_prefix(family, ident, seq, ts, **fields) == \
+            int.from_bytes(request[:icmp.PREFIX_LEN], "big")
+
+    def test_prefix_raises_what_the_request_raises(self):
+        for kwargs, error in [({"target_checksum": 0xFFFF}, icmp.CodecError),
+                              ({"target_checksum": 0x10000}, ValueError),
+                              ({"payload_len": 9}, icmp.PayloadTooSmall)]:
+            for build in (icmp.make_request_bytes, icmp.request_prefix):
+                with pytest.raises(error):
+                    build(Family.V4, 1, 1, 0, **kwargs)
+        for build in (icmp.make_request_bytes, icmp.request_prefix):
+            with pytest.raises(icmp.MissingPseudoHeader):
+                build(Family.V6, 1, 1, 0)

@@ -222,15 +222,13 @@ class TestSourceWorker:
         t1 = SimTransport(net, clock, "10.0.1.1")
         t2 = SimTransport(net, clock, "10.0.2.1")
         failures_left = [3]
-        send = t1.send
 
-        def failing_send(data, ttl, destination):
+        def failing_depart(ttl, destination):  # every probe departs, table pings too
             if failures_left[0]:  # stall worker 1 at startup
                 failures_left[0] -= 1
                 raise TransportFailure("injected send failure")
-            return send(data, ttl, destination)
 
-        t1.send = failing_send
+        t1.depart = failing_depart
         end = START_US + 10_000_000
         w1 = SourceWorker([RelationKey(Family.V4, "A", "D", "10.0.1.1", "10.9.0.1")],
                           schedule, lambda: t1, sink1,
@@ -251,8 +249,8 @@ class TestSourceWorker:
         clock = VirtualClock(START_US)
 
         class DuplicatingTransport(SimTransport):
-            def ping(self, data, destination, timeout_us):  # by reply bytes, duplicated
-                return self.send(data, PING_TTL, destination), False
+            def ping(self, prefix, destination, timeout_us):  # by reply bytes, duplicated
+                return None
 
             def send(self, data, ttl, destination):
                 t = super().send(data, ttl, destination)

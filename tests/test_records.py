@@ -1,4 +1,5 @@
 import copy
+import errno
 import io
 import itertools
 import json
@@ -1288,6 +1289,28 @@ class TestSegments:
             assert sorted(_segment_files(path)) == (
                 ["ping-1.col"] * (len(stored) > 1) + ["ping-2.col", "ping-3.col"])
 
+    @pytest.mark.parametrize("writer", ["append", "extend", "import_json"])
+    def test_a_failed_write_names_its_segment_file(self, tmp_path, monkeypatch, writer):
+        """An os.write that fails with EFBIG, whose OSError names no file,
+        is raised again naming the segment's file, with the same errno and
+        so the same OSError class."""
+        def too_large(fd, data):
+            raise OSError(errno.EFBIG, os.strerror(errno.EFBIG))
+
+        store = RecordStore(tmp_path)
+        write = {"append": lambda: store.append(ping(ts=1)),
+                 "extend": lambda: store.extend([ping(ts=1), ping(ts=2)]),
+                 "import_json": lambda: store.import_json([serialize_line(ping(ts=1))])}
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "write", too_large)
+            with pytest.raises(OSError) as info:
+                write[writer]()
+        store.close()
+        segment = tmp_path / "ping-1.ndjson"
+        assert type(info.value) is OSError and info.value.errno == errno.EFBIG
+        assert info.value.filename == str(segment)
+        assert str(info.value) == f"[Errno {errno.EFBIG}] File too large: {str(segment)!r}"
+
     def test_ping_line_in_a_traceroute_segment_fails_traceroute_reads(self, tmp_path):
         segment = tmp_path / "traceroute-1.ndjson"
         write_old_segment(segment, [run(ts=5), ping(ts=7)])
@@ -1397,6 +1420,102 @@ def test_export_keeps_append_order_among_equal_timestamps(drawn):
             recovering.append(later)
         assert not list(copy.glob("*.ndjson"))
         assert _export(copy) == expected + serialize_line(later)
+
+
+# pairs of one family, canonical and not
+_PAIRS = [("10.0.0.1", "10.1.0.1"), ("10.0.0.2", "10.1.0.1"), ("2001:db8::1", "2001:db8::2"),
+          ("2001:DB8::1", "2001:db8:0::2")]
+_MIXED = ("10.0.0.1", "2001:db8::2")
+_INVALID_PINGS = {
+    "bool-timestamp": PingRecord(True, "10.0.0.1", "10.1.0.1", 255, 5),
+    "float-timestamp": PingRecord(1.0, "10.0.0.1", "10.1.0.1", 255, 5),
+    "zero-timestamp": PingRecord(0, "10.0.0.1", "10.1.0.1", 255, 5),
+    "rtt-on-timeout": PingRecord(1, "10.0.0.1", "10.1.0.1", 0, 5),
+    "no-rtt-on-reply": PingRecord(1, "10.0.0.1", "10.1.0.1", 255, None),
+    "mixed-families": PingRecord(1, *_MIXED, 0, None),
+    "unknown-status": PingRecord(1, "10.0.0.1", "10.1.0.1", 7, None),
+    "bool-rtt": PingRecord(1, "10.0.0.1", "10.1.0.1", 255, True),
+    "negative-rtt": PingRecord(1, "10.0.0.1", "10.1.0.1", 255, -1),
+    "bad-address": PingRecord(1, "010.0.0.1", "10.1.0.1", 0, None),
+}
+
+
+@st.composite
+def _mixed_records(draw):
+    """(segment_records, records): valid pings of statuses 0, 1 and 255,
+    v4 and v6, canonical and not, mixed with invalid pings and traceroute
+    runs, at timestamps that tie and go back."""
+    records_ = []
+    for i in range(draw(st.integers(0, 40))):
+        ts = draw(st.integers(1, 6))
+        choice = draw(st.integers(0, 9))
+        if choice < 7:
+            status = draw(st.sampled_from([0, 1, 255]))
+            records_.append(PingRecord(ts, *draw(st.sampled_from(_PAIRS)), status,
+                                       draw(st.integers(0, 2**40)) if status == 255 else None))
+        elif choice == 7:
+            records_.append(draw(st.sampled_from(list(_INVALID_PINGS.values()))))
+        else:
+            records_.append(run(ts=ts, dst=draw(st.sampled_from(["10.1.0.1", "10.1.0.2"])),
+                                rnd=i))
+    return draw(st.sampled_from([1, 2, 3, 5, 64])), records_
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=_mixed_records())
+def test_extend_of_ping_runs_by_column_equals_appending_one_at_a_time(drawn):
+    """extend, which checks and encodes each maximal run of valid pings a
+    column at a time, leaves the files, the written counts and the error
+    (class and message) of appending the records one at a time, so also the
+    records before the error and the seals. The fast check passes a run of
+    pings only if validated returns each of them unchanged."""
+    segment_records, records_ = drawn
+    for is_ping, group in itertools.groupby(records_, lambda r: type(r) is PingRecord):
+        pings = list(group)
+        if is_ping and records.checked_pings(pings) is not None:
+            assert list(map(records.validated, pings)) == pings
+    outcomes = []
+    with tempfile.TemporaryDirectory() as directory:
+        for way in ("extend", "append"):
+            path = Path(directory) / way
+            with RecordStore(path, segment_records=segment_records) as store:
+                try:
+                    if way == "extend":
+                        store.extend(records_)
+                    else:
+                        for record in records_:
+                            store.append(record)
+                except InvalidRecord as exc:
+                    error = str(exc)
+                else:
+                    error = None
+                written = dict(store.written)
+            outcomes.append((error, written, _segment_files(path) if path.exists() else {}))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_the_fast_ping_check_passes_valid_canonical_pings_alone():
+    """checked_pings passes runs of valid pings with canonical addresses,
+    of either family and every status, and nothing else. Its pairs hold
+    the canonical strings that validated gives, whatever string type and
+    object the records hold."""
+    address = type("Address", (str,), {})
+    valid = [ping(ts=1), ping(ts=2, status=0), ping(ts=3, status=1),
+             ping(ts=4, src="2001:db8::1", dst="2001:db8::2", rtt=0),
+             ping(ts=5, src=address("10.0.0.1"), dst="".join(["10.1", ".0.1"]))]
+    pairs, *columns = records.checked_pings(valid)
+    assert (pairs, *columns) == (
+        [(p.source, p.destination) for p in valid], (1, 2, 3, 4, 5), (255, 0, 1, 255, 255),
+        (10_000, None, None, 0, 10_000))
+    assert [tuple(map(type, pair)) for pair in pairs] == [(str, str)] * 5
+    assert all(x is y for pair, p in zip(pairs, valid)
+               for x, y in zip(pair, records.validated(p)[1:3]))
+    others = {**_INVALID_PINGS,
+              "non-canonical": ping(src="2001:DB8::1", dst="2001:db8::2"),
+              "not-a-string": ping(src=167772161),
+              "unhashable": ping(src=["10.0.0.1"])}
+    for name, record in others.items():
+        assert records.checked_pings(valid + [record]) is None, name
 
 
 def test_store_query_validates_range():

@@ -433,11 +433,10 @@ class TestScenario:
         class Transport(SimTransport):
             failures = strays = 0
 
-            def send(self, data, ttl, destination):
+            def depart(self, ttl, destination):
                 if self.failures:
                     self.failures -= 1
                     raise TransportFailure("injected send failure")
-                return super().send(data, ttl, destination)
 
             def pop_due(self, now_us):
                 packets = super().pop_due(now_us)
@@ -475,21 +474,21 @@ class TestScenario:
 
 
 class _FlakyTransport(SimTransport):
-    """A SimTransport whose sends numbered in fail (1, 2, ... per transport)
-    raise TransportFailure, as does its factory's rebuild at the calls
-    numbered in fail_rebuild; the factory hands back this transport, the
-    one the driver watches."""
+    """A SimTransport whose probes numbered in fail (1, 2, ... per
+    transport, as they depart, by send or from the table) raise
+    TransportFailure, as does its factory's rebuild at the calls numbered
+    in fail_rebuild; the factory hands back this transport, the one the
+    driver watches."""
 
     def __init__(self, network, clock, address, fail, fail_rebuild):
         super().__init__(network, clock, address)
         self.fail, self.fail_rebuild = fail, fail_rebuild
         self.sends = self.rebuilds = 0
 
-    def send(self, data, ttl, destination):
+    def depart(self, ttl, destination):
         self.sends += 1
         if self.sends in self.fail:
             raise TransportFailure("injected send failure")
-        return super().send(data, ttl, destination)
 
     def rebuild(self):
         self.rebuilds += 1
@@ -762,7 +761,7 @@ def test_a_sim_run_makes_reply_bytes_for_traceroute_probes_alone(tmp_path, monke
     assert Campaign.SCHEDULE["max_ttl"] < probe.PING_TTL  # a TTL tells pings apart
     counts = {"replies": 0, "pings": 0, "traceroute probes": 0, "responses": 0,
               "packets": 0, "packets not bytes": 0, "deadlines not pending": 0}
-    reply_bytes, send = icmp.reply_bytes_for_request, SimTransport.send
+    reply_bytes, depart = icmp.reply_bytes_for_request, SimTransport.depart
     response_for = SimNetwork.response_for
     on_packet, on_wakeup = SourceWorker.on_packet, SourceWorker.on_wakeup
 
@@ -770,9 +769,9 @@ def test_a_sim_run_makes_reply_bytes_for_traceroute_probes_alone(tmp_path, monke
         counts["replies"] += 1
         return reply_bytes(request, family)
 
-    def counted_send(self, data, ttl, destination):
+    def counted_depart(self, ttl, destination):
         counts["pings" if ttl == probe.PING_TTL else "traceroute probes"] += 1
-        return send(self, data, ttl, destination)
+        return depart(self, ttl, destination)
 
     def counted_response_for(self, *args):
         response = response_for(self, *args)
@@ -790,7 +789,7 @@ def test_a_sim_run_makes_reply_bytes_for_traceroute_probes_alone(tmp_path, monke
                                                for _, seq in self._deadlines)
 
     monkeypatch.setattr(icmp, "reply_bytes_for_request", counted_reply_bytes)
-    monkeypatch.setattr(SimTransport, "send", counted_send)
+    monkeypatch.setattr(SimTransport, "depart", counted_depart)
     monkeypatch.setattr(SimNetwork, "response_for", counted_response_for)
     monkeypatch.setattr(SourceWorker, "on_packet", counted_on_packet)
     monkeypatch.setattr(SourceWorker, "on_wakeup", checked_on_wakeup)
@@ -801,6 +800,62 @@ def test_a_sim_run_makes_reply_bytes_for_traceroute_probes_alone(tmp_path, monke
     assert 0 < counts["packets"] <= counts["responses"]
     assert counts["packets not bytes"] == 0
     assert counts["deadlines not pending"] == 0
+
+
+@pytest.mark.parametrize("fixture", ["neighbor.yaml", "route_events.yaml"])
+def test_a_ping_the_table_answers_builds_no_request_bytes(tmp_path, monkeypatch, fixture):
+    """A sim-run builds request bytes (make_request_bytes) once for each
+    probe that goes through the engine (SimNetwork.forward), and hands
+    forward exactly those bytes; a ping that the table answers builds none."""
+    counts = {"requests": 0, "forwarded": 0, "table pings": 0}
+    made = set()
+    make_request_bytes, forward, ping = (icmp.make_request_bytes, SimNetwork.forward,
+                                         SimTransport.ping)
+
+    def counted_make_request_bytes(*args, **kwargs):
+        counts["requests"] += 1
+        data = make_request_bytes(*args, **kwargs)
+        made.add(data)
+        return data
+
+    def counted_forward(self, data, *args):
+        counts["forwarded"] += 1
+        assert data in made
+        return forward(self, data, *args)
+
+    def counted_ping(self, *args):
+        sent = ping(self, *args)
+        counts["table pings"] += sent is not None
+        return sent
+
+    monkeypatch.setattr(icmp, "make_request_bytes", counted_make_request_bytes)
+    monkeypatch.setattr(SimNetwork, "forward", counted_forward)
+    monkeypatch.setattr(SimTransport, "ping", counted_ping)
+    topology = Path(__file__).resolve().parents[1] / "fixtures" / fixture
+    assert cli.main(["sim-run", "--topology", str(topology), "--duration", "600",
+                     "--seed", "3", "--store", str(tmp_path / "store")]) == 0
+    assert counts["table pings"] > 0 and counts["forwarded"] > 0
+    assert counts["requests"] == counts["forwarded"]
+
+
+def test_a_probe_to_an_address_no_node_has_fails_before_anything_is_queued():
+    """A ping the table would answer and a probe sent by its bytes both
+    raise TransportFailure for a destination that no node has, before they
+    depart and before anything is queued."""
+    departed = []
+
+    class Watched(SimTransport):
+        def depart(self, ttl, destination):
+            departed.append(destination)
+
+    transport = Watched(SimNetwork(linear_topology(2)), VirtualClock(START_US), "10.0.0.1")
+    for send in (lambda: transport.ping(icmp.request_prefix(Family.V4, 1, 1, START_US),
+                                        "10.99.0.1", 3_000_000),
+                 lambda: transport.send(icmp.make_request_bytes(Family.V4, 1, 1, START_US),
+                                        probe.PING_TTL, "10.99.0.1")):
+        with pytest.raises(TransportFailure, match="no simulated node has address 10.99.0.1"):
+            send()
+    assert (transport.table, transport.peek_arrival(), departed) == ([], None, [])
 
 
 def test_load_topology_yaml(tmp_path):
