@@ -492,7 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--out")
     exp.set_defaults(func=cmd_export)
 
-    upgrade = sub.add_parser("upgrade", help="convert a store of an older format, once")
+    upgrade = sub.add_parser(
+        "upgrade", help="rewrite a store's columnar format version 2 files as version 3")
     upgrade.add_argument("--store", required=True)
     upgrade.set_defaults(func=cmd_upgrade)
 

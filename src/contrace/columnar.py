@@ -54,10 +54,11 @@ what the header declares. A block read again, after release() dropped its
 columns, is checked by its CRC alone. A file whose blocks are all ruled out
 costs its header alone, and so does count().
 
-Files of format version 1 (one CRC over the whole file and a pair column
-instead of blocks) and version 2 (the same blocks, uncompressed) fail every
-read, and a writer's recovery, with the StoreError of needs_upgrade:
-`contrace upgrade` rewrites them as version 3 (see legacy).
+Files of format version 2 (the blocks of version 3, uncompressed) fail
+every read, and a writer's recovery, with a StoreError (refused) that says
+to run `contrace upgrade`, which rewrites them as version 3 (see legacy).
+Files of version 1 (one CRC over the whole file and a pair column instead
+of blocks) fail them, and upgrade too: nothing converts them any more.
 
 An NDJSON segment is read in the same form: its lines are added to a
 Segment held in memory, with no JSON decode where they have a known shape.
@@ -213,10 +214,16 @@ def write(path: Path, segment: Segment) -> None:
         os.fsync(fp.fileno())
 
 
-def needs_upgrade(path: Path, problem: str) -> StoreError:
-    """The error of a read or a writer that meets path, a file of a store
-    written before <kind>-<id> names and format version 3."""
-    return StoreError(f"{path}: {problem}; run contrace upgrade --store {path.parent}")
+def refused(path: Path, version: int | None) -> StoreError:
+    """The error of a read, a writer or upgrade that meets path, a file of an
+    older store: of format version 2, which `contrace upgrade` rewrites as
+    version 3; or of version 1 or not named <kind>-<id> (None), as stores
+    were before ids, which nothing converts any more."""
+    problem = "not named <kind>-<id>" if version is None else f"columnar format version {version}"
+    if version == 2:
+        return StoreError(f"{path}: {problem}; run contrace upgrade --store {path.parent}")
+    return StoreError(f"{path}: {problem}, as in a store written before ids; "
+                      f"contrace no longer reads or converts such a store")
 
 
 def _old_version(head: bytes) -> int | None:
@@ -234,15 +241,6 @@ def old_version(path: Path) -> int | None:
     with open(path, "rb") as fp:
         start = fp.read(len(_MAGIC) + _PREFIX.size + len(_OLD_HEADS[1]))
     return _old_version(start[len(_MAGIC) + _PREFIX.size:]) if start.startswith(_MAGIC) else None
-
-
-def refuse_old_version(path: Path) -> None:
-    """Raise needs_upgrade if the columnar file at path is of format
-    version 1 or 2 (old_version); a writer checks every file so before it
-    changes one."""
-    version = old_version(path)
-    if version is not None:
-        raise needs_upgrade(path, f"columnar format version {version}")
 
 
 class _Corrupt(Exception):
@@ -580,7 +578,7 @@ class Segment:
         head = fp.read(size)
         old = _old_version(head)
         if old is not None and old != self.version:
-            raise needs_upgrade(self.path, f"columnar format version {old}")
+            raise refused(self.path, old)
         _require(zlib.crc32(head, zlib.crc32(prefix[-4:])) == crc, "header: CRC mismatch")
         try:
             header = json.loads(head)

@@ -12,6 +12,7 @@ re-exports the three classes, and icmp re-exports Family and family_of.
 from __future__ import annotations
 
 import ipaddress
+import math
 from enum import Enum
 from typing import NamedTuple
 
@@ -75,14 +76,23 @@ class ProbeSchedule(_ScheduleFields):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.ping_interval_s <= 0 or self.traceroute_interval_s <= 0:
-            raise ValueError("intervals must be positive")
+        for name, value in self._asdict().items():
+            if name in ("traceroute_rounds", "max_ttl"):
+                ok, wanted = type(value) is int, "an integer"
+            elif name == "craft_constant_checksum":
+                ok, wanted = type(value) is bool, "true or false"
+            else:  # a duration or a fraction; -inf < nan fails too
+                ok = type(value) in (int, float) and -math.inf < value < math.inf
+                wanted = "a finite number"
+            if not ok:
+                raise ValueError(f"{name} must be {wanted}, got {value!r}")
+        for name in ("ping_interval", "traceroute_interval", "reply_timeout"):
+            if getattr(self, name + "_us") < 1:
+                raise ValueError(f"{name}_s must be at least 1 us")
         if self.traceroute_rounds < 1:
             raise ValueError("traceroute_rounds must be >= 1")
         if not 1 <= self.max_ttl <= 255:
             raise ValueError("max_ttl must be in 1..255")
-        if self.reply_timeout_s <= 0:
-            raise ValueError("reply_timeout_s must be positive")
         if not 0 <= self.jitter_fraction < 1:
             raise ValueError("jitter_fraction must be in [0, 1)")
         return self

@@ -96,49 +96,74 @@ class SimTopology(NamedTuple):
             raise TopologyError("router addresses must be unique")
 
 
-def _parse_policy(raw) -> Policy:
+def _parse_policy(raw, where: str) -> Policy:
     if raw in (None, POLICY_RESPONSIVE):
         return Policy(POLICY_RESPONSIVE)
     if raw == POLICY_SILENT:
         return Policy(POLICY_SILENT)
     if isinstance(raw, dict) and POLICY_RATE_LIMIT in raw:
-        rate = int(raw[POLICY_RATE_LIMIT])
+        rate = _fields(raw, where, POLICY_RATE_LIMIT, integers=1)[0]
         if rate < 0:
             raise TopologyError("rate_limit must be >= 0")
         return Policy(POLICY_RATE_LIMIT, rate)
     raise TopologyError(f"unknown policy {raw!r}")
 
 
+def _fields(entry, where: str, *names: str, integers: int = 0) -> tuple:
+    """The values of names in entry, the last integers of them ints, not
+    bools; else a TopologyError naming where."""
+    if not isinstance(entry, dict) or not all(name in entry for name in names):
+        raise TopologyError(f"{where} needs {', '.join(names)}")
+    for name in names[len(names) - integers:]:
+        if type(entry[name]) is not int:
+            raise TopologyError(f"{where}: {name} must be an integer, got {entry[name]!r}")
+    return tuple(entry[name] for name in names)
+
+
+def _section(doc: dict, name: str, kind: type):
+    section = doc.get(name) or kind()
+    if not isinstance(section, kind):
+        raise TopologyError(f"{name} must be a {'mapping' if kind is dict else 'list'}")
+    return section
+
+
 def topology_from_dict(doc: dict) -> SimTopology:
     routers = {}
-    for name, spec in (doc.get("routers") or {}).items():
+    for name, spec in _section(doc, "routers", dict).items():
         if not isinstance(spec, dict) or "address" not in spec:
             raise TopologyError(f"router {name} needs an address")
         routers[name] = RouterSpec(name, str(spec["address"]))
     links = {}
-    for entry in doc.get("links") or []:
-        links[(entry["from"], entry["to"])] = int(entry["latency_us"])
+    for number, entry in enumerate(_section(doc, "links", list), 1):
+        u, v, latency = _fields(entry, f"link {number}", "from", "to", "latency_us", integers=1)
+        links[(u, v)] = latency
     ecmp: dict[str, dict[str, tuple[str, ...]]] = {}
-    for router, groups in (doc.get("ecmp") or {}).items():
-        if isinstance(groups, list):
-            groups = {"default": groups}
+    for router, groups in _section(doc, "ecmp", dict).items():
+        groups = {"default": groups} if isinstance(groups, list) else groups
+        if not isinstance(groups, dict) or not all(type(g) is list for g in groups.values()):
+            raise TopologyError(f"ecmp entry for {router} must be a list or a mapping of lists")
         ecmp[router] = {dest: tuple(group) for dest, group in groups.items()}
-    policies = {router: _parse_policy(raw)
-                for router, raw in (doc.get("policies") or {}).items()}
-    start_us = int(doc.get("start_time", 1_609_459_200_000_000))
+    policies = {router: _parse_policy(raw, f"policy of {router}")
+                for router, raw in _section(doc, "policies", dict).items()}
+    start_us = doc.get("start_time", 1_609_459_200_000_000)
+    if type(start_us) is not int:
+        raise TopologyError(f"start_time must be an integer, got {start_us!r}")
     events = []
-    for entry in doc.get("events") or []:
-        at_us = start_us + int(round(float(entry["at"]) * 1_000_000))
-        action = entry["action"]
+    for number, entry in enumerate(_section(doc, "events", list), 1):
+        where = f"event {number}"
+        at, action = _fields(entry, where, "at", "action")
+        if type(at) not in (int, float) or not -math.inf < at < math.inf:
+            raise TopologyError(f"{where}: at must be a finite number of seconds, got {at!r}")
         if action in ("add_link", "set_latency"):
-            params = (entry["from"], entry["to"], int(entry["latency_us"]))
+            params = _fields(entry, where, "from", "to", "latency_us", integers=1)
         elif action == "remove_link":
-            params = (entry["from"], entry["to"])
+            params = _fields(entry, where, "from", "to")
         elif action == "set_policy":
-            params = (entry["router"], _parse_policy(entry["policy"]))
+            router, raw = _fields(entry, where, "router", "policy")
+            params = (router, _parse_policy(raw, where))
         else:
             raise TopologyError(f"unknown event action {action!r}")
-        events.append(SimEvent(at_us, action, params))
+        events.append(SimEvent(start_us + int(round(at * 1_000_000)), action, params))
     events.sort(key=lambda e: e.at_us)
     measurement = doc.get("measurement")
     if measurement is not None and not isinstance(measurement, dict):

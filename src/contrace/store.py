@@ -13,9 +13,10 @@ run ends), by one os.write under the lock, in input order. So a read
 never sees a torn record, a killed import keeps a prefix of its input,
 and a failed write ends its segment as a crash does. Reads and writers
 know only <kind>-<id> names and columnar format version 3; a file of an
-older store fails them with a StoreError that says to run `contrace
-upgrade` (see legacy). RecordStore is also importable from
-contrace.records.
+older store fails them with a StoreError that names it (columnar.refused):
+a version 2 file needs `contrace upgrade` (see legacy), and nothing
+converts a version 1 file or a name given before ids. RecordStore is also
+importable from contrace.records.
 """
 
 from __future__ import annotations
@@ -318,7 +319,8 @@ class RecordStore:
 
     A store written before ids or columnar format version 3 fails every
     read and writer, changing no file, with a StoreError that names an old
-    file and says to run `contrace upgrade --store DIR` (legacy.upgrade).
+    file (columnar.refused); only version 2 files can be converted, by
+    `contrace upgrade --store DIR` (legacy.upgrade).
     """
 
     def __init__(self, path: str | Path, *, segment_records: int = 100_000):
@@ -347,7 +349,7 @@ class RecordStore:
             match = _SEGMENT_NAME.fullmatch(name)
             if match is None:
                 if _OLDER.match(name):
-                    raise columnar.needs_upgrade(self.path / name, "not named <kind>-<id>")
+                    raise columnar.refused(self.path / name, None)
                 if name not in self._warned:
                     self._warned.add(name)
                     _warn("ignoring %s: not a <kind>-<id>.ndjson or <kind>-<id>.col "
@@ -408,8 +410,10 @@ class RecordStore:
         by a peek."""
         found = [(kind, stem) for kind, stems in self._scan().items() for stem in stems]
         for _, stem in found:
-            if columnar.SUFFIX in stem.paths:
-                columnar.refuse_old_version(stem.paths[columnar.SUFFIX])
+            path = stem.paths.get(columnar.SUFFIX)
+            version = path and columnar.old_version(path)
+            if version:
+                raise columnar.refused(path, version)
         for temp in self.path.glob("*" + columnar.TEMP_SUFFIX):
             temp.unlink()
         self._next_id = 1 + max((stem.id for _, stem in found), default=0)

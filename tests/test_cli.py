@@ -159,6 +159,17 @@ def test_bad_config_is_one_error_line(tmp_path, capsys, command, document):
     assert not (tmp_path / "s").exists()
 
 
+def test_a_schedule_the_engine_cannot_run_is_one_config_error(tmp_path, capsys):
+    """sim-run of a fractional max_ttl stops before it probes: exit 2, one
+    error line that names the field, and no store is made."""
+    config = write_config(tmp_path, tmp_path / "s")
+    config.write_text(config.read_text().replace("max_ttl: 16", "max_ttl: 3.5"))
+    assert sim_run(config, 600, 1) == EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        "error: bad schedule: max_ttl must be an integer, got 3.5\n"
+    assert not (tmp_path / "s").exists()
+
+
 def test_malformed_topology_is_a_topology_error(tmp_path):
     from contrace import sim
     topology = tmp_path / "topology.yaml"
@@ -168,6 +179,17 @@ def test_malformed_topology_is_a_topology_error(tmp_path):
     topology.write_text("routers: {}\nmeasurement: 5\n")
     with pytest.raises(sim.TopologyError, match="measurement must be a mapping"):
         sim.load_topology(topology)
+
+
+def test_a_malformed_topology_entry_is_one_config_error(tmp_path, capsys):
+    """sim-run of a topology whose link lacks a field: exit 2 and one error
+    line that names the link, no traceback, and no store is made."""
+    topology = tmp_path / "topology.yaml"
+    topology.write_text("routers: {a: {address: 10.0.0.1}}\nlinks: [{from: a, latency_us: 9}]\n")
+    assert cli.main(["sim-run", "--topology", str(topology), "--store",
+                     str(tmp_path / "s")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: link 1 needs from, to, latency_us\n"
+    assert not (tmp_path / "s").exists()
 
 
 @pytest.mark.parametrize("command", ["measure", "sim-run"])

@@ -350,7 +350,7 @@ def _grouped(path_runs_):
 
 class TestSegmentForms:
     """One set of records spread over every form a segment takes: sealed
-    columnar, old sealed NDJSON once upgraded, a crashed writer's NDJSON
+    columnar, NDJSON that a writer's recovery seals, a crashed writer's NDJSON
     with a torn tail, and the writer's own active segment. Every read
     equals a brute-force reference over the records in load order."""
 
@@ -372,33 +372,32 @@ class TestSegmentForms:
         rng = random.Random(8)
         forms = {kind: [self.chunk(rng, first, kind) for first in (1, 2, 3, 4)]
                  for kind in ("ping", "traceroute")}
-        with RecordStore(tmp_path) as first_writer:  # 1: sealed columnar, ids 1 and 2
+        for segment_id, (kind, (_, sealed, _, _)) in enumerate(forms.items(), 1):
+            lines = [serialize_line(r) for r in sealed]  # 2: NDJSON a writer seals
+            (tmp_path / f"{kind}-{segment_id}.ndjson").write_text(
+                "".join(lines[:3]) + "\n" + "".join(lines[3:]))
+        # the first writer's recovery seals those, so they load before its own
+        with RecordStore(tmp_path) as first_writer:  # 1: sealed columnar, ids 3 and 4
             for kind in forms:
                 for record in forms[kind][0]:
                     first_writer.append(record)
-        for kind, (_, old, _, _) in forms.items():
-            lines = [serialize_line(r) for r in old]  # 2: old sealed NDJSON
-            (tmp_path / f"{kind}-2-{old[-1].timestamp}.ndjson").write_text(
-                "".join(lines[:3]) + "\n" + "".join(lines[3:]))
-        # old names load before every id: upgrade renumbers all in that order
-        legacy.upgrade(tmp_path)
         assert names(tmp_path, "*-*") == [
-            "ping-3.col", "ping-4.col", "traceroute-5.col", "traceroute-6.col"]
+            "ping-1.col", "ping-3.col", "traceroute-2.col", "traceroute-4.col"]
         with RecordStore(tmp_path) as writer:
-            for kind in forms:  # 4: the writer's active segment, ids 7 and 8
+            for kind in forms:  # 4: the writer's active segment, ids 5 and 6
                 for record in forms[kind][3]:
                     writer.append(record)
-            for crashed, (kind, (_, _, left_open, _)) in enumerate(forms.items(), 9):
+            for crashed, (kind, (_, _, left_open, _)) in enumerate(forms.items(), 7):
                 lines = [serialize_line(r) for r in left_open]  # 3: a torn tail
                 (tmp_path / f"{kind}-{crashed}.ndjson").write_text(
                     "".join(lines) + lines[0][:25])
             # left open with no whole line: only a partial one, or only blank lines
-            (tmp_path / "ping-11.ndjson").write_text(serialize_line(ping(6))[:30])
-            (tmp_path / "traceroute-12.ndjson").write_text("\n  \n")
+            (tmp_path / "ping-9.ndjson").write_text(serialize_line(ping(6))[:30])
+            (tmp_path / "traceroute-10.ndjson").write_text("\n  \n")
             assert names(tmp_path, "*-*") == [
-                "ping-11.ndjson", "ping-3.col", "ping-4.col", "ping-7.ndjson",
-                "ping-9.ndjson", "traceroute-10.ndjson", "traceroute-12.ndjson",
-                "traceroute-5.col", "traceroute-6.col", "traceroute-8.ndjson"]
+                "ping-1.col", "ping-3.col", "ping-5.ndjson", "ping-7.ndjson",
+                "ping-9.ndjson", "traceroute-10.ndjson", "traceroute-2.col",
+                "traceroute-4.col", "traceroute-6.ndjson", "traceroute-8.ndjson"]
             in_load_order = {kind: [r for i in (1, 0, 3, 2) for r in chunks[i]]
                              for kind, chunks in forms.items()}
             expected_export = canonical(in_load_order["ping"] + in_load_order["traceroute"])
@@ -1130,39 +1129,6 @@ def test_a_seal_cut_after_each_step_loses_and_repeats_nothing(tmp_path, monkeypa
     assert dump(RecordStore(tmp_path)) == canonical(expected[:3] + [ping(5)])
 
 
-def test_an_old_ndjson_store_exports_byte_identically_once_upgraded(tmp_path):
-    rng = random.Random(11)
-    stored = {"ping": [], "traceroute": []}
-    segments = []
-    for first in range(1, 400, 40):
-        for kind in ("ping", "traceroute"):
-            chunk = [ping(first + rng.randrange(60), rng.choice([None, 40]))
-                     if kind == "ping" else
-                     run(first + rng.randrange(60), variant=rng.randrange(2))
-                     for _ in range(rng.randrange(1, 30))]
-            chunk[0] = chunk[0]._replace(timestamp=first)
-            name = f"{kind}-{first}-{chunk[-1].timestamp}"
-            if (tmp_path / f"{name}.ndjson").exists():
-                name += "-1"
-            (tmp_path / f"{name}.ndjson").write_text(
-                "".join(serialize_line(r) for r in chunk))
-            stored[kind] += chunk
-            segments.append(f"{name}.ndjson")
-    expected = canonical(stored["ping"] + stored["traceroute"])
-    assert names(tmp_path) == sorted(segments)
-    legacy.upgrade(tmp_path)
-    assert not list(tmp_path.glob("*.ndjson"))
-    assert len(list(tmp_path.glob("*.col"))) == len(segments)
-    upgraded = RecordStore(tmp_path)
-    assert dump(upgraded) == expected
-    for kind in stored:
-        assert upgraded.query(StoreQuery(kind)) == \
-            sorted(stored[kind], key=lambda r: r.timestamp)
-    with RecordStore(tmp_path) as writer:
-        writer.append(run(10_000))
-    assert dump(RecordStore(tmp_path)) == expected + serialize_line(run(10_000))
-
-
 def test_a_writer_rebuilds_an_invalid_columnar_twin_from_its_ndjson(tmp_path):
     expected = [ping(1, 10), ping(2)]
     (tmp_path / "ping-1.ndjson").write_text("".join(map(serialize_line, expected)))
@@ -1293,7 +1259,7 @@ def test_export_and_query_match_records_sorted_by_time_kind_and_append_order(dra
         assert reads(RecordStore(directory)) == expected
 
 
-# -- version 1 and 2 files -------------------------------------------------------
+# -- one segment in every form, and version 2 files ------------------------------
 
 @st.composite
 def _interleaved(draw):
@@ -1337,10 +1303,10 @@ def _reference_reads(kind, records_, queries):
 @settings(max_examples=60, deadline=None)
 @given(drawn=_interleaved(), seed=st.integers(0, 2**32))
 def test_an_interleaved_segment_round_trips_in_both_formats(drawn, seed):
-    """One sealed segment of records that interleave pairs, repeat
-    timestamps and go back in time reads as the oracles say, whether the
-    writer sealed it or upgrade rewrote its version 1 or version 2 twin,
-    and through windows."""
+    """One segment of records that interleave pairs, repeat timestamps and
+    go back in time reads as the oracles say, whether the writer sealed
+    it, upgrade rewrote its version 2 twin or it is still NDJSON, and
+    through windows."""
     kind, records_ = drawn
     queries = _queries(kind, records_, random.Random(seed))
     expected = _reference_reads(kind, records_, queries)
@@ -1351,38 +1317,30 @@ def test_an_interleaved_segment_round_trips_in_both_formats(drawn, seed):
                 store.append(record)
         [name] = names(written, "*.col")
         assert _store_reads(RecordStore(written), kind, queries) == expected
-        for version in (1, 2):
-            old = Path(directory) / f"v{version}"
-            old.mkdir()
-            _write_old(old / name, version, kind, records_)
-            legacy.upgrade(old)
-            assert _store_reads(RecordStore(old), kind, queries) == expected
+        old = Path(directory) / "v2"
+        old.mkdir()
+        _write_v2(old / name, kind, records_)
+        legacy.upgrade(old)
+        assert _store_reads(RecordStore(old), kind, queries) == expected
+        left_open = Path(directory) / "ndjson"
+        left_open.mkdir()
+        (left_open / name).with_suffix(".ndjson").write_text(
+            "".join(map(serialize_line, records_)))
+        assert _store_reads(RecordStore(left_open), kind, queries) == expected
 
 
-def _write_old(path, version, kind, records_):
-    """Write records_ as a columnar file of format version 1 or 2."""
-    if version == 1:
-        oracles.write_v1(path, kind, records_)
-        return
+def _write_v2(path, kind, records_):
+    """Write records_ as a columnar file of format version 2."""
     segment = columnar.Segment(kind)
     for record in records_:
         segment.add(record)
     oracles.write_v2(path, segment)
 
 
-def test_a_version_1_store_reads_as_its_twin_once_upgraded(tmp_path):
-    """Sealed segments written by the old writer fail every read until
-    upgrade rewrites them as version 3; then they read as the same segments
-    sealed today."""
-    _an_old_store_reads_as_its_twin_once_upgraded(tmp_path, 1)
-
-
 def test_a_version_2_store_reads_as_its_twin_once_upgraded(tmp_path):
-    """So do sealed segments of version 2, whose columns are not compressed."""
-    _an_old_store_reads_as_its_twin_once_upgraded(tmp_path, 2)
-
-
-def _an_old_store_reads_as_its_twin_once_upgraded(tmp_path, version):
+    """Sealed segments of version 2, whose columns are not compressed, fail
+    every read until upgrade rewrites them as version 3; then they read as
+    the same segments sealed today."""
     rng = random.Random(21)
     chunks = {kind: [TestSegmentForms().chunk(rng, first, kind) for first in (1, 20, 40)]
               for kind in ("ping", "traceroute")}
@@ -1394,17 +1352,15 @@ def _an_old_store_reads_as_its_twin_once_upgraded(tmp_path, version):
             with RecordStore(twin, segment_records=len(chunk)) as store:
                 for record in chunk:
                     store.append(record)
-            _write_old(old / f"{kind}-{next(segment_ids)}.col", version, kind, chunk)
+            _write_v2(old / f"{kind}-{next(segment_ids)}.col", kind, chunk)
     assert names(old, "*.col") == names(twin, "*.col")
-    assert all(columnar.old_version(path) == version for path in old.glob("*.col"))
+    assert all(columnar.old_version(path) == 2 for path in old.glob("*.col"))
     for read in _reads(RecordStore(old), "traceroute"):
-        with pytest.raises(StoreError, match=rf"-[14]\.col: columnar format version {version}; "
+        with pytest.raises(StoreError, match=r"-[14]\.col: columnar format version 2; "
                                              r"run contrace upgrade --store "
                                              + re.escape(str(old))):
             read()
-    assert legacy.upgrade(old) == (f"upgraded {old}: segments renamed 0, version 1 and 2 "
-                                   f"files rewritten 6, NDJSON segments sealed 0, second "
-                                   f"names unlinked 0")
+    assert legacy.upgrade(old) == f"upgraded {old}: version 2 files rewritten 6"
     assert not any(columnar.old_version(path) for path in old.glob("*.col"))
     for kind in chunks:
         stored = [r for chunk in chunks[kind] for r in chunk]
@@ -1420,22 +1376,6 @@ def _an_old_store_reads_as_its_twin_once_upgraded(tmp_path, version):
               StoreQuery("traceroute", 5, 30, *TestSegmentForms.PAIRS[1])):
         assert upgraded.query(q) == sealed.query(q)
         assert _grouped(upgraded.path_runs(q)) == _grouped(sealed.path_runs(q))
-
-
-def test_upgrade_stops_at_a_damaged_version_1_file_and_renames_nothing(tmp_path):
-    stored = [ping(1, 10), ping(2, dst="10.1.0.2")]
-    segment = tmp_path / "ping-1-2.col"
-    oracles.write_v1(segment, "ping", stored)
-    small_store(tmp_path / "later")
-    for later in (tmp_path / "later").glob("*.col"):
-        later.rename(tmp_path / later.name)
-    segment.write_bytes(segment.read_bytes()[:-1] + b"\x01")
-    before = {path.name: path.read_bytes() for path in tmp_path.glob("*.col")}
-    with pytest.raises(StoreError, match=re.escape(f"{segment}: CRC mismatch")):
-        legacy.upgrade(tmp_path)
-    assert {path.name: path.read_bytes() for path in tmp_path.glob("*.col")} == before
-    assert sorted(before) == ["ping-1-2.col", "ping-1.col", "traceroute-2.col"]
-    assert cli.main(["upgrade", "--store", str(tmp_path)]) == 1
 
 
 def test_export_reads_each_block_once_where_segments_overlap(tmp_path, monkeypatch):

@@ -1,4 +1,6 @@
 import heapq
+import math
+import re
 
 import pytest
 
@@ -359,6 +361,33 @@ class TestScheduleValidation:
             ProbeSchedule(max_ttl=0)
         with pytest.raises(ValueError):
             ProbeSchedule(max_ttl=256)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("ping_interval_s", 1e-9, "ping_interval_s must be at least 1 us"),
+        ("traceroute_interval_s", 1e-9, "traceroute_interval_s must be at least 1 us"),
+        ("reply_timeout_s", 4e-7, "reply_timeout_s must be at least 1 us"),
+        ("traceroute_rounds", 2.5, "traceroute_rounds must be an integer, got 2.5"),
+        ("max_ttl", 3.5, "max_ttl must be an integer, got 3.5"),
+        ("max_ttl", True, "max_ttl must be an integer, got True"),
+        ("reply_timeout_s", math.inf, "reply_timeout_s must be a finite number, got inf"),
+        ("ping_interval_s", math.nan, "ping_interval_s must be a finite number, got nan"),
+        ("jitter_fraction", math.nan, "jitter_fraction must be a finite number, got nan"),
+        ("ping_interval_s", "1", "ping_interval_s must be a finite number, got '1'"),
+        ("craft_constant_checksum", "false",
+         "craft_constant_checksum must be true or false, got 'false'"),
+    ])
+    def test_a_schedule_the_engine_cannot_run_is_refused(self, field, value, message):
+        """Durations are finite numbers that round to at least 1 us (0 us
+        would never advance the clock), counts are integers and the
+        checksum flag is a boolean; each fault names its field."""
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ProbeSchedule(**{field: value})
+
+    def test_a_schedule_of_whole_numbers_and_one_microsecond_is_accepted(self):
+        schedule = ProbeSchedule(ping_interval_s=1e-6, traceroute_interval_s=1,
+                                 reply_timeout_s=6e-7, craft_constant_checksum=False)
+        assert (schedule.ping_interval_us, schedule.traceroute_interval_us,
+                schedule.reply_timeout_us) == (1, 1_000_000, 1)
 
     def test_relation_family_consistency(self):
         with pytest.raises(ValueError):

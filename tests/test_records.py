@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contrace import columnar, legacy, records
+from contrace import columnar, records
 from contrace import store as store_module
 from contrace.records import (Hop, InvalidRecord, MalformedJson, PingRecord,
                               RecordStore, StoreError, StoreQuery, TracerouteRun)
@@ -1027,28 +1027,6 @@ class TestSegments:
         monkeypatch.setattr(os, "link", no_links)
         _one_timestamp_in_three_segments(tmp_path)
 
-    def test_upgrade_finishes_a_seal_cut_between_link_and_unlink(self, tmp_path):
-        expected = [ping(ts=ts) for ts in range(5, 10)]
-        # the state an old writer's crash after os.link and before unlink left
-        write_old_segment(tmp_path / "ping-5-9.ndjson", expected)
-        os.link(tmp_path / "ping-5-9.ndjson", tmp_path / "ping-5-open.ndjson")
-        with pytest.raises(StoreError, match="; run contrace upgrade --store "):
-            RecordStore(tmp_path).count("ping")
-        assert legacy.upgrade(tmp_path) == (
-            f"upgraded {tmp_path}: segments renamed 1, version 1 and 2 files rewritten 0, "
-            f"NDJSON segments sealed 1, second names unlinked 1")
-        reader = RecordStore(tmp_path)
-        assert reader.count("ping") == 5
-        assert reader.query(StoreQuery("ping")) == expected
-        assert sorted(p.name for p in tmp_path.iterdir()) == [".lock", "ping-1.col"]
-        with RecordStore(tmp_path) as writer:
-            writer.append(run(ts=1))
-        assert sorted(p.name for p in tmp_path.iterdir()) == [
-            ".lock", "ping-1.col", "traceroute-2.col"]
-        reopened = RecordStore(tmp_path)
-        assert reopened.count("ping") == 5
-        assert reopened.query(StoreQuery("ping")) == expected
-
     def test_dump_imported_twice_is_held_twice(self, tmp_path):
         lines = [serialize_line(ping(ts=t, rtt=t)) for t in range(1, 101)]
         for _ in range(2):
@@ -1078,35 +1056,6 @@ class TestSegments:
         after = io.StringIO()
         RecordStore(tmp_path).export(after)
         assert within.getvalue() == after.getvalue() == expected
-
-    def test_an_old_open_segment_loads_after_the_old_sealed_ones(self, tmp_path):
-        """A segment left open under a name given before ids is the newest of
-        its kind, so it loads after the old sealed ones, whatever its first
-        timestamp: upgrade gives it the id after theirs, and a writer then
-        seals it."""
-        sealed, left_open = [ping(ts=10, rtt=1), ping(ts=20, rtt=2)], \
-            [ping(ts=5, rtt=3), ping(ts=10, rtt=4)]
-        with RecordStore(tmp_path / "old") as old:
-            for record in sealed:
-                old.append(record)
-        (tmp_path / "old" / "ping-1.col").rename(tmp_path / "ping-10-20.col")
-        write_old_segment(tmp_path / "ping-5-open.ndjson", left_open)
-        shutil.rmtree(tmp_path / "old")
-        expected = "".join(map(serialize_line, [left_open[0], sealed[0], left_open[1],
-                                                sealed[1]]))
-        legacy.upgrade(tmp_path)
-        assert sorted(p.name for p in tmp_path.iterdir()) == [
-            ".lock", "ping-1.col", "ping-2.ndjson"]
-        before = io.StringIO()
-        RecordStore(tmp_path).export(before)
-        assert before.getvalue() == expected
-        with RecordStore(tmp_path) as writer:
-            writer.append(run(ts=100))
-        assert sorted(p.name for p in tmp_path.iterdir()) == [
-            ".lock", "ping-1.col", "ping-2.col", "traceroute-3.col"]
-        after = io.StringIO()
-        RecordStore(tmp_path).export(after)
-        assert after.getvalue() == expected + serialize_line(run(ts=100))
 
     def test_a_reader_whose_listed_ndjson_is_gone_reads_its_columnar_twin(
             self, tmp_path, monkeypatch):

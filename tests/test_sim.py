@@ -1,5 +1,6 @@
 import io
 import random
+import re
 import tempfile
 from pathlib import Path
 
@@ -294,6 +295,38 @@ class TestTopologyValidation:
                 "routers": {"a": {"address": "10.0.0.1"},
                             "b": {"address": "10.0.0.1"}},
             })
+
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"routers": [1, 2]}, "routers must be a mapping"),
+        ({"links": 5}, "links must be a list"),
+        ({"links": [{"from": "a", "latency_us": 10}]}, "link 1 needs from, to, latency_us"),
+        ({"links": [{"from": "a", "to": "b", "latency_us": "10"}]},
+         "link 1: latency_us must be an integer, got '10'"),
+        ({"links": [{"from": "a", "to": "b", "latency_us": 2.5}]},
+         "link 1: latency_us must be an integer, got 2.5"),
+        ({"ecmp": {"a": 5}}, "ecmp entry for a must be a list or a mapping of lists"),
+        ({"ecmp": {"a": {"b": 5}}}, "ecmp entry for a must be a list or a mapping of lists"),
+        ({"policies": {"a": {"rate_limit": "x"}}},
+         "policy of a: rate_limit must be an integer, got 'x'"),
+        ({"start_time": "x"}, "start_time must be an integer, got 'x'"),
+        ({"events": [{"at": 1, "action": "remove_link", "to": "b"}]}, "event 1 needs from, to"),
+        ({"events": [{"at": 1, "action": "add_link", "from": "a", "to": "b",
+                      "latency_us": True}]}, "event 1: latency_us must be an integer, got True"),
+        ({"events": [{"at": 1, "action": "set_policy", "router": "a",
+                      "policy": {"rate_limit": 1.5}}]},
+         "event 1: rate_limit must be an integer, got 1.5"),
+        ({"events": [{"at": "soon", "action": "remove_link", "from": "a", "to": "b"}]},
+         "event 1: at must be a finite number of seconds, got 'soon'"),
+    ], ids=["routers-a-list", "links-a-number", "link-without-to", "latency-a-string",
+            "latency-a-fraction", "ecmp-a-number", "ecmp-group-a-number",
+            "rate-limit-a-string", "start-time-a-string",
+            "event-without-from", "event-latency-a-bool", "event-rate-limit-a-fraction",
+            "event-at-a-string"])
+    def test_a_malformed_entry_is_a_topology_error_that_names_it(self, doc, message):
+        routers = {"a": {"address": "10.0.0.1"}, "b": {"address": "10.0.0.2"}}
+        with pytest.raises(TopologyError, match=f"^{re.escape(message)}$"):
+            topology_from_dict({"routers": routers, **doc})
 
 
 class TestVirtualClock:

@@ -1,6 +1,8 @@
-"""`contrace upgrade`: a store written before <kind>-<id> names and columnar
-format version 3 fails every read and writer until it is upgraded, and an
-upgrade that is cut at any rename or replace completes when run again."""
+"""`contrace upgrade`: a store of columnar format version 2 files fails
+every read and writer until upgrade rewrites them as version 3, and an
+upgrade that is cut at any replace completes when run again. A store
+written before <kind>-<id> names or of version 1 files fails every read,
+writer and upgrade, which change no file."""
 
 import os
 import re
@@ -67,23 +69,27 @@ def _version_2(path):
     return path / "traceroute-2.col"
 
 
+_NO_LONGER = "; contrace no longer reads or converts such a store"
+
+
 @pytest.mark.parametrize("make_old, upgraded", [
-    (_old_name_col, 4), (_old_name_ndjson, 6), (_open_ndjson, 5), (_version_1, 4),
+    (_old_name_col, None), (_old_name_ndjson, None), (_open_ndjson, None), (_version_1, None),
     (_version_2, 4)],
     ids=["sealed-col", "sealed-ndjson", "open-ndjson", "version-1", "version-2"])
 def test_every_read_and_a_writer_refuse_an_old_file_and_change_nothing(
         tmp_path, capsys, make_old, upgraded):
     """An old file is refused, never skipped as a stray file is: skipping
     it would drop its records. The pings' old names fail the traceroute
-    reads too."""
+    reads too. upgrade converts a version 2 file; a file of a store written
+    before ids fails it too, and it changes no file."""
     store = tmp_path / "store"
     with RecordStore(store) as writer:  # ping-1.col and traceroute-2.col
         for record in (ping(5, 10), ping(6), run(5), run(6, variant=1)):
             writer.append(record)
     old = make_old(store)
     before = _snapshot(store)
-    refused = re.escape(f"{old}: ") + r"[^;]+; " + re.escape(
-        f"run contrace upgrade --store {store}") + "$"
+    refused = re.escape(f"{old}: ") + r"[^;]+" + re.escape(
+        f"; run contrace upgrade --store {store}" if upgraded else _NO_LONGER) + "$"
     reader = RecordStore(store)
     for read in (reader.count, lambda: reader.query(StoreQuery("traceroute")),
                  lambda: reader.path_runs(StoreQuery("traceroute")), lambda: dump(reader)):
@@ -102,47 +108,48 @@ def test_every_read_and_a_writer_refuse_an_old_file_and_change_nothing(
         err = capsys.readouterr().err
         assert re.fullmatch("error: " + refused[:-1] + "\n", err), err
     assert _snapshot(store) == before
-    assert cli.main(["upgrade", "--store", str(store)]) == 0
-    assert capsys.readouterr().out.startswith(f"upgraded {store}: ")
-    assert RecordStore(store).count() == upgraded
+    if upgraded:
+        assert cli.main(["upgrade", "--store", str(store)]) == 0
+        assert capsys.readouterr().out == f"upgraded {store}: version 2 files rewritten 1\n"
+        assert RecordStore(store).count() == upgraded
+        return
+    assert cli.main(["upgrade", "--store", str(store)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and re.fullmatch("error: " + refused[:-1] + "\n", err), err
+    assert "contrace upgrade" not in err
+    assert _snapshot(store) == before
 
 
 # -- a cut upgrade runs again to the same store ------------------------------------
 
-def _mixed_store(path):
-    """A store of every form upgrade converts, and its records per kind in
-    the load order reads gave it before ids: old sealed segments by first
-    timestamp, then those left open, then ids. Timestamp 5 is in every
-    segment, so the export shows the order of each kind's ties."""
+def _v2(path, kind, records_):
+    """Write records_ as a version 2 columnar file at path."""
+    segment = columnar.Segment(kind)
+    for record in records_:
+        segment.add(record)
+    oracles.write_v2(path, segment)
+
+
+def _version_2_store(path):
+    """A store of every state a store of version 2 files can hold, and its
+    export: version 2 files of both kinds, one beside its NDJSON (a seal
+    cut before its unlink), a crashed writer's NDJSON with a torn tail,
+    and a temp file a cut seal left. Timestamp 5 is in every segment, so
+    the export shows the order of each kind's ties."""
     path.mkdir()
-    with RecordStore(path) as writer:  # ping-1.col, and traceroute-2.col made version 1
-        writer.append(ping(5, 1))
-        writer.append(run(5, rtt=1))
-    oracles.write_v1(path / "traceroute-2.col", "traceroute", [run(5, rtt=1), run(3)])
-    # old sealed columnar, version 2 and version 1
-    (path / "ping-3-6.col").write_bytes(_columns("ping", [ping(5, 10), ping(6, 11)]))
-    oracles.write_v1(path / "traceroute-1-5.col", "traceroute",
-                     [run(5, rtt=10), run(1, variant=1, rtt=11)])
-    # old sealed NDJSON with a columnar twin (a seal cut before the unlink), and
-    # one with a second name (a seal cut between link and unlink)
+    sealed = [ping(5, 10), ping(6, 11)]
+    _v2(path / "ping-1.col", "ping", sealed)
+    runs = [run(5, rtt=10), run(1, variant=1, rtt=11)]
+    _v2(path / "traceroute-2.col", "traceroute", runs)
     twin = [ping(5, 20), ping(8)]
-    (path / "ping-7-8.ndjson").write_text(_ndjson(twin))
-    (path / "ping-7-8.col").write_bytes(_columns("ping", twin))
-    linked = [run(5, rtt=20), run(6, variant=1, rtt=21)]
-    (path / "traceroute-3-6.ndjson").write_text(_ndjson(linked, "\n"))
-    os.link(path / "traceroute-3-6.ndjson", path / "traceroute-3-open.ndjson")
-    # left open under an old name, with a torn tail
-    left_open = [ping(5, 30), ping(9, 31)]
-    (path / "ping-2-open.ndjson").write_text(_ndjson(left_open, serialize_line(ping(5))[:25]))
-    # by id: a seal cut before its unlink, and a crashed writer's torn segment
-    cut = [ping(5, 40)]
-    (path / "ping-9.ndjson").write_text(_ndjson(cut))
-    (path / "ping-9.col").write_bytes(_columns("ping", cut))
+    (path / "ping-3.ndjson").write_text(_ndjson(twin))
+    _v2(path / "ping-3.col", "ping", twin)
+    later_runs = [run(5, rtt=20), run(6, variant=1, rtt=21)]
+    _v2(path / "traceroute-4.col", "traceroute", later_runs)
     crashed = [ping(5, 50), ping(4, 51)]
-    (path / "ping-10.ndjson").write_text(_ndjson(crashed, '{"timestamp":5,'))
-    pings = [ping(5, 10), ping(6, 11), *twin, *left_open, ping(5, 1), *cut, *crashed]
-    runs = [run(5, rtt=10), run(1, variant=1, rtt=11), *linked, run(5, rtt=1), run(3)]
-    return canonical(pings + runs)
+    (path / "ping-5.ndjson").write_text(_ndjson(crashed, '{"timestamp":5,'))
+    (path / "ping-5.col.tmp").write_bytes(_columns("ping", crashed)[:40])
+    return canonical(sealed + twin + crashed + runs + later_runs)
 
 
 class _Cut:
@@ -163,36 +170,41 @@ class _Cut:
         return moved
 
 
-def test_an_upgrade_cut_at_any_rename_or_replace_completes_when_run_again(
-        tmp_path, monkeypatch):
+def test_an_upgrade_cut_at_any_replace_completes_when_run_again(tmp_path, monkeypatch):
+    """upgrade rewrites each version 2 file by one os.replace and leaves
+    NDJSON and temp files to the next writer. Cut at any replace, a rerun
+    completes it; the store then exports what it held, a third run changes
+    no byte, and a writer's recovery keeps that export."""
     whole = tmp_path / "whole"
-    expected = _mixed_store(whole)
+    expected = _version_2_store(whole)
     with monkeypatch.context() as patch:
         counted = _Cut(patch)
-        assert legacy.upgrade(whole) == (
-            f"upgraded {whole}: segments renamed 9, version 1 and 2 files rewritten 2, "
-            f"NDJSON segments sealed 3, second names unlinked 1")
-    assert counted.calls == 12  # 3 columnar files written, 9 segments renamed
-    assert dump(RecordStore(whole)) == expected
+        assert legacy.upgrade(whole) == f"upgraded {whole}: version 2 files rewritten 4"
+    assert counted.calls == 4
     assert [p.name for p in sorted(whole.iterdir())] == [
-        ".lock", "ping-11.col", "ping-12.col", "ping-13.ndjson", "ping-14.col",
-        "ping-15.col", "ping-16.ndjson", "traceroute-17.col", "traceroute-18.col",
-        "traceroute-19.col"]
+        ".lock", "ping-1.col", "ping-3.col", "ping-3.ndjson", "ping-5.col.tmp", "ping-5.ndjson",
+        "traceroute-2.col", "traceroute-4.col"]
+    assert not any(map(columnar.old_version, whole.glob("*.col")))
+    assert dump(RecordStore(whole)) == expected
     upgraded = _snapshot(whole)
-    legacy.upgrade(whole)
-    assert _snapshot(whole) == upgraded
     for k in range(1, counted.calls + 1):
         store = tmp_path / f"cut-{k}"
-        _mixed_store(store)
+        _version_2_store(store)
         with monkeypatch.context() as patch:
             _Cut(patch, k)
             with pytest.raises(Crash):
                 legacy.upgrade(store)
         legacy.upgrade(store)
         assert dump(RecordStore(store)) == expected, k
-        again = _snapshot(store)
+        assert _snapshot(store) == upgraded, k
         legacy.upgrade(store)
-        assert _snapshot(store) == again, k
+        assert _snapshot(store) == upgraded, k
+        with RecordStore(store) as writer:
+            writer.append(ping(100))
+        assert dump(RecordStore(store)) == expected + serialize_line(ping(100)), k
+        assert [p.name for p in sorted(store.iterdir())] == [
+            ".lock", "ping-1.col", "ping-3.col", "ping-5.col", "ping-6.col",
+            "traceroute-2.col", "traceroute-4.col"], k
 
 
 def test_an_upgrade_of_version_2_files_cut_at_any_replace_completes_when_run_again(
@@ -214,9 +226,7 @@ def test_an_upgrade_of_version_2_files_cut_at_any_replace_completes_when_run_aga
         "ping-1.col", "ping-3.col", "traceroute-2.col", "traceroute-4.col"]
     with monkeypatch.context() as patch:
         counted = _Cut(patch)
-        assert legacy.upgrade(whole) == (
-            f"upgraded {whole}: segments renamed 0, version 1 and 2 files rewritten 4, "
-            f"NDJSON segments sealed 0, second names unlinked 0")
+        assert legacy.upgrade(whole) == f"upgraded {whole}: version 2 files rewritten 4"
     assert counted.calls == 4
     assert dump(RecordStore(whole)) == expected
     for k in range(1, counted.calls + 1):
@@ -260,8 +270,7 @@ def test_upgrade_of_a_missing_store_fails_and_makes_none(tmp_path, capsys):
     with RecordStore(tmp_path / "fresh") as writer:
         writer.append(ping(5))
     fresh = _snapshot(tmp_path / "fresh")
-    assert legacy.upgrade(tmp_path / "fresh") == (
-        f"upgraded {tmp_path / 'fresh'}: segments renamed 0, version 1 and 2 files rewritten 0, "
-        f"NDJSON segments sealed 0, second names unlinked 0")
+    assert legacy.upgrade(tmp_path / "fresh") == \
+        f"upgraded {tmp_path / 'fresh'}: version 2 files rewritten 0"
     assert _snapshot(tmp_path / "fresh") == fresh
     assert dump(RecordStore(tmp_path / "fresh")) == serialize_line(ping(5))
