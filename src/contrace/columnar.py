@@ -492,10 +492,6 @@ class Segment:
                 self._shapes[line] = key
         return line
 
-    def add(self, record: Record) -> None:
-        """Append a valid record's row (add_rows), learning its shape (encode)."""
-        self.add_rows((self.encode(record)[1],))
-
     def add_rows(self, rows: Sequence[tuple]) -> None:
         """Append valid records' rows in order, each to its pair's block: a
         ping's (pair, timestamp, status, rtt (-1 for none), ()), or a run's

@@ -17,6 +17,7 @@ Topology files are YAML; see fixtures/ for the documented schema.
 from __future__ import annotations
 
 import heapq
+import ipaddress
 import itertools
 import math
 from bisect import bisect_right
@@ -88,11 +89,14 @@ class SimTopology(NamedTuple):
         for router in self.policies:
             if router not in self.routers:
                 raise TopologyError(f"policy for unknown router {router}")
-        if any(self.events[i].at_us > self.events[i + 1].at_us
-               for i in range(len(self.events) - 1)):
-            raise TopologyError("events must be sorted by time")
-        addresses = [r.address for r in self.routers.values()]
-        if len(set(addresses)) != len(addresses):
+        addresses = set()
+        for router in self.routers.values():
+            try:
+                addresses.add(ipaddress.ip_address(router.address))
+            except ValueError:
+                raise TopologyError(f"router {router.name}: address must be an IP address, "
+                                    f"got {router.address!r}") from None
+        if len(addresses) != len(self.routers):
             raise TopologyError("router addresses must be unique")
 
 
@@ -320,9 +324,6 @@ class SimNetwork:
             return self._by_address[address]
         except KeyError:
             raise TransportFailure(f"no simulated node has address {address}") from None
-
-    def address_of(self, node: str) -> str:
-        return self._addresses[node]
 
     def state_at(self, t_us: int) -> _EpochState:
         if t_us >= self._last_event_us:  # no bisect once the events are over

@@ -5,12 +5,14 @@ kind's segments load in the order they were begun. The active segment is
 NDJSON; sealing turns a segment into a columnar file (see columnar). Every
 read takes each segment as a columnar.Segment: a columnar file is loaded
 as one, reading its header and then only the blocks the read selects, and
-an NDJSON segment's lines are added to one held in memory, by shape or
-decoded. Only query builds records: it parses the lines export writes of
-every segment of its kind and keeps those it matches. Every record reaches
-a file in a run of whole lines bound for one segment (_Run says where a
-run ends), by one os.write under the lock, in input order. So a read
-never sees a torn record, a killed import keeps a prefix of its input,
+an NDJSON segment's lines are added to one held in memory, each by shape
+or decoded (_line_row), as import takes them. Only query builds records:
+it parses the lines export writes of every segment of its kind and keeps
+those it matches. Every record reaches a file in a run of whole lines
+bound for one segment, by one os.write under the lock, in input order;
+each line joins its run by _Run.add, whose one rule says where a run
+ends. Import has one mode: an array's documents are stored as NDJSON of
+their compact lines. So a read never sees a torn record, a killed import keeps a prefix of its input,
 and a failed write ends its segment as a crash does. Reads and writers
 know only <kind>-<id> names and columnar format version 3; a file of an
 older store fails them with a StoreError that names it (columnar.refused):
@@ -30,13 +32,13 @@ import threading
 from contextlib import ExitStack, contextmanager, suppress
 from operator import itemgetter, mod
 from pathlib import Path
-from typing import IO, Iterable, Iterator, NamedTuple, Sequence
+from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import columnar
 from .records import (KIND_PING, KIND_TRACEROUTE, STATUS_ECHO_REPLY, InvalidRecord,
                       MalformedJson, PathRuns, PingColumns, PingRecord, Record, StoreError,
                       StoreQuery, TracerouteRun, _ENCODE, _line_batches, checked_pings,
-                      from_json_obj, parse_line, validated)
+                      parse_line, validated)
 
 
 def _warn(message: str, *args) -> None:
@@ -91,30 +93,54 @@ def _write_columns(path: Path, stem: str, segment: columnar.Segment) -> None:
     os.replace(temp, path / (stem + columnar.SUFFIX))
 
 
+def _line_row(line: str, segment: columnar.Segment | None, others: Iterable[_Active],
+              segment_for: Callable[[str], columnar.Segment]
+              ) -> tuple[columnar.Segment, str, tuple] | None:
+    """(segment, line, row) of one line of NDJSON: by shape (Segment.row)
+    if segment, else one of the others' segments, knows it, as it is; else
+    its text before its line break decoded once (parse_line) and encoded
+    (Segment.encode) for the segment segment_for gives the record's kind,
+    as its canonical line. None for a blank line. Raises MalformedJson or
+    InvalidRecord, and UnicodeEncodeError for a lone surrogate, which
+    reading bytes that are not UTF-8 with errors="surrogateescape" leaves."""
+    shape, parts = columnar.shape(line)
+    row = None if segment is None else segment.row(shape, parts)
+    if row is not None:
+        return segment, line, row
+    for other in others:
+        if other.segment is not segment:
+            row = other.segment.row(shape, parts)
+            if row is not None:
+                return other.segment, line, row
+    document = line.splitlines()[0]
+    if not document.strip():
+        return None
+    document.encode()  # raises for a byte that was not UTF-8
+    record = parse_line(document)
+    segment = segment_for(_kind_of(record))
+    return (segment, *segment.encode(record))
+
+
 def _decode(lines: Iterable[bytes], kind: str, path: Path) -> columnar.Segment:
-    """A Segment of an NDJSON segment's lines, each validated, by shape
-    (Segment.row) or decoded; blank lines are skipped, but counted in the
-    line numbers errors name. The StoreError raised names file and line."""
+    """A Segment of an NDJSON segment's lines, each validated, by shape or
+    decoded (_line_row); blank lines are skipped, but counted in the line
+    numbers errors name. The StoreError raised names file and line."""
     segment = columnar.Segment(kind)
+
+    def segment_for(found: str) -> columnar.Segment:
+        if found != kind:
+            raise StoreError(f"a {found} record in a {kind} segment")
+        return segment
+
     for number, line in enumerate(lines, 1):
-        if line.isspace():
-            continue
         try:
-            line = line.decode("utf-8")
+            found = _line_row(line.decode("utf-8"), segment, (), segment_for)
         except UnicodeDecodeError as exc:
             raise StoreError(f"{path}:{number}: not UTF-8: {exc}") from None
-        row = segment.row(*columnar.shape(line))
-        if row is not None:
-            segment.add_rows((row,))
-            continue
-        try:
-            record = parse_line(line)
         except StoreError as exc:
             raise StoreError(f"{path}:{number}: {exc}") from exc
-        if _kind_of(record) != kind:
-            raise StoreError(f"{path}:{number}: a {_kind_of(record)} record in a "
-                             f"{kind} segment")
-        segment.add(record)  # learns its shape
+        if found is not None:
+            segment.add_rows((found[2],))
     return segment
 
 
@@ -193,24 +219,25 @@ class Runs:
 
 
 def _encode_pings(segment: columnar.Segment, pairs: list, timestamps: tuple, statuses: tuple,
-                  rtts: tuple) -> tuple[list[str], list[tuple]]:
-    """segment.encode's lines and rows of valid pings given as columns
-    (checked_pings), as two lists: the lines from the same %-formats
-    (Segment.format) by one map(mod, ...), as Segment.lines renders them."""
+                  rtts: tuple) -> Iterator[tuple[str, tuple]]:
+    """segment.encode's (line, row) of each valid ping given as columns
+    (checked_pings): the lines from the same %-formats (Segment.format) by
+    one map(mod, ...), as Segment.lines renders them."""
     keys = list(zip(pairs, statuses))
     made = {key: segment.format(key) + ("" if key[1] == STATUS_ECHO_REPLY else columnar.NO_RTT)
             for key in set(keys)}
-    return (list(map(mod, map(made.__getitem__, keys), zip(timestamps, rtts))),
-            list(zip(pairs, timestamps, statuses, map({None: -1}.get, rtts, rtts),
-                     itertools.repeat(()))))
+    return zip(map(mod, map(made.__getitem__, keys), zip(timestamps, rtts)),
+               zip(pairs, timestamps, statuses, map({None: -1}.get, rtts, rtts),
+                   itertools.repeat(())))
 
 
 class _Run:
     """The run a writer builds during one hold of the store's lock: whole
-    lines bound for one segment, written by one _write. This is the one
-    place a run ends: before a line bound for another segment, where its
-    segment reaches segment_records, and at exit, also an exit by an error.
-    So seals fall on the lines they fall on when lines are stored one at a
+    lines bound for one segment, written by one _write (end). Every line,
+    a ping's encoded by the column too, joins by add, the one place a run
+    is cut: before a line bound for another segment, where its segment
+    reaches segment_records, and at exit, also an exit by an error. So
+    seals fall on the lines they fall on when lines are stored one at a
     time, and the lines before an error are written before it propagates."""
 
     def __init__(self, store: RecordStore):
@@ -232,38 +259,28 @@ class _Run:
         return segment
 
     def add(self, segment: columnar.Segment, line: str, row: tuple) -> None:
-        """Add line, the canonical line of row, bound for segment."""
+        """Add line, the canonical line of row, bound for segment: the one
+        place a row joins a run, and where the run is cut."""
         if segment is not self.segment:
             self.end()
             self.segment = segment
         self._lines.append(line)
-        rows = self._rows
-        rows.append(row)
-        if segment.count + len(rows) >= self._store.segment_records:
+        self._rows.append(row)
+        if segment.count + len(self._rows) >= self._store.segment_records:
             self.end()  # and seals
 
     def add_pings(self, pings: list[PingRecord]) -> None:
         """Add pings, bound for the ping segment: one at a time
-        (add_records) if they fail checked_pings' fast check, else a column
-        at a time, the rows that fit each segment encoded at once
-        (_encode_pings) and cut where add cuts them."""
+        (add_records) if they fail checked_pings' fast check, else encoded
+        a column at a time (_encode_pings) and added line by line."""
         columns = checked_pings(pings) if pings else None
         if columns is None:
             self.add_records(pings)
             return
-        limit, at = self._store.segment_records, 0
-        while at < len(pings):
-            segment = self.segment_for(KIND_PING)
-            if segment is not self.segment:
-                self.end()
-                self.segment = segment
-            end = at + max(1, limit - segment.count - len(self._rows))
-            lines, rows = _encode_pings(segment, *(column[at:end] for column in columns))
-            self._lines += lines
-            self._rows += rows
-            at = end
-            if segment.count + len(self._rows) >= limit:
-                self.end()  # and seals
+        segment = self.segment_for(KIND_PING)
+        for line, row in _encode_pings(segment, *columns):
+            self.add(segment, line, row)
+            segment = self.segment or self.segment_for(KIND_PING)  # a new one after a seal
 
     def add_records(self, records: Iterable[Record]) -> None:
         """Add records one at a time, each checked by validated, so an
@@ -481,9 +498,8 @@ class RecordStore:
                 self._next_id += 1
                 fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
                 seg = self._active[kind] = _Active(path, fd, segment)
-            data = lines.encode()
-            written = os.write(seg.fd, data)
-            while written < len(data):  # a short write: again for the rest
+            data, written = lines.encode(), 0
+            while written < len(data):  # after a short write, again for the rest
                 written += os.write(seg.fd, data[written:])
             segment.add_rows(rows)
         except BaseException as exc:
@@ -509,12 +525,12 @@ class RecordStore:
         (validated). Each maximal run of PingRecords is checked and encoded
         a column at a time when it passes checked_pings' fast check, and
         one record at a time when it does not, as is every other record
-        (_Run.add_pings). The records are stored in runs (_Run), each run
-        by one os.write to the operating system, not fsynced, so they
-        survive a crash of this process, not of the machine; sealed
-        segments are fsynced. The files and seals are those of appending
-        the records one at a time. An invalid record raises InvalidRecord
-        once the records before it are written."""
+        (_Run.add_pings). Either way the lines are stored in runs cut by
+        one rule (_Run.add), each run by one os.write to the operating
+        system, not fsynced, so they survive a crash of this process, not
+        of the machine; sealed segments are fsynced. The files and seals
+        are those of appending the records one at a time. An invalid
+        record raises InvalidRecord once the records before it are written."""
         with self._lock, _Run(self) as run:
             pings: list[PingRecord] = []
             try:
@@ -538,49 +554,27 @@ class RecordStore:
         finally:
             sink.flush()
 
-    def _import_lines(self, lines: list[str], first: int, rejects: list[tuple[int, str]],
-                      documents: list | None = None) -> int:
+    def _import_lines(self, lines: list[str], first: int, rejects: list[tuple[int, str]]) -> int:
         """Store one batch of newline-delimited input, the complete lines
         of one read chunk, which are documents first, first + 1, ...;
         returns the count accepted and appends the rejects to rejects. The
         lock is taken once, and the accepted lines are stored in runs
-        (_Run), in input order. A line of a shape that the run's segment,
-        or else another active one, knows (Segment.row) goes as it is; any
-        other is decoded once, by from_json_obj, and goes as its canonical
-        line (Segment.encode). An array's lines are decoded from its
-        documents, not parsed again."""
+        (_Run), in input order, each by shape or decoded (_line_row): the
+        run's segment is tried first, then the other active ones."""
         accepted = 0
-        active = self._active
+        active = self._active.values()
         with self._lock, _Run(self) as run:
+            segment_for, add = run.segment_for, run.add
             for i, line in enumerate(lines, first):
-                shape, parts = columnar.shape(line)
-                segment = run.segment
-                row = None if segment is None else segment.row(shape, parts)
-                if row is None:
-                    for seg in active.values():
-                        if seg.segment is not run.segment:
-                            segment = seg.segment
-                            row = segment.row(shape, parts)
-                            if row is not None:
-                                break
-                    else:  # no active segment knows the line's shape
-                        try:
-                            if documents is not None:
-                                record = from_json_obj(documents[i - first])
-                            else:
-                                document = line.splitlines()[0]
-                                if not document.strip():
-                                    continue
-                                document.encode()  # raises for a byte that was not UTF-8
-                                record = parse_line(document)
-                        except (UnicodeEncodeError, MalformedJson, InvalidRecord) as exc:
-                            rejects.append((i, str(exc) if isinstance(exc, StoreError)
-                                            else "not UTF-8"))
-                            continue
-                        segment = run.segment_for(_kind_of(record))
-                        line, row = segment.encode(record)
-                run.add(segment, line, row)
-                accepted += 1
+                try:
+                    found = _line_row(line, run.segment, active, segment_for)
+                except (UnicodeEncodeError, MalformedJson, InvalidRecord) as exc:
+                    rejects.append((i, str(exc) if isinstance(exc, StoreError)
+                                    else "not UTF-8"))
+                    continue
+                if found is not None:
+                    add(*found)
+                    accepted += 1
         return accepted
 
     def close(self) -> None:
@@ -678,24 +672,24 @@ class RecordStore:
         """Ingest newline-delimited or array-wrapped JSON documents.
 
         Returns (accepted count, [(document index, reason), ...]); rejected
-        documents are reported, never silently skipped. A line of a shape
-        an active segment knows is written as it is; any other document is
-        decoded once, by from_json_obj, and written as its canonical line.
+        documents are reported, never silently skipped. Both forms are
+        stored one way: as lines of NDJSON, in batches (_import_lines),
+        each line written as it is if its shape is an active segment's,
+        else decoded once and written as its canonical line.
 
         Newline-delimited input is read in chunks of _CHUNK characters, and
-        stored in batches, the complete lines of one chunk each
-        (_import_lines): each run of a batch's lines bound for one segment
-        is one os.write of whole lines under the lock, so a read never sees
-        a torn record, and the files are written in input order, so a
-        killed import keeps a prefix of its input. Only input whose first
-        non-blank character is "[" is read whole; its documents, each
-        encoded as one compact line, are then stored as one batch.
-        An array's documents are indexed by position; otherwise the
-        documents and their indexes are the lines of str.splitlines over
-        the whole input, blank lines counted. A line holding a lone
-        surrogate, which reading bytes that are not UTF-8 with
-        errors="surrogateescape" leaves, is rejected as "not UTF-8"; an
-        array holding one is rejected whole, at index 0.
+        each batch is the complete lines of one chunk; its documents and
+        their indexes are the lines of str.splitlines over the whole input,
+        blank lines counted. Only input whose first non-blank character is
+        "[" is read whole, as one JSON array; its documents, each encoded
+        as one compact line and indexed by position, are one batch. Each
+        run of a batch's lines bound for one segment is one os.write of
+        whole lines under the lock, so a read never sees a torn record, and
+        the files are written in input order, so a killed import keeps a
+        prefix of its input. A line holding a lone surrogate, which reading
+        bytes that are not UTF-8 with errors="surrogateescape" leaves, is
+        rejected as "not UTF-8"; an array holding one is rejected whole, at
+        index 0.
         """
         chunks = iter(lambda: stream.read(_CHUNK), "") if hasattr(stream, "read") \
             else iter(stream)
@@ -705,20 +699,20 @@ class RecordStore:
             if chunk.strip():
                 break
         head = "".join(head)
-        rejects: list[tuple[int, str]] = []
-        if not head.lstrip().startswith("["):
-            accepted, first = 0, 0
-            for lines in _line_batches(itertools.chain((head,), chunks)):
-                accepted += self._import_lines(lines, first, rejects)
-                first += len(lines)
-            return accepted, rejects
-        text = head + (stream.read() if hasattr(stream, "read") else "".join(chunks))
-        try:
-            text.encode()  # raises for a byte that was not UTF-8
-            documents = json.loads(text)
-        except UnicodeEncodeError:
-            return 0, [(0, "not UTF-8")]
-        except (ValueError, RecursionError) as exc:  # also too many digits or too deep
-            return 0, [(0, f"invalid JSON array: {exc}")]
-        lines = [_ENCODE(document) + "\n" for document in documents]
-        return self._import_lines(lines, 0, rejects, documents), rejects
+        if head.lstrip().startswith("["):
+            text = head + "".join(chunks)
+            try:
+                text.encode()  # raises for a byte that was not UTF-8
+                documents = json.loads(text)
+            except UnicodeEncodeError:
+                return 0, [(0, "not UTF-8")]
+            except (ValueError, RecursionError) as exc:  # also too many digits or too deep
+                return 0, [(0, f"invalid JSON array: {exc}")]
+            batches = [[_ENCODE(document) + "\n" for document in documents]]
+        else:
+            batches = _line_batches(itertools.chain((head,), chunks))
+        accepted, first, rejects = 0, 0, []
+        for lines in batches:
+            accepted += self._import_lines(lines, first, rejects)
+            first += len(lines)
+        return accepted, rejects

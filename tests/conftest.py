@@ -61,25 +61,31 @@ def time_limit():
         signal.signal(signal.SIGALRM, previous)
 
 
+def add_record(segment: Segment, record) -> None:
+    """Append a valid record's row to segment (Segment.add_rows), learning
+    its shape (Segment.encode)."""
+    segment.add_rows((segment.encode(record)[1],))
+
+
 def path_runs(runs) -> PathRuns:
     """runs grouped by path as a store read groups them, through
-    Segment.add and Segment.group; as in a PathRuns, the pair of each run
+    add_record and Segment.group; as in a PathRuns, the pair of each run
     is not kept."""
     segment = Segment(KIND_TRACEROUTE)
     for run in runs:
-        segment.add(run._replace(source="", destination=""))
+        add_record(segment, run._replace(source="", destination=""))
     grouped = {}
     segment.group(StoreQuery(KIND_TRACEROUTE), grouped)
     return grouped.get(("", ""), PathRuns())
 
 
 def ping_columns(pings) -> PingColumns:
-    """pings as columns as a store read gives them, through Segment.add
+    """pings as columns as a store read gives them, through add_record
     and Segment.pings; as in a PingColumns, the pair of each ping is not
     kept."""
     segment = Segment(KIND_PING)
     for ping in pings:
-        segment.add(ping._replace(source="", destination=""))
+        add_record(segment, ping._replace(source="", destination=""))
     columns = PingColumns()
     segment.pings(StoreQuery(KIND_PING), columns)
     return columns

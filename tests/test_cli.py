@@ -192,6 +192,31 @@ def test_a_malformed_topology_entry_is_one_config_error(tmp_path, capsys):
     assert not (tmp_path / "s").exists()
 
 
+def test_a_router_address_that_is_not_an_ip_is_one_config_error(tmp_path, capsys):
+    """sim-run of a topology whose transit router's address is not an IP
+    address: exit 2 and one error line that names the router, before any
+    record is stored, so no segment file is written."""
+    topology = tmp_path / "topology.yaml"
+    topology.write_text(
+        "routers:\n"
+        "  src: {address: 10.0.0.1}\n"
+        "  mid: {address: nonsense}\n"
+        "  dst: {address: 10.0.0.3}\n"
+        "links:\n"
+        "  - {from: src, to: mid, latency_us: 100}\n"
+        "  - {from: mid, to: dst, latency_us: 100}\n"
+        "measurement:\n"
+        "  sources: [{label: A, address: 10.0.0.1}]\n"
+        "  destinations: [{label: B, address: 10.0.0.3}]\n"
+        "  schedule: {ping_interval_s: 1, traceroute_interval_s: 5}\n")
+    store = tmp_path / "s"
+    assert cli.main(["sim-run", "--topology", str(topology), "--duration", "20",
+                     "--store", str(store)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        "error: router mid: address must be an IP address, got 'nonsense'\n"
+    assert not list(store.glob("*.ndjson")) + list(store.glob("*.col"))
+
+
 @pytest.mark.parametrize("command", ["measure", "sim-run"])
 @pytest.mark.parametrize("value", ["inf", "nan", "-5", "1e308", "x"])
 def test_bad_duration_is_one_usage_error(tmp_path, capsys, command, value):

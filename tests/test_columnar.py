@@ -31,7 +31,7 @@ from contrace import cli, columnar, legacy
 from contrace.analytics import HOUR_US, bucket_rtt_series
 from contrace.records import (Hop, PingColumns, PingRecord, RecordStore, StoreError,
                               StoreQuery, TracerouteRun, from_json_obj, to_json_obj)
-from conftest import path_runs, ping_columns
+from conftest import add_record, path_runs, ping_columns
 from oracles import serialize_line
 
 MAGIC = b"contrace columns\n"
@@ -517,7 +517,7 @@ def test_a_segment_filled_by_add_reads_alike_once_written_and_loaded(drawn):
     kind, records_ = drawn
     memory = columnar.Segment(kind)
     for record in records_:
-        memory.add(record)
+        add_record(memory, record)
     times = [r.timestamp for r in records_]
     blocks, ties, seen = {}, {}, Counter()
     for r in records_:  # per pair its timestamps, and each row's rank among equal ones
@@ -917,7 +917,7 @@ def test_a_written_block_that_breaks_its_facts_fails_its_check(tmp_path, change,
     rule broken. The block is sorted, of timestamps 1 to 4 and two paths."""
     segment = columnar.Segment("traceroute")
     for timestamp in range(1, 5):
-        segment.add(run(timestamp, variant=timestamp % 2))
+        add_record(segment, run(timestamp, variant=timestamp % 2))
     [block] = segment.blocks
     assert (block.sorted, block.min, block.max, len(segment.keys)) == (True, 1, 4, 2)
     change(segment)
@@ -1333,7 +1333,7 @@ def _write_v2(path, kind, records_):
     """Write records_ as a columnar file of format version 2."""
     segment = columnar.Segment(kind)
     for record in records_:
-        segment.add(record)
+        add_record(segment, record)
     oracles.write_v2(path, segment)
 
 

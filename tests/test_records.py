@@ -13,7 +13,7 @@ import threading
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from contrace import columnar, records
@@ -1441,6 +1441,82 @@ def test_extend_of_ping_runs_by_column_equals_appending_one_at_a_time(drawn):
                 written = dict(store.written)
             outcomes.append((error, written, _segment_files(path) if path.exists() else {}))
     assert outcomes[0] == outcomes[1]
+
+
+@st.composite
+def _import_documents(draw):
+    """Documents valid, invalid and not objects (mutated_documents), and
+    non-canonical ones: valid, with their keys reversed. Each is a line of
+    NDJSON, compact or spaced as json.dumps spaces it."""
+    documents = draw(st.lists(st.one_of(
+        valid_documents(), mutated_documents(),
+        valid_documents().map(lambda doc: dict(reversed(doc.items())))), max_size=30))
+    spacings = draw(st.lists(st.sampled_from([(",", ":"), None]), min_size=len(documents),
+                             max_size=len(documents)))
+    return documents, "".join(json.dumps(document, separators=spacing) + "\n"
+                              for document, spacing in zip(documents, spacings))
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=_import_documents(), segment_records=st.sampled_from([1, 2, 3, 64]))
+def test_array_import_equals_ndjson_import_of_the_same_documents(drawn, segment_records):
+    """An array's documents are stored as the NDJSON lines of its compact
+    documents are: the same (accepted, rejects), indexed by position, and
+    byte-identical segment files. (Input whose first line is an array is
+    read as one array, so it is no NDJSON of its documents.)"""
+    documents, ndjson = drawn
+    assume(not ndjson.startswith("["))
+    outcomes = []
+    with tempfile.TemporaryDirectory() as directory:
+        for way, text in (("ndjson", ndjson), ("array", json.dumps(documents))):
+            path = Path(directory) / way
+            with RecordStore(path, segment_records=segment_records) as store:
+                outcome = store.import_json(io.StringIO(text))
+            outcomes.append((outcome, _segment_files(path) if path.exists() else {}))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_only_a_run_writes_and_only_add_grows_a_run():
+    """In the package, RecordStore._write is called only by _Run.end, and
+    a run's _rows is appended to or extended only by _Run.add, the one
+    place a row joins a run and a run is cut at segment_records. A name
+    bound to a _rows counts as that _rows."""
+    import ast
+    package = Path(records.__file__).resolve().parent
+    writers, growers = set(), set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        functions = [(f"{path.stem}.{node.name}", node) for node in tree.body
+                     if isinstance(node, ast.FunctionDef)]
+        functions += [(f"{path.stem}.{cls.name}.{node.name}", node) for cls in tree.body
+                      if isinstance(cls, ast.ClassDef) for node in cls.body
+                      if isinstance(node, ast.FunctionDef)]
+        for name, function in functions:
+            aliases = set()
+            for node in ast.walk(function):
+                if isinstance(node, ast.Assign):
+                    for target in node.targets:
+                        pairs = zip(target.elts, node.value.elts) \
+                            if isinstance(target, ast.Tuple) \
+                            and isinstance(node.value, ast.Tuple) else [(target, node.value)]
+                        aliases.update(t.id for t, value in pairs if isinstance(t, ast.Name)
+                                       and getattr(value, "attr", None) == "_rows")
+
+            def is_rows(node):
+                return getattr(node, "attr", None) == "_rows" or \
+                    isinstance(node, ast.Name) and node.id in aliases
+
+            for node in ast.walk(function):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                    if node.func.attr == "_write":
+                        writers.add(name)
+                    if node.func.attr in ("append", "extend", "insert") \
+                            and is_rows(node.func.value):
+                        growers.add(name)
+                elif isinstance(node, ast.AugAssign) and is_rows(node.target):
+                    growers.add(name)
+    assert writers == {"store._Run.end"}
+    assert growers == {"store._Run.add"}
 
 
 def test_the_fast_ping_check_passes_valid_canonical_pings_alone():

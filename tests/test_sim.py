@@ -258,7 +258,7 @@ class TestPoliciesAndEvents:
         outcome = net.forward(request, 10, "src", "dst", START_US)
         arrival, data, responder = net.response_for(outcome, request, Family.V4,
                                                     "10.0.0.1")
-        assert responder == net.address_of("dst")
+        assert responder == net.topology.routers["dst"].address
         assert arrival == outcome.at_us + outcome.latency_us
         decoded = icmp.decode_message(data, Family.V4)
         assert decoded.kind is icmp.Kind.ECHO_REPLY
@@ -296,6 +296,16 @@ class TestTopologyValidation:
                             "b": {"address": "10.0.0.1"}},
             })
 
+    def test_addresses_that_differ_only_in_form_are_duplicates(self):
+        """Uniqueness compares canonical forms; each address is kept as
+        given."""
+        routers = {"a": {"address": "2001:db8::1"}, "b": {"address": "2001:DB8::1"}}
+        with pytest.raises(TopologyError, match="^router addresses must be unique$"):
+            topology_from_dict({"routers": routers})
+        routers["b"]["address"] = "2001:DB8::2"
+        topology = topology_from_dict({"routers": routers})
+        assert topology.routers["b"].address == "2001:DB8::2"
+
 
     @pytest.mark.parametrize("doc, message", [
         ({"routers": [1, 2]}, "routers must be a mapping"),
@@ -318,11 +328,13 @@ class TestTopologyValidation:
          "event 1: rate_limit must be an integer, got 1.5"),
         ({"events": [{"at": "soon", "action": "remove_link", "from": "a", "to": "b"}]},
          "event 1: at must be a finite number of seconds, got 'soon'"),
+        ({"routers": {"a": {"address": "10.0.0.1"}, "b": {"address": "nonsense"}}},
+         "router b: address must be an IP address, got 'nonsense'"),
     ], ids=["routers-a-list", "links-a-number", "link-without-to", "latency-a-string",
             "latency-a-fraction", "ecmp-a-number", "ecmp-group-a-number",
             "rate-limit-a-string", "start-time-a-string",
             "event-without-from", "event-latency-a-bool", "event-rate-limit-a-fraction",
-            "event-at-a-string"])
+            "event-at-a-string", "address-not-an-ip"])
     def test_a_malformed_entry_is_a_topology_error_that_names_it(self, doc, message):
         routers = {"a": {"address": "10.0.0.1"}, "b": {"address": "10.0.0.2"}}
         with pytest.raises(TopologyError, match=f"^{re.escape(message)}$"):

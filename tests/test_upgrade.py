@@ -14,6 +14,7 @@ import pytest
 import oracles
 from contrace import cli, columnar, legacy
 from contrace.records import RecordStore, StoreError, StoreQuery
+from conftest import add_record
 from oracles import serialize_line
 from test_columnar import canonical, dump, ping, run
 
@@ -126,7 +127,7 @@ def _v2(path, kind, records_):
     """Write records_ as a version 2 columnar file at path."""
     segment = columnar.Segment(kind)
     for record in records_:
-        segment.add(record)
+        add_record(segment, record)
     oracles.write_v2(path, segment)
 
 
