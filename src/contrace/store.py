@@ -6,19 +6,20 @@ NDJSON; sealing turns a segment into a columnar file (see columnar). Every
 read takes each segment as a columnar.Segment: a columnar file is loaded
 as one, reading its header and then only the blocks the read selects, and
 an NDJSON segment's lines are added to one held in memory, each by shape
-or decoded (_line_row), as import takes them. Only query builds records:
-it parses the lines export writes of every segment of its kind and keeps
-those it matches. Every record reaches a file in a run of whole lines
-bound for one segment, by one os.write under the lock, in input order;
-each line joins its run by _Run.add, whose one rule says where a run
-ends. Import has one mode: an array's documents are stored as NDJSON of
-their compact lines. So a read never sees a torn record, a killed import keeps a prefix of its input,
-and a failed write ends its segment as a crash does. Reads and writers
-know only <kind>-<id> names and columnar format version 3; a file of an
-older store fails them with a StoreError that names it (columnar.refused):
-a version 2 file needs `contrace upgrade` (see legacy), and nothing
-converts a version 1 file or a name given before ids. RecordStore is also
-importable from contrace.records.
+or decoded, by the step import uses too (_line_row). Only query builds
+records: it parses the lines export writes of every segment of its kind
+and keeps those it matches. Every record reaches a file in a run of
+whole lines bound for one segment, by one os.write under the lock, in
+input order; each line joins its run by _Run.add, whose one rule says
+where a run ends. Import has one mode: an array's documents are stored as
+NDJSON of their compact lines. So a read never sees a torn record, a
+killed import keeps a prefix of its input, and a failed write ends its
+segment as a crash does. Reads and writers know only <kind>-<id> names
+and columnar format version 3; a file of an older store fails them with a
+StoreError that names it (columnar.refused): a version 2 file needs
+`contrace upgrade` (see legacy), and nothing converts a version 1 file or
+a name given before ids. RecordStore is also importable from
+contrace.records.
 """
 
 from __future__ import annotations
@@ -95,12 +96,15 @@ def _write_columns(path: Path, stem: str, segment: columnar.Segment) -> None:
 
 def _line_row(line: str, segment: columnar.Segment | None, others: Iterable[_Active],
               segment_for: Callable[[str], columnar.Segment]
-              ) -> tuple[columnar.Segment, str, tuple] | None:
-    """(segment, line, row) of one line of NDJSON: by shape (Segment.row)
-    if segment, else one of the others' segments, knows it, as it is; else
-    its text before its line break decoded once (parse_line) and encoded
-    (Segment.encode) for the segment segment_for gives the record's kind,
-    as its canonical line. None for a blank line. Raises MalformedJson or
+              ) -> tuple[columnar.Segment, str, tuple]:
+    """(segment, line, row) of one line of NDJSON that is not blank: by
+    shape (Segment.row) if segment, else one of the others' segments, knows
+    it, as it is; else decoded once (parse_line) and encoded (Segment.encode)
+    as its canonical line, for segment if the record is of its kind, else
+    for the segment segment_for gives the record's kind. What is decoded
+    is the line without its line break if str.splitlines sees one piece,
+    else the whole line, so a segment line holding another break (a
+    "\x0b", a U+2028) is not cut there. Raises MalformedJson or
     InvalidRecord, and UnicodeEncodeError for a lone surrogate, which
     reading bytes that are not UTF-8 with errors="surrogateescape" leaves."""
     shape, parts = columnar.shape(line)
@@ -108,48 +112,39 @@ def _line_row(line: str, segment: columnar.Segment | None, others: Iterable[_Act
     if row is not None:
         return segment, line, row
     for other in others:
-        if other.segment is not segment:
-            row = other.segment.row(shape, parts)
-            if row is not None:
-                return other.segment, line, row
-    document = line.splitlines()[0]
-    if not document.strip():
-        return None
+        row = other.segment.row(shape, parts)
+        if row is not None:
+            return other.segment, line, row
+    pieces = line.splitlines()
+    document = pieces[0] if len(pieces) == 1 else line
     document.encode()  # raises for a byte that was not UTF-8
     record = parse_line(document)
-    segment = segment_for(_kind_of(record))
+    if segment is None or segment.kind != _kind_of(record):
+        segment = segment_for(_kind_of(record))
     return (segment, *segment.encode(record))
 
 
 def _decode(lines: Iterable[bytes], kind: str, path: Path) -> columnar.Segment:
     """A Segment of an NDJSON segment's lines, each validated, by shape or
-    decoded (_line_row); blank lines are skipped, but counted in the line
-    numbers errors name. The StoreError raised names file and line."""
+    decoded (_line_row); blank lines, those of ASCII whitespace only, are
+    skipped, but counted in the line numbers errors name. The StoreError
+    raised names file and line."""
     segment = columnar.Segment(kind)
 
-    def segment_for(found: str) -> columnar.Segment:
-        if found != kind:
-            raise StoreError(f"a {found} record in a {kind} segment")
-        return segment
+    def segment_for(found: str) -> columnar.Segment:  # a record not of kind
+        raise StoreError(f"a {found} record in a {kind} segment")
 
     for number, line in enumerate(lines, 1):
+        if line.isspace():
+            continue
         try:
             found = _line_row(line.decode("utf-8"), segment, (), segment_for)
         except UnicodeDecodeError as exc:
             raise StoreError(f"{path}:{number}: not UTF-8: {exc}") from None
         except StoreError as exc:
             raise StoreError(f"{path}:{number}: {exc}") from exc
-        if found is not None:
-            segment.add_rows((found[2],))
+        segment.add_rows((found[2],))
     return segment
-
-
-def _is_json(line: bytes) -> bool:
-    try:
-        json.loads(line)
-    except (ValueError, RecursionError):
-        return False
-    return True
 
 
 def _lines_within(fp: IO[bytes], size: int) -> Iterator[bytes]:
@@ -161,9 +156,12 @@ def _lines_within(fp: IO[bytes], size: int) -> Iterator[bytes]:
         line = fp.readline(size)
         if not line:
             return
-        if not line.endswith(b"\n") and not _is_json(line):
-            fp.seek(-len(line), os.SEEK_CUR)
-            return
+        if not line.endswith(b"\n"):
+            try:
+                json.loads(line)
+            except (ValueError, RecursionError):  # a torn tail
+                fp.seek(-len(line), os.SEEK_CUR)
+                return
         size -= len(line)
         yield line
 
@@ -219,26 +217,28 @@ class Runs:
 
 
 def _encode_pings(segment: columnar.Segment, pairs: list, timestamps: tuple, statuses: tuple,
-                  rtts: tuple) -> Iterator[tuple[str, tuple]]:
-    """segment.encode's (line, row) of each valid ping given as columns
-    (checked_pings): the lines from the same %-formats (Segment.format) by
-    one map(mod, ...), as Segment.lines renders them."""
+                  rtts: tuple) -> tuple[list[str], list[tuple]]:
+    """segment.encode's lines and rows of valid pings given as columns
+    (checked_pings), as two lists: the lines from the same %-formats
+    (Segment.format) by one map(mod, ...), as Segment.lines renders them."""
     keys = list(zip(pairs, statuses))
     made = {key: segment.format(key) + ("" if key[1] == STATUS_ECHO_REPLY else columnar.NO_RTT)
             for key in set(keys)}
-    return zip(map(mod, map(made.__getitem__, keys), zip(timestamps, rtts)),
-               zip(pairs, timestamps, statuses, map({None: -1}.get, rtts, rtts),
-                   itertools.repeat(())))
+    return (list(map(mod, map(made.__getitem__, keys), zip(timestamps, rtts))),
+            list(zip(pairs, timestamps, statuses, map({None: -1}.get, rtts, rtts),
+                     itertools.repeat(()))))
 
 
 class _Run:
     """The run a writer builds during one hold of the store's lock: whole
-    lines bound for one segment, written by one _write (end). Every line,
-    a ping's encoded by the column too, joins by add, the one place a run
-    is cut: before a line bound for another segment, where its segment
-    reaches segment_records, and at exit, also an exit by an error. So
-    seals fall on the lines they fall on when lines are stored one at a
-    time, and the lines before an error are written before it propagates."""
+    lines bound for one segment, written by one _write (end). Every line
+    joins by add, which takes lines a group at a time (a record's, a run of
+    pings encoded by the column, an import's lines bound for one segment),
+    and is the one place a run is cut: before lines bound for another
+    segment, where its segment reaches segment_records, and at exit, also
+    an exit by an error. So seals fall on the lines they fall on when lines
+    are stored one at a time, and the lines before an error are written
+    before it propagates."""
 
     def __init__(self, store: RecordStore):
         self._store, self.segment, self._lines, self._rows = store, None, [], []
@@ -258,29 +258,34 @@ class _Run:
             segment = columnar.Segment(kind) if active is None else active.segment
         return segment
 
-    def add(self, segment: columnar.Segment, line: str, row: tuple) -> None:
-        """Add line, the canonical line of row, bound for segment: the one
-        place a row joins a run, and where the run is cut."""
-        if segment is not self.segment:
-            self.end()
-            self.segment = segment
-        self._lines.append(line)
-        self._rows.append(row)
-        if segment.count + len(self._rows) >= self._store.segment_records:
-            self.end()  # and seals
+    def add(self, segment: columnar.Segment, lines: Sequence[str],
+            rows: Sequence[tuple]) -> None:
+        """Add lines, the canonical lines of rows, bound for segment: the
+        one place rows join a run, and where a run is cut. Where segment
+        fills, the rest go on to the segment after it."""
+        at = 0
+        while at < len(rows):
+            if segment is not self.segment:
+                self.end()
+                self.segment = segment
+            end = at + self._store.segment_records - segment.count - len(self._rows)
+            self._lines += lines[at:end]
+            self._rows += rows[at:end]
+            if end <= len(rows):
+                self.end()  # and seals
+                segment = self.segment_for(segment.kind)
+            at = end
 
     def add_pings(self, pings: list[PingRecord]) -> None:
         """Add pings, bound for the ping segment: one at a time
         (add_records) if they fail checked_pings' fast check, else encoded
-        a column at a time (_encode_pings) and added line by line."""
+        a column at a time (_encode_pings) and added at once."""
         columns = checked_pings(pings) if pings else None
         if columns is None:
             self.add_records(pings)
             return
         segment = self.segment_for(KIND_PING)
-        for line, row in _encode_pings(segment, *columns):
-            self.add(segment, line, row)
-            segment = self.segment or self.segment_for(KIND_PING)  # a new one after a seal
+        self.add(segment, *_encode_pings(segment, *columns))
 
     def add_records(self, records: Iterable[Record]) -> None:
         """Add records one at a time, each checked by validated, so an
@@ -289,10 +294,9 @@ class _Run:
             if not isinstance(record, (PingRecord, TracerouteRun)):
                 raise InvalidRecord([f"unsupported record type {type(record).__name__}"])
             record = validated(record)  # exactly a PingRecord or a TracerouteRun
-            segment = self.segment_for(
-                KIND_PING if type(record) is PingRecord else KIND_TRACEROUTE)
+            segment = self.segment_for(_kind_of(record))
             line, row = segment.encode(record)
-            self.add(segment, line, row)
+            self.add(segment, (line,), (row,))
 
     def end(self) -> None:
         """Write the run, if it holds a line. It is let go first, as
@@ -386,26 +390,22 @@ class RecordStore:
         """kind's segments in load order, as one read sees them. NDJSON
         segments are opened here, under the lock, so the read sees them as
         they were listed; they are closed on exit."""
+        segments = []
         with ExitStack() as files:
             with self._lock:
-                segments = self._list(kind, files)
+                for stem in self._scan(kind)[kind]:
+                    path = stem.paths.get(columnar.SUFFIX)
+                    if path is None:
+                        try:
+                            fp = files.enter_context(stem.paths[_NDJSON].open("rb"))
+                        except FileNotFoundError:  # a writer sealed it
+                            path = self.path / (stem.stem + columnar.SUFFIX)
+                        else:
+                            segments.append(_Listed(stem.paths[_NDJSON], kind, fp,
+                                                    os.fstat(fp.fileno()).st_size))
+                            continue
+                    segments.append(_Listed(path, kind))
             yield segments
-
-    def _list(self, kind: str, files: ExitStack) -> list[_Listed]:
-        segments = []
-        for stem in self._scan(kind)[kind]:
-            path = stem.paths.get(columnar.SUFFIX)
-            if path is None:
-                try:
-                    fp = files.enter_context(stem.paths[_NDJSON].open("rb"))
-                except FileNotFoundError:
-                    path = self.path / (stem.stem + columnar.SUFFIX)  # a writer sealed it
-                else:
-                    segments.append(_Listed(stem.paths[_NDJSON], kind, fp,
-                                            os.fstat(fp.fileno()).st_size))
-                    continue
-            segments.append(_Listed(path, kind))
-        return segments
 
     # -- writing ------------------------------------------------------------
 
@@ -554,28 +554,39 @@ class RecordStore:
         finally:
             sink.flush()
 
-    def _import_lines(self, lines: list[str], first: int, rejects: list[tuple[int, str]]) -> int:
-        """Store one batch of newline-delimited input, the complete lines
-        of one read chunk, which are documents first, first + 1, ...;
-        returns the count accepted and appends the rejects to rejects. The
-        lock is taken once, and the accepted lines are stored in runs
-        (_Run), in input order, each by shape or decoded (_line_row): the
-        run's segment is tried first, then the other active ones."""
-        accepted = 0
+    def _import_lines(self, batches: Iterable[list[str]]) -> tuple[int, list[tuple[int, str]]]:
+        """Store newline-delimited input, given in batches of the complete
+        lines of one read chunk, the documents 0, 1, ... in order; returns
+        (accepted count, rejects). The lock is taken once a batch. Each line
+        is taken by shape or decoded (_line_row), trying first the segment
+        of the line before it, then the active ones; blank lines are
+        skipped. Each group of consecutive lines bound for one segment joins
+        a run at once (_Run.add) and is written before the lines after it
+        are taken, so they find its segment active."""
+        accepted, first, rejects = 0, 0, []
         active = self._active.values()
-        with self._lock, _Run(self) as run:
-            segment_for, add = run.segment_for, run.add
-            for i, line in enumerate(lines, first):
-                try:
-                    found = _line_row(line, run.segment, active, segment_for)
-                except (UnicodeEncodeError, MalformedJson, InvalidRecord) as exc:
-                    rejects.append((i, str(exc) if isinstance(exc, StoreError)
-                                    else "not UTF-8"))
-                    continue
-                if found is not None:
-                    add(*found)
+        for lines in batches:
+            with self._lock, _Run(self) as run:
+                # the group: lines taken, and their rows, bound for segment
+                segment_for, segment, taken, rows = run.segment_for, None, [], []
+                for i, line in enumerate(lines, first):
+                    try:
+                        found, line, row = _line_row(line, segment, active, segment_for)
+                    except (UnicodeEncodeError, MalformedJson, InvalidRecord) as exc:
+                        if not line.isspace():  # a blank line is skipped
+                            rejects.append((i, str(exc) if isinstance(exc, StoreError)
+                                            else "not UTF-8"))
+                        continue
+                    if found is not segment:
+                        run.add(segment, taken, rows)
+                        run.end()
+                        segment, taken, rows = found, [], []
+                    taken.append(line)
+                    rows.append(row)
                     accepted += 1
-        return accepted
+                run.add(segment, taken, rows)
+            first += len(lines)
+        return accepted, rejects
 
     def close(self) -> None:
         """Seal the active segments and release the writer lock."""
@@ -711,8 +722,4 @@ class RecordStore:
             batches = [[_ENCODE(document) + "\n" for document in documents]]
         else:
             batches = _line_batches(itertools.chain((head,), chunks))
-        accepted, first, rejects = 0, 0, []
-        for lines in batches:
-            accepted += self._import_lines(lines, first, rejects)
-            first += len(lines)
-        return accepted, rejects
+        return self._import_lines(batches)

@@ -1139,8 +1139,12 @@ class TestSegments:
 
     @pytest.mark.parametrize("text, bad", [
         (TWO + "{not json}\n", 3), (TWO + '{"timestamp":7}', 3),
-        (serialize_line(ping(ts=5)) + "{not json}\n" + serialize_line(ping(ts=6)), 2)],
-        ids=["last-not-json", "last-json-without-newline", "earlier-not-json"])
+        (serialize_line(ping(ts=5)) + "{not json}\n" + serialize_line(ping(ts=6)), 2),
+        (TWO.replace("\n", "\x0b", 1), 1), ("\x1c" + TWO, 1),
+        (TWO.replace("\n", "\u2028", 1), 1), (TWO + "\xa0\n", 3)],
+        ids=["last-not-json", "last-json-without-newline", "earlier-not-json",
+             "two-records-split-by-a-vertical-tab", "a-record-after-a-file-separator",
+             "two-records-split-by-a-line-separator", "last-a-no-break-space"])
     def test_a_bad_line_of_an_open_segment_fails_reads_and_stays_ndjson(
             self, tmp_path, caplog, text, bad):
         """A bad line, the last one or not, fails every read of its kind. A
@@ -1164,6 +1168,22 @@ class TestSegments:
         for read in _reads_of_pings(store):
             with pytest.raises(StoreError, match=re.escape(f"{kept}:{bad}: ")):
                 read()
+
+    @pytest.mark.parametrize("text", [
+        "\r" + TWO, TWO.replace("\n", "\r\n"), "\n \t\x0b\x0c\r\n" + TWO],
+        ids=["a-leading-carriage-return", "crlf-lines", "blank-lines-of-ascii-whitespace"])
+    def test_a_segment_line_is_decoded_whole(self, tmp_path, text):
+        """A segment line is the text up to a "\\n": JSON whitespace around
+        its record is read with it, and a line of ASCII whitespace only is
+        blank. A writer's recovery seals the segment with both records."""
+        (tmp_path / "ping-1.ndjson").write_text(text)
+        store = RecordStore(tmp_path)
+        assert store.query(StoreQuery("ping")) == [ping(ts=5), ping(ts=6)]
+        with RecordStore(tmp_path) as writer:
+            writer.append(run(ts=100))
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            ".lock", "ping-1.col", "traceroute-2.col"]
+        assert store.query(StoreQuery("ping")) == [ping(ts=5), ping(ts=6)]
 
     @pytest.mark.parametrize("writer", ["append", "import_json", "extend"])
     def test_close_after_a_failed_first_write_leaves_the_store_readable(
