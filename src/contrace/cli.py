@@ -371,11 +371,23 @@ def _selected_relations(config: Config, spec: str | None) -> list[RelationKey]:
     return selected
 
 
+# The formats each artifact writes, its default first.
+ARTIFACT_FORMATS = {"rtt-series": ("csv",), "cdf": ("csv",), "inter-as": ("text", "csv"),
+                    "inter-country": ("text", "csv"), "hops": ("text", "csv"),
+                    "graph": ("dot", "geojson", "csv")}
+
+
 def cmd_analyze(args) -> int:
     from . import analytics
     if args.start is not None and args.end is not None and args.start >= args.end:
         print(f"error: --start must be less than --end, got {args.start} and {args.end}",
               file=sys.stderr)
+        return EXIT_CONFIG
+    formats = ARTIFACT_FORMATS[args.artifact]
+    fmt = formats[0] if args.format is None else args.format
+    if fmt not in formats:
+        print(f"error: --artifact {args.artifact} writes --format {'|'.join(formats)}, "
+              f"got {fmt!r}", file=sys.stderr)
         return EXIT_CONFIG
     try:
         config = load_config(args.config)
@@ -384,7 +396,6 @@ def cmd_analyze(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     store = RecordStore(args.store or config.store_path)
-    fmt = args.format
 
     if args.artifact in ("rtt-series", "cdf"):
         if len(relations) != 1:
@@ -420,8 +431,7 @@ def cmd_analyze(args) -> int:
     if args.artifact == "hops":
         rows = [analytics.hop_count_stats(runs, relation) for relation, runs in selected]
         rows = [r for r in rows if r is not None]
-        table_fmt = fmt if fmt in ("csv", "text") else "text"
-        return _emit(analytics.format_hop_stats(rows, table_fmt), args)
+        return _emit(analytics.format_hop_stats(rows, fmt), args)
 
     observations = [obs for relation, runs in selected
                     for obs in analytics.link_shares(runs, relation, enricher.enrich)]
@@ -429,20 +439,13 @@ def cmd_analyze(args) -> int:
         group_by = analytics.GROUP_BY_AS if args.artifact == "inter-as" \
             else analytics.GROUP_BY_COUNTRY
         rows = analytics.crossing_table(observations, group_by, args.threshold)
-        table_fmt = fmt if fmt in ("csv", "text") else "text"
-        return _emit(analytics.format_crossing_table(rows, table_fmt), args)
+        return _emit(analytics.format_crossing_table(rows, fmt), args)
 
-    if args.artifact == "graph":
-        graph_fmt = fmt if fmt in ("dot", "geojson", "csv") else "dot"
-        export = analytics.export_route_graph(
-            observations, args.threshold, graph_fmt,
-            dashed_inter_as=not args.dashed_intra_as)
-        for address in export.unlocatable:
-            print(f"unlocatable: {address}", file=sys.stderr)
-        return _emit(export.document, args)
-
-    print(f"error: unknown artifact {args.artifact!r}", file=sys.stderr)
-    return EXIT_CONFIG
+    export = analytics.export_route_graph(observations, args.threshold, fmt,
+                                          dashed_inter_as=not args.dashed_intra_as)
+    for address in export.unlocatable:
+        print(f"unlocatable: {address}", file=sys.stderr)
+    return _emit(export.document, args)
 
 
 def _emit(document: str, args) -> int:
@@ -500,16 +503,15 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser("analyze", help="compute tables, series and graphs")
     analyze.add_argument("--config", required=True)
     analyze.add_argument("--store", help="override the config store path")
-    analyze.add_argument("--artifact", required=True,
-                         choices=("rtt-series", "cdf", "inter-as",
-                                  "inter-country", "hops", "graph"))
+    analyze.add_argument("--artifact", required=True, choices=tuple(ARTIFACT_FORMATS))
     analyze.add_argument("--relation", default="all",
                          help="<v4|v6>:<from-isp>:<to-isp> or 'all'")
     analyze.add_argument("--threshold", type=_percent, default=0.1,
                          help="minimum observation share in percent "
                               "(paper tables use 0.1, 2.5, 10, 15)")
     analyze.add_argument("--format", default=None,
-                         help="csv|text for tables, dot|geojson|csv for graphs")
+                         help="text|csv for tables, dot|geojson|csv for graphs, csv for "
+                              "rtt-series and cdf (default: the first)")
     analyze.add_argument("--start", type=int, default=None,
                          help="time range start (µs since epoch, inclusive)")
     analyze.add_argument("--end", type=int, default=None,

@@ -5,9 +5,10 @@ header; for ICMP echo these are the type, code and checksum fields. Keeping
 the checksum constant across a traceroute run therefore keeps all probes of
 the run on one forwarding path.
 
-Payload layout: bytes 0-7 hold the send timestamp (microseconds, unsigned
-big-endian), bytes 8-9 hold the compensation word that pins the checksum,
-remaining bytes are zero.
+An echo request's payload is a fixed 16 bytes: bytes 0-7 hold the send
+timestamp (microseconds, unsigned big-endian), bytes 8-9 the compensation
+word that pins the checksum, and bytes 10-15 are zero. With its 8-byte
+header a request is 24 bytes: 44 B in IPv4, 64 B in IPv6.
 
 An echo reply differs from its request only in its type and code, so its
 checksum is the request's updated for that word (RFC 1624), not summed
@@ -28,9 +29,8 @@ from .config import Family, family_of  # noqa: F401 -- both stay importable from
 ICMP_HEADER = struct.Struct("!BBHHH")  # type, code, checksum, identifier, sequence
 HEADER_LEN = ICMP_HEADER.size
 
-DEFAULT_PAYLOAD_LEN = 16  # header + payload + IP header = 44 B (v4) / 64 B (v6)
-MIN_PAYLOAD_LEN = 10      # timestamp (8 B) + compensation word (2 B)
-PREFIX_LEN = 4            # the bytes load balancers hash on
+_REQUEST = struct.Struct("!BBHHHQH6x")  # header, timestamp, compensation word, zero tail
+PREFIX_LEN = 4  # the bytes load balancers hash on
 
 ICMPV6_PROTOCOL = 58
 
@@ -62,10 +62,6 @@ class Truncated(CodecError):
     """Message shorter than the minimal ICMP header."""
 
 
-class PayloadTooSmall(CodecError):
-    """Payload cannot hold the timestamp plus the compensation word."""
-
-
 class MissingPseudoHeader(CodecError):
     """ICMPv6 checksums cover the pseudo-header; addresses are required."""
 
@@ -85,12 +81,6 @@ class DecodedMessage(NamedTuple):
         if self.identifier is None or self.sequence is None:
             return None
         return (self.identifier, self.sequence)
-
-
-@lru_cache(maxsize=128)
-def _request_struct(payload_len: int) -> struct.Struct:
-    """Echo request: header, timestamp, compensation word, zero tail."""
-    return struct.Struct(f"!BBHHHQH{payload_len - MIN_PAYLOAD_LEN}x")
 
 
 def _word_sum(data: bytes) -> int:
@@ -144,8 +134,8 @@ def _compensation(base_sum: int, target: int) -> int:
 
 
 def _request_words(family: Family, identifier: int, sequence: int, ts: int,
-                   target_checksum: int | None, payload_len: int,
-                   source: str | None, destination: str | None) -> tuple[int, int, int]:
+                   target_checksum: int | None, source: str | None,
+                   destination: str | None) -> tuple[int, int, int]:
     """(type, checksum, compensation word) of an echo request whose
     timestamp is ts, 64 bits: the arithmetic of make_request_bytes and
     request_prefix.
@@ -157,9 +147,6 @@ def _request_words(family: Family, identifier: int, sequence: int, ts: int,
     checksum covers the pseudo-header, so source and destination addresses
     take part in the compensation.
     """
-    if payload_len < MIN_PAYLOAD_LEN:
-        raise PayloadTooSmall(
-            f"payload of {payload_len} B cannot hold timestamp and compensation word")
     icmp_type = 8 if family is _V4 else 128
     # The words of type|code, identifier and sequence, summed without
     # packing, plus ts as one integer: as in _word_sum, it is congruent to
@@ -167,7 +154,7 @@ def _request_words(family: Family, identifier: int, sequence: int, ts: int,
     # so _fold and _compensation give what the word sum gives.
     base_sum = (icmp_type << 8) + identifier + sequence + ts
     if family is not _V4:
-        base_sum += _v6_pseudo_word_sum(source, destination, HEADER_LEN + payload_len)
+        base_sum += _v6_pseudo_word_sum(source, destination, _REQUEST.size)
     if target_checksum is None:
         return icmp_type, ~_fold(base_sum) & 0xFFFF, 0
     if not 0 <= target_checksum <= 0xFFFF:
@@ -178,22 +165,17 @@ def _request_words(family: Family, identifier: int, sequence: int, ts: int,
 
 def make_request_bytes(family: Family, identifier: int, sequence: int,
                        timestamp_us: int, *, target_checksum: int | None = None,
-                       payload_len: int = DEFAULT_PAYLOAD_LEN,
-                       source: str | None = None,
-                       destination: str | None = None) -> bytes:
+                       source: str | None = None, destination: str | None = None) -> bytes:
     """Assemble a ready-to-send echo request, optionally checksum-pinned
     (_request_words); the pack range-checks the fields."""
     ts = timestamp_us & 0xFFFFFFFFFFFFFFFF
     icmp_type, cksum, comp = _request_words(family, identifier, sequence, ts,
-                                            target_checksum, payload_len, source,
-                                            destination)
-    return _request_struct(payload_len).pack(icmp_type, 0, cksum, identifier, sequence,
-                                             ts, comp)
+                                            target_checksum, source, destination)
+    return _REQUEST.pack(icmp_type, 0, cksum, identifier, sequence, ts, comp)
 
 
 def request_prefix(family: Family, identifier: int, sequence: int,
                    timestamp_us: int, *, target_checksum: int | None = None,
-                   payload_len: int = DEFAULT_PAYLOAD_LEN,
                    source: str | None = None, destination: str | None = None) -> int:
     """The first PREFIX_LEN bytes (type, code and checksum) of the request
     make_request_bytes assembles from these fields, as a big-endian
@@ -202,7 +184,7 @@ def request_prefix(family: Family, identifier: int, sequence: int,
     the pack's range checks."""
     icmp_type, cksum, _ = _request_words(family, identifier, sequence,
                                          timestamp_us & 0xFFFFFFFFFFFFFFFF,
-                                         target_checksum, payload_len, source, destination)
+                                         target_checksum, source, destination)
     return icmp_type << 24 | cksum
 
 

@@ -254,7 +254,7 @@ class SourceWorker:
             return
         if self._active is not None and self._active.completed(now_us):
             self._finish_active(now_us)
-        if (self._active is None and not self._cycle_queue
+        if (self._active is None  # then the queue is empty
                 and self._next_cycle_us <= now_us and self._next_cycle_us < self.end_us):
             self._begin_cycle(now_us)
         while self._next_ping_us <= now_us and self._next_ping_us < self.end_us:
@@ -335,28 +335,21 @@ class SourceWorker:
         self._start_next_run(now_us)
 
     def _start_next_run(self, now_us: int) -> None:
-        while self._cycle_queue:
-            idx, rnd = self._cycle_queue[0]
-            relation = self.relations[idx]
-            seq_base = self._alloc(idx, self.schedule.max_ttl)
-            try:
-                run = TracerouteProbeRun(relation, self.schedule, self.identifier,
-                                         seq_base, rnd, self.transport, now_us)
-            except TransportFailure as exc:
-                self._enter_backoff(now_us, exc)
-                return
-            self._cycle_queue.pop(0)
-            self._active = run
-            if not run.completed(now_us):
-                return
-            self._finish_active(now_us, start_next=False)
-        self._active = None
+        """Start the queue's next run. It cannot be complete as it starts:
+        it has max_ttl >= 1 probes pending and a deadline after now_us."""
+        idx, rnd = self._cycle_queue.pop(0)
+        seq_base = self._alloc(idx, self.schedule.max_ttl)
+        try:
+            self._active = TracerouteProbeRun(self.relations[idx], self.schedule,
+                                              self.identifier, seq_base, rnd,
+                                              self.transport, now_us)
+        except TransportFailure as exc:
+            self._enter_backoff(now_us, exc)
 
-    def _finish_active(self, now_us: int, *, start_next: bool = True) -> None:
-        assert self._active is not None
+    def _finish_active(self, now_us: int) -> None:
         self.sink.append(self._active.result())
         self._active = None
-        if start_next and self._cycle_queue:
+        if self._cycle_queue:
             self._start_next_run(now_us)
 
     # -- failure handling ---------------------------------------------------

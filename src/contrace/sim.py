@@ -70,37 +70,27 @@ class SimTopology(NamedTuple):
     start_us: int = 1_609_459_200_000_000  # 2021-01-01T00:00:00Z
     measurement: dict | None = None
 
-    def validate(self) -> None:
-        for (u, v), latency in self.links.items():
-            if u not in self.routers or v not in self.routers:
-                raise TopologyError(f"link {u}->{v} references unknown router")
-            if latency <= 0:
-                raise TopologyError(f"link {u}->{v} latency must be positive")
-        for router, groups in self.ecmp.items():
-            if router not in self.routers:
-                raise TopologyError(f"ecmp entry for unknown router {router}")
-            for dest, group in groups.items():
-                if not group:
-                    raise TopologyError(f"empty ecmp group at {router} for {dest}")
-                for hop in group:
-                    if hop not in self.routers:
-                        raise TopologyError(
-                            f"ecmp group at {router} references unknown router {hop}")
-        for router in self.policies:
-            if router not in self.routers:
-                raise TopologyError(f"policy for unknown router {router}")
-        addresses = set()
-        for router in self.routers.values():
-            try:
-                addresses.add(ipaddress.ip_address(router.address))
-            except ValueError:
-                raise TopologyError(f"router {router.name}: address must be an IP address, "
-                                    f"got {router.address!r}") from None
-        if len(addresses) != len(self.routers):
-            raise TopologyError("router addresses must be unique")
+
+def _link_ends(routers: dict, u, v) -> None:
+    if u not in routers or v not in routers:
+        raise TopologyError(f"link {u}->{v} references unknown router")
 
 
-def _parse_policy(raw, where: str) -> Policy:
+def _link(entry, where: str, routers: dict) -> tuple[str, str, int]:
+    """The link rule, for links and the add_link and set_latency events:
+    both routers known, latency_us an int > 0."""
+    u, v, latency = _fields(entry, where, "from", "to", "latency_us", integers=1)
+    _link_ends(routers, u, v)
+    if latency <= 0:
+        raise TopologyError(f"link {u}->{v} latency must be positive")
+    return u, v, latency
+
+
+def _parse_policy(routers: dict, router, raw, where: str) -> Policy:
+    """The policy rule, for policies and the set_policy event: the router
+    known, the policy one of the three kinds."""
+    if router not in routers:
+        raise TopologyError(f"policy for unknown router {router}")
     if raw in (None, POLICY_RESPONSIVE):
         return Policy(POLICY_RESPONSIVE)
     if raw == POLICY_SILENT:
@@ -132,22 +122,41 @@ def _section(doc: dict, name: str, kind: type):
 
 
 def topology_from_dict(doc: dict) -> SimTopology:
-    routers = {}
+    """The topology of a parsed YAML document, each entry checked where it
+    is read; else a TopologyError naming the first bad one."""
+    routers, addresses = {}, set()
     for name, spec in _section(doc, "routers", dict).items():
         if not isinstance(spec, dict) or "address" not in spec:
             raise TopologyError(f"router {name} needs an address")
-        routers[name] = RouterSpec(name, str(spec["address"]))
+        address = str(spec["address"])
+        try:
+            addresses.add(ipaddress.ip_address(address))
+        except ValueError:
+            raise TopologyError(f"router {name}: address must be an IP address, "
+                                f"got {address!r}") from None
+        routers[name] = RouterSpec(name, address)
+    if len(addresses) != len(routers):
+        raise TopologyError("router addresses must be unique")
     links = {}
     for number, entry in enumerate(_section(doc, "links", list), 1):
-        u, v, latency = _fields(entry, f"link {number}", "from", "to", "latency_us", integers=1)
+        u, v, latency = _link(entry, f"link {number}", routers)
         links[(u, v)] = latency
     ecmp: dict[str, dict[str, tuple[str, ...]]] = {}
     for router, groups in _section(doc, "ecmp", dict).items():
         groups = {"default": groups} if isinstance(groups, list) else groups
         if not isinstance(groups, dict) or not all(type(g) is list for g in groups.values()):
             raise TopologyError(f"ecmp entry for {router} must be a list or a mapping of lists")
+        if router not in routers:
+            raise TopologyError(f"ecmp entry for unknown router {router}")
+        for dest, group in groups.items():
+            if not group:
+                raise TopologyError(f"empty ecmp group at {router} for {dest}")
+            for hop in group:
+                if hop not in routers:
+                    raise TopologyError(
+                        f"ecmp group at {router} references unknown router {hop}")
         ecmp[router] = {dest: tuple(group) for dest, group in groups.items()}
-    policies = {router: _parse_policy(raw, f"policy of {router}")
+    policies = {router: _parse_policy(routers, router, raw, f"policy of {router}")
                 for router, raw in _section(doc, "policies", dict).items()}
     start_us = doc.get("start_time", 1_609_459_200_000_000)
     if type(start_us) is not int:
@@ -159,12 +168,13 @@ def topology_from_dict(doc: dict) -> SimTopology:
         if type(at) not in (int, float) or not -math.inf < at < math.inf:
             raise TopologyError(f"{where}: at must be a finite number of seconds, got {at!r}")
         if action in ("add_link", "set_latency"):
-            params = _fields(entry, where, "from", "to", "latency_us", integers=1)
+            params = _link(entry, where, routers)
         elif action == "remove_link":
             params = _fields(entry, where, "from", "to")
+            _link_ends(routers, *params)
         elif action == "set_policy":
             router, raw = _fields(entry, where, "router", "policy")
-            params = (router, _parse_policy(raw, where))
+            params = (router, _parse_policy(routers, router, raw, where))
         else:
             raise TopologyError(f"unknown event action {action!r}")
         events.append(SimEvent(start_us + int(round(at * 1_000_000)), action, params))
@@ -172,11 +182,8 @@ def topology_from_dict(doc: dict) -> SimTopology:
     measurement = doc.get("measurement")
     if measurement is not None and not isinstance(measurement, dict):
         raise TopologyError("measurement must be a mapping")
-    topo = SimTopology(routers=routers, links=links, ecmp=ecmp,
-                       policies=policies, events=events, start_us=start_us,
-                       measurement=measurement)
-    topo.validate()
-    return topo
+    return SimTopology(routers=routers, links=links, ecmp=ecmp, policies=policies,
+                       events=events, start_us=start_us, measurement=measurement)
 
 
 def load_topology(path: str | Path) -> SimTopology:

@@ -693,14 +693,16 @@ class RecordStore:
         their indexes are the lines of str.splitlines over the whole input,
         blank lines counted. Only input whose first non-blank character is
         "[" is read whole, as one JSON array; its documents, each encoded
-        as one compact line and indexed by position, are one batch. Each
-        run of a batch's lines bound for one segment is one os.write of
-        whole lines under the lock, so a read never sees a torn record, and
-        the files are written in input order, so a killed import keeps a
-        prefix of its input. A line holding a lone surrogate, which reading
+        as one compact line and indexed by position, are one batch. If more
+        than whitespace follows that JSON value (JSON's "Extra data"), the
+        input is NDJSON whose first line is an array, and its lines are one
+        batch. Each run of a batch's lines bound for one segment is one
+        os.write of whole lines under the lock, so a read never sees a torn
+        record, and the files are written in input order, so a killed
+        import keeps a prefix of its input. A line holding a lone surrogate, which reading
         bytes that are not UTF-8 with errors="surrogateescape" leaves, is
-        rejected as "not UTF-8"; an array holding one is rejected whole, at
-        index 0.
+        rejected as "not UTF-8"; an array that parses and holds one is
+        rejected whole, at index 0.
         """
         chunks = iter(lambda: stream.read(_CHUNK), "") if hasattr(stream, "read") \
             else iter(stream)
@@ -713,12 +715,14 @@ class RecordStore:
         if head.lstrip().startswith("["):
             text = head + "".join(chunks)
             try:
-                text.encode()  # raises for a byte that was not UTF-8
                 documents = json.loads(text)
+                text.encode()  # raises for a byte that was not UTF-8
             except UnicodeEncodeError:
                 return 0, [(0, "not UTF-8")]
             except (ValueError, RecursionError) as exc:  # also too many digits or too deep
-                return 0, [(0, f"invalid JSON array: {exc}")]
+                if getattr(exc, "msg", None) != "Extra data":
+                    return 0, [(0, f"invalid JSON array: {exc}")]
+                return self._import_lines(_line_batches((text,)))
             batches = [[_ENCODE(document) + "\n" for document in documents]]
         else:
             batches = _line_batches(itertools.chain((head,), chunks))

@@ -217,6 +217,33 @@ def test_a_router_address_that_is_not_an_ip_is_one_config_error(tmp_path, capsys
     assert not list(store.glob("*.ndjson")) + list(store.glob("*.col"))
 
 
+def test_an_event_that_names_an_unknown_router_is_one_config_error(tmp_path, capsys):
+    """sim-run of a topology whose events remove r->b and add r->ghost, a
+    router the topology does not have: exit 2 and one error line that names
+    the link, before any record is stored, so no segment file is written."""
+    topology = tmp_path / "topology.yaml"
+    topology.write_text(
+        "routers:\n"
+        "  s: {address: 10.0.0.1}\n"
+        "  r: {address: 10.0.0.2}\n"
+        "  b: {address: 10.0.0.3}\n"
+        "links:\n"
+        "  - {from: s, to: r, latency_us: 100}\n"
+        "  - {from: r, to: b, latency_us: 100}\n"
+        "events:\n"
+        "  - {at: 10, action: remove_link, from: r, to: b}\n"
+        "  - {at: 10, action: add_link, from: r, to: ghost, latency_us: 100}\n"
+        "measurement:\n"
+        "  sources: [{label: A, address: 10.0.0.1}]\n"
+        "  destinations: [{label: B, address: 10.0.0.3}]\n"
+        "  schedule: {ping_interval_s: 1, traceroute_interval_s: 5}\n")
+    store = tmp_path / "s"
+    assert cli.main(["sim-run", "--topology", str(topology), "--duration", "20",
+                     "--store", str(store)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: link r->ghost references unknown router\n"
+    assert not list(store.glob("*.ndjson")) + list(store.glob("*.col"))
+
+
 @pytest.mark.parametrize("command", ["measure", "sim-run"])
 @pytest.mark.parametrize("value", ["inf", "nan", "-5", "1e308", "x"])
 def test_bad_duration_is_one_usage_error(tmp_path, capsys, command, value):
@@ -249,6 +276,28 @@ def test_an_empty_time_range_is_one_usage_error(tmp_path, capsys, artifact, star
                      "--start", str(start), "--end", str(end)]) == EXIT_CONFIG
     assert capsys.readouterr().err == \
         f"error: --start must be less than --end, got {start} and {end}\n"
+
+
+@pytest.mark.parametrize("artifact, fmt, formats", [
+    ("inter-as", "jsn", "text|csv"), ("hops", "dot", "text|csv"),
+    ("graph", "text", "dot|geojson|csv"), ("rtt-series", "text", "csv"),
+    ("cdf", "", "csv")])
+def test_a_format_the_artifact_does_not_write_is_one_usage_error(
+        tmp_path, capsys, artifact, fmt, formats):
+    """analyze --format names one of the formats its artifact writes; any
+    other stops the command before the store is read or --out is written,
+    with one error line and exit 2."""
+    store = tmp_path / "s"
+    store.mkdir()
+    (store / "ping-5-9.ndjson").write_text("")
+    config = write_config(tmp_path, store)
+    out = tmp_path / "out"
+    assert cli.main(["analyze", "--config", str(config), "--artifact", artifact,
+                     "--relation", "v4:SUNET:Uninett", "--format", fmt,
+                     "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        f"error: --artifact {artifact} writes --format {formats}, got {fmt!r}\n"
+    assert not out.exists()
 
 
 def test_a_threshold_is_a_finite_percentage(tmp_path, capsys):

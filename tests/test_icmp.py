@@ -83,12 +83,6 @@ class TestCraftPayload:
         with pytest.raises(icmp.MissingPseudoHeader):
             icmp.make_request_bytes(Family.V6, 1, 1, 0, target_checksum=0x1234)
 
-    def test_payload_too_small(self):
-        for target in (None, 0x1234):
-            with pytest.raises(icmp.PayloadTooSmall):
-                icmp.make_request_bytes(Family.V4, 1, 1, 0, target_checksum=target,
-                                        payload_len=9)
-
     def test_unreachable_target_rejected(self):
         # 0xFFFF is only the checksum of the all-zero message.
         with pytest.raises(icmp.CodecError):
@@ -214,21 +208,16 @@ class TestEchoReplyOracle:
     @settings(max_examples=500)
     @given(family=st.sampled_from([Family.V4, Family.V6]),
            ident=st.integers(0, 0xFFFF), seq=st.integers(0, 0xFFFF),
-           ts=st.integers(0, 2**64 - 1), payload_len=st.integers(10, 64),
+           ts=st.integers(0, 2**64 - 1),
            target=st.one_of(st.none(), st.integers(0, 0xFFFE)),
            hosts=st.lists(st.sampled_from(V6_HOSTS), min_size=2, max_size=2, unique=True))
-    @example(family=Family.V4, ident=0, seq=0, ts=0, payload_len=16, target=None,
-             hosts=V6_HOSTS[:2])
-    @example(family=Family.V6, ident=0, seq=0, ts=0, payload_len=16, target=None,
-             hosts=V6_HOSTS[:2])
-    @example(family=Family.V4, ident=0, seq=0, ts=0, payload_len=10, target=0,
-             hosts=V6_HOSTS[:2])
-    def test_reply_equals_the_full_sum(self, family, ident, seq, ts, payload_len,
-                                       target, hosts):
+    @example(family=Family.V4, ident=0, seq=0, ts=0, target=None, hosts=V6_HOSTS[:2])
+    @example(family=Family.V6, ident=0, seq=0, ts=0, target=None, hosts=V6_HOSTS[:2])
+    @example(family=Family.V4, ident=0, seq=0, ts=0, target=0, hosts=V6_HOSTS[:2])
+    def test_reply_equals_the_full_sum(self, family, ident, seq, ts, target, hosts):
         prober, target_host = hosts if family is Family.V6 else (None, None)
         request = icmp.make_request_bytes(family, ident, seq, ts, target_checksum=target,
-                                          payload_len=payload_len, source=prober,
-                                          destination=target_host)
+                                          source=prober, destination=target_host)
         reply = icmp.reply_bytes_for_request(request, family)
         assert reply == echo_reply_reference(request, family.value, target_host, prober)
         decoded = icmp.decode_message(reply, family, source=target_host, destination=prober)
@@ -279,26 +268,23 @@ class TestRequestPrefix:
     @settings(max_examples=500)
     @given(family=st.sampled_from([Family.V4, Family.V6]),
            ident=st.integers(0, 0xFFFF), seq=st.integers(0, 0xFFFF),
-           ts=st.integers(0, 2**64 - 1), payload_len=st.integers(10, 64),
+           ts=st.integers(0, 2**64 - 1),
            target=st.one_of(st.none(), st.integers(0, 0xFFFE)),
            hosts=st.lists(st.sampled_from(V6_HOSTS), min_size=2, max_size=2, unique=True))
-    @example(family=Family.V4, ident=0, seq=0, ts=0, payload_len=16, target=None,
+    @example(family=Family.V4, ident=0, seq=0, ts=0, target=None, hosts=V6_HOSTS[:2])
+    @example(family=Family.V6, ident=0xFFFF, seq=0xFFFF, ts=2**64 - 1, target=0,
              hosts=V6_HOSTS[:2])
-    @example(family=Family.V6, ident=0xFFFF, seq=0xFFFF, ts=2**64 - 1, payload_len=10,
-             target=0, hosts=V6_HOSTS[:2])
     def test_prefix_is_the_value_of_the_requests_first_four_bytes(
-            self, family, ident, seq, ts, payload_len, target, hosts):
+            self, family, ident, seq, ts, target, hosts):
         source, destination = hosts if family is Family.V6 else (None, None)
-        fields = dict(target_checksum=target, payload_len=payload_len, source=source,
-                      destination=destination)
+        fields = dict(target_checksum=target, source=source, destination=destination)
         request = icmp.make_request_bytes(family, ident, seq, ts, **fields)
         assert icmp.request_prefix(family, ident, seq, ts, **fields) == \
             int.from_bytes(request[:icmp.PREFIX_LEN], "big")
 
     def test_prefix_raises_what_the_request_raises(self):
         for kwargs, error in [({"target_checksum": 0xFFFF}, icmp.CodecError),
-                              ({"target_checksum": 0x10000}, ValueError),
-                              ({"payload_len": 9}, icmp.PayloadTooSmall)]:
+                              ({"target_checksum": 0x10000}, ValueError)]:
             for build in (icmp.make_request_bytes, icmp.request_prefix):
                 with pytest.raises(error):
                     build(Family.V4, 1, 1, 0, **kwargs)

@@ -498,6 +498,25 @@ class TestStore:
                 errors="surrogateescape"))) == (0, [(0, "not UTF-8")])
             assert store.count() == 0
 
+    def test_ndjson_whose_first_line_is_an_array_is_read_as_ndjson(self, tmp_path):
+        """Input that starts with "[" but holds one JSON value and then more
+        is NDJSON: its first line, an array, is rejected as one document, and
+        the lines after it are imported, a line that is not UTF-8 rejected
+        alone. A malformed array is rejected whole."""
+        first = "[" + serialize_line(ping(ts=1)).rstrip("\n") + "]\n"
+        not_utf8 = serialize_line(ping(ts=2)).encode().replace(b"10.0.0.1", b"10.0.0.\xff")
+        with RecordStore(tmp_path / "a") as store:
+            assert store.import_json(io.StringIO(
+                first + not_utf8.decode(errors="surrogateescape") +
+                serialize_line(ping(ts=3)))) == \
+                (1, [(0, "expected a JSON object, got list"), (1, "not UTF-8")])
+        assert RecordStore(tmp_path / "a").query(StoreQuery("ping")) == [ping(ts=3)]
+        with RecordStore(tmp_path / "b") as store:
+            accepted, rejects = store.import_json(io.StringIO(
+                first.replace("]", ",") + serialize_line(ping(ts=2))))
+        assert (accepted, [i for i, _ in rejects]) == (0, [0])
+        assert rejects[0][1].startswith("invalid JSON array: Expecting")
+
     def test_import_array_wrapped(self, tmp_path):
         docs = [records.to_json_obj(ping(ts=i + 1)) for i in range(5)]
         with RecordStore(tmp_path) as store:
@@ -1482,10 +1501,10 @@ def _import_documents(draw):
 def test_array_import_equals_ndjson_import_of_the_same_documents(drawn, segment_records):
     """An array's documents are stored as the NDJSON lines of its compact
     documents are: the same (accepted, rejects), indexed by position, and
-    byte-identical segment files. (Input whose first line is an array is
-    read as one array, so it is no NDJSON of its documents.)"""
+    byte-identical segment files. (Input of one line that is an array is
+    read as that array, so it is no NDJSON of its documents.)"""
     documents, ndjson = drawn
-    assume(not ndjson.startswith("["))
+    assume(not ndjson.startswith("[") or ndjson.count("\n") > 1)
     outcomes = []
     with tempfile.TemporaryDirectory() as directory:
         for way, text in (("ndjson", ndjson), ("array", json.dumps(documents))):

@@ -330,11 +330,37 @@ class TestTopologyValidation:
          "event 1: at must be a finite number of seconds, got 'soon'"),
         ({"routers": {"a": {"address": "10.0.0.1"}, "b": {"address": "nonsense"}}},
          "router b: address must be an IP address, got 'nonsense'"),
+        ({"links": [{"from": "a", "to": "ghost", "latency_us": 10}]},
+         "link a->ghost references unknown router"),
+        ({"links": [{"from": "a", "to": "b", "latency_us": -1}]},
+         "link a->b latency must be positive"),
+        ({"ecmp": {"ghost": ["a"]}}, "ecmp entry for unknown router ghost"),
+        ({"ecmp": {"a": {"b": []}}}, "empty ecmp group at a for b"),
+        ({"ecmp": {"a": ["b", "ghost"]}}, "ecmp group at a references unknown router ghost"),
+        ({"policies": {"ghost": "silent"}}, "policy for unknown router ghost"),
+        ({"policies": {"a": "loud"}}, "unknown policy 'loud'"),
+        ({"policies": {"a": {"rate_limit": -1}}}, "rate_limit must be >= 0"),
+        ({"events": [{"at": 1, "action": "add_link", "from": "a", "to": "ghost",
+                      "latency_us": 10}]}, "link a->ghost references unknown router"),
+        ({"events": [{"at": 1, "action": "set_latency", "from": "a", "to": "b",
+                      "latency_us": 0}]}, "link a->b latency must be positive"),
+        ({"events": [{"at": 1, "action": "set_latency", "from": "a", "to": "b",
+                      "latency_us": -5000}]}, "link a->b latency must be positive"),
+        ({"events": [{"at": 1, "action": "set_policy", "router": "ghost",
+                      "policy": "silent"}]}, "policy for unknown router ghost"),
+        ({"events": [{"at": 1, "action": "remove_link", "from": "ghost", "to": "b"}]},
+         "link ghost->b references unknown router"),
     ], ids=["routers-a-list", "links-a-number", "link-without-to", "latency-a-string",
             "latency-a-fraction", "ecmp-a-number", "ecmp-group-a-number",
             "rate-limit-a-string", "start-time-a-string",
             "event-without-from", "event-latency-a-bool", "event-rate-limit-a-fraction",
-            "event-at-a-string", "address-not-an-ip"])
+            "event-at-a-string", "address-not-an-ip",
+            "link-to-an-unknown-router", "latency-negative", "ecmp-of-an-unknown-router",
+            "ecmp-group-empty", "ecmp-group-with-an-unknown-router",
+            "policy-of-an-unknown-router", "policy-unknown", "rate-limit-negative",
+            "event-add-link-to-an-unknown-router", "event-set-latency-zero",
+            "event-set-latency-negative", "event-set-policy-of-an-unknown-router",
+            "event-remove-link-of-an-unknown-router"])
     def test_a_malformed_entry_is_a_topology_error_that_names_it(self, doc, message):
         routers = {"a": {"address": "10.0.0.1"}, "b": {"address": "10.0.0.2"}}
         with pytest.raises(TopologyError, match=f"^{re.escape(message)}$"):
